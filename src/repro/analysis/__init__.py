@@ -4,17 +4,9 @@ Two cooperating layers: the estimators (kernel segmentation, the
 GTO-mimic OptTLP estimator of paper Figure 10, a Hong-Kim-style
 analytical cross-check) and the ``repro lint`` subsystem — whole-kernel
 static analyses over the shared :class:`~repro.analysis.context.LintContext`
-emitting stable ``LNT`` rule codes (:func:`run_lint`), plus the
-versioned static feature vector (:func:`extract_features`) feeding the
-future tier-0 cost model."""
+emitting stable ``LNT`` rule codes (:func:`run_lint`)."""
 
 from .context import LintContext
-from .features import (
-    FEATURE_NAMES,
-    FEATURES_SCHEMA_VERSION,
-    FeatureVector,
-    extract_features,
-)
 from .gto_model import StaticEstimate, estimate_opt_tlp, throughput_cost
 from .hongkim import AnalyticalPrediction, predict_cycles
 from .lint import run_lint, severity_gate
@@ -32,9 +24,6 @@ __all__ = [
     "AbsVal",
     "AnalyticalPrediction",
     "DEFAULT_TRIP_COUNT",
-    "FEATURE_NAMES",
-    "FEATURES_SCHEMA_VERSION",
-    "FeatureVector",
     "Kind",
     "LintContext",
     "Segment",
@@ -42,7 +31,6 @@ __all__ = [
     "UniformityInfo",
     "analyze_uniformity",
     "estimate_opt_tlp",
-    "extract_features",
     "predict_cycles",
     "run_lint",
     "segment_kernel",

@@ -6,12 +6,6 @@ from .batchsim import (
     compare_batchsim,
     record_batchsim,
 )
-from .costmodel import (
-    CostModelAppRow,
-    CostModelComparison,
-    compare_costmodel,
-    record_costmodel,
-)
 from .report import format_table, results_dir, write_result
 from .runner import (
     AppEvaluation,
@@ -34,15 +28,12 @@ __all__ = [
     "AppFailure",
     "BatchSimAppRow",
     "BatchSimComparison",
-    "CostModelAppRow",
-    "CostModelComparison",
     "FastPathAppRow",
     "FastPathComparison",
     "SuiteReport",
     "ViaServerComparison",
     "clear_cache",
     "compare_batchsim",
-    "compare_costmodel",
     "compare_fastpath",
     "compare_via_server",
     "evaluate_app",
@@ -50,7 +41,6 @@ __all__ = [
     "format_table",
     "geomean",
     "record_batchsim",
-    "record_costmodel",
     "results_dir",
     "run_suite",
     "write_report_json",

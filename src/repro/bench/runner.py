@@ -335,8 +335,7 @@ class FastPathAppRow:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready row for ``repro bench --fastpath --report-json``
-        — per-app rank agreement included, so the fastpath tables and
-        the cost-model tables are directly comparable."""
+        — per-app rank agreement included."""
         data = dataclasses.asdict(self)
         data["exact_point"] = list(self.exact_point)
         data["fast_point"] = list(self.fast_point)

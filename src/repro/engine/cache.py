@@ -43,7 +43,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..arch.config import GPUConfig
 from ..ir.pipeline import PIPELINE_SCHEMA_VERSION
-from ..model.artifact import MODEL_SCHEMA_VERSION
 from ..sim.batch import BATCH_SCHEMA_VERSION
 from ..sim.stats import SimResult
 from . import faults
@@ -101,20 +100,18 @@ def cache_schema_version() -> str:
     the optimization-pipeline revision
     (:data:`repro.ir.pipeline.PIPELINE_SCHEMA_VERSION`) and the batched
     simulation core's revision
-    (:data:`repro.sim.batch.BATCH_SCHEMA_VERSION`) and the learned
-    tier-0 cost model's revision
-    (:data:`repro.model.artifact.MODEL_SCHEMA_VERSION`): on-disk
-    entries written under a different scoring model — whose pruning
-    decided *which* points ever got simulated — under pass semantics
-    that have since changed, by a batched core whose semantics have
-    since been revised, or under a learned screen whose prediction
-    semantics have since been revised, are invalidated wholesale by a
-    version bump rather than trusted silently.
+    (:data:`repro.sim.batch.BATCH_SCHEMA_VERSION`): on-disk entries
+    written under a different scoring model — whose pruning decided
+    *which* points ever got simulated — under pass semantics that have
+    since changed, or by a batched core whose semantics have since been
+    revised, are invalidated wholesale by a version bump rather than
+    trusted silently.
     """
     return (
         f"r{RESULT_SCHEMA_VERSION}.fp{FASTPATH_SCHEMA_VERSION}"
         f".pp{PIPELINE_SCHEMA_VERSION}.b{BATCH_SCHEMA_VERSION}"
-        f".m{MODEL_SCHEMA_VERSION}"
+        # Retired tier-0 model tag, kept so existing disk caches still hit.
+        ".m1"
     )
 
 

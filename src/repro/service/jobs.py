@@ -11,9 +11,12 @@ A request's life has two phases:
     Runs on the connection handler thread: resolve the target (Table 3
     app abbreviation or inline PTX text), parse/verify it, and compute
     the job's **content signature** — ``sha256(job, kernel
-    fingerprint, config signature, semantically relevant params)``.
-    The signature is the single-flight dedup key: two requests collide
-    exactly when their answers must be identical.  Load/parse failures
+    fingerprint, config signature, workload terms, semantically
+    relevant params)``.  The signature is the single-flight dedup key:
+    two requests collide exactly when their answers must be identical.
+    The workload terms (resolved grid, buffer sizes, default register
+    count) are what a ``target`` adds to its kernel, so an inline-``ptx``
+    twin of the same kernel never shares its slot.  Load/parse failures
     surface here, before the request ever occupies a queue slot.
 
     Engine *tuning* state is deliberately absent from the signature:
@@ -95,9 +98,9 @@ def _sig(*parts: object) -> str:
 
     The engine's cache schema tag is folded in first, so bumping *any*
     result-affecting schema version (result layout, fastpath policy,
-    pipeline format, batch core, tier-0 cost model) also invalidates
-    in-flight dedup collisions — a job prepared under the old model
-    version can never be answered by a slot keyed under the new one.
+    pipeline format, batch core) also invalidates in-flight dedup
+    collisions — a job prepared under the old version can never be
+    answered by a slot keyed under the new one.
     """
     from ..engine.cache import cache_schema_version
 
@@ -139,6 +142,22 @@ def _load_target(params: Dict[str, Any]) -> Tuple[Kernel, Optional[object]]:
     return kernel, None
 
 
+def _workload_terms(
+    config: GPUConfig, workload: Any, grid: Optional[int] = None
+) -> Tuple[int, Tuple[Tuple[str, int], ...], Optional[int]]:
+    """``(resolved grid, param sizes, default reg)`` of a job: what its
+    ``target`` workload (if any) adds to the answer beyond the kernel.
+    ``grid`` is an explicit per-request override."""
+    if grid is None and workload is not None:
+        grid = workload.grid_blocks
+    if grid is None:
+        grid = 2 * config.max_blocks_per_sm
+    if workload is None:
+        return grid, (), None
+    params = tuple(sorted(workload.param_sizes.items()))
+    return grid, params, workload.default_reg
+
+
 def prepare(request: Request) -> PreparedJob:
     """Resolve the target and derive the single-flight signature."""
     params = request.params
@@ -169,6 +188,7 @@ def prepare(request: Request) -> PreparedJob:
             "crat",
             fingerprint,
             config_signature(config),
+            _workload_terms(config, workload),
             bool(params.get("static")),
             bool(params.get("no_shm_spill")),
             bool(params.get("verify")),
@@ -181,8 +201,8 @@ def prepare(request: Request) -> PreparedJob:
             "simulate",
             fingerprint,
             config_signature(config),
+            _workload_terms(config, workload, params.get("grid") or None),
             params.get("tlp", 4),
-            params.get("grid", 0),
             _passes_of(params),
         )
     else:  # verify

@@ -128,15 +128,16 @@ class TestSchemaVersioning:
         from repro.engine import FASTPATH_SCHEMA_VERSION, cache_schema_version
         from repro.engine.cache import RESULT_SCHEMA_VERSION
         from repro.ir import PIPELINE_SCHEMA_VERSION
-        from repro.model.artifact import MODEL_SCHEMA_VERSION
         from repro.sim.batch import BATCH_SCHEMA_VERSION
 
         tag = cache_schema_version()
         assert tag == (
             f"r{RESULT_SCHEMA_VERSION}.fp{FASTPATH_SCHEMA_VERSION}"
             f".pp{PIPELINE_SCHEMA_VERSION}.b{BATCH_SCHEMA_VERSION}"
-            f".m{MODEL_SCHEMA_VERSION}"
+            ".m1"
         )
+        # Pinned byte for byte: existing disk caches must keep hitting.
+        assert tag == "r2.fp1.pp1.b1.m1"
 
     def test_key_leads_with_schema_tag(self, gau):
         from repro.engine import cache_schema_version
@@ -213,11 +214,10 @@ class TestSchemaVersioning:
     def test_model_version_bump_misses_disk_cache(
         self, gau, tmp_path, monkeypatch
     ):
-        """Mirrors the fast-path bump: a learned-cost-model revision
-        (``MODEL_SCHEMA_VERSION``) invalidates persisted results
-        wholesale — a tier-0 screen with revised prediction semantics
-        decided *which* points ever got simulated, so entries from the
-        old revision are never trusted."""
+        """The retired cost model's ``.m1`` segment stays in the tag:
+        entries written under any other model revision are never
+        trusted, while those under ``.m1`` — every cache written before
+        the model was retired — keep hitting."""
         first = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
         first.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
                        param_sizes=gau.param_sizes)
@@ -226,9 +226,10 @@ class TestSchemaVersioning:
 
         import repro.engine.cache as cache_mod
 
+        tag = cache_mod.cache_schema_version()
+        assert tag.endswith(".m1")
         monkeypatch.setattr(
-            cache_mod, "MODEL_SCHEMA_VERSION",
-            cache_mod.MODEL_SCHEMA_VERSION + 1,
+            cache_mod, "cache_schema_version", lambda: tag[:-1] + "2"
         )
         bumped = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
         bumped.simulate(gau.kernel, FERMI, 2, grid_blocks=4,

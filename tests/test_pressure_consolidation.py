@@ -8,17 +8,20 @@ The per-position pressure walk used to exist three times — in
 suite pins the consolidation: an independent from-scratch
 reimplementation of the old walk must agree with the shared primitive
 on every suite app and every example fixture, per register class and
-in total slots.
+in total slots.  The same oracle pins MaxLive on random kernels too.
 """
 
 import os
 
 import pytest
+from hypothesis import given, settings
 
 from repro.cfg import CFG, LivenessInfo
 from repro.cfg.liveness import iter_interference_sites
 from repro.ptx import RegClass, parse_kernel
 from repro.workloads import full_suite, load_workload
+
+from .test_properties import kernel_strategy
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
 APPS = sorted(w.abbr for w in full_suite())
@@ -82,3 +85,20 @@ def test_interference_sites_cover_every_position(target):
     for site in sites:
         assert site.inst is liveness.instructions[site.pos]
         assert site.live_out == liveness.live_out[site.pos]
+
+
+class TestMaxLiveAgreement:
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_strategy())
+    def test_static_profile_max_equals_allocator_maxlive(self, kernel):
+        liveness = LivenessInfo(kernel)
+        oracle = max(oracle_profile(liveness), default=0)
+        assert max(liveness.pressure_profile(), default=0) == oracle
+        assert liveness.max_pressure() == oracle
+
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_agreement_on_example_corpus(self, name):
+        liveness = LivenessInfo(corpus_kernel(name))
+        assert liveness.max_pressure() == max(
+            oracle_profile(liveness), default=0
+        )

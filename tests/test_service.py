@@ -224,6 +224,27 @@ class TestSingleFlight:
         assert len(replies) == 2
         assert server.stats.to_dict()["executed"] == 2
 
+    @pytest.mark.parametrize("job", ["crat", "simulate"])
+    def test_target_and_inline_ptx_twins_sign_differently(self, job):
+        """A ``target`` job also gets its workload's grid, buffer sizes
+        and default register count; an inline-``ptx`` twin of the same
+        kernel gets none of them (KMN at TLP 1 simulates to 271,132
+        vs 361,512 cycles), so the two must never share one reply."""
+        from repro.ptx import print_kernel
+        from repro.workloads import load_workload
+
+        ptx = print_kernel(load_workload("KMN").kernel)
+        extra = {"tlp": 1} if job == "simulate" else {}
+
+        def sign(**target):
+            return prepare(Request(job=job, params={**target, **extra}))
+
+        as_target, as_ptx = sign(target="KMN"), sign(ptx=ptx)
+        assert as_target.kernel.fingerprint() == as_ptx.kernel.fingerprint()
+        assert as_target.signature != as_ptx.signature
+        assert sign(target="KMN").signature == as_target.signature
+        assert sign(ptx=ptx).signature == as_ptx.signature
+
 
 class TestBackpressure:
     def test_overloaded_when_queue_full(self, tmp_path, fresh_engine):
