@@ -12,8 +12,7 @@ from conftest import run_once
 from repro.arch import FERMI
 from repro.bench import evaluate_app, format_table
 from repro.core import default_allocation
-from repro.sim import trace_grid
-from repro.sim.sm import SMSimulator
+from repro.sim import simulate_traces, trace_grid
 
 APPS = ["KMN", "STM", "HST"]
 
@@ -32,7 +31,7 @@ def _collect():
 
         block_best = None
         for tlp in range(1, usage.max_tlp + 1):
-            cycles = SMSimulator(FERMI, traces, tlp=tlp).run().cycles
+            cycles = simulate_traces(traces, FERMI, tlp).cycles
             if block_best is None or cycles < block_best[1]:
                 block_best = (tlp, cycles)
 
@@ -40,9 +39,9 @@ def _collect():
         max_warps = usage.max_tlp * warps_per_block
         limits = sorted({w for w in range(2, max_warps + 1, 2)} | {max_warps})
         for limit in limits:
-            cycles = SMSimulator(
-                FERMI, traces, tlp=usage.max_tlp, warp_limit=limit
-            ).run().cycles
+            cycles = simulate_traces(
+                traces, FERMI, usage.max_tlp, warp_limit=limit
+            ).cycles
             if warp_best is None or cycles < warp_best[1]:
                 warp_best = (limit, cycles)
 

@@ -9,8 +9,6 @@ Commands mirror how the paper's toolchain is used:
 * ``suite``              — the Fig 13 table over the sensitive suite
 * ``bench --fastpath``   — exact vs two-tier pipeline comparison
 * ``bench --via-server`` — warm-daemon vs cold one-shot wall-clock
-* ``bench --batchsim``   — scalar vs batched simulation core (asserts
-  bit-identity; ``--record PATH`` appends to the speedup ledger)
 * ``verify APP|FILE``    — lint a kernel with the translation-validation
   rules (dataflow, spill-stack discipline; ``--pipeline`` also runs the
   transform passes under effect-preservation checking)
@@ -39,10 +37,9 @@ set), and ``--trace-json PATH`` dumps the engine's instrumentation
 ``--fastpath-topk K`` turns on the analytical fast path (screen the
 TLP sweep statically, simulate only the top-K survivors plus a bracket
 walk; ``--no-refine`` skips the walk); the default keeps the exact
-exhaustive pipeline.  Multi-point sweeps route through the batched SoA
-simulation core by default — bit-identical to the scalar simulator,
-roughly 2.8x faster on profile sweeps; ``--no-batch`` forces the
-point-by-point supervised path.
+exhaustive pipeline.  Every simulation runs on the one batched timing
+core: a multi-point sweep is one in-process batch, a single point a
+batch of one under the supervisor.
 
 ``--passes P1,P2,...`` (on ``simulate``/``crat``/``suite``/``serve``/
 ``submit``) runs a pre-allocation optimization pipeline over the kernel
@@ -101,7 +98,6 @@ def _engine_for(args):
         fastpath_topk=topk,
         fastpath_refine=False if no_refine else None,
         task_timeout=getattr(args, "task_timeout", None),
-        batch=getattr(args, "batch", None),
         # Fold the active --passes pipeline into the engine's cache
         # keys (validated here, so a typo exits 2 before any work).
         passes=getattr(args, "passes", None),
@@ -375,19 +371,6 @@ def _resolve_bench_apps(args):
 
 
 def cmd_bench(args) -> int:
-    if args.batchsim:
-        from .bench import compare_batchsim, record_batchsim
-
-        comparison = compare_batchsim(
-            _resolve_bench_apps(args),
-            config_name=args.config,
-            repeats=args.repeats,
-        )
-        print(comparison.table())
-        if args.record:
-            record_batchsim(comparison, args.record)
-            print(f"run recorded to {args.record}", file=sys.stderr)
-        return 0 if comparison.identical else 1
     if args.via_server:
         from .bench import compare_via_server
 
@@ -401,9 +384,8 @@ def cmd_bench(args) -> int:
         return 0 if comparison.identical else 1
     if not args.fastpath:
         raise SystemExit("error: bench requires --fastpath (exact vs "
-                         "two-tier pipeline comparison), --via-server "
-                         "(warm daemon vs cold one-shot), or --batchsim "
-                         "(scalar vs batched simulation core)")
+                         "two-tier pipeline comparison) or --via-server "
+                         "(warm daemon vs cold one-shot)")
     from .bench import compare_fastpath
 
     topk = args.fastpath_topk if args.fastpath_topk else 1
@@ -524,7 +506,6 @@ def cmd_serve(args) -> int:
         task_timeout=args.task_timeout,
         cache_max_entries=bound,
         passes=args.passes,
-        batch=args.batch,
     )
     # Daemon-wide default pipeline; per-request "passes" params
     # override it (and re-key the single-flight signature).
@@ -807,13 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wall-clock budget per simulation task before "
                             "the supervisor abandons and retries it "
                             "(0 disables; default: $REPRO_TASK_TIMEOUT)")
-        p.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="evaluate multi-point sweeps through the "
-                            "batched SoA simulation core (bit-identical "
-                            "to the scalar simulator; default: on — "
-                            "--no-batch forces point-by-point supervised "
-                            "simulation)")
         if trace:
             p.add_argument("--trace-json", default="",
                            help="dump engine instrumentation (timings, "
@@ -878,20 +852,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="measure a repeated crat workload against "
                               "a warm in-process daemon vs cold one-shot "
                               "engines")
-    p_bench.add_argument("--batchsim", action="store_true",
-                         help="compare the scalar simulator against the "
-                              "batched SoA core on every app's TLP "
-                              "staircase (asserts bit-identity)")
     p_bench.add_argument("--report-json", default="", metavar="PATH",
                          help="write the structured per-app comparison "
                               "(rank-agreement rows included) to this "
                               "path (--fastpath)")
-    p_bench.add_argument("--repeats", type=int, default=1,
-                         help="best-of-N timing repeats for --batchsim "
-                              "(default 1)")
-    p_bench.add_argument("--record", default="", metavar="PATH",
-                         help="append the --batchsim run record to this "
-                              "JSON ledger (e.g. BENCH_batchsim.json)")
     p_bench.add_argument("--requests", type=int, default=10,
                          help="request count for --via-server "
                               "(default 10)")

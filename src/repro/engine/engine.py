@@ -42,7 +42,7 @@ from ..ir.pipeline import pipeline_signature
 from ..ptx.module import Kernel
 from ..sim.batch import simulate_traces_batched
 from ..sim.executor import BlockTrace
-from ..sim.gpu import simulate_traces, trace_grid
+from ..sim.gpu import trace_grid
 from ..sim.stats import SimResult
 from . import faults
 from .cache import SimKey, SimResultCache, config_signature, key_digest, make_sim_key
@@ -108,15 +108,8 @@ class EvaluationEngine:
         checkpoint_dir: Optional[str] = None,
         cache_max_entries: Optional[int] = None,
         pipeline: str = "",
-        batch: bool = True,
     ):
         self.jobs = resolve_jobs(jobs)
-        #: Route multi-point groups through the batched SoA core
-        #: (:class:`repro.sim.batch.BatchedSimulator`) by default.
-        #: Bit-identical to the scalar path; ``--no-batch`` turns it
-        #: off, and an active fault-injection plan disables it for the
-        #: affected run (faults are exercised by the supervised pool).
-        self.batch = batch
         #: The active ``--passes`` signature; folded into every cache
         #: key so results simulated under different pipelines never
         #: alias (see :func:`repro.engine.cache.make_sim_key`).
@@ -272,34 +265,19 @@ class EvaluationEngine:
                 raise outcome
         return outcomes  # type: ignore[return-value]
 
-    def evaluate_batch(self, requests: Sequence[SimRequest]) -> List[SimResult]:
-        """Evaluate a multi-point sweep through the batched SoA core.
-
-        Identical results to :meth:`simulate_many` (the batched core is
-        bit-identical to the scalar simulator and any group it cannot
-        take falls back to the supervised path), but the batched route
-        is forced even when the engine default (:attr:`batch`) is off.
-        Strict like :meth:`simulate_many`: the first failed point
-        raises its classified error.
-        """
-        outcomes = self.simulate_outcomes(requests, batch=True)
-        for outcome in outcomes:
-            if isinstance(outcome, ReproError):
-                raise outcome
-        return outcomes  # type: ignore[return-value]
-
     def _run_batched(
         self,
         tasks: List[Tuple[List[BlockTrace], GPUConfig, int, str]],
         outcomes: List[Optional[TaskOutcome]],
     ) -> List[int]:
-        """Evaluate batchable groups of ``tasks`` with the SoA core.
+        """Evaluate groups of ``tasks`` in-process, one batch each.
 
         Groups share (traces, config, scheduler) and differ only in
         TLP — the shape of a profile sweep.  Fills ``outcomes`` for
         every position it evaluated and returns the positions it left
-        for the supervised pool: singleton groups (packing amortizes
-        nothing) and any group whose batched run raised (the supervised
+        for the supervised pool: singleton groups (a batch of one gains
+        nothing in-process, and the supervisor adds timeouts and
+        retries) and any group whose batched run raised (the supervised
         path retries those with its usual budget).
         """
         groups: Dict[Tuple[int, str, str], List[int]] = {}
@@ -319,8 +297,8 @@ class EvaluationEngine:
                     traces, config, tlps, scheduler=scheduler
                 )
             except Exception:
-                # Whatever went wrong, the supervised scalar path is
-                # the retry rung — it owns the failure from here.
+                # Whatever went wrong, the supervised point-by-point
+                # path is the retry rung — it owns the failure from here.
                 leftover.extend(positions)
                 continue
             for p, result in zip(positions, results):
@@ -340,7 +318,6 @@ class EvaluationEngine:
     def simulate_outcomes(
         self,
         requests: Sequence[SimRequest],
-        batch: Optional[bool] = None,
     ) -> List[Union[SimResult, ReproError]]:
         """Evaluate a batch, reporting per-point failures in-band.
 
@@ -350,12 +327,11 @@ class EvaluationEngine:
         are cached (and journaled to the checkpoint store when one is
         configured); failed points are not.
 
-        ``batch`` overrides the engine's :attr:`batch` default for this
-        call.  When batching applies, groups of two or more points that
-        share traces, config and scheduler run in-process through the
-        bit-identical SoA core (exempt from per-task timeouts, like the
-        serial path); everything else — including every point of a run
-        with an active fault-injection plan, which must exercise the
+        Groups of two or more points that share traces, config and
+        scheduler run in-process as one batch of the timing core
+        (exempt from per-task timeouts, like the serial path);
+        everything else — single points, and every point of a run with
+        an active fault-injection plan, which must exercise the
         supervised machinery — goes to the supervised pool.
         """
         t0 = time.perf_counter()
@@ -438,10 +414,9 @@ class EvaluationEngine:
                 tokens.append(key_digest(keys[i]))
             pending = [i for i in pending if results[i] is None]
             t_run = time.perf_counter()
-            use_batch = self.batch if batch is None else batch
             outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
             remaining = list(range(len(tasks)))
-            if use_batch and len(tasks) > 1 and faults.active_plan() is None:
+            if len(tasks) > 1 and faults.active_plan() is None:
                 remaining = self._run_batched(tasks, outcomes)
             if remaining:
                 supervised = run_supervised(
@@ -654,13 +629,12 @@ class EvaluationEngine:
     ) -> List[SimResult]:
         """Parallel fan-out over pre-computed traces (uncached: without
         the originating kernel there is no content key).  Multi-point
-        calls take the batched SoA core when the engine default allows
-        it, falling back to the supervised pool on any batched-core
-        failure."""
+        calls run as one in-process batch, falling back to the
+        supervised pool on any failure (or under a fault plan)."""
         tasks = [(traces, config, tlp, scheduler) for tlp in tlps]
         t0 = time.perf_counter()
         outcomes: Optional[List[SimResult]] = None
-        if self.batch and len(tasks) > 1 and faults.active_plan() is None:
+        if len(tasks) > 1 and faults.active_plan() is None:
             try:
                 outcomes = simulate_traces_batched(
                     traces, config, [t[2] for t in tasks],
@@ -704,7 +678,6 @@ class EvaluationEngine:
         """JSON-ready view of counters, timings and the event log."""
         return {
             "jobs": self.jobs,
-            "batch": self.batch,
             "pipeline": self.pipeline,
             "cached_results": len(self._sim_cache),
             "cached_traces": len(self._trace_cache),
@@ -772,7 +745,6 @@ def configure(
     checkpoint_dir: Optional[str] = None,
     cache_max_entries: Optional[int] = None,
     passes: Optional[str] = None,
-    batch: Optional[bool] = None,
 ) -> EvaluationEngine:
     """Adjust the shared engine in place (the CLI's ``--jobs`` /
     ``--fastpath-topk`` / ``--task-timeout`` hook).  ``fastpath_topk=0``
@@ -792,8 +764,6 @@ def configure(
         engine = get_engine()
         if jobs is not None:
             engine.jobs = resolve_jobs(jobs)
-        if batch is not None:
-            engine.batch = batch
         if disk_cache is not None:
             engine._sim_cache.disk_dir = disk_cache
         if fastpath_topk is not None:

@@ -58,14 +58,15 @@ class BatchEvent:
 
 @dataclasses.dataclass(frozen=True)
 class BatchSimEvent:
-    """One group of design points evaluated by the batched SoA core
-    (:class:`repro.sim.batch.BatchedSimulator`) instead of point-by-
-    point supervised simulation.  ``points`` is the lane count of the
-    group (one lane per TLP); results are bit-identical to the scalar
-    path, so this event is a performance trace, not a semantic one.
+    """One group of design points evaluated in-process as one batch of
+    the timing core (:class:`repro.sim.batch.BatchedSimulator`) instead
+    of point-by-point under the supervisor.  ``points`` is the lane
+    count of the group (one lane per TLP); a lane's answer does not
+    depend on its batch, so this event is a performance trace, not a
+    semantic one.
     """
 
-    kind: ClassVar[str] = "batchsim"
+    kind: ClassVar[str] = "batch-sim"
 
     points: int
     scheduler: str

@@ -149,6 +149,7 @@ class TaskOutcome:
 
 
 def _simulate_task(task: SimTask) -> SimResult:
+    """One design point: a batch of one of the timing core."""
     traces, config, tlp, scheduler = task
     from ..sim.gpu import simulate_traces
 

@@ -4,12 +4,11 @@ Historically each layer raised its own ad-hoc exception —
 :class:`~repro.ptx.parser.PTXParseError`,
 :class:`~repro.ptx.verifier.VerificationError`,
 :class:`~repro.regalloc.allocator.InsufficientRegistersError`,
-:class:`~repro.sim.executor.DivergentBranchError`,
-:class:`~repro.sim.cache.MSHRFullError` — and whatever reached the CLI
-surfaced as a raw traceback.  The supervised execution layer needs one
-vocabulary to make retry/degrade/abort decisions, and the CLI needs
-stable exit codes, so every failure is routed into this tree at the
-engine boundary (:func:`classify_error`):
+:class:`~repro.sim.executor.DivergentBranchError` — and whatever
+reached the CLI surfaced as a raw traceback.  The supervised execution
+layer needs one vocabulary to make retry/degrade/abort decisions, and
+the CLI needs stable exit codes, so every failure is routed into this
+tree at the engine boundary (:func:`classify_error`):
 
 ``ReproError``
     ├── ``ParseError``       — malformed or unverifiable PTX      (exit 2)
@@ -241,8 +240,6 @@ def classify_error(
     from .ptx.verifier import VerificationError as LegacyVerificationError
     from .regalloc.allocator import InsufficientRegistersError
     from .service.protocol import ProtocolError
-    from .sim.cache import MSHRFullError
-    from .sim.executor import DivergentBranchError
 
     context = dict(
         app=app, kernel=kernel, design_point=design_point, stage=stage
@@ -259,8 +256,6 @@ def classify_error(
         cls = AllocationError
     elif isinstance(exc, builtins.TimeoutError):
         cls = TaskTimeoutError
-    elif isinstance(exc, (MSHRFullError, DivergentBranchError)):
-        cls = SimulationError
     else:
         cls = SimulationError
     err = cls(f"{type(exc).__name__}: {exc}", **context)

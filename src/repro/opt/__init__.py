@@ -3,9 +3,9 @@
 Every pass is a :class:`repro.ir.RewritePattern` applied by the
 :class:`repro.ir.GreedyRewriteDriver`; the historical function APIs
 (``propagate_copies``, ``eliminate_dead_code``, ...) remain as thin
-driver wrappers with unchanged result types and bit-identical output
-(enforced by the old-vs-new differential gate against
-:mod:`repro.opt.legacy`).
+driver wrappers with unchanged result types.  Each pass's output kernel
+and counters are pinned for the whole corpus in the golden ledger
+(``tools/ledger.json``, checked by ``tools/ledger_gate.py``).
 
 ``optimize_kernel`` runs the standard cleanup pipeline the production
 toolchain applies before register allocation: copy propagation and

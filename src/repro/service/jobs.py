@@ -19,13 +19,13 @@ A request's life has two phases:
     twin of the same kernel never shares its slot.  Load/parse failures
     surface here, before the request ever occupies a queue slot.
 
-    Engine *tuning* state is deliberately absent from the signature:
-    multi-point sweeps inside a job run on the warm engine's batched
-    SoA core (:mod:`repro.sim.batch`) whenever it is enabled, and
-    because the batched core is bit-identical to the scalar path, a
-    batched and an unbatched evaluation of the same content may share
-    one single-flight slot.  Only content that changes the *answer*
-    (kernel, config, passes pipeline, job params) may enter the hash.
+    Engine *tuning* state (jobs, timeouts, fast-path policy knobs that
+    cannot change a winner) is deliberately absent from the signature:
+    a multi-point sweep inside a job runs as one batch of the timing
+    core (:mod:`repro.sim.batch`) and a single point as a batch of one,
+    and a lane's answer never depends on its batch.  Only content that
+    changes the *answer* (kernel, config, passes pipeline, job params)
+    may enter the hash.
 
 :func:`execute`
     Runs on a worker thread against the warm shared engine and returns

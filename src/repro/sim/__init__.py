@@ -1,8 +1,9 @@
 """GPGPU-Sim-like simulator substrate.
 
 Functional SIMT execution of the PTX-subset IR plus a cycle-approximate
-SM timing model: GTO warp scheduling, a banked L1 with finite MSHRs, an
-L2 slice, a DRAM bandwidth model, and a GPUWattch-style energy model.
+SM timing model (one batched core, :mod:`repro.sim.batch`): GTO or LRR
+warp scheduling, an L1 with finite MSHRs, an L2 slice, a DRAM bandwidth
+model, and a GPUWattch-style energy model.
 """
 
 from .batch import (
@@ -11,7 +12,7 @@ from .batch import (
     PackedGrid,
     simulate_traces_batched,
 )
-from .cache import Cache, CacheStats, DRAMModel, MSHRFullError, ProbeResult
+from .cache import Cache, CacheStats, DRAMModel
 from .energy import DEFAULT_ENERGY_MODEL, EnergyModel, attach_energy
 from .executor import (
     BlockExecutor,
@@ -23,8 +24,6 @@ from .executor import (
 from .gpu import simulate, simulate_traces, trace_grid
 from .memory import BlockMemory, GlobalMemory
 from .multisim import makespan, simulate_multi_sm
-from .scheduler import GTOScheduler, LRRScheduler, WarpScheduler, make_scheduler
-from .sm import SMSimulator
 from .stats import SimResult
 
 __all__ = [
@@ -39,18 +38,11 @@ __all__ = [
     "DRAMModel",
     "DivergentBranchError",
     "EnergyModel",
-    "GTOScheduler",
     "GlobalMemory",
-    "LRRScheduler",
-    "MSHRFullError",
     "PackedGrid",
-    "ProbeResult",
-    "SMSimulator",
     "SimResult",
     "WarpOp",
-    "WarpScheduler",
     "attach_energy",
-    "make_scheduler",
     "run_grid",
     "simulate",
     "simulate_multi_sm",

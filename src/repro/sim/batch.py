@@ -1,47 +1,48 @@
-"""Batched structure-of-arrays simulation of many design points at once.
+"""The SM timing core: one or many design points of a kernel per pass.
 
 The paper's methodology sweeps one kernel across many (reg, TLP) design
-points; the scalar :class:`~repro.sim.sm.SMSimulator` advances one
-python-interpreter pass per point, which makes the cycle simulator the
-hot path under the suite, the fast-path screen and the service.  This
-module simulates a whole sweep in **one** pass:
+points.  This module is the only cycle model in the repository: a
+single point is a batch of one (:func:`repro.sim.gpu.simulate_traces`),
+a profile sweep is one batch with a lane per TLP, and the chip-level
+mode (:func:`repro.sim.multisim.simulate_multi_sm`) drives one lane per
+SM over a shared L2 and DRAM channel.
 
 * **Shared packing** — the block traces are compiled *once per batch*
-  into structure-of-arrays form: per-warp op streams become flat arrays
-  of kind codes, pre-resolved latencies, dense integer register ids and
-  coalesced line addresses (:class:`PackedGrid`), replacing per-issue
-  dataclass attribute walks and string-keyed scoreboard lookups.  The
-  same packed grid drives every lane of the batch, and ops the trace
-  shares between warps are packed once (memoized by identity).
+  into structure-of-arrays form: per-warp op streams become uniform
+  tuples of kind codes, pre-resolved latencies, dense integer register
+  ids and line-aligned addresses (:class:`PackedGrid`), replacing
+  per-issue dataclass attribute walks and string-keyed scoreboard
+  lookups.  The same packed grid drives every lane of the batch, and
+  ops the trace shares between warps are packed once (memoized by
+  identity).
 * **Static counters** — every dynamic instruction issues exactly once
   per run regardless of TLP, so instruction counts, per-class issue
   counts and local/shared/global/bypass totals are properties of the
-  *trace*, not of the timing.  They are reduced once at pack time with
-  one ``np.bincount`` over the per-op category codes and never touched
-  in the hot loop.
+  *trace*, not of the timing.  They are counted once at pack time and
+  never touched in the hot loop.
 * **SoA lane state** — the batch keeps per-lane virtual clocks, active
   masks and progress counters in numpy arrays
   (:attr:`BatchedSimulator.clock` / :attr:`~BatchedSimulator.active`)
   and advances every active lane in a lockstep chunk loop; finished
   lanes are masked out and never touched again.
 
-**Why per-lane clocks (and not one shared clock).**  The scalar
-simulator jumps its clock to *its own* next event when no warp can
-issue (``now = max(now + 1, next_event)``).  Under a single shared
-batch clock a stalled lane would instead be re-stepped at every other
-lane's issue cycle and would observe its wakeup at the first *shared*
-cycle at or after the event — a different (often fractional-cycle
-later) issue time, hence different cycle counts.  Bit-identity
-therefore requires each lane to advance on its own clock; the batch
-wins by sharing the packing, the static reductions and a much leaner
-per-issue code path, not by merging clocks.  Lanes are fully
-independent, so chunked lockstep interleaving is exact by construction
-— the differential gate (``tools/batch_sim_gate.py``) and the property
-tests hold it to zero drift against the scalar oracle.
+**Why per-lane clocks (and not one shared clock).**  A lane jumps its
+clock to *its own* next event when no warp can issue (``now = max(now +
+1, next_event)``).  Under a single shared batch clock a stalled lane
+would instead be re-stepped at every other lane's issue cycle and would
+observe its wakeup at the first *shared* cycle at or after the event —
+a different (often fractional-cycle later) issue time, hence different
+cycle counts.  A lane's answer must not depend on which other points
+share its batch, so each lane advances on its own clock; the batch wins
+by sharing the packing, the static counters and a lean per-issue code
+path, not by merging clocks.  Lanes are fully independent, so chunked
+lockstep interleaving is exact by construction.  The golden ledger
+(``tools/ledger.json``, checked by ``tools/ledger_gate.py``) pins every
+answer, recorded from the scalar simulator this core replaced.
 
 Schema: :data:`BATCH_SCHEMA_VERSION` is folded into the engine's
 simulation-cache keys, so results produced before/after a change in the
-batched core's semantics can never alias.
+core's semantics can never alias.
 """
 
 from __future__ import annotations
@@ -54,13 +55,12 @@ import numpy as np
 
 from ..arch.config import GPUConfig
 from ..ptx.isa import LatencyClass, Space
-from .cache import CacheStats
+from .cache import Cache, DRAMModel, make_l2_slice_config
 from .energy import DEFAULT_ENERGY_MODEL, EnergyModel, attach_energy
 from .executor import BlockTrace
-from .sm import make_l2_slice_config
 from .stats import SimResult
 
-#: Revision of the batched core's semantics; folded into engine cache
+#: Revision of the timing core's semantics; folded into engine cache
 #: keys (see :func:`repro.engine.cache.cache_schema_version`) so a
 #: change here invalidates previously cached results wholesale.
 BATCH_SCHEMA_VERSION = 1
@@ -70,178 +70,16 @@ _COMPUTE = 0
 _MEM = 1
 _BARRIER = 2
 
-# Packed memory modes (mirrors the branch order of
-# ``SMSimulator._issue_memory`` exactly).
+# Packed memory modes.
 _MEM_SHARED = 0
 _MEM_GSTORE = 1
 _MEM_BYPASS = 2
 _MEM_L1 = 3
 
-# Per-op counting categories, reduced with one bincount at pack time:
+# Per-op counting categories, counted once at pack time:
 # 0 alu · 1 sfu · 2 ctrl · 3 barrier · 4 local load · 5 local store ·
 # 6 shared · 7 global · 8 global bypassed load · 9 local bypassed load.
 _N_CATEGORIES = 10
-_KIND_OF_CATEGORY = np.array(
-    [_COMPUTE, _COMPUTE, _COMPUTE, _BARRIER,
-     _MEM, _MEM, _MEM, _MEM, _MEM, _MEM],
-    dtype=np.int8,
-)
-
-
-class _FastCache:
-    """Bit-exact, allocation-free re-expression of :class:`sim.cache.Cache`.
-
-    Same tag/LRU/MSHR state machine and the same stats counters, but:
-    plain dicts instead of ``OrderedDict`` (``del`` + reinsert is the
-    same LRU move; ``del next(iter(d))`` the same FIFO-of-insertion
-    eviction as ``popitem(last=False)``), floats returned instead of
-    ``ProbeResult`` objects, and MSHR exhaustion — at this level or any
-    level below — reported by returning ``None`` (with :attr:`retry_at`
-    holding the stalling level's earliest free-up time) instead of
-    constructing and unwinding an exception per stall, a path the
-    scalar simulator hits millions of times per sweep.  Addresses are
-    pre-aligned to line granularity at pack time, so probes take the
-    line address directly.
-    """
-
-    __slots__ = (
-        "sets", "num_sets", "line_bytes", "assoc", "entries",
-        "hit_latency", "next_cache", "next_mem", "mshr", "fill_heap",
-        "retry_at", "accesses", "hits", "misses", "merges",
-        "full_events", "evictions", "write_accesses",
-    )
-
-    def __init__(self, config, hit_latency: int, next_cache=None,
-                 next_mem=None):
-        self.num_sets = config.num_sets
-        self.line_bytes = config.line_bytes
-        self.assoc = config.associativity
-        self.entries = config.mshr_entries
-        self.hit_latency = hit_latency
-        self.next_cache: Optional[_FastCache] = next_cache
-        self.next_mem = next_mem
-        self.sets: List[Dict[int, bool]] = [{} for _ in range(self.num_sets)]
-        self.mshr: Dict[int, float] = {}
-        self.fill_heap: List[Tuple[float, int]] = []
-        self.retry_at = 0.0
-        self.accesses = 0
-        self.hits = 0
-        self.misses = 0
-        self.merges = 0
-        self.full_events = 0
-        self.evictions = 0
-        self.write_accesses = 0
-
-    def _promote(self, now: float) -> None:
-        heap = self.fill_heap
-        mshr = self.mshr
-        sets = self.sets
-        line_bytes = self.line_bytes
-        num_sets = self.num_sets
-        assoc = self.assoc
-        while heap and heap[0][0] <= now:
-            fill_time, line = heappop(heap)
-            if mshr.get(line) == fill_time:
-                del mshr[line]
-                cache_set = sets[(line // line_bytes) % num_sets]
-                if len(cache_set) >= assoc:
-                    del cache_set[next(iter(cache_set))]
-                    self.evictions += 1
-                cache_set[line] = True
-
-    def probe(self, line: int, now: float, is_write: bool) -> Optional[float]:
-        """Returns the data-ready cycle, or ``None`` on MSHR exhaustion
-        at this or a lower level (:attr:`retry_at` holds the earliest
-        free-up time of the exhausted level)."""
-        fill_heap = self.fill_heap
-        if fill_heap and fill_heap[0][0] <= now:
-            self._promote(now)
-        cache_set = self.sets[(line // self.line_bytes) % self.num_sets]
-        self.accesses += 1
-        if is_write:
-            self.write_accesses += 1
-        if line in cache_set:
-            del cache_set[line]
-            cache_set[line] = True
-            self.hits += 1
-            return now + self.hit_latency
-        self.misses += 1
-        pending = self.mshr.get(line)
-        if pending is not None:
-            self.merges += 1
-            return pending
-        if len(self.mshr) >= self.entries:
-            self.full_events += 1
-            self.retry_at = fill_heap[0][0]
-            return None
-        nxt = self.next_cache
-        if nxt is None:
-            ready_at = self.next_mem(line, now)
-        else:
-            ready_at = nxt.probe(line, now, False)
-            if ready_at is None:
-                # Lower level exhausted before this one allocated: no
-                # local MSHR entry, exactly like the scalar's unwound
-                # exception (stats partially updated, no allocation).
-                self.retry_at = nxt.retry_at
-                return None
-        self.mshr[line] = ready_at
-        heappush(self.fill_heap, (ready_at, line))
-        return ready_at
-
-    def probe_no_allocate(self, line: int, now: float) -> Optional[float]:
-        """Write-evict access (Fermi global stores)."""
-        if self.fill_heap and self.fill_heap[0][0] <= now:
-            self._promote(now)
-        cache_set = self.sets[(line // self.line_bytes) % self.num_sets]
-        self.accesses += 1
-        self.write_accesses += 1
-        if line in cache_set:
-            del cache_set[line]
-            self.evictions += 1
-        nxt = self.next_cache
-        if nxt is None:
-            return self.next_mem(line, now)
-        ready = nxt.probe(line, now, False)
-        if ready is None:
-            self.retry_at = nxt.retry_at
-        return ready
-
-    def stats(self) -> CacheStats:
-        return CacheStats(
-            accesses=self.accesses,
-            hits=self.hits,
-            misses=self.misses,
-            mshr_merges=self.merges,
-            mshr_full_events=self.full_events,
-            evictions=self.evictions,
-            write_accesses=self.write_accesses,
-        )
-
-
-class _FastDram:
-    """Re-expression of :class:`sim.cache.DRAMModel` (same arithmetic)."""
-
-    __slots__ = (
-        "latency", "bytes_per_cycle", "line_bytes", "busy_until",
-        "transactions", "bytes_transferred",
-    )
-
-    def __init__(self, latency: int, bytes_per_cycle: float, line_bytes: int):
-        self.latency = latency
-        self.bytes_per_cycle = bytes_per_cycle
-        self.line_bytes = line_bytes
-        self.busy_until = 0.0
-        self.transactions = 0
-        self.bytes_transferred = 0
-
-    def access(self, line_addr: int, now: float) -> float:
-        service_start = max(now, self.busy_until)
-        transfer = self.line_bytes / self.bytes_per_cycle
-        self.busy_until = service_start + transfer
-        self.transactions += 1
-        self.bytes_transferred += self.line_bytes
-        return service_start + transfer + self.latency
 
 
 class _Warp:
@@ -257,26 +95,24 @@ class _Warp:
 
 
 class _Sched:
-    """Inline GTO/LRR scheduler state (same picks, same tie-breaks).
+    """One warp scheduler's state (paper Table 2: two per SM).
 
-    Two deliberate departures from the scalar scheduler's *data
-    structures* (the pick sequence is provably unchanged):
+    GTO keeps issuing from its greedy warp until that warp stalls, then
+    takes the oldest (lowest-id) ready warp; LRR takes the lowest ready
+    id above the last one it issued, wrapping around.  Ready times live
+    in a ``(time, warp id)`` pending heap, with two shortcuts:
 
     * **GTO side channel** — the greedy warp never round-trips through
       the pending heap.  Its single next-ready time lives in
       :attr:`gready` (``None`` while the warp is being issued); the
       side channel is flushed back into the heap the moment another
-      warp takes over the greedy slot, so the (time, warp-id) multiset
-      — and therefore every pick and every event jump — stays identical
-      to the scalar scheduler's.  GTO pins issue to one warp for long
-      runs, so this removes the majority of all heap traffic.
-    * **Eligible list** — the scalar keeps an eligible *heap* plus a
-      membership set with lazy deletion because its API allows stale
-      entries.  Here every live warp holds exactly one token at a time
-      (a pending entry, an eligible entry, or the greedy side channel),
-      so eligibility is a plain list: the pick is ``min()`` — the same
-      lowest-warp-id choice the heap makes — and the list is almost
-      always one or two entries long.
+      warp takes over the greedy slot, so every pick and every event
+      jump is the one a plain heap would give.  GTO pins issue to one
+      warp for long runs, so this removes most heap traffic.
+    * **Eligible list** — every live warp holds exactly one token at a
+      time (a pending entry, an eligible entry, or the greedy side
+      channel), so eligibility is a plain list: the pick is ``min()``
+      and the list is almost always one or two entries long.
     """
 
     __slots__ = ("pending", "eligible", "greedy", "gready", "last")
@@ -374,17 +210,14 @@ class PackedGrid:
 
     Ops are memoized by object identity: the trace executor appends the
     *same* ``WarpOp`` object to every warp of a block for uniform
-    instructions, so each is compiled once.  ``category_codes`` (one
-    int8 per dynamic instruction of the whole grid) is the SoA row the
-    static counters are reduced from in a single ``np.bincount``;
-    ``kind_codes`` is its projection onto the three kind codes.
+    instructions, so each is compiled once.  The static counters are
+    counted per op category while packing.
     """
 
     __slots__ = (
-        "blocks", "num_warps", "nregs", "category_codes", "kind_codes",
-        "instructions", "issued_by_class", "local_load_insts",
-        "local_store_insts", "shared_insts", "global_insts",
-        "bypassed_insts",
+        "blocks", "num_warps", "nregs", "instructions", "issued_by_class",
+        "local_load_insts", "local_store_insts", "shared_insts",
+        "global_insts", "bypassed_insts",
     )
 
     def __init__(self, traces: Sequence[BlockTrace], config: GPUConfig):
@@ -396,8 +229,7 @@ class PackedGrid:
         memo: Dict[int, Tuple[tuple, int]] = {}
         self.blocks: List[List[List[tuple]]] = []
         self.num_warps: List[int] = []
-        codes: List[int] = []
-        code_append = codes.append
+        counts = [0] * _N_CATEGORIES
         memo_get = memo.get
         for trace in traces:
             packed_block: List[List[tuple]] = []
@@ -413,49 +245,61 @@ class PackedGrid:
                             line_bytes,
                         )
                     append(entry[0])
-                    code_append(entry[1])
+                    counts[entry[1]] += 1
                 packed_block.append(stream)
             self.blocks.append(packed_block)
             self.num_warps.append(trace.num_warps)
         self.nregs = len(reg_index)
-        self.category_codes = np.asarray(codes, dtype=np.int8)
-        self.kind_codes = _KIND_OF_CATEGORY[self.category_codes]
-        counts = np.bincount(self.category_codes, minlength=_N_CATEGORIES)
-        self.instructions = len(codes)
+        self.instructions = sum(counts)
         by_class: Dict[str, int] = {}
         for category, klass in (
             (0, LatencyClass.ALU), (1, LatencyClass.SFU),
             (2, LatencyClass.CTRL), (3, LatencyClass.BARRIER),
         ):
             if counts[category]:
-                by_class[klass.value] = int(counts[category])
-        mem_total = int(counts[4:].sum())
+                by_class[klass.value] = counts[category]
+        mem_total = sum(counts[4:])
         if mem_total:
             by_class[LatencyClass.MEM.value] = mem_total
         self.issued_by_class = by_class
-        self.local_load_insts = int(counts[4] + counts[9])
-        self.local_store_insts = int(counts[5])
-        self.shared_insts = int(counts[6])
-        self.global_insts = int(counts[7] + counts[8])
-        self.bypassed_insts = int(counts[8] + counts[9])
+        self.local_load_insts = counts[4] + counts[9]
+        self.local_store_insts = counts[5]
+        self.shared_insts = counts[6]
+        self.global_insts = counts[7] + counts[8]
+        self.bypassed_insts = counts[8] + counts[9]
 
 
 class _Lane:
-    """One design point's timing state, advanced in chunks.
+    """One design point's timing state on one SM.
 
-    A faithful re-expression of :class:`~repro.sim.sm.SMSimulator.run`
-    over a :class:`PackedGrid`: the same scheduler heaps, the same
-    cache/DRAM state machines, the same float arithmetic in the same
-    order — verified bit-identical by the differential gate.
+    One SM runs ``tlp`` thread blocks concurrently; when a block
+    retires, the next block of the grid launches into its slot.  Each
+    scheduler issues at most one warp instruction per cycle.  Per-warp
+    dependencies are tracked with a register scoreboard: an instruction
+    issues when its source registers' producing instructions have
+    completed, so independent instructions of one warp pipeline
+    back-to-back while dependent chains pay full latency — the
+    behaviour that makes extra spill *loads* expensive and lets TLP
+    hide them.  Memory instructions walk the L1 -> L2 -> DRAM hierarchy
+    with real addresses from the trace; MSHR exhaustion stalls the warp
+    until an entry frees (``mshr_stall_cycles``, the paper's congestion
+    stalls of Figure 5b).
+
+    :meth:`advance` runs the lane on its own clock (single-SM runs and
+    sweeps); :meth:`step` issues one cycle at a clock the caller owns
+    (the chip-level lock-step loop, where ``l2`` and ``dram`` are shared
+    by every SM's lane).  ``warp_limit`` caps the schedulable warps
+    (fine-grained throttling, paper ref [2]): the rest park until an
+    active warp retires.
     """
 
     __slots__ = (
-        "config", "packed", "tlp", "requested_tlp", "gto",
+        "packed", "tlp", "requested_tlp", "gto",
         "scheds", "nsched", "warps", "slots", "next_block",
         "blocks_executed", "active_warps", "now", "finish",
         "idle_cycles", "mshr_stall_events", "mshr_stall_cycles",
         "barrier_stall_cycles", "l1", "l2", "dram", "block_launch",
-        "deadlocked",
+        "warp_limit", "scheduled", "parked",
     )
 
     def __init__(
@@ -464,31 +308,36 @@ class _Lane:
         packed: PackedGrid,
         tlp: int,
         scheduler: str,
+        warp_limit: Optional[int] = None,
+        l2: Optional[Cache] = None,
+        dram: Optional[DRAMModel] = None,
     ):
         if tlp <= 0:
             raise ValueError("tlp must be positive")
         if scheduler not in ("gto", "lrr"):
             raise ValueError(f"unknown scheduler kind {scheduler!r}")
-        self.config = config
+        if warp_limit is not None and warp_limit <= 0:
+            raise ValueError("warp_limit must be positive")
         self.packed = packed
         nblocks = len(packed.blocks)
         self.tlp = min(tlp, nblocks) if nblocks else tlp
         self.requested_tlp = tlp
         self.gto = scheduler == "gto"
         lat = config.latency
-        self.dram = _FastDram(
-            latency=lat.dram - lat.l2_hit,
-            bytes_per_cycle=config.dram_bytes_per_cycle,
-            line_bytes=config.l1.line_bytes,
-        )
-        self.l2 = _FastCache(
-            make_l2_slice_config(config),
-            hit_latency=lat.l2_hit - lat.l1_hit,
-            next_mem=self.dram.access,
-        )
-        self.l1 = _FastCache(
-            config.l1, hit_latency=lat.l1_hit, next_cache=self.l2
-        )
+        if l2 is None or dram is None:
+            dram = DRAMModel(
+                latency=lat.dram - lat.l2_hit,
+                bytes_per_cycle=config.dram_bytes_per_cycle,
+                line_bytes=config.l1.line_bytes,
+            )
+            l2 = Cache(
+                make_l2_slice_config(config),
+                hit_latency=lat.l2_hit - lat.l1_hit,
+                next_mem=dram.access,
+            )
+        self.dram = dram
+        self.l2 = l2
+        self.l1 = Cache(config.l1, hit_latency=lat.l1_hit, next_cache=l2)
         self.block_launch = lat.block_launch
         self.nsched = config.num_schedulers
         self.scheds = [_Sched() for _ in range(self.nsched)]
@@ -503,8 +352,10 @@ class _Lane:
         self.mshr_stall_events = 0
         self.mshr_stall_cycles = 0.0
         self.barrier_stall_cycles = 0.0
-        self.deadlocked = False
-        # Launch the initial wave (SMSimulator.start(0.0)).
+        self.warp_limit = warp_limit
+        self.scheduled = 0
+        self.parked: List[Tuple[int, float]] = []  # (warp id, launch at)
+        # Launch the initial wave at cycle 0.
         for slot_idx in range(self.tlp):
             if self.next_block < nblocks:
                 self._launch_block(slot_idx, 0.0)
@@ -526,10 +377,16 @@ class _Lane:
         nsched = self.nsched
         scheds = self.scheds
         warps = self.warps
+        limit = self.warp_limit
         for stream in block:
             warp_id = len(warps)
             warps.append(_Warp(stream, slot_idx, nregs))
             self.active_warps += 1
+            if limit is not None:
+                if self.scheduled >= limit:
+                    self.parked.append((warp_id, launch_at))
+                    continue
+                self.scheduled += 1
             scheds[warp_id % nsched].add(warp_id, launch_at, now)
 
     def _retire_warp(self, warp_id: int, warp: _Warp, sched: _Sched,
@@ -538,12 +395,25 @@ class _Lane:
         if sched.greedy == warp_id:
             sched.greedy = None
             sched.gready = None
+        if self.warp_limit is not None:
+            self.scheduled -= 1
+            self._unpark(now)
         slot = self.slots[warp.slot]
         slot.live -= 1
         if slot.live == 0:
             self.blocks_executed += 1
             if self.next_block < len(self.packed.blocks):
                 self._launch_block(warp.slot, now)
+
+    def _unpark(self, now: float) -> None:
+        """Admit the longest-parked warp, no earlier than next cycle."""
+        if not self.parked:
+            return
+        warp_id, launch_at = self.parked.pop(0)
+        self.scheduled += 1
+        self.scheds[warp_id % self.nsched].add(
+            warp_id, max(launch_at, now + 1), now
+        )
 
     def _next_ready(self, warp: _Warp, base: float) -> float:
         dep = base
@@ -606,8 +476,8 @@ class _Lane:
                     t = rr[src]
                     if t > dep:
                         dep = t
-            # Re-add: dep > now always, so the scalar path is a pending
-            # push; the GTO greedy warp parks in the side channel.
+            # Re-add: dep > now always, so this is a pending push; the
+            # GTO greedy warp parks in the side channel.
             if self.gto:
                 sched.gready = dep
             else:
@@ -722,9 +592,52 @@ class _Lane:
         ]
         return min(times) if times else None
 
+    def step(self, now: float) -> bool:
+        """Issue up to one instruction per scheduler at cycle ``now``, a
+        clock the caller owns (the chip-level lock-step loop); returns
+        whether anything issued.  The caller jumps its clock over
+        no-issue cycles, so no idle cycles are accounted here.  The lane
+        finishes at ``now`` once its last warp retires."""
+        issued = False
+        for sched in self.scheds:
+            warp_id = self._pick(sched, now)
+            if warp_id is not None:
+                self._issue(warp_id, now, sched)
+                issued = True
+        self.now = now
+        if self.active_warps == 0:
+            self.finish = now
+        return issued
+
+    def _pick(self, sched: _Sched, now: float) -> Optional[int]:
+        """The warp ``sched`` issues at ``now`` (``None``: none is
+        ready) — the choice :meth:`advance` makes inline."""
+        g = sched.greedy
+        if self.gto and g is not None and sched.gready <= now:
+            sched.gready = None
+            return g
+        pending = sched.pending
+        elig = sched.eligible
+        while pending and pending[0][0] <= now:
+            elig.append(heappop(pending)[1])
+        if not elig:
+            return None
+        if self.gto:
+            warp_id = min(elig)
+            if g is not None:
+                heappush(pending, (sched.gready, g))
+            sched.greedy = warp_id
+            sched.gready = None
+        else:
+            above = [w for w in elig if w > sched.last]
+            warp_id = min(above) if above else min(elig)
+            sched.last = warp_id
+        elig.remove(warp_id)
+        return warp_id
+
     def advance(self, budget: int) -> bool:
-        """Run up to ``budget`` iterations of the scalar run loop on
-        this lane's own clock; returns False once the lane finished."""
+        """Run up to ``budget`` cycles of the run loop on this lane's
+        own clock; returns False once the lane finished."""
         if self.finish is not None:
             return False
         now = self.now
@@ -846,8 +759,8 @@ class _Lane:
                         warp_id = min(elig)
                         elig.remove(warp_id)
                     if g is not None:
-                        # Greedy switch: flush the parked warp back to
-                        # the heap so the multiset matches the scalar's.
+                        # Greedy switch: flush the side channel back to
+                        # the heap (see ``_Sched``).
                         push(pending, (sched.gready, g))
                     sched.greedy = warp_id
                     sched.gready = None
@@ -880,8 +793,13 @@ class _Lane:
                 now += 1
             else:
                 if next_time is None:
+                    if self.parked:
+                        # Warp-limit deadlock guard: every schedulable
+                        # warp waits at a barrier for a parked sibling
+                        # — admit one.
+                        self._unpark(now)
+                        continue
                     self.now = now
-                    self.deadlocked = True
                     raise RuntimeError(
                         "simulation deadlock: active warps but no pending "
                         "events (mismatched barriers?)"
@@ -899,8 +817,8 @@ class _Lane:
             instructions=packed.instructions,
             tlp=self.requested_tlp,
             blocks_executed=self.blocks_executed,
-            l1=self.l1.stats(),
-            l2=self.l2.stats(),
+            l1=self.l1.stats,
+            l2=self.l2.stats,
             mshr_stall_events=self.mshr_stall_events,
             mshr_stall_cycles=self.mshr_stall_cycles,
             barrier_stall_cycles=self.barrier_stall_cycles,
@@ -924,8 +842,9 @@ class BatchedSimulator:
     :class:`PackedGrid`; per-lane clocks, active masks and issue
     progress live in SoA numpy arrays (:attr:`clock`, :attr:`active`)
     and the run loop advances every active lane in lockstep chunks,
-    masking lanes out as they retire.  Results are bit-identical to
-    running :class:`~repro.sim.sm.SMSimulator` once per TLP.
+    masking lanes out as they retire.  A lane's result does not depend
+    on which other lanes share its batch.  ``warp_limit`` applies to
+    every lane.
     """
 
     def __init__(
@@ -935,6 +854,7 @@ class BatchedSimulator:
         tlps: Sequence[int],
         scheduler: str = "gto",
         chunk: int = 4096,
+        warp_limit: Optional[int] = None,
     ):
         if not tlps:
             raise ValueError("batch needs at least one design point")
@@ -945,7 +865,8 @@ class BatchedSimulator:
         self.chunk = chunk
         self.packed = PackedGrid(traces, config)
         self.lanes = [
-            _Lane(config, self.packed, tlp, scheduler) for tlp in tlps
+            _Lane(config, self.packed, tlp, scheduler, warp_limit=warp_limit)
+            for tlp in tlps
         ]
         n = len(self.lanes)
         #: SoA batch state: per-lane virtual clocks and activity mask.
@@ -1010,7 +931,7 @@ def simulate_traces_batched(
     scheduler: str = "gto",
     energy_model: EnergyModel = DEFAULT_ENERGY_MODEL,
 ) -> List[SimResult]:
-    """Batched counterpart of :func:`repro.sim.gpu.simulate_traces`:
-    one result per requested TLP, bit-identical to the scalar path."""
+    """One result per requested TLP, from one batched pass (the sweep
+    counterpart of :func:`repro.sim.gpu.simulate_traces`)."""
     sim = BatchedSimulator(config, traces, tlps, scheduler=scheduler)
     return [attach_energy(result, energy_model) for result in sim.run()]

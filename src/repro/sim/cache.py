@@ -1,4 +1,5 @@
-"""Set-associative cache with LRU replacement and a finite MSHR table.
+"""Set-associative cache with LRU replacement, a finite MSHR table, and
+the DRAM channel behind it.
 
 This is the L1 data cache of paper Table 2 (32 KB, 4-way, 128 B lines,
 LRU, 32 MSHR entries) and, with different geometry, the per-SM slice of
@@ -15,17 +16,23 @@ The cache is timing-aware but event-free: a probe at time ``now``
 returns when the data will be ready.  A missed line enters the MSHR
 table and is promoted into the tag store only once its fill time has
 passed, so back-to-back accesses to an in-flight line merge into the
-outstanding request instead of fake-hitting.
+outstanding request instead of fake-hitting.  MSHR exhaustion — at this
+level or any level below — is reported by returning ``None``, with
+:attr:`Cache.retry_at` holding the earliest cycle an entry frees up;
+the timing core probes millions of times per sweep, so a stall must not
+cost an exception.
+
+Probes take line-aligned addresses: :class:`~repro.sim.batch.PackedGrid`
+aligns every access once at pack time.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
-from collections import OrderedDict
-from typing import Callable, Dict, List, Tuple
+from heapq import heappop, heappush
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..arch.config import CacheConfig
+from ..arch.config import CacheConfig, GPUConfig
 
 
 @dataclasses.dataclass
@@ -44,129 +51,162 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
 
-    def reset(self) -> None:
-        for field in dataclasses.fields(self):
-            setattr(self, field.name, 0)
 
+def make_l2_slice_config(config: GPUConfig, whole: bool = False) -> CacheConfig:
+    """The L2 geometry one SM's misses effectively see.
 
-@dataclasses.dataclass(frozen=True)
-class ProbeResult:
-    """Outcome of one cache probe."""
-
-    ready_at: float  # cycle at which the data is available
-    hit: bool
-    filled_by_mshr: bool = False
-
-
-class MSHRFullError(Exception):
-    """No miss-status register is free; the request cannot be accepted.
-
-    Carries the earliest cycle at which an entry frees up so the caller
-    can model the stall precisely.
+    ``whole=True`` returns the full chip-level L2 (for multi-SM
+    simulation, where contention is explicit rather than modeled by the
+    interference divisor).
     """
-
-    def __init__(self, retry_at: float):
-        super().__init__(f"MSHR full until cycle {retry_at}")
-        self.retry_at = retry_at
+    if whole:
+        size = config.l2_size_bytes
+    else:
+        size = max(
+            config.l2_size_bytes // (config.num_sms * config.l2_interference),
+            4 * 1024,
+        )
+    return CacheConfig(
+        size_bytes=size,
+        associativity=8,
+        line_bytes=config.l1.line_bytes,
+        mshr_entries=1 << 16,  # effectively unbounded at L2
+    )
 
 
 class Cache:
     """One set-associative, LRU, write-allocate cache level.
 
-    ``next_level`` is a callable ``(line_addr, now) -> ready_at`` that
-    services misses (the L2 probe, or the DRAM model).
+    Misses are serviced by ``next_cache`` (the L2 behind an L1) or, at
+    the last level, by ``next_mem``, a callable ``(line, now) ->
+    ready_at`` (the DRAM channel).  Each set is a plain dict in LRU
+    order: a hit re-inserts its line at the end, and eviction drops the
+    first key.
     """
+
+    __slots__ = (
+        "sets", "num_sets", "line_bytes", "assoc", "entries",
+        "hit_latency", "next_cache", "next_mem", "mshr", "fill_heap",
+        "retry_at", "accesses", "hits", "misses", "merges",
+        "full_events", "evictions", "write_accesses",
+    )
 
     def __init__(
         self,
         config: CacheConfig,
         hit_latency: int,
-        next_level: Callable[[int, float], float],
-        name: str = "cache",
+        next_cache: Optional["Cache"] = None,
+        next_mem: Optional[Callable[[int, float], float]] = None,
     ):
-        self.config = config
+        self.num_sets = config.num_sets
+        self.line_bytes = config.line_bytes
+        self.assoc = config.associativity
+        self.entries = config.mshr_entries
         self.hit_latency = hit_latency
-        self.next_level = next_level
-        self.name = name
-        self.stats = CacheStats()
-        self._sets = [OrderedDict() for _ in range(config.num_sets)]
-        self._mshr: Dict[int, float] = {}  # line addr -> fill time
-        self._fill_heap: List[Tuple[float, int]] = []
+        self.next_cache = next_cache
+        self.next_mem = next_mem
+        self.sets: List[Dict[int, bool]] = [{} for _ in range(self.num_sets)]
+        self.mshr: Dict[int, float] = {}  # line -> fill time
+        self.fill_heap: List[Tuple[float, int]] = []
+        self.retry_at = 0.0
+        self.accesses = 0
+        self.hits = 0
+        self.misses = 0
+        self.merges = 0
+        self.full_events = 0
+        self.evictions = 0
+        self.write_accesses = 0
 
-    # ------------------------------------------------------------------
-    def _set_of(self, line_addr: int) -> OrderedDict:
-        return self._sets[(line_addr // self.config.line_bytes) % self.config.num_sets]
-
-    def line_of(self, addr: int) -> int:
-        return addr - (addr % self.config.line_bytes)
-
-    def _promote_fills(self, now: float) -> None:
+    def _promote(self, now: float) -> None:
         """Move MSHR entries whose data has arrived into the tag store."""
-        heap = self._fill_heap
+        heap = self.fill_heap
+        mshr = self.mshr
+        sets = self.sets
+        line_bytes = self.line_bytes
+        num_sets = self.num_sets
+        assoc = self.assoc
         while heap and heap[0][0] <= now:
-            fill_time, line = heapq.heappop(heap)
-            if self._mshr.get(line) == fill_time:
-                del self._mshr[line]
-                self._fill(line, self._set_of(line))
+            fill_time, line = heappop(heap)
+            if mshr.get(line) == fill_time:
+                del mshr[line]
+                cache_set = sets[(line // line_bytes) % num_sets]
+                if len(cache_set) >= assoc:
+                    del cache_set[next(iter(cache_set))]
+                    self.evictions += 1
+                cache_set[line] = True
 
-    # ------------------------------------------------------------------
-    def probe(self, addr: int, now: float, is_write: bool = False) -> ProbeResult:
-        """Access the cache; raises :class:`MSHRFullError` on congestion."""
-        self._promote_fills(now)
-        line = self.line_of(addr)
-        cache_set = self._set_of(line)
-        self.stats.accesses += 1
+    def probe(self, line: int, now: float,
+              is_write: bool = False) -> Optional[float]:
+        """Returns the data-ready cycle, or ``None`` on MSHR exhaustion
+        at this or a lower level (:attr:`retry_at` holds the earliest
+        free-up time of the exhausted level)."""
+        fill_heap = self.fill_heap
+        if fill_heap and fill_heap[0][0] <= now:
+            self._promote(now)
+        cache_set = self.sets[(line // self.line_bytes) % self.num_sets]
+        self.accesses += 1
         if is_write:
-            self.stats.write_accesses += 1
-
-        if line in cache_set:
-            cache_set.move_to_end(line)
-            self.stats.hits += 1
-            return ProbeResult(ready_at=now + self.hit_latency, hit=True)
-
-        self.stats.misses += 1
-        pending = self._mshr.get(line)
-        if pending is not None:
-            # Merge into the in-flight request.
-            self.stats.mshr_merges += 1
-            return ProbeResult(ready_at=pending, hit=False, filled_by_mshr=True)
-        if len(self._mshr) >= self.config.mshr_entries:
-            self.stats.mshr_full_events += 1
-            raise MSHRFullError(retry_at=self._fill_heap[0][0])
-
-        ready_at = self.next_level(line, now)
-        self._mshr[line] = ready_at
-        heapq.heappush(self._fill_heap, (ready_at, line))
-        return ProbeResult(ready_at=ready_at, hit=False)
-
-    def probe_no_allocate(self, addr: int, now: float) -> ProbeResult:
-        """Write-evict access (Fermi global stores): hit evicts, miss bypasses."""
-        self._promote_fills(now)
-        line = self.line_of(addr)
-        cache_set = self._set_of(line)
-        self.stats.accesses += 1
-        self.stats.write_accesses += 1
+            self.write_accesses += 1
         if line in cache_set:
             del cache_set[line]
-            self.stats.evictions += 1
-        ready_at = self.next_level(line, now)
-        return ProbeResult(ready_at=ready_at, hit=False)
+            cache_set[line] = True
+            self.hits += 1
+            return now + self.hit_latency
+        self.misses += 1
+        pending = self.mshr.get(line)
+        if pending is not None:
+            # Merge into the in-flight request.
+            self.merges += 1
+            return pending
+        if len(self.mshr) >= self.entries:
+            self.full_events += 1
+            self.retry_at = fill_heap[0][0]
+            return None
+        nxt = self.next_cache
+        if nxt is None:
+            ready_at = self.next_mem(line, now)
+        else:
+            ready_at = nxt.probe(line, now, False)
+            if ready_at is None:
+                # Lower level exhausted before this one allocated: the
+                # miss is counted here but takes no MSHR entry.
+                self.retry_at = nxt.retry_at
+                return None
+        self.mshr[line] = ready_at
+        heappush(self.fill_heap, (ready_at, line))
+        return ready_at
 
-    def _fill(self, line: int, cache_set: OrderedDict) -> None:
-        if len(cache_set) >= self.config.associativity:
-            cache_set.popitem(last=False)
-            self.stats.evictions += 1
-        cache_set[line] = True
+    def probe_no_allocate(self, line: int, now: float) -> Optional[float]:
+        """Write-evict access (Fermi global stores): hit evicts, miss
+        bypasses; ``None`` when the level below is out of MSHRs."""
+        if self.fill_heap and self.fill_heap[0][0] <= now:
+            self._promote(now)
+        cache_set = self.sets[(line // self.line_bytes) % self.num_sets]
+        self.accesses += 1
+        self.write_accesses += 1
+        if line in cache_set:
+            del cache_set[line]
+            self.evictions += 1
+        nxt = self.next_cache
+        if nxt is None:
+            return self.next_mem(line, now)
+        ready = nxt.probe(line, now, False)
+        if ready is None:
+            self.retry_at = nxt.retry_at
+        return ready
 
-    def contains(self, addr: int) -> bool:
-        line = self.line_of(addr)
-        return line in self._set_of(line)
-
-    def flush(self) -> None:
-        for cache_set in self._sets:
-            cache_set.clear()
-        self._mshr.clear()
-        self._fill_heap.clear()
+    @property
+    def stats(self) -> CacheStats:
+        """A snapshot of the access counters."""
+        return CacheStats(
+            accesses=self.accesses,
+            hits=self.hits,
+            misses=self.misses,
+            mshr_merges=self.merges,
+            mshr_full_events=self.full_events,
+            evictions=self.evictions,
+            write_accesses=self.write_accesses,
+        )
 
 
 class DRAMModel:
@@ -179,7 +219,13 @@ class DRAMModel:
     memory bandwidth").
     """
 
-    def __init__(self, latency: int, bytes_per_cycle: float, line_bytes: int = 128):
+    __slots__ = (
+        "latency", "bytes_per_cycle", "line_bytes", "busy_until",
+        "transactions", "bytes_transferred",
+    )
+
+    def __init__(self, latency: int, bytes_per_cycle: float,
+                 line_bytes: int = 128):
         self.latency = latency
         self.bytes_per_cycle = bytes_per_cycle
         self.line_bytes = line_bytes
@@ -194,12 +240,3 @@ class DRAMModel:
         self.transactions += 1
         self.bytes_transferred += self.line_bytes
         return service_start + transfer + self.latency
-
-    @property
-    def queue_delay(self) -> float:
-        return self.busy_until
-
-    def reset(self) -> None:
-        self.busy_until = 0.0
-        self.transactions = 0
-        self.bytes_transferred = 0

@@ -14,10 +14,10 @@ from typing import Dict, List, Optional
 
 from ..arch.config import GPUConfig
 from ..ptx.module import Kernel
+from .batch import BatchedSimulator
 from .energy import DEFAULT_ENERGY_MODEL, EnergyModel, attach_energy
 from .executor import BlockTrace, run_grid
 from .memory import GlobalMemory
-from .sm import SMSimulator
 from .stats import SimResult
 
 
@@ -46,10 +46,19 @@ def simulate_traces(
     tlp: int,
     scheduler: str = "gto",
     energy_model: EnergyModel = DEFAULT_ENERGY_MODEL,
+    warp_limit: Optional[int] = None,
 ) -> SimResult:
-    """Replay pre-computed traces through the SM timing model."""
-    sim = SMSimulator(config, traces, tlp=tlp, scheduler=scheduler)
-    result = sim.run()
+    """Replay pre-computed traces through the SM timing model: a batch
+    of one lane (:class:`~repro.sim.batch.BatchedSimulator`).
+
+    ``warp_limit`` caps how many warps are schedulable at once
+    (fine-grained throttling, paper ref [2]); the rest park until an
+    active warp retires.
+    """
+    sim = BatchedSimulator(
+        config, traces, [tlp], scheduler=scheduler, warp_limit=warp_limit
+    )
+    result, = sim.run()
     return attach_energy(result, energy_model)
 
 

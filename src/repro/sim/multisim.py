@@ -8,7 +8,8 @@ same TLP, blocks are distributed round-robin, the L2 is the whole
 768 KB chip cache contended by everyone, and the DRAM channel carries
 ``num_sms`` times the per-SM bandwidth share.
 
-SMs advance in lock-step over a global clock; when no SM can issue, the
+Each SM is one lane of the timing core (:mod:`repro.sim.batch`).  SMs
+advance in lock-step over a global clock; when no SM can issue, the
 clock jumps to the earliest pending event.
 """
 
@@ -17,9 +18,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..arch.config import GPUConfig
-from .cache import Cache, DRAMModel
+from .batch import PackedGrid, _Lane
+from .cache import Cache, DRAMModel, make_l2_slice_config
 from .executor import BlockTrace
-from .sm import SMSimulator, make_l2_slice_config
 from .stats import SimResult
 
 
@@ -53,64 +54,48 @@ def simulate_multi_sm(
     l2 = Cache(
         make_l2_slice_config(config, whole=True),
         hit_latency=lat.l2_hit - lat.l1_hit,
-        next_level=dram.access,
-        name="l2-shared",
+        next_mem=dram.access,
     )
 
-    # One simulator per SM slot, trace-less SMs included: the returned
-    # list always has ``n`` entries, so callers can index it by SM and
+    # One lane per SM slot, trace-less SMs included: the returned list
+    # always has ``n`` entries, so callers can index it by SM and
     # chip-level aggregates (makespan, per-SM load skew) see the idle
-    # SMs instead of a silently shorter list.
-    sms = [
-        SMSimulator(
-            config,
-            traces[sm_index::n],
-            tlp=tlp,
-            scheduler=scheduler,
-            shared_l2=l2,
-            shared_dram=dram,
-        )
+    # SMs instead of a silently shorter list.  A lane's ``finish`` is
+    # ``None`` until it drains; 0.0 is a legitimate finish time for an
+    # SM with no blocks.
+    lanes = [
+        _Lane(config, PackedGrid(traces[sm_index::n], config), tlp,
+              scheduler, l2=l2, dram=dram)
         for sm_index in range(n)
     ]
 
     now = 0.0
-    # ``None`` = "has not finished yet"; a numeric value is the cycle
-    # the SM drained (0.0 is a legitimate finish time for an SM with no
-    # blocks, which the old ``finish_at[idx] > 0`` test misreported as
-    # running until the chip-wide end).
-    finish_at: List[Optional[float]] = [None] * n
-    for idx, sm in enumerate(sms):
-        sm.start(now)
-        if not sm.active():
-            finish_at[idx] = now
-    while any(sm.active() for sm in sms):
+    while True:
+        live = [lane for lane in lanes if lane.finish is None]
+        if not live:
+            break
         issued = False
-        for idx, sm in enumerate(sms):
-            if not sm.active():
-                continue
-            if sm.step(now):
+        for lane in live:
+            if lane.step(now):
                 issued = True
-            if not sm.active():
-                finish_at[idx] = now
         if issued:
             now += 1
             continue
         times = [
             t
-            for sm in sms
-            if sm.active()
-            for t in [sm.next_event_time()]
+            for lane in live
+            if lane.finish is None
+            for t in (lane.next_event_time(),)
             if t is not None
         ]
         if not times:
             break
         now = max(now + 1, min(times))
 
-    results = []
-    for idx, sm in enumerate(sms):
-        cycles = finish_at[idx] if finish_at[idx] is not None else now
-        results.append(sm.result(cycles))
-    return results
+    for lane in lanes:
+        if lane.finish is None:
+            lane.now = now
+    return [lane.result() for lane in lanes]
 
 
 def makespan(results: List[SimResult]) -> float:

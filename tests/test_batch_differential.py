@@ -1,13 +1,13 @@
-"""Differential tests: the batched SoA core vs the scalar simulator.
+"""Differential tests: the timing core vs the golden ledger.
 
-The batched core's contract is **bit-identity**: for every design
-point, every field of the :class:`~repro.sim.stats.SimResult` must
-equal what :class:`~repro.sim.sm.SMSimulator` produces for that point
-alone.  These tests sweep the whole corpus — every traceable
-``examples/*.ptx`` kernel plus all 22 suite apps — across each
-kernel's full TLP staircase (1..max_tlp) under GTO, and re-check a
-resource-sensitive subset under LRR (``tools/batch_sim_gate.py`` runs
-both schedulers over everything in CI).
+Every design point of the corpus staircase — every traceable
+``examples/*.ptx`` kernel plus all 22 suite apps, across each kernel's
+full TLP staircase (1..max_tlp) — must reproduce its entry in
+``tools/ledger.json``, recorded from the scalar simulator this core
+replaced: the same cycles and the same sha256 over every
+:class:`~repro.sim.stats.SimResult` field.  Tier-1 runs the staircase
+under GTO and re-checks a resource-sensitive subset under LRR;
+``tools/ledger_gate.py`` checks both schedulers over everything.
 
 The second half exercises the batched run loop's clock machinery
 directly: monotone per-lane clocks, the event-time jump on no-issue
@@ -16,92 +16,65 @@ cycles, ``next_event_time()`` edges, and chunked advancement
 """
 
 import dataclasses
-import glob
-import os
 
 import pytest
 
 from repro.arch.config import get_config
-from repro.core import collect_resource_usage
-from repro.ptx import parse_kernel
-from repro.sim import simulate_traces, simulate_traces_batched, trace_grid
+from repro.sim import simulate_traces, simulate_traces_batched
 from repro.sim.batch import BatchedSimulator
-from repro.workloads import RESOURCE_SENSITIVE, full_suite, load_workload
+from repro.workloads import RESOURCE_SENSITIVE, full_suite
+
+from .ledger import LEDGER, assert_in_ledger, ledger_gate
 
 CONFIG = get_config("fermi")
-
-EXAMPLES_DIR = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples"
-)
-
-#: Grid size for bare example kernels (suite apps carry their own).
-EXAMPLE_GRID_BLOCKS = 12
 
 _cases = {}
 
 
 def _example_names():
     names = []
-    for path in sorted(glob.glob(os.path.join(EXAMPLES_DIR, "*.ptx"))):
-        name = os.path.basename(path)
+    for name, kernel in ledger_gate.example_kernels():
         try:
-            with open(path) as handle:
-                kernel = parse_kernel(handle.read())
-            traces = trace_grid(kernel, CONFIG, EXAMPLE_GRID_BLOCKS, None)
-            usage = collect_resource_usage(kernel, CONFIG)
+            _cases[name] = ledger_gate.example_case(kernel)
         except Exception:
-            # Untraceable examples (miscompiled.ptx exists to exercise
-            # the verifier) can never reach either simulator.
+            # Untraceable examples can never reach the simulator.
             continue
-        _cases[name] = (traces, usage.max_tlp)
         names.append(name)
     return names
 
 
 def _load_case(name):
     if name not in _cases:
-        workload = load_workload(name)
-        traces = trace_grid(
-            workload.kernel, CONFIG, workload.grid_blocks,
-            workload.param_sizes,
-        )
-        usage = collect_resource_usage(
-            workload.kernel, CONFIG, default_reg=workload.default_reg
-        )
-        _cases[name] = (traces, usage.max_tlp)
+        _cases[name] = ledger_gate.app_case(name)
     return _cases[name]
 
 
 CORPUS = _example_names() + [w.abbr for w in full_suite()]
 
 
-def _assert_staircase_identical(name, scheduler):
+def _assert_staircase_matches_ledger(name, scheduler):
     traces, max_tlp = _load_case(name)
     tlps = list(range(1, max_tlp + 1))
-    scalar = [
-        simulate_traces(traces, CONFIG, tlp, scheduler=scheduler)
-        for tlp in tlps
-    ]
-    batched = simulate_traces_batched(
+    results = simulate_traces_batched(
         traces, CONFIG, tlps, scheduler=scheduler
     )
-    for tlp, s, b in zip(tlps, scalar, batched):
-        drifted = {
-            f.name: (getattr(s, f.name), getattr(b, f.name))
-            for f in dataclasses.fields(s)
-            if getattr(s, f.name) != getattr(b, f.name)
-        }
-        assert not drifted, f"{name} tlp={tlp} ({scheduler}): {drifted}"
+    for tlp, result in zip(tlps, results):
+        assert_in_ledger(
+            "staircase", ledger_gate.staircase_key(name, scheduler, tlp),
+            ledger_gate.sim_entry(result),
+        )
+    beyond = ledger_gate.staircase_key(name, scheduler, max_tlp + 1)
+    assert beyond not in LEDGER["staircase"], f"{name}: staircase shrank"
 
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_full_staircase_bit_identical_gto(name):
-    _assert_staircase_identical(name, "gto")
+    _assert_staircase_matches_ledger(name, "gto")
 
 
 @pytest.mark.parametrize("name", [w.abbr for w in RESOURCE_SENSITIVE[:4]])
 def test_full_staircase_bit_identical_lrr(name):
-    _assert_staircase_identical(name, "lrr")
+    _assert_staircase_matches_ledger(name, "lrr")
 
 
 # ----------------------------------------------------------------------
@@ -157,13 +130,15 @@ class TestBatchClock:
     def test_no_issue_stalls_accounted(self, gau):
         """At TLP=1 a memory-bound kernel has cycles where no warp can
         issue; the event jump must account them as idle cycles exactly
-        like the scalar simulator (already covered by bit-identity,
-        asserted here directly for the loop's stall path)."""
+        as the ledger recorded them (asserted here directly for the
+        loop's stall path, through the single-point route)."""
         traces, _ = gau
-        batched, = simulate_traces_batched(traces, CONFIG, [1])
-        scalar = simulate_traces(traces, CONFIG, 1)
-        assert batched.idle_cycles == scalar.idle_cycles
-        assert batched.idle_cycles > 0
+        single = simulate_traces(traces, CONFIG, 1)
+        assert_in_ledger(
+            "staircase", ledger_gate.staircase_key("GAU", "gto", 1),
+            ledger_gate.sim_entry(single),
+        )
+        assert single.idle_cycles > 0
 
     def test_empty_batch_rejected(self, gau):
         traces, _ = gau

@@ -1,9 +1,7 @@
 """Property-based tests (hypothesis) on the batched simulation core.
 
-Three families of invariant, each over random generated kernels:
+Two families of invariant, each over random generated kernels:
 
-* **batch-of-one**: a single-lane batch is bit-identical to one scalar
-  :func:`~repro.sim.gpu.simulate_traces` run;
 * **composition invariance**: a lane's result depends only on its own
   TLP — not on which other lanes share the batch, their order, or
   where the batch is split (lanes are fully independent by design);
@@ -18,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch import FERMI
 from repro.core import collect_resource_usage
-from repro.sim import simulate_traces, simulate_traces_batched, trace_grid
+from repro.sim import simulate_traces_batched, trace_grid
 
 from .test_properties import PARAM_SIZES, kernel_strategy
 
@@ -33,16 +31,6 @@ def _staircase(kernel):
 
 def _asdicts(results):
     return [dataclasses.asdict(r) for r in results]
-
-
-@given(kernel_strategy(), st.data())
-@settings(max_examples=15, deadline=None)
-def test_batch_of_one_is_scalar(kernel, data):
-    traces, max_tlp = _staircase(kernel)
-    tlp = data.draw(st.integers(min_value=1, max_value=max(1, max_tlp)))
-    scalar = simulate_traces(traces, FERMI, tlp)
-    batched, = simulate_traces_batched(traces, FERMI, [tlp])
-    assert dataclasses.asdict(batched) == dataclasses.asdict(scalar)
 
 
 @given(kernel_strategy(), st.data())

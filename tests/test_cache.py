@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arch.config import CacheConfig
-from repro.sim import Cache, DRAMModel, MSHRFullError
+from repro.sim import Cache, DRAMModel
 
 
 def flat_next_level(latency=500):
@@ -18,30 +18,21 @@ def small_cache(sets=4, ways=2, mshrs=4, hit_latency=10, next_latency=500):
         size_bytes=sets * ways * 128, associativity=ways, line_bytes=128,
         mshr_entries=mshrs,
     )
-    return Cache(config, hit_latency, flat_next_level(next_latency))
+    return Cache(config, hit_latency, next_mem=flat_next_level(next_latency))
 
 
 class TestHitMiss:
     def test_cold_miss_then_hit(self):
         cache = small_cache()
-        first = cache.probe(0, now=0)
-        assert not first.hit
-        assert first.ready_at == 500
+        assert cache.probe(0, now=0) == 500
+        assert cache.stats.misses == 1
         # Before the fill returns, a re-access merges with the MSHR.
-        again = cache.probe(0, now=100)
-        assert not again.hit
-        assert again.filled_by_mshr
-        assert again.ready_at == 500
+        assert cache.probe(0, now=100) == 500
+        assert cache.stats.mshr_merges == 1
+        assert cache.stats.hits == 0
         # After the fill, it hits.
-        later = cache.probe(0, now=600)
-        assert later.hit
-        assert later.ready_at == 610
-
-    def test_same_line_shares_entry(self):
-        cache = small_cache()
-        cache.probe(0, 0)
-        result = cache.probe(64, 10)  # same 128B line
-        assert result.filled_by_mshr
+        assert cache.probe(0, now=600) == 610
+        assert cache.stats.hits == 1
 
     def test_lru_eviction(self):
         cache = small_cache(sets=1, ways=2)
@@ -51,8 +42,11 @@ class TestHitMiss:
         # Fill both, then touch line0 to make line1 the LRU victim.
         cache.probe(0, 1000)
         cache.probe(2 * line, 1001)  # evicts line1
-        assert cache.probe(0, 2000).hit
-        assert not cache.probe(1 * line, 2500).hit
+        hits = cache.stats.hits
+        cache.probe(0, 2000)
+        assert cache.stats.hits == hits + 1
+        cache.probe(1 * line, 2500)
+        assert cache.stats.hits == hits + 1
 
     def test_hit_rate_stat(self):
         cache = small_cache()
@@ -65,48 +59,60 @@ class TestHitMiss:
 
 
 class TestMSHR:
-    def test_full_raises_with_retry_time(self):
+    def test_full_returns_none_with_retry_time(self):
         cache = small_cache(mshrs=2)
         cache.probe(0, 0)
         cache.probe(128 * 4, 1)
-        with pytest.raises(MSHRFullError) as err:
-            cache.probe(128 * 8, 2)
-        assert err.value.retry_at == 500
+        assert cache.probe(128 * 8, 2) is None
+        assert cache.retry_at == 500
         assert cache.stats.mshr_full_events == 1
 
     def test_retry_after_fill_succeeds(self):
         cache = small_cache(mshrs=1)
         cache.probe(0, 0)
-        with pytest.raises(MSHRFullError):
-            cache.probe(128, 1)
-        result = cache.probe(128, 501)
-        assert not result.hit
-        assert result.ready_at == 501 + 500
+        assert cache.probe(128, 1) is None
+        hits = cache.stats.hits
+        assert cache.probe(128, 501) == 501 + 500
+        assert cache.stats.hits == hits
 
     def test_capacity_never_exceeded(self):
         cache = small_cache(mshrs=3)
-        accepted = 0
-        for i in range(10):
-            try:
-                cache.probe(i * 128 * 4, i)
-                accepted += 1
-            except MSHRFullError:
-                pass
+        accepted = sum(
+            cache.probe(i * 128 * 4, i) is not None for i in range(10)
+        )
         assert accepted == 3
+
+    def test_lower_level_exhaustion_propagates(self):
+        """An L1 miss the L2 cannot take (its MSHRs are full) stalls
+        with the L2's free-up time and takes no L1 MSHR entry."""
+        l2 = small_cache(mshrs=1)
+        config = CacheConfig(size_bytes=4 * 2 * 128, associativity=2,
+                             line_bytes=128, mshr_entries=4)
+        l1 = Cache(config, hit_latency=1, next_cache=l2)
+        assert l1.probe(0, 0) == 500
+        assert l1.probe(128, 1) is None
+        assert l1.retry_at == 500
+        assert l1.stats.misses == 2
+        assert 128 not in l1.mshr
 
 
 class TestWriteEvict:
     def test_global_store_evicts(self):
         cache = small_cache()
         cache.probe(0, 0)
-        assert cache.probe(0, 1000).hit
+        cache.probe(0, 1000)
+        assert cache.stats.hits == 1
         cache.probe_no_allocate(0, 1500)
-        assert not cache.probe(0, 2000).hit
+        assert cache.stats.evictions == 1
+        cache.probe(0, 2000)
+        assert cache.stats.hits == 1
 
     def test_write_allocate_for_local(self):
         cache = small_cache()
         cache.probe(0, 0, is_write=True)
-        assert cache.probe(0, 1000).hit
+        cache.probe(0, 1000)
+        assert cache.stats.hits == 1
+        assert cache.stats.write_accesses == 1
 
 
 class TestCapacityContention:
@@ -115,14 +121,10 @@ class TestCapacityContention:
 
         def run(ws_lines):
             cache = small_cache(sets=8, ways=4, mshrs=32)  # 4 KB
-            capacity_lines = 8 * 4
             now = 0.0
             for sweep in range(8):
                 for i in range(ws_lines):
-                    try:
-                        cache.probe(i * 128, now)
-                    except MSHRFullError:
-                        pass
+                    cache.probe(i * 128, now)
                     now += 600  # spaced out: misses always fill in time
             return cache.stats.hit_rate
 
@@ -152,10 +154,3 @@ class TestDRAM:
         dram.access(0, 0)
         later = dram.access(128, 10_000)
         assert later == pytest.approx(10_000 + 16 + 400)
-
-    def test_reset(self):
-        dram = DRAMModel(latency=400, bytes_per_cycle=8.0)
-        dram.access(0, 0)
-        dram.reset()
-        assert dram.transactions == 0
-        assert dram.busy_until == 0.0

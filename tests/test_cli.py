@@ -58,31 +58,6 @@ class TestSimulate:
 
 
 class TestBatchFlags:
-    def test_crat_batch_toggle_output_identical(self, capsys):
-        assert main(["crat", "GAU", "--batch"]) == 0
-        batched = capsys.readouterr().out
-        assert main(["crat", "GAU", "--no-batch"]) == 0
-        scalar = capsys.readouterr().out
-        assert batched == scalar
-
-    def test_bench_batchsim_records_ledger(self, tmp_path, capsys):
-        import json
-
-        ledger = tmp_path / "BENCH_batchsim.json"
-        assert main(["bench", "--batchsim", "--apps", "GAU",
-                     "--record", str(ledger)]) == 0
-        out = capsys.readouterr().out
-        assert "bit-identical" in out
-        assert "geomean speedup" in out
-        runs = json.loads(ledger.read_text())["runs"]
-        assert len(runs) == 1
-        assert runs[0]["identical"] is True
-        assert runs[0]["apps"][0]["abbr"] == "GAU"
-        # A second run appends instead of overwriting.
-        assert main(["bench", "--batchsim", "--apps", "GAU",
-                     "--record", str(ledger)]) == 0
-        assert len(json.loads(ledger.read_text())["runs"]) == 2
-
     def test_bench_without_mode_exits(self):
         with pytest.raises(SystemExit):
             main(["bench"])

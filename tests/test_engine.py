@@ -318,29 +318,29 @@ class TestParallelDeterminism:
 
 
 class TestBatchedRouting:
-    """Multi-point sweeps route through the batched SoA core by
-    default; the supervised scalar path stays the oracle and the
-    fallback, and flipping the toggle never changes a result."""
+    """Multi-point sweeps run in-process as one batch of the timing
+    core; single points and fault-plan runs go through the supervisor.
+    The route never changes a result."""
 
-    def _requests(self, gau, tlps):
+    def _requests(self, gau, tlps, scheduler="gto"):
         return [
             SimRequest(gau.kernel, FERMI, tlp, grid_blocks=4,
-                       param_sizes=gau.param_sizes)
+                       param_sizes=gau.param_sizes, scheduler=scheduler)
             for tlp in tlps
         ]
 
-    def test_batch_toggle_is_bit_identical(self, gau):
-        on = EvaluationEngine(jobs=1, disk_cache="")
-        off = EvaluationEngine(jobs=1, disk_cache="", batch=False)
-        requests = self._requests(gau, [1, 2, 3])
-        a = on.simulate_many(requests)
-        b = off.simulate_many(self._requests(gau, [1, 2, 3]))
-        assert a == b
-        assert on.stats.batched_points == 3
-        assert on.stats.batched_groups == 1
-        assert off.stats.batched_points == 0
+    def _one_by_one(self, requests):
+        engine = EvaluationEngine(jobs=1, disk_cache="")
+        return [engine.simulate_many([req])[0] for req in requests]
 
-    def test_batchsim_event_emitted(self, gau):
+    def test_sweep_equals_points_one_by_one(self, gau):
+        engine = EvaluationEngine(jobs=1, disk_cache="")
+        results = engine.simulate_many(self._requests(gau, [1, 2, 3]))
+        assert results == self._one_by_one(self._requests(gau, [1, 2, 3]))
+        assert engine.stats.batched_points == 3
+        assert engine.stats.batched_groups == 1
+
+    def test_batch_sim_event_emitted(self, gau):
         from repro.engine import BatchSimEvent
 
         engine = EvaluationEngine(jobs=1, disk_cache="")
@@ -355,12 +355,6 @@ class TestBatchedRouting:
         engine.simulate_many(self._requests(gau, [2]))
         assert engine.stats.batched_points == 0
 
-    def test_evaluate_batch_forces_batching(self, gau):
-        engine = EvaluationEngine(jobs=1, disk_cache="", batch=False)
-        results = engine.evaluate_batch(self._requests(gau, [1, 2]))
-        assert [r.tlp for r in results] == [1, 2]
-        assert engine.stats.batched_points == 2
-
     def test_fault_plan_disables_batching(self, gau, monkeypatch):
         """Under an active fault plan the supervised machinery must
         stay in the loop (that is what the plan exercises), so batching
@@ -373,35 +367,14 @@ class TestBatchedRouting:
         assert engine.stats.batched_points == 0
         assert results == expected
 
-    def test_configure_and_snapshot_expose_batch(self):
-        from repro.engine import configure, get_engine, set_engine
-
-        original = get_engine()
-        try:
-            engine = EvaluationEngine(jobs=1, disk_cache="")
-            set_engine(engine)
-            assert engine.snapshot()["batch"] is True
-            configure(batch=False)
-            assert engine.batch is False
-            assert engine.snapshot()["batch"] is False
-            configure(batch=True)
-            assert engine.batch is True
-        finally:
-            set_engine(original)
-
     def test_mixed_schedulers_group_separately(self, gau):
         engine = EvaluationEngine(jobs=1, disk_cache="")
-        requests = [
-            SimRequest(gau.kernel, FERMI, tlp, grid_blocks=4,
-                       param_sizes=gau.param_sizes, scheduler=sched)
-            for tlp, sched in [(1, "gto"), (2, "gto"), (1, "lrr"),
-                               (2, "lrr")]
-        ]
+        requests = (self._requests(gau, [1, 2])
+                    + self._requests(gau, [1, 2], scheduler="lrr"))
         results = engine.simulate_many(requests)
         assert engine.stats.batched_groups == 2
         assert engine.stats.batched_points == 4
-        solo = EvaluationEngine(jobs=1, disk_cache="", batch=False)
-        assert results == solo.simulate_many(list(requests))
+        assert results == self._one_by_one(requests)
 
 
 class TestInstrumentation:

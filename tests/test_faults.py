@@ -87,13 +87,11 @@ class TestErrorTaxonomy:
     def test_legacy_exceptions_map_to_branches(self):
         from repro.ptx.parser import PTXParseError
         from repro.regalloc.allocator import InsufficientRegistersError
-        from repro.sim.cache import MSHRFullError
 
         assert isinstance(classify_error(PTXParseError("x")), ParseError)
         assert isinstance(
             classify_error(InsufficientRegistersError("x")), AllocationError
         )
-        assert isinstance(classify_error(MSHRFullError("x")), SimulationError)
         assert isinstance(classify_error(TimeoutError("x")), TaskTimeoutError)
         assert isinstance(classify_error(RuntimeError("x")), SimulationError)
 

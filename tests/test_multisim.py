@@ -1,10 +1,14 @@
 """Multi-SM simulation tests (chip-level validation mode)."""
 
+import dataclasses
+
 import pytest
 
 from repro.arch import FERMI
 from repro.sim import makespan, simulate_multi_sm, simulate_traces, trace_grid
 from repro.workloads import load_workload
+
+from .ledger import assert_in_ledger, ledger_gate
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +116,30 @@ class TestMultiSM:
         # simulated cycle-by-cycle (the run above finishing quickly is
         # itself the evidence; correctness is the conserved work).
         assert makespan(results) > 0
+
+    def test_runs_match_ledger(self, hst_traces):
+        """Every SM of the runs above reproduces the golden ledger."""
+        workload, traces = hst_traces
+        for label, source, end, tlp, num_sms in ledger_gate.MULTI_SM_RUNS:
+            results = simulate_multi_sm(traces[:end], FERMI, tlp,
+                                        num_sms=num_sms)
+            for sm, result in enumerate(results):
+                assert_in_ledger(
+                    "multi_sm",
+                    ledger_gate.multi_sm_key(label, tlp, num_sms, sm),
+                    ledger_gate.sim_entry(result),
+                )
+
+    @pytest.mark.parametrize("scheduler", ["gto", "lrr"])
+    def test_one_sm_lockstep_matches_own_clock(self, hst_traces, scheduler):
+        """On a one-SM chip (whole L2 = the slice) the lock-step
+        ``_Lane.step`` path reproduces the lane's own-clock run, except
+        that the chip loop accounts no idle cycles and attaches no
+        energy."""
+        workload, traces = hst_traces
+        chip = dataclasses.replace(FERMI, num_sms=1, l2_interference=1)
+        own = simulate_traces(traces, chip, 2, scheduler=scheduler)
+        lockstep, = simulate_multi_sm(traces, chip, 2, scheduler=scheduler)
+        assert dataclasses.replace(
+            own, idle_cycles=0.0, energy_nj=0.0
+        ) == lockstep

@@ -1,50 +1,28 @@
-"""Old-vs-new optimization pipeline differential tests.
+"""Pass-output differential tests against the golden ledger.
 
-Every driver-based pass in :mod:`repro.opt` must be bit-identical to
-its frozen pre-driver reference (:mod:`repro.opt.legacy`) — same output
-kernel (canonical printed form), same headline counters.  The tier-1
-suite checks the example corpus plus a sample of suite apps; the CI
-``opt-rewrite-gate`` job (``tools/opt_rewrite_gate.py``) extends the
-same comparison to all 22 apps.
+Every driver-based pass in :mod:`repro.opt` must reproduce the output
+its frozen pre-driver implementation produced — same output kernel
+(sha256 of the canonical printed form), same counters — as pinned in
+``tools/ledger.json`` while both implementations still agreed.  The
+tier-1 suite checks the example corpus plus a sample of suite apps;
+``tools/ledger_gate.py`` checks all 22 apps.
 """
 
 from __future__ import annotations
 
-import glob
-import os
-
 import pytest
 
 from repro import opt
-from repro.opt import legacy
-from repro.ptx import parse_kernel, print_kernel
+from repro.ptx import print_kernel
 from repro.workloads import load_workload
 
-EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "examples")
-
-#: (label, legacy callable, driver callable, counter attributes).
-PASS_PAIRS = [
-    ("copy_prop", legacy.propagate_copies, opt.propagate_copies,
-     ("rewritten_uses",)),
-    ("dce", legacy.eliminate_dead_code, opt.eliminate_dead_code,
-     ("removed", "passes")),
-    ("bypass", legacy.apply_static_bypass, opt.apply_static_bypass,
-     ("bypassed_loads",)),
-    ("schedule", legacy.schedule_for_mlp, opt.schedule_for_mlp,
-     ("moved_instructions",)),
-    ("unroll", legacy.unroll_loops, opt.unroll_loops,
-     ("unrolled_loops", "skipped_loops", "factor")),
-    ("optimize", legacy.optimize_kernel, opt.optimize_kernel,
-     ("rewritten_uses", "removed_instructions")),
-]
+from .ledger import assert_in_ledger, ledger_gate
 
 SAMPLE_APPS = ["GAU", "KMN", "SPMV", "MUM", "CFD", "STM"]
 
 
 def _corpus():
-    for path in sorted(glob.glob(os.path.join(EXAMPLES_DIR, "*.ptx"))):
-        with open(path) as handle:
-            yield os.path.basename(path), parse_kernel(handle.read())
+    yield from ledger_gate.example_kernels()
     for abbr in SAMPLE_APPS:
         yield abbr, load_workload(abbr).kernel
 
@@ -54,20 +32,15 @@ CORPUS = list(_corpus())
 
 @pytest.mark.parametrize("name,kernel", CORPUS,
                          ids=[name for name, _ in CORPUS])
-@pytest.mark.parametrize("label,old_fn,new_fn,counters", PASS_PAIRS,
-                         ids=[p[0] for p in PASS_PAIRS])
+@pytest.mark.parametrize("label,fn,counters", ledger_gate.PASSES,
+                         ids=[p[0] for p in ledger_gate.PASSES])
 def test_driver_pass_bit_identical_to_legacy(
-    name, kernel, label, old_fn, new_fn, counters
+    name, kernel, label, fn, counters
 ):
-    old = old_fn(kernel)
-    new = new_fn(kernel)
-    assert print_kernel(old.kernel) == print_kernel(new.kernel), (
-        f"{label} drifted from the legacy implementation on {name}"
+    assert_in_ledger(
+        "opt", ledger_gate.opt_key(name, label),
+        ledger_gate.pass_entry(fn(kernel), counters),
     )
-    for attr in counters:
-        assert getattr(old, attr) == getattr(new, attr), (
-            f"{label}.{attr} drifted on {name}"
-        )
 
 
 def test_optimize_kernel_converges_without_warning(recwarn):

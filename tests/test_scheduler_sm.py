@@ -1,77 +1,11 @@
-"""Warp scheduler and SM timing-model tests."""
+"""SM timing-model tests (GTO and LRR pick order is pinned by the
+golden ledger, ``tools/ledger.json``)."""
 
 import pytest
 
 from repro.arch import FERMI
 from repro.ptx import CmpOp, DType, KernelBuilder, Space
-from repro.sim import GTOScheduler, LRRScheduler, simulate, simulate_traces, trace_grid
-
-
-class TestGTOScheduler:
-    def test_oldest_first_when_no_greedy(self):
-        sched = GTOScheduler()
-        sched.add(5, 0.0, 0.0)
-        sched.add(2, 0.0, 0.0)
-        sched.add(9, 0.0, 0.0)
-        assert sched.pick(0.0) == 2
-
-    def test_sticks_with_greedy(self):
-        sched = GTOScheduler()
-        sched.add(3, 0.0, 0.0)
-        sched.add(1, 0.0, 0.0)
-        first = sched.pick(0.0)
-        assert first == 1
-        sched.add(1, 1.0, 1.0)  # re-ready next cycle
-        assert sched.pick(1.0) == 1  # greedy preference
-
-    def test_falls_back_when_greedy_stalls(self):
-        sched = GTOScheduler()
-        sched.add(1, 0.0, 0.0)
-        sched.add(2, 0.0, 0.0)
-        assert sched.pick(0.0) == 1
-        sched.add(1, 100.0, 0.0)  # long stall
-        assert sched.pick(1.0) == 2
-
-    def test_forget_clears_preference(self):
-        sched = GTOScheduler()
-        sched.add(1, 0.0, 0.0)
-        assert sched.pick(0.0) == 1
-        sched.forget(1)
-        sched.add(1, 0.0, 0.0)
-        sched.add(0, 0.0, 0.0)
-        assert sched.pick(0.0) == 0
-
-    def test_pending_promotion(self):
-        sched = GTOScheduler()
-        sched.add(1, 10.0, 0.0)
-        assert sched.pick(5.0) is None
-        assert sched.pick(10.0) == 1
-
-    def test_next_event(self):
-        sched = GTOScheduler()
-        assert sched.next_event() is None
-        sched.add(1, 42.0, 0.0)
-        assert sched.next_event() == 42.0
-        sched.add(2, 0.0, 0.0)
-        assert sched.next_event() == 0.0
-
-
-class TestLRRScheduler:
-    def test_round_robin_rotation(self):
-        sched = LRRScheduler()
-        for wid in (0, 1, 2):
-            sched.add(wid, 0.0, 0.0)
-        picks = [sched.pick(0.0) for _ in range(3)]
-        assert picks == [0, 1, 2]
-
-    def test_wraps_around(self):
-        sched = LRRScheduler()
-        sched.add(0, 0.0, 0.0)
-        sched.add(2, 0.0, 0.0)
-        assert sched.pick(0.0) == 0
-        sched.add(0, 0.0, 0.0)
-        assert sched.pick(0.0) == 2
-        assert sched.pick(0.0) == 0
+from repro.sim import simulate, simulate_traces, trace_grid
 
 
 def compute_kernel(trip=32, block_size=64):
