@@ -208,10 +208,12 @@ class PackedGrid:
     store       bool, mem mode ``_MEM_L1`` only
     ==========  =======================================================
 
-    Ops are memoized by object identity: the trace executor appends the
-    *same* ``WarpOp`` object to every warp of a block for uniform
-    instructions, so each is compiled once.  The static counters are
-    counted per op category while packing.
+    Ops are memoized by object identity.  The trace executor interns
+    its ops (one ``WarpOp`` object per program position for non-memory
+    ops, one per position, lines, active lanes and conflict for memory
+    ops), so the memo hits across the warps of an instruction, across
+    blocks and across loop iterations, and each op is compiled once.
+    The static counters are counted per op category while packing.
     """
 
     __slots__ = (

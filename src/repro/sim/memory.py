@@ -1,10 +1,10 @@
 """Functional memory images for the three PTX state spaces.
 
 :class:`GlobalMemory` is shared by the whole grid and holds one buffer
-per kernel parameter.  :class:`BlockMemory` gives each thread block its
-shared-memory image and each thread its private local-memory image
-(spill stacks).  All accesses are vectorized: a warp/block supplies a
-lane-address array and an active-lane mask.
+per kernel parameter.  :class:`BlockMemory` gives each thread block of
+a lockstep group its shared-memory image and each thread its private
+local-memory image (spill stacks).  All accesses are vectorized: the
+group supplies a lane-address array and an active-lane mask.
 
 Addresses are virtual (see :mod:`repro.sim.values`); accesses that wrap
 past a buffer are folded back in (synthetic workloads size their
@@ -14,6 +14,7 @@ generated addresses rather than silently corrupting neighbours).
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Optional
 
 import numpy as np
@@ -79,20 +80,25 @@ class GlobalMemory:
 
 
 class BlockMemory:
-    """Shared + local memory images for one thread block.
+    """Shared + local memory images for ``num_blocks`` thread blocks.
 
-    Local memory is thread-private: storage is ``(block_size,
-    local_bytes)`` and lane ``i`` accesses row ``i``.  Shared memory is
-    one image for the block.
+    Lanes are block-major.  Local memory is thread-private: storage is
+    ``(num_blocks * block_size, local_bytes)`` and lane ``i`` accesses
+    row ``i``.  Shared memory is one image per block: storage is
+    ``(num_blocks, shared_bytes)`` and lane ``i`` accesses row
+    ``i // block_size``.
     """
 
-    def __init__(self, kernel: Kernel, block_size: int):
+    def __init__(self, kernel: Kernel, block_size: int, num_blocks: int = 1):
         self.block_size = block_size
         shared_bytes = max(kernel.shared_bytes(), 4)
         local_bytes = max(kernel.local_bytes(), 4)
-        self.shared = np.zeros(_align_up(shared_bytes, 8), dtype=np.uint8)
+        self.shared = np.zeros(
+            (num_blocks, _align_up(shared_bytes, 8)), dtype=np.uint8
+        )
         self.local = np.zeros(
-            (block_size, _align_up(local_bytes, 8)), dtype=np.uint8
+            (num_blocks * block_size, _align_up(local_bytes, 8)),
+            dtype=np.uint8,
         )
         # Symbol bases within each space.
         self.sym_base: Dict[str, int] = {}
@@ -108,27 +114,49 @@ class BlockMemory:
                 self.sym_base[arr.name] = int(LOCAL_BASE) + local_off
                 local_off += arr.size_bytes
 
+    def take(self, blocks: np.ndarray) -> "BlockMemory":
+        """A copy holding only ``blocks`` (indices into these blocks)."""
+        part = copy.copy(self)
+        part.shared = self.shared[blocks]
+        lanes = blocks[:, None] * self.block_size + np.arange(self.block_size)
+        part.local = self.local[lanes.ravel()]
+        return part
+
     def load_shared(
         self, addrs: np.ndarray, dtype: DType, mask: np.ndarray
     ) -> np.ndarray:
-        return _gather(self.shared, addrs - SHARED_BASE, dtype, mask)
+        offsets = (addrs - SHARED_BASE).astype(np.int64)
+        return _gather_rows(
+            self.shared, self._block_rows(len(addrs)), offsets, dtype, mask
+        )
 
     def store_shared(
         self, addrs: np.ndarray, values: np.ndarray, dtype: DType, mask: np.ndarray
     ) -> None:
-        _scatter(self.shared, addrs - SHARED_BASE, values, dtype, mask)
+        offsets = (addrs - SHARED_BASE).astype(np.int64)
+        _scatter_rows(
+            self.shared, self._block_rows(len(addrs)), offsets, values,
+            dtype, mask,
+        )
 
     def load_local(
         self, addrs: np.ndarray, dtype: DType, mask: np.ndarray
     ) -> np.ndarray:
         offsets = (addrs - LOCAL_BASE).astype(np.int64)
-        return _gather_rows(self.local, offsets, dtype, mask)
+        return _gather_rows(
+            self.local, np.arange(len(addrs)), offsets, dtype, mask
+        )
 
     def store_local(
         self, addrs: np.ndarray, values: np.ndarray, dtype: DType, mask: np.ndarray
     ) -> None:
         offsets = (addrs - LOCAL_BASE).astype(np.int64)
-        _scatter_rows(self.local, offsets, values, dtype, mask)
+        _scatter_rows(
+            self.local, np.arange(len(addrs)), offsets, values, dtype, mask
+        )
+
+    def _block_rows(self, lanes: int) -> np.ndarray:
+        return np.arange(lanes) // self.block_size
 
 
 # ----------------------------------------------------------------------
@@ -155,26 +183,23 @@ def _scatter(image, offsets, values, dtype: DType, mask) -> None:
     view[idx[mask]] = values.astype(nd)[mask]
 
 
-def _gather_rows(image2d, offsets, dtype: DType, mask):
+def _gather_rows(image2d, rows, offsets, dtype: DType, mask):
+    """Lane ``i`` reads row ``rows[i]`` of a 2-D byte image."""
     width = dtype.bytes
     nd = np_dtype(dtype)
-    rows = image2d.shape[0]
     cols = image2d.shape[1] // width
     view = image2d[:, : cols * width].view(nd)
-    lane = np.arange(rows)
     idx = (offsets // width) % cols
-    out = view[lane, idx]
+    out = view[rows, idx]
     if not mask.all():
         out = np.where(mask, out, nd(0))
     return out.astype(nd)
 
 
-def _scatter_rows(image2d, offsets, values, dtype: DType, mask) -> None:
+def _scatter_rows(image2d, rows, offsets, values, dtype: DType, mask) -> None:
     width = dtype.bytes
     nd = np_dtype(dtype)
-    rows = image2d.shape[0]
     cols = image2d.shape[1] // width
     view = image2d[:, : cols * width].view(nd)
-    lane = np.arange(rows)[mask]
     idx = ((offsets // width) % cols)[mask]
-    view[lane, idx] = values.astype(nd)[mask]
+    view[rows[mask], idx] = values.astype(nd)[mask]

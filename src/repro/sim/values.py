@@ -1,7 +1,7 @@
 """Lane-value helpers: numpy dtypes and virtual address layout.
 
-The functional executor vectorizes one thread block's lanes into numpy
-arrays.  This module maps IR data types onto numpy dtypes and defines
+The functional executor vectorizes the lanes of a group of thread
+blocks into numpy arrays.  This module maps IR data types onto numpy dtypes and defines
 the virtual address layout that separates the PTX state spaces:
 
 * ``GLOBAL_BASE`` — kernel parameter buffers live here,

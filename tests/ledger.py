@@ -17,6 +17,7 @@ LEDGER = ledger_gate.load_ledger()
 
 
 def assert_in_ledger(section, key, entry):
-    """``entry`` (a ``sim_entry``/``pass_entry``) equals the ledger's."""
+    """``entry`` (a ``sim_entry``/``pass_entry``/``trace_entry``) equals
+    the ledger's."""
     expected = LEDGER[section].get(key)
     assert entry == expected, ledger_gate.describe_drift(key, expected, entry)

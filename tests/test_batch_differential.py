@@ -7,7 +7,8 @@ full TLP staircase (1..max_tlp) — must reproduce its entry in
 replaced: the same cycles and the same sha256 over every
 :class:`~repro.sim.stats.SimResult` field.  Tier-1 runs the staircase
 under GTO and re-checks a resource-sensitive subset under LRR;
-``tools/ledger_gate.py`` checks both schedulers over everything.
+``tools/ledger_gate.py`` checks both schedulers over everything.  The
+traces the staircase replays must equal their ``traces`` entries too.
 
 The second half exercises the batched run loop's clock machinery
 directly: monotone per-lane clocks, the event-time jump on no-issue
@@ -75,6 +76,17 @@ def test_full_staircase_bit_identical_gto(name):
 @pytest.mark.parametrize("name", [w.abbr for w in RESOURCE_SENSITIVE[:4]])
 def test_full_staircase_bit_identical_lrr(name):
     _assert_staircase_matches_ledger(name, "lrr")
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_traces_bit_identical(name):
+    """The functional traces themselves equal the ledger's, recorded
+    running the blocks of each grid one by one."""
+    traces, _ = _load_case(name)
+    assert_in_ledger(
+        "traces", ledger_gate.trace_key(name, len(traces)),
+        ledger_gate.trace_entry(traces),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 """Golden-ledger gate: every pinned answer of the timing core and the
 optimization passes, checked against ``tools/ledger.json``.
 
-The ledger holds two kinds of entry:
+The ledger holds three kinds of entry:
 
 * **design points** — the cycles and a sha256 of every
   :class:`~repro.sim.stats.SimResult` field
@@ -17,14 +17,23 @@ The ledger holds two kinds of entry:
 * **pass outputs** — for each corpus kernel and each opt pass, the
   sha256 of the printed output kernel and the pass's counters (``opt``),
   plus how many rewrites the full registry pipeline applies under
-  per-rewrite translation validation (``verified_rewrites``).
+  per-rewrite translation validation (``verified_rewrites``);
+* **functional traces** — the warp-op count and a sha256 over every
+  :class:`~repro.sim.executor.BlockTrace` of a grid (``traces``) for
+  the examples at ``EXAMPLE_GRID_BLOCKS`` and at one block, all 22 apps
+  and their default allocations, every CRAT and CRAT-local candidate
+  allocation of the resource-sensitive apps (the local- and shm-spill
+  paths), the ``%ctaid``-dependent kernels of
+  ``tools/block_dependent.ptx`` (with a sha256 of their output buffer)
+  and FDTD at a grid wider than one lockstep group of the executor.
 
 A check fails on any drifting entry and names it, saying whether its
-cycles moved; a verified-pipeline diagnostic fails it too.  The tier-1
+cycles (for a trace, its warp-op count) moved; a verified-pipeline
+diagnostic fails it too.  The tier-1
 tests (``tests/test_batch_differential.py``,
 ``tests/test_opt_differential.py``, ``tests/test_multisim.py``,
-``tests/test_warp_limit.py``) read the same ledger through the helpers
-below.
+``tests/test_warp_limit.py``, ``tests/test_divergence.py``) read the
+same ledger through the helpers below.
 
 Run from the repository root::
 
@@ -39,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
 import functools
 import glob
 import hashlib
@@ -46,24 +56,32 @@ import json
 import os
 import sys
 import time
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
 from repro import opt  # noqa: E402
 from repro.arch import get_config  # noqa: E402
-from repro.core import collect_resource_usage, default_allocation  # noqa: E402
+from repro.arch.occupancy import compute_occupancy, spare_shm_per_block  # noqa: E402
+from repro.core import collect_resource_usage, default_allocation, prune  # noqa: E402
 from repro.errors import VerificationError  # noqa: E402
 from repro.ir import run_pipeline  # noqa: E402
-from repro.ptx import parse_kernel, print_kernel  # noqa: E402
+from repro.ptx import DType, parse_kernel, parse_module, print_kernel  # noqa: E402
+from repro.regalloc.allocator import InsufficientRegistersError, allocate  # noqa: E402
 from repro.sim import (  # noqa: E402
+    GlobalMemory,
+    WarpOp,
     simulate_multi_sm,
     simulate_traces,
     simulate_traces_batched,
     trace_grid,
 )
-from repro.workloads import full_suite, load_workload  # noqa: E402
+from repro.workloads import (  # noqa: E402
+    RESOURCE_SENSITIVE,
+    full_suite,
+    load_workload,
+)
 
 LEDGER_PATH = os.path.join(REPO, "tools", "ledger.json")
 
@@ -109,6 +127,15 @@ WARP_LIMIT_POINTS = (
 #: Apps of benchmarks/test_extension_granularity.py.
 GRANULARITY_APPS = ("KMN", "STM", "HST")
 
+#: The ``%ctaid``-dependent kernels, their grid and parameter buffers.
+BLOCK_DEPENDENT_PATH = os.path.join(REPO, "tools", "block_dependent.ptx")
+BLOCK_DEPENDENT_GRID = 6
+BLOCK_DEPENDENT_PARAM_BYTES = 1 << 14
+
+#: (app, grid) traced wider than one lockstep group of the executor
+#: (FDTD: 40 blocks x 512 threads > 16,384 lanes).
+WIDE_GRIDS = (("FDTD", 40),)
+
 
 # ----------------------------------------------------------------------
 # Entry encoding (shared with the tier-1 tests).
@@ -147,6 +174,54 @@ def opt_key(name: str, label: str) -> str:
     return f"{name}/{label}"
 
 
+def trace_key(label: str, grid_blocks: int) -> str:
+    return f"{label}/grid={grid_blocks}"
+
+
+def _field_value(value):
+    if isinstance(value, enum.Enum):
+        return value.name
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
+def trace_entry(traces, output: Optional[bytes] = None) -> Dict[str, object]:
+    """The warp-op count and a sha256 over a grid's block traces.
+
+    The digest covers each :class:`BlockTrace`'s ``block_id``,
+    ``block_size`` and ``instruction_count`` and, per warp, every
+    :class:`WarpOp` field in order.  It hashes values, not object
+    identity, so shared (interned) op objects and distinct equal ones
+    digest alike.  ``output`` adds a sha256 of an output buffer.
+    """
+    names = [field.name for field in dataclasses.fields(WarpOp)]
+    # One JSON line per op object, by id (the traces keep them alive).
+    encoded: Dict[int, bytes] = {}
+    digest = hashlib.sha256()
+    for trace in traces:
+        digest.update(json.dumps([
+            trace.block_id, trace.block_size, trace.instruction_count,
+            len(trace.warp_ops),
+        ]).encode() + b"\n")
+        for ops in trace.warp_ops:
+            objects = dict(zip(map(id, ops), ops))
+            for key in objects.keys() - encoded.keys():
+                encoded[key] = json.dumps([
+                    _field_value(getattr(objects[key], name))
+                    for name in names
+                ]).encode() + b"\n"
+            digest.update(b"%d\n" % len(ops))
+            digest.update(b"".join(map(encoded.__getitem__, map(id, ops))))
+    entry = {
+        "sha256": digest.hexdigest(),
+        "warp_ops": sum(trace.instruction_count for trace in traces),
+    }
+    if output is not None:
+        entry["output"] = hashlib.sha256(output).hexdigest()
+    return entry
+
+
 def load_ledger(path: str = LEDGER_PATH) -> Dict[str, Dict]:
     with open(path) as handle:
         return json.load(handle)
@@ -164,6 +239,13 @@ def describe_drift(key: str, expected, actual) -> str:
             return (f"{key}: cycles moved {expected['cycles']} -> "
                     f"{actual['cycles']}")
         return f"{key}: cycles unchanged, other SimResult fields drifted"
+    if "warp_ops" in expected:
+        if expected["warp_ops"] != actual["warp_ops"]:
+            return (f"{key}: warp ops moved {expected['warp_ops']} -> "
+                    f"{actual['warp_ops']}")
+        if expected["sha256"] != actual["sha256"]:
+            return f"{key}: warp-op count unchanged, trace fields drifted"
+        return f"{key}: output buffer changed"
     if expected["sha256"] != actual["sha256"]:
         return f"{key}: output kernel changed"
     changed = [
@@ -225,6 +307,69 @@ def staircase_corpus() -> Iterator[Tuple[str, List, int]]:
         yield name, traces, max_tlp
     for workload in full_suite():
         yield (workload.abbr, *app_case(workload.abbr))
+
+
+def block_dependent_kernels() -> Iterator[object]:
+    with open(BLOCK_DEPENDENT_PATH) as handle:
+        yield from parse_module(handle.read()).kernels
+
+
+def block_dependent_case(kernel) -> Tuple[List, GlobalMemory]:
+    """(traces, global memory) of one ``%ctaid``-dependent kernel."""
+    mem = GlobalMemory(kernel, {
+        param.name: BLOCK_DEPENDENT_PARAM_BYTES for param in kernel.params
+    })
+    traces = trace_grid(kernel, CONFIG, BLOCK_DEPENDENT_GRID, global_mem=mem)
+    return traces, mem
+
+
+def block_dependent_output(mem: GlobalMemory) -> bytes:
+    """The bytes of a ``%ctaid``-dependent kernel's output buffer."""
+    return mem.read_buffer(
+        "output", DType.U8, BLOCK_DEPENDENT_PARAM_BYTES
+    ).tobytes()
+
+
+def candidate_allocations(abbr: str) -> Iterator[Tuple[str, object]]:
+    """(label, kernel) of every CRAT (``@crat``, shm spilling) and
+    CRAT-local (``@crat-local``) candidate allocation of a suite app.
+
+    The candidates are the pruned stair points under every OptTLP the
+    search could profile (1..the occupancy ceiling), so this is a
+    superset of what either variant scores for any OptTLP; points the
+    allocator cannot reach are skipped, as the search skips them.
+    """
+    workload = load_workload(abbr)
+    usage = collect_resource_usage(
+        workload.kernel, CONFIG, default_reg=workload.default_reg
+    )
+    ceiling = compute_occupancy(
+        CONFIG, 0, usage.shm_size, usage.block_size
+    ).blocks
+    points = sorted({
+        (point.reg, point.tlp)
+        for opt_tlp in range(1, ceiling + 1)
+        for point in prune(CONFIG, usage, opt_tlp)
+    })
+    for label, shm_spill in (("crat", True), ("crat-local", False)):
+        seen = set()
+        for reg, tlp in points:
+            spare = 0
+            if shm_spill:
+                spare = spare_shm_per_block(CONFIG, usage.shm_size, tlp)
+            name = (f"{abbr}@{label}/reg={reg}/tlp={tlp}" if shm_spill
+                    else f"{abbr}@{label}/reg={reg}")
+            if name in seen:
+                continue
+            seen.add(name)
+            try:
+                allocation = allocate(
+                    workload.kernel, reg, spare_shm_bytes=spare,
+                    enable_shm_spill=shm_spill,
+                )
+            except InsufficientRegistersError:
+                continue
+            yield name, allocation.kernel
 
 
 @functools.lru_cache(maxsize=None)
@@ -311,10 +456,44 @@ def opt_entries(failures: List[str]) -> Tuple[Dict[str, Dict], Dict[str, int]]:
     return entries, verified
 
 
+def trace_entries() -> Dict[str, Dict]:
+    entries = {}
+    for name, kernel in example_kernels():
+        for grid in (EXAMPLE_GRID_BLOCKS, 1):
+            traces = trace_grid(kernel, CONFIG, grid, None)
+            entries[trace_key(name, grid)] = trace_entry(traces)
+    for workload in full_suite():
+        grid = workload.grid_blocks
+        for allocated, source in ((False, workload.abbr),
+                                  (True, f"{workload.abbr}@alloc")):
+            traces, _ = app_case(workload.abbr, allocated=allocated)
+            entries[trace_key(source, grid)] = trace_entry(traces)
+    for app in RESOURCE_SENSITIVE:
+        workload = load_workload(app.abbr)
+        for label, kernel in candidate_allocations(app.abbr):
+            traces = trace_grid(
+                kernel, CONFIG, workload.grid_blocks, workload.param_sizes
+            )
+            entries[trace_key(label, workload.grid_blocks)] = trace_entry(
+                traces
+            )
+    for kernel in block_dependent_kernels():
+        traces, mem = block_dependent_case(kernel)
+        entries[trace_key(kernel.name, BLOCK_DEPENDENT_GRID)] = trace_entry(
+            traces, block_dependent_output(mem)
+        )
+    for abbr, grid in WIDE_GRIDS:
+        workload = load_workload(abbr)
+        traces = trace_grid(workload.kernel, CONFIG, grid, workload.param_sizes)
+        entries[trace_key(abbr, grid)] = trace_entry(traces)
+    return entries
+
+
 SECTIONS: List[Tuple[str, Callable[[], Dict]]] = [
     ("staircase", staircase_entries),
     ("multi_sm", multi_sm_entries),
     ("warp_limit", warp_limit_entries),
+    ("traces", trace_entries),
 ]
 
 
