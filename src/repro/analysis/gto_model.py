@@ -120,9 +120,9 @@ def throughput_cost(
     """Mimic-predicted cost per block at ``tlp`` (lower is better).
 
     The same makespan-per-block metric :func:`estimate_opt_tlp` ranks
-    TLPs with, exposed for the fast-path evaluator: it orders design
-    points without replaying a single trace, and it is what the
-    differential tests calibrate against cycle-level simulation.
+    TLPs with, exposed for the engine's degrade estimate
+    (:func:`repro.engine.engine.estimate_sim_result`), which fills in a
+    sweep point whose simulation failed.
     """
     if tlp <= 0:
         raise ValueError("tlp must be positive")

@@ -23,16 +23,16 @@ import json
 import math
 import os
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..arch.config import GPUConfig, get_config
 from ..arch.occupancy import register_utilization
 from ..core.crat import CRATOptimizer, CRATResult
-from ..engine import EvaluationEngine, FastPathEvent, FastPathPolicy, get_engine
+from ..engine import get_engine
 from ..engine.engine import CHECKPOINT_DIR_ENV
 from ..errors import EXIT_PARTIAL, ReproError, classify_error
 from ..core.throttling import BaselineResult
-from ..workloads.suite import Workload, full_suite, load_workload
+from ..workloads.suite import Workload, load_workload
 
 
 @dataclasses.dataclass
@@ -298,263 +298,6 @@ def write_report_json(report: SuiteReport, path: str) -> None:
     with open(path, "w") as handle:
         json.dump(report.to_dict(), handle, indent=2)
         handle.write("\n")
-
-
-# ----------------------------------------------------------------------
-# Two-tier evaluation comparison (``repro bench --fastpath``).
-# ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class FastPathAppRow:
-    """One app's exact-vs-fast-path pipeline comparison."""
-
-    abbr: str
-    exact_sims: int  # profile-stage simulations, exact pipeline
-    fast_sims: int  # profile-stage simulations, two-tier pipeline
-    exact_point: Tuple[int, int]  # CRAT's chosen (reg, TLP)
-    fast_point: Tuple[int, int]
-    exact_local_point: Tuple[int, int]  # CRAT-local's chosen (reg, TLP)
-    fast_local_point: Tuple[int, int]
-    #: Worst signed winner-cycle drift across the two variants
-    #: (``fast/exact - 1``; 0.0 when the winners match).
-    cycle_drift: float
-    #: Rank concordance between fast-path scores and simulated cycles
-    #: over the points both tiers saw (from the FastPathEvent).
-    agreement: float
-
-    @property
-    def match(self) -> bool:
-        """Did both CRAT variants choose the exact pipeline's winner?"""
-        return (
-            self.exact_point == self.fast_point
-            and self.exact_local_point == self.fast_local_point
-        )
-
-    @property
-    def sims_saved(self) -> int:
-        return self.exact_sims - self.fast_sims
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready row for ``repro bench --fastpath --report-json``
-        — per-app rank agreement included."""
-        data = dataclasses.asdict(self)
-        data["exact_point"] = list(self.exact_point)
-        data["fast_point"] = list(self.fast_point)
-        data["exact_local_point"] = list(self.exact_local_point)
-        data["fast_local_point"] = list(self.fast_local_point)
-        data["match"] = self.match
-        data["sims_saved"] = self.sims_saved
-        data["rank_agreement"] = round(self.agreement, 4)
-        return data
-
-
-@dataclasses.dataclass
-class FastPathComparison:
-    """Suite-level result of an exact-vs-fast-path comparison run."""
-
-    config_name: str
-    top_k: int
-    refine: bool
-    rows: List[FastPathAppRow]
-    exact_seconds: float
-    fast_seconds: float
-
-    @property
-    def exact_sims(self) -> int:
-        return sum(r.exact_sims for r in self.rows)
-
-    @property
-    def fast_sims(self) -> int:
-        return sum(r.fast_sims for r in self.rows)
-
-    @property
-    def sim_ratio(self) -> float:
-        """How many times fewer profile-stage simulations the fast path ran."""
-        return self.exact_sims / self.fast_sims if self.fast_sims else math.inf
-
-    @property
-    def mismatches(self) -> List[str]:
-        return [r.abbr for r in self.rows if not r.match]
-
-    @property
-    def max_drift(self) -> float:
-        return max((abs(r.cycle_drift) for r in self.rows), default=0.0)
-
-    def table(self) -> str:
-        """Human-readable report (what ``repro bench --fastpath`` prints)."""
-        mode = "refine" if self.refine else "screen-only"
-        lines = [
-            f"two-tier evaluation: top_k={self.top_k}, {mode}, "
-            f"config={self.config_name}",
-            f"{'app':<6} {'sims':>9}  {'exact winner':>14} "
-            f"{'fast winner':>14} {'match':>5} {'drift':>7} {'agree':>6}",
-        ]
-        for r in self.rows:
-            lines.append(
-                f"{r.abbr:<6} {r.exact_sims:>4}->{r.fast_sims:<4} "
-                f"{_point_label(r.exact_point, r.exact_local_point):>14} "
-                f"{_point_label(r.fast_point, r.fast_local_point):>14} "
-                f"{'yes' if r.match else 'NO':>5} "
-                f"{r.cycle_drift:>+6.1%} {r.agreement:>6.2f}"
-            )
-        matches = len(self.rows) - len(self.mismatches)
-        saved = 1 - self.fast_seconds / self.exact_seconds if self.exact_seconds else 0.0
-        lines.append(
-            f"profile sims {self.exact_sims} -> {self.fast_sims} "
-            f"({self.sim_ratio:.2f}x fewer); wall-clock "
-            f"{self.exact_seconds:.2f}s -> {self.fast_seconds:.2f}s "
-            f"({saved:.0%} saved)"
-        )
-        lines.append(
-            f"winner match {matches}/{len(self.rows)}"
-            + (
-                f"; mismatches {', '.join(self.mismatches)} "
-                f"(max winner-cycle drift {self.max_drift:+.1%})"
-                if self.mismatches
-                else ""
-            )
-        )
-        return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, object]:
-        """Structured report (``--report-json``): suite aggregates plus
-        one row per app, including each app's rank agreement."""
-        matches = len(self.rows) - len(self.mismatches)
-        return {
-            "mode": "fastpath",
-            "config": self.config_name,
-            "top_k": self.top_k,
-            "refine": self.refine,
-            "exact_sims": self.exact_sims,
-            "fast_sims": self.fast_sims,
-            "sim_ratio": round(self.sim_ratio, 3)
-            if self.fast_sims
-            else None,
-            "winner_matches": matches,
-            "apps_compared": len(self.rows),
-            "mismatches": self.mismatches,
-            "max_cycle_drift": round(self.max_drift, 5),
-            "exact_seconds": round(self.exact_seconds, 3),
-            "fast_seconds": round(self.fast_seconds, 3),
-            "apps": [r.to_dict() for r in self.rows],
-        }
-
-
-def _point_label(point: Tuple[int, int], local_point: Tuple[int, int]) -> str:
-    label = f"r{point[0]} t{point[1]}"
-    if local_point != point:
-        label += f"|t{local_point[1]}"
-    return label
-
-
-def _run_pipeline(
-    workload: Workload,
-    config: GPUConfig,
-    engine: EvaluationEngine,
-    fastpath: Optional[FastPathPolicy],
-    verify: bool = False,
-) -> Tuple[CRATResult, CRATResult]:
-    """CRAT + CRAT-local sharing baselines, on an explicit engine."""
-    crat = CRATOptimizer(
-        config, enable_shm_spill=True, engine=engine, fastpath=fastpath,
-        verify=verify,
-    ).optimize(
-        workload.kernel,
-        default_reg=workload.default_reg,
-        grid_blocks=workload.grid_blocks,
-        param_sizes=workload.param_sizes,
-    )
-    crat_local = CRATOptimizer(
-        config, enable_shm_spill=False, engine=engine, fastpath=fastpath,
-        verify=verify,
-    ).optimize(
-        workload.kernel,
-        default_reg=workload.default_reg,
-        grid_blocks=workload.grid_blocks,
-        param_sizes=workload.param_sizes,
-        baselines=crat.baselines,
-    )
-    return crat, crat_local
-
-
-def compare_fastpath(
-    abbrs: Optional[Sequence[str]] = None,
-    config_name: str = "fermi",
-    top_k: int = 1,
-    refine: bool = True,
-    input_scale: float = 1.0,
-    jobs: Optional[int] = None,
-    verify: bool = False,
-) -> FastPathComparison:
-    """Run every app through both pipelines and diff the outcomes.
-
-    The exact pipeline (fast path disabled) and the two-tier pipeline
-    each run on a **fresh, memory-only** engine so the simulation
-    counts and wall-clock times are honest — a warm shared cache would
-    let the second run coast on the first run's work.  Returns per-app
-    rows plus suite totals; ``repro bench --fastpath`` prints
-    :meth:`FastPathComparison.table`.
-    """
-    config = get_config(config_name)
-    if abbrs is None:
-        abbrs = [w.abbr for w in full_suite()]
-    workloads = [load_workload(a, input_scale) for a in abbrs]
-    jobs = jobs if jobs is not None else get_engine().jobs
-    policy = FastPathPolicy(top_k=top_k, refine=refine)
-
-    def run_mode(fastpath: Optional[FastPathPolicy]):
-        # disk_cache="" forces memory-only even when REPRO_CACHE_DIR is
-        # set: the comparison must actually run its simulations.
-        engine = EvaluationEngine(jobs=jobs, disk_cache="")
-        outcomes = {}
-        t0 = time.perf_counter()
-        for workload in workloads:
-            crat, crat_local = _run_pipeline(
-                workload, config, engine, fastpath, verify=verify
-            )
-            agreement = 1.0
-            for event in reversed(engine.events):
-                if (
-                    isinstance(event, FastPathEvent)
-                    and event.kernel == workload.kernel.name
-                ):
-                    agreement = event.agreement
-                    break
-            outcomes[workload.abbr] = (crat, crat_local, agreement)
-        return outcomes, time.perf_counter() - t0
-
-    exact, exact_seconds = run_mode(None)
-    fast, fast_seconds = run_mode(policy)
-
-    rows = []
-    for workload in workloads:
-        e_crat, e_local, _ = exact[workload.abbr]
-        f_crat, f_local, agreement = fast[workload.abbr]
-        drift = max(
-            f_crat.sim.cycles / e_crat.sim.cycles - 1.0,
-            f_local.sim.cycles / e_local.sim.cycles - 1.0,
-            key=abs,
-        )
-        rows.append(
-            FastPathAppRow(
-                abbr=workload.abbr,
-                exact_sims=len(e_crat.baselines["opttlp"].profile),
-                fast_sims=len(f_crat.baselines["opttlp"].profile),
-                exact_point=(e_crat.reg, e_crat.tlp),
-                fast_point=(f_crat.reg, f_crat.tlp),
-                exact_local_point=(e_local.reg, e_local.tlp),
-                fast_local_point=(f_local.reg, f_local.tlp),
-                cycle_drift=drift,
-                agreement=agreement,
-            )
-        )
-    return FastPathComparison(
-        config_name=config_name,
-        top_k=top_k,
-        refine=refine,
-        rows=rows,
-        exact_seconds=exact_seconds,
-        fast_seconds=fast_seconds,
-    )
 
 
 def geomean(values: Iterable[float]) -> float:

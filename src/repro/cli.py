@@ -7,8 +7,6 @@ Commands mirror how the paper's toolchain is used:
 * ``simulate APP|FILE``  — run the timing simulator at a TLP
 * ``crat APP|FILE``      — the full coordinated optimization (Fig 9)
 * ``suite``              — the Fig 13 table over the sensitive suite
-* ``bench --fastpath``   — exact vs two-tier pipeline comparison
-* ``bench --via-server`` — warm-daemon vs cold one-shot wall-clock
 * ``verify APP|FILE``    — lint a kernel with the translation-validation
   rules (dataflow, spill-stack discipline; ``--pipeline`` also runs the
   transform passes under effect-preservation checking)
@@ -34,12 +32,10 @@ N worker processes (default: ``REPRO_JOBS`` or serial), results are
 memoized by kernel content (persistently if ``REPRO_CACHE_DIR`` is
 set), and ``--trace-json PATH`` dumps the engine's instrumentation
 (per-stage timings, simulation counts, cache hit/miss counters).
-``--fastpath-topk K`` turns on the analytical fast path (screen the
-TLP sweep statically, simulate only the top-K survivors plus a bracket
-walk; ``--no-refine`` skips the walk); the default keeps the exact
-exhaustive pipeline.  Every simulation runs on the one batched timing
-core: a multi-point sweep is one in-process batch, a single point a
-batch of one under the supervisor.
+OptTLP profiling simulates every TLP of the sweep, as the paper's
+exhaustive offline search does.  Every simulation runs on the one
+batched timing core: a multi-point sweep is one in-process batch, a
+single point a batch of one under the supervisor.
 
 ``--passes P1,P2,...`` (on ``simulate``/``crat``/``suite``/``serve``/
 ``submit``) runs a pre-allocation optimization pipeline over the kernel
@@ -51,7 +47,7 @@ evaluated exactly as written); unknown names are a parse error (exit
 dedup signatures, so runs under different pipelines never share a
 cached result.
 
-``--verify`` (on ``allocate``/``simulate``/``crat``/``suite``/``bench``)
+``--verify`` (on ``allocate``/``simulate``/``crat``/``suite``)
 turns on translation validation: input kernels are dataflow-checked and
 every candidate allocation is independently rechecked (register
 sharing, spill-slot discipline, shared-memory budget); any finding is a
@@ -72,7 +68,6 @@ runs).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
@@ -91,12 +86,8 @@ from .workloads import BY_ABBR, load_workload
 def _engine_for(args):
     """Apply the command's engine flags to the shared engine."""
     jobs = getattr(args, "jobs", 0)
-    topk = getattr(args, "fastpath_topk", None)
-    no_refine = getattr(args, "no_refine", False)
     return configure_engine(
         jobs=jobs if jobs else None,
-        fastpath_topk=topk,
-        fastpath_refine=False if no_refine else None,
         task_timeout=getattr(args, "task_timeout", None),
         # Fold the active --passes pipeline into the engine's cache
         # keys (validated here, so a typo exits 2 before any work).
@@ -356,56 +347,6 @@ def cmd_crat(args) -> int:
     return 0
 
 
-def _resolve_bench_apps(args):
-    from .workloads import RESOURCE_SENSITIVE, full_suite
-
-    if args.apps:
-        abbrs = [a.upper() for a in args.apps]
-        unknown = [a for a in abbrs if a not in BY_ABBR]
-        if unknown:
-            raise SystemExit(f"error: unknown app(s): {', '.join(unknown)}")
-        return abbrs
-    if args.suite == "sensitive":
-        return [w.abbr for w in RESOURCE_SENSITIVE]
-    return [w.abbr for w in full_suite()]
-
-
-def cmd_bench(args) -> int:
-    if args.via_server:
-        from .bench import compare_via_server
-
-        comparison = compare_via_server(
-            abbrs=[a.upper() for a in args.apps] or None,
-            requests=args.requests,
-            config_name=args.config,
-            jobs=args.jobs if args.jobs else None,
-        )
-        print(comparison.table())
-        return 0 if comparison.identical else 1
-    if not args.fastpath:
-        raise SystemExit("error: bench requires --fastpath (exact vs "
-                         "two-tier pipeline comparison) or --via-server "
-                         "(warm daemon vs cold one-shot)")
-    from .bench import compare_fastpath
-
-    topk = args.fastpath_topk if args.fastpath_topk else 1
-    comparison = compare_fastpath(
-        _resolve_bench_apps(args),
-        config_name=args.config,
-        top_k=topk,
-        refine=not args.no_refine,
-        jobs=args.jobs if args.jobs else None,
-        verify=args.verify,
-    )
-    print(comparison.table())
-    if getattr(args, "report_json", ""):
-        with open(args.report_json, "w") as handle:
-            json.dump(comparison.to_dict(), handle, indent=2)
-            handle.write("\n")
-        print(f"report written to {args.report_json}", file=sys.stderr)
-    return 0 if not comparison.mismatches or args.no_refine else 1
-
-
 def cmd_suite(args) -> int:
     # ``bench.evaluate_app`` is resolved at call time through the
     # package attribute so tests can monkeypatch the driver.
@@ -501,8 +442,6 @@ def cmd_serve(args) -> int:
         bound = resolve_max_entries(None) or 4096
     configure_engine(
         jobs=args.jobs if args.jobs else None,
-        fastpath_topk=args.fastpath_topk,
-        fastpath_refine=False if args.no_refine else None,
         task_timeout=args.task_timeout,
         cache_max_entries=bound,
         passes=args.passes,
@@ -779,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "none — the kernel is evaluated as written; "
                             "unknown names exit 2)")
 
-    def add_engine_flags(p, trace=True, fastpath=False):
+    def add_engine_flags(p, trace=True):
         p.add_argument("--jobs", type=int, default=0,
                        help="simulation worker processes "
                             "(default: $REPRO_JOBS or serial)")
@@ -792,16 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--trace-json", default="",
                            help="dump engine instrumentation (timings, "
                                 "cache counters) as JSON to this path")
-        if fastpath:
-            p.add_argument("--fastpath-topk", type=int, default=None,
-                           metavar="K",
-                           help="screen TLP sweeps analytically and "
-                                "simulate only the top-K survivors "
-                                "(0 or unset: exact exhaustive profiling)")
-            p.add_argument("--no-refine", action="store_true",
-                           help="skip the bracket-refinement walk "
-                                "(screen-only fast path: fewer "
-                                "simulations, approximate winner)")
 
     p_sim = sub.add_parser("simulate", help="run the timing simulator")
     p_sim.add_argument("target")
@@ -823,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable Algorithm 1 (CRAT-local)")
     p_crat.add_argument("--emit", default="",
                         help="write optimized PTX to this path")
-    add_engine_flags(p_crat, fastpath=True)
+    add_engine_flags(p_crat)
     add_verify_flag(p_crat)
     add_passes_flag(p_crat)
     add_lint_flag(p_crat)
@@ -835,39 +764,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the structured per-app failure report "
                               "(completed/failed apps, exit code) to this "
                               "path")
-    add_engine_flags(p_suite, fastpath=True)
+    add_engine_flags(p_suite)
     add_verify_flag(p_suite)
     add_passes_flag(p_suite)
     add_lint_flag(p_suite)
     p_suite.set_defaults(func=cmd_suite)
-
-    p_bench = sub.add_parser(
-        "bench", help="pipeline benchmarking (--fastpath: exact vs "
-                      "two-tier; --via-server: warm daemon vs cold)"
-    )
-    p_bench.add_argument("--fastpath", action="store_true",
-                         help="compare the exact pipeline against the "
-                              "two-tier fast path on every app")
-    p_bench.add_argument("--via-server", action="store_true",
-                         help="measure a repeated crat workload against "
-                              "a warm in-process daemon vs cold one-shot "
-                              "engines")
-    p_bench.add_argument("--report-json", default="", metavar="PATH",
-                         help="write the structured per-app comparison "
-                              "(rank-agreement rows included) to this "
-                              "path (--fastpath)")
-    p_bench.add_argument("--requests", type=int, default=10,
-                         help="request count for --via-server "
-                              "(default 10)")
-    p_bench.add_argument("--suite", choices=("sensitive", "full"),
-                         default="full",
-                         help="which app suite to compare (default: full)")
-    p_bench.add_argument("--apps", nargs="+", default=[],
-                         help="explicit app abbreviations (overrides --suite)")
-    p_bench.add_argument("--config", default="fermi")
-    add_engine_flags(p_bench, trace=False, fastpath=True)
-    add_verify_flag(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
 
     p_serve = sub.add_parser(
         "serve", help="persistent compilation daemon (NDJSON over a "
@@ -912,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "round ships every shard's checkpoint "
                               "journal to its ring successor (default "
                               "5.0; 0 disables)")
-    add_engine_flags(p_serve, trace=False, fastpath=True)
+    add_engine_flags(p_serve, trace=False)
     add_passes_flag(p_serve)
     p_serve.set_defaults(func=cmd_serve)
 

@@ -22,7 +22,7 @@ from ..analysis.gto_model import estimate_opt_tlp
 from ..arch.config import GPUConfig
 from ..arch.latency import measure_costs
 from ..arch.occupancy import compute_occupancy, spare_shm_per_block
-from ..engine import EvaluationEngine, FastPathPolicy, get_engine
+from ..engine import EvaluationEngine, get_engine
 from ..errors import classify_error
 from ..ir.pipeline import pipeline_signature, run_pipeline
 from ..ptx.module import Kernel
@@ -97,7 +97,6 @@ class CRATOptimizer:
         hit_ratio: float = 0.6,
         weighted_tpsc: bool = False,
         engine: Optional[EvaluationEngine] = None,
-        fastpath: Optional[FastPathPolicy] = None,
         verify: bool = False,
         passes: str = "",
     ):
@@ -114,9 +113,6 @@ class CRATOptimizer:
         #: time, so ``repro.engine.configure()`` affects optimizers
         #: constructed earlier.
         self._engine = engine
-        #: Tier-1 screening policy for the profiling sweep; ``None``
-        #: defers to the engine's policy (itself exact by default).
-        self.fastpath = fastpath
 
     @property
     def engine(self) -> EvaluationEngine:
@@ -176,8 +172,7 @@ class CRATOptimizer:
         if baselines is None:
             with engine.stage("baselines"):
                 baselines = run_baselines(
-                    kernel, config, usage, grid_blocks, param_sizes,
-                    engine=engine, fastpath=self.fastpath,
+                    kernel, config, usage, grid_blocks, param_sizes, engine=engine
                 )
         for scheme, baseline in baselines.items():
             self._maybe_verify(baseline.allocation, f"baseline:{scheme}")

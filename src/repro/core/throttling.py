@@ -14,7 +14,7 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from ..arch.config import GPUConfig
-from ..engine import EvaluationEngine, FastPathPolicy, get_engine
+from ..engine import EvaluationEngine, get_engine
 from ..ptx.module import Kernel
 from ..regalloc.allocator import AllocationResult, allocate
 from ..sim.executor import BlockTrace
@@ -84,7 +84,6 @@ def run_baselines(
     grid_blocks: Optional[int] = None,
     param_sizes: Optional[Dict[str, int]] = None,
     engine: Optional[EvaluationEngine] = None,
-    fastpath: Optional[FastPathPolicy] = None,
 ) -> Dict[str, BaselineResult]:
     """Evaluate MaxTLP and OptTLP for one kernel.
 
@@ -99,11 +98,6 @@ def run_baselines(
     reports CRAT picking TLP 2 where OptTLP could only run 1).  The
     throttling *baseline* itself is restricted to ``[1, MaxTLP]``, as a
     thread-throttling technique cannot raise occupancy.
-
-    ``fastpath`` (default: the engine's policy) screens the sweep
-    analytically and simulates only the top-K survivors; the MaxTLP
-    point is always simulated — the baseline reports it regardless of
-    its analytical rank.
     """
     if usage is None:
         usage = collect_resource_usage(kernel, config)
@@ -121,8 +115,7 @@ def run_baselines(
     allocation = default_allocation(kernel, usage)
     engine = engine or get_engine()
     profile = engine.profile_tlp(
-        allocation.kernel, config, ceiling, grid_blocks, param_sizes,
-        policy=fastpath, must_include=(usage.max_tlp,),
+        allocation.kernel, config, ceiling, grid_blocks, param_sizes
     )
     baseline_profile = {t: r for t, r in profile.items() if t <= usage.max_tlp}
     opt = opt_tlp_from_profile(baseline_profile)

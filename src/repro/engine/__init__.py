@@ -33,7 +33,6 @@ from .events import (
     CheckpointEvent,
     DegradeEvent,
     EngineStats,
-    FastPathEvent,
     FaultEvent,
     RequestEvent,
     RetryEvent,
@@ -41,15 +40,6 @@ from .events import (
     StageEvent,
     TraceEvent,
     event_to_dict,
-)
-from .fastpath import (
-    FASTPATH_SCHEMA_VERSION,
-    CandidateScore,
-    FastPathEvaluator,
-    FastPathPolicy,
-    FastPathSelection,
-    estimate_sim_result,
-    rank_agreement,
 )
 from .faults import (
     FAULTS_ENV,
@@ -76,18 +66,12 @@ __all__ = [
     "CHECKPOINT_DIR_ENV",
     "CacheCorruptEvent",
     "CacheCorruptionError",
-    "CandidateScore",
     "CheckpointEvent",
     "DegradeEvent",
     "EngineStats",
     "EvaluationEngine",
-    "FASTPATH_SCHEMA_VERSION",
     "FAULTS_ENV",
     "FAULTS_SEED_ENV",
-    "FastPathEvaluator",
-    "FastPathEvent",
-    "FastPathPolicy",
-    "FastPathSelection",
     "FaultEvent",
     "FaultPlan",
     "FaultSpecError",
@@ -109,11 +93,9 @@ __all__ = [
     "configure",
     "decode_entry",
     "encode_entry",
-    "estimate_sim_result",
     "event_to_dict",
     "get_engine",
     "make_sim_key",
-    "rank_agreement",
     "resolve_jobs",
     "resolve_max_entries",
     "run_supervised",

@@ -46,7 +46,6 @@ from ..ir.pipeline import PIPELINE_SCHEMA_VERSION
 from ..sim.batch import BATCH_SCHEMA_VERSION
 from ..sim.stats import SimResult
 from . import faults
-from .fastpath import FASTPATH_SCHEMA_VERSION
 
 #: Environment variable naming the on-disk cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -95,22 +94,20 @@ class CacheCorruptionError(Exception):
 def cache_schema_version() -> str:
     """The schema tag baked into every simulation-cache key.
 
-    Combines the result-layout revision with the fast-path scoring
-    revision (:data:`repro.engine.fastpath.FASTPATH_SCHEMA_VERSION`),
-    the optimization-pipeline revision
-    (:data:`repro.ir.pipeline.PIPELINE_SCHEMA_VERSION`) and the batched
-    simulation core's revision
+    Combines the result-layout revision with the optimization-pipeline
+    revision (:data:`repro.ir.pipeline.PIPELINE_SCHEMA_VERSION`) and
+    the batched simulation core's revision
     (:data:`repro.sim.batch.BATCH_SCHEMA_VERSION`): on-disk entries
-    written under a different scoring model — whose pruning decided
-    *which* points ever got simulated — under pass semantics that have
-    since changed, or by a batched core whose semantics have since been
-    revised, are invalidated wholesale by a version bump rather than
-    trusted silently.
+    written under pass semantics that have since changed, or by a
+    batched core whose semantics have since been revised, are
+    invalidated wholesale by a version bump rather than trusted
+    silently.
     """
     return (
-        f"r{RESULT_SCHEMA_VERSION}.fp{FASTPATH_SCHEMA_VERSION}"
+        # ``fp1`` and ``m1`` tag the retired fast-path and tier-0
+        # models; kept as literals so existing disk caches still hit.
+        f"r{RESULT_SCHEMA_VERSION}.fp1"
         f".pp{PIPELINE_SCHEMA_VERSION}.b{BATCH_SCHEMA_VERSION}"
-        # Retired tier-0 model tag, kept so existing disk caches still hit.
         ".m1"
     )
 

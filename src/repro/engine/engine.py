@@ -31,16 +31,20 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import threading
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from ..analysis.gto_model import throughput_cost
+from ..analysis.segments import segment_kernel
 from ..arch.config import GPUConfig
 from ..errors import ReproError, classify_error
 from ..ir.pipeline import pipeline_signature
 from ..ptx.module import Kernel
 from ..sim.batch import simulate_traces_batched
+from ..sim.cache import CacheStats
 from ..sim.executor import BlockTrace
 from ..sim.gpu import trace_grid
 from ..sim.stats import SimResult
@@ -54,17 +58,10 @@ from .events import (
     DegradeEvent,
     EngineEvent,
     EngineStats,
-    FastPathEvent,
     SimulationEvent,
     StageEvent,
     TraceEvent,
     event_to_dict,
-)
-from .fastpath import (
-    FastPathEvaluator,
-    FastPathPolicy,
-    estimate_sim_result,
-    rank_agreement,
 )
 from .parallel import (
     SupervisorPolicy,
@@ -76,6 +73,9 @@ from .parallel import (
 
 #: Environment variable naming the checkpoint journal directory.
 CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
+
+#: L1 hit ratio the degrade estimate's GTO mimic assumes.
+_ESTIMATE_HIT_RATIO = 0.6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,6 +95,59 @@ class SimRequest:
         return 2 * self.config.max_blocks_per_sm
 
 
+def estimate_sim_result(
+    kernel: Kernel,
+    config: GPUConfig,
+    tlp: int,
+    grid_blocks: int,
+    anchor: Optional[SimResult] = None,
+) -> SimResult:
+    """Analytical stand-in for a sweep point whose simulation failed.
+
+    The degradation ladder's last rung (see :meth:`EvaluationEngine.
+    profile_tlp`).  Both formulas rest on the GTO scheduling mimic
+    (:func:`repro.analysis.gto_model.throughput_cost`, hit ratio 0.6).
+    With a simulated ``anchor`` (the sweep ceiling), a grid of ``M``
+    blocks at TLP ``n`` is predicted as::
+
+        max(serial * ceil(M / n) / M, anchor.dram_bytes / dram_bytes_per_cycle)
+
+    where ``serial`` is the mimic's cost at TLP 1; without one, the
+    mimic's cost at TLP ``n``.  The result is marked
+    ``estimated=True`` and carries zero counters: only its cycle count
+    is meaningful.
+    """
+    segments = segment_kernel(kernel, config)
+    if anchor is not None:
+        serial = throughput_cost(segments, 1, config, _ESTIMATE_HIT_RATIO)
+        latency = serial * math.ceil(grid_blocks / tlp) / grid_blocks
+        cycles = max(latency, anchor.dram_bytes / config.dram_bytes_per_cycle)
+    else:
+        cycles = throughput_cost(segments, tlp, config, _ESTIMATE_HIT_RATIO)
+    return SimResult(
+        cycles=cycles,
+        instructions=0,
+        tlp=tlp,
+        blocks_executed=0,
+        l1=CacheStats(),
+        l2=CacheStats(),
+        mshr_stall_events=0,
+        mshr_stall_cycles=0.0,
+        barrier_stall_cycles=0.0,
+        idle_cycles=0.0,
+        local_load_insts=0,
+        local_store_insts=0,
+        shared_insts=0,
+        global_insts=0,
+        bypassed_insts=0,
+        dram_transactions=0,
+        dram_bytes=0,
+        issued_by_class={},
+        energy_nj=0.0,
+        estimated=True,
+    )
+
+
 class EvaluationEngine:
     """Single owner of trace generation and timing simulation."""
 
@@ -103,7 +156,6 @@ class EvaluationEngine:
         jobs: Optional[int] = None,
         disk_cache: Optional[str] = None,
         max_events: int = 100_000,
-        fastpath: Optional[FastPathPolicy] = None,
         supervisor: Optional[SupervisorPolicy] = None,
         checkpoint_dir: Optional[str] = None,
         cache_max_entries: Optional[int] = None,
@@ -123,9 +175,6 @@ class EvaluationEngine:
         self.stats = EngineStats()
         self.events: List[EngineEvent] = []
         self._max_events = max_events
-        #: Tier-1 screening policy; ``top_k=None`` means every design
-        #: point simulates (the exact, pre-fast-path pipeline).
-        self.fastpath = fastpath or FastPathPolicy()
         #: Retry/timeout budget for supervised batches
         #: (``REPRO_TASK_TIMEOUT`` / ``REPRO_TASK_RETRIES``).
         self.supervisor = supervisor or SupervisorPolicy.from_env()
@@ -486,139 +535,41 @@ class EvaluationEngine:
         grid_blocks: Optional[int] = None,
         param_sizes: Optional[Dict[str, int]] = None,
         scheduler: str = "gto",
-        policy: Optional[FastPathPolicy] = None,
-        must_include: Iterable[int] = (),
     ) -> Dict[int, SimResult]:
-        """Simulate the TLP sweep ``[1, max_tlp]`` for one kernel.
+        """Simulate every TLP in ``[1, max_tlp]`` for one kernel — the
+        paper's exhaustive profiling.
 
-        With the fast path disabled (``policy`` and the engine default
-        both ``top_k=None``) every TLP is simulated — the paper's
-        exhaustive profiling.  Otherwise the sweep runs the two-tier
-        pipeline:
-
-        1. simulate the **anchors** — the ceiling ``max_tlp`` plus any
-           ``must_include`` TLPs (e.g. the MaxTLP baseline point, which
-           the pipeline reports regardless) — and feed the ceiling
-           result's measured DRAM traffic into the analytical model;
-        2. **screen** the whole sweep analytically
-           (:meth:`~repro.engine.fastpath.FastPathEvaluator.
-           screen_sweep`) and simulate the top-K survivors;
-        3. with ``policy.refine``, **walk** the running optimum's
-           bracket — simulate the analytically-preferred unsimulated
-           neighbour of the current best, one point at a time, until
-           the best TLP has both neighbours simulated.
-
-        The returned profile contains only the simulated points — plus,
-        when a point's simulation ultimately fails despite the
-        supervisor's retries, its analytical fast-path estimate
-        (``estimated=True``, flagged by a ``DegradeEvent`` and excluded
-        from the cache): a sweep always returns its best available
+        A point whose simulation still fails after the supervisor's
+        retries (rung 1 of the degradation ladder) is filled with its
+        analytical estimate (rung 2, :func:`estimate_sim_result`):
+        ``estimated=True``, flagged by a ``DegradeEvent`` and excluded
+        from the cache.  A sweep always returns its best available
         answer rather than aborting on one bad point.
         """
         if max_tlp <= 0:
             raise ValueError("max_tlp must be positive")
-        policy = policy if policy is not None else self.fastpath
-        tlps: List[int] = list(range(1, max_tlp + 1))
-
-        def request(tlp: int) -> SimRequest:
-            return SimRequest(kernel, config, tlp, grid_blocks, param_sizes, scheduler)
-
-        failures: Dict[int, ReproError] = {}
-
-        def sim_points(ts: Sequence[int]) -> Dict[int, SimResult]:
-            good: Dict[int, SimResult] = {}
-            for t, outcome in zip(
-                ts, self.simulate_outcomes([request(t) for t in ts])
-            ):
-                if isinstance(outcome, ReproError):
-                    failures[t] = outcome
-                else:
-                    good[t] = outcome
-            return good
-
-        def degrade_into(profile: Dict[int, SimResult]) -> None:
-            """Fill failed points with analytical estimates (rung 2 of
-            the degradation ladder; rung 1 was the supervisor retry)."""
-            if not failures:
-                return
-            anchor = profile.get(max_tlp)
-            resolved_grid = request(max_tlp).resolved_grid()
-            for t in sorted(failures):
-                profile[t] = estimate_sim_result(
-                    kernel, config, t, resolved_grid,
-                    anchor=anchor, policy=policy,
-                )
-                self.stats.degraded += 1
-                self._emit(
-                    DegradeEvent(
-                        kernel=kernel.name, tlp=t, reason=failures[t].kind
-                    )
-                )
-            failures.clear()
-
-        if not (policy.enabled and policy.resolve_k(len(tlps)) < len(tlps)):
-            profile = sim_points(tlps)
-            degrade_into(profile)
-            return dict(sorted(profile.items()))
-
-        # Tier 1: anchors first — the ceiling simulation calibrates the
-        # bandwidth floor of the analytical screen.  A failed anchor is
-        # degraded immediately: the screen then runs un-anchored (pure
-        # mimic ordering) rather than not at all.
-        anchors = sorted({max_tlp, *(t for t in must_include if 1 <= t <= max_tlp)})
-        profile = sim_points(anchors)
-        degrade_into(profile)
-
-        t0 = time.perf_counter()
-        evaluator = FastPathEvaluator(config, policy)
-        resolved_grid = request(max_tlp).resolved_grid()
-        scores = evaluator.screen_sweep(
-            kernel, tlps, resolved_grid, anchor=profile[max_tlp]
-        )
-        selection = evaluator.select(scores, must_keep=anchors)
-        fastpath_seconds = time.perf_counter() - t0
-
-        fresh = [t for t in sorted(selection.survivors) if t not in profile]
-        profile.update(sim_points(fresh))
-        degrade_into(profile)
-
-        if policy.refine:
-            # Tier 2: bracket walk — one simulation at a time until the
-            # running best is a simulated local minimum.  A failed walk
-            # point degrades to its estimate, which still anchors the
-            # bracket so the walk terminates.
-            while True:
-                nxt = evaluator.next_refinement(
-                    scores,
-                    {t: r.cycles for t, r in profile.items()},
-                    1,
-                    max_tlp,
-                )
-                if nxt is None:
-                    break
-                profile.update(sim_points([nxt]))
-                degrade_into(profile)
-
-        profile = dict(sorted(profile.items()))
-
-        simulated = sum(1 for r in profile.values() if not r.estimated)
-        skipped = max_tlp - len(profile)
-        self.stats.fastpath_scored += len(scores)
-        self.stats.fastpath_skipped += skipped
-        self._emit(
-            FastPathEvent(
-                kernel=kernel.name,
-                scored=len(scores),
-                simulated=simulated,
-                skipped=skipped,
-                top_k=selection.top_k,
-                agreement=rank_agreement(
-                    scores, {t: r.cycles for t, r in profile.items()}
-                ),
-                seconds=fastpath_seconds,
+        requests = [
+            SimRequest(kernel, config, tlp, grid_blocks, param_sizes, scheduler)
+            for tlp in range(1, max_tlp + 1)
+        ]
+        outcomes = self.simulate_outcomes(requests)
+        profile = {
+            req.tlp: outcome
+            for req, outcome in zip(requests, outcomes)
+            if not isinstance(outcome, ReproError)
+        }
+        anchor = profile.get(max_tlp)
+        for req, outcome in zip(requests, outcomes):
+            if not isinstance(outcome, ReproError):
+                continue
+            profile[req.tlp] = estimate_sim_result(
+                kernel, config, req.tlp, req.resolved_grid(), anchor=anchor
             )
-        )
-        return profile
+            self.stats.degraded += 1
+            self._emit(
+                DegradeEvent(kernel=kernel.name, tlp=req.tlp, reason=outcome.kind)
+            )
+        return dict(sorted(profile.items()))
 
     def simulate_traces_many(
         self,
@@ -739,24 +690,19 @@ def set_engine(engine: EvaluationEngine) -> EvaluationEngine:
 def configure(
     jobs: Optional[int] = None,
     disk_cache: Optional[str] = None,
-    fastpath_topk: Optional[int] = None,
-    fastpath_refine: Optional[bool] = None,
     task_timeout: Optional[float] = None,
     checkpoint_dir: Optional[str] = None,
     cache_max_entries: Optional[int] = None,
     passes: Optional[str] = None,
 ) -> EvaluationEngine:
     """Adjust the shared engine in place (the CLI's ``--jobs`` /
-    ``--fastpath-topk`` / ``--task-timeout`` hook).  ``fastpath_topk=0``
-    disables the fast path (every design point simulates); positive
-    values keep that many survivors per candidate set.
-    ``fastpath_refine`` toggles the bracket-refinement walk of enabled
-    fast paths.  ``task_timeout`` (seconds; 0 disables) bounds each
-    supervised simulation attempt; ``checkpoint_dir`` ("" disables)
-    points the resumption journal; ``cache_max_entries`` (0 unbounds)
-    LRU-bounds the in-memory result cache.  ``passes`` sets the active
-    optimization-pipeline signature folded into cache keys ("" clears
-    it; unknown pass names raise :class:`repro.errors.ParseError`).
+    ``--task-timeout`` hook).  ``task_timeout`` (seconds; 0 disables)
+    bounds each supervised simulation attempt; ``checkpoint_dir`` (""
+    disables) points the resumption journal; ``cache_max_entries`` (0
+    unbounds) LRU-bounds the in-memory result cache.  ``passes`` sets
+    the active optimization-pipeline signature folded into cache keys
+    ("" clears it; unknown pass names raise
+    :class:`repro.errors.ParseError`).
     The whole adjustment runs under the engine lock, so a concurrent
     ``get_engine`` caller sees either the old or the new configuration,
     never a mix."""
@@ -766,15 +712,6 @@ def configure(
             engine.jobs = resolve_jobs(jobs)
         if disk_cache is not None:
             engine._sim_cache.disk_dir = disk_cache
-        if fastpath_topk is not None:
-            engine.fastpath = dataclasses.replace(
-                engine.fastpath,
-                top_k=fastpath_topk if fastpath_topk > 0 else None,
-            )
-        if fastpath_refine is not None:
-            engine.fastpath = dataclasses.replace(
-                engine.fastpath, refine=fastpath_refine
-            )
         if task_timeout is not None:
             engine.supervisor = dataclasses.replace(
                 engine.supervisor,

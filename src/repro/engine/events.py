@@ -84,28 +84,6 @@ class StageEvent:
 
 
 @dataclasses.dataclass(frozen=True)
-class FastPathEvent:
-    """One tier-1 analytical screening pass over a candidate set.
-
-    ``scored`` design points were ranked analytically, ``simulated`` of
-    them went on to cycle-level simulation and ``skipped`` were pruned.
-    ``agreement`` is the pairwise rank concordance between the
-    fast-path scores and the simulated cycles of the survivors (the
-    calibration signal; 1.0 means perfectly monotone-consistent).
-    """
-
-    kind: ClassVar[str] = "fastpath"
-
-    kernel: str
-    scored: int
-    simulated: int
-    skipped: int
-    top_k: int
-    agreement: float
-    seconds: float
-
-
-@dataclasses.dataclass(frozen=True)
 class FaultEvent:
     """One injected fault observed by the supervisor (test harness).
 
@@ -231,7 +209,6 @@ EngineEvent = Union[
     BatchEvent,
     BatchSimEvent,
     StageEvent,
-    FastPathEvent,
     FaultEvent,
     RetryEvent,
     DegradeEvent,
@@ -261,8 +238,6 @@ class EngineStats:
     batches: int = 0
     batched_points: int = 0
     batched_groups: int = 0
-    fastpath_scored: int = 0
-    fastpath_skipped: int = 0
     retries: int = 0
     timeouts: int = 0
     faults_injected: int = 0
@@ -312,11 +287,6 @@ class EngineStats:
             line += (
                 f", {self.batched_points} points batched "
                 f"({self.batched_groups} groups)"
-            )
-        if self.fastpath_scored:
-            line += (
-                f", fast path skipped {self.fastpath_skipped}/"
-                f"{self.fastpath_scored} scored points"
             )
         if self.retries:
             line += f", {self.retries} retries ({self.timeouts} timeouts)"

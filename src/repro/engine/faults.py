@@ -24,7 +24,7 @@ Four fault kinds exist:
 ``fail``
     The task raises on *every* attempt, pool or in-process — a
     permanent failure that forces the engine's degradation ladder
-    (analytical fast-path estimate instead of a simulated point).
+    (analytical estimate instead of a simulated point).
 
 Three further kinds target the *service tier* (they are consulted only
 by engine-shard server processes — plain ``repro`` runs and the

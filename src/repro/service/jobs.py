@@ -19,13 +19,12 @@ A request's life has two phases:
     twin of the same kernel never shares its slot.  Load/parse failures
     surface here, before the request ever occupies a queue slot.
 
-    Engine *tuning* state (jobs, timeouts, fast-path policy knobs that
-    cannot change a winner) is deliberately absent from the signature:
-    a multi-point sweep inside a job runs as one batch of the timing
-    core (:mod:`repro.sim.batch`) and a single point as a batch of one,
-    and a lane's answer never depends on its batch.  Only content that
-    changes the *answer* (kernel, config, passes pipeline, job params)
-    may enter the hash.
+    Engine *tuning* state (jobs, timeouts) is deliberately absent from
+    the signature: a multi-point sweep inside a job runs as one batch of
+    the timing core (:mod:`repro.sim.batch`) and a single point as a
+    batch of one, and a lane's answer never depends on its batch.  Only
+    content that changes the *answer* (kernel, config, passes pipeline,
+    job params) may enter the hash.
 
 :func:`execute`
     Runs on a worker thread against the warm shared engine and returns
@@ -39,7 +38,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..arch import get_config
 from ..arch.config import GPUConfig
-from ..engine import FastPathPolicy, config_signature, get_engine
+from ..engine import config_signature, get_engine
 from ..errors import classify_error
 from ..ir.pipeline import pipeline_signature, run_pipeline
 from ..ptx import parse_kernel, verify_kernel
@@ -97,10 +96,10 @@ def _sig(*parts: object) -> str:
     """Single-flight signature: ``sha256(schema tag, *parts)``.
 
     The engine's cache schema tag is folded in first, so bumping *any*
-    result-affecting schema version (result layout, fastpath policy,
-    pipeline format, batch core) also invalidates in-flight dedup
-    collisions — a job prepared under the old version can never be
-    answered by a slot keyed under the new one.
+    result-affecting schema version (result layout, pipeline format,
+    batch core) also invalidates in-flight dedup collisions — a job
+    prepared under the old version can never be answered by a slot
+    keyed under the new one.
     """
     from ..engine.cache import cache_schema_version
 
@@ -192,8 +191,6 @@ def prepare(request: Request) -> PreparedJob:
             bool(params.get("static")),
             bool(params.get("no_shm_spill")),
             bool(params.get("verify")),
-            params.get("fastpath_topk"),
-            bool(params.get("no_refine")),
             _passes_of(params),
         )
     elif request.job == "simulate":
@@ -213,8 +210,8 @@ def prepare(request: Request) -> PreparedJob:
 
 
 # ----------------------------------------------------------------------
-# Result serialization (shared with the CLI identity tests and the
-# via-server bench: one rendering, no drift between surfaces).
+# Result serialization (one rendering for every service reply, so
+# surfaces cannot drift).
 # ----------------------------------------------------------------------
 def sim_result_to_dict(sim) -> Dict[str, Any]:
     return {
@@ -264,19 +261,12 @@ def _execute_crat(prepared: PreparedJob) -> Dict[str, Any]:
     from ..core import CRATOptimizer
 
     params = prepared.request.params
-    fastpath = None
-    topk = params.get("fastpath_topk")
-    if topk:
-        fastpath = FastPathPolicy(
-            top_k=topk, refine=not params.get("no_refine", False)
-        )
     optimizer = CRATOptimizer(
         prepared.config,
         enable_shm_spill=not params.get("no_shm_spill", False),
         opt_tlp_mode="static" if params.get("static") else "profile",
         verify=bool(params.get("verify")),
         engine=get_engine(),
-        fastpath=fastpath,
         passes=_passes_of(params),
     )
     workload = prepared.workload

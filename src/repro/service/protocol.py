@@ -73,8 +73,6 @@ PARAM_SCHEMAS: Dict[str, Dict[str, tuple]] = {
         "static": (bool, False),
         "no_shm_spill": (bool, False),
         "verify": (bool, False),
-        "fastpath_topk": (int, False),
-        "no_refine": (bool, False),
         "passes": (str, False),
     },
     "simulate": {

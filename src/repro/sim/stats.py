@@ -38,9 +38,9 @@ class SimResult:
     dram_bytes: int
     issued_by_class: Dict[str, int]
     energy_nj: float = 0.0
-    #: True when this "result" is an analytical fast-path estimate
-    #: substituted for a simulation that ultimately failed (graceful
-    #: degradation).  Estimated results are never cached.
+    #: True when this "result" is an analytical estimate substituted
+    #: for a simulation that ultimately failed (graceful degradation).
+    #: Estimated results are never cached.
     estimated: bool = False
 
     @property

