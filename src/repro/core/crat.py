@@ -22,7 +22,7 @@ from ..analysis.gto_model import estimate_opt_tlp
 from ..arch.config import GPUConfig
 from ..arch.latency import measure_costs
 from ..arch.occupancy import compute_occupancy, spare_shm_per_block
-from ..engine import EvaluationEngine, get_engine
+from ..engine import EvaluationEngine, config_signature, get_engine
 from ..errors import classify_error
 from ..ir.pipeline import pipeline_signature, run_pipeline
 from ..ptx.module import Kernel
@@ -30,7 +30,12 @@ from ..regalloc.allocator import InsufficientRegistersError, allocate
 from ..sim.stats import SimResult
 from .design_space import DesignPoint, prune
 from .params import ResourceUsage, collect_resource_usage
-from .throttling import BaselineResult, opt_tlp_from_profile, run_baselines
+from .throttling import (
+    BaselineResult,
+    allocation_key,
+    opt_tlp_from_profile,
+    run_baselines,
+)
 from .tpsc import ScoredPoint, score, select_best
 
 
@@ -163,16 +168,29 @@ class CRATOptimizer:
         engine = self.engine
         if self.passes:
             with engine.stage("passes"):
-                kernel = run_pipeline(
-                    kernel, self.passes, verify=self.verify
-                ).kernel
-        usage = collect_resource_usage(kernel, config, default_reg=default_reg)
+                kernel = self._run_passes(kernel)
+        # Allocation, resource usage and the pass pipeline are pure
+        # functions of the kernel's printed form (plus the named
+        # inputs), so the engine memoises them under its fingerprint.
+        fingerprint = kernel.fingerprint()
+        usage = engine.memo(
+            ("usage", fingerprint, config_signature(config), default_reg),
+            lambda: collect_resource_usage(
+                kernel, config, default_reg=default_reg
+            ),
+        )
         # Baselines are also the profiling source for OptTLP.
         t0 = time.perf_counter()
         if baselines is None:
             with engine.stage("baselines"):
                 baselines = run_baselines(
-                    kernel, config, usage, grid_blocks, param_sizes, engine=engine
+                    kernel,
+                    config,
+                    usage,
+                    grid_blocks,
+                    param_sizes,
+                    engine=engine,
+                    fingerprint=fingerprint,
                 )
         for scheme, baseline in baselines.items():
             self._maybe_verify(baseline.allocation, f"baseline:{scheme}")
@@ -204,7 +222,7 @@ class CRATOptimizer:
         costs = measure_costs(config)
         scored: List[ScoredPoint] = []
         for point in candidates:
-            allocation = self._allocate_point(kernel, usage, point)
+            allocation = self._allocate_point(kernel, fingerprint, usage, point)
             if allocation is None:
                 continue
             scored.append(
@@ -258,19 +276,40 @@ class CRATOptimizer:
         )
 
     # ------------------------------------------------------------------
+    def _run_passes(self, kernel: Kernel) -> Kernel:
+        """The ``passes`` pipeline's output kernel.
+
+        Memoised only without ``verify``: a verified run must validate
+        every rewrite again, so it always runs the pipeline.
+        """
+        if self.verify:
+            return run_pipeline(kernel, self.passes, verify=True).kernel
+        return self.engine.memo(
+            ("passes", kernel.fingerprint(), self.passes),
+            lambda: run_pipeline(kernel, self.passes).kernel,
+        )
+
     def _allocate_point(
-        self, kernel: Kernel, usage: ResourceUsage, point: DesignPoint
+        self,
+        kernel: Kernel,
+        fingerprint: str,
+        usage: ResourceUsage,
+        point: DesignPoint,
     ):
         """Allocate one candidate; returns None if it turns out infeasible."""
         spare = 0
         if self.enable_shm_spill:
             spare = spare_shm_per_block(self.config, usage.shm_size, point.tlp)
         try:
-            allocation = allocate(
-                kernel,
-                point.reg,
-                spare_shm_bytes=spare,
-                enable_shm_spill=self.enable_shm_spill,
+            # CRAT and CRAT-local share entries wherever spare is 0.
+            allocation = self.engine.memo(
+                allocation_key(fingerprint, point.reg, spare),
+                lambda: allocate(
+                    kernel,
+                    point.reg,
+                    spare_shm_bytes=spare,
+                    enable_shm_spill=self.enable_shm_spill,
+                ),
             )
         except InsufficientRegistersError:
             return None

@@ -11,7 +11,7 @@ register waste CRAT recovers.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..arch.config import GPUConfig
 from ..engine import EvaluationEngine, get_engine
@@ -32,6 +32,17 @@ class BaselineResult:
     allocation: AllocationResult
     sim: SimResult
     profile: Optional[Dict[int, SimResult]] = None
+
+
+def allocation_key(fingerprint: str, reg: int, spare_shm_bytes: int) -> Tuple:
+    """The engine stage-memo key of one ``allocate`` call.
+
+    It holds everything :func:`allocate` reads: the kernel (by
+    fingerprint), the register limit and the spare shared-memory bytes.
+    Spare 0 also stands for shared-memory spilling turned off, which
+    allocates identically.
+    """
+    return ("allocate", fingerprint, reg, spare_shm_bytes)
 
 
 def default_allocation(
@@ -84,6 +95,7 @@ def run_baselines(
     grid_blocks: Optional[int] = None,
     param_sizes: Optional[Dict[str, int]] = None,
     engine: Optional[EvaluationEngine] = None,
+    fingerprint: Optional[str] = None,
 ) -> Dict[str, BaselineResult]:
     """Evaluate MaxTLP and OptTLP for one kernel.
 
@@ -98,6 +110,9 @@ def run_baselines(
     reports CRAT picking TLP 2 where OptTLP could only run 1).  The
     throttling *baseline* itself is restricted to ``[1, MaxTLP]``, as a
     thread-throttling technique cannot raise occupancy.
+
+    The default allocation goes through the engine's stage memo, keyed
+    by ``fingerprint`` (the kernel's, computed here when not given).
     """
     if usage is None:
         usage = collect_resource_usage(kernel, config)
@@ -112,8 +127,13 @@ def run_baselines(
         usage.block_size,
     ).blocks
     ceiling = max(ceiling, usage.max_tlp)
-    allocation = default_allocation(kernel, usage)
     engine = engine or get_engine()
+    if fingerprint is None:
+        fingerprint = kernel.fingerprint()
+    allocation = engine.memo(
+        allocation_key(fingerprint, usage.default_reg, 0),
+        lambda: default_allocation(kernel, usage),
+    )
     profile = engine.profile_tlp(
         allocation.kernel, config, ceiling, grid_blocks, param_sizes
     )

@@ -14,6 +14,10 @@ design points many times over.
   fingerprint, config, grid_blocks, param_sizes, tlp, scheduler)``;
   traces by the same key minus the TLP/scheduler.  An optional on-disk
   store (``REPRO_CACHE_DIR``) persists results across processes.
+* **Pure-stage memo** — :meth:`EvaluationEngine.memo` runs each pure
+  compiler stage (allocation, resource usage, an unverified pass
+  pipeline) once per content key and hands every later caller a
+  private copy.  In memory only, LRU-bounded like the result cache.
 * **Parallel fan-out** — :meth:`simulate_many` runs independent design
   points on a process pool (``REPRO_JOBS`` / ``--jobs``), bit-identical
   to the serial path because the simulator is deterministic.
@@ -33,9 +37,22 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+import zlib
+from collections import OrderedDict
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from ..analysis.gto_model import throughput_cost
 from ..analysis.segments import segment_kernel
@@ -76,6 +93,8 @@ CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
 
 #: L1 hit ratio the degrade estimate's GTO mimic assumes.
 _ESTIMATE_HIT_RATIO = 0.6
+
+T = TypeVar("T")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -172,6 +191,10 @@ class EvaluationEngine:
             max_entries=cache_max_entries,
         )
         self._trace_cache: Dict[Tuple, List[BlockTrace]] = {}
+        #: Pure-stage memo (:meth:`memo`): content key -> compressed
+        #: pickle of the stage's value, in LRU order.
+        self._memo: "OrderedDict[Tuple, bytes]" = OrderedDict()
+        self._memo_lock = threading.Lock()
         self.stats = EngineStats()
         self.events: List[EngineEvent] = []
         self._max_events = max_events
@@ -231,6 +254,46 @@ class EvaluationEngine:
             yield
         finally:
             self.record_stage(name, time.perf_counter() - t0)
+
+    # ------------------------------------------------------------------
+    # Pure-stage memo.
+    # ------------------------------------------------------------------
+    def memo(self, key: Tuple, compute: Callable[[], T]) -> T:
+        """``compute()``, run once per ``key`` while the key stays cached.
+
+        For pure compiler stages whose value is a function of ``key``
+        alone (callers build it from :meth:`Kernel.fingerprint` and
+        every other input the stage reads).  Values are kept as
+        ``zlib``-compressed pickles, so every hit unpickles a private
+        copy that its caller may rewrite freely, and an entry costs a
+        few KiB instead of a live object graph.  An exception from
+        ``compute`` propagates and stores nothing.  The memo shares the
+        result cache's LRU bound (``cache_max_entries``) and never
+        touches disk.
+        """
+        with self._memo_lock:
+            blob = self._memo.get(key)
+            if blob is None:
+                self.stats.memo_misses += 1
+            else:
+                self._memo.move_to_end(key)
+                self.stats.memo_hits += 1
+        if blob is not None:
+            return pickle.loads(zlib.decompress(blob))
+        value = compute()
+        blob = zlib.compress(pickle.dumps(value), 1)
+        with self._memo_lock:
+            # A racing miss on the same key may have stored it already.
+            self._memo[key] = blob
+            self._memo.move_to_end(key)
+            self._trim_memo()
+        return value
+
+    def _trim_memo(self) -> None:
+        """Evict LRU entries over the bound; the caller holds the lock."""
+        bound = self._sim_cache.max_entries
+        while bound is not None and len(self._memo) > bound:
+            self._memo.popitem(last=False)
 
     # ------------------------------------------------------------------
     # Trace generation (the expensive functional step).
@@ -392,7 +455,10 @@ class EvaluationEngine:
         batch_hits = 0
         fingerprints: Dict[int, str] = {}
         for i, req in enumerate(requests):
-            fp = fingerprints.setdefault(id(req.kernel), req.kernel.fingerprint())
+            fp = fingerprints.get(id(req.kernel))
+            if fp is None:
+                # Once per kernel object: a sweep repeats one kernel.
+                fp = fingerprints[id(req.kernel)] = req.kernel.fingerprint()
             key = make_sim_key(
                 fp, req.config, req.resolved_grid(), req.param_sizes,
                 req.tlp, req.scheduler, pipeline=self.pipeline,
@@ -632,6 +698,7 @@ class EvaluationEngine:
             "pipeline": self.pipeline,
             "cached_results": len(self._sim_cache),
             "cached_traces": len(self._trace_cache),
+            "memo_entries": len(self._memo),
             "cache_max_entries": self._sim_cache.max_entries,
             "cache_evictions": self._sim_cache.evictions,
             "task_timeout": self.supervisor.timeout,
@@ -650,9 +717,12 @@ class EvaluationEngine:
         self.events = []
 
     def clear(self, disk: bool = False) -> None:
-        """Drop cached results and traces (and stats/events)."""
+        """Drop cached results, traces and memoised stages (and
+        stats/events)."""
         self._sim_cache.clear(disk=disk)
         self._trace_cache.clear()
+        with self._memo_lock:
+            self._memo.clear()
         self.reset_stats()
 
 
@@ -699,9 +769,9 @@ def configure(
     ``--task-timeout`` hook).  ``task_timeout`` (seconds; 0 disables)
     bounds each supervised simulation attempt; ``checkpoint_dir`` (""
     disables) points the resumption journal; ``cache_max_entries`` (0
-    unbounds) LRU-bounds the in-memory result cache.  ``passes`` sets
-    the active optimization-pipeline signature folded into cache keys
-    ("" clears it; unknown pass names raise
+    unbounds) LRU-bounds the in-memory result cache and the stage memo.
+    ``passes`` sets the active optimization-pipeline signature folded
+    into cache keys ("" clears it; unknown pass names raise
     :class:`repro.errors.ParseError`).
     The whole adjustment runs under the engine lock, so a concurrent
     ``get_engine`` caller sees either the old or the new configuration,
@@ -721,6 +791,8 @@ def configure(
             engine.set_checkpoint_dir(checkpoint_dir or None)
         if cache_max_entries is not None:
             engine._sim_cache.set_max_entries(cache_max_entries)
+            with engine._memo_lock:
+                engine._trim_memo()
         if passes is not None:
             # Normalized (and validated) before taking effect: a typo'd
             # spec must fail loudly, never silently tag cache keys.

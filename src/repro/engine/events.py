@@ -245,6 +245,9 @@ class EngineStats:
     sim_failures: int = 0
     cache_corrupt: int = 0
     checkpoint_hits: int = 0
+    #: Pure-stage memo lookups (:meth:`EvaluationEngine.memo`).
+    memo_hits: int = 0
+    memo_misses: int = 0
     sim_seconds: float = 0.0
     trace_seconds: float = 0.0
     stage_seconds: Dict[str, float] = dataclasses.field(default_factory=dict)

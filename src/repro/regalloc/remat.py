@@ -71,6 +71,17 @@ def rematerialize(kernel: Kernel, values: Dict[str, Imm]) -> RematResult:
     out = kernel.copy()
     if not values:
         return RematResult(out, set(), 0, {})
+    # Each new ``mov`` is typed like the definition it re-creates, not
+    # like the use: a use's Reg may carry another dtype (a parsed
+    # ``cvt.f32 %f1, %r4`` types ``%r4`` from the cvt, since PTX prints
+    # no source type), and the allocation must not depend on that.
+    def_dtypes = {
+        inst.dst.name: inst.dtype
+        for inst in out.instructions()
+        if inst.opcode is Opcode.MOV
+        and inst.dst is not None
+        and inst.dst.name in values
+    }
     namer = _TempNamer(out)
     new_body: List = []
     temp_names: Set[str] = set()
@@ -93,10 +104,11 @@ def rematerialize(kernel: Kernel, values: Dict[str, Imm]) -> RematResult:
         for reg in dict.fromkeys(inst.uses()):
             if reg.name in values and reg.name not in mapping:
                 imm = values[reg.name]
-                tmp = namer.fresh(reg.dtype)
+                dtype = def_dtypes.get(reg.name) or reg.dtype
+                tmp = namer.fresh(dtype)
                 temp_names.add(tmp.name)
                 new_body.append(
-                    Instruction(Opcode.MOV, dtype=reg.dtype, dst=tmp, srcs=(imm,))
+                    Instruction(Opcode.MOV, dtype=dtype, dst=tmp, srcs=(imm,))
                 )
                 mapping[reg.name] = tmp
                 count += 1

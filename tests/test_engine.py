@@ -526,6 +526,193 @@ class TestCacheBounding:
             set_engine(previous)
 
 
+class TestStageMemo:
+    """``EvaluationEngine.memo``: each pure compiler stage once per key."""
+
+    #: Every ``AllocationResult`` field the optimizer and the validator
+    #: read besides the kernel itself.
+    FIELDS = (
+        "reg_per_thread",
+        "num_local_loads",
+        "num_local_stores",
+        "num_shared_loads",
+        "num_shared_stores",
+        "num_address_insts",
+        "num_remat_insts",
+        "weighted_local_accesses",
+        "weighted_shared_accesses",
+        "shm_spill_block_bytes",
+        "spilled",
+        "name_map",
+        "spill_regions",
+    )
+
+    @staticmethod
+    def _spilling_allocation():
+        from repro.regalloc import allocate, register_demand
+
+        from .conftest import build_pressure_kernel
+
+        kernel = build_pressure_kernel()
+        limit = register_demand(kernel) // 2
+        key = ("allocate", kernel.fingerprint(), limit, 4096)
+        return key, lambda: allocate(kernel, limit, spare_shm_bytes=4096)
+
+    def test_hit_matches_fresh_allocation(self):
+        key, compute = self._spilling_allocation()
+        engine = EvaluationEngine(jobs=1)
+        engine.memo(key, compute)
+        hit = engine.memo(key, compute)
+        fresh = compute()
+        assert engine.stats.memo_hits == 1
+        # The kernel spills to local and shared memory, so every
+        # counter below is non-trivial.
+        assert fresh.num_local_insts and fresh.num_shared_insts
+        assert len(fresh.spill_regions) == 2
+        assert print_kernel(hit.kernel) == print_kernel(fresh.kernel)
+        for field in self.FIELDS:
+            assert getattr(hit, field) == getattr(fresh, field), field
+
+    def test_hit_is_a_private_copy(self):
+        key, compute = self._spilling_allocation()
+        engine = EvaluationEngine(jobs=1)
+        expected = print_kernel(compute().kernel)
+        for _ in range(3):
+            value = engine.memo(key, compute)
+            assert print_kernel(value.kernel) == expected
+            # A caller may rewrite what it received (the first value is
+            # the computed one, the rest are hits).
+            value.kernel.body.append(value.kernel.body[-1])
+
+    def test_failure_is_not_stored(self):
+        from repro.regalloc.allocator import InsufficientRegistersError
+
+        engine = EvaluationEngine(jobs=1)
+        calls = []
+
+        def compute():
+            calls.append(1)
+            raise InsufficientRegistersError("reg_limit=1")
+
+        for _ in range(2):
+            with pytest.raises(InsufficientRegistersError):
+                engine.memo(("allocate", "fp", 1, 0), compute)
+        assert len(calls) == 2
+        assert engine.snapshot()["memo_entries"] == 0
+
+    def test_bound_follows_cache_max_entries(self):
+        from repro.engine import configure, set_engine
+
+        previous = get_engine()
+        try:
+            set_engine(EvaluationEngine(jobs=1))
+            engine = configure(cache_max_entries=2)
+            engine.memo(("k", 1), lambda: 1)
+            engine.memo(("k", 2), lambda: 2)
+            assert engine.memo(("k", 1), lambda: -1) == 1  # refreshes 1
+            engine.memo(("k", 3), lambda: 3)  # evicts 2, the LRU entry
+            assert engine.snapshot()["memo_entries"] == 2
+            assert engine.memo(("k", 1), lambda: -1) == 1
+            assert engine.memo(("k", 3), lambda: -3) == 3
+            assert engine.memo(("k", 2), lambda: -2) == -2
+        finally:
+            set_engine(previous)
+
+    def test_clear_empties_memo_and_counters(self):
+        engine = EvaluationEngine(jobs=1)
+        assert engine.memo(("k",), lambda: [1]) == [1]
+        assert engine.memo(("k",), lambda: [2]) == [1]
+        assert engine.memo(("j",), lambda: [3]) == [3]
+        assert (engine.stats.memo_hits, engine.stats.memo_misses) == (1, 2)
+        engine.clear()
+        assert engine.snapshot()["memo_entries"] == 0
+        assert (engine.stats.memo_hits, engine.stats.memo_misses) == (0, 0)
+        assert engine.memo(("k",), lambda: [2]) == [2]
+        assert (engine.stats.memo_hits, engine.stats.memo_misses) == (0, 1)
+
+    def test_concurrent_lookups_keep_counts_and_bound(self):
+        # ``repro serve`` workers share one engine: lookups racing on
+        # overlapping keys under a tight bound must lose no count and
+        # never overrun the bound.
+        import sys
+        import threading
+
+        engine = EvaluationEngine(jobs=1, cache_max_entries=4)
+        calls, errors = 300, []
+
+        def worker(seed):
+            try:
+                for i in range(calls):
+                    n = (seed + i) % 7
+                    if engine.memo(("k", n), lambda: n) != n:
+                        errors.append(("wrong value", n))
+            except Exception as err:
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(seed,))
+                for seed in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert engine.stats.memo_hits + engine.stats.memo_misses == 8 * calls
+        assert engine.snapshot()["memo_entries"] <= 4
+
+    def test_checks_still_run_on_memo_hits(self, gau, monkeypatch):
+        """A verified optimize re-runs every check on a warm memo, and
+        answers exactly as it did cold."""
+        import repro.verify as verify_mod
+        from repro.core import CRATOptimizer
+
+        counts = {"verify_allocation": 0, "verify_pass": 0}
+        for name in counts:
+            original = getattr(verify_mod, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(verify_mod, name, counted)
+        engine = EvaluationEngine(jobs=1)
+        optimizer = CRATOptimizer(
+            FERMI,
+            verify=True,
+            passes="copy-prop,dce,minreg-sched",
+            engine=engine,
+        )
+        runs = []
+        for _ in range(2):
+            before = dict(counts)
+            result = optimizer.optimize(
+                gau.kernel,
+                default_reg=gau.default_reg,
+                grid_blocks=4,
+                param_sizes=gau.param_sizes,
+            )
+            calls = {name: counts[name] - before[name] for name in counts}
+            answer = (
+                result.usage,
+                result.opt_tlp,
+                [(s.point, s.tpsc) for s in result.candidates],
+                print_kernel(result.chosen.allocation.kernel),
+                result.sim,
+            )
+            runs.append((calls, answer))
+        assert engine.stats.memo_hits > 0
+        assert runs[0][0]["verify_allocation"] > 0
+        assert runs[0][0]["verify_pass"] > 0
+        assert runs[1] == runs[0]
+
+
 class TestEngineThreadSafety:
     def test_concurrent_get_engine_yields_one_instance(self):
         import threading

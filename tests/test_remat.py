@@ -3,9 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.ptx import DType, Imm, Opcode, Space, KernelBuilder, verify_kernel
-from repro.regalloc import remat_candidates, rematerialize
+from repro.arch import FERMI
+from repro.core import collect_resource_usage
+from repro.ir import run_pipeline
+from repro.ptx import (
+    DType,
+    Imm,
+    KernelBuilder,
+    Opcode,
+    Space,
+    parse_kernel,
+    print_kernel,
+    verify_kernel,
+)
+from repro.regalloc import allocate, remat_candidates, rematerialize
 from repro.sim import GlobalMemory, run_grid
+from repro.workloads import RESOURCE_SENSITIVE, load_workload
 
 
 def const_kernel():
@@ -95,3 +108,44 @@ class TestRewrite:
         eligible = remat_candidates(kernel, {c1, c2})
         result = rematerialize(kernel, eligible)
         assert len(result.temp_names) == result.num_remat_insts
+
+    def test_remat_mov_typed_like_definition(self):
+        # ``cvt.f32 %f, %r`` prints no source type, so the parser types
+        # a cvt source from the cvt (U32); the re-created mov must still
+        # be ``mov.s32``, like the definition it replaces.
+        kernel, c1, c2, acc, tid = const_kernel()
+        twin = parse_kernel(print_kernel(kernel))
+        result = rematerialize(twin, remat_candidates(twin, {c2}))
+        movs = [
+            inst for inst in result.kernel.instructions()
+            if inst.opcode is Opcode.MOV and inst.dst.name in result.temp_names
+        ]
+        assert [inst.dtype for inst in movs] == [DType.S32]
+
+
+class TestPrintedFormTwins:
+    """Allocation, resource usage and passes are functions of the printed
+    kernel: an app's generated kernel and its print -> parse twin share a
+    fingerprint, so they must give the same answers (the engine's stage
+    memo serves one to the other)."""
+
+    @pytest.mark.parametrize("abbr", [app.abbr for app in RESOURCE_SENSITIVE])
+    def test_twin_answers_identically(self, abbr):
+        workload = load_workload(abbr)
+        kernel = workload.kernel
+        twin = parse_kernel(print_kernel(kernel))
+        assert twin.fingerprint() == kernel.fingerprint()
+        usage = collect_resource_usage(
+            kernel, FERMI, default_reg=workload.default_reg
+        )
+        assert collect_resource_usage(
+            twin, FERMI, default_reg=workload.default_reg
+        ) == usage
+        reg = usage.default_reg
+        assert print_kernel(allocate(twin, reg).kernel) == print_kernel(
+            allocate(kernel, reg).kernel
+        )
+        passes = "copy-prop,dce,minreg-sched"
+        assert print_kernel(run_pipeline(twin, passes).kernel) == print_kernel(
+            run_pipeline(kernel, passes).kernel
+        )

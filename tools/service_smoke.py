@@ -11,7 +11,11 @@ What it checks, end to end, with real processes and a real socket:
    worker-crash rate, so the supervisor's recovery path is exercised
    *through* the service);
 2. 50 mixed requests (``simulate``/``crat``/``verify``) issued from
-   8 concurrent client processes all succeed;
+   8 concurrent client processes all succeed, and so do 4 ``crat``
+   requests on HST that a ninth client sends one after another: as a
+   ``target``, as inline ``ptx`` (the same kernel printed), then both
+   again.  The two forms share a fingerprint, so the daemon serves
+   allocations memoised for one form to the other;
 3. every answer is identical to the same job executed one-shot on a
    fresh, fault-free engine — the daemon (and the injected crashes)
    must never change a result;
@@ -35,7 +39,11 @@ CLIENTS = 8
 
 def build_requests():
     """A deterministic mixed stream: repeats (cache/dedup food), a few
-    distinct design points, and every queued job type."""
+    distinct design points, and every queued job type; then the HST
+    twin sequence (the last client's slice)."""
+    from repro.ptx import print_kernel
+    from repro.workloads import load_workload
+
     requests = []
     for i in range(TOTAL_REQUESTS):
         kind = i % 5
@@ -45,7 +53,20 @@ def build_requests():
             requests.append(("crat", {"target": "GAU"}))
         else:
             requests.append(("verify", {"target": "GAU"}))
+    # HST's generated kernel and its print -> parse twin allocated
+    # differently before rematerialized constants took the type of
+    # their definition; memo hits across the twins must not change
+    # either answer.
+    twin = {"ptx": print_kernel(load_workload("HST").kernel)}
+    requests += [("crat", {"target": "HST"}), ("crat", twin)] * 2
     return requests
+
+
+def slice_of(index, count):
+    """Request indices client ``index`` sends, in order."""
+    if index == CLIENTS:
+        return range(TOTAL_REQUESTS, count)
+    return range(index, TOTAL_REQUESTS, CLIENTS)
 
 
 def run_worker(index, sock_path):
@@ -55,7 +76,7 @@ def run_worker(index, sock_path):
     requests = build_requests()
     out = []
     with ServiceClient(socket_path=sock_path, timeout=300.0) as client:
-        for i in range(index, len(requests), CLIENTS):
+        for i in slice_of(index, len(requests)):
             job, params = requests[i]
             result = submit_or_raise(client, job, params)
             out.append({"index": i, "result": result})
@@ -135,17 +156,17 @@ def main():
         if not wait_for_socket(sock_path):
             print("FAIL: daemon never bound its socket", file=sys.stderr)
             return 1
-        print(f"daemon up on {sock_path}; launching {CLIENTS} client "
-              f"processes for {TOTAL_REQUESTS} requests ...", flush=True)
+        requests = build_requests()
+        print(f"daemon up on {sock_path}; launching {CLIENTS + 1} client "
+              f"processes for {len(requests)} requests ...", flush=True)
         clients = [
             subprocess.Popen(
                 [sys.executable, __file__,
                  "--worker", str(i), "--socket", sock_path],
                 env=env, stdout=subprocess.PIPE, text=True,
             )
-            for i in range(CLIENTS)
+            for i in range(CLIENTS + 1)
         ]
-        requests = build_requests()
         answered = {}
         for client in clients:
             stdout, _ = client.communicate(timeout=600)
