@@ -27,8 +27,8 @@ Package map:
 * :mod:`repro.sim` — GPGPU-Sim-like functional + timing simulator
 * :mod:`repro.analysis` — static OptTLP estimation (GTO mimic)
 * :mod:`repro.core` — the CRAT optimizer, design space, TPSC model
-* :mod:`repro.engine` — shared evaluation engine (caching, parallel
-  fan-out, instrumentation)
+* :mod:`repro.engine` — shared evaluation engine (caching, batched
+  sweeps, instrumentation)
 * :mod:`repro.workloads` — the 22-kernel synthetic benchmark suite
 * :mod:`repro.bench` — experiment driver for the paper's figures
 """

@@ -257,7 +257,7 @@ def run_suite(
     """Evaluate a list of apps with per-app fault isolation.
 
     One failing app — unparseable PTX, an infeasible allocation, a
-    simulation that exhausts the supervisor's retry budget — is
+    simulation that exhausts the engine's retry rung — is
     recorded as a structured :class:`AppFailure` and the suite moves
     on, so a 22-app run always produces its best available answer plus
     a faithful failure report instead of dying on app 3 with a

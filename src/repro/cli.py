@@ -27,15 +27,14 @@ Commands mirror how the paper's toolchain is used:
 to PTX-subset text.  File inputs use synthetic default buffer sizes.
 
 Simulation-heavy commands (``simulate``, ``crat``, ``suite``) share the
-evaluation engine: ``--jobs N`` fans independent design points out over
-N worker processes (default: ``REPRO_JOBS`` or serial), results are
-memoized by kernel content (persistently if ``REPRO_CACHE_DIR`` is
-set), and ``--trace-json PATH`` dumps the engine's instrumentation
-(per-stage timings, simulation counts, cache hit/miss counters).
-OptTLP profiling simulates every TLP of the sweep, as the paper's
-exhaustive offline search does.  Every simulation runs on the one
-batched timing core: a multi-point sweep is one in-process batch, a
-single point a batch of one under the supervisor.
+evaluation engine: results are memoized by kernel content (persistently
+if ``REPRO_CACHE_DIR`` is set), and ``--trace-json PATH`` (on ``crat``
+and ``suite``) dumps the engine's instrumentation (per-stage timings,
+simulation counts, cache hit/miss counters).  OptTLP profiling
+simulates every TLP of the sweep, as the paper's exhaustive offline
+search does.  Every simulation runs in-process on the one batched
+timing core: a multi-point sweep is one batch, a single point a batch
+of one on the engine's retry rung.
 
 ``--passes P1,P2,...`` (on ``simulate``/``crat``/``suite``/``serve``/
 ``submit``) runs a pre-allocation optimization pipeline over the kernel
@@ -85,14 +84,9 @@ from .workloads import BY_ABBR, load_workload
 
 def _engine_for(args):
     """Apply the command's engine flags to the shared engine."""
-    jobs = getattr(args, "jobs", 0)
-    return configure_engine(
-        jobs=jobs if jobs else None,
-        task_timeout=getattr(args, "task_timeout", None),
-        # Fold the active --passes pipeline into the engine's cache
-        # keys (validated here, so a typo exits 2 before any work).
-        passes=getattr(args, "passes", None),
-    )
+    # Fold the active --passes pipeline into the engine's cache keys
+    # (validated here, so a typo exits 2 before any work).
+    return configure_engine(passes=getattr(args, "passes", None))
 
 
 def _write_trace_json(args) -> None:
@@ -403,8 +397,7 @@ def cmd_suite(args) -> int:
     for failure in report.failures:
         print(f"repro: suite: {failure.abbr} failed [{failure.kind}]: "
               f"{failure.message}", file=sys.stderr)
-    print(f"engine ({engine.jobs} job{'s' if engine.jobs != 1 else ''}): "
-          f"{engine.stats.summary()}")
+    print(f"engine: {engine.stats.summary()}")
     _write_trace_json(args)
     if getattr(args, "report_json", ""):
         try:
@@ -440,12 +433,7 @@ def cmd_serve(args) -> int:
     bound = args.cache_max_entries
     if bound is None:
         bound = resolve_max_entries(None) or 4096
-    configure_engine(
-        jobs=args.jobs if args.jobs else None,
-        task_timeout=args.task_timeout,
-        cache_max_entries=bound,
-        passes=args.passes,
-    )
+    configure_engine(cache_max_entries=bound, passes=args.passes)
     # Daemon-wide default pipeline; per-request "passes" params
     # override it (and re-key the single-flight signature).
     from .service import jobs as service_jobs
@@ -466,7 +454,6 @@ def cmd_serve(args) -> int:
             state_dir=args.state_dir or None,
             workers_per_shard=args.workers,
             queue_limit=args.queue_limit,
-            jobs_per_shard=args.jobs or 0,
             passes=args.passes,
             heartbeat_interval=args.heartbeat_interval,
             replication_interval=args.replication_interval,
@@ -718,26 +705,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "none — the kernel is evaluated as written; "
                             "unknown names exit 2)")
 
-    def add_engine_flags(p, trace=True):
-        p.add_argument("--jobs", type=int, default=0,
-                       help="simulation worker processes "
-                            "(default: $REPRO_JOBS or serial)")
-        p.add_argument("--task-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="wall-clock budget per simulation task before "
-                            "the supervisor abandons and retries it "
-                            "(0 disables; default: $REPRO_TASK_TIMEOUT)")
-        if trace:
-            p.add_argument("--trace-json", default="",
-                           help="dump engine instrumentation (timings, "
-                                "cache counters) as JSON to this path")
+    def add_trace_flag(p):
+        p.add_argument("--trace-json", default="",
+                       help="dump engine instrumentation (timings, "
+                            "cache counters) as JSON to this path")
 
     p_sim = sub.add_parser("simulate", help="run the timing simulator")
     p_sim.add_argument("target")
     p_sim.add_argument("--tlp", type=int, default=4)
     p_sim.add_argument("--grid", type=int, default=0)
     p_sim.add_argument("--config", default="fermi")
-    add_engine_flags(p_sim, trace=False)
     add_verify_flag(p_sim)
     add_passes_flag(p_sim)
     add_lint_flag(p_sim)
@@ -752,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable Algorithm 1 (CRAT-local)")
     p_crat.add_argument("--emit", default="",
                         help="write optimized PTX to this path")
-    add_engine_flags(p_crat)
+    add_trace_flag(p_crat)
     add_verify_flag(p_crat)
     add_passes_flag(p_crat)
     add_lint_flag(p_crat)
@@ -764,7 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the structured per-app failure report "
                               "(completed/failed apps, exit code) to this "
                               "path")
-    add_engine_flags(p_suite)
+    add_trace_flag(p_suite)
     add_verify_flag(p_suite)
     add_passes_flag(p_suite)
     add_lint_flag(p_suite)
@@ -780,9 +757,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--listen", default="", metavar="HOST:PORT",
                          help="serve TCP instead of a unix socket")
     p_serve.add_argument("--workers", type=int, default=2,
-                         help="job worker threads (each still fans "
-                              "simulations out over the engine's "
-                              "process pool; default 2)")
+                         help="job worker threads sharing one engine "
+                              "(default 2); use --shards N to spread "
+                              "concurrent clients over N processes")
     p_serve.add_argument("--queue-limit", type=int, default=64,
                          help="bounded queue depth before requests are "
                               "refused with an overloaded reply "
@@ -813,7 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "round ships every shard's checkpoint "
                               "journal to its ring successor (default "
                               "5.0; 0 disables)")
-    add_engine_flags(p_serve, trace=False)
     add_passes_flag(p_serve)
     p_serve.set_defaults(func=cmd_serve)
 

@@ -71,10 +71,10 @@ def profile_tlp(
 
     This is the offline exhaustive search of [3]; its cost is what the
     static analysis of Section 4.1 avoids (see ``benchmarks/test_overhead``).
-    The points are independent, so the engine fans them out across its
-    worker pool (``REPRO_JOBS`` / ``--jobs``).  Trace-level entry: no
-    kernel, no content key, so results are not cached — callers holding
-    the kernel should prefer :meth:`EvaluationEngine.profile_tlp`.
+    The engine runs the sweep as one batch of the timing core.
+    Trace-level entry: no kernel, no content key, so results are not
+    cached — callers holding the kernel should prefer
+    :meth:`EvaluationEngine.profile_tlp`.
     """
     if max_tlp <= 0:
         raise ValueError("max_tlp must be positive")

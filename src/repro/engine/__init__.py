@@ -1,4 +1,4 @@
-"""Shared evaluation engine: cached, parallel, instrumented simulation.
+"""Shared evaluation engine: cached, instrumented simulation.
 
 The single owner of trace generation and timing simulation for the
 whole CRAT pipeline.  See :mod:`repro.engine.engine` for the design and
@@ -48,15 +48,6 @@ from .faults import (
     FaultSpecError,
     InjectedFault,
 )
-from .parallel import (
-    JOBS_ENV,
-    TASK_RETRIES_ENV,
-    TASK_TIMEOUT_ENV,
-    SupervisorPolicy,
-    TaskOutcome,
-    resolve_jobs,
-    run_supervised,
-)
 
 __all__ = [
     "BatchEvent",
@@ -76,17 +67,12 @@ __all__ = [
     "FaultPlan",
     "FaultSpecError",
     "InjectedFault",
-    "JOBS_ENV",
     "RequestEvent",
     "RetryEvent",
     "SimRequest",
     "SimResultCache",
     "SimulationEvent",
     "StageEvent",
-    "SupervisorPolicy",
-    "TASK_RETRIES_ENV",
-    "TASK_TIMEOUT_ENV",
-    "TaskOutcome",
     "TraceEvent",
     "cache_schema_version",
     "config_signature",
@@ -96,8 +82,6 @@ __all__ = [
     "event_to_dict",
     "get_engine",
     "make_sim_key",
-    "resolve_jobs",
     "resolve_max_entries",
-    "run_supervised",
     "set_engine",
 ]

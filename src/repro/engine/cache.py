@@ -59,8 +59,7 @@ def resolve_max_entries(value: Optional[int] = None) -> Optional[int]:
     """Normalize a cache bound: explicit argument wins, then the
     ``REPRO_CACHE_MAX_ENTRIES`` environment variable; ``None`` or a
     non-positive value means unbounded.  Unparseable env values are
-    ignored (unbounded) rather than fatal — matching ``resolve_jobs``'s
-    tolerance for bad environments."""
+    ignored (unbounded) rather than fatal."""
     if value is None:
         raw = os.environ.get(CACHE_MAX_ENTRIES_ENV, "").strip()
         if not raw:

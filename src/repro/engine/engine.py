@@ -1,4 +1,4 @@
-"""The shared evaluation engine: cached, parallel, instrumented simulation.
+"""The shared evaluation engine: cached, instrumented simulation.
 
 Every stage of the CRAT pipeline — exhaustive TLP profiling, baseline
 evaluation, candidate scoring, the final winner run, the latency
@@ -18,9 +18,11 @@ design points many times over.
   compiler stage (allocation, resource usage, an unverified pass
   pipeline) once per content key and hands every later caller a
   private copy.  In memory only, LRU-bounded like the result cache.
-* **Parallel fan-out** — :meth:`simulate_many` runs independent design
-  points on a process pool (``REPRO_JOBS`` / ``--jobs``), bit-identical
-  to the serial path because the simulator is deterministic.
+* **Batched sweeps** — :meth:`simulate_many` runs each group of
+  points that share traces, config and scheduler as one in-process
+  batch of the timing core; single points, failed batches and every
+  point under a fault plan go one at a time through a small retry
+  rung.  Every simulation runs in this process.
 * **Instrumentation** — every trace generation, simulation, batch and
   named pipeline stage is recorded as a typed event with timings and
   hit/miss counters (:mod:`repro.engine.events`), dumpable as JSON.
@@ -60,6 +62,7 @@ from ..arch.config import GPUConfig
 from ..errors import ReproError, classify_error
 from ..ir.pipeline import pipeline_signature
 from ..ptx.module import Kernel
+from ..sim import gpu
 from ..sim.batch import simulate_traces_batched
 from ..sim.cache import CacheStats
 from ..sim.executor import BlockTrace
@@ -75,17 +78,12 @@ from .events import (
     DegradeEvent,
     EngineEvent,
     EngineStats,
+    FaultEvent,
+    RetryEvent,
     SimulationEvent,
     StageEvent,
     TraceEvent,
     event_to_dict,
-)
-from .parallel import (
-    SupervisorPolicy,
-    TaskOutcome,
-    resolve_jobs,
-    run_simulations,
-    run_supervised,
 )
 
 #: Environment variable naming the checkpoint journal directory.
@@ -94,7 +92,22 @@ CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
 #: L1 hit ratio the degrade estimate's GTO mimic assumes.
 _ESTIMATE_HIT_RATIO = 0.6
 
+#: Attempts per point on the retry rung (:meth:`EvaluationEngine.
+#: _run_points`), the first included.
+_MAX_ATTEMPTS = 3
+
 T = TypeVar("T")
+
+#: One design point for the timing core: (traces, config, tlp, scheduler).
+SimTask = Tuple[List[BlockTrace], GPUConfig, int, str]
+
+
+def _retryable(error: Exception) -> bool:
+    """Injected crashes and OS errors are transient; anything else the
+    deterministic simulator raised would fail the same way again."""
+    if isinstance(error, faults.InjectedFault):
+        return error.fault_kind == "crash"
+    return isinstance(error, OSError)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -172,15 +185,20 @@ class EvaluationEngine:
 
     def __init__(
         self,
-        jobs: Optional[int] = None,
+        jobs: int = 1,
         disk_cache: Optional[str] = None,
         max_events: int = 100_000,
-        supervisor: Optional[SupervisorPolicy] = None,
         checkpoint_dir: Optional[str] = None,
         cache_max_entries: Optional[int] = None,
         pipeline: str = "",
     ):
-        self.jobs = resolve_jobs(jobs)
+        # ``jobs=1`` is accepted so existing callers keep working; the
+        # engine runs every simulation in this process.
+        if jobs != 1:
+            raise ValueError(
+                f"jobs={jobs!r}: the engine runs every simulation "
+                "in-process; only jobs=1 is accepted"
+            )
         #: The active ``--passes`` signature; folded into every cache
         #: key so results simulated under different pipelines never
         #: alias (see :func:`repro.engine.cache.make_sim_key`).
@@ -198,9 +216,6 @@ class EvaluationEngine:
         self.stats = EngineStats()
         self.events: List[EngineEvent] = []
         self._max_events = max_events
-        #: Retry/timeout budget for supervised batches
-        #: (``REPRO_TASK_TIMEOUT`` / ``REPRO_TASK_RETRIES``).
-        self.supervisor = supervisor or SupervisorPolicy.from_env()
         #: Optional checkpoint journal: completed design points are
         #: persisted (content-keyed, like the sim cache) so an
         #: interrupted sweep resumes without re-simulating them.
@@ -358,18 +373,17 @@ class EvaluationEngine:
         return self.simulate_many([request])[0]
 
     # ------------------------------------------------------------------
-    # Batched simulation with parallel fan-out.
+    # Batched simulation and the retry rung.
     # ------------------------------------------------------------------
     def simulate_many(self, requests: Sequence[SimRequest]) -> List[SimResult]:
         """Evaluate a batch of independent design points (strict).
 
-        Cache hits are served immediately; the remaining points run
-        under the supervisor on the process pool when ``jobs > 1``
-        (serial otherwise).  Results come back in request order and are
-        bit-identical to the serial path.  A point that still has no
-        result after the supervisor's retry budget raises its
-        classified :class:`~repro.errors.ReproError`; callers that can
-        degrade per-point use :meth:`simulate_outcomes`.
+        Cache hits are served immediately; the remaining points run as
+        described in :meth:`simulate_outcomes`.  Results come back in
+        request order.  A point that still has no result after the
+        retry rung raises its classified
+        :class:`~repro.errors.ReproError`; callers that can degrade
+        per-point use :meth:`simulate_outcomes`.
         """
         outcomes = self.simulate_outcomes(requests)
         for outcome in outcomes:
@@ -379,19 +393,20 @@ class EvaluationEngine:
 
     def _run_batched(
         self,
-        tasks: List[Tuple[List[BlockTrace], GPUConfig, int, str]],
-        outcomes: List[Optional[TaskOutcome]],
+        tasks: Sequence[SimTask],
+        outcomes: List[Optional[SimResult]],
     ) -> List[int]:
-        """Evaluate groups of ``tasks`` in-process, one batch each.
+        """Evaluate groups of ``tasks`` as one batch each.
 
         Groups share (traces, config, scheduler) and differ only in
         TLP — the shape of a profile sweep.  Fills ``outcomes`` for
         every position it evaluated and returns the positions it left
-        for the supervised pool: singleton groups (a batch of one gains
-        nothing in-process, and the supervisor adds timeouts and
-        retries) and any group whose batched run raised (the supervised
-        path retries those with its usual budget).
+        for :meth:`_run_points`: singleton groups, any group whose
+        batched run raised, and every position while a fault plan is
+        active (the plan exercises the retry rung).
         """
+        if faults.active_plan() is not None:
+            return list(range(len(tasks)))
         groups: Dict[Tuple[int, str, str], List[int]] = {}
         for pos, (traces, config, _, scheduler) in enumerate(tasks):
             key = (id(traces), scheduler, config_signature(config))
@@ -409,12 +424,12 @@ class EvaluationEngine:
                     traces, config, tlps, scheduler=scheduler
                 )
             except Exception:
-                # Whatever went wrong, the supervised point-by-point
-                # path is the retry rung — it owns the failure from here.
+                # Whatever went wrong, the point-by-point retry rung
+                # owns the failure from here.
                 leftover.extend(positions)
                 continue
             for p, result in zip(positions, results):
-                outcomes[p] = TaskOutcome(result=result, attempts=1)
+                outcomes[p] = result
             self.stats.batched_groups += 1
             self.stats.batched_points += len(positions)
             self._emit(
@@ -427,6 +442,63 @@ class EvaluationEngine:
         leftover.sort()
         return leftover
 
+    def _run_points(
+        self, tasks: Sequence[SimTask], tokens: Sequence[str]
+    ) -> List[Union[SimResult, Exception]]:
+        """Simulate ``tasks`` one at a time: the retry rung.
+
+        Each point gets up to :data:`_MAX_ATTEMPTS` attempts; only
+        transient errors (:func:`_retryable`) are retried.  ``tokens``
+        are the points' fault-injection tokens.  Returns, per task, its
+        result or the last attempt's exception.  Only ``Exception`` is
+        caught, so Ctrl-C stops the run.
+        """
+        outcomes: List[Union[SimResult, Exception]] = []
+        for (traces, config, tlp, scheduler), token in zip(tasks, tokens):
+            for attempt in range(1, _MAX_ATTEMPTS + 1):
+                final = attempt == _MAX_ATTEMPTS
+                try:
+                    faults.perturb_task(token, attempt, final)
+                    # Looked up on the module at call time, so a wrapper
+                    # installed on ``repro.sim.gpu`` sees every point.
+                    outcome = gpu.simulate_traces(
+                        traces, config, tlp, scheduler=scheduler
+                    )
+                    break
+                except Exception as err:
+                    outcome = err
+                    injected = isinstance(err, faults.InjectedFault)
+                    if injected:
+                        self._emit(FaultEvent(
+                            fault=err.fault_kind, token=token, attempt=attempt
+                        ))
+                    retry = not final and _retryable(err)
+                    self._emit(RetryEvent(
+                        token=token,
+                        attempt=attempt,
+                        reason=err.fault_kind if injected else "crash",
+                        final=not retry,
+                        error=type(err).__name__,
+                    ))
+                    if not retry:
+                        break
+                    self.stats.retries += 1
+            outcomes.append(outcome)
+        return outcomes
+
+    def _run_tasks(
+        self, tasks: Sequence[SimTask], tokens: Sequence[str]
+    ) -> List[Union[SimResult, Exception]]:
+        """:meth:`_run_batched`, then :meth:`_run_points` on what it left."""
+        outcomes: List = [None] * len(tasks)
+        remaining = self._run_batched(tasks, outcomes)
+        points = self._run_points(
+            [tasks[p] for p in remaining], [tokens[p] for p in remaining]
+        )
+        for p, outcome in zip(remaining, points):
+            outcomes[p] = outcome
+        return outcomes
+
     def simulate_outcomes(
         self,
         requests: Sequence[SimRequest],
@@ -434,17 +506,16 @@ class EvaluationEngine:
         """Evaluate a batch, reporting per-point failures in-band.
 
         Each slot of the returned list is either the point's
-        :class:`SimResult` or the classified error its supervised
-        execution ended with (timeouts included).  Successful points
-        are cached (and journaled to the checkpoint store when one is
-        configured); failed points are not.
+        :class:`SimResult` or the classified error it ended with.
+        Successful points are cached (and journaled to the checkpoint
+        store when one is configured); failed points are not.
 
         Groups of two or more points that share traces, config and
-        scheduler run in-process as one batch of the timing core
-        (exempt from per-task timeouts, like the serial path);
-        everything else — single points, and every point of a run with
-        an active fault-injection plan, which must exercise the
-        supervised machinery — goes to the supervised pool.
+        scheduler run as one batch of the timing core
+        (:meth:`_run_batched`); everything else — single points, failed
+        batches, and every point of a run with an active
+        fault-injection plan — goes one at a time through the retry
+        rung (:meth:`_run_points`).
         """
         t0 = time.perf_counter()
         results: List[Optional[Union[SimResult, ReproError]]] = (
@@ -529,29 +600,13 @@ class EvaluationEngine:
                 tokens.append(key_digest(keys[i]))
             pending = [i for i in pending if results[i] is None]
             t_run = time.perf_counter()
-            outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
-            remaining = list(range(len(tasks)))
-            if len(tasks) > 1 and faults.active_plan() is None:
-                remaining = self._run_batched(tasks, outcomes)
-            if remaining:
-                supervised = run_supervised(
-                    [tasks[p] for p in remaining],
-                    self.jobs,
-                    policy=self.supervisor,
-                    tokens=[tokens[p] for p in remaining],
-                    emit=self._emit,
-                )
-                for p, outcome in zip(remaining, supervised):
-                    outcomes[p] = outcome
+            outcomes = self._run_tasks(tasks, tokens)
             run_seconds = time.perf_counter() - t_run
             per_point = run_seconds / len(pending) if pending else 0.0
             for i, outcome in zip(pending, outcomes):
                 req = requests[i]
-                self.stats.retries += max(0, outcome.attempts - 1)
-                if outcome.timed_out:
-                    self.stats.timeouts += 1
-                if outcome.ok:
-                    result = outcome.result
+                if isinstance(outcome, SimResult):
+                    result = outcome
                     self._sim_cache.put(keys[i], result)
                     if self._checkpoint is not None:
                         self._checkpoint.put(keys[i], result)
@@ -571,7 +626,7 @@ class EvaluationEngine:
                 else:
                     self.stats.sim_failures += 1
                     results[i] = classify_error(
-                        outcome.error,
+                        outcome,
                         kernel=req.kernel.name,
                         design_point=(None, req.tlp),
                         stage="simulate",
@@ -584,7 +639,6 @@ class EvaluationEngine:
                 BatchEvent(
                     points=len(requests),
                     cache_hits=batch_hits,
-                    jobs=self.jobs if len(pending) > 1 else 1,
                     seconds=time.perf_counter() - t0,
                 )
             )
@@ -605,8 +659,8 @@ class EvaluationEngine:
         """Simulate every TLP in ``[1, max_tlp]`` for one kernel — the
         paper's exhaustive profiling.
 
-        A point whose simulation still fails after the supervisor's
-        retries (rung 1 of the degradation ladder) is filled with its
+        A point whose simulation still fails after the retry rung
+        (rung 1 of the degradation ladder) is filled with its
         analytical estimate (rung 2, :func:`estimate_sim_result`):
         ``estimated=True``, flagged by a ``DegradeEvent`` and excluded
         from the cache.  A sweep always returns its best available
@@ -644,49 +698,25 @@ class EvaluationEngine:
         tlps: Iterable[int],
         scheduler: str = "gto",
     ) -> List[SimResult]:
-        """Parallel fan-out over pre-computed traces (uncached: without
-        the originating kernel there is no content key).  Multi-point
-        calls run as one in-process batch, falling back to the
-        supervised pool on any failure (or under a fault plan)."""
+        """Simulate pre-computed traces at each TLP (uncached: without
+        the originating kernel there is no content key).  Strict: the
+        first point that fails on the retry rung raises its error."""
         tasks = [(traces, config, tlp, scheduler) for tlp in tlps]
         t0 = time.perf_counter()
-        outcomes: Optional[List[SimResult]] = None
-        if len(tasks) > 1 and faults.active_plan() is None:
-            try:
-                outcomes = simulate_traces_batched(
-                    traces, config, [t[2] for t in tasks],
-                    scheduler=scheduler,
-                )
-            except Exception:
-                outcomes = None
-            if outcomes is not None:
-                self.stats.batched_groups += 1
-                self.stats.batched_points += len(tasks)
-                self._emit(
-                    BatchSimEvent(
-                        points=len(tasks),
-                        scheduler=scheduler,
-                        seconds=time.perf_counter() - t0,
-                    )
-                )
-        if outcomes is None:
-            outcomes = run_simulations(
-                tasks, self.jobs, policy=self.supervisor, emit=self._emit
-            )
+        tokens = [f"task{p}" for p in range(len(tasks))]
+        outcomes = self._run_tasks(tasks, tokens)
+        for outcome in outcomes:
+            if not isinstance(outcome, SimResult):
+                raise outcome
         seconds = time.perf_counter() - t0
         self.stats.sim_misses += len(tasks)
         self.stats.sim_seconds += seconds
         if len(tasks) > 1:
             self.stats.batches += 1
             self._emit(
-                BatchEvent(
-                    points=len(tasks),
-                    cache_hits=0,
-                    jobs=self.jobs,
-                    seconds=seconds,
-                )
+                BatchEvent(points=len(tasks), cache_hits=0, seconds=seconds)
             )
-        return outcomes
+        return outcomes  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle.
@@ -694,15 +724,12 @@ class EvaluationEngine:
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready view of counters, timings and the event log."""
         return {
-            "jobs": self.jobs,
             "pipeline": self.pipeline,
             "cached_results": len(self._sim_cache),
             "cached_traces": len(self._trace_cache),
             "memo_entries": len(self._memo),
             "cache_max_entries": self._sim_cache.max_entries,
             "cache_evictions": self._sim_cache.evictions,
-            "task_timeout": self.supervisor.timeout,
-            "max_attempts": self.supervisor.max_attempts,
             "checkpoint_dir": self.checkpoint_dir,
             "stats": self.stats.to_dict(),
             "events": [event_to_dict(e) for e in self.events],
@@ -758,18 +785,15 @@ def set_engine(engine: EvaluationEngine) -> EvaluationEngine:
 
 
 def configure(
-    jobs: Optional[int] = None,
     disk_cache: Optional[str] = None,
-    task_timeout: Optional[float] = None,
     checkpoint_dir: Optional[str] = None,
     cache_max_entries: Optional[int] = None,
     passes: Optional[str] = None,
 ) -> EvaluationEngine:
-    """Adjust the shared engine in place (the CLI's ``--jobs`` /
-    ``--task-timeout`` hook).  ``task_timeout`` (seconds; 0 disables)
-    bounds each supervised simulation attempt; ``checkpoint_dir`` (""
-    disables) points the resumption journal; ``cache_max_entries`` (0
-    unbounds) LRU-bounds the in-memory result cache and the stage memo.
+    """Adjust the shared engine in place (the CLI's hook).
+    ``checkpoint_dir`` ("" disables) points the resumption journal;
+    ``cache_max_entries`` (0 unbounds) LRU-bounds the in-memory result
+    cache and the stage memo.
     ``passes`` sets the active optimization-pipeline signature folded
     into cache keys ("" clears it; unknown pass names raise
     :class:`repro.errors.ParseError`).
@@ -778,15 +802,8 @@ def configure(
     never a mix."""
     with _engine_lock:
         engine = get_engine()
-        if jobs is not None:
-            engine.jobs = resolve_jobs(jobs)
         if disk_cache is not None:
             engine._sim_cache.disk_dir = disk_cache
-        if task_timeout is not None:
-            engine.supervisor = dataclasses.replace(
-                engine.supervisor,
-                timeout=task_timeout if task_timeout > 0 else None,
-            )
         if checkpoint_dir is not None:
             engine.set_checkpoint_dir(checkpoint_dir or None)
         if cache_max_entries is not None:

@@ -52,15 +52,14 @@ class BatchEvent:
 
     points: int
     cache_hits: int
-    jobs: int
     seconds: float
 
 
 @dataclasses.dataclass(frozen=True)
 class BatchSimEvent:
-    """One group of design points evaluated in-process as one batch of
-    the timing core (:class:`repro.sim.batch.BatchedSimulator`) instead
-    of point-by-point under the supervisor.  ``points`` is the lane
+    """One group of design points evaluated as one batch of the timing
+    core (:class:`repro.sim.batch.BatchedSimulator`) instead of point by
+    point on the retry rung.  ``points`` is the lane
     count of the group (one lane per TLP); a lane's answer does not
     depend on its batch, so this event is a performance trace, not a
     semantic one.
@@ -85,12 +84,11 @@ class StageEvent:
 
 @dataclasses.dataclass(frozen=True)
 class FaultEvent:
-    """One injected fault observed by the supervisor (test harness).
+    """One injected fault observed by the retry rung (test harness).
 
-    ``fault`` is the injection kind (``crash``, ``hang``, ``fail``,
-    ``corrupt-cache``); ``token`` the deterministic decision token (the
-    design point's cache-key digest), so a faulty run can be replayed
-    point-by-point.
+    ``fault`` is the injection kind (``crash`` or ``fail``); ``token``
+    the deterministic decision token (the design point's cache-key
+    digest), so a faulty run can be replayed point-by-point.
     """
 
     kind: ClassVar[str] = "fault"
@@ -102,11 +100,11 @@ class FaultEvent:
 
 @dataclasses.dataclass(frozen=True)
 class RetryEvent:
-    """One supervised task attempt that failed and will be retried.
+    """One failed simulation attempt on the engine's retry rung.
 
-    ``reason`` is ``"timeout"``, ``"pool-broken"``, ``"crash"`` (an
-    exception out of the worker), or ``"no-pool"``; ``final`` marks
-    the attempt after which no retry budget remains.
+    ``reason`` is the injected fault kind, or ``"crash"`` for any other
+    exception out of the simulator; ``final`` marks the attempt after
+    which the point is not retried.
     """
 
     kind: ClassVar[str] = "retry"
@@ -239,7 +237,6 @@ class EngineStats:
     batched_points: int = 0
     batched_groups: int = 0
     retries: int = 0
-    timeouts: int = 0
     faults_injected: int = 0
     degraded: int = 0
     sim_failures: int = 0
@@ -292,7 +289,7 @@ class EngineStats:
                 f"({self.batched_groups} groups)"
             )
         if self.retries:
-            line += f", {self.retries} retries ({self.timeouts} timeouts)"
+            line += f", {self.retries} retries"
         if self.degraded:
             line += f", {self.degraded} points degraded to estimates"
         if self.cache_corrupt:

@@ -1,30 +1,27 @@
-"""Deterministic fault injection for the supervised execution layer.
+"""Deterministic fault injection for the engine's recovery paths.
 
 Set ``REPRO_FAULTS`` to a comma-separated ``kind:rate`` spec and the
-engine's workers and cache I/O are perturbed with those probabilities::
+engine's simulations and cache I/O are perturbed with those
+probabilities::
 
-    REPRO_FAULTS=crash:0.1,hang:0.05,corrupt-cache:0.1 repro suite
+    REPRO_FAULTS=crash:0.1,corrupt-cache:0.1 repro suite
 
-Four fault kinds exist:
+Three fault kinds perturb the engine:
 
 ``crash``
-    A pool worker raises :class:`InjectedFault` before simulating —
-    the supervisor sees a crashed task and must retry it.  Transient:
-    only injected into pool workers, and the decision token includes
-    the attempt number, so a retried task eventually runs clean (and
-    the supervisor's final in-process attempt always does).
-``hang``
-    A pool worker sleeps :data:`REPRO_FAULT_HANG_SECONDS` before
-    working — long enough to trip ``REPRO_TASK_TIMEOUT``.  Transient,
-    pool-only, like ``crash``.
+    A simulation attempt raises :class:`InjectedFault` before it runs,
+    and the engine's in-process retry rung must retry it.  Transient:
+    the decision token includes the attempt number, so a retry
+    re-rolls, and it never fires on the final attempt, so every point
+    eventually runs clean.
 ``corrupt-cache``
     Bytes written to the persistent result store are truncated and
     garbled, exercising the checksum-verification read path.  Applied
     to the first write of each entry per process.
 ``fail``
-    The task raises on *every* attempt, pool or in-process — a
-    permanent failure that forces the engine's degradation ladder
-    (analytical estimate instead of a simulated point).
+    The point raises on *every* attempt — a permanent failure that
+    forces the engine's degradation ladder (analytical estimate instead
+    of a simulated point).
 
 Three further kinds target the *service tier* (they are consulted only
 by engine-shard server processes — plain ``repro`` runs and the
@@ -35,8 +32,9 @@ single-process daemon never check them):
     executing a job — the fleet supervisor must detect the death,
     re-route the in-flight jobs and restart the shard.
 ``shard-hang``
-    A shard stops answering health checks (its control plane sleeps),
-    tripping the supervisor's missed-heartbeat threshold.
+    A shard stops answering health checks (its control plane sleeps
+    :data:`REPRO_FAULT_HANG_SECONDS`), tripping the supervisor's
+    missed-heartbeat threshold.
 ``net-drop``
     A shard writes only half of a reply frame and drops the
     connection, exercising the truncated-frame (``ProtocolError``)
@@ -44,10 +42,10 @@ single-process daemon never check them):
 
 Decisions are **deterministic**: each is a pure function of the seed
 (``REPRO_FAULTS_SEED``, default 0), the fault kind, and a stable token
-(the design point's cache-key digest plus, for transient kinds, the
-attempt number).  Execution order — pool scheduling, batch splits,
-retries of other tasks — cannot change which points fault, so a faulty
-run is reproducible and comparable point-by-point against a clean one.
+(the design point's cache-key digest plus, for ``crash``, the attempt
+number).  Execution order — batch splits, retries of other points —
+cannot change which points fault, so a faulty run is reproducible and
+comparable point-by-point against a clean one.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ import dataclasses
 import functools
 import hashlib
 import os
-import time
 from typing import Dict, Mapping, Optional
 
 #: Environment variables controlling the harness.
@@ -66,9 +63,9 @@ HANG_SECONDS_ENV = "REPRO_FAULT_HANG_SECONDS"
 
 #: Recognized fault kinds (anything else in the spec is an error).
 #: The ``shard-*`` / ``net-drop`` kinds perturb engine-shard server
-#: processes; the rest perturb the engine's own workers and cache I/O.
+#: processes; the rest perturb the engine's simulations and cache I/O.
 KINDS = (
-    "crash", "hang", "corrupt-cache", "fail",
+    "crash", "corrupt-cache", "fail",
     "shard-crash", "shard-hang", "net-drop",
 )
 
@@ -82,11 +79,10 @@ class FaultSpecError(ValueError):
 
 
 class InjectedFault(RuntimeError):
-    """An injected worker fault (never raised by real code paths).
+    """An injected simulation fault (never raised by real code paths).
 
-    The supervisor recognizes this class to emit ``FaultEvent``
-    instrumentation; it is defined at module level so it pickles
-    cleanly across the process-pool boundary.
+    The engine's retry rung recognizes this class to emit
+    ``FaultEvent`` instrumentation.
     """
 
     def __init__(self, fault_kind: str, token: str, attempt: int):
@@ -96,12 +92,6 @@ class InjectedFault(RuntimeError):
         super().__init__(
             f"injected {fault_kind} fault (token={token}, attempt={attempt})"
         )
-
-    def __reduce__(self):
-        # Default exception reduction would replay ``args`` (the
-        # formatted message) into ``__init__`` and fail — this class
-        # must survive the pool's pickle round-trip intact.
-        return (InjectedFault, (self.fault_kind, self.token, self.attempt))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,8 +164,7 @@ def active_plan() -> Optional[FaultPlan]:
     """The plan configured by the environment, or ``None``.
 
     Read afresh on every call (tests flip the environment between
-    cases; pool workers inherit it at fork), with the parse itself
-    memoized.
+    cases), with the parse itself memoized.
     """
     spec = os.environ.get(FAULTS_ENV, "").strip()
     if not spec:
@@ -186,23 +175,18 @@ def active_plan() -> Optional[FaultPlan]:
     return plan if plan.enabled else None
 
 
-def perturb_task(token: str, attempt: int, in_pool: bool) -> None:
-    """Maybe perturb one simulation task (called before it runs).
+def perturb_task(token: str, attempt: int, final: bool) -> None:
+    """Maybe perturb one simulation attempt (called before it runs).
 
-    ``crash`` and ``hang`` model worker/infrastructure failures, so
-    they fire only inside pool workers (``in_pool=True``) and their
-    decision token carries the attempt number — a retry re-rolls.
-    ``fail`` models a permanently failing design point: its token is
-    attempt-free and it fires everywhere, including the supervisor's
-    trusted in-process last attempt.
+    ``crash`` models a transient failure: its decision token carries
+    the attempt number, so a retry re-rolls, and it never fires on the
+    ``final`` attempt.  ``fail`` models a permanently failing design
+    point: its token is attempt-free and it fires on every attempt.
     """
     plan = active_plan()
     if plan is None:
         return
-    transient_token = f"{token}#a{attempt}"
-    if in_pool and plan.decide("hang", transient_token):
-        time.sleep(plan.hang_seconds)
-    if in_pool and plan.decide("crash", transient_token):
+    if not final and plan.decide("crash", f"{token}#a{attempt}"):
         raise InjectedFault("crash", token, attempt)
     if plan.decide("fail", token):
         raise InjectedFault("fail", token, attempt)

@@ -5,8 +5,8 @@ Historically each layer raised its own ad-hoc exception —
 :class:`~repro.ptx.verifier.VerificationError`,
 :class:`~repro.regalloc.allocator.InsufficientRegistersError`,
 :class:`~repro.sim.executor.DivergentBranchError` — and whatever
-reached the CLI surfaced as a raw traceback.  The supervised execution
-layer needs one vocabulary to make retry/degrade/abort decisions, and
+reached the CLI surfaced as a raw traceback.  The engine's retry rung
+needs one vocabulary to make retry/degrade/abort decisions, and
 the CLI needs stable exit codes, so every failure is routed into this
 tree at the engine boundary (:func:`classify_error`):
 
@@ -14,8 +14,6 @@ tree at the engine boundary (:func:`classify_error`):
     ├── ``ParseError``       — malformed or unverifiable PTX      (exit 2)
     ├── ``AllocationError``  — no feasible register allocation    (exit 3)
     ├── ``SimulationError``  — trace generation or timing failure (exit 4)
-    │      └── ``TaskTimeoutError`` — a supervised task overran
-    │          ``REPRO_TASK_TIMEOUT``
     ├── ``CacheError``       — persistent-store corruption/IO     (exit 4)
     ├── ``VerificationError`` — translation validation failed     (exit 6)
     ├── ``ServiceError``     — compilation-service transport or
@@ -34,7 +32,6 @@ and some did not.
 
 from __future__ import annotations
 
-import builtins
 from typing import Optional, Tuple
 
 #: CLI exit codes (documented in README "Troubleshooting").
@@ -129,14 +126,6 @@ class SimulationError(ReproError):
     """Trace generation or timing simulation failed."""
 
     exit_code = EXIT_SIMULATION
-
-
-class TaskTimeoutError(SimulationError, builtins.TimeoutError):
-    """A supervised simulation task overran its wall-clock budget.
-
-    Subclasses the builtin ``TimeoutError`` as well, so generic
-    ``except TimeoutError`` handlers still see it.
-    """
 
 
 class CacheError(ReproError):
@@ -254,8 +243,6 @@ def classify_error(
         cls = ParseError
     elif isinstance(exc, InsufficientRegistersError):
         cls = AllocationError
-    elif isinstance(exc, builtins.TimeoutError):
-        cls = TaskTimeoutError
     else:
         cls = SimulationError
     err = cls(f"{type(exc).__name__}: {exc}", **context)
@@ -279,7 +266,6 @@ __all__ = [
     "ReproError",
     "ServiceError",
     "SimulationError",
-    "TaskTimeoutError",
     "VerificationError",
     "classify_error",
 ]

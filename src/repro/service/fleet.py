@@ -227,7 +227,6 @@ class FleetRouter:
         state_dir: Optional[str] = None,
         workers_per_shard: int = 2,
         queue_limit: int = 64,
-        jobs_per_shard: int = 0,
         passes: str = "",
         heartbeat_interval: float = 1.0,
         heartbeat_timeout: float = 1.0,
@@ -266,7 +265,6 @@ class FleetRouter:
                 replica_dir=os.path.join(self.state_dir, "replica", sid),
                 workers=workers_per_shard,
                 queue_limit=queue_limit,
-                jobs=jobs_per_shard,
                 passes=passes,
             )
             self.shards[sid] = ShardHandle(spec)
@@ -884,7 +882,6 @@ def fleet_main(
     state_dir: Optional[str] = None,
     workers_per_shard: int = 2,
     queue_limit: int = 64,
-    jobs_per_shard: int = 0,
     passes: str = "",
     heartbeat_interval: float = 1.0,
     replication_interval: float = 5.0,
@@ -900,7 +897,6 @@ def fleet_main(
         state_dir=state_dir,
         workers_per_shard=workers_per_shard,
         queue_limit=queue_limit,
-        jobs_per_shard=jobs_per_shard,
         passes=passes,
         heartbeat_interval=heartbeat_interval,
         heartbeat_timeout=max(0.5, heartbeat_interval),

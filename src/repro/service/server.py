@@ -14,9 +14,9 @@ and serves evaluation requests over a unix socket (or TCP via
   ``overloaded`` reply carrying a ``Retry-After`` hint (backpressure is
   explicit, never an unbounded backlog).
 * **Workers** (a small thread pool) pop jobs in priority order and run
-  them on the shared engine; heavy sweeps still fan out over the
-  engine's *process* pool, so worker threads are coordinators, not
-  compute.
+  them on the shared engine, in this process.  To spread concurrent
+  clients over more cores, run ``repro serve --shards N``
+  (:mod:`repro.service.fleet`).
 * **Graceful drain**: on SIGTERM the listener closes, executing jobs
   finish and are answered, and queued-but-unstarted jobs are
   checkpointed to the PR 3 journal directory

@@ -116,7 +116,6 @@ class ShardSpec:
     replica_dir: str  # where *this shard's* state is replicated to
     workers: int = 2
     queue_limit: int = 64
-    jobs: int = 0
     passes: str = ""
 
     def spawn_command(self) -> List[str]:
@@ -127,8 +126,6 @@ class ShardSpec:
             "--queue-limit", str(self.queue_limit),
             "--log-interval", "0",
         ]
-        if self.jobs:
-            cmd += ["--jobs", str(self.jobs)]
         if self.passes:
             cmd += ["--passes", self.passes]
         return cmd
@@ -211,11 +208,11 @@ class ShardHandle:
         except (OSError, subprocess.TimeoutExpired):
             pass
         # The shard leads its own process group (start_new_session), so
-        # this also reaps forked engine-pool workers.  They inherit the
-        # shard's *listening socket* at fork: an orphaned worker keeps
-        # the socket accept()-able for minutes after the shard dies,
-        # and every restarted epoch then refuses to boot with "a server
-        # is already listening" — a crash loop with nobody serving.
+        # this also reaps anything it forked.  A forked child inherits
+        # the shard's *listening socket*: an orphan keeps the socket
+        # accept()-able after the shard dies, and every restarted epoch
+        # then refuses to boot with "a server is already listening" — a
+        # crash loop with nobody serving.
         if hasattr(os, "killpg"):
             try:
                 os.killpg(pgid, signal.SIGKILL)
@@ -295,8 +292,8 @@ class ShardSupervisor:
             )
         try:
             # Each shard leads its own process group so kill() can take
-            # down its forked engine-pool workers with it (they inherit
-            # the listening socket — see kill()).
+            # down anything it forked with it (a child inherits the
+            # listening socket — see kill()).
             handle.proc = subprocess.Popen(
                 spec.spawn_command(),
                 env=spec.spawn_env(handle.epoch),

@@ -112,9 +112,9 @@ def calibrate(
 
         usage = collect_resource_usage(kernel, config, default_reg=default_reg)
         allocation = default_allocation(kernel, usage)
-        # The engine caches by kernel fingerprint and fans the TLP
-        # points out across its worker pool, so calibration sweeps are
-        # free when the throttling baselines already profiled this app.
+        # The engine caches by kernel fingerprint, so calibration
+        # sweeps are free when the throttling baselines already
+        # profiled this app.
         profile = get_engine().profile_tlp(
             allocation.kernel, config, usage.max_tlp,
             workload.grid_blocks, workload.param_sizes,

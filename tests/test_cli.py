@@ -51,11 +51,6 @@ class TestSimulate:
         assert "cycles" in out
         assert "L1 hit rate" in out
 
-    def test_simulate_with_jobs_flag(self, capsys):
-        assert main(["simulate", "GAU", "--tlp", "2", "--grid", "4",
-                     "--jobs", "2"]) == 0
-        assert "cycles" in capsys.readouterr().out
-
 
 class TestBatchFlags:
     def test_bench_without_mode_exits(self):

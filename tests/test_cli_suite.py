@@ -48,4 +48,4 @@ def test_suite_command_prints_table(monkeypatch, capsys):
         assert abbr in out
     assert "1.200" in out
     # Engine counter summary rides along (zero sims here: driver is faked).
-    assert "engine (" in out
+    assert "engine: " in out

@@ -1,4 +1,4 @@
-"""Evaluation-engine tests: fingerprints, caching, parallel determinism."""
+"""Evaluation-engine tests: fingerprints, caching, batched routing."""
 
 import json
 
@@ -11,7 +11,6 @@ from repro.engine import (
     config_signature,
     get_engine,
     make_sim_key,
-    resolve_jobs,
 )
 from repro.ptx import parse_kernel, print_kernel
 from repro.workloads import load_workload
@@ -70,7 +69,7 @@ class TestCacheKeys:
 
 class TestCaching:
     def test_repeated_simulate_hits_cache(self, gau):
-        engine = EvaluationEngine(jobs=1)
+        engine = EvaluationEngine()
         r1 = engine.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
                              param_sizes=gau.param_sizes)
         r2 = engine.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
@@ -80,7 +79,7 @@ class TestCaching:
         assert r1 is r2
 
     def test_equal_content_different_object_hits_cache(self, gau):
-        engine = EvaluationEngine(jobs=1)
+        engine = EvaluationEngine()
         engine.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
                         param_sizes=gau.param_sizes)
         clone = parse_kernel(print_kernel(gau.kernel))
@@ -90,14 +89,14 @@ class TestCaching:
         assert engine.stats.sim_hits == 1
 
     def test_traces_shared_across_tlps(self, gau):
-        engine = EvaluationEngine(jobs=1)
+        engine = EvaluationEngine()
         engine.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
                            param_sizes=gau.param_sizes)
         assert engine.stats.trace_misses == 1
         assert engine.stats.sim_misses == 3
 
     def test_clear_forgets_results(self, gau):
-        engine = EvaluationEngine(jobs=1)
+        engine = EvaluationEngine()
         engine.simulate(gau.kernel, FERMI, 1, grid_blocks=4,
                         param_sizes=gau.param_sizes)
         engine.clear()
@@ -107,11 +106,11 @@ class TestCaching:
         assert engine.stats.sim_hits == 0
 
     def test_disk_cache_survives_engine_restart(self, gau, tmp_path):
-        first = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
+        first = EvaluationEngine(disk_cache=str(tmp_path))
         r1 = first.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
                             param_sizes=gau.param_sizes)
         assert list(tmp_path.glob("sim-*.pkl"))
-        second = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
+        second = EvaluationEngine(disk_cache=str(tmp_path))
         r2 = second.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
                              param_sizes=gau.param_sizes)
         assert second.stats.sim_misses == 0
@@ -153,7 +152,7 @@ class TestSchemaVersioning:
         invalidates persisted results wholesale instead of serving
         entries produced by passes that no longer generate the same
         kernels."""
-        first = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
+        first = EvaluationEngine(disk_cache=str(tmp_path))
         first.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
                        param_sizes=gau.param_sizes)
         assert first.stats.sim_misses == 1
@@ -165,14 +164,14 @@ class TestSchemaVersioning:
             cache_mod, "PIPELINE_SCHEMA_VERSION",
             cache_mod.PIPELINE_SCHEMA_VERSION + 1,
         )
-        bumped = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
+        bumped = EvaluationEngine(disk_cache=str(tmp_path))
         bumped.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
                         param_sizes=gau.param_sizes)
         assert bumped.stats.sim_misses == 1
         assert bumped.stats.disk_hits == 0
 
         monkeypatch.undo()
-        third = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
+        third = EvaluationEngine(disk_cache=str(tmp_path))
         third.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
                        param_sizes=gau.param_sizes)
         assert third.stats.sim_misses == 0
@@ -185,7 +184,7 @@ class TestSchemaVersioning:
         entries written under any other model revision are never
         trusted, while those under ``.m1`` — every cache written before
         the model was retired — keep hitting."""
-        first = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
+        first = EvaluationEngine(disk_cache=str(tmp_path))
         first.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
                        param_sizes=gau.param_sizes)
         assert first.stats.sim_misses == 1
@@ -198,14 +197,14 @@ class TestSchemaVersioning:
         monkeypatch.setattr(
             cache_mod, "cache_schema_version", lambda: tag[:-1] + "2"
         )
-        bumped = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
+        bumped = EvaluationEngine(disk_cache=str(tmp_path))
         bumped.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
                         param_sizes=gau.param_sizes)
         assert bumped.stats.sim_misses == 1
         assert bumped.stats.disk_hits == 0
 
         monkeypatch.undo()
-        third = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
+        third = EvaluationEngine(disk_cache=str(tmp_path))
         third.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
                        param_sizes=gau.param_sizes)
         assert third.stats.sim_misses == 0
@@ -217,12 +216,12 @@ class TestPipelineKeying:
     runs under different pipelines can never share a cached result."""
 
     def test_different_pipelines_never_alias(self, gau, tmp_path):
-        plain = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
+        plain = EvaluationEngine(disk_cache=str(tmp_path))
         plain.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
                        param_sizes=gau.param_sizes)
         assert plain.stats.sim_misses == 1
 
-        tagged = EvaluationEngine(jobs=1, disk_cache=str(tmp_path),
+        tagged = EvaluationEngine(disk_cache=str(tmp_path),
                                   pipeline="dce")
         tagged.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
                         param_sizes=gau.param_sizes)
@@ -230,7 +229,7 @@ class TestPipelineKeying:
         assert tagged.stats.disk_hits == 0
 
         # Same pipeline does share across engine restarts.
-        again = EvaluationEngine(jobs=1, disk_cache=str(tmp_path),
+        again = EvaluationEngine(disk_cache=str(tmp_path),
                                  pipeline="dce")
         again.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
                        param_sizes=gau.param_sizes)
@@ -240,10 +239,10 @@ class TestPipelineKeying:
     def test_engine_normalizes_and_validates_pipeline(self):
         from repro.errors import ParseError
 
-        assert EvaluationEngine(jobs=1, pipeline=" dce , copy-prop ")\
+        assert EvaluationEngine(pipeline=" dce , copy-prop ")\
             .pipeline == "dce,copy-prop"
         with pytest.raises(ParseError):
-            EvaluationEngine(jobs=1, pipeline="nonsense")
+            EvaluationEngine(pipeline="nonsense")
 
     def test_configure_sets_shared_engine_pipeline(self):
         from repro.engine import configure
@@ -258,22 +257,8 @@ class TestPipelineKeying:
 
 
 class TestParallelDeterminism:
-    def test_full_profile_matches_serial(self, gau):
-        serial = EvaluationEngine(jobs=1)
-        parallel = EvaluationEngine(jobs=2)
-        usage_tlps = 4
-        a = serial.profile_tlp(gau.kernel, FERMI, usage_tlps, grid_blocks=6,
-                               param_sizes=gau.param_sizes)
-        b = parallel.profile_tlp(gau.kernel, FERMI, usage_tlps, grid_blocks=6,
-                                 param_sizes=gau.param_sizes)
-        assert set(a) == set(b) == set(range(1, usage_tlps + 1))
-        for tlp in a:
-            # SimResult is a plain dataclass: == compares every field,
-            # so this asserts bit-identical counters and cycle counts.
-            assert a[tlp] == b[tlp], f"TLP {tlp} diverged across the pool"
-
     def test_simulate_many_preserves_request_order(self, gau):
-        engine = EvaluationEngine(jobs=2)
+        engine = EvaluationEngine()
         tlps = [3, 1, 2]
         requests = [
             SimRequest(gau.kernel, FERMI, tlp, grid_blocks=4,
@@ -285,8 +270,8 @@ class TestParallelDeterminism:
 
 
 class TestBatchedRouting:
-    """Multi-point sweeps run in-process as one batch of the timing
-    core; single points and fault-plan runs go through the supervisor.
+    """Multi-point sweeps run as one batch of the timing core; single
+    points and fault-plan runs go one at a time through the retry rung.
     The route never changes a result."""
 
     def _requests(self, gau, tlps, scheduler="gto"):
@@ -297,11 +282,11 @@ class TestBatchedRouting:
         ]
 
     def _one_by_one(self, requests):
-        engine = EvaluationEngine(jobs=1, disk_cache="")
+        engine = EvaluationEngine(disk_cache="")
         return [engine.simulate_many([req])[0] for req in requests]
 
     def test_sweep_equals_points_one_by_one(self, gau):
-        engine = EvaluationEngine(jobs=1, disk_cache="")
+        engine = EvaluationEngine(disk_cache="")
         results = engine.simulate_many(self._requests(gau, [1, 2, 3]))
         assert results == self._one_by_one(self._requests(gau, [1, 2, 3]))
         assert engine.stats.batched_points == 3
@@ -310,7 +295,7 @@ class TestBatchedRouting:
     def test_batch_sim_event_emitted(self, gau):
         from repro.engine import BatchSimEvent
 
-        engine = EvaluationEngine(jobs=1, disk_cache="")
+        engine = EvaluationEngine(disk_cache="")
         engine.simulate_many(self._requests(gau, [1, 2]))
         events = [e for e in engine.events if isinstance(e, BatchSimEvent)]
         assert len(events) == 1
@@ -318,24 +303,24 @@ class TestBatchedRouting:
         assert events[0].scheduler == "gto"
 
     def test_singleton_group_stays_supervised(self, gau):
-        engine = EvaluationEngine(jobs=1, disk_cache="")
+        engine = EvaluationEngine(disk_cache="")
         engine.simulate_many(self._requests(gau, [2]))
         assert engine.stats.batched_points == 0
 
     def test_fault_plan_disables_batching(self, gau, monkeypatch):
-        """Under an active fault plan the supervised machinery must
-        stay in the loop (that is what the plan exercises), so batching
-        steps aside; results still match the clean batched run."""
-        clean = EvaluationEngine(jobs=1, disk_cache="")
+        """Under an active fault plan the retry rung must stay in the
+        loop (that is what the plan exercises), so batching steps
+        aside; results still match the clean batched run."""
+        clean = EvaluationEngine(disk_cache="")
         expected = clean.simulate_many(self._requests(gau, [1, 2]))
         monkeypatch.setenv("REPRO_FAULTS", "corrupt-cache:0.5")
-        engine = EvaluationEngine(jobs=1, disk_cache="")
+        engine = EvaluationEngine(disk_cache="")
         results = engine.simulate_many(self._requests(gau, [1, 2]))
         assert engine.stats.batched_points == 0
         assert results == expected
 
     def test_mixed_schedulers_group_separately(self, gau):
-        engine = EvaluationEngine(jobs=1, disk_cache="")
+        engine = EvaluationEngine(disk_cache="")
         requests = (self._requests(gau, [1, 2])
                     + self._requests(gau, [1, 2], scheduler="lrr"))
         results = engine.simulate_many(requests)
@@ -346,7 +331,7 @@ class TestBatchedRouting:
 
 class TestInstrumentation:
     def test_events_and_snapshot_are_json_ready(self, gau):
-        engine = EvaluationEngine(jobs=1)
+        engine = EvaluationEngine()
         with engine.stage("unit-test"):
             engine.profile_tlp(gau.kernel, FERMI, 2, grid_blocks=4,
                                param_sizes=gau.param_sizes)
@@ -357,7 +342,7 @@ class TestInstrumentation:
         assert "unit-test" in snapshot["stats"]["stage_seconds"]
 
     def test_reset_stats_keeps_cache_warm(self, gau):
-        engine = EvaluationEngine(jobs=1)
+        engine = EvaluationEngine()
         engine.simulate(gau.kernel, FERMI, 1, grid_blocks=4,
                         param_sizes=gau.param_sizes)
         engine.reset_stats()
@@ -365,23 +350,6 @@ class TestInstrumentation:
                         param_sizes=gau.param_sizes)
         assert engine.stats.sim_hits == 1
         assert engine.stats.sim_misses == 0
-
-
-class TestJobsResolution:
-    def test_explicit_wins(self):
-        assert resolve_jobs(3) == 3
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "5")
-        assert resolve_jobs(None) == 5
-
-    def test_garbage_env_falls_back_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "many")
-        assert resolve_jobs(None) == 1
-
-    def test_clamped_to_serial(self):
-        assert resolve_jobs(0) == 1
-        assert resolve_jobs(-4) == 1
 
 
 class TestBenchIntegration:
@@ -503,7 +471,7 @@ class TestCacheBounding:
         assert (result, source) == ("r0", "disk")
 
     def test_engine_snapshot_reports_bound(self, gau):
-        engine = EvaluationEngine(jobs=1, cache_max_entries=2)
+        engine = EvaluationEngine(cache_max_entries=2)
         for tlp in (1, 2, 3):
             engine.simulate(gau.kernel, FERMI, tlp, grid_blocks=4,
                             param_sizes=gau.param_sizes)
@@ -517,7 +485,7 @@ class TestCacheBounding:
 
         previous = get_engine()
         try:
-            set_engine(EvaluationEngine(jobs=1))
+            set_engine(EvaluationEngine())
             engine = configure(cache_max_entries=5)
             assert engine._sim_cache.max_entries == 5
             engine = configure(cache_max_entries=0)
@@ -560,7 +528,7 @@ class TestStageMemo:
 
     def test_hit_matches_fresh_allocation(self):
         key, compute = self._spilling_allocation()
-        engine = EvaluationEngine(jobs=1)
+        engine = EvaluationEngine()
         engine.memo(key, compute)
         hit = engine.memo(key, compute)
         fresh = compute()
@@ -575,7 +543,7 @@ class TestStageMemo:
 
     def test_hit_is_a_private_copy(self):
         key, compute = self._spilling_allocation()
-        engine = EvaluationEngine(jobs=1)
+        engine = EvaluationEngine()
         expected = print_kernel(compute().kernel)
         for _ in range(3):
             value = engine.memo(key, compute)
@@ -587,7 +555,7 @@ class TestStageMemo:
     def test_failure_is_not_stored(self):
         from repro.regalloc.allocator import InsufficientRegistersError
 
-        engine = EvaluationEngine(jobs=1)
+        engine = EvaluationEngine()
         calls = []
 
         def compute():
@@ -605,7 +573,7 @@ class TestStageMemo:
 
         previous = get_engine()
         try:
-            set_engine(EvaluationEngine(jobs=1))
+            set_engine(EvaluationEngine())
             engine = configure(cache_max_entries=2)
             engine.memo(("k", 1), lambda: 1)
             engine.memo(("k", 2), lambda: 2)
@@ -619,7 +587,7 @@ class TestStageMemo:
             set_engine(previous)
 
     def test_clear_empties_memo_and_counters(self):
-        engine = EvaluationEngine(jobs=1)
+        engine = EvaluationEngine()
         assert engine.memo(("k",), lambda: [1]) == [1]
         assert engine.memo(("k",), lambda: [2]) == [1]
         assert engine.memo(("j",), lambda: [3]) == [3]
@@ -637,7 +605,7 @@ class TestStageMemo:
         import sys
         import threading
 
-        engine = EvaluationEngine(jobs=1, cache_max_entries=4)
+        engine = EvaluationEngine(cache_max_entries=4)
         calls, errors = 300, []
 
         def worker(seed):
@@ -682,7 +650,7 @@ class TestStageMemo:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(verify_mod, name, counted)
-        engine = EvaluationEngine(jobs=1)
+        engine = EvaluationEngine()
         optimizer = CRATOptimizer(
             FERMI,
             verify=True,

@@ -1,5 +1,5 @@
-"""Recovery-path tests: deterministic fault injection, supervised
-retries, graceful degradation, cache integrity, checkpoint/resume."""
+"""Recovery-path tests: deterministic fault injection, the in-process
+retry rung, graceful degradation, cache integrity, checkpoint/resume."""
 
 import dataclasses
 import pickle
@@ -7,26 +7,24 @@ import pickle
 import pytest
 
 from repro.arch import FERMI
+from repro.cli import main
 from repro.engine import (
     EvaluationEngine,
-    SupervisorPolicy,
     decode_entry,
     encode_entry,
     make_sim_key,
-    resolve_jobs,
 )
 from repro.engine.cache import (
     ENTRY_MAGIC,
     CacheCorruptionError,
     SimResultCache,
 )
-from repro.engine.faults import FaultPlan, FaultSpecError, InjectedFault
+from repro.engine.faults import FaultPlan, FaultSpecError
 from repro.errors import (
     AllocationError,
     ParseError,
     ReproError,
     SimulationError,
-    TaskTimeoutError,
     classify_error,
 )
 from repro.workloads import load_workload
@@ -38,7 +36,7 @@ def gau():
 
 
 def _clean_profile(gau, max_tlp=3):
-    engine = EvaluationEngine(jobs=1)
+    engine = EvaluationEngine()
     return engine.profile_tlp(
         gau.kernel, FERMI, max_tlp, grid_blocks=4, param_sizes=gau.param_sizes
     )
@@ -60,27 +58,20 @@ class TestFaultPlan:
         never = FaultPlan.parse("crash:0")
         assert always.decide("crash", "x")
         assert not never.decide("crash", "x")
-        assert not always.decide("hang", "x")  # unlisted kind never fires
+        assert not always.decide("fail", "x")  # unlisted kind never fires
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(FaultSpecError, match="unknown fault"):
-            FaultPlan.parse("explode:0.5")
+        # ``hang`` included: nothing in a simulation can hang, so there
+        # is no task timeout for it to trip (``shard-hang`` stays).
+        for spec in ("explode:0.5", "hang:0.1"):
+            with pytest.raises(FaultSpecError, match="unknown fault"):
+                FaultPlan.parse(spec)
 
     def test_bad_rates_rejected(self):
         with pytest.raises(FaultSpecError, match="non-numeric"):
             FaultPlan.parse("crash:lots")
         with pytest.raises(FaultSpecError, match="out of"):
             FaultPlan.parse("crash:1.5")
-
-    def test_injected_fault_survives_pickling(self):
-        # The pool ships worker exceptions back via pickle; a fault
-        # that cannot round-trip would surface as a BrokenProcessPool.
-        fault = InjectedFault("crash", "token", 2)
-        clone = pickle.loads(pickle.dumps(fault))
-        assert isinstance(clone, InjectedFault)
-        assert (clone.fault_kind, clone.token, clone.attempt) == (
-            "crash", "token", 2,
-        )
 
 
 class TestErrorTaxonomy:
@@ -92,14 +83,13 @@ class TestErrorTaxonomy:
         assert isinstance(
             classify_error(InsufficientRegistersError("x")), AllocationError
         )
-        assert isinstance(classify_error(TimeoutError("x")), TaskTimeoutError)
+        assert isinstance(classify_error(TimeoutError("x")), SimulationError)
         assert isinstance(classify_error(RuntimeError("x")), SimulationError)
 
     def test_exit_codes(self):
         assert ParseError("x").exit_code == 2
         assert AllocationError("x").exit_code == 3
         assert SimulationError("x").exit_code == 4
-        assert TaskTimeoutError("x").exit_code == 4
 
     def test_classified_errors_pass_through_unchanged(self):
         original = SimulationError("boom", kernel="K")
@@ -118,21 +108,57 @@ class TestErrorTaxonomy:
         assert record["kind"] == "SimulationError"
         assert record["exit_code"] == 4
 
-    def test_timeout_is_also_a_builtin_timeout(self):
-        assert isinstance(TaskTimeoutError("x"), TimeoutError)
+
+class TestInterrupts:
+    """Ctrl-C is never a simulation failure: the retry rung catches only
+    ``Exception``, so ``KeyboardInterrupt`` stops the run."""
+
+    @pytest.fixture
+    def interrupted(self, monkeypatch):
+        import repro.sim.gpu
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(repro.sim.gpu, "simulate_traces", interrupt)
+
+    def test_single_point_simulate_propagates(self, gau, interrupted):
+        engine = EvaluationEngine()
+        with pytest.raises(KeyboardInterrupt):
+            engine.simulate(gau.kernel, FERMI, 1, grid_blocks=4,
+                            param_sizes=gau.param_sizes)
+        assert engine.stats.sim_failures == 0
+
+    def test_single_point_profile_is_not_degraded(self, gau, interrupted):
+        engine = EvaluationEngine()
+        with pytest.raises(KeyboardInterrupt):
+            engine.profile_tlp(gau.kernel, FERMI, 1, grid_blocks=4,
+                               param_sizes=gau.param_sizes)
+        assert engine.stats.degraded == 0
 
 
-class TestJobsWarning:
-    def test_invalid_env_warns_once_on_stderr(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_JOBS", "many")
-        assert resolve_jobs(None) == 1
-        err = capsys.readouterr().err
-        assert "REPRO_JOBS" in err and "many" in err
+class TestInProcessSurface:
+    """The engine runs every simulation in-process: worker-count and
+    task-timeout options are usage errors, never silently ignored."""
+
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--task-timeout", "5"]])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "GAU"], ["crat", "GAU"], ["suite"], ["serve"],
+    ])
+    def test_flags_are_usage_errors(self, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(command + flag)
+        assert exc.value.code == 2
+
+    def test_engine_accepts_only_one_job(self):
+        EvaluationEngine(jobs=1)
+        with pytest.raises(ValueError, match="in-process"):
+            EvaluationEngine(jobs=2)
 
 
 class TestCacheIntegrity:
     def _result(self, gau):
-        engine = EvaluationEngine(jobs=1)
+        engine = EvaluationEngine()
         return engine.simulate(gau.kernel, FERMI, 1, grid_blocks=4,
                                param_sizes=gau.param_sizes)
 
@@ -187,14 +213,12 @@ class TestCacheIntegrity:
 
 class TestInjectedFaultRecovery:
     def test_crash_faults_retry_to_identical_results(self, gau, monkeypatch):
-        """Injected worker crashes are retried (fresh pool, serial last
-        resort) and the final profile is bit-identical to a clean run."""
+        """Injected crashes are retried in-process and the final
+        profile is bit-identical to a clean run."""
         clean = _clean_profile(gau)
         monkeypatch.setenv("REPRO_FAULTS", "crash:0.9")
         monkeypatch.setenv("REPRO_FAULTS_SEED", "0")
-        engine = EvaluationEngine(
-            jobs=2, supervisor=SupervisorPolicy(max_attempts=3, backoff=0.0)
-        )
+        engine = EvaluationEngine()
         faulty = engine.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
                                     param_sizes=gau.param_sizes)
         assert engine.stats.faults_injected >= 1
@@ -202,22 +226,26 @@ class TestInjectedFaultRecovery:
         assert engine.stats.degraded == 0
         assert faulty == clean
 
-    def test_hang_faults_time_out_then_recover(self, gau, monkeypatch):
-        """A hanging worker trips the per-task timeout; the supervisor
-        abandons the pool and the serial last attempt runs clean."""
-        clean = _clean_profile(gau, max_tlp=1)
-        monkeypatch.setenv("REPRO_FAULTS", "hang:1.0")
-        monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", "5")
-        engine = EvaluationEngine(
-            jobs=2,
-            supervisor=SupervisorPolicy(
-                timeout=0.25, max_attempts=2, backoff=0.0
-            ),
-        )
-        result = engine.simulate(gau.kernel, FERMI, 1, grid_blocks=4,
-                                 param_sizes=gau.param_sizes)
-        assert engine.stats.timeouts >= 1
-        assert result == clean[1]
+    def test_certain_crash_simulates_on_the_final_attempt(self, gau,
+                                                          monkeypatch):
+        """``crash:1.0`` fires on attempts 1 and 2 of every point and
+        never on the last, so each point simulates on its third try."""
+        clean = _clean_profile(gau)
+        monkeypatch.setenv("REPRO_FAULTS", "crash:1.0")
+        engine = EvaluationEngine()
+        faulty = engine.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
+                                    param_sizes=gau.param_sizes)
+        assert faulty == clean
+        assert engine.stats.retries == 6
+        assert engine.stats.faults_injected == 6
+        assert engine.stats.degraded == 0
+        assert engine.stats.sim_misses == 3
+        crashes = {}
+        for event in engine.events:
+            if getattr(event, "kind", "") == "fault":
+                crashes.setdefault(event.token, []).append(event.attempt)
+        assert len(crashes) == 3
+        assert all(attempts == [1, 2] for attempts in crashes.values())
 
     def test_permanent_failure_degrades_to_estimate(self, gau, monkeypatch):
         """A point that fails on every attempt is filled with its
@@ -225,9 +253,7 @@ class TestInjectedFaultRecovery:
         ceiling failed too, every point gets the un-anchored GTO-mimic
         cost (pinned literals)."""
         monkeypatch.setenv("REPRO_FAULTS", "fail:1.0")
-        engine = EvaluationEngine(
-            jobs=1, supervisor=SupervisorPolicy(max_attempts=2, backoff=0.0)
-        )
+        engine = EvaluationEngine()
         profile = engine.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
                                      param_sizes=gau.param_sizes)
         assert set(profile) == {1, 2, 3}
@@ -254,9 +280,7 @@ class TestInjectedFaultRecovery:
         floored by the ceiling's DRAM traffic (pinned literals)."""
         monkeypatch.setenv("REPRO_FAULTS", "fail:0.5")
         monkeypatch.setenv("REPRO_FAULTS_SEED", "11")
-        engine = EvaluationEngine(
-            jobs=1, supervisor=SupervisorPolicy(max_attempts=2, backoff=0.0)
-        )
+        engine = EvaluationEngine()
         profile = engine.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
                                      param_sizes=gau.param_sizes)
         assert [profile[t].estimated for t in (1, 2, 3)] == [True, True, False]
@@ -267,9 +291,7 @@ class TestInjectedFaultRecovery:
 
     def test_strict_single_point_raises_classified(self, gau, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "fail:1.0")
-        engine = EvaluationEngine(
-            jobs=1, supervisor=SupervisorPolicy(max_attempts=1, backoff=0.0)
-        )
+        engine = EvaluationEngine()
         with pytest.raises(SimulationError, match="injected fail"):
             engine.simulate(gau.kernel, FERMI, 1, grid_blocks=4,
                             param_sizes=gau.param_sizes)
@@ -280,21 +302,21 @@ class TestInjectedFaultRecovery:
         damage, discard the entry, and the results stay correct."""
         clean = _clean_profile(gau)
         monkeypatch.setenv("REPRO_FAULTS", "corrupt-cache:1.0")
-        first = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
+        first = EvaluationEngine(disk_cache=str(tmp_path))
         faulty = first.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
                                    param_sizes=gau.param_sizes)
         assert faulty == clean
         # Every persisted entry was corrupted; a fresh engine detects
         # them all, discards them, and re-simulates correctly.
         monkeypatch.delenv("REPRO_FAULTS")
-        second = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
+        second = EvaluationEngine(disk_cache=str(tmp_path))
         recovered = second.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
                                        param_sizes=gau.param_sizes)
         assert recovered == clean
         assert second.stats.cache_corrupt == 3
         assert second.stats.disk_hits == 0
         # The rewrites were clean: a third engine gets pure disk hits.
-        third = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
+        third = EvaluationEngine(disk_cache=str(tmp_path))
         third.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
                           param_sizes=gau.param_sizes)
         assert third.stats.disk_hits == 3
@@ -304,14 +326,14 @@ class TestInjectedFaultRecovery:
 class TestCheckpointResume:
     def test_resume_skips_completed_points(self, gau, tmp_path):
         ckpt = str(tmp_path / "ckpt")
-        first = EvaluationEngine(jobs=1, checkpoint_dir=ckpt)
+        first = EvaluationEngine(checkpoint_dir=ckpt)
         before = first.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
                                    param_sizes=gau.param_sizes)
         assert first.stats.sim_misses == 3
 
         # "Interrupted" run restarts with cold caches but the same
         # checkpoint directory: only the new point simulates.
-        second = EvaluationEngine(jobs=1, checkpoint_dir=ckpt)
+        second = EvaluationEngine(checkpoint_dir=ckpt)
         after = second.profile_tlp(gau.kernel, FERMI, 4, grid_blocks=4,
                                    param_sizes=gau.param_sizes)
         assert second.stats.checkpoint_hits == 3
@@ -327,7 +349,7 @@ class TestCheckpointResume:
     def test_checkpoint_env_picked_up(self, gau, tmp_path, monkeypatch):
         ckpt = str(tmp_path / "envckpt")
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", ckpt)
-        engine = EvaluationEngine(jobs=1)
+        engine = EvaluationEngine()
         assert engine.checkpoint_dir == ckpt
         engine.simulate(gau.kernel, FERMI, 1, grid_blocks=4,
                         param_sizes=gau.param_sizes)

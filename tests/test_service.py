@@ -49,7 +49,7 @@ def _wait_until(predicate, timeout=10.0, interval=0.01):
 def fresh_engine():
     """Isolate each test from the process-wide engine singleton."""
     previous = get_engine()
-    engine = EvaluationEngine(jobs=1, disk_cache="")
+    engine = EvaluationEngine(disk_cache="")
     yield engine
     set_engine(previous)
 
@@ -85,7 +85,7 @@ class TestBasics:
             via_server = submit_or_raise(client, "simulate", SIM_GAU)
         previous = get_engine()
         try:
-            set_engine(EvaluationEngine(jobs=1, disk_cache=""))
+            set_engine(EvaluationEngine(disk_cache=""))
             prepared = prepare(Request(job="simulate", params=SIM_GAU))
             one_shot = execute(prepared)
         finally:

@@ -20,7 +20,7 @@ from repro.arch import FERMI
 from repro.cfg.liveness import LivenessInfo
 from repro.cli import main
 from repro.core.crat import CRATOptimizer
-from repro.engine import EvaluationEngine, SupervisorPolicy
+from repro.engine import EvaluationEngine
 from repro.errors import EXIT_VERIFY, ReproError, VerificationError
 from repro.opt import (
     apply_static_bypass,
@@ -565,10 +565,7 @@ class TestFaultInjectionWithVerify:
     def _run(self, verify, monkeypatch=None):
         if monkeypatch is not None:
             monkeypatch.setenv("REPRO_FAULTS", "fail:1.0")
-        engine = EvaluationEngine(
-            jobs=1,
-            supervisor=SupervisorPolicy(max_attempts=2, backoff=0.0),
-        )
+        engine = EvaluationEngine()
         workload = load_workload("GAU")
         opt = CRATOptimizer(FERMI, engine=engine, verify=verify)
         try:

@@ -119,7 +119,7 @@ def compute_expected():
     previous = get_engine()
     try:
         for key, (job, params) in unique_requests().items():
-            set_engine(EvaluationEngine(jobs=2, disk_cache=""))
+            set_engine(EvaluationEngine(disk_cache=""))
             expected[key] = execute(prepare(Request(job=job, params=params)))
     finally:
         set_engine(previous)
@@ -222,7 +222,7 @@ def main():
     daemon = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve",
          "--shards", str(SHARDS), "--socket", sock_path,
-         "--workers", "2", "--jobs", "2",
+         "--workers", "2",
          "--heartbeat-interval", "0.5", "--replication-interval", "2"],
         env=env,
         stderr=log_file,

@@ -8,8 +8,8 @@ The CI ``service-smoke`` job's driver, also runnable locally::
 What it checks, end to end, with real processes and a real socket:
 
 1. a ``repro serve`` daemon boots (with an injected ``REPRO_FAULTS``
-   worker-crash rate, so the supervisor's recovery path is exercised
-   *through* the service);
+   crash rate, so the engine's retry rung is exercised *through* the
+   service);
 2. 50 mixed requests (``simulate``/``crat``/``verify``) issued from
    8 concurrent client processes all succeed, and so do 4 ``crat``
    requests on HST that a ninth client sends one after another: as a
@@ -19,7 +19,9 @@ What it checks, end to end, with real processes and a real socket:
 3. every answer is identical to the same job executed one-shot on a
    fresh, fault-free engine — the daemon (and the injected crashes)
    must never change a result;
-4. SIGTERM drains cleanly: exit code 0, ``service_drained`` logged.
+4. the injected crashes really fired: the daemon's ``stats`` reply
+   counts at least one injected fault and one retry;
+5. SIGTERM drains cleanly: exit code 0, ``service_drained`` logged.
 
 Exit status: 0 on success, 1 on any mismatch or daemon misbehavior.
 """
@@ -97,11 +99,31 @@ def compute_expected():
             key = json.dumps([job, params], sort_keys=True)
             if key in expected:
                 continue
-            set_engine(EvaluationEngine(jobs=2, disk_cache=""))
+            set_engine(EvaluationEngine(disk_cache=""))
             expected[key] = execute(prepare(Request(job=job, params=params)))
     finally:
         set_engine(previous)
     return expected
+
+
+def check_faults_fired(sock_path):
+    """Failures (0 or 1): the daemon's engine must have injected at
+    least one crash and retried it, or the run proved nothing."""
+    from repro.service import ServiceClient
+
+    try:
+        with ServiceClient(socket_path=sock_path, timeout=30.0) as client:
+            stats = client.stats()["engine"]["stats"]
+    except Exception as err:
+        print(f"FAIL: stats request failed: {err}", file=sys.stderr)
+        return 1
+    print(f"engine: {stats['faults_injected']} faults injected, "
+          f"{stats['retries']} retries over {stats['simulations']} "
+          f"simulations", flush=True)
+    if stats["faults_injected"] >= 1 and stats["retries"] >= 1:
+        return 0
+    print("FAIL: no injected fault fired and was retried", file=sys.stderr)
+    return 1
 
 
 def wait_for_socket(path, timeout=30.0):
@@ -139,13 +161,13 @@ def main():
 
     env = dict(os.environ)
     env.setdefault("PYTHONPATH", "src")
-    # Injected worker crashes: the engine's supervisor must retry them
+    # Injected crashes: the engine's retry rung must retry them
     # invisibly — the service above it never sees a difference.
     env["REPRO_FAULTS"] = "crash:0.2"
     env["REPRO_FAULTS_SEED"] = "7"
     daemon = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve",
-         "--socket", sock_path, "--workers", "2", "--jobs", "2",
+         "--socket", sock_path, "--workers", "2",
          "--log-interval", "0"],
         env=env,
         stderr=subprocess.PIPE,
@@ -191,6 +213,7 @@ def main():
                 failures += 1
         print(f"{len(answered)}/{len(requests)} answered, "
               f"{failures} mismatches", flush=True)
+        failures += check_faults_fired(sock_path)
     finally:
         daemon.send_signal(signal.SIGTERM)
         try:
@@ -208,7 +231,8 @@ def main():
         return 1
     if failures:
         return 1
-    print("service smoke: OK (identical to one-shot, clean drain)")
+    print("service smoke: OK (identical to one-shot, faults retried, "
+          "clean drain)")
     return 0
 
 
