@@ -29,10 +29,14 @@ from ..arch.config import GPUConfig, get_config
 from ..arch.occupancy import register_utilization
 from ..core.crat import CRATOptimizer, CRATResult
 from ..engine import get_engine
-from ..engine.engine import CHECKPOINT_DIR_ENV
 from ..errors import EXIT_PARTIAL, ReproError, classify_error
 from ..core.throttling import BaselineResult
 from ..workloads.suite import Workload, load_workload
+
+#: Environment variable naming the journal directory: ``repro suite``
+#: appends ``journal.jsonl`` there, and a draining ``repro serve``
+#: writes its queued jobs to ``service-queue.jsonl``.
+CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
 
 
 @dataclasses.dataclass
@@ -230,7 +234,7 @@ def _journal_path() -> Optional[str]:
 def _journal_app(abbr: str, config_name: str, status: str, detail: str = "") -> None:
     """Append one app-completion record to the checkpoint journal.
 
-    Purely informational (the design-point checkpoint store is what
+    Purely informational (the disk cache, ``REPRO_CACHE_DIR``, is what
     makes resumption cheap); gives an interrupted run a human-readable
     ledger of how far it got.
     """

@@ -19,7 +19,8 @@ Commands mirror how the paper's toolchain is used:
 * ``serve``              — persistent compilation daemon: one warm
   engine behind a unix socket (or TCP via ``--listen``), NDJSON
   protocol, single-flight dedup, bounded queue with backpressure,
-  graceful SIGTERM drain
+  graceful SIGTERM drain; for more cores, run several daemons over one
+  ``REPRO_CACHE_DIR``
 * ``submit JOB TARGET``  — send one job to a running daemon and render
   the result exactly as the one-shot command would
 
@@ -439,25 +440,6 @@ def cmd_serve(args) -> int:
     from .service import jobs as service_jobs
 
     service_jobs.set_default_passes(args.passes)
-    if args.shards > 1:
-        if args.listen:
-            raise SystemExit(
-                "error: --shards needs unix sockets; --listen is "
-                "single-daemon only"
-            )
-        from .service import default_socket_path
-        from .service.fleet import fleet_main
-
-        return fleet_main(
-            socket_path=args.socket or default_socket_path(),
-            shards=args.shards,
-            state_dir=args.state_dir or None,
-            workers_per_shard=args.workers,
-            queue_limit=args.queue_limit,
-            passes=args.passes,
-            heartbeat_interval=args.heartbeat_interval,
-            replication_interval=args.replication_interval,
-        )
     return serve_main(
         socket_path=args.socket or None,
         host=host,
@@ -573,57 +555,6 @@ def cmd_submit(args) -> int:
         from .errors import EXIT_VERIFY
 
         return EXIT_VERIFY
-    return 0
-
-
-def cmd_fleet(args) -> int:
-    import json
-
-    from .service import ServiceClient, unwrap
-
-    with ServiceClient(
-        socket_path=args.socket or None, max_retries=args.retries
-    ) as client:
-        payload = unwrap(client.submit("health"))
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    fleet = payload.get("fleet")
-    shards = payload.get("shards")
-    if not isinstance(fleet, dict) or not isinstance(shards, dict):
-        # A single (non-fleet) daemon also answers health; render it.
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    live = fleet.get("live") or []
-    print(f"fleet on {fleet.get('socket')}: "
-          f"{len(live)}/{fleet.get('shards')} shards live"
-          f"{'  [DRAINING]' if fleet.get('draining') else ''}")
-    print(f"  dispatches: accepted={fleet.get('accepted')} "
-          f"completed={fleet.get('completed')} "
-          f"rerouted={fleet.get('rerouted')} "
-          f"expired={fleet.get('expired')} drained={fleet.get('drained')}")
-    print(f"  supervision: spawns={fleet.get('spawns')} "
-          f"restarts={fleet.get('restarts')} "
-          f"heartbeat_misses={fleet.get('heartbeat_misses')} "
-          f"handoffs={fleet.get('handoffs')}")
-    conservation = fleet.get("conservation_ok")
-    print(f"  conservation (accepted == completed+expired+drained"
-          f"+rerouted): {'OK' if conservation else 'VIOLATED'}")
-    for sid in sorted(shards):
-        status = shards[sid] or {}
-        health = status.get("health") or {}
-        recovery = status.get("max_recovery_seconds")
-        print(f"  {sid}: {status.get('state'):8s} pid={status.get('pid')} "
-              f"epoch={status.get('epoch')} "
-              f"restarts={status.get('restarts')} "
-              f"misses={status.get('heartbeat_misses')} "
-              f"max_recovery={recovery if recovery else 0:.2f}s "
-              f"completed={health.get('completed', '?')} "
-              f"checkpoint_hits={health.get('checkpoint_hits', '?')}")
-    if conservation is False:
-        from .errors import EXIT_SERVICE
-
-        return EXIT_SERVICE
     return 0
 
 
@@ -758,8 +689,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="serve TCP instead of a unix socket")
     p_serve.add_argument("--workers", type=int, default=2,
                          help="job worker threads sharing one engine "
-                              "(default 2); use --shards N to spread "
-                              "concurrent clients over N processes")
+                              "(default 2); to spread concurrent "
+                              "clients over more cores, run several "
+                              "daemons over one REPRO_CACHE_DIR")
     p_serve.add_argument("--queue-limit", type=int, default=64,
                          help="bounded queue depth before requests are "
                               "refused with an overloaded reply "
@@ -773,23 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="period of the structured stats log lines "
                               "on stderr (0 disables; default 30)")
-    p_serve.add_argument("--shards", type=int, default=1, metavar="N",
-                         help="run a self-healing fleet of N supervised "
-                              "engine shards behind one router socket "
-                              "(default 1 = the single daemon)")
-    p_serve.add_argument("--state-dir", default="",
-                         help="fleet state root (shard checkpoints + "
-                              "replicas; default: <socket>.fleet)")
-    p_serve.add_argument("--heartbeat-interval", type=float, default=1.0,
-                         metavar="SECONDS",
-                         help="fleet: per-shard health-check period "
-                              "(default 1.0)")
-    p_serve.add_argument("--replication-interval", type=float, default=5.0,
-                         metavar="SECONDS",
-                         help="fleet: warm-state handoff period; each "
-                              "round ships every shard's checkpoint "
-                              "journal to its ring successor (default "
-                              "5.0; 0 disables)")
     add_passes_flag(p_serve)
     p_serve.set_defaults(func=cmd_serve)
 
@@ -836,24 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="crat/suite: translation-validate")
     add_passes_flag(p_submit)
     p_submit.set_defaults(func=cmd_submit)
-
-    p_fleet = sub.add_parser(
-        "fleet", help="inspect a running sharded fleet"
-    )
-    fleet_sub = p_fleet.add_subparsers(dest="fleet_command", required=True)
-    p_fstatus = fleet_sub.add_parser(
-        "status", help="shard liveness, dispatch counters and the "
-                       "conservation check (exit 7 if violated)"
-    )
-    p_fstatus.add_argument("--socket", default="",
-                           help="router's unix socket (default: "
-                                "$REPRO_SOCKET or the per-user default)")
-    p_fstatus.add_argument("--max-retries", dest="retries", type=int,
-                           default=2,
-                           help="connection retry budget (default 2)")
-    p_fstatus.add_argument("--json", action="store_true",
-                           help="print the raw health payload as JSON")
-    p_fstatus.set_defaults(func=cmd_fleet)
 
     return parser
 

@@ -19,7 +19,6 @@ from .cache import (
     resolve_max_entries,
 )
 from .engine import (
-    CHECKPOINT_DIR_ENV,
     EvaluationEngine,
     SimRequest,
     configure,
@@ -30,7 +29,6 @@ from .events import (
     BatchEvent,
     BatchSimEvent,
     CacheCorruptEvent,
-    CheckpointEvent,
     DegradeEvent,
     EngineStats,
     FaultEvent,
@@ -54,10 +52,8 @@ __all__ = [
     "BatchSimEvent",
     "CACHE_DIR_ENV",
     "CACHE_MAX_ENTRIES_ENV",
-    "CHECKPOINT_DIR_ENV",
     "CacheCorruptEvent",
     "CacheCorruptionError",
-    "CheckpointEvent",
     "DegradeEvent",
     "EngineStats",
     "EvaluationEngine",

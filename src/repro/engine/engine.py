@@ -38,14 +38,14 @@ import contextlib
 import dataclasses
 import json
 import math
-import os
 import pickle
 import threading
 import time
 import zlib
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import (
     Callable,
+    Deque,
     Dict,
     Iterable,
     List,
@@ -74,7 +74,6 @@ from .events import (
     BatchEvent,
     BatchSimEvent,
     CacheCorruptEvent,
-    CheckpointEvent,
     DegradeEvent,
     EngineEvent,
     EngineStats,
@@ -85,9 +84,6 @@ from .events import (
     TraceEvent,
     event_to_dict,
 )
-
-#: Environment variable naming the checkpoint journal directory.
-CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
 
 #: L1 hit ratio the degrade estimate's GTO mimic assumes.
 _ESTIMATE_HIT_RATIO = 0.6
@@ -188,7 +184,6 @@ class EvaluationEngine:
         jobs: int = 1,
         disk_cache: Optional[str] = None,
         max_events: int = 100_000,
-        checkpoint_dir: Optional[str] = None,
         cache_max_entries: Optional[int] = None,
         pipeline: str = "",
     ):
@@ -214,38 +209,13 @@ class EvaluationEngine:
         self._memo: "OrderedDict[Tuple, bytes]" = OrderedDict()
         self._memo_lock = threading.Lock()
         self.stats = EngineStats()
-        self.events: List[EngineEvent] = []
-        self._max_events = max_events
-        #: Optional checkpoint journal: completed design points are
-        #: persisted (content-keyed, like the sim cache) so an
-        #: interrupted sweep resumes without re-simulating them.
-        if checkpoint_dir is None:
-            checkpoint_dir = os.environ.get(CHECKPOINT_DIR_ENV) or None
-        self._checkpoint: Optional[SimResultCache] = (
-            SimResultCache(checkpoint_dir, on_corrupt=self._on_cache_corrupt)
-            if checkpoint_dir
-            else None
-        )
+        #: The newest ``max_events`` events; older ones fall off the
+        #: front, so a long-lived daemon's log stays current.
+        self.events: Deque[EngineEvent] = deque(maxlen=max_events)
 
     def _on_cache_corrupt(self, path: str, reason: str) -> None:
         self.stats.cache_corrupt += 1
         self._emit(CacheCorruptEvent(path=path, reason=reason))
-
-    @property
-    def checkpoint_dir(self) -> Optional[str]:
-        # NB: ``is not None`` — an empty SimResultCache is falsy
-        # (it defines ``__len__``).
-        if self._checkpoint is not None:
-            return self._checkpoint.disk_dir
-        return None
-
-    def set_checkpoint_dir(self, directory: Optional[str]) -> None:
-        """Enable (or disable, with ``None``) the checkpoint journal."""
-        self._checkpoint = (
-            SimResultCache(directory, on_corrupt=self._on_cache_corrupt)
-            if directory
-            else None
-        )
 
     # ------------------------------------------------------------------
     # Instrumentation plumbing.
@@ -253,8 +223,7 @@ class EvaluationEngine:
     def _emit(self, event: EngineEvent) -> None:
         if getattr(event, "kind", "") == "fault":
             self.stats.faults_injected += 1
-        if len(self.events) < self._max_events:
-            self.events.append(event)
+        self.events.append(event)
 
     def record_stage(self, name: str, seconds: float) -> None:
         """Account a pipeline stage that the caller timed itself."""
@@ -507,8 +476,7 @@ class EvaluationEngine:
 
         Each slot of the returned list is either the point's
         :class:`SimResult` or the classified error it ended with.
-        Successful points are cached (and journaled to the checkpoint
-        store when one is configured); failed points are not.
+        Successful points are cached; failed points are not.
 
         Groups of two or more points that share traces, config and
         scheduler run as one batch of the timing core
@@ -536,21 +504,6 @@ class EvaluationEngine:
             )
             keys.append(key)
             cached, source = self._sim_cache.get(key)
-            if cached is None and self._checkpoint is not None:
-                cached, ckpt_source = self._checkpoint.get(key)
-                if cached is not None:
-                    source = "checkpoint"
-                    # Promote into the primary cache so later lookups
-                    # are plain memory hits.
-                    self._sim_cache.put(key, cached)
-                    self.stats.checkpoint_hits += 1
-                    self._emit(
-                        CheckpointEvent(
-                            key=key_digest(key),
-                            kernel=req.kernel.name,
-                            tlp=req.tlp,
-                        )
-                    )
             if cached is not None:
                 results[i] = cached
                 batch_hits += 1
@@ -608,8 +561,6 @@ class EvaluationEngine:
                 if isinstance(outcome, SimResult):
                     result = outcome
                     self._sim_cache.put(keys[i], result)
-                    if self._checkpoint is not None:
-                        self._checkpoint.put(keys[i], result)
                     results[i] = result
                     self.stats.sim_misses += 1
                     self._emit(
@@ -730,9 +681,10 @@ class EvaluationEngine:
             "memo_entries": len(self._memo),
             "cache_max_entries": self._sim_cache.max_entries,
             "cache_evictions": self._sim_cache.evictions,
-            "checkpoint_dir": self.checkpoint_dir,
             "stats": self.stats.to_dict(),
-            "events": [event_to_dict(e) for e in self.events],
+            # ``list()`` copies the deque in one step, so a worker
+            # thread appending meanwhile cannot break the iteration.
+            "events": [event_to_dict(e) for e in list(self.events)],
         }
 
     def to_json(self, indent: int = 2) -> str:
@@ -741,7 +693,7 @@ class EvaluationEngine:
     def reset_stats(self) -> None:
         """Zero the counters and drop the event log (caches stay warm)."""
         self.stats = EngineStats()
-        self.events = []
+        self.events = deque(maxlen=self.events.maxlen)
 
     def clear(self, disk: bool = False) -> None:
         """Drop cached results, traces and memoised stages (and
@@ -786,12 +738,10 @@ def set_engine(engine: EvaluationEngine) -> EvaluationEngine:
 
 def configure(
     disk_cache: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None,
     cache_max_entries: Optional[int] = None,
     passes: Optional[str] = None,
 ) -> EvaluationEngine:
     """Adjust the shared engine in place (the CLI's hook).
-    ``checkpoint_dir`` ("" disables) points the resumption journal;
     ``cache_max_entries`` (0 unbounds) LRU-bounds the in-memory result
     cache and the stage memo.
     ``passes`` sets the active optimization-pipeline signature folded
@@ -804,8 +754,6 @@ def configure(
         engine = get_engine()
         if disk_cache is not None:
             engine._sim_cache.disk_dir = disk_cache
-        if checkpoint_dir is not None:
-            engine.set_checkpoint_dir(checkpoint_dir or None)
         if cache_max_entries is not None:
             engine._sim_cache.set_max_entries(cache_max_entries)
             with engine._memo_lock:

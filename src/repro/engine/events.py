@@ -157,28 +157,6 @@ class RequestEvent:
 
 
 @dataclasses.dataclass(frozen=True)
-class ShardEvent:
-    """One fleet-supervision action on an engine shard.
-
-    Emitted by the fleet router/supervisor into its engine's event log
-    (so ``--trace-json`` and the periodic structured log lines carry
-    them) and mirrored into the fleet counters that ``repro fleet
-    status`` and the chaos smoke read — recovery behavior is asserted
-    from data, not scraped from logs.  ``action`` is one of ``spawn``,
-    ``ready``, ``heartbeat-miss``, ``dead``, ``restart``, ``restore``,
-    ``handoff`` or ``reroute``; ``epoch`` counts the shard's restarts
-    (0 = first boot).
-    """
-
-    kind: ClassVar[str] = "shard"
-
-    shard: str
-    action: str
-    epoch: int
-    detail: str = ""
-
-
-@dataclasses.dataclass(frozen=True)
 class CacheCorruptEvent:
     """One corrupt/truncated/legacy persistent-cache entry, detected by
     checksum verification on read and deleted (the point re-simulates
@@ -188,17 +166,6 @@ class CacheCorruptEvent:
 
     path: str
     reason: str
-
-
-@dataclasses.dataclass(frozen=True)
-class CheckpointEvent:
-    """One design point restored from the checkpoint journal on resume."""
-
-    kind: ClassVar[str] = "checkpoint"
-
-    key: str
-    kernel: str
-    tlp: int
 
 
 EngineEvent = Union[
@@ -211,9 +178,7 @@ EngineEvent = Union[
     RetryEvent,
     DegradeEvent,
     RequestEvent,
-    ShardEvent,
     CacheCorruptEvent,
-    CheckpointEvent,
 ]
 
 
@@ -241,7 +206,6 @@ class EngineStats:
     degraded: int = 0
     sim_failures: int = 0
     cache_corrupt: int = 0
-    checkpoint_hits: int = 0
     #: Pure-stage memo lookups (:meth:`EvaluationEngine.memo`).
     memo_hits: int = 0
     memo_misses: int = 0
@@ -294,6 +258,4 @@ class EngineStats:
             line += f", {self.degraded} points degraded to estimates"
         if self.cache_corrupt:
             line += f", {self.cache_corrupt} corrupt cache entries dropped"
-        if self.checkpoint_hits:
-            line += f", {self.checkpoint_hits} points resumed from checkpoint"
         return line

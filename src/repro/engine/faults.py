@@ -23,22 +23,8 @@ Three fault kinds perturb the engine:
     forces the engine's degradation ladder (analytical estimate instead
     of a simulated point).
 
-Three further kinds target the *service tier* (they are consulted only
-by engine-shard server processes — plain ``repro`` runs and the
-single-process daemon never check them):
-
-``shard-crash``
-    A shard process exits abruptly (``os._exit``) just before
-    executing a job — the fleet supervisor must detect the death,
-    re-route the in-flight jobs and restart the shard.
-``shard-hang``
-    A shard stops answering health checks (its control plane sleeps
-    :data:`REPRO_FAULT_HANG_SECONDS`), tripping the supervisor's
-    missed-heartbeat threshold.
-``net-drop``
-    A shard writes only half of a reply frame and drops the
-    connection, exercising the truncated-frame (``ProtocolError``)
-    path and the router's failover replay.
+``repro serve`` runs the same engine, so the same three kinds exercise
+the daemon.
 
 Decisions are **deterministic**: each is a pure function of the seed
 (``REPRO_FAULTS_SEED``, default 0), the fault kind, and a stable token
@@ -59,15 +45,9 @@ from typing import Dict, Mapping, Optional
 #: Environment variables controlling the harness.
 FAULTS_ENV = "REPRO_FAULTS"
 FAULTS_SEED_ENV = "REPRO_FAULTS_SEED"
-HANG_SECONDS_ENV = "REPRO_FAULT_HANG_SECONDS"
 
 #: Recognized fault kinds (anything else in the spec is an error).
-#: The ``shard-*`` / ``net-drop`` kinds perturb engine-shard server
-#: processes; the rest perturb the engine's simulations and cache I/O.
-KINDS = (
-    "crash", "corrupt-cache", "fail",
-    "shard-crash", "shard-hang", "net-drop",
-)
+KINDS = ("crash", "corrupt-cache", "fail")
 
 #: Per-process write counters for ``corrupt-cache`` decisions (see
 #: :func:`corrupt_payload`).
@@ -100,12 +80,9 @@ class FaultPlan:
 
     rates: Mapping[str, float]
     seed: int = 0
-    hang_seconds: float = 30.0
 
     @classmethod
-    def parse(
-        cls, spec: str, seed: int = 0, hang_seconds: float = 30.0
-    ) -> "FaultPlan":
+    def parse(cls, spec: str, seed: int = 0) -> "FaultPlan":
         """Parse ``kind:rate,kind:rate`` into a plan.
 
         Raises :class:`FaultSpecError` on unknown kinds or rates
@@ -131,7 +108,7 @@ class FaultPlan:
             if not 0.0 <= rate <= 1.0:
                 raise FaultSpecError(f"rate out of [0, 1] in {part!r}")
             rates[kind] = rate
-        return cls(rates=rates, seed=seed, hang_seconds=hang_seconds)
+        return cls(rates=rates, seed=seed)
 
     @property
     def enabled(self) -> bool:
@@ -156,8 +133,8 @@ class FaultPlan:
 
 
 @functools.lru_cache(maxsize=8)
-def _parse_cached(spec: str, seed: int, hang_seconds: float) -> FaultPlan:
-    return FaultPlan.parse(spec, seed=seed, hang_seconds=hang_seconds)
+def _parse_cached(spec: str, seed: int) -> FaultPlan:
+    return FaultPlan.parse(spec, seed=seed)
 
 
 def active_plan() -> Optional[FaultPlan]:
@@ -170,8 +147,7 @@ def active_plan() -> Optional[FaultPlan]:
     if not spec:
         return None
     seed = int(os.environ.get(FAULTS_SEED_ENV, "0") or "0")
-    hang = float(os.environ.get(HANG_SECONDS_ENV, "30") or "30")
-    plan = _parse_cached(spec, seed, hang)
+    plan = _parse_cached(spec, seed)
     return plan if plan.enabled else None
 
 
@@ -212,44 +188,9 @@ def corrupt_payload(token: str, payload: bytes) -> bytes:
     return payload[: max(1, len(payload) // 2)] + b"\x00INJECTED"
 
 
-def shard_fault(token: str) -> Optional[str]:
-    """Decide a service-level shard fault for one job dispatch.
-
-    Returns ``"crash"`` (the shard must die abruptly), ``"hang"`` (the
-    shard's control plane must stop answering health checks) or
-    ``None``.  The token is built by the shard server from the job's
-    dedup signature plus the dispatch attempt, the shard id and the
-    shard's restart epoch — so a replayed job re-rolls instead of
-    chasing the fleet through an infinite kill loop, while the decision
-    stays a pure function of ``(seed, kind, token)``.
-    """
-    plan = active_plan()
-    if plan is None:
-        return None
-    if plan.decide("shard-crash", token):
-        return "crash"
-    if plan.decide("shard-hang", token):
-        return "hang"
-    return None
-
-
-def shard_net_drop(token: str) -> bool:
-    """Decide whether a shard truncates this reply mid-write.
-
-    Same token discipline as :func:`shard_fault`; the router must see
-    the partial frame as a typed :class:`ProtocolError` and replay the
-    (idempotent) job elsewhere.
-    """
-    plan = active_plan()
-    if plan is None:
-        return False
-    return plan.decide("net-drop", token)
-
-
 __all__ = [
     "FAULTS_ENV",
     "FAULTS_SEED_ENV",
-    "HANG_SECONDS_ENV",
     "KINDS",
     "FaultPlan",
     "FaultSpecError",
@@ -257,6 +198,4 @@ __all__ = [
     "active_plan",
     "corrupt_payload",
     "perturb_task",
-    "shard_fault",
-    "shard_net_drop",
 ]

@@ -7,25 +7,19 @@ deduplication, a bounded priority queue with explicit backpressure, and
 graceful checkpointing drain.  See :mod:`repro.service.server` for the
 architecture and ``DESIGN.md`` §7 for the rationale.
 
-``repro serve --shards N`` scales the same daemon out: a
-:class:`~repro.service.fleet.FleetRouter` front door routes jobs by
-consistent hash of their content signature across N supervised shard
-subprocesses, self-heals crashed or hung shards with bounded-backoff
-restarts, re-routes in-flight work, and replicates each shard's warm
-checkpoint journal to its ring successor so restarts reboot warm.  See
-:mod:`repro.service.fleet`, :mod:`repro.service.supervisor` and
-``DESIGN.md`` §10 for the failure model.
+Concurrent clients that need more cores run several plain daemons, one
+socket each, over one ``REPRO_CACHE_DIR``: the disk cache is safe to
+share between processes, so every daemon reads what the others
+simulated.
 """
 
 from .client import (
-    FleetClient,
     ServiceClient,
     ServiceJobError,
     decorrelated_jitter,
     submit_or_raise,
     unwrap,
 )
-from .fleet import FleetRouter, FleetStats, HashRing, fleet_main
 from .jobs import (
     PreparedJob,
     crat_result_to_dict,
@@ -48,31 +42,16 @@ from .protocol import (
 from .queue import InFlightJob, JobQueue, QueueFullError, SingleFlightTable
 from .server import (
     QUEUE_CHECKPOINT_NAME,
-    SHARD_EPOCH_ENV,
-    SHARD_ID_ENV,
     SOCKET_ENV,
     ReproServer,
     ServiceStats,
     default_socket_path,
     serve_main,
 )
-from .supervisor import (
-    SHARD_CRASH_EXIT,
-    ShardHandle,
-    ShardSpec,
-    ShardSupervisor,
-    replicate_files,
-    restart_backoff,
-    restore_missing,
-)
 
 __all__ = [
     "CONTROL_JOBS",
     "EVAL_JOBS",
-    "FleetClient",
-    "FleetRouter",
-    "FleetStats",
-    "HashRing",
     "InFlightJob",
     "JOB_TYPES",
     "JobQueue",
@@ -84,16 +63,10 @@ __all__ = [
     "QueueFullError",
     "ReproServer",
     "Request",
-    "SHARD_CRASH_EXIT",
-    "SHARD_EPOCH_ENV",
-    "SHARD_ID_ENV",
     "SOCKET_ENV",
     "ServiceClient",
     "ServiceJobError",
     "ServiceStats",
-    "ShardHandle",
-    "ShardSpec",
-    "ShardSupervisor",
     "SingleFlightTable",
     "crat_result_to_dict",
     "decode_frame",
@@ -101,14 +74,9 @@ __all__ = [
     "default_socket_path",
     "encode_frame",
     "execute",
-    "fleet_main",
     "prepare",
-    "replicate_files",
-    "restart_backoff",
-    "restore_missing",
     "serve_main",
     "sim_result_to_dict",
     "submit_or_raise",
     "unwrap",
-    "validate_request",
 ]

@@ -20,11 +20,9 @@ rejected at the same instant do not compute the same schedule and
 collide again on every subsequent attempt.  The RNG is injectable so
 tests can pin the schedule.
 
-:class:`FleetClient` adds shard-aware routing on top: it learns the
-fleet topology from the router's ``health`` reply, computes the job's
-content signature locally, and dials the owning shard directly —
-skipping one router hop — falling back to the router (which also
-re-routes around dead shards) whenever the direct path fails.
+A reply cut short (the daemon killed mid-write) is a typed
+:class:`~repro.errors.ServiceError`, never a JSON traceback.  Clients
+of several daemons over one ``REPRO_CACHE_DIR`` pick a socket each.
 
 The library never interprets job results; it returns reply dicts.
 :func:`submit_or_raise` is the one-call convenience that converts
@@ -39,7 +37,7 @@ import itertools
 import random
 import socket
 import time
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, Optional
 
 from ..errors import ServiceError
 from .protocol import (
@@ -320,140 +318,3 @@ def submit_or_raise(
     return unwrap(client.submit(
         job, params, deadline=deadline, priority=priority
     ))
-
-
-class FleetClient:
-    """Shard-aware client for a ``repro serve --shards N`` fleet.
-
-    Keeps a routing table (hash ring + shard socket map) learned from
-    the router's ``health`` control job.  ``submit_routed`` computes
-    the job's content signature locally — the same
-    :func:`repro.service.jobs.prepare` the shards use — and dials the
-    owning shard's socket directly, saving the router hop on the hot
-    path.  Any failure on the direct path (stale table, dead shard,
-    unprepared params, non-definitive reply) invalidates the table and
-    falls back to the router, whose own failover re-routes around dead
-    shards.  Correctness never depends on the table being fresh.
-    """
-
-    def __init__(
-        self,
-        router_socket: Optional[str] = None,
-        timeout: Optional[float] = 60.0,
-        max_retries: int = 5,
-        sleep=time.sleep,
-        rng: Optional[random.Random] = None,
-    ):
-        self.router = ServiceClient(
-            socket_path=router_socket,
-            timeout=timeout,
-            max_retries=max_retries,
-            sleep=sleep,
-            rng=rng,
-        )
-        self.timeout = timeout
-        self._sleep = sleep
-        self._rng = rng if rng is not None else random.Random()
-        self._ring = None  # HashRing, lazily imported
-        self._shard_sockets: Dict[str, str] = {}
-        self._live: Set[str] = set()
-        #: Diagnostics: how many submits went direct vs via the router.
-        self.direct_hits = 0
-        self.router_fallbacks = 0
-
-    def close(self) -> None:
-        self.router.close()
-
-    def __enter__(self) -> "FleetClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def invalidate_routing_table(self) -> None:
-        self._ring = None
-        self._shard_sockets = {}
-        self._live = set()
-
-    def refresh_routing_table(self) -> List[str]:
-        """(Re)learn the fleet topology from the router's ``health``
-        reply; returns the live shard ids."""
-        from .fleet import HashRing  # local import: no cycle at module load
-
-        payload = unwrap(self.router.submit("health"))
-        shards = payload.get("shards")
-        fleet = payload.get("fleet")
-        if not isinstance(shards, dict) or not isinstance(fleet, dict):
-            raise ServiceError(
-                "health reply has no fleet topology — is the service "
-                "running with --shards?"
-            )
-        sockets: Dict[str, str] = {}
-        live: Set[str] = set()
-        for sid, status in shards.items():
-            if not isinstance(status, dict):
-                continue
-            sock = status.get("socket")
-            if isinstance(sock, str):
-                sockets[sid] = sock
-            if status.get("live"):
-                live.add(sid)
-        if not sockets:
-            raise ServiceError("fleet health reply lists no shards")
-        self._ring = HashRing(sockets.keys())
-        self._shard_sockets = sockets
-        self._live = live
-        return sorted(live)
-
-    def _signature_for(self, job: str, params: Dict[str, Any]) -> str:
-        from . import jobs as jobs_mod
-        from .protocol import Request
-
-        request = Request(id=None, job=job, params=params)
-        return jobs_mod.prepare(request).signature
-
-    def submit_routed(
-        self,
-        job: str,
-        params: Optional[Dict[str, Any]] = None,
-        deadline: Optional[float] = None,
-        priority: int = 0,
-    ) -> Dict[str, Any]:
-        """Submit with direct-to-shard routing and router fallback."""
-        params = params or {}
-        owner_socket: Optional[str] = None
-        try:
-            if self._ring is None:
-                self.refresh_routing_table()
-            signature = self._signature_for(job, params)
-            assert self._ring is not None
-            owner = self._ring.owner(signature, self._live)
-            if owner is not None:
-                owner_socket = self._shard_sockets.get(owner)
-        except Exception:
-            owner_socket = None  # fall back; the router always works
-        if owner_socket is not None:
-            direct = ServiceClient(
-                socket_path=owner_socket,
-                timeout=self.timeout,
-                max_retries=0,
-                sleep=self._sleep,
-                rng=self._rng,
-            )
-            try:
-                reply = direct.request_once(
-                    job, params, deadline=deadline, priority=priority
-                )
-                if reply.get("status") in ("ok", "error", "expired"):
-                    self.direct_hits += 1
-                    return reply
-            except ServiceError:
-                pass
-            finally:
-                direct.close()
-            # Dead/overloaded/draining shard: the table is stale.
-            self.invalidate_routing_table()
-        self.router_fallbacks += 1
-        return self.router.submit(
-            job, params, deadline=deadline, priority=priority
-        )

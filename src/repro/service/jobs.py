@@ -19,13 +19,12 @@ A request's life has two phases:
     twin of the same kernel never shares its slot.  Load/parse failures
     surface here, before the request ever occupies a queue slot.
 
-    Engine *tuning* state (cache bounds, checkpointing) is deliberately
-    absent from the signature: a multi-point sweep inside a job runs as
-    one batch of the timing core (:mod:`repro.sim.batch`) and a single
-    point as a batch of one, and a lane's answer never depends on its
-    batch.  Only
-    content that changes the *answer* (kernel, config, passes pipeline,
-    job params) may enter the hash.
+    Engine *tuning* state (cache bounds, the disk cache directory) is
+    deliberately absent from the signature: a multi-point sweep inside
+    a job runs as one batch of the timing core (:mod:`repro.sim.batch`)
+    and a single point as a batch of one, and a lane's answer never
+    depends on its batch.  Only content that changes the *answer*
+    (kernel, config, passes pipeline, job params) may enter the hash.
 
 :func:`execute`
     Runs on a worker thread against the warm shared engine and returns

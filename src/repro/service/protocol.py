@@ -25,7 +25,9 @@ Reply statuses::
 
     ok          {"id", "status": "ok", "result": {...}}
     error       {"id", "status": "error", "error": {kind, message,
-                 exit_code}}           — the job itself failed
+                 exit_code}}           — the job itself failed, or
+                 its reply exceeded MAX_FRAME_BYTES (kind
+                 ServiceError, exit_code 7)
     invalid     {"id"?, "status": "invalid", "error": {...}}
                                        — the frame failed validation
     overloaded  {"id", "status": "overloaded", "retry_after": s}
@@ -51,12 +53,7 @@ MAX_FRAME_BYTES = 4 * 1024 * 1024
 #: Evaluation jobs (queued, deduplicated, executed on workers) …
 EVAL_JOBS = ("crat", "simulate", "verify", "suite")
 #: … and control jobs (answered inline by the connection handler).
-#: ``health`` is the fleet heartbeat: shard identity + live counters,
-#: cheap enough to poll sub-second.  ``handoff`` asks a shard to
-#: snapshot its queued jobs into the checkpoint journal and return a
-#: manifest of the journal files, so the fleet can replicate its warm
-#: state to the shard's ring successor.
-CONTROL_JOBS = ("ping", "stats", "shutdown", "health", "handoff")
+CONTROL_JOBS = ("ping", "stats", "shutdown")
 JOB_TYPES = EVAL_JOBS + CONTROL_JOBS
 
 #: Per-job parameter schema: name -> (type, required).  ``params`` keys
@@ -98,8 +95,6 @@ PARAM_SCHEMAS: Dict[str, Dict[str, tuple]] = {
     "shutdown": {
         "drain": (bool, False),
     },
-    "health": {},
-    "handoff": {},
 }
 
 
@@ -109,21 +104,13 @@ class ProtocolError(Exception):
 
 @dataclasses.dataclass(frozen=True)
 class Request:
-    """One validated request, ready for the queue.
-
-    ``attempt`` counts fleet-level dispatch replays (0 = first try).
-    It never enters the dedup signature — a replayed job must collide
-    with its original — but shard-level fault-injection tokens include
-    it, so a job that killed one shard re-rolls on the next instead of
-    deterministically chasing the fleet through a kill loop.
-    """
+    """One validated request, ready for the queue."""
 
     job: str
     params: Dict[str, Any]
     id: Optional[str] = None
     deadline: Optional[float] = None
     priority: int = 0
-    attempt: int = 0
 
     def to_wire(self) -> Dict[str, Any]:
         wire: Dict[str, Any] = {"job": self.job, "params": self.params}
@@ -133,8 +120,6 @@ class Request:
             wire["deadline"] = self.deadline
         if self.priority:
             wire["priority"] = self.priority
-        if self.attempt:
-            wire["attempt"] = self.attempt
         return wire
 
 
@@ -163,7 +148,7 @@ def decode_frame(line: bytes, require_newline: bool = False) -> Dict[str, Any]:
     """Parse one received line into a message dict.
 
     Wire read paths pass ``require_newline=True``: a line without its
-    trailing ``\\n`` means the peer died mid-write (a shard killed
+    trailing ``\\n`` means the peer died mid-write (a daemon killed
     between ``write`` and ``flush``), and even if the fragment happens
     to be parseable JSON it must surface as a typed
     :class:`ProtocolError`, never as a silently short answer.
@@ -198,7 +183,7 @@ def validate_request(obj: Dict[str, Any]) -> Request:
     Every rejection names the offending field — the string travels back
     to the client verbatim, so it has to be actionable on its own.
     """
-    known_top = {"id", "job", "params", "deadline", "priority", "attempt"}
+    known_top = {"id", "job", "params", "deadline", "priority"}
     unknown = sorted(set(obj) - known_top)
     if unknown:
         raise ProtocolError(f"unknown field(s): {', '.join(unknown)}")
@@ -227,12 +212,6 @@ def validate_request(obj: Dict[str, Any]) -> Request:
     priority = obj.get("priority", 0)
     if not isinstance(priority, int) or isinstance(priority, bool):
         raise ProtocolError("'priority' must be an integer")
-
-    attempt = obj.get("attempt", 0)
-    if not isinstance(attempt, int) or isinstance(attempt, bool):
-        raise ProtocolError("'attempt' must be an integer")
-    if attempt < 0:
-        raise ProtocolError("'attempt' must be non-negative")
 
     params = obj.get("params", {})
     if not isinstance(params, dict):
@@ -265,7 +244,7 @@ def validate_request(obj: Dict[str, Any]) -> Request:
             )
     return Request(
         job=job, params=dict(params), id=req_id,
-        deadline=deadline, priority=priority, attempt=attempt,
+        deadline=deadline, priority=priority,
     )
 
 

@@ -218,13 +218,6 @@ class JobQueue:
             self._closed = True
             self._not_empty.notify_all()
 
-    def snapshot(self) -> List[InFlightJob]:
-        """Non-destructive view of the queued jobs in priority order
-        (the ``handoff`` control job checkpoints from it while the
-        queue keeps running)."""
-        with self._lock:
-            return [entry[2] for entry in sorted(self._heap)]
-
     def drain_remaining(self) -> List[InFlightJob]:
         """Close and empty the queue, returning not-yet-started jobs in
         priority order (the shutdown path checkpoints them)."""

@@ -15,19 +15,21 @@ and serves evaluation requests over a unix socket (or TCP via
   explicit, never an unbounded backlog).
 * **Workers** (a small thread pool) pop jobs in priority order and run
   them on the shared engine, in this process.  To spread concurrent
-  clients over more cores, run ``repro serve --shards N``
-  (:mod:`repro.service.fleet`).
+  clients over more cores, run several daemons, one socket each, over
+  one ``REPRO_CACHE_DIR``.
 * **Graceful drain**: on SIGTERM the listener closes, executing jobs
   finish and are answered, and queued-but-unstarted jobs are
-  checkpointed to the PR 3 journal directory
-  (``service-queue.jsonl``) and answered ``drained`` — zero accepted
-  jobs are lost.  A later ``repro serve`` against the same checkpoint
-  directory re-enqueues them on boot.
+  journaled to ``service-queue.jsonl`` in the ``REPRO_CHECKPOINT_DIR``
+  directory and answered ``drained`` — zero accepted jobs are lost.
+  A later ``repro serve`` against the same directory re-enqueues them
+  on boot.
 * **Observability**: a ``stats`` request returns service counters
   (queue depth, dedup hits, p50/p95 latency per job type) plus the
   engine snapshot; every reply is also recorded as a typed
   :class:`~repro.engine.events.RequestEvent` in the engine's event
   log, and ``--log-interval`` emits periodic structured JSON lines.
+  A reply too large to frame is answered with a ``ServiceError``
+  reply instead, and the connection stays open.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ import time
 from collections import deque
 from typing import Any, Dict, List, Optional, TextIO, Tuple
 
+from ..bench.runner import CHECKPOINT_DIR_ENV
 from ..engine import get_engine, set_engine
-from ..engine import faults
-from ..engine.engine import CHECKPOINT_DIR_ENV, EvaluationEngine
+from ..engine.engine import EvaluationEngine
 from ..engine.events import RequestEvent, event_to_dict
 from ..errors import ReproError, ServiceError, classify_error
 from . import jobs as jobs_mod
@@ -69,17 +71,8 @@ from .queue import InFlightJob, JobQueue, QueueFullError, SingleFlightTable
 #: Environment variable naming the default unix socket path.
 SOCKET_ENV = "REPRO_SOCKET"
 
-#: Set by the fleet supervisor on engine-shard subprocesses: the
-#: shard's stable id and its restart epoch (how many times the
-#: supervisor has restarted it).  A server with a shard id answers
-#: ``health`` with its identity and consults the service-level fault
-#: kinds (``shard-crash`` / ``shard-hang`` / ``net-drop``); a plain
-#: ``repro serve`` never does.
-SHARD_ID_ENV = "REPRO_SHARD_ID"
-SHARD_EPOCH_ENV = "REPRO_SHARD_EPOCH"
-
-#: Checkpoint file (inside the PR 3 journal directory) holding the
-#: queued-but-unstarted jobs of a drained server.
+#: Journal file (inside the ``REPRO_CHECKPOINT_DIR`` directory) holding
+#: the queued-but-unstarted jobs of a drained server.
 QUEUE_CHECKPOINT_NAME = "service-queue.jsonl"
 
 #: How many recent per-job latencies feed the p50/p95 estimates.
@@ -169,15 +162,6 @@ class ServiceStats:
             }
 
 
-class _TruncatedReply:
-    """Marker returned by ``_handle_eval`` under an injected
-    ``net-drop`` fault: the connection handler writes only half the
-    encoded frame and drops the connection."""
-
-    def __init__(self, reply: Dict[str, Any]):
-        self.reply = reply
-
-
 class ReproServer:
     """The daemon: socket front-end, admission, workers, drain."""
 
@@ -192,8 +176,6 @@ class ReproServer:
         log_stream: Optional[TextIO] = None,
         log_interval: float = 0.0,
         checkpoint_dir: Optional[str] = None,
-        shard_id: Optional[str] = None,
-        shard_epoch: int = 0,
     ):
         if host is not None:
             self._family = socket.AF_INET
@@ -213,16 +195,8 @@ class ReproServer:
         self._log_stream = log_stream
         self._log_interval = log_interval
         self._checkpoint_dir = (
-            checkpoint_dir
-            or self.engine.checkpoint_dir
-            or os.environ.get(CHECKPOINT_DIR_ENV)
-            or None
+            checkpoint_dir or os.environ.get(CHECKPOINT_DIR_ENV) or None
         )
-        self.shard_id = shard_id
-        self.shard_epoch = shard_epoch
-        #: Set by an injected ``shard-hang`` fault: the control plane
-        #: (ping/health) stalls so the fleet's heartbeat deadline trips.
-        self._hung = False
         self._listener: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
         self._conn_threads: List[threading.Thread] = []
@@ -383,88 +357,7 @@ class ReproServer:
                         + "\n"
                     )
         except OSError:
-            pass  # checkpointing is best-effort, like the PR 3 journal
-
-    def _write_queue_snapshot(self, pending: List[InFlightJob]) -> int:
-        """Atomically rewrite the queue checkpoint with ``pending``
-        (the ``handoff`` snapshot path — unlike the drain path it must
-        not append, or every replication round would duplicate the
-        queue)."""
-        path = self._checkpoint_path()
-        if not path:
-            return 0
-        try:
-            os.makedirs(self._checkpoint_dir, exist_ok=True)
-            tmp = path + ".tmp"
-            with open(tmp, "w") as handle:
-                for job in pending:
-                    handle.write(
-                        json.dumps(job.request.to_wire(), sort_keys=True)
-                        + "\n"
-                    )
-            os.replace(tmp, path)
-        except OSError:
-            return 0
-        return len(pending)
-
-    def _handle_handoff(self) -> Dict[str, Any]:
-        """Snapshot queued jobs into the journal and return a manifest
-        of the checkpoint directory, so the fleet can ship this shard's
-        warm state (queue + simulated-result journal) to its ring
-        successor."""
-        import hashlib
-
-        pending = self._queue.snapshot()
-        queued = self._write_queue_snapshot(pending)
-        directory = self._checkpoint_dir
-        manifest: List[Dict[str, Any]] = []
-        if directory and os.path.isdir(directory):
-            for name in sorted(os.listdir(directory)):
-                path = os.path.join(directory, name)
-                if not os.path.isfile(path) or name.endswith(".tmp"):
-                    continue
-                try:
-                    with open(path, "rb") as handle:
-                        data = handle.read()
-                except OSError:
-                    continue
-                manifest.append({
-                    "name": name,
-                    "bytes": len(data),
-                    "sha256": hashlib.sha256(data).hexdigest(),
-                })
-        return {
-            "shard_id": self.shard_id,
-            "epoch": self.shard_epoch,
-            "dir": directory,
-            "queued": queued,
-            "files": manifest,
-        }
-
-    def health_payload(self) -> Dict[str, Any]:
-        """The ``health`` reply: shard identity + the counters the
-        fleet's status surface and the chaos smoke read (cheap — no
-        engine snapshot, no latency windows)."""
-        stats = self.stats.to_dict()
-        engine_stats = self.engine.stats.to_dict()
-        return {
-            "protocol_version": PROTOCOL_VERSION,
-            "shard_id": self.shard_id,
-            "epoch": self.shard_epoch,
-            "pid": os.getpid(),
-            "uptime_seconds": stats["uptime_seconds"],
-            "queue_depth": len(self._queue),
-            "inflight": len(self._inflight),
-            "accepted": stats["accepted"],
-            "completed": stats["completed"],
-            "failed": stats["failed"],
-            "dedup_hits": stats["dedup_hits"],
-            "expired": stats["expired"],
-            "drained": stats["drained"],
-            "checkpoint_hits": engine_stats.get("checkpoint_hits", 0),
-            "sim_cache_hits": engine_stats.get("sim_hits", 0),
-            "simulations": engine_stats.get("simulations", 0),
-        }
+            pass  # journaling is best-effort, like the suite journal
 
     def _resume_checkpointed_queue(self) -> None:
         path = self._checkpoint_path()
@@ -488,8 +381,9 @@ class ReproServer:
             except Exception:
                 continue  # a stale/invalid record is dropped, not fatal
             if prepared.signature in seen:
-                # Drain appends and handoff snapshots can overlap; a
-                # job re-runs once on resume, never twice.
+                # Several drains can append before the next boot (two
+                # daemons sharing the directory); a job re-runs once on
+                # resume, never twice.
                 continue
             seen.add(prepared.signature)
             job = InFlightJob(prepared.signature, request)
@@ -544,16 +438,6 @@ class ReproServer:
                     ))
                     return
                 reply = self._handle_frame(line)
-                if isinstance(reply, _TruncatedReply):
-                    # Injected net-drop: write half the frame, then
-                    # drop the connection — the peer must surface a
-                    # typed ProtocolError and replay elsewhere.
-                    frame = encode_frame(reply.reply)
-                    try:
-                        conn.sendall(frame[: max(1, len(frame) // 2)])
-                    except OSError:
-                        pass
-                    return
                 if reply is not None:
                     self._send(conn, reply)
         except OSError:
@@ -566,7 +450,17 @@ class ReproServer:
 
     def _send(self, conn: socket.socket, reply: Dict[str, Any]) -> None:
         try:
-            conn.sendall(encode_frame(reply))
+            frame = encode_frame(reply)
+        except ProtocolError as err:
+            # Too large to frame (``stats`` with a long event log): the
+            # client gets a typed transport error and the connection
+            # stays usable for its next request.
+            error = ServiceError(f"reply not sent: {err}")
+            frame = encode_frame(error_reply(
+                reply.get("id"), error.kind, str(error), error.exit_code
+            ))
+        try:
+            conn.sendall(frame)
         except OSError:
             pass
 
@@ -585,20 +479,10 @@ class ReproServer:
         return self._handle_eval(request)
 
     def _handle_control(self, request: Request) -> Dict[str, Any]:
-        if request.job in ("ping", "health") and self._hung:
-            # Injected shard-hang: the control plane stalls past any
-            # reasonable heartbeat deadline (the supervisor must
-            # declare the shard dead and kill it).
-            plan = faults.active_plan()
-            time.sleep(plan.hang_seconds if plan else 30.0)
         if request.job == "ping":
             return ok_reply(request.id, {
                 "pong": True, "protocol_version": PROTOCOL_VERSION,
             })
-        if request.job == "health":
-            return ok_reply(request.id, self.health_payload())
-        if request.job == "handoff":
-            return ok_reply(request.id, self._handle_handoff())
         if request.job == "stats":
             return ok_reply(request.id, self.stats_payload(
                 include_events=bool(request.params.get("include_events"))
@@ -654,21 +538,15 @@ class ReproServer:
         status, payload = job.outcome  # type: ignore[misc]
         self._emit_request(job, status, deduped=not created)
         if status == "ok":
-            reply: Dict[str, Any] = ok_reply(request.id, payload)
-        elif status == "error":
+            return ok_reply(request.id, payload)
+        if status == "error":
             kind, message, exit_code = payload
-            reply = error_reply(request.id, kind, message, exit_code)
-        elif status == "overloaded":
-            reply = overloaded_reply(request.id, payload or 1.0)
-        elif status == "expired":
-            reply = expired_reply(request.id)
-        else:
-            reply = drained_reply(request.id)
-        if self.shard_id is not None and faults.shard_net_drop(
-            self._fault_token(prepared.signature, request.attempt)
-        ):
-            return _TruncatedReply(reply)  # type: ignore[return-value]
-        return reply
+            return error_reply(request.id, kind, message, exit_code)
+        if status == "overloaded":
+            return overloaded_reply(request.id, payload or 1.0)
+        if status == "expired":
+            return expired_reply(request.id)
+        return drained_reply(request.id)
 
     # ------------------------------------------------------------------
     # Workers.
@@ -682,37 +560,8 @@ class ReproServer:
                 continue
             self._execute_job(job)
 
-    def _fault_token(self, signature: str, attempt: int) -> str:
-        """Deterministic decision token for service-level faults.
-
-        Includes the dispatch attempt and the shard's restart epoch so
-        a replayed or resumed job re-rolls — without them, a job whose
-        signature decides ``shard-crash`` would kill every shard it is
-        ever routed to, forever.
-        """
-        return (
-            f"{signature}#a{attempt}@{self.shard_id}#e{self.shard_epoch}"
-        )
-
-    def _maybe_inject_shard_fault(self, job: InFlightJob) -> None:
-        if self.shard_id is None:
-            return
-        token = self._fault_token(job.signature, job.request.attempt)
-        action = faults.shard_fault(token)
-        if action == "crash":
-            # Abrupt death — no drain, no checkpoint, no reply. The
-            # supervisor must notice, re-route and restart us.
-            self._log_line({
-                "kind": "shard_fault_crash", "shard": self.shard_id,
-                "token": token,
-            })
-            os._exit(86)
-        if action == "hang":
-            self._hung = True
-
     def _execute_job(self, job: InFlightJob) -> None:
         job.started_at = time.monotonic()
-        self._maybe_inject_shard_fault(job)
         if job.all_expired():
             # Every waiter's deadline passed while the job sat in the
             # queue: skip the work, nobody is listening (each waiter
@@ -790,7 +639,7 @@ class ReproServer:
             # typed-event serializer as --trace-json.
             recent = [
                 event_to_dict(e)
-                for e in self.engine.events[-5:]
+                for e in list(self.engine.events)[-5:]
                 if isinstance(e, RequestEvent)
             ]
             for event in recent:
@@ -807,18 +656,9 @@ def serve_main(
     log_stream: Optional[TextIO] = None,
 ) -> int:
     """Blocking entry point used by ``repro serve``: boot, announce,
-    install SIGTERM/SIGINT drain handlers, run until stopped.
-
-    When the fleet supervisor spawned this process as an engine shard
-    it passes the shard identity through the environment
-    (:data:`SHARD_ID_ENV` / :data:`SHARD_EPOCH_ENV`)."""
+    install SIGTERM/SIGINT drain handlers, run until stopped."""
     import signal
 
-    shard_id = os.environ.get(SHARD_ID_ENV, "").strip() or None
-    try:
-        shard_epoch = int(os.environ.get(SHARD_EPOCH_ENV, "0") or "0")
-    except ValueError:
-        shard_epoch = 0
     server = ReproServer(
         socket_path=socket_path,
         host=host,
@@ -827,8 +667,6 @@ def serve_main(
         queue_limit=queue_limit,
         log_stream=log_stream if log_stream is not None else sys.stderr,
         log_interval=log_interval,
-        shard_id=shard_id,
-        shard_epoch=shard_epoch,
     )
     server.start()
 

@@ -5,7 +5,7 @@ errors (``DF``/``AL``/``PL``, from :mod:`repro.verify`) and lint
 findings (``LNT``, from :mod:`repro.analysis.lint`) — is declared here,
 in one place, so the code space cannot collide and the CLI contract
 stays auditable.  Rule codes are **stable**: they are documented in
-DESIGN.md §6 and §13, asserted on by golden tests, and consumed by
+DESIGN.md §6 and §12, asserted on by golden tests, and consumed by
 external tooling through ``repro verify --json``, ``repro lint --json``
 and SARIF output.  Add new codes, never repurpose or renumber old ones.
 
@@ -219,7 +219,7 @@ def validate_registry(rules: Tuple[Rule, ...]) -> Dict[str, Rule]:
 
 
 #: The one registry.  Keys are stable rule codes; see DESIGN.md §6
-#: (verification rules) and §13 (lint rules) for the prose contracts.
+#: (verification rules) and §12 (lint rules) for the prose contracts.
 RULES: Dict[str, Rule] = validate_registry(_rules())
 
 #: Lint-rule subset (what ``repro lint --rules`` selects over).

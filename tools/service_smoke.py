@@ -7,9 +7,9 @@ The CI ``service-smoke`` job's driver, also runnable locally::
 
 What it checks, end to end, with real processes and a real socket:
 
-1. a ``repro serve`` daemon boots (with an injected ``REPRO_FAULTS``
-   crash rate, so the engine's retry rung is exercised *through* the
-   service);
+1. a ``repro serve`` daemon boots over a fresh ``REPRO_CACHE_DIR``
+   (with an injected ``REPRO_FAULTS`` crash rate, so the engine's retry
+   rung is exercised *through* the service);
 2. 50 mixed requests (``simulate``/``crat``/``verify``) issued from
    8 concurrent client processes all succeed, and so do 4 ``crat``
    requests on HST that a ninth client sends one after another: as a
@@ -21,7 +21,11 @@ What it checks, end to end, with real processes and a real socket:
    must never change a result;
 4. the injected crashes really fired: the daemon's ``stats`` reply
    counts at least one injected fault and one retry;
-5. SIGTERM drains cleanly: exit code 0, ``service_drained`` logged.
+5. SIGTERM drains cleanly: exit code 0, ``service_drained`` logged;
+6. a warm restart: a second daemon booted over the same
+   ``REPRO_CACHE_DIR`` answers each distinct job once, identically to
+   one-shot, and its ``stats`` show no simulation (``sim_misses`` 0)
+   and at least one disk-cache hit.
 
 Exit status: 0 on success, 1 on any mismatch or daemon misbehavior.
 """
@@ -29,10 +33,12 @@ Exit status: 0 on success, 1 on any mismatch or daemon misbehavior.
 import argparse
 import json
 import os
+import shutil
 import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import time
 
 TOTAL_REQUESTS = 50
@@ -126,6 +132,71 @@ def check_faults_fired(sock_path):
     return 1
 
 
+def start_daemon(sock_path, env):
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve",
+         "--socket", sock_path, "--workers", "2",
+         "--log-interval", "0"],
+        env=env,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def drain(daemon, name):
+    """Failures (0 or 1): SIGTERM must make ``daemon`` exit 0 with a
+    ``service_drained`` line in its log."""
+    daemon.send_signal(signal.SIGTERM)
+    try:
+        _, stderr = daemon.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        daemon.kill()
+        daemon.communicate()
+        print(f"FAIL: {name} did not drain within 60s", file=sys.stderr)
+        return 1
+    if daemon.returncode != 0:
+        print(f"FAIL: {name} exited {daemon.returncode}", file=sys.stderr)
+        return 1
+    if "service_drained" not in stderr:
+        print(f"FAIL: no service_drained line in the {name} log",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
+def check_warm_restart(sock_path, env, expected):
+    """Failures: a second daemon over the first one's cache directory
+    must answer each distinct job as one-shot does, from the disk cache
+    alone."""
+    from repro.service import ServiceClient, submit_or_raise
+
+    daemon = start_daemon(sock_path, env)
+    failures = 0
+    try:
+        if not wait_for_socket(sock_path):
+            print("FAIL: second daemon never bound its socket",
+                  file=sys.stderr)
+            return 1
+        with ServiceClient(socket_path=sock_path, timeout=300.0) as client:
+            for key, want in expected.items():
+                job, params = json.loads(key)
+                if submit_or_raise(client, job, params) != want:
+                    print(f"FAIL: warm restart: {job} {params} diverged "
+                          f"from one-shot", file=sys.stderr)
+                    failures += 1
+            stats = client.stats()["engine"]["stats"]
+        print(f"warm restart: {len(expected)} distinct jobs, "
+              f"{stats['sim_misses']} simulations, "
+              f"{stats['disk_hits']} disk hits", flush=True)
+        if stats["sim_misses"] != 0 or stats["disk_hits"] < 1:
+            print("FAIL: the second daemon did not boot warm from the "
+                  "disk cache", file=sys.stderr)
+            failures += 1
+    finally:
+        failures += drain(daemon, "second daemon")
+    return failures
+
+
 def wait_for_socket(path, timeout=30.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -142,37 +213,9 @@ def wait_for_socket(path, timeout=30.0):
     return False
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--worker", type=int, default=None)
-    parser.add_argument("--socket", default=None)
-    args = parser.parse_args()
-
-    if args.worker is not None:
-        return run_worker(args.worker, args.socket)
-
-    sock_path = os.path.join(
-        os.environ.get("TMPDIR", "/tmp"), f"repro-smoke-{os.getpid()}.sock"
-    )
-    print(f"computing one-shot ground truth for "
-          f"{len(set(json.dumps(r, sort_keys=True) for r in build_requests()))}"
-          f" unique jobs ...", flush=True)
-    expected = compute_expected()
-
-    env = dict(os.environ)
-    env.setdefault("PYTHONPATH", "src")
-    # Injected crashes: the engine's retry rung must retry them
-    # invisibly — the service above it never sees a difference.
-    env["REPRO_FAULTS"] = "crash:0.2"
-    env["REPRO_FAULTS_SEED"] = "7"
-    daemon = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve",
-         "--socket", sock_path, "--workers", "2",
-         "--log-interval", "0"],
-        env=env,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
+def run_daemons(sock_path, env, expected):
+    """The concurrent run on a first daemon, then the warm restart."""
+    daemon = start_daemon(sock_path, env)
     failures = 0
     try:
         if not wait_for_socket(sock_path):
@@ -215,25 +258,44 @@ def main():
               f"{failures} mismatches", flush=True)
         failures += check_faults_fired(sock_path)
     finally:
-        daemon.send_signal(signal.SIGTERM)
-        try:
-            _, stderr = daemon.communicate(timeout=60)
-        except subprocess.TimeoutExpired:
-            daemon.kill()
-            print("FAIL: daemon did not drain within 60s", file=sys.stderr)
-            return 1
-    if daemon.returncode != 0:
-        print(f"FAIL: daemon exited {daemon.returncode}", file=sys.stderr)
-        return 1
-    if "service_drained" not in stderr:
-        print("FAIL: no service_drained line in the daemon log",
-              file=sys.stderr)
-        return 1
+        failures += drain(daemon, "daemon")
+    failures += check_warm_restart(sock_path, env, expected)
     if failures:
         return 1
     print("service smoke: OK (identical to one-shot, faults retried, "
-          "clean drain)")
+          "clean drain, warm restart from the disk cache)")
     return 0
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--worker", type=int, default=None)
+    parser.add_argument("--socket", default=None)
+    args = parser.parse_args()
+
+    if args.worker is not None:
+        return run_worker(args.worker, args.socket)
+
+    sock_path = os.path.join(
+        os.environ.get("TMPDIR", "/tmp"), f"repro-smoke-{os.getpid()}.sock"
+    )
+    print(f"computing one-shot ground truth for "
+          f"{len(set(json.dumps(r, sort_keys=True) for r in build_requests()))}"
+          f" unique jobs ...", flush=True)
+    expected = compute_expected()
+
+    cache_dir = tempfile.mkdtemp(prefix="repro-smoke-cache-")
+    env = dict(os.environ)
+    env.setdefault("PYTHONPATH", "src")
+    env["REPRO_CACHE_DIR"] = cache_dir
+    # Injected crashes: the engine's retry rung must retry them
+    # invisibly — the service above it never sees a difference.
+    env["REPRO_FAULTS"] = "crash:0.2"
+    env["REPRO_FAULTS_SEED"] = "7"
+    try:
+        return run_daemons(sock_path, env, expected)
+    finally:
+        shutil.rmtree(cache_dir, ignore_errors=True)
 
 
 if __name__ == "__main__":
