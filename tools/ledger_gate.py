@@ -14,6 +14,15 @@ The ledger holds three kinds of entry:
     ``benchmarks/test_ablation_multisim.py`` (``multi_sm``);
   - the warp-throttling points of ``tests/test_warp_limit.py`` and
     ``benchmarks/test_extension_granularity.py`` (``warp_limit``);
+* **allocations** — for each of the 22 apps, with no passes and after
+  ``copy-prop,dce,minreg-sched``, every
+  :class:`~repro.core.params.ResourceUsage` field (MaxReg, MinReg, ...)
+  and, for every CRAT and CRAT-local candidate allocation, a sha256 of
+  the printed allocated kernel plus every scalar field of the
+  :class:`~repro.regalloc.allocator.AllocationResult` (the counters
+  TPSC reads, ``reg_per_thread``), its per-class colors and its sorted
+  spilled names (``alloc``); every candidate must also pass
+  :func:`~repro.verify.verify_allocation` with zero diagnostics;
 * **pass outputs** — for each corpus kernel and each opt pass, the
   sha256 of the printed output kernel and the pass's counters (``opt``),
   plus how many rewrites the full registry pipeline applies under
@@ -28,8 +37,8 @@ The ledger holds three kinds of entry:
   and FDTD at a grid wider than one lockstep group of the executor.
 
 A check fails on any drifting entry and names it, saying whether its
-cycles (for a trace, its warp-op count) moved; a verified-pipeline
-diagnostic fails it too.  The tier-1
+cycles (for a trace, its warp-op count) moved; a verified-pipeline or
+candidate-allocation diagnostic fails it too.  The tier-1
 tests (``tests/test_batch_differential.py``,
 ``tests/test_opt_differential.py``, ``tests/test_multisim.py``,
 ``tests/test_warp_limit.py``, ``tests/test_divergence.py``) read the
@@ -68,7 +77,11 @@ from repro.core import collect_resource_usage, default_allocation, prune  # noqa
 from repro.errors import VerificationError  # noqa: E402
 from repro.ir import run_pipeline  # noqa: E402
 from repro.ptx import DType, parse_kernel, parse_module, print_kernel  # noqa: E402
-from repro.regalloc.allocator import InsufficientRegistersError, allocate  # noqa: E402
+from repro.regalloc.allocator import (  # noqa: E402
+    AllocationResult,
+    InsufficientRegistersError,
+    allocate,
+)
 from repro.sim import (  # noqa: E402
     GlobalMemory,
     WarpOp,
@@ -77,6 +90,7 @@ from repro.sim import (  # noqa: E402
     simulate_traces_batched,
     trace_grid,
 )
+from repro.verify import verify_allocation  # noqa: E402
 from repro.workloads import (  # noqa: E402
     RESOURCE_SENSITIVE,
     full_suite,
@@ -106,6 +120,10 @@ PASSES = [
 
 #: The registry pipeline exercised under per-rewrite verification.
 VERIFIED_SPEC = "unroll,copy-prop,dce,mlp-sched,bypass,minreg-sched"
+
+#: Pass pipelines the ``alloc`` section allocates after: none, and the
+#: one the serve-hits benchmark sends.
+ALLOC_PIPELINES = ("", "copy-prop,dce,minreg-sched")
 
 #: Multi-SM runs: (label, trace source, block slice end, tlp, num_sms).
 #: ``HST`` is the workload kernel; ``*@alloc`` is its default allocation.
@@ -156,6 +174,36 @@ def pass_entry(result, counters) -> Dict[str, object]:
         "sha256": hashlib.sha256(text.encode()).hexdigest(),
         "counters": {attr: getattr(result, attr) for attr in counters},
     }
+
+
+def usage_entry(usage) -> Dict[str, object]:
+    """Every :class:`~repro.core.params.ResourceUsage` field."""
+    return {"counters": dataclasses.asdict(usage)}
+
+
+def allocation_entry(allocation) -> Dict[str, object]:
+    """sha256 of the printed allocated kernel plus every scalar field of
+    an :class:`AllocationResult`, its per-class colors and the sorted
+    spilled names."""
+    counters = {
+        field.name: getattr(allocation, field.name)
+        for field in dataclasses.fields(AllocationResult)
+        if isinstance(getattr(allocation, field.name), (int, float))
+    }
+    counters["colors"] = {
+        rc.name: count for rc, count in allocation.colors.items()
+    }
+    counters["spilled"] = sorted(allocation.spilled)
+    text = print_kernel(allocation.kernel)
+    return {
+        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+        "counters": counters,
+    }
+
+
+def alloc_source(abbr: str, spec: str) -> str:
+    """``CFD`` without passes, ``CFD:copy-prop,dce,minreg-sched`` with."""
+    return f"{abbr}:{spec}" if spec else abbr
 
 
 def staircase_key(name: str, scheduler: str, tlp: int) -> str:
@@ -246,7 +294,7 @@ def describe_drift(key: str, expected, actual) -> str:
         if expected["sha256"] != actual["sha256"]:
             return f"{key}: warp-op count unchanged, trace fields drifted"
         return f"{key}: output buffer changed"
-    if expected["sha256"] != actual["sha256"]:
+    if expected.get("sha256") != actual.get("sha256"):
         return f"{key}: output kernel changed"
     changed = [
         f"{attr} {value} -> {actual['counters'].get(attr)}"
@@ -330,19 +378,35 @@ def block_dependent_output(mem: GlobalMemory) -> bytes:
     ).tobytes()
 
 
-def candidate_allocations(abbr: str) -> Iterator[Tuple[str, object]]:
-    """(label, kernel) of every CRAT (``@crat``, shm spilling) and
+def app_usage(abbr: str, kernel=None):
+    """A suite app's :class:`ResourceUsage` as ``repro crat APP`` sees
+    it: ``kernel`` (default: the workload kernel) under the workload's
+    pinned default reg."""
+    workload = load_workload(abbr)
+    if kernel is None:
+        kernel = workload.kernel
+    return collect_resource_usage(
+        kernel, CONFIG, default_reg=workload.default_reg
+    )
+
+
+def candidate_allocations(
+    abbr: str, kernel=None, name: Optional[str] = None
+) -> Iterator[Tuple[str, object]]:
+    """(label, allocation) of every CRAT (``@crat``, shm spilling) and
     CRAT-local (``@crat-local``) candidate allocation of a suite app.
 
     The candidates are the pruned stair points under every OptTLP the
     search could profile (1..the occupancy ceiling), so this is a
     superset of what either variant scores for any OptTLP; points the
     allocator cannot reach are skipped, as the search skips them.
+    ``kernel`` replaces the workload kernel (a pass pipeline's output)
+    and ``name`` the label prefix.
     """
-    workload = load_workload(abbr)
-    usage = collect_resource_usage(
-        workload.kernel, CONFIG, default_reg=workload.default_reg
-    )
+    if kernel is None:
+        kernel = load_workload(abbr).kernel
+    name = name or abbr
+    usage = app_usage(abbr, kernel)
     ceiling = compute_occupancy(
         CONFIG, 0, usage.shm_size, usage.block_size
     ).blocks
@@ -357,19 +421,19 @@ def candidate_allocations(abbr: str) -> Iterator[Tuple[str, object]]:
             spare = 0
             if shm_spill:
                 spare = spare_shm_per_block(CONFIG, usage.shm_size, tlp)
-            name = (f"{abbr}@{label}/reg={reg}/tlp={tlp}" if shm_spill
-                    else f"{abbr}@{label}/reg={reg}")
-            if name in seen:
+            key = (f"{name}@{label}/reg={reg}/tlp={tlp}" if shm_spill
+                   else f"{name}@{label}/reg={reg}")
+            if key in seen:
                 continue
-            seen.add(name)
+            seen.add(key)
             try:
                 allocation = allocate(
-                    workload.kernel, reg, spare_shm_bytes=spare,
+                    kernel, reg, spare_shm_bytes=spare,
                     enable_shm_spill=shm_spill,
                 )
             except InsufficientRegistersError:
                 continue
-            yield name, allocation.kernel
+            yield key, allocation
 
 
 @functools.lru_cache(maxsize=None)
@@ -470,9 +534,10 @@ def trace_entries() -> Dict[str, Dict]:
             entries[trace_key(source, grid)] = trace_entry(traces)
     for app in RESOURCE_SENSITIVE:
         workload = load_workload(app.abbr)
-        for label, kernel in candidate_allocations(app.abbr):
+        for label, allocation in candidate_allocations(app.abbr):
             traces = trace_grid(
-                kernel, CONFIG, workload.grid_blocks, workload.param_sizes
+                allocation.kernel, CONFIG, workload.grid_blocks,
+                workload.param_sizes,
             )
             entries[trace_key(label, workload.grid_blocks)] = trace_entry(
                 traces
@@ -486,6 +551,29 @@ def trace_entries() -> Dict[str, Dict]:
         workload = load_workload(abbr)
         traces = trace_grid(workload.kernel, CONFIG, grid, workload.param_sizes)
         entries[trace_key(abbr, grid)] = trace_entry(traces)
+    return entries
+
+
+def alloc_entries(failures: List[str]) -> Dict[str, Dict]:
+    entries = {}
+    for workload in full_suite():
+        abbr = workload.abbr
+        for spec in ALLOC_PIPELINES:
+            kernel = load_workload(abbr).kernel
+            if spec:
+                kernel = run_pipeline(kernel, spec).kernel
+            source = alloc_source(abbr, spec)
+            entries[f"{source}/usage"] = usage_entry(app_usage(abbr, kernel))
+            for label, allocation in candidate_allocations(
+                abbr, kernel, source
+            ):
+                entries[label] = allocation_entry(allocation)
+                report = verify_allocation(allocation, stage=label)
+                if report.diagnostics:
+                    failures.append(
+                        f"alloc {label}: {len(report.diagnostics)} "
+                        f"diagnostic(s): {', '.join(report.codes())}"
+                    )
     return entries
 
 
@@ -504,6 +592,10 @@ def build(failures: List[str]) -> Dict[str, Dict]:
         ledger[section] = produce()
         print(f"ledger-gate: {section}: {len(ledger[section])} entries, "
               f"{time.perf_counter() - t0:.1f}s")
+    t0 = time.perf_counter()
+    ledger["alloc"] = alloc_entries(failures)
+    print(f"ledger-gate: alloc: {len(ledger['alloc'])} entries, "
+          f"{time.perf_counter() - t0:.1f}s")
     t0 = time.perf_counter()
     ledger["opt"], ledger["verified_rewrites"] = opt_entries(failures)
     print(f"ledger-gate: opt: {len(ledger['opt'])} entries, "
