@@ -25,6 +25,7 @@ from typing import (
     Optional,
     Sequence,
     Set,
+    Tuple,
 )
 
 from ..ptx.instruction import Instruction, Reg
@@ -63,9 +64,16 @@ class LiveRange:
 
 
 class LivenessInfo:
-    """Result of liveness analysis for one kernel."""
+    """Result of liveness analysis for one kernel.
 
-    def __init__(self, kernel: Kernel, cfg: CFG = None):
+    ``live_in``, ``live_out``, ``instructions`` and ``dtype_of`` are
+    computed up front.  ``ranges`` is summarized on its first read: the
+    allocators, ``register_demand`` and the Algorithm 1 gain scan read
+    it, while the allocation checker and the pass pipeline read only
+    ``live_out`` and ``dtype_of``.
+    """
+
+    def __init__(self, kernel: Kernel, cfg: Optional[CFG] = None):
         self.kernel = kernel
         self.cfg = cfg if cfg is not None else CFG(kernel)
         #: live-out register-name set per global instruction position
@@ -74,95 +82,137 @@ class LivenessInfo:
         self.live_in: List[FrozenSet[str]] = []
         #: per-position instruction, aligned with live_in/live_out
         self.instructions: List[Instruction] = []
-        #: name -> representative dtype (first definition wins)
+        #: name -> representative dtype: its first occurrence in position
+        #: order, an instruction's defs before its uses
         self.dtype_of: Dict[str, DType] = {}
-        self.ranges: Dict[str, LiveRange] = {}
+        # Per-position def and use names (a name read twice appears
+        # twice), shared by the block summaries, the backward walk and
+        # the range summary.
+        self._defs: List[Tuple[str, ...]] = []
+        self._uses: List[Tuple[str, ...]] = []
+        self._ranges: Optional[Dict[str, LiveRange]] = None
         self._analyze()
+
+    @property
+    def ranges(self) -> Dict[str, LiveRange]:
+        """name -> :class:`LiveRange`, summarized on first read."""
+        if self._ranges is None:
+            self._ranges = self._summarize_ranges()
+        return self._ranges
 
     # ------------------------------------------------------------------
     def _analyze(self) -> None:
         cfg = self.cfg
         n = cfg.instruction_count()
-        self.live_out = [frozenset()] * n
-        self.live_in = [frozenset()] * n
+        empty: FrozenSet[str] = frozenset()
+        self.live_out = live_out = [empty] * n
+        self.live_in = live_in = [empty] * n
         self.instructions = [None] * n  # type: ignore[list-item]
+        self._defs = defs_at = [()] * n  # type: ignore[assignment]
+        self._uses = uses_at = [()] * n  # type: ignore[assignment]
+        dtype_of = self.dtype_of
 
-        # Per-block use/def summaries.
-        use_sets: Dict[int, Set[str]] = {}
-        def_sets: Dict[int, Set[str]] = {}
+        # Per-position def/use names and per-block use/def summaries.
+        use_sets: Dict[int, FrozenSet[str]] = {}
+        def_sets: Dict[int, FrozenSet[str]] = {}
         for block in cfg.blocks:
             uses: Set[str] = set()
             defs: Set[str] = set()
-            for inst in block.instructions:
-                for reg in inst.uses():
-                    if reg.name not in defs:
-                        uses.add(reg.name)
-                for reg in inst.defs():
-                    defs.add(reg.name)
-            use_sets[block.index] = uses
-            def_sets[block.index] = defs
+            for pos, inst in block.positions():
+                self.instructions[pos] = inst
+                def_regs = inst.defs()
+                use_regs = inst.uses()
+                for reg in def_regs:
+                    dtype_of.setdefault(reg.name, reg.dtype)
+                for reg in use_regs:
+                    dtype_of.setdefault(reg.name, reg.dtype)
+                def_names = tuple(reg.name for reg in def_regs)
+                use_names = tuple(reg.name for reg in use_regs)
+                defs_at[pos] = def_names
+                uses_at[pos] = use_names
+                uses.update(name for name in use_names if name not in defs)
+                defs.update(def_names)
+            use_sets[block.index] = frozenset(uses)
+            def_sets[block.index] = frozenset(defs)
 
         def transfer(idx: int, out_set: FrozenSet[str]) -> FrozenSet[str]:
-            return frozenset(use_sets[idx] | (out_set - def_sets[idx]))
+            return use_sets[idx] | (out_set - def_sets[idx])
 
         solver: BackwardMaySolver[str] = BackwardMaySolver(cfg, transfer)
         solver.solve()
 
         # Expand to per-instruction sets by walking blocks backwards.
+        # Within a block a position's live-out is its successor's
+        # live-in, so the two lists share one frozenset per boundary.
         for block in cfg.blocks:
-            live: Set[str] = set(solver.out_sets[block.index])
-            rows = list(block.positions())
-            for pos, inst in reversed(rows):
-                self.instructions[pos] = inst
-                self.live_out[pos] = frozenset(live)
-                for reg in inst.defs():
-                    live.discard(reg.name)
-                for reg in inst.uses():
-                    live.add(reg.name)
-                self.live_in[pos] = frozenset(live)
+            current = solver.out_sets[block.index]
+            live: Set[str] = set(current)
+            for pos in range(block.start + len(block) - 1, block.start - 1, -1):
+                live_out[pos] = current
+                live.difference_update(defs_at[pos])
+                live.update(uses_at[pos])
+                current = frozenset(live)
+                live_in[pos] = current
 
-        self._summarize_ranges()
+    def _summarize_ranges(self) -> Dict[str, LiveRange]:
+        """One :class:`LiveRange` per name alive anywhere.
 
-    def _summarize_ranges(self) -> None:
+        A name is alive at a position when it is live in, live out or
+        referenced there.  Inside a block a position's live-in is the
+        previous position's live-out and its live-out is covered by its
+        live-in plus its defs, so past the first position only the
+        referenced names can be alive for the first time; backwards,
+        past the last position only referenced names can be alive for
+        the last time.  One forward walk (starts, access counts) and
+        one backward walk (ends) therefore visit each block boundary's
+        live set once and each register reference once.
+        """
         from .loops import loop_depths
 
         depths = loop_depths(self.cfg)
-        pos_depth: Dict[int, int] = {}
-        for block in self.cfg.blocks:
-            d = depths.get(block.index, 0)
-            for pos, _ in block.positions():
-                pos_depth[pos] = d
+        blocks = self.cfg.blocks
+        dtype_of = self.dtype_of
+        defs_at, uses_at = self._defs, self._uses
+        ranges: Dict[str, LiveRange] = {}
 
-        for pos, inst in enumerate(self.instructions):
-            for reg in inst.regs():
-                self.dtype_of.setdefault(reg.name, reg.dtype)
-            touched = {r.name for r in inst.regs()}
-            alive = touched | set(self.live_in[pos]) | set(self.live_out[pos])
-            for name in alive:
-                rng = self.ranges.get(name)
-                if rng is None:
-                    rng = LiveRange(
-                        name=name,
-                        dtype=self.dtype_of.get(name, DType.U32),
-                        start=pos,
-                        end=pos,
-                    )
-                    self.ranges[name] = rng
-                else:
-                    rng.start = min(rng.start, pos)
-                    rng.end = max(rng.end, pos)
-            weight_unit = 10.0 ** pos_depth.get(pos, 0)
-            for reg in inst.uses():
-                rng = self.ranges[reg.name]
-                rng.uses += 1
-                rng.weight += weight_unit
-            for reg in inst.defs():
-                rng = self.ranges[reg.name]
-                rng.defs += 1
-                rng.weight += weight_unit
-        # Fill dtypes for ranges created before any touch recorded one.
-        for name, rng in self.ranges.items():
-            rng.dtype = self.dtype_of.get(name, rng.dtype)
+        def open_range(name: str, pos: int) -> LiveRange:
+            rng = LiveRange(
+                name=name,
+                dtype=dtype_of.get(name, DType.U32),
+                start=pos,
+                end=pos,
+            )
+            ranges[name] = rng
+            return rng
+
+        for block in blocks:
+            first = block.start
+            for name in sorted(self.live_in[first].difference(ranges)):
+                open_range(name, first)
+            weight_unit = 10.0 ** depths.get(block.index, 0)
+            for pos in range(first, first + len(block)):
+                for name in uses_at[pos]:
+                    rng = ranges.get(name) or open_range(name, pos)
+                    rng.uses += 1
+                    rng.weight += weight_unit
+                for name in defs_at[pos]:
+                    rng = ranges.get(name) or open_range(name, pos)
+                    rng.defs += 1
+                    rng.weight += weight_unit
+
+        ended: Set[str] = set()
+        for block in reversed(blocks):
+            last = block.start + len(block) - 1
+            for name in self.live_out[last].difference(ended):
+                ranges[name].end = last
+                ended.add(name)
+            for pos in range(last, block.start - 1, -1):
+                for names in (defs_at[pos], uses_at[pos]):
+                    for name in names:
+                        if name not in ended:
+                            ranges[name].end = pos
+                            ended.add(name)
+        return ranges
 
     # ------------------------------------------------------------------
     # Queries.
@@ -178,24 +228,23 @@ class LivenessInfo:
         32-bit slots (64-bit registers weigh 2, predicates 0).
 
         This is the **one** pressure walk in the codebase:
-        :meth:`max_pressure` is its maximum, the lint pressure analyzer
-        (``LNT1xx``) attributes occupancy-stair crossings on it, and
-        the static feature extractor summarizes it.
+        :meth:`max_pressure` is its maximum, and the lint pressure
+        analyzer (``LNT1xx``) attributes occupancy-stair crossings on it.
         """
-        profile: List[int] = []
-        for pos in range(len(self.instructions)):
-            live = set(self.live_out[pos]) | {
-                r.name for r in self.instructions[pos].defs()
+        if reg_class is None:
+            weight = {
+                name: dtype.reg_class.slots
+                for name, dtype in self.dtype_of.items()
             }
-            total = 0
-            for name in live:
-                dtype = self.dtype_of.get(name, DType.U32)
-                if reg_class is None:
-                    total += dtype.reg_class.slots
-                elif dtype.reg_class is reg_class:
-                    total += 1
-            profile.append(total)
-        return profile
+        else:
+            weight = {
+                name: int(dtype.reg_class is reg_class)
+                for name, dtype in self.dtype_of.items()
+            }
+        return [
+            sum(weight[name] for name in live.union(defs))
+            for live, defs in zip(self.live_out, self._defs)
+        ]
 
     def max_pressure(self, reg_class=None) -> int:
         """Peak number of simultaneously-live registers.
@@ -271,20 +320,23 @@ class BlockPressureTracker:
     """Incremental within-block pressure accounting in 32-bit slots.
 
     Seeded from one basic block's instructions plus its live-out set,
-    it answers "what is the net pressure delta of emitting this
-    instruction next?" (:meth:`delta`) and advances its live-set model
-    when the instruction is actually emitted (:meth:`emit`).  A value
-    *births* at an instruction when it was dead before and survives
-    after (more in-block accesses remain, or it is live out of the
-    block); it *dies* when this is its last in-block access and it is
-    not live out.  Slot weights follow liveness analysis: first
-    occurrence of a name fixes its dtype, 64-bit registers weigh 2,
-    predicates 0.
+    it answers "what is the net pressure delta of emitting the block's
+    ``index``-th instruction next?" (:meth:`delta`) and advances its
+    live-set model when that instruction is actually emitted
+    (:meth:`emit`).  A value *births* at an instruction when it was
+    dead before and survives after (more in-block accesses remain, or
+    it is live out of the block); it *dies* when this is its last
+    in-block access and it is not live out.  Slot weights follow
+    liveness analysis: first occurrence of a name fixes its dtype,
+    64-bit registers weigh 2, predicates 0.
 
     This is the pressure-delta machinery of the min-register scheduler
     (:mod:`repro.opt.minreg`), extracted so schedulers and analyses
-    share one implementation; the scheduler's behaviour is pinned
-    bit-identical by the opt-rewrite gate.
+    share one implementation.  ``tools/ledger.json`` pins the
+    scheduler's output: ``verified_rewrites`` counts the rewrites of
+    the registry pipeline, which ends with it, and the ``alloc``
+    section hashes every app's allocations after
+    ``copy-prop,dce,minreg-sched``.
     """
 
     def __init__(
@@ -296,37 +348,35 @@ class BlockPressureTracker:
         self.slots: Dict[str, int] = {}
         #: remaining in-block access count per name
         self.remaining: "Counter[str]" = Counter()
+        #: per instruction, the access count of each name it touches;
+        #: the scheduler scores every ready instruction at every step
+        self._touched: List[Dict[str, int]] = []
         first_is_use: Set[str] = set()
         seen: Set[str] = set()
         for inst in insts:
+            touched: Dict[str, int] = {}
             for reg in inst.uses():
                 self.slots.setdefault(reg.name, reg.dtype.reg_class.slots)
-                self.remaining[reg.name] += 1
+                touched[reg.name] = touched.get(reg.name, 0) + 1
                 if reg.name not in seen:
                     first_is_use.add(reg.name)
                     seen.add(reg.name)
             for reg in inst.defs():
                 self.slots.setdefault(reg.name, reg.dtype.reg_class.slots)
-                self.remaining[reg.name] += 1
+                touched[reg.name] = touched.get(reg.name, 0) + 1
                 seen.add(reg.name)
+            self.remaining.update(touched)
+            self._touched.append(touched)
         #: names currently live in the block model; names whose first
         #: in-block access is a use flow in live from predecessors
         self.live: Set[str] = set(first_is_use)
 
-    @staticmethod
-    def _touched(inst: Instruction) -> "Counter[str]":
-        touched: "Counter[str]" = Counter()
-        for reg in inst.uses():
-            touched[reg.name] += 1
-        for reg in inst.defs():
-            touched[reg.name] += 1
-        return touched
-
-    def delta(self, inst: Instruction) -> int:
-        """Net slot delta (births minus deaths) of emitting ``inst`` now."""
+    def delta(self, index: int) -> int:
+        """Net slot delta (births minus deaths) of emitting instruction
+        ``index`` now."""
         births = 0
         deaths = 0
-        for name, count in self._touched(inst).items():
+        for name, count in self._touched[index].items():
             survives = (
                 self.remaining[name] - count > 0 or name in self.live_out
             )
@@ -336,9 +386,10 @@ class BlockPressureTracker:
                 deaths += self.slots[name]
         return births - deaths
 
-    def emit(self, inst: Instruction) -> None:
-        """Commit ``inst`` as emitted, advancing the live-set model."""
-        for name, count in self._touched(inst).items():
+    def emit(self, index: int) -> None:
+        """Commit instruction ``index`` as emitted, advancing the
+        live-set model."""
+        for name, count in self._touched[index].items():
             self.remaining[name] -= count
             if self.remaining[name] > 0 or name in self.live_out:
                 self.live.add(name)

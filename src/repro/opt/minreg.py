@@ -99,10 +99,10 @@ def _schedule_block_minreg(
     order: List[int] = []
     counts = list(preds_count)
     while ready:
-        best = min(ready, key=lambda i: (tracker.delta(insts[i]), i))
+        best = min(ready, key=lambda i: (tracker.delta(i), i))
         ready.remove(best)
         order.append(best)
-        tracker.emit(insts[best])
+        tracker.emit(best)
         for s in succs[best]:
             counts[s] -= 1
             if counts[s] == 0:

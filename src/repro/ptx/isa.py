@@ -19,57 +19,9 @@ from __future__ import annotations
 import enum
 
 
-class DType(enum.Enum):
-    """PTX scalar data types (paper Section 5.2: PTX is type-sensitive)."""
-
-    U8 = "u8"
-    U16 = "u16"
-    U32 = "u32"
-    U64 = "u64"
-    S8 = "s8"
-    S16 = "s16"
-    S32 = "s32"
-    S64 = "s64"
-    F32 = "f32"
-    F64 = "f64"
-    B8 = "b8"
-    B16 = "b16"
-    B32 = "b32"
-    B64 = "b64"
-    PRED = "pred"
-
-    @property
-    def bits(self) -> int:
-        """Width of the type in bits (predicates are 1 bit)."""
-        if self is DType.PRED:
-            return 1
-        return int(self.value[1:])
-
-    @property
-    def bytes(self) -> int:
-        """Width of the type in bytes (predicates occupy one byte when spilled)."""
-        return max(1, self.bits // 8)
-
-    @property
-    def is_float(self) -> bool:
-        return self in (DType.F32, DType.F64)
-
-    @property
-    def is_signed(self) -> bool:
-        return self.value[0] == "s"
-
-    @property
-    def reg_class(self) -> "RegClass":
-        """The register class a value of this type occupies."""
-        if self is DType.PRED:
-            return RegClass.PRED
-        if self is DType.F32:
-            return RegClass.F32
-        if self is DType.F64:
-            return RegClass.F64
-        if self.bits == 64:
-            return RegClass.R64
-        return RegClass.R32
+#: Number of 32-bit register-file slots one register of each class
+#: uses, by :class:`RegClass` value.
+_CLASS_SLOTS = {"r": 1, "rd": 2, "f": 1, "fd": 2, "p": 0}
 
 
 class RegClass(enum.Enum):
@@ -89,14 +41,72 @@ class RegClass(enum.Enum):
     F64 = "fd"
     PRED = "p"
 
+    def __init__(self, value: str) -> None:
+        #: Number of 32-bit register-file slots one register of this
+        #: class uses.
+        self.slots: int = _CLASS_SLOTS[value]
+
+
+#: Width in bits and register-class value of every :class:`DType`, by
+#: type value.  Liveness, interference and pressure read these per
+#: register, so members carry them as plain attributes.
+_DTYPE_TABLE = {
+    "u8": (8, "r"),
+    "u16": (16, "r"),
+    "u32": (32, "r"),
+    "u64": (64, "rd"),
+    "s8": (8, "r"),
+    "s16": (16, "r"),
+    "s32": (32, "r"),
+    "s64": (64, "rd"),
+    "f32": (32, "f"),
+    "f64": (64, "fd"),
+    "b8": (8, "r"),
+    "b16": (16, "r"),
+    "b32": (32, "r"),
+    "b64": (64, "rd"),
+    "pred": (1, "p"),
+}
+
+
+class DType(enum.Enum):
+    """PTX scalar data types (paper Section 5.2: PTX is type-sensitive)."""
+
+    U8 = "u8"
+    U16 = "u16"
+    U32 = "u32"
+    U64 = "u64"
+    S8 = "s8"
+    S16 = "s16"
+    S32 = "s32"
+    S64 = "s64"
+    F32 = "f32"
+    F64 = "f64"
+    B8 = "b8"
+    B16 = "b16"
+    B32 = "b32"
+    B64 = "b64"
+    PRED = "pred"
+
+    def __init__(self, value: str) -> None:
+        bits, reg_class = _DTYPE_TABLE[value]
+        #: Width of the type in bits (predicates are 1 bit).
+        self.bits: int = bits
+        #: The register class a value of this type occupies.
+        self.reg_class: RegClass = RegClass(reg_class)
+
     @property
-    def slots(self) -> int:
-        """Number of 32-bit register-file slots one register of this class uses."""
-        if self in (RegClass.R64, RegClass.F64):
-            return 2
-        if self is RegClass.PRED:
-            return 0
-        return 1
+    def bytes(self) -> int:
+        """Width of the type in bytes (predicates occupy one byte when spilled)."""
+        return max(1, self.bits // 8)
+
+    @property
+    def is_float(self) -> bool:
+        return self in (DType.F32, DType.F64)
+
+    @property
+    def is_signed(self) -> bool:
+        return self.value[0] == "s"
 
 
 class Space(enum.Enum):

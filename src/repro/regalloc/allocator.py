@@ -115,12 +115,8 @@ def register_demand(kernel: Kernel) -> int:
     liveness = LivenessInfo(kernel)
     graphs = build_interference(liveness)
     return sum(
-        chromatic_demand(graphs[rc]) * _slots(rc) for rc in DATA_CLASSES
+        chromatic_demand(graphs[rc]) * rc.slots for rc in DATA_CLASSES
     )
-
-
-def _slots(rc: RegClass) -> int:
-    return 2 if rc in (RegClass.R64, RegClass.F64) else 1
 
 
 def _partition_budget(
@@ -162,7 +158,7 @@ def _partition_budget(
         floors[rc] = min(floor, demands[rc]) if demands[rc] else 0
 
     def total(b: Dict[RegClass, int]) -> int:
-        return sum(b[rc] * _slots(rc) for rc in DATA_CLASSES)
+        return sum(b[rc] * rc.slots for rc in DATA_CLASSES)
 
     # Soft floors: try to keep every frequently-accessed node (loop
     # weight >= _HOT_WEIGHT) resident — spilling an inner-loop value or
@@ -213,7 +209,7 @@ def _partition_budget(
             vals = metrics[rc]
             idx = min(cut_count[rc], len(vals) - 1) if vals else 0
             base = vals[idx] if vals else float("inf")
-            return base / _slots(rc)
+            return base / rc.slots
 
         victim = min(candidates, key=lambda rc: (next_cost(rc), rc.value))
         budgets[victim] -= 1
@@ -397,7 +393,7 @@ def allocate(
                 spill_regions.append(region)
 
     colors = {rc: colorings[rc].colors_used for rc in DATA_CLASSES}
-    reg_per_thread = sum(colors[rc] * _slots(rc) for rc in DATA_CLASSES)
+    reg_per_thread = sum(colors[rc] * rc.slots for rc in DATA_CLASSES)
 
     return AllocationResult(
         kernel=final,

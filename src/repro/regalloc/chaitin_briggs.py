@@ -22,6 +22,7 @@ ablated in ``benchmarks/test_ablation_allocator.py``.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from typing import Dict, List, Optional, Set
 
 from .interference import InterferenceGraph
@@ -111,22 +112,26 @@ def color_graph(
             alias[gone] = rep
 
     # --- simplify / optimistic spill -----------------------------------
+    # The simplify pick is the remaining node with the smallest
+    # (degree, name).  A lazy min-heap holds one entry per degree a node
+    # has had; an entry is stale once its node is removed or its degree
+    # has dropped since it was pushed.
     degrees = {name: len(neigh) for name, neigh in adjacency.items()}
     removed: Set[str] = set()
     stack: List[str] = []
     optimistic_nodes: Set[str] = set()
     remaining = set(adjacency)
-
-    def current_degree(name: str) -> int:
-        return degrees[name]
+    heap = [(degree, name) for name, degree in degrees.items()]
+    heapq.heapify(heap)
 
     while remaining:
-        simplifiable = None
-        for name in sorted(remaining, key=lambda n: (degrees[n], n)):
-            if degrees[name] < k:
-                simplifiable = name
-                break
-        if simplifiable is None:
+        degree, simplifiable = heap[0]
+        while simplifiable in removed or degrees[simplifiable] != degree:
+            heapq.heappop(heap)
+            degree, simplifiable = heap[0]
+        if degree < k:
+            heapq.heappop(heap)
+        else:
             # Choose a spill candidate by Chaitin's metric.
             candidates = [n for n in remaining if n not in unspillable]
             if not candidates:
@@ -144,6 +149,7 @@ def color_graph(
         for neigh in adjacency[simplifiable]:
             if neigh not in removed:
                 degrees[neigh] -= 1
+                heapq.heappush(heap, (degrees[neigh], neigh))
 
     # --- select ---------------------------------------------------------
     coloring: Dict[str, int] = {}

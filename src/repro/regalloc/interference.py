@@ -108,32 +108,32 @@ def build_interference(
         rc: InterferenceGraph(rc) for rc in RegClass
     }
     dtype_of = liveness.dtype_of
+    class_of = {name: dtype.reg_class for name, dtype in dtype_of.items()}
 
-    def class_of(name: str) -> RegClass:
-        return dtype_of[name].reg_class
-
-    # Seed nodes with spill weights from the live ranges.
+    # Seed nodes with spill weights from the live ranges.  Every def
+    # and every live-out name has a range, so the edge loop below can
+    # write straight into both neighbour sets.
     for name, rng in liveness.ranges.items():
-        graphs[class_of(name)].add_node(
+        graphs[class_of[name]].add_node(
             name, weight=rng.weight, accesses=rng.accesses
         )
+    nodes_of = {rc: graph.nodes for rc, graph in graphs.items()}
 
     for site in iter_interference_sites(liveness):
         inst, live_out, move_src = site.inst, site.live_out, site.move_src
         if move_src is not None:
-            if inst.dst is not None and class_of(move_src) is class_of(inst.dst.name):
-                graphs[class_of(move_src)].add_move_pair(inst.dst.name, move_src)
+            if inst.dst is not None and class_of[move_src] is class_of[inst.dst.name]:
+                graphs[class_of[move_src]].add_move_pair(inst.dst.name, move_src)
         for dreg in inst.defs():
-            dclass = class_of(dreg.name)
-            graph = graphs[dclass]
-            for live_name in live_out:
-                if live_name == dreg.name:
-                    continue
-                if class_of(live_name) is not dclass:
-                    continue
-                if move_src is not None and live_name == move_src:
-                    continue  # move pair: may share a register
-                graph.add_edge(dreg.name, live_name)
+            dname = dreg.name
+            dclass = class_of[dname]
+            nodes = nodes_of[dclass]
+            neighbors = nodes[dname].neighbors
+            for live_name in live_out & nodes.keys():
+                if live_name == dname or live_name == move_src:
+                    continue  # a mov's pair may share a register
+                neighbors.add(live_name)
+                nodes[live_name].neighbors.add(dname)
         # Registers simultaneously live out of the same point interfere
         # pairwise only if some def separates them; the def-vs-live-out
         # rule above captures exactly that, because every live range
@@ -144,7 +144,7 @@ def build_interference(
         for name in pinned:
             if name not in dtype_of:
                 continue
-            graph = graphs[class_of(name)]
+            graph = graphs[class_of[name]]
             graph.add_node(name)
             for other in list(graph.nodes):
                 if other != name:

@@ -25,7 +25,6 @@ from .allocator import (
     DATA_CLASSES,
     AllocationResult,
     InsufficientRegistersError,
-    _slots,
 )
 from .spill import insert_spill_code
 
@@ -180,7 +179,7 @@ def allocate_linear_scan(
         rc: (max(assignment_by_class[rc].values()) + 1 if assignment_by_class[rc] else 0)
         for rc in DATA_CLASSES
     }
-    reg_per_thread = sum(colors[rc] * _slots(rc) for rc in DATA_CLASSES)
+    reg_per_thread = sum(colors[rc] * rc.slots for rc in DATA_CLASSES)
     return AllocationResult(
         kernel=final,
         reg_per_thread=reg_per_thread,
@@ -233,7 +232,7 @@ def _partition(
         floors[rc] = min(max(floor, 1 if intervals else 0), demand[rc])
 
     def total(b):
-        return sum(b[rc] * _slots(rc) for rc in DATA_CLASSES)
+        return sum(b[rc] * rc.slots for rc in DATA_CLASSES)
 
     # Reduce the largest consumer first until we fit.
     while total(budgets) > limit:
@@ -243,7 +242,7 @@ def _partition(
                 f"register limit {limit} too small for linear scan "
                 f"(floors need {total(floors)} slots)"
             )
-        victim = max(candidates, key=lambda rc: (budgets[rc] * _slots(rc), rc.value))
+        victim = max(candidates, key=lambda rc: (budgets[rc] * rc.slots, rc.value))
         budgets[victim] -= 1
     return budgets
 

@@ -115,7 +115,7 @@ def verify_allocation(
 
     _check_spilled_gone(kernel, result.spilled, report)
     if result.name_map:
-        _check_register_sharing(kernel, result.name_map, report)
+        _check_register_sharing(kernel, cfg, result.name_map, report)
 
     for info in result.spill_regions:
         region = StackRegion(
@@ -173,9 +173,9 @@ def lint_spill_stacks(
 # Register sharing (AL001) and residual spilled names (AL006).
 # ----------------------------------------------------------------------
 def _check_register_sharing(
-    kernel: Kernel, name_map: Dict[str, str], report: VerifyReport
+    kernel: Kernel, cfg: CFG, name_map: Dict[str, str], report: VerifyReport
 ) -> None:
-    liveness = LivenessInfo(kernel)
+    liveness = LivenessInfo(kernel, cfg)
 
     def phys(name: str) -> str:
         return name_map.get(name, name)

@@ -2,9 +2,29 @@
 
 from __future__ import annotations
 
+import functools
+import glob
+import os
+
 import pytest
 
 from repro.ptx import CmpOp, DType, KernelBuilder, Space
+from repro.workloads import ALL_APPS
+
+EXAMPLES_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(__file__)), "examples"
+)
+
+#: The register-analysis corpus: every ``examples/*.ptx`` kernel, every
+#: suite app's kernel and (``APP@alloc``) its default allocation.
+ANALYSIS_CORPUS = (
+    [
+        os.path.basename(path)
+        for path in sorted(glob.glob(os.path.join(EXAMPLES_DIR, "*.ptx")))
+    ]
+    + [app.abbr for app in ALL_APPS]
+    + [f"{app.abbr}@alloc" for app in ALL_APPS]
+)
 
 
 def build_tid_kernel():
@@ -99,3 +119,24 @@ def loop_kernel():
 @pytest.fixture
 def pressure_kernel():
     return build_pressure_kernel()
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_kernel(name):
+    """The kernel of one :data:`ANALYSIS_CORPUS` entry."""
+    from repro.arch import get_config
+    from repro.core import collect_resource_usage, default_allocation
+    from repro.ptx import parse_kernel
+    from repro.workloads import load_workload
+
+    if name.endswith(".ptx"):
+        with open(os.path.join(EXAMPLES_DIR, name)) as handle:
+            return parse_kernel(handle.read())
+    abbr, _, variant = name.partition("@")
+    workload = load_workload(abbr)
+    if not variant:
+        return workload.kernel
+    usage = collect_resource_usage(
+        workload.kernel, get_config("fermi"), default_reg=workload.default_reg
+    )
+    return default_allocation(workload.kernel, usage).kernel

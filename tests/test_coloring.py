@@ -1,10 +1,18 @@
 """Chaitin-Briggs coloring tests."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.ptx import RegClass
 from repro.regalloc import chromatic_demand, color_graph, verify_coloring
 from repro.regalloc.interference import InterferenceGraph
+from tests.ledger import LEDGER
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def clique(n):
@@ -132,3 +140,78 @@ class TestChromaticDemand:
         for i in range(5):
             g.add_node(f"n{i}")
         assert chromatic_demand(g) == 1
+
+
+def graph_of(edges, nodes):
+    """A unit-weight R32 graph; ``nodes`` fixes the insertion order."""
+    g = InterferenceGraph(RegClass.R32)
+    for name in nodes:
+        g.add_node(name, weight=1.0)
+    for a, b in edges:
+        g.add_edge(a, b)
+    return g
+
+
+class TestSimplifyOrder:
+    """Simplify removes the remaining node with the smallest (degree,
+    name); select pops the stack and takes the lowest free color."""
+
+    def test_degree_ties_break_by_name(self):
+        # A 4-cycle, all degree 2, inserted in reverse name order.
+        # Stack: a (2), b (1, ties d), c (1), d (0).  Select pops d=0,
+        # c=1, b=0, a=1; reverse-name ties would give a=0 b=1 c=0 d=1.
+        g = graph_of([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")],
+                     nodes="dcba")
+        result = color_graph(g, 3, coalesce=False)
+        assert result.coloring == {"a": 1, "b": 0, "c": 1, "d": 0}
+
+    def test_degree_before_name(self):
+        # Degrees a3 b2 c2 d1, k=3.  Stack: d (1), a (2, ties b c),
+        # b (1), c (0).  Select pops c=0, b=1, a=2, d=0; taking the
+        # first name below k instead (b first) would give a=1 b=2.
+        g = graph_of([("a", "b"), ("a", "c"), ("a", "d"), ("b", "c")],
+                     nodes="dcba")
+        result = color_graph(g, 3, coalesce=False)
+        assert result.coloring == {"a": 2, "b": 1, "c": 0, "d": 0}
+
+    def test_spill_candidate_ties_break_by_name(self):
+        # K4 at k=3: no node is below k, every Chaitin metric is 1/4,
+        # so a is pushed optimistically, then b, c, d.  Select gives
+        # d=0, c=1, b=2 and leaves a without a color.
+        g = graph_of([(x, y) for x in "abcd" for y in "abcd" if x < y],
+                     nodes="dcba")
+        result = color_graph(g, 3, coalesce=False)
+        assert result.spilled == ["a"]
+        assert result.coloring == {"b": 2, "c": 1, "d": 0}
+
+
+#: Prints every CRAT and CRAT-local candidate allocation of CFD, HST and
+#: SPMV as its ``alloc`` ledger entry, keyed by label.
+_ALLOCATE_CANDIDATES = """
+import json, sys
+sys.path.insert(0, "tools")
+import ledger_gate
+print(json.dumps({
+    label: ledger_gate.allocation_entry(allocation)
+    for abbr in ("CFD", "HST", "SPMV")
+    for label, allocation in ledger_gate.candidate_allocations(abbr)
+}))
+"""
+
+
+def test_allocations_do_not_depend_on_the_hash_seed():
+    """Set and dict iteration order inside the analysis follows the
+    string hash seed; the allocations must not."""
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.path.join(REPO, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", _ALLOCATE_CANDIDATES], cwd=REPO, env=env,
+            capture_output=True, text=True, check=True,
+        )
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) > 20
+    for label, entry in outputs[0].items():
+        assert entry == LEDGER["alloc"][label], label

@@ -3,8 +3,14 @@
 import pytest
 
 from repro.cfg import CFG, LivenessInfo
+from repro.cfg.loops import loop_depths
 from repro.ptx import DType, RegClass, parse_kernel
-from tests.conftest import build_loop_kernel, build_pressure_kernel
+from tests.conftest import (
+    ANALYSIS_CORPUS,
+    build_loop_kernel,
+    build_pressure_kernel,
+    corpus_kernel,
+)
 
 LISTING_3 = """
 .entry kernel (.param .u64 output)
@@ -129,3 +135,76 @@ class TestInvariants:
             for reg in inst.regs():
                 rng = info.ranges[reg.name]
                 assert rng.start <= pos <= rng.end
+
+
+def _successor_positions(cfg, block, pos):
+    """Global positions control can reach right after ``pos``."""
+    if pos < block.start + len(block.instructions) - 1:
+        return [pos + 1]
+    return [cfg.blocks[succ].start for succ in block.successors]
+
+
+@pytest.mark.parametrize("name", ANALYSIS_CORPUS)
+class TestDefinitions:
+    """Every kernel of the corpus against the definitions, computed
+    directly from the instructions rather than from another copy of
+    the analysis."""
+
+    def test_live_sets_solve_the_dataflow_equations(self, name):
+        info = LivenessInfo(corpus_kernel(name))
+        for block in info.cfg.blocks:
+            for pos, inst in block.positions():
+                assert info.instructions[pos] is inst
+                expected_out = frozenset().union(*(
+                    info.live_in[succ]
+                    for succ in _successor_positions(info.cfg, block, pos)
+                ))
+                assert info.live_out[pos] == expected_out, pos
+                defs = {reg.name for reg in inst.defs()}
+                uses = {reg.name for reg in inst.uses()}
+                assert info.live_in[pos] == (info.live_out[pos] - defs) | uses
+
+    def test_ranges_match_their_definition(self, name):
+        kernel = corpus_kernel(name)
+        info = LivenessInfo(kernel)
+        depths = loop_depths(info.cfg)
+        depth_at = {
+            pos: depths[block.index]
+            for block in info.cfg.blocks
+            for pos, _ in block.positions()
+        }
+        alive_at = {}
+        uses, defs, weight, first_dtype = {}, {}, {}, {}
+        for pos, inst in enumerate(kernel.instructions()):
+            touched = set()
+            for reg in inst.regs():  # defs, then uses
+                first_dtype.setdefault(reg.name, reg.dtype)
+                touched.add(reg.name)
+            for reg in inst.uses():
+                uses[reg.name] = uses.get(reg.name, 0) + 1
+            for reg in inst.defs():
+                defs[reg.name] = defs.get(reg.name, 0) + 1
+            for reg in inst.regs():
+                weight[reg.name] = weight.get(reg.name, 0) + 10 ** depth_at[pos]
+            for alive in (touched, info.live_in[pos], info.live_out[pos]):
+                for reg_name in alive:
+                    alive_at.setdefault(reg_name, []).append(pos)
+
+        assert set(info.ranges) == set(first_dtype)
+        assert set(alive_at) == set(first_dtype)
+        for reg_name, rng in info.ranges.items():
+            assert rng.name == reg_name
+            assert (rng.start, rng.end) == (
+                min(alive_at[reg_name]), max(alive_at[reg_name])
+            ), reg_name
+            assert rng.uses == uses.get(reg_name, 0), reg_name
+            assert rng.defs == defs.get(reg_name, 0), reg_name
+            assert rng.weight == weight[reg_name], reg_name
+            assert rng.dtype is first_dtype[reg_name], reg_name
+            assert info.dtype_of[reg_name] is first_dtype[reg_name]
+
+
+def test_ranges_are_summarized_on_first_read():
+    info = LivenessInfo(build_loop_kernel())
+    assert info._ranges is None
+    assert info.ranges is info.ranges

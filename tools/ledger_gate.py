@@ -1,8 +1,9 @@
 #!/usr/bin/env python
-"""Golden-ledger gate: every pinned answer of the timing core and the
-optimization passes, checked against ``tools/ledger.json``.
+"""Golden-ledger gate: every pinned answer of the timing core, register
+allocation and the optimization passes, checked against
+``tools/ledger.json``.
 
-The ledger holds three kinds of entry:
+The ledger holds four kinds of entry:
 
 * **design points** — the cycles and a sha256 of every
   :class:`~repro.sim.stats.SimResult` field
@@ -41,8 +42,9 @@ cycles (for a trace, its warp-op count) moved; a verified-pipeline or
 candidate-allocation diagnostic fails it too.  The tier-1
 tests (``tests/test_batch_differential.py``,
 ``tests/test_opt_differential.py``, ``tests/test_multisim.py``,
-``tests/test_warp_limit.py``, ``tests/test_divergence.py``) read the
-same ledger through the helpers below.
+``tests/test_warp_limit.py``, ``tests/test_divergence.py``,
+``tests/test_coloring.py``) read the same ledger through the helpers
+below.
 
 Run from the repository root::
 
@@ -378,15 +380,12 @@ def block_dependent_output(mem: GlobalMemory) -> bytes:
     ).tobytes()
 
 
-def app_usage(abbr: str, kernel=None):
-    """A suite app's :class:`ResourceUsage` as ``repro crat APP`` sees
-    it: ``kernel`` (default: the workload kernel) under the workload's
-    pinned default reg."""
-    workload = load_workload(abbr)
-    if kernel is None:
-        kernel = workload.kernel
+def app_usage(abbr: str, kernel):
+    """The :class:`ResourceUsage` of ``kernel`` (a suite app's kernel or
+    a pass pipeline's output) under the app's pinned default reg, as
+    ``repro crat APP`` sees it."""
     return collect_resource_usage(
-        kernel, CONFIG, default_reg=workload.default_reg
+        kernel, CONFIG, default_reg=load_workload(abbr).default_reg
     )
 
 
@@ -559,7 +558,7 @@ def alloc_entries(failures: List[str]) -> Dict[str, Dict]:
     for workload in full_suite():
         abbr = workload.abbr
         for spec in ALLOC_PIPELINES:
-            kernel = load_workload(abbr).kernel
+            kernel = workload.kernel
             if spec:
                 kernel = run_pipeline(kernel, spec).kernel
             source = alloc_source(abbr, spec)
