@@ -228,8 +228,9 @@ class LivenessInfo:
         32-bit slots (64-bit registers weigh 2, predicates 0).
 
         This is the **one** pressure walk in the codebase:
-        :meth:`max_pressure` is its maximum, and the lint pressure
-        analyzer (``LNT1xx``) attributes occupancy-stair crossings on it.
+        :meth:`max_pressure` is its maximum, and
+        ``tests/test_pressure_consolidation.py`` pins both against an
+        independent walk.
         """
         if reg_class is None:
             weight = {

@@ -10,12 +10,6 @@ Commands mirror how the paper's toolchain is used:
 * ``verify APP|FILE``    — lint a kernel with the translation-validation
   rules (dataflow, spill-stack discipline; ``--pipeline`` also runs the
   transform passes under effect-preservation checking)
-* ``lint APP|FILE``      — whole-kernel static analysis: register-
-  pressure hotspots vs the occupancy staircase (``LNT1xx``),
-  coalescing/bank-conflict/dead-store analysis (``LNT2xx``), warp
-  divergence (``LNT3xx``), def-use hygiene (``LNT4xx``); ``--json``,
-  ``--sarif [PATH]`` (SARIF 2.1.0), ``--rules`` code selection and
-  ``--fail-on error|warn|never`` gating (exit 8 on findings)
 * ``serve``              — persistent compilation daemon: one warm
   engine behind a unix socket (or TCP via ``--listen``), NDJSON
   protocol, single-flight dedup, bounded queue with backpressure,
@@ -60,9 +54,7 @@ some did not — ``suite --report-json PATH`` writes the structured
 failure report), 6 translation-validation findings (``repro verify``
 and ``--verify`` runs), 7 compilation-service transport/protocol
 failure (``repro submit`` against an unreachable or overloaded
-daemon; job-level failures keep their own codes), 8 lint findings at
-or above the ``--fail-on`` threshold (``repro lint`` and ``--lint``
-runs).
+daemon; job-level failures keep their own codes).
 """
 
 from __future__ import annotations
@@ -131,7 +123,7 @@ def cmd_verify(args) -> int:
     """
     from . import verify as verify_mod
 
-    kernel, _ = _load_unverified(args.target)
+    kernel = _load_unverified(args.target)
     report = verify_mod.lint_kernel(kernel)
     if args.pipeline:
         _, pipeline_report = verify_mod.run_validated_pipeline(kernel)
@@ -148,14 +140,14 @@ def cmd_verify(args) -> int:
 
 
 def _load_unverified(target: str):
-    """Resolve a lint/verify target without the legacy load-time verifier.
+    """Resolve a verify target without the legacy load-time verifier.
 
-    Returns ``(kernel, source_path_or_None)``.  A kernel with static
-    defects must reach the analyzers and come back as rule codes;
-    only genuinely unparseable input is a parse failure (exit 2).
+    A kernel with static defects must reach the verifiers and come back
+    as rule codes; only genuinely unparseable input is a parse failure
+    (exit 2).
     """
     if target.upper() in BY_ABBR:
-        return load_workload(target.upper()).kernel, None
+        return load_workload(target.upper()).kernel
     try:
         with open(target) as handle:
             text = handle.read()
@@ -165,76 +157,9 @@ def _load_unverified(target: str):
             f"({', '.join(sorted(BY_ABBR))}) nor a readable file: {err}"
         )
     try:
-        kernel = parse_kernel(text)
+        return parse_kernel(text)
     except Exception as err:
         raise classify_error(err, app=target, stage="parse")
-    return kernel, target
-
-
-def cmd_lint(args) -> int:
-    """Static-analysis lint: LNT rules and SARIF output."""
-    import json as json_mod
-
-    from .analysis import run_lint, severity_gate, to_sarif
-    from .errors import EXIT_LINT, ParseError
-    from .verify.registry import select_rules
-
-    rules = None
-    if args.rules:
-        try:
-            rules = select_rules(args.rules)
-        except ValueError as err:
-            raise ParseError(str(err), stage="rules")
-
-    kernel, source = _load_unverified(args.target)
-    config = get_config(args.config)
-    report = run_lint(kernel, config=config, rules=rules, source=source)
-
-    if args.sarif is not None:
-        sarif = to_sarif(
-            [report],
-            sources={kernel.name: source} if source else None,
-        )
-        text = json_mod.dumps(sarif, indent=2)
-        if args.sarif == "-":
-            print(text)
-        else:
-            try:
-                with open(args.sarif, "w") as handle:
-                    handle.write(text + "\n")
-            except OSError as err:
-                raise SystemExit(f"error: cannot write SARIF: {err}")
-            print(f"SARIF report written to {args.sarif}", file=sys.stderr)
-
-    if args.json:
-        print(report.to_json())
-    elif args.sarif != "-":
-        print(report.render())
-
-    failed, _ = severity_gate(report, args.fail_on)
-    return EXIT_LINT if failed else 0
-
-
-def _lint_gate(kernel, config_name: str) -> None:
-    """``--lint`` on the main commands: advisory findings to stderr,
-    error-severity findings abort with :class:`repro.errors.LintError`
-    (exit 8) before any simulation is spent."""
-    from .analysis import run_lint, severity_gate
-    from .errors import LintError
-
-    report = run_lint(kernel, config=get_config(config_name))
-    if report.diagnostics:
-        print(report.render(), file=sys.stderr)
-    failed, gating = severity_gate(report, "error")
-    if failed:
-        raise LintError(
-            f"{len(gating)} lint error(s): "
-            + "; ".join(d.rule + " " + d.message for d in gating[:4])
-            + ("; ..." if len(gating) > 4 else ""),
-            kernel=kernel.name,
-            stage="lint",
-            diagnostics=list(report.diagnostics),
-        )
 
 
 def cmd_info(args) -> int:
@@ -281,8 +206,6 @@ def cmd_allocate(args) -> int:
 def cmd_simulate(args) -> int:
     kernel, workload = _load(args.target)
     config = get_config(args.config)
-    if getattr(args, "lint", False):
-        _lint_gate(kernel, args.config)
     if args.verify:
         from . import verify as verify_mod
 
@@ -310,8 +233,6 @@ def cmd_simulate(args) -> int:
 def cmd_crat(args) -> int:
     kernel, workload = _load(args.target)
     config = get_config(args.config)
-    if getattr(args, "lint", False):
-        _lint_gate(kernel, args.config)
     _engine_for(args)
     optimizer = CRATOptimizer(
         config,
@@ -335,8 +256,12 @@ def cmd_crat(args) -> int:
     print(f"speedup vs OptTLP: {result.speedup_vs('opttlp'):.2f}X")
     print(f"speedup vs MaxTLP: {result.speedup_vs('maxtlp'):.2f}X")
     if args.emit:
-        with open(args.emit, "w") as handle:
-            handle.write(print_kernel(result.chosen.allocation.kernel) + "\n")
+        text = print_kernel(result.chosen.allocation.kernel) + "\n"
+        try:
+            with open(args.emit, "w") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise SystemExit(f"error: cannot write optimized PTX: {err}")
         print(f"optimized PTX written to {args.emit}")
     _write_trace_json(args)
     return 0
@@ -349,10 +274,6 @@ def cmd_suite(args) -> int:
     from .bench import format_table, geomean, run_suite, write_report_json
 
     from .workloads import RESOURCE_SENSITIVE
-
-    if getattr(args, "lint", False):
-        for w in RESOURCE_SENSITIVE:
-            _lint_gate(load_workload(w.abbr).kernel, args.config)
 
     engine = _engine_for(args)
 
@@ -599,34 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="treat warnings as errors (exit 6)")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_lint = sub.add_parser(
-        "lint", help="static-analysis lint (pressure, memory, "
-                     "divergence, hygiene; stable LNT rule codes)"
-    )
-    p_lint.add_argument("target")
-    p_lint.add_argument("--config", default="fermi")
-    p_lint.add_argument("--json", action="store_true",
-                        help="emit the diagnostic report as JSON")
-    p_lint.add_argument("--sarif", nargs="?", const="-", default=None,
-                        metavar="PATH",
-                        help="write a SARIF 2.1.0 report to PATH "
-                             "(or stdout when no path is given)")
-    p_lint.add_argument("--rules", default="", metavar="LNT2,LNT101,...",
-                        help="restrict findings to these rule codes or "
-                             "code prefixes (comma-separated; unknown "
-                             "names exit 2)")
-    p_lint.add_argument("--fail-on", choices=["error", "warn", "never"],
-                        default="error",
-                        help="finding severity that fails the run with "
-                             "exit 8 (default: error)")
-    p_lint.set_defaults(func=cmd_lint)
-
-    def add_lint_flag(p):
-        p.add_argument("--lint", action="store_true",
-                       help="run the static-analysis lint first: "
-                            "warnings are advisory (stderr), "
-                            "error-severity findings abort with exit 8")
-
     def add_passes_flag(p):
         p.add_argument("--passes", default="", metavar="P1,P2,...",
                        help="pre-allocation optimization pipeline to run "
@@ -648,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", default="fermi")
     add_verify_flag(p_sim)
     add_passes_flag(p_sim)
-    add_lint_flag(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_crat = sub.add_parser("crat", help="run the CRAT optimizer")
@@ -663,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_trace_flag(p_crat)
     add_verify_flag(p_crat)
     add_passes_flag(p_crat)
-    add_lint_flag(p_crat)
     p_crat.set_defaults(func=cmd_crat)
 
     p_suite = sub.add_parser("suite", help="Fig 13 table on the sensitive suite")
@@ -675,7 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_trace_flag(p_suite)
     add_verify_flag(p_suite)
     add_passes_flag(p_suite)
-    add_lint_flag(p_suite)
     p_suite.set_defaults(func=cmd_suite)
 
     p_serve = sub.add_parser(

@@ -5,10 +5,11 @@
 * ``TLP_gain = 1 - TLP*BlockSize / (TLP*BlockSize + MaxThread)``
   shrinks as TLP grows — adding threads has diminishing returns once
   latency is already hidden;
-* ``Spill_cost = Num_local*Cost_local + Num_shm*Cost_shm + Num_others``
-  charges every inserted spill instruction its measured per-access
-  delay (local and shared memory costs come from micro-benchmarks,
-  :mod:`repro.arch.latency`).
+* ``Spill_cost = Num_local*Cost_local + Num_shm*Cost_shm +
+  Num_others*Cost_other`` charges every inserted spill instruction its
+  measured per-access delay (local and shared memory costs come from
+  micro-benchmarks, :mod:`repro.arch.latency`); ``Num_others`` counts
+  the address-computation and rematerialization instructions.
 
 The smallest TPSC wins.  The metric deliberately ignores cache effects:
 points with serious contention were already pruned (Section 4.2).

@@ -16,11 +16,9 @@ tree at the engine boundary (:func:`classify_error`):
     ├── ``SimulationError``  — trace generation or timing failure (exit 4)
     ├── ``CacheError``       — persistent-store corruption/IO     (exit 4)
     ├── ``VerificationError`` — translation validation failed     (exit 6)
-    ├── ``ServiceError``     — compilation-service transport or
-    │   protocol failure (daemon unreachable, malformed frame,
-    │   request rejected)                                          (exit 7)
-    └── ``LintError``        — ``repro lint`` found gating
-        findings (at/above the ``--fail-on`` threshold)            (exit 8)
+    └── ``ServiceError``     — compilation-service transport or
+        protocol failure (daemon unreachable, malformed frame,
+        request rejected)                                          (exit 7)
 
 Every node carries the *context* of the failure — the app / kernel and
 the ``(reg, TLP)`` design point being evaluated when it happened — so a
@@ -42,7 +40,6 @@ EXIT_SIMULATION = 4
 EXIT_PARTIAL = 5
 EXIT_VERIFY = 6
 EXIT_SERVICE = 7
-EXIT_LINT = 8
 
 
 class ReproError(Exception):
@@ -180,30 +177,6 @@ class ServiceError(ReproError):
         super().__init__(message, **context)
 
 
-class LintError(ReproError):
-    """Static-analysis lint found findings that gate the run.
-
-    Raised by ``repro lint`` (and ``--lint`` on the main commands) when
-    the report contains findings at or above the ``--fail-on``
-    threshold.  Like :class:`VerificationError` it carries the typed
-    :class:`~repro.verify.diagnostics.Diagnostic` list so callers keep
-    the rule codes; the distinct exit code (8) lets CI distinguish
-    "the kernel is suspicious" from "the kernel is miscompiled".
-    """
-
-    exit_code = EXIT_LINT
-
-    def __init__(self, message: str, diagnostics=None, **context):
-        self.diagnostics = list(diagnostics or [])
-        super().__init__(message, **context)
-
-    def to_dict(self) -> dict:
-        data = super().to_dict()
-        data["diagnostics"] = [d.to_dict() for d in self.diagnostics]
-        data["rules"] = sorted({d.rule for d in self.diagnostics})
-        return data
-
-
 def classify_error(
     exc: BaseException,
     app: Optional[str] = None,
@@ -252,7 +225,6 @@ def classify_error(
 
 __all__ = [
     "EXIT_ALLOCATION",
-    "EXIT_LINT",
     "EXIT_OK",
     "EXIT_PARSE",
     "EXIT_PARTIAL",
@@ -261,7 +233,6 @@ __all__ = [
     "EXIT_VERIFY",
     "AllocationError",
     "CacheError",
-    "LintError",
     "ParseError",
     "ReproError",
     "ServiceError",

@@ -15,7 +15,7 @@ emitting the shared typed :class:`~repro.verify.diagnostics.Diagnostic`
 
 :func:`lint_kernel` bundles the checks that make sense on a bare
 kernel file (``repro verify``); the ``--verify`` flag on the CLI's
-``crat``/``simulate``/``suite``/``bench`` commands routes the
+``allocate``/``simulate``/``crat``/``suite`` commands routes the
 allocation and pipeline validators through the optimizer itself.
 
 ``stats`` counts validations per pass (keys ``"dataflow"``,
@@ -49,14 +49,7 @@ from .diagnostics import (  # noqa: E402
     Diagnostic,
     VerifyReport,
 )
-from .registry import (  # noqa: E402
-    FAMILIES,
-    LINT_RULES,
-    RULES,
-    Rule,
-    Severity,
-    select_rules,
-)
+from .registry import FAMILIES, RULES, Rule, Severity  # noqa: E402
 from .pipeline import (  # noqa: E402
     PASS_MODES,
     effect_summary,
@@ -77,13 +70,11 @@ def lint_kernel(kernel: Kernel, stage: Optional[str] = None) -> VerifyReport:
 __all__ = [
     "Diagnostic",
     "FAMILIES",
-    "LINT_RULES",
     "PASS_MODES",
     "RULES",
     "Rule",
     "Severity",
     "VerifyReport",
-    "select_rules",
     "discover_spill_regions",
     "effect_summary",
     "lint_kernel",

@@ -1,13 +1,13 @@
-"""Typed diagnostics shared by every verification and lint pass.
+"""Typed diagnostics shared by every verification pass.
 
-All verifiers (dataflow, allocation, pipeline) and every lint analyzer
-(:mod:`repro.analysis.lint`) emit the same :class:`Diagnostic` record:
-a **stable rule code** (``DF001``, ``AL004``, ``LNT203``, ...), a
-severity, the kernel/block/instruction location the finding anchors
-to, a human message, and a machine-readable ``data`` payload.  The
-rule codes themselves live in :mod:`repro.verify.registry` — one
-module owns the whole code space so families cannot collide; this
-module re-exports ``Severity``/``Rule``/``RULES`` for compatibility.
+All verifiers (dataflow, allocation, pipeline) emit the same
+:class:`Diagnostic` record: a **stable rule code** (``DF001``,
+``AL004``, ``PL002``, ...), a severity, the kernel/block/instruction
+location the finding anchors to, a human message, and a
+machine-readable ``data`` payload.  The rule codes themselves live in
+:mod:`repro.verify.registry` — one module owns the whole code space so
+families cannot collide; this module re-exports
+``Severity``/``Rule``/``RULES`` for compatibility.
 
 A :class:`VerifyReport` aggregates diagnostics for one kernel/stage and
 renders them for humans (one ``file:kernel:block:inst CODE severity:

@@ -54,11 +54,14 @@ class TestSimulate:
 
 class TestBatchFlags:
     def test_bench_without_mode_exits(self):
-        """The retired ``bench`` subcommand and the retired sweep-screen
-        flag of ``crat`` are usage errors (exit 2), never ignored."""
+        """The retired ``bench`` subcommand, the retired sweep-screen
+        flag of ``crat`` and the retired advisory linter (``lint`` and
+        ``--lint``) are usage errors (exit 2), never ignored."""
         # The flag is spelled in two pieces so a search of the tree for
         # the retired name finds only the documents' history.
-        for argv in (["bench"], ["crat", "GAU", "--fast" "path-topk", "1"]):
+        for argv in (["bench"], ["crat", "GAU", "--fast" "path-topk", "1"],
+                     ["lint", "GAU"], ["simulate", "GAU", "--lint"],
+                     ["crat", "GAU", "--lint"], ["suite", "--lint"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
@@ -150,3 +153,11 @@ class TestCrat:
         snapshot = json.loads(trace.read_text())
         assert "stats" in snapshot and "events" in snapshot
         assert snapshot["stats"]["sim_requests"] >= 1
+
+    def test_unwritable_emit_path_is_a_clean_error(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir" / "out.ptx"
+        with pytest.raises(SystemExit) as exc:
+            main(["crat", "GAU", "--static", "--emit", str(missing)])
+        assert str(exc.value.code).startswith(
+            "error: cannot write optimized PTX:"
+        )

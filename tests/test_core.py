@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arch import FERMI, KEPLER, measure_costs
+from repro.arch import FERMI, KEPLER, MemoryCosts, measure_costs
 from repro.core import (
     CRATOptimizer,
     DesignPoint,
@@ -121,6 +121,31 @@ class TestTPSC:
         alloc = allocate(pressure_kernel, register_demand(pressure_kernel) - 8,
                          remat=False)
         assert spill_cost(alloc, costs) > 0
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_spill_cost_sums_all_three_terms(self, weighted):
+        # Num_local*Cost_local + Num_shm*Cost_shm + Num_others*Cost_other
+        # (Section 6), Num_others = address + rematerialization insts.
+        # GAU at 16 registers with 4 KB of spare shared memory has all
+        # four counts nonzero, and the costs are distinct, so dropping
+        # or swapping any term changes the sum.
+        alloc = allocate(load_workload("GAU").kernel, 16,
+                         spare_shm_bytes=4096)
+        assert alloc.num_local_insts and alloc.num_shared_insts
+        assert alloc.num_address_insts and alloc.num_remat_insts
+        if weighted:
+            n_local = alloc.weighted_local_accesses
+            n_shm = alloc.weighted_shared_accesses
+        else:
+            n_local = alloc.num_local_insts
+            n_shm = alloc.num_shared_insts
+        n_others = alloc.num_address_insts + alloc.num_remat_insts
+        for costs in (measure_costs(FERMI), MemoryCosts(3.0, 5.0, 7.0)):
+            assert spill_cost(alloc, costs, weighted=weighted) == (
+                n_local * costs.cost_local
+                + n_shm * costs.cost_shared
+                + n_others * costs.cost_other
+            )
 
     def test_select_best_prefers_zero_cost_high_tlp(self, pressure_kernel):
         costs = measure_costs(FERMI)

@@ -1,11 +1,12 @@
 """The diagnostic rule registry: uniqueness, stability, documentation."""
 
+import dataclasses
 import os
 import re
 
 import pytest
 
-from repro.verify import FAMILIES, LINT_RULES, RULES, Severity, select_rules
+from repro.verify import FAMILIES, RULES, Severity
 from repro.verify.registry import family_of, validate_registry
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -18,6 +19,11 @@ EXPECTED_CODES = [
     "DF008", "DF009",
     "AL001", "AL002", "AL003", "AL004", "AL005", "AL006",
     "PL001", "PL002", "PL003",
+]
+
+#: Codes of the retired advisory linter.  They are never reused, and
+#: the registry rejects their family outright.
+RETIRED_CODES = [
     "LNT101", "LNT102", "LNT103",
     "LNT201", "LNT202", "LNT203", "LNT204", "LNT205",
     "LNT301", "LNT302", "LNT303",
@@ -33,7 +39,7 @@ class TestRegistry:
         assert len(EXPECTED_CODES) == len(set(EXPECTED_CODES))
 
     def test_every_rule_is_well_formed(self):
-        pattern = re.compile(r"^(?:(?:DF|AL|PL)\d{3}|LNT[1-4]\d{2})$")
+        pattern = re.compile(r"^(?:DF|AL|PL)\d{3}$")
         for code, rule in RULES.items():
             assert pattern.match(code), code
             assert rule.code == code
@@ -44,57 +50,34 @@ class TestRegistry:
     def test_owner_matches_family(self):
         for code, rule in RULES.items():
             owner, _ = family_of(code)
-            assert rule.owner.split("-")[0] == owner.split("-")[0], code
-
-    def test_lint_rules_are_the_lnt_subset(self):
-        assert set(LINT_RULES) == {
-            c for c in RULES if c.startswith("LNT")
-        }
+            assert rule.owner == owner, code
 
     def test_duplicate_codes_are_rejected(self):
-        rule = RULES["LNT101"]
+        rule = RULES["DF001"]
         with pytest.raises(ValueError, match="duplicate"):
             validate_registry([rule, rule])
 
     def test_unknown_family_is_rejected(self):
-        import dataclasses
-        bogus = dataclasses.replace(RULES["LNT101"], code="ZZZ999")
+        bogus = dataclasses.replace(RULES["DF001"], code="ZZZ999")
         with pytest.raises(ValueError, match="family"):
             validate_registry([bogus])
 
 
-class TestSelectRules:
-    def test_single_code(self):
-        assert select_rules("LNT402") == frozenset({"LNT402"})
+class TestRetiredCodes:
+    def test_retired_codes_stay_out_of_the_registry(self):
+        assert not set(RETIRED_CODES) & set(RULES)
 
-    def test_family_prefix_expands(self):
-        assert select_rules("LNT4") == frozenset(
-            {"LNT401", "LNT402", "LNT403", "LNT404", "LNT405"}
-        )
-
-    def test_mixed_spec_case_insensitive(self):
-        got = select_rules("lnt2, LNT301")
-        assert got == frozenset(
-            {"LNT201", "LNT202", "LNT203", "LNT204", "LNT205", "LNT301"}
-        )
-
-    def test_unknown_token_raises(self):
-        with pytest.raises(ValueError, match="unknown lint rule"):
-            select_rules("LNT9")
+    def test_retired_family_is_rejected(self):
+        revived = dataclasses.replace(RULES["DF001"], code="LNT101")
+        with pytest.raises(ValueError, match="family"):
+            validate_registry([revived])
 
 
 class TestDocumentation:
-    def test_every_lint_rule_is_documented_in_design_md(self):
+    def test_every_rule_is_documented_in_design_md(self):
         with open(os.path.join(REPO, "DESIGN.md")) as fh:
             design = fh.read()
-        for code in LINT_RULES:
-            # The taxonomy table writes bare numbers under a family row.
-            assert code in design or code[3:] in design, (
-                f"{code} is not documented in DESIGN.md section 13"
+        for code in RULES:
+            assert code in design, (
+                f"{code} is not documented in DESIGN.md section 6"
             )
-
-    def test_every_family_is_documented_in_design_md(self):
-        with open(os.path.join(REPO, "DESIGN.md")) as fh:
-            design = fh.read()
-        for family in ("LNT1xx", "LNT2xx", "LNT3xx", "LNT4xx"):
-            assert family in design

@@ -39,6 +39,14 @@ from repro.workloads import load_workload
 
 MISCOMPILED = "examples/miscompiled.ptx"
 CLEAN_SPILLED = "examples/spilled.ptx"
+UNINIT_READ = "examples/uninit_read.ptx"
+
+#: Seeded fixtures whose defects (an overwritten store, a bank
+#: conflict, a thread-dependent loop, a maybe-uninitialized read) all
+#: load under the legacy load-time verifier; only the last one is a
+#: verification finding (DF001).
+SEEDED_FIXTURES = ["bank_conflict", "dead_store", "divergent_loop",
+                   "uninit_read"]
 
 
 def _kernel(body: str) -> str:
@@ -491,15 +499,33 @@ class TestErrorPlumbing:
 
 
 class TestCLI:
-    def test_verify_clean_fixture_exits_0(self, capsys):
-        assert main(["verify", CLEAN_SPILLED]) == 0
-        assert "0 error(s)" in capsys.readouterr().out
+    # The spill fixture and the three performance-smell fixtures are
+    # correct kernels: no verification rule may fire on them.
+    @pytest.mark.parametrize(
+        "name", ["spilled", "dead_store", "bank_conflict", "divergent_loop"]
+    )
+    def test_verify_clean_fixture_exits_0(self, name, capsys):
+        assert main(["verify", f"examples/{name}.ptx"]) == 0
+        assert "0 error(s), 0 warning(s)" in capsys.readouterr().out
 
     def test_verify_miscompiled_exits_6(self, capsys):
         assert main(["verify", MISCOMPILED]) == 6
         out = capsys.readouterr().out
         for code in ("DF001", "AL002", "AL003", "AL004", "AL005"):
             assert code in out
+
+    def test_verify_uninit_read_exits_6(self, capsys):
+        assert main(["verify", UNINIT_READ, "--json"]) == 6
+        payload = json.loads(capsys.readouterr().out)
+        (diag,) = payload["diagnostics"]
+        assert diag["rule"] == "DF001"
+        assert diag["severity"] == "error"
+        assert diag["data"] == {"register": "%f1"}
+
+    @pytest.mark.parametrize("name", SEEDED_FIXTURES)
+    def test_passes_the_legacy_verifier(self, name):
+        with open(f"examples/{name}.ptx") as fh:
+            verify_kernel(parse_kernel(fh.read()))
 
     def test_verify_json_output(self, capsys):
         assert main(["verify", MISCOMPILED, "--json"]) == 6
