@@ -12,6 +12,9 @@ The cache is two-level: an in-process LRU map, plus an optional
 on-disk store (one file per key digest) enabled by passing a directory
 or setting ``REPRO_CACHE_DIR``.  Disk entries survive across
 processes, which is what makes repeated benchmark invocations free.
+The engine's stage memo keeps its entries in the same directory,
+through the same reader and writer (:meth:`SimResultCache.read_entry`,
+:meth:`SimResultCache.write_entry`), keyed by :func:`source_digest`.
 
 **Bounding.**  The in-memory level is unbounded by default (a one-shot
 CLI run cannot outgrow its own working set) but accepts a maximum
@@ -29,17 +32,22 @@ a legacy bare-pickle file all fail verification on read; the entry is
 **deleted** and reported through the ``on_corrupt`` hook (the engine
 counts it and emits a ``cache_corrupt`` event) instead of being
 silently treated as a miss on every future lookup.  Writes remain
-atomic (temp file + rename), so readers never observe a half-written
-entry under POSIX semantics either.
+atomic: each writer fills its own uniquely named temp file and renames
+it into place, so concurrent writers of one key (threads or processes)
+never share a file, and readers never observe a half-written entry
+under POSIX semantics either.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import os
 import pickle
+import tempfile
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, TypeVar
 
 from ..arch.config import GPUConfig
 from ..ir.pipeline import PIPELINE_SCHEMA_VERSION
@@ -79,6 +87,8 @@ RESULT_SCHEMA_VERSION = 2
 ENTRY_MAGIC = b"RPRC2\n"
 
 _DIGEST_LEN = hashlib.sha256().digest_size
+
+T = TypeVar("T")
 
 
 class CacheCorruptionError(Exception):
@@ -163,25 +173,33 @@ def key_digest(key: Tuple) -> str:
     return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:16]
 
 
-def encode_entry(result: SimResult, token: str = "") -> bytes:
-    """Frame a result for disk: magic + payload checksum + payload.
+def frame_entry(payload: bytes, token: str = "") -> bytes:
+    """Frame a payload for disk: magic + payload checksum + payload.
 
     ``token`` feeds the fault-injection harness — under an active
     ``corrupt-cache`` fault the *stored* payload is perturbed while the
     checksum still covers the clean payload, which is exactly what a
     torn write looks like to the reader.
     """
-    payload = pickle.dumps(result)
     stored = faults.corrupt_payload(token, payload) if token else payload
     return ENTRY_MAGIC + hashlib.sha256(payload).digest() + stored
 
 
-def decode_entry(data: bytes, path: str = "<memory>") -> SimResult:
-    """Verify and unpickle a framed entry.
+def encode_entry(result: SimResult, token: str = "") -> bytes:
+    """A result pickled and framed for disk (:func:`frame_entry`)."""
+    return frame_entry(pickle.dumps(result), token)
+
+
+def decode_entry(
+    data: bytes,
+    path: str = "<memory>",
+    decode: Callable[[bytes], T] = pickle.loads,
+) -> T:
+    """Verify a framed entry and ``decode`` its payload (unpickle it).
 
     Raises :class:`CacheCorruptionError` on a missing/foreign magic
-    (legacy bare-pickle entries included), a short read, or a checksum
-    mismatch.
+    (legacy bare-pickle entries included), a short read, a checksum
+    mismatch, or a payload ``decode`` rejects.
     """
     if not data.startswith(ENTRY_MAGIC):
         raise CacheCorruptionError(path, "legacy or foreign entry format")
@@ -193,11 +211,40 @@ def decode_entry(data: bytes, path: str = "<memory>") -> SimResult:
     if hashlib.sha256(payload).digest() != digest:
         raise CacheCorruptionError(path, "checksum mismatch")
     try:
-        return pickle.loads(payload)
+        return decode(payload)
     except Exception as err:
-        # Checksum passed but unpickling failed: written by an
+        # Checksum passed but decoding failed: written by an
         # incompatible interpreter / class layout.
         raise CacheCorruptionError(path, f"unreadable payload: {err}")
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest() -> Optional[str]:
+    """sha256 over the relative path and bytes of every ``*.py`` file
+    of the ``repro`` package, or ``None`` if a file cannot be read.
+
+    Computed once per process.  Disk memo entries are keyed by the
+    stage's *input* kernel, so unlike a simulation key (which names the
+    allocated kernel) nothing in the key changes when the code that
+    computes the value does; this digest does.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    files = sorted(
+        os.path.relpath(os.path.join(folder, name), root).replace(os.sep, "/")
+        for folder, _, names in os.walk(root)
+        for name in names
+        if name.endswith(".py")
+    )
+    digest = hashlib.sha256()
+    try:
+        for rel in files:
+            with open(os.path.join(root, rel), "rb") as handle:
+                data = handle.read()
+            digest.update(f"{rel}\0{len(data)}\0".encode("utf-8"))
+            digest.update(data)
+    except OSError:
+        return None
+    return digest.hexdigest()
 
 
 class SimResultCache:
@@ -241,10 +288,8 @@ class SimResultCache:
             self._memory.popitem(last=False)
             self.evictions += 1
 
-    def _disk_path(self, key: SimKey) -> Optional[str]:
-        if not self.disk_dir:
-            return None
-        return os.path.join(self.disk_dir, f"sim-{key_digest(key)}.pkl")
+    def _disk_path(self, kind: str, digest: str) -> str:
+        return os.path.join(self.disk_dir, f"{kind}-{digest}.pkl")
 
     def _discard_corrupt(self, path: str, reason: str) -> None:
         try:
@@ -256,6 +301,63 @@ class SimResultCache:
             self.on_corrupt(path, reason)
 
     # ------------------------------------------------------------------
+    # The disk store, shared by simulation results and the stage memo.
+    # ------------------------------------------------------------------
+    def read_entry(
+        self,
+        kind: str,
+        key: Tuple,
+        decode: Callable[[bytes], T] = pickle.loads,
+    ) -> Optional[T]:
+        """The decoded disk entry ``{kind}-{key digest}.pkl``, or
+        ``None`` without a disk directory or such an entry.
+
+        An entry that fails verification or ``decode`` is deleted,
+        reported through ``on_corrupt`` and read as a miss.
+        """
+        if not self.disk_dir:
+            return None
+        path = self._disk_path(kind, key_digest(key))
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except OSError:
+            return None
+        try:
+            return decode_entry(data, path, decode)
+        except CacheCorruptionError as err:
+            self._discard_corrupt(path, err.reason)
+            return None
+
+    def write_entry(self, kind: str, key: Tuple, payload: bytes) -> None:
+        """Persist ``payload`` framed as ``{kind}-{key digest}.pkl``
+        (best effort; a no-op without a disk directory).
+
+        The writer creates the directory, fills its own temp file there
+        and renames it into place: concurrent writers of one key never
+        share a file, and a reader sees a whole entry or none.
+        """
+        if not self.disk_dir:
+            return
+        digest = key_digest(key)
+        data = frame_entry(payload, token=digest)
+        try:
+            os.makedirs(self.disk_dir, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(
+                prefix=f"{kind}-{digest}.", suffix=".tmp", dir=self.disk_dir
+            )
+            try:
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(data)
+                os.replace(tmp, self._disk_path(kind, digest))
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.remove(tmp)
+                raise
+        except OSError:
+            pass  # disk persistence is best-effort
+
+    # ------------------------------------------------------------------
     def get(self, key: SimKey) -> Tuple[Optional[SimResult], str]:
         """Look a key up; returns ``(result, source)`` where source is
         ``"memory"``, ``"disk"``, or ``"miss"``."""
@@ -263,22 +365,12 @@ class SimResultCache:
         if result is not None:
             self._memory.move_to_end(key)
             return result, "memory"
-        path = self._disk_path(key)
-        if path and os.path.exists(path):
-            try:
-                with open(path, "rb") as handle:
-                    data = handle.read()
-            except OSError:
-                return None, "miss"
-            try:
-                result = decode_entry(data, path)
-            except CacheCorruptionError as err:
-                self._discard_corrupt(path, err.reason)
-                return None, "miss"
-            self._memory[key] = result
-            self._evict_over_budget()
-            return result, "disk"
-        return None, "miss"
+        result = self.read_entry("sim", key)
+        if result is None:
+            return None, "miss"
+        self._memory[key] = result
+        self._evict_over_budget()
+        return result, "disk"
 
     def put(self, key: SimKey, result: SimResult) -> None:
         if getattr(result, "estimated", False):
@@ -288,22 +380,16 @@ class SimResultCache:
         self._memory[key] = result
         self._memory.move_to_end(key)
         self._evict_over_budget()
-        path = self._disk_path(key)
-        if path:
-            try:
-                os.makedirs(self.disk_dir, exist_ok=True)
-                tmp = f"{path}.tmp.{os.getpid()}"
-                with open(tmp, "wb") as handle:
-                    handle.write(encode_entry(result, token=key_digest(key)))
-                os.replace(tmp, path)
-            except OSError:
-                pass  # disk persistence is best-effort
+        if self.disk_dir:
+            self.write_entry("sim", key, pickle.dumps(result))
 
     def clear(self, disk: bool = False) -> None:
+        """Drop the memory level; ``disk=True`` also deletes every
+        simulation and stage-memo entry on disk."""
         self._memory.clear()
         if disk and self.disk_dir and os.path.isdir(self.disk_dir):
             for name in os.listdir(self.disk_dir):
-                if name.startswith("sim-") and name.endswith(".pkl"):
+                if name.startswith(("sim-", "memo-")) and name.endswith(".pkl"):
                     try:
                         os.remove(os.path.join(self.disk_dir, name))
                     except OSError:

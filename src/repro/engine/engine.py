@@ -17,7 +17,9 @@ design points many times over.
 * **Pure-stage memo** — :meth:`EvaluationEngine.memo` runs each pure
   compiler stage (allocation, resource usage, an unverified pass
   pipeline) once per content key and hands every later caller a
-  private copy.  In memory only, LRU-bounded like the result cache.
+  private copy.  LRU-bounded in memory like the result cache; with a
+  disk directory its entries also persist there, keyed by the source
+  digest as well, so a restarted daemon reads them back.
 * **Batched sweeps** — :meth:`simulate_many` runs each group of
   points that share traces, config and scheduler as one in-process
   batch of the timing core; single points, failed batches and every
@@ -68,7 +70,7 @@ from ..sim.cache import CacheStats
 from ..sim.executor import BlockTrace
 from ..sim.gpu import trace_grid
 from ..sim.stats import SimResult
-from . import faults
+from . import cache, faults
 from .cache import SimKey, SimResultCache, config_signature, key_digest, make_sim_key
 from .events import (
     BatchEvent,
@@ -96,6 +98,11 @@ T = TypeVar("T")
 
 #: One design point for the timing core: (traces, config, tlp, scheduler).
 SimTask = Tuple[List[BlockTrace], GPUConfig, int, str]
+
+
+def _decode_memo(blob: bytes) -> Tuple[bytes, object]:
+    """A disk memo payload and the value it holds (a private copy)."""
+    return blob, pickle.loads(zlib.decompress(blob))
 
 
 def _retryable(error: Exception) -> bool:
@@ -250,28 +257,56 @@ class EvaluationEngine:
         every other input the stage reads).  Values are kept as
         ``zlib``-compressed pickles, so every hit unpickles a private
         copy that its caller may rewrite freely, and an entry costs a
-        few KiB instead of a live object graph.  An exception from
-        ``compute`` propagates and stores nothing.  The memo shares the
-        result cache's LRU bound (``cache_max_entries``) and never
-        touches disk.
+        few KiB instead of a live object graph.  The memory level
+        shares the result cache's LRU bound (``cache_max_entries``).
+
+        With a disk directory, a memory miss reads the result cache's
+        disk store before it computes, and a computed value is written
+        there.  The disk key also carries :func:`cache.source_digest`,
+        because ``key`` names only the stage's inputs, not the code
+        that computes it.  An exception from ``compute`` propagates and
+        stores nothing on either level.
         """
         with self._memo_lock:
             blob = self._memo.get(key)
-            if blob is None:
-                self.stats.memo_misses += 1
-            else:
+            if blob is not None:
                 self._memo.move_to_end(key)
                 self.stats.memo_hits += 1
         if blob is not None:
             return pickle.loads(zlib.decompress(blob))
+        disk_key = self._memo_disk_key(key)
+        if disk_key is not None:
+            found = self._sim_cache.read_entry("memo", disk_key, _decode_memo)
+            if found is not None:
+                blob, value = found
+                with self._memo_lock:
+                    self.stats.memo_disk_hits += 1
+                    self._store_memo(key, blob)
+                return value
+        with self._memo_lock:
+            self.stats.memo_misses += 1
         value = compute()
         blob = zlib.compress(pickle.dumps(value), 1)
         with self._memo_lock:
-            # A racing miss on the same key may have stored it already.
-            self._memo[key] = blob
-            self._memo.move_to_end(key)
-            self._trim_memo()
+            self._store_memo(key, blob)
+        if disk_key is not None:
+            self._sim_cache.write_entry("memo", disk_key, blob)
         return value
+
+    def _memo_disk_key(self, key: Tuple) -> Optional[Tuple]:
+        """``key`` under the source digest; ``None`` keeps the memo in
+        memory (no disk directory, or no digest)."""
+        if not self._sim_cache.disk_dir:
+            return None
+        digest = cache.source_digest()
+        return None if digest is None else (digest,) + tuple(key)
+
+    def _store_memo(self, key: Tuple, blob: bytes) -> None:
+        """Insert as most recent; the caller holds the lock.  A racing
+        miss on the same key may have stored it already."""
+        self._memo[key] = blob
+        self._memo.move_to_end(key)
+        self._trim_memo()
 
     def _trim_memo(self) -> None:
         """Evict LRU entries over the bound; the caller holds the lock."""
@@ -697,7 +732,8 @@ class EvaluationEngine:
 
     def clear(self, disk: bool = False) -> None:
         """Drop cached results, traces and memoised stages (and
-        stats/events)."""
+        stats/events); ``disk=True`` also deletes the disk entries of
+        results and memoised stages."""
         self._sim_cache.clear(disk=disk)
         self._trace_cache.clear()
         with self._memo_lock:

@@ -159,8 +159,9 @@ class RequestEvent:
 @dataclasses.dataclass(frozen=True)
 class CacheCorruptEvent:
     """One corrupt/truncated/legacy persistent-cache entry, detected by
-    checksum verification on read and deleted (the point re-simulates
-    instead of silently missing forever)."""
+    checksum verification on read and deleted (the point re-simulates,
+    or the memoised stage recomputes, instead of silently missing
+    forever)."""
 
     kind: ClassVar[str] = "cache_corrupt"
 
@@ -206,8 +207,10 @@ class EngineStats:
     degraded: int = 0
     sim_failures: int = 0
     cache_corrupt: int = 0
-    #: Pure-stage memo lookups (:meth:`EvaluationEngine.memo`).
+    #: Pure-stage memo lookups (:meth:`EvaluationEngine.memo`): memory
+    #: hits, disk hits and computes, one of the three per lookup.
     memo_hits: int = 0
+    memo_disk_hits: int = 0
     memo_misses: int = 0
     sim_seconds: float = 0.0
     trace_seconds: float = 0.0

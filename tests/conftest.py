@@ -27,6 +27,14 @@ ANALYSIS_CORPUS = (
 )
 
 
+@pytest.fixture(autouse=True)
+def _no_ambient_cache_dir(monkeypatch):
+    """An engine built without ``disk_cache`` reads ``REPRO_CACHE_DIR``.
+    Clear it, so a test uses a disk cache only where it passes one, and
+    entries left by other runs never reach its counters."""
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+
+
 def build_tid_kernel():
     """Paper Listing 1-3: compute the global thread id and store it."""
     b = KernelBuilder("kernel", block_size=128)

@@ -645,14 +645,13 @@ class TestStageMemo:
         assert engine.memo(("k",), lambda: [2]) == [2]
         assert (engine.stats.memo_hits, engine.stats.memo_misses) == (0, 1)
 
-    def test_concurrent_lookups_keep_counts_and_bound(self):
-        # ``repro serve`` workers share one engine: lookups racing on
-        # overlapping keys under a tight bound must lose no count and
-        # never overrun the bound.
+    @staticmethod
+    def _race(engine):
+        """8 threads x 300 lookups over 7 keys, which must lose no
+        count and never overrun the memo's bound of 4."""
         import sys
         import threading
 
-        engine = EvaluationEngine(cache_max_entries=4)
         calls, errors = 300, []
 
         def worker(seed):
@@ -679,12 +678,31 @@ class TestStageMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert engine.stats.memo_hits + engine.stats.memo_misses == 8 * calls
+        stats = engine.stats
+        lookups = stats.memo_hits + stats.memo_disk_hits + stats.memo_misses
+        assert lookups == 8 * calls
         assert engine.snapshot()["memo_entries"] <= 4
 
-    def test_checks_still_run_on_memo_hits(self, gau, monkeypatch):
-        """A verified optimize re-runs every check on a warm memo, and
-        answers exactly as it did cold."""
+    def test_concurrent_lookups_keep_counts_and_bound(self):
+        # ``repro serve`` workers share one engine: lookups racing on
+        # overlapping keys under a tight bound.
+        self._race(EvaluationEngine(disk_cache="", cache_max_entries=4))
+
+    def test_concurrent_lookups_over_a_disk_level(self, tmp_path):
+        # Evicted keys come back from disk while other threads write
+        # them: one whole entry per key, none corrupt, no temp file left.
+        engine = EvaluationEngine(disk_cache=str(tmp_path), cache_max_entries=4)
+        self._race(engine)
+        assert engine.stats.memo_disk_hits > 0
+        assert engine.stats.cache_corrupt == 0
+        names = [p.name for p in tmp_path.iterdir()]
+        assert len(names) == 7 and all(n.endswith(".pkl") for n in names)
+
+    @staticmethod
+    def _verified_runs(engines, gau, monkeypatch):
+        """One verified optimize of GAU per engine: per run, the
+        ``verify_allocation``/``verify_pass`` call counts and the
+        answer."""
         import repro.verify as verify_mod
         from repro.core import CRATOptimizer
 
@@ -697,15 +715,14 @@ class TestStageMemo:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(verify_mod, name, counted)
-        engine = EvaluationEngine()
-        optimizer = CRATOptimizer(
-            FERMI,
-            verify=True,
-            passes="copy-prop,dce,minreg-sched",
-            engine=engine,
-        )
         runs = []
-        for _ in range(2):
+        for engine in engines:
+            optimizer = CRATOptimizer(
+                FERMI,
+                verify=True,
+                passes="copy-prop,dce,minreg-sched",
+                engine=engine,
+            )
             before = dict(counts)
             result = optimizer.optimize(
                 gau.kernel,
@@ -722,10 +739,177 @@ class TestStageMemo:
                 result.sim,
             )
             runs.append((calls, answer))
-        assert engine.stats.memo_hits > 0
         assert runs[0][0]["verify_allocation"] > 0
         assert runs[0][0]["verify_pass"] > 0
+        return runs
+
+    def test_checks_still_run_on_memo_hits(self, gau, monkeypatch):
+        """A verified optimize re-runs every check on a warm memo, and
+        answers exactly as it did cold."""
+        engine = EvaluationEngine()
+        runs = self._verified_runs([engine, engine], gau, monkeypatch)
+        assert engine.stats.memo_hits > 0
         assert runs[1] == runs[0]
+
+    # ------------------------------------------------------------------
+    # The disk level.
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _must_not_run():
+        raise AssertionError("computed despite a stored entry")
+
+    def test_second_engine_reads_the_disk_entry(self, tmp_path):
+        key, compute = self._spilling_allocation()
+        first = EvaluationEngine(disk_cache=str(tmp_path))
+        fresh = first.memo(key, compute)
+        assert len(list(tmp_path.glob("memo-*.pkl"))) == 1
+        second = EvaluationEngine(disk_cache=str(tmp_path))
+        hit = second.memo(key, self._must_not_run)
+        stats = second.stats
+        assert (stats.memo_hits, stats.memo_disk_hits, stats.memo_misses) == (
+            0, 1, 0,
+        )
+        assert print_kernel(hit.kernel) == print_kernel(fresh.kernel)
+        for field in self.FIELDS:
+            assert getattr(hit, field) == getattr(fresh, field), field
+        # The disk hit is now a memory entry as well.
+        second.memo(key, self._must_not_run)
+        assert stats.memo_hits == 1
+
+    def test_corrupt_disk_entry_is_dropped_and_recomputed(self, tmp_path):
+        EvaluationEngine(disk_cache=str(tmp_path)).memo(("k",), lambda: [1])
+        [path] = tmp_path.glob("memo-*.pkl")
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 0xFF  # one payload byte
+        path.write_bytes(bytes(data))
+
+        engine = EvaluationEngine(disk_cache=str(tmp_path))
+        calls = []
+        assert engine.memo(("k",), lambda: calls.append(1) or [1]) == [1]
+        assert calls == [1]
+        assert engine.stats.cache_corrupt == 1
+        assert (engine.stats.memo_disk_hits, engine.stats.memo_misses) == (0, 1)
+        corrupt = [e for e in engine.events if e.kind == "cache_corrupt"]
+        assert [(e.path, e.reason) for e in corrupt] == [
+            (str(path), "checksum mismatch")
+        ]
+        # The recomputed value replaced the deleted entry, intact.
+        third = EvaluationEngine(disk_cache=str(tmp_path))
+        assert third.memo(("k",), self._must_not_run) == [1]
+        assert third.stats.memo_disk_hits == 1
+
+    def test_entry_of_other_source_is_never_read(self, tmp_path, monkeypatch):
+        import repro.engine.cache as cache_mod
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_mod, "source_digest", lambda: "0" * 64)
+            old = EvaluationEngine(disk_cache=str(tmp_path))
+            old.memo(("k",), lambda: "old")
+        engine = EvaluationEngine(disk_cache=str(tmp_path))
+        assert engine.memo(("k",), lambda: "new") == "new"
+        assert (engine.stats.memo_disk_hits, engine.stats.memo_misses) == (0, 1)
+        assert len(list(tmp_path.glob("memo-*.pkl"))) == 2
+
+    def test_no_source_digest_keeps_memo_in_memory(self, tmp_path, monkeypatch):
+        import repro.engine.cache as cache_mod
+
+        monkeypatch.setattr(cache_mod, "source_digest", lambda: None)
+        engine = EvaluationEngine(disk_cache=str(tmp_path))
+        assert engine.memo(("k",), lambda: 1) == 1
+        assert engine.memo(("k",), self._must_not_run) == 1
+        assert engine.stats.memo_hits == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_source_digest_is_computed_once(self):
+        from repro.engine.cache import source_digest
+
+        digest = source_digest()
+        assert digest is not None and len(digest) == 64
+        assert source_digest() is digest  # once per process
+
+    def test_failure_leaves_no_disk_entry(self, tmp_path):
+        from repro.regalloc.allocator import InsufficientRegistersError
+
+        engine = EvaluationEngine(disk_cache=str(tmp_path))
+
+        def compute():
+            raise InsufficientRegistersError("reg_limit=1")
+
+        with pytest.raises(InsufficientRegistersError):
+            engine.memo(("allocate", "fp", 1, 0), compute)
+        assert not list(tmp_path.iterdir())
+
+    def test_clear_disk_removes_memo_and_sim_entries(self, gau, tmp_path):
+        engine = EvaluationEngine(disk_cache=str(tmp_path))
+        engine.memo(("k",), lambda: 1)
+        engine.simulate(gau.kernel, FERMI, 1, grid_blocks=4,
+                        param_sizes=gau.param_sizes)
+        assert list(tmp_path.glob("memo-*.pkl"))
+        assert list(tmp_path.glob("sim-*.pkl"))
+        engine.clear(disk=True)
+        assert not list(tmp_path.iterdir())
+
+    def test_checks_still_run_on_disk_memo_hits(self, gau, monkeypatch,
+                                                tmp_path):
+        """A verified optimize on a fresh engine over a warm directory
+        reads the memo from disk, re-runs every check, and answers as
+        the engine that wrote it did."""
+        first = EvaluationEngine(disk_cache=str(tmp_path))
+        second = EvaluationEngine(disk_cache=str(tmp_path))
+        runs = self._verified_runs([first, second], gau, monkeypatch)
+        assert second.stats.memo_disk_hits > 0
+        assert second.stats.memo_misses == 0
+        assert runs[1] == runs[0]
+
+
+class TestDiskWrites:
+    def test_concurrent_writers_of_one_key_use_own_temp_files(
+        self, tmp_path, monkeypatch
+    ):
+        """Two threads storing one key at once: each writes its own
+        temp file, so neither truncates the other's, and the entry
+        decodes afterwards with no temp file left behind."""
+        import os
+        import threading
+
+        from repro.engine import SimResultCache
+
+        cache = SimResultCache(str(tmp_path))
+        key = ("same-key",)
+        temps, errors = [], []
+        barrier = threading.Barrier(2, timeout=30)
+        replace = os.replace
+
+        def held_replace(src, dst):
+            # Both writers are inside the write before either renames.
+            temps.append(src)
+            barrier.wait()
+            replace(src, dst)
+
+        def write(value):
+            try:
+                cache.put(key, value)
+            except Exception as err:
+                errors.append(err)
+
+        threads = [
+            threading.Thread(target=write, args=({"writer": n},))
+            for n in (1, 2)
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", held_replace)
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(temps) == 2 and temps[0] != temps[1]
+        fresh = SimResultCache(str(tmp_path))
+        value, source = fresh.get(key)
+        assert source == "disk" and value in ({"writer": 1}, {"writer": 2})
+        assert fresh.corrupt_entries == 0
+        assert [p.suffix for p in tmp_path.iterdir()] == [".pkl"]
 
 
 class TestEngineThreadSafety:

@@ -25,7 +25,9 @@ What it checks, end to end, with real processes and a real socket:
 6. a warm restart: a second daemon booted over the same
    ``REPRO_CACHE_DIR`` answers each distinct job once, identically to
    one-shot, and its ``stats`` show no simulation (``sim_misses`` 0)
-   and at least one disk-cache hit.
+   and at least one disk-cache hit, and no memoised stage computed
+   (``memo_misses`` 0): allocation and resource usage come back from
+   the disk memo (``memo_disk_hits`` at least 1).
 
 Exit status: 0 on success, 1 on any mismatch or daemon misbehavior.
 """
@@ -167,7 +169,7 @@ def drain(daemon, name):
 def check_warm_restart(sock_path, env, expected):
     """Failures: a second daemon over the first one's cache directory
     must answer each distinct job as one-shot does, from the disk cache
-    alone."""
+    alone: no simulation and no memoised stage computed."""
     from repro.service import ServiceClient, submit_or_raise
 
     daemon = start_daemon(sock_path, env)
@@ -187,10 +189,16 @@ def check_warm_restart(sock_path, env, expected):
             stats = client.stats()["engine"]["stats"]
         print(f"warm restart: {len(expected)} distinct jobs, "
               f"{stats['sim_misses']} simulations, "
-              f"{stats['disk_hits']} disk hits", flush=True)
+              f"{stats['disk_hits']} disk hits, "
+              f"{stats['memo_misses']} memo computes, "
+              f"{stats['memo_disk_hits']} memo disk hits", flush=True)
         if stats["sim_misses"] != 0 or stats["disk_hits"] < 1:
             print("FAIL: the second daemon did not boot warm from the "
                   "disk cache", file=sys.stderr)
+            failures += 1
+        if stats["memo_misses"] != 0 or stats["memo_disk_hits"] < 1:
+            print("FAIL: the second daemon recomputed memoised stages "
+                  "instead of reading the disk memo", file=sys.stderr)
             failures += 1
     finally:
         failures += drain(daemon, "second daemon")
