@@ -12,8 +12,8 @@ from conftest import run_once
 from repro.arch import FERMI
 from repro.analysis import estimate_opt_tlp
 from repro.bench import format_table
-from repro.core import collect_resource_usage, default_allocation, profile_tlp
-from repro.sim import trace_grid
+from repro.core import collect_resource_usage, default_allocation
+from repro.sim import simulate_traces_batched, trace_grid
 from repro.workloads import load_workload
 
 APPS = ["CFD", "HST", "KMN"]
@@ -31,8 +31,9 @@ def _measure():
             allocation.kernel, FERMI, workload.grid_blocks, workload.param_sizes
         )
 
+        # The engine's profiling sweep: every TLP in one batched run.
         t0 = time.perf_counter()
-        profile_tlp(traces, FERMI, usage.max_tlp)
+        simulate_traces_batched(traces, FERMI, range(1, usage.max_tlp + 1))
         profiling_s = time.perf_counter() - t0
 
         t1 = time.perf_counter()

@@ -16,8 +16,8 @@ import time
 from repro import FERMI, collect_resource_usage
 from repro.analysis import estimate_opt_tlp, segment_kernel
 from repro.arch import compute_occupancy
-from repro.core import default_allocation, opt_tlp_from_profile, profile_tlp
-from repro.sim import trace_grid
+from repro.core import default_allocation, opt_tlp_from_profile
+from repro.engine import get_engine
 from repro.workloads import RESOURCE_SENSITIVE, load_workload
 
 
@@ -43,10 +43,10 @@ def main() -> None:
         static_seconds = time.perf_counter() - t0
 
         t1 = time.perf_counter()
-        traces = trace_grid(
-            allocation.kernel, FERMI, workload.grid_blocks, workload.param_sizes
+        profile = get_engine().profile_tlp(
+            allocation.kernel, FERMI, ceiling, workload.grid_blocks,
+            workload.param_sizes,
         )
-        profile = profile_tlp(traces, FERMI, ceiling)
         profiled = opt_tlp_from_profile(profile)
         profiling_seconds = time.perf_counter() - t1
 

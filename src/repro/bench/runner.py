@@ -126,7 +126,7 @@ def evaluate_app(
     config = get_config(config_name)
     workload = load_workload(abbr, input_scale)
     engine = get_engine()
-    with engine.stage(f"evaluate:{abbr}"):
+    with engine.span(f"evaluate:{abbr}"):
         optimizer = CRATOptimizer(
             config, enable_shm_spill=True, verify=verify, passes=passes
         )

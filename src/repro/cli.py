@@ -24,10 +24,10 @@ to PTX-subset text.  File inputs use synthetic default buffer sizes.
 Simulation-heavy commands (``simulate``, ``crat``, ``suite``) share the
 evaluation engine: results are memoized by kernel content (persistently
 if ``REPRO_CACHE_DIR`` is set), and ``--trace-json PATH`` (on ``crat``
-and ``suite``) dumps the engine's instrumentation (per-stage timings,
-simulation counts, cache hit/miss counters).  OptTLP profiling
-simulates every TLP of the sweep, as the paper's exhaustive offline
-search does.  Every simulation runs in-process on the one batched
+and ``suite``) dumps the engine's instrumentation (the nested span
+tree with each span name's self seconds, simulation counts, cache
+hit/miss counters).  OptTLP profiling simulates every TLP of the
+sweep, as the paper's exhaustive offline search does.  Every simulation runs in-process on the one batched
 timing core: a multi-point sweep is one batch, a single point a batch
 of one on the engine's retry rung.
 
@@ -219,14 +219,9 @@ def cmd_simulate(args) -> int:
     grid = args.grid or (workload.grid_blocks if workload else None)
     result = engine.simulate(kernel, config, tlp=args.tlp, grid_blocks=grid,
                              param_sizes=sizes)
-    print(f"cycles:        {result.cycles:.0f}")
-    print(f"instructions:  {result.instructions}")
-    print(f"IPC:           {result.ipc:.3f}")
-    print(f"L1 hit rate:   {result.l1_hit_rate:.1%}")
-    print(f"MSHR stalls:   {result.mshr_stall_cycles:.0f} cycles")
-    print(f"local insts:   {result.local_insts}")
-    print(f"DRAM traffic:  {result.dram_bytes >> 10} KiB")
-    print(f"energy:        {result.energy_nj / 1e3:.1f} uJ")
+    from .service.jobs import sim_result_to_dict
+
+    _render_submit_result("simulate", sim_result_to_dict(result))
     return 0
 
 
@@ -247,14 +242,9 @@ def cmd_crat(args) -> int:
         grid_blocks=workload.grid_blocks if workload else None,
         param_sizes=workload.param_sizes if workload else None,
     )
-    print(f"OptTLP ({result.opt_tlp_source}): {result.opt_tlp}")
-    print("candidates:")
-    for scored in result.candidates:
-        mark = "  <== chosen" if scored.point == result.chosen.point else ""
-        print(f"  (reg={scored.point.reg}, TLP={scored.point.tlp}) "
-              f"TPSC={scored.tpsc:.1f}{mark}")
-    print(f"speedup vs OptTLP: {result.speedup_vs('opttlp'):.2f}X")
-    print(f"speedup vs MaxTLP: {result.speedup_vs('maxtlp'):.2f}X")
+    from .service.jobs import crat_result_to_dict
+
+    _render_submit_result("crat", crat_result_to_dict(result))
     if args.emit:
         text = print_kernel(result.chosen.allocation.kernel) + "\n"
         try:
@@ -319,7 +309,7 @@ def cmd_suite(args) -> int:
     for failure in report.failures:
         print(f"repro: suite: {failure.abbr} failed [{failure.kind}]: "
               f"{failure.message}", file=sys.stderr)
-    print(f"engine: {engine.stats.summary()}")
+    print(f"engine: {engine.summary()}")
     _write_trace_json(args)
     if getattr(args, "report_json", ""):
         try:
@@ -414,6 +404,8 @@ def _submit_params(args) -> dict:
 
 
 def _render_submit_result(job: str, result: dict) -> None:
+    """Print a job's result payload: a daemon reply, or a one-shot
+    ``crat``/``simulate`` run serialized the same way."""
     if job == "crat":
         print(f"OptTLP ({result['opt_tlp_source']}): {result['opt_tlp']}")
         print("candidates:")

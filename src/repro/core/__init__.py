@@ -12,7 +12,6 @@ from .throttling import (
     BaselineResult,
     default_allocation,
     opt_tlp_from_profile,
-    profile_tlp,
     run_baselines,
 )
 from .tpsc import ScoredPoint, score, select_best, spill_cost, tlp_gain
@@ -29,7 +28,6 @@ __all__ = [
     "default_allocation",
     "enumerate_space",
     "opt_tlp_from_profile",
-    "profile_tlp",
     "prune",
     "run_baselines",
     "score",

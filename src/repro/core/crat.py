@@ -15,7 +15,6 @@ Pipeline per kernel:
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import Dict, List, Optional
 
 from ..analysis.gto_model import estimate_opt_tlp
@@ -51,8 +50,6 @@ class CRATResult:
     sim: SimResult
     baselines: Dict[str, BaselineResult]
     variant: str
-    opt_tlp_seconds: float
-    search_seconds: float
 
     @property
     def reg(self) -> int:
@@ -167,7 +164,7 @@ class CRATOptimizer:
             lint_kernel(kernel, stage="input").raise_if_errors()
         engine = self.engine
         if self.passes:
-            with engine.stage("passes"):
+            with engine.span("passes"):
                 kernel = self._run_passes(kernel)
         # Allocation, resource usage and the pass pipeline are pure
         # functions of the kernel's printed form (plus the named
@@ -179,82 +176,73 @@ class CRATOptimizer:
                 kernel, config, default_reg=default_reg
             ),
         )
-        # Baselines are also the profiling source for OptTLP.
-        t0 = time.perf_counter()
-        if baselines is None:
-            with engine.stage("baselines"):
-                baselines = run_baselines(
-                    kernel,
-                    config,
-                    usage,
-                    grid_blocks,
-                    param_sizes,
-                    engine=engine,
-                    fingerprint=fingerprint,
-                )
-        for scheme, baseline in baselines.items():
-            self._maybe_verify(baseline.allocation, f"baseline:{scheme}")
         if self.opt_tlp_mode == "profile":
-            # Pruning ceiling: the contention optimum over the whole
-            # achievable TLP range, not just what the default
-            # allocation can reach (see run_baselines).
-            opt_tlp = opt_tlp_from_profile(baselines["opttlp"].profile)
-            opt_tlp_seconds = time.perf_counter() - t0
+            # The baselines' TLP sweep is the profile, so their span
+            # nests in this one.
+            with engine.span("opt_tlp"):
+                baselines = self._baselines(
+                    kernel, fingerprint, usage, grid_blocks, param_sizes,
+                    baselines,
+                )
+                # Pruning ceiling: the contention optimum over the whole
+                # achievable TLP range, not just what the default
+                # allocation can reach (see run_baselines).
+                opt_tlp = opt_tlp_from_profile(baselines["opttlp"].profile)
         else:
-            t_static = time.perf_counter()
-            ceiling = compute_occupancy(
-                config,
-                min(usage.min_reg, usage.default_reg),
-                usage.shm_size,
-                usage.block_size,
-            ).blocks
-            estimate = estimate_opt_tlp(
-                baselines["opttlp"].allocation.kernel,
-                config,
-                max(ceiling, usage.max_tlp),
-                hit_ratio=self.hit_ratio,
+            baselines = self._baselines(
+                kernel, fingerprint, usage, grid_blocks, param_sizes,
+                baselines,
             )
-            opt_tlp = estimate.opt_tlp
-            opt_tlp_seconds = time.perf_counter() - t_static
-
-        t1 = time.perf_counter()
-        candidates = prune(config, usage, opt_tlp)
-        costs = measure_costs(config)
-        scored: List[ScoredPoint] = []
-        for point in candidates:
-            allocation = self._allocate_point(kernel, fingerprint, usage, point)
-            if allocation is None:
-                continue
-            scored.append(
-                score(
-                    point,
-                    allocation,
+            with engine.span("opt_tlp"):
+                ceiling = compute_occupancy(
                     config,
+                    min(usage.min_reg, usage.default_reg),
+                    usage.shm_size,
                     usage.block_size,
-                    costs=costs,
-                    weighted=self.weighted_tpsc,
-                )
-            )
-        if not scored:
-            # Degenerate kernels (no register pressure range): fall back
-            # to the throttling point with the default allocation.
-            fallback = DesignPoint(reg=usage.default_reg, tlp=opt_tlp)
-            scored = [
-                score(
-                    fallback,
-                    baselines["opttlp"].allocation,
+                ).blocks
+                opt_tlp = estimate_opt_tlp(
+                    baselines["opttlp"].allocation.kernel,
                     config,
-                    usage.block_size,
-                    costs=costs,
-                    weighted=self.weighted_tpsc,
+                    max(ceiling, usage.max_tlp),
+                    hit_ratio=self.hit_ratio,
+                ).opt_tlp
+        with engine.span("search"):
+            candidates = prune(config, usage, opt_tlp)
+            costs = measure_costs(config)
+            scored: List[ScoredPoint] = []
+            for point in candidates:
+                allocation = self._allocate_point(
+                    kernel, fingerprint, usage, point
                 )
-            ]
-        chosen = select_best(scored)
-        search_seconds = time.perf_counter() - t1
-        engine.record_stage("opt_tlp", opt_tlp_seconds)
-        engine.record_stage("search", search_seconds)
-
-        with engine.stage("winner_sim"):
+                if allocation is None:
+                    continue
+                scored.append(
+                    score(
+                        point,
+                        allocation,
+                        config,
+                        usage.block_size,
+                        costs=costs,
+                        weighted=self.weighted_tpsc,
+                    )
+                )
+            if not scored:
+                # Degenerate kernels (no register pressure range): fall
+                # back to the throttling point with the default
+                # allocation.
+                fallback = DesignPoint(reg=usage.default_reg, tlp=opt_tlp)
+                scored = [
+                    score(
+                        fallback,
+                        baselines["opttlp"].allocation,
+                        config,
+                        usage.block_size,
+                        costs=costs,
+                        weighted=self.weighted_tpsc,
+                    )
+                ]
+            chosen = select_best(scored)
+        with engine.span("winner_sim"):
             sim = engine.simulate(
                 chosen.allocation.kernel,
                 config,
@@ -271,9 +259,34 @@ class CRATOptimizer:
             sim=sim,
             baselines=baselines,
             variant="crat" if self.enable_shm_spill else "crat-local",
-            opt_tlp_seconds=opt_tlp_seconds,
-            search_seconds=search_seconds,
         )
+
+    def _baselines(
+        self,
+        kernel: Kernel,
+        fingerprint: str,
+        usage: ResourceUsage,
+        grid_blocks: int,
+        param_sizes: Optional[Dict[str, int]],
+        baselines: Optional[Dict[str, BaselineResult]],
+    ) -> Dict[str, BaselineResult]:
+        """MaxTLP and OptTLP (run here unless the caller has them),
+        each allocation rechecked under ``verify``; also the profiling
+        source for OptTLP."""
+        if baselines is None:
+            with self.engine.span("baselines"):
+                baselines = run_baselines(
+                    kernel,
+                    self.config,
+                    usage,
+                    grid_blocks,
+                    param_sizes,
+                    engine=self.engine,
+                    fingerprint=fingerprint,
+                )
+        for scheme, baseline in baselines.items():
+            self._maybe_verify(baseline.allocation, f"baseline:{scheme}")
+        return baselines
 
     # ------------------------------------------------------------------
     def _run_passes(self, kernel: Kernel) -> Kernel:

@@ -11,13 +11,12 @@ register waste CRAT recovers.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..arch.config import GPUConfig
 from ..engine import EvaluationEngine, get_engine
 from ..ptx.module import Kernel
 from ..regalloc.allocator import AllocationResult, allocate
-from ..sim.executor import BlockTrace
 from ..sim.stats import SimResult
 from .params import ResourceUsage, collect_resource_usage
 
@@ -59,28 +58,6 @@ def default_allocation(
         spare_shm_bytes=spare_shm_bytes,
         enable_shm_spill=False,
     )
-
-
-def profile_tlp(
-    traces: List[BlockTrace],
-    config: GPUConfig,
-    max_tlp: int,
-    engine: Optional[EvaluationEngine] = None,
-) -> Dict[int, SimResult]:
-    """Run every TLP in ``[1, MaxTLP]`` — the paper's profiling pass.
-
-    This is the offline exhaustive search of [3]; its cost is what the
-    static analysis of Section 4.1 avoids (see ``benchmarks/test_overhead``).
-    The engine runs the sweep as one batch of the timing core.
-    Trace-level entry: no kernel, no content key, so results are not
-    cached — callers holding the kernel should prefer
-    :meth:`EvaluationEngine.profile_tlp`.
-    """
-    if max_tlp <= 0:
-        raise ValueError("max_tlp must be positive")
-    engine = engine or get_engine()
-    tlps = range(1, max_tlp + 1)
-    return dict(zip(tlps, engine.simulate_traces_many(traces, config, tlps)))
 
 
 def opt_tlp_from_profile(profile: Dict[int, SimResult]) -> int:

@@ -25,20 +25,7 @@ from .engine import (
     get_engine,
     set_engine,
 )
-from .events import (
-    BatchEvent,
-    BatchSimEvent,
-    CacheCorruptEvent,
-    DegradeEvent,
-    EngineStats,
-    FaultEvent,
-    RequestEvent,
-    RetryEvent,
-    SimulationEvent,
-    StageEvent,
-    TraceEvent,
-    event_to_dict,
-)
+from .events import EngineStats, Span, SpanRecorder, self_seconds
 from .faults import (
     FAULTS_ENV,
     FAULTS_SEED_ENV,
@@ -48,36 +35,28 @@ from .faults import (
 )
 
 __all__ = [
-    "BatchEvent",
-    "BatchSimEvent",
     "CACHE_DIR_ENV",
     "CACHE_MAX_ENTRIES_ENV",
-    "CacheCorruptEvent",
     "CacheCorruptionError",
-    "DegradeEvent",
     "EngineStats",
     "EvaluationEngine",
     "FAULTS_ENV",
     "FAULTS_SEED_ENV",
-    "FaultEvent",
     "FaultPlan",
     "FaultSpecError",
     "InjectedFault",
-    "RequestEvent",
-    "RetryEvent",
     "SimRequest",
     "SimResultCache",
-    "SimulationEvent",
-    "StageEvent",
-    "TraceEvent",
+    "Span",
+    "SpanRecorder",
     "cache_schema_version",
     "config_signature",
     "configure",
     "decode_entry",
     "encode_entry",
-    "event_to_dict",
     "get_engine",
     "make_sim_key",
     "resolve_max_entries",
+    "self_seconds",
     "set_engine",
 ]

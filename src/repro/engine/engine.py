@@ -25,8 +25,8 @@ design points many times over.
   batch of the timing core; single points, failed batches and every
   point under a fault plan go one at a time through a small retry
   rung.  Every simulation runs in this process.
-* **Instrumentation** — every trace generation, simulation, batch and
-  named pipeline stage is recorded as a typed event with timings and
+* **Instrumentation** — every named pipeline stage, trace generation,
+  batch and scalar timing run is a span of one nested recorder, next to
   hit/miss counters (:mod:`repro.engine.events`), dumpable as JSON.
 
 Call sites share one engine via :func:`get_engine` so caching composes
@@ -36,20 +36,16 @@ micro-benchmarks all feed the same cache).
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import math
 import pickle
 import threading
-import time
 import zlib
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import (
     Callable,
-    Deque,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -72,20 +68,7 @@ from ..sim.gpu import trace_grid
 from ..sim.stats import SimResult
 from . import cache, faults
 from .cache import SimKey, SimResultCache, config_signature, key_digest, make_sim_key
-from .events import (
-    BatchEvent,
-    BatchSimEvent,
-    CacheCorruptEvent,
-    DegradeEvent,
-    EngineEvent,
-    EngineStats,
-    FaultEvent,
-    RetryEvent,
-    SimulationEvent,
-    StageEvent,
-    TraceEvent,
-    event_to_dict,
-)
+from .events import EngineStats, SpanRecorder, self_seconds
 
 #: L1 hit ratio the degrade estimate's GTO mimic assumes.
 _ESTIMATE_HIT_RATIO = 0.6
@@ -95,9 +78,6 @@ _ESTIMATE_HIT_RATIO = 0.6
 _MAX_ATTEMPTS = 3
 
 T = TypeVar("T")
-
-#: One design point for the timing core: (traces, config, tlp, scheduler).
-SimTask = Tuple[List[BlockTrace], GPUConfig, int, str]
 
 
 def _decode_memo(blob: bytes) -> Tuple[bytes, object]:
@@ -128,6 +108,11 @@ class SimRequest:
         if self.grid_blocks is not None:
             return self.grid_blocks
         return 2 * self.config.max_blocks_per_sm
+
+
+#: One design point for the timing core: its traces, its request and
+#: its fault-injection token (the point's cache-key digest).
+SimTask = Tuple[List[BlockTrace], SimRequest, str]
 
 
 def estimate_sim_result(
@@ -216,35 +201,18 @@ class EvaluationEngine:
         self._memo: "OrderedDict[Tuple, bytes]" = OrderedDict()
         self._memo_lock = threading.Lock()
         self.stats = EngineStats()
-        #: The newest ``max_events`` events; older ones fall off the
+        #: The newest ``max_events`` spans; older ones fall off the
         #: front, so a long-lived daemon's log stays current.
-        self.events: Deque[EngineEvent] = deque(maxlen=max_events)
+        self.spans = SpanRecorder(max_events)
+        #: ``with engine.span("search"):`` times a block and
+        #: ``engine.mark("retry", ...)`` records a point fact, both into
+        #: :attr:`spans`.
+        self.span = self.spans.span
+        self.mark = self.spans.mark
 
     def _on_cache_corrupt(self, path: str, reason: str) -> None:
         self.stats.cache_corrupt += 1
-        self._emit(CacheCorruptEvent(path=path, reason=reason))
-
-    # ------------------------------------------------------------------
-    # Instrumentation plumbing.
-    # ------------------------------------------------------------------
-    def _emit(self, event: EngineEvent) -> None:
-        if getattr(event, "kind", "") == "fault":
-            self.stats.faults_injected += 1
-        self.events.append(event)
-
-    def record_stage(self, name: str, seconds: float) -> None:
-        """Account a pipeline stage that the caller timed itself."""
-        self.stats.record_stage(name, seconds)
-        self._emit(StageEvent(name=name, seconds=seconds))
-
-    @contextlib.contextmanager
-    def stage(self, name: str):
-        """Time a named pipeline stage (``with engine.stage("search"):``)."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record_stage(name, time.perf_counter() - t0)
+        self.mark("cache_corrupt", path=path, reason=reason)
 
     # ------------------------------------------------------------------
     # Pure-stage memo.
@@ -333,31 +301,11 @@ class EvaluationEngine:
         traces = self._trace_cache.get(key)
         if traces is not None:
             self.stats.trace_hits += 1
-            self._emit(
-                TraceEvent(
-                    key=key_digest(key),
-                    kernel=kernel.name,
-                    grid_blocks=grid_blocks,
-                    cached=True,
-                    seconds=0.0,
-                )
-            )
             return traces
-        t0 = time.perf_counter()
-        traces = trace_grid(kernel, config, grid_blocks, param_sizes)
-        seconds = time.perf_counter() - t0
+        with self.span("sim.trace", kernel=kernel.name, grid_blocks=grid_blocks):
+            traces = trace_grid(kernel, config, grid_blocks, param_sizes)
         self._trace_cache[key] = traces
         self.stats.trace_misses += 1
-        self.stats.trace_seconds += seconds
-        self._emit(
-            TraceEvent(
-                key=key_digest(key),
-                kernel=kernel.name,
-                grid_blocks=grid_blocks,
-                cached=False,
-                seconds=seconds,
-            )
-        )
         return traces
 
     # ------------------------------------------------------------------
@@ -412,21 +360,23 @@ class EvaluationEngine:
         if faults.active_plan() is not None:
             return list(range(len(tasks)))
         groups: Dict[Tuple[int, str, str], List[int]] = {}
-        for pos, (traces, config, _, scheduler) in enumerate(tasks):
-            key = (id(traces), scheduler, config_signature(config))
+        for pos, (traces, req, _) in enumerate(tasks):
+            key = (id(traces), req.scheduler, config_signature(req.config))
             groups.setdefault(key, []).append(pos)
         leftover: List[int] = []
         for positions in groups.values():
             if len(positions) < 2:
                 leftover.extend(positions)
                 continue
-            traces, config, _, scheduler = tasks[positions[0]]
-            tlps = [tasks[p][2] for p in positions]
-            t0 = time.perf_counter()
+            traces, req, _ = tasks[positions[0]]
+            tlps = [tasks[p][1].tlp for p in positions]
             try:
-                results = simulate_traces_batched(
-                    traces, config, tlps, scheduler=scheduler
-                )
+                with self.span(
+                    "sim.batch", lanes=len(tlps), scheduler=req.scheduler
+                ):
+                    results = simulate_traces_batched(
+                        traces, req.config, tlps, scheduler=req.scheduler
+                    )
             except Exception:
                 # Whatever went wrong, the point-by-point retry rung
                 # owns the failure from here.
@@ -436,54 +386,53 @@ class EvaluationEngine:
                 outcomes[p] = result
             self.stats.batched_groups += 1
             self.stats.batched_points += len(positions)
-            self._emit(
-                BatchSimEvent(
-                    points=len(positions),
-                    scheduler=scheduler,
-                    seconds=time.perf_counter() - t0,
-                )
-            )
         leftover.sort()
         return leftover
 
     def _run_points(
-        self, tasks: Sequence[SimTask], tokens: Sequence[str]
+        self, tasks: Sequence[SimTask]
     ) -> List[Union[SimResult, Exception]]:
         """Simulate ``tasks`` one at a time: the retry rung.
 
         Each point gets up to :data:`_MAX_ATTEMPTS` attempts; only
-        transient errors (:func:`_retryable`) are retried.  ``tokens``
-        are the points' fault-injection tokens.  Returns, per task, its
-        result or the last attempt's exception.  Only ``Exception`` is
-        caught, so Ctrl-C stops the run.
+        transient errors (:func:`_retryable`) are retried.  Returns,
+        per task, its result or the last attempt's exception.  Only
+        ``Exception`` is caught, so Ctrl-C stops the run.
         """
         outcomes: List[Union[SimResult, Exception]] = []
-        for (traces, config, tlp, scheduler), token in zip(tasks, tokens):
+        for traces, req, token in tasks:
             for attempt in range(1, _MAX_ATTEMPTS + 1):
                 final = attempt == _MAX_ATTEMPTS
                 try:
                     faults.perturb_task(token, attempt, final)
                     # Looked up on the module at call time, so a wrapper
                     # installed on ``repro.sim.gpu`` sees every point.
-                    outcome = gpu.simulate_traces(
-                        traces, config, tlp, scheduler=scheduler
-                    )
+                    with self.span(
+                        "sim.scalar", kernel=req.kernel.name, tlp=req.tlp
+                    ):
+                        outcome = gpu.simulate_traces(
+                            traces, req.config, req.tlp,
+                            scheduler=req.scheduler,
+                        )
                     break
                 except Exception as err:
                     outcome = err
                     injected = isinstance(err, faults.InjectedFault)
                     if injected:
-                        self._emit(FaultEvent(
-                            fault=err.fault_kind, token=token, attempt=attempt
-                        ))
+                        self.stats.faults_injected += 1
+                        self.mark(
+                            "fault", fault=err.fault_kind, token=token,
+                            attempt=attempt,
+                        )
                     retry = not final and _retryable(err)
-                    self._emit(RetryEvent(
+                    self.mark(
+                        "retry",
                         token=token,
                         attempt=attempt,
                         reason=err.fault_kind if injected else "crash",
                         final=not retry,
                         error=type(err).__name__,
-                    ))
+                    )
                     if not retry:
                         break
                     self.stats.retries += 1
@@ -491,14 +440,12 @@ class EvaluationEngine:
         return outcomes
 
     def _run_tasks(
-        self, tasks: Sequence[SimTask], tokens: Sequence[str]
+        self, tasks: Sequence[SimTask]
     ) -> List[Union[SimResult, Exception]]:
         """:meth:`_run_batched`, then :meth:`_run_points` on what it left."""
         outcomes: List = [None] * len(tasks)
         remaining = self._run_batched(tasks, outcomes)
-        points = self._run_points(
-            [tasks[p] for p in remaining], [tokens[p] for p in remaining]
-        )
+        points = self._run_points([tasks[p] for p in remaining])
         for p, outcome in zip(remaining, points):
             outcomes[p] = outcome
         return outcomes
@@ -520,48 +467,34 @@ class EvaluationEngine:
         fault-injection plan — goes one at a time through the retry
         rung (:meth:`_run_points`).
         """
-        t0 = time.perf_counter()
-        results: List[Optional[Union[SimResult, ReproError]]] = (
-            [None] * len(requests)
-        )
-        keys: List[SimKey] = []
-        pending: List[int] = []
-        batch_hits = 0
-        fingerprints: Dict[int, str] = {}
-        for i, req in enumerate(requests):
-            fp = fingerprints.get(id(req.kernel))
-            if fp is None:
-                # Once per kernel object: a sweep repeats one kernel.
-                fp = fingerprints[id(req.kernel)] = req.kernel.fingerprint()
-            key = make_sim_key(
-                fp, req.config, req.resolved_grid(), req.param_sizes,
-                req.tlp, req.scheduler, pipeline=self.pipeline,
+        with self.span("engine.simulate", points=len(requests)) as attrs:
+            results: List[Optional[Union[SimResult, ReproError]]] = (
+                [None] * len(requests)
             )
-            keys.append(key)
-            cached, source = self._sim_cache.get(key)
-            if cached is not None:
-                results[i] = cached
-                batch_hits += 1
-                self.stats.sim_hits += 1
-                if source == "disk":
-                    self.stats.disk_hits += 1
-                self._emit(
-                    SimulationEvent(
-                        key=key_digest(key),
-                        kernel=req.kernel.name,
-                        tlp=req.tlp,
-                        scheduler=req.scheduler,
-                        cached=True,
-                        source=source,
-                        seconds=0.0,
-                    )
+            keys: List[SimKey] = []
+            pending: List[int] = []
+            fingerprints: Dict[int, str] = {}
+            for i, req in enumerate(requests):
+                fp = fingerprints.get(id(req.kernel))
+                if fp is None:
+                    # Once per kernel object: a sweep repeats one kernel.
+                    fp = fingerprints[id(req.kernel)] = req.kernel.fingerprint()
+                key = make_sim_key(
+                    fp, req.config, req.resolved_grid(), req.param_sizes,
+                    req.tlp, req.scheduler, pipeline=self.pipeline,
                 )
-            else:
-                pending.append(i)
+                keys.append(key)
+                cached, source = self._sim_cache.get(key)
+                if cached is not None:
+                    results[i] = cached
+                    self.stats.sim_hits += 1
+                    if source == "disk":
+                        self.stats.disk_hits += 1
+                else:
+                    pending.append(i)
+            attrs["hits"] = len(requests) - len(pending)
 
-        if pending:
-            tasks = []
-            tokens = []
+            tasks: List[SimTask] = []
             for i in pending:
                 req = requests[i]
                 try:
@@ -584,31 +517,14 @@ class EvaluationEngine:
                         stage="trace",
                     )
                     continue
-                tasks.append((traces, req.config, req.tlp, req.scheduler))
-                tokens.append(key_digest(keys[i]))
+                tasks.append((traces, req, key_digest(keys[i])))
             pending = [i for i in pending if results[i] is None]
-            t_run = time.perf_counter()
-            outcomes = self._run_tasks(tasks, tokens)
-            run_seconds = time.perf_counter() - t_run
-            per_point = run_seconds / len(pending) if pending else 0.0
-            for i, outcome in zip(pending, outcomes):
+            for i, outcome in zip(pending, self._run_tasks(tasks)):
                 req = requests[i]
                 if isinstance(outcome, SimResult):
-                    result = outcome
-                    self._sim_cache.put(keys[i], result)
-                    results[i] = result
+                    self._sim_cache.put(keys[i], outcome)
+                    results[i] = outcome
                     self.stats.sim_misses += 1
-                    self._emit(
-                        SimulationEvent(
-                            key=key_digest(keys[i]),
-                            kernel=req.kernel.name,
-                            tlp=req.tlp,
-                            scheduler=req.scheduler,
-                            cached=False,
-                            source="run",
-                            seconds=per_point,
-                        )
-                    )
                 else:
                     self.stats.sim_failures += 1
                     results[i] = classify_error(
@@ -617,17 +533,8 @@ class EvaluationEngine:
                         design_point=(None, req.tlp),
                         stage="simulate",
                     )
-            self.stats.sim_seconds += run_seconds
-
         if len(requests) > 1:
             self.stats.batches += 1
-            self._emit(
-                BatchEvent(
-                    points=len(requests),
-                    cache_hits=batch_hits,
-                    seconds=time.perf_counter() - t0,
-                )
-            )
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
@@ -648,7 +555,7 @@ class EvaluationEngine:
         A point whose simulation still fails after the retry rung
         (rung 1 of the degradation ladder) is filled with its
         analytical estimate (rung 2, :func:`estimate_sim_result`):
-        ``estimated=True``, flagged by a ``DegradeEvent`` and excluded
+        ``estimated=True``, flagged by a ``degrade`` mark and excluded
         from the cache.  A sweep always returns its best available
         answer rather than aborting on one bad point.
         """
@@ -672,44 +579,19 @@ class EvaluationEngine:
                 kernel, config, req.tlp, req.resolved_grid(), anchor=anchor
             )
             self.stats.degraded += 1
-            self._emit(
-                DegradeEvent(kernel=kernel.name, tlp=req.tlp, reason=outcome.kind)
+            self.mark(
+                "degrade", kernel=kernel.name, tlp=req.tlp,
+                reason=outcome.kind, estimated=True,
             )
         return dict(sorted(profile.items()))
-
-    def simulate_traces_many(
-        self,
-        traces: List[BlockTrace],
-        config: GPUConfig,
-        tlps: Iterable[int],
-        scheduler: str = "gto",
-    ) -> List[SimResult]:
-        """Simulate pre-computed traces at each TLP (uncached: without
-        the originating kernel there is no content key).  Strict: the
-        first point that fails on the retry rung raises its error."""
-        tasks = [(traces, config, tlp, scheduler) for tlp in tlps]
-        t0 = time.perf_counter()
-        tokens = [f"task{p}" for p in range(len(tasks))]
-        outcomes = self._run_tasks(tasks, tokens)
-        for outcome in outcomes:
-            if not isinstance(outcome, SimResult):
-                raise outcome
-        seconds = time.perf_counter() - t0
-        self.stats.sim_misses += len(tasks)
-        self.stats.sim_seconds += seconds
-        if len(tasks) > 1:
-            self.stats.batches += 1
-            self._emit(
-                BatchEvent(points=len(tasks), cache_hits=0, seconds=seconds)
-            )
-        return outcomes  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle.
     # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-ready view of counters, timings and the event log."""
-        return {
+    def snapshot(self, spans: bool = True) -> Dict[str, object]:
+        """JSON-ready view of the counters and, with ``spans``, the span
+        log and each span name's self seconds."""
+        view: Dict[str, object] = {
             "pipeline": self.pipeline,
             "cached_results": len(self._sim_cache),
             "cached_traces": len(self._trace_cache),
@@ -717,22 +599,34 @@ class EvaluationEngine:
             "cache_max_entries": self._sim_cache.max_entries,
             "cache_evictions": self._sim_cache.evictions,
             "stats": self.stats.to_dict(),
+        }
+        if spans:
             # ``list()`` copies the deque in one step, so a worker
             # thread appending meanwhile cannot break the iteration.
-            "events": [event_to_dict(e) for e in list(self.events)],
-        }
+            log = list(self.spans.spans)
+            view["spans"] = [span.to_dict() for span in log]
+            view["self_seconds"] = self_seconds(log)
+        return view
+
+    def summary(self) -> str:
+        """The counter line ``repro suite`` prints, with the self
+        seconds of the ``sim.*`` spans as its time spent simulating."""
+        seconds = self_seconds(list(self.spans.spans))
+        return self.stats.summary(
+            sum(s for name, s in seconds.items() if name.startswith("sim."))
+        )
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent)
 
     def reset_stats(self) -> None:
-        """Zero the counters and drop the event log (caches stay warm)."""
+        """Zero the counters and drop the span log (caches stay warm)."""
         self.stats = EngineStats()
-        self.events = deque(maxlen=self.events.maxlen)
+        self.spans.spans.clear()
 
     def clear(self, disk: bool = False) -> None:
         """Drop cached results, traces and memoised stages (and
-        stats/events); ``disk=True`` also deletes the disk entries of
+        stats/spans); ``disk=True`` also deletes the disk entries of
         results and memoised stages."""
         self._sim_cache.clear(disk=disk)
         self._trace_cache.clear()

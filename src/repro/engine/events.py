@@ -1,193 +1,147 @@
-"""Typed instrumentation events and counters for the evaluation engine.
+"""Counters and the span recorder of the evaluation engine.
 
-Every observable action of the :class:`~repro.engine.engine.
-EvaluationEngine` — a trace generation, a timing simulation, a named
-pipeline stage — is recorded as a small frozen dataclass, and the
-running totals live in :class:`EngineStats`.  The CLI can dump the
-whole event log as JSON (``--trace-json``) and the ``suite`` command
-prints the counter summary, which is how the "zero new simulations on
-a warm cache" property is verified.
+Every timed boundary of the engine and the service — a pipeline stage,
+a functional trace, a timing-core run, a service request — is one
+:class:`Span` in the engine's :class:`SpanRecorder`, and a point fact
+(an injected fault, a retry, a degraded point, a corrupt cache entry)
+is a *mark*, a span whose start equals its end.  The running totals
+live in :class:`EngineStats`.  The CLI dumps both, with each span
+name's self seconds (:func:`self_seconds`), as JSON (``--trace-json``);
+the ``suite`` command prints the counter summary, which is how the
+"zero new simulations on a warm cache" property is verified.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-from typing import ClassVar, Dict, List, Union
+import itertools
+import threading
+import time
+from collections import deque
+from typing import Deque, Dict, Iterable, Iterator, List, Tuple
 
 
 @dataclasses.dataclass(frozen=True)
-class TraceEvent:
-    """One functional trace generation (or trace-cache hit)."""
+class Span:
+    """One interval of work on one thread, timed by ``time.perf_counter``.
 
-    kind: ClassVar[str] = "trace"
-
-    key: str  # short cache-key digest
-    kernel: str
-    grid_blocks: int
-    cached: bool
-    seconds: float
-
-
-@dataclasses.dataclass(frozen=True)
-class SimulationEvent:
-    """One timing simulation of a design point (or a cache hit)."""
-
-    kind: ClassVar[str] = "simulate"
-
-    key: str  # short cache-key digest
-    kernel: str
-    tlp: int
-    scheduler: str
-    cached: bool
-    #: Where the result came from: "memory", "disk", or "run".
-    source: str
-    seconds: float
-
-
-@dataclasses.dataclass(frozen=True)
-class BatchEvent:
-    """One ``simulate_many`` fan-out batch."""
-
-    kind: ClassVar[str] = "batch"
-
-    points: int
-    cache_hits: int
-    seconds: float
-
-
-@dataclasses.dataclass(frozen=True)
-class BatchSimEvent:
-    """One group of design points evaluated as one batch of the timing
-    core (:class:`repro.sim.batch.BatchedSimulator`) instead of point by
-    point on the retry rung.  ``points`` is the lane
-    count of the group (one lane per TLP); a lane's answer does not
-    depend on its batch, so this event is a performance trace, not a
-    semantic one.
+    ``parent`` is the id of the span that was innermost open on the
+    same thread when this one began (0 for a root); ``request`` is the
+    service request it ran for ("" outside the service).
     """
 
-    kind: ClassVar[str] = "batch-sim"
-
-    points: int
-    scheduler: str
-    seconds: float
-
-
-@dataclasses.dataclass(frozen=True)
-class StageEvent:
-    """One named pipeline stage (OptTLP profiling, candidate search...)."""
-
-    kind: ClassVar[str] = "stage"
-
+    id: int
+    parent: int
     name: str
-    seconds: float
+    start: float
+    end: float
+    request: str
+    attrs: Dict[str, object]
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "id": self.id,
+            "parent": self.parent,
+            "name": self.name,
+            "start": self.start,
+            "end": self.end,
+            "request": self.request,
+            "attrs": dict(self.attrs),
+        }
 
 
-@dataclasses.dataclass(frozen=True)
-class FaultEvent:
-    """One injected fault observed by the retry rung (test harness).
+class SpanRecorder:
+    """The newest ``max_spans`` spans, nested per thread.
 
-    ``fault`` is the injection kind (``crash`` or ``fail``); ``token``
-    the deterministic decision token (the design point's cache-key
-    digest), so a faulty run can be replayed point-by-point.
+    Each thread keeps its own stack of open span ids, which gives every
+    span its parent, and its own request id.  A span is appended when
+    it closes, so a parent follows its children; spans carry ids from
+    one counter rather than positions, because the oldest spans fall
+    off the front of the bounded deque.
     """
 
-    kind: ClassVar[str] = "fault"
+    def __init__(self, max_spans: int):
+        self.spans: Deque[Span] = deque(maxlen=max_spans)
+        self._ids = itertools.count(1)
+        self._local = threading.local()
 
-    fault: str
-    token: str
-    attempt: int
+    def _stack(self) -> List[int]:
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        return stack
+
+    @contextlib.contextmanager
+    def request(self, request_id: str) -> Iterator[None]:
+        """Tag the spans this thread records meanwhile with ``request_id``."""
+        outer = getattr(self._local, "request", "")
+        self._local.request = request_id
+        try:
+            yield
+        finally:
+            self._local.request = outer
+
+    @contextlib.contextmanager
+    def span(self, name: str, **attrs: object) -> Iterator[Dict[str, object]]:
+        """Time the ``with`` body as one span.  Yields ``attrs``, so the
+        body can add what it learns on the way."""
+        stack = self._stack()
+        span_id = next(self._ids)
+        parent = stack[-1] if stack else 0
+        stack.append(span_id)
+        start = time.perf_counter()
+        try:
+            yield attrs
+        finally:
+            end = time.perf_counter()
+            stack.pop()
+            self.spans.append(Span(
+                span_id, parent, name, start, end,
+                getattr(self._local, "request", ""), attrs,
+            ))
+
+    def record(self, name: str, start: float, end: float, **attrs: object) -> None:
+        """A ``perf_counter`` interval measured elsewhere — on another
+        thread, or before a span could open — under this thread's
+        innermost open span."""
+        stack = self._stack()
+        self.spans.append(Span(
+            next(self._ids), stack[-1] if stack else 0, name, start, end,
+            getattr(self._local, "request", ""), attrs,
+        ))
+
+    def mark(self, name: str, **attrs: object) -> None:
+        """A point fact: a span whose start equals its end."""
+        now = time.perf_counter()
+        self.record(name, now, now, **attrs)
 
 
-@dataclasses.dataclass(frozen=True)
-class RetryEvent:
-    """One failed simulation attempt on the engine's retry rung.
+def self_seconds(spans: Iterable[Span]) -> Dict[str, float]:
+    """Per span name, the seconds no child span covers.
 
-    ``reason`` is the injected fault kind, or ``"crash"`` for any other
-    exception out of the simulator; ``final`` marks the attempt after
-    which the point is not retried.
+    Each span's duration minus the union of its children's intervals
+    (clipped to the span, so overlapping children count once), summed
+    by name.  A parent dropped from a full recorder takes its children's
+    time with it, so read a truncated log's totals as a lower bound.
     """
-
-    kind: ClassVar[str] = "retry"
-
-    token: str
-    attempt: int
-    reason: str
-    final: bool
-    error: str = ""
-
-
-@dataclasses.dataclass(frozen=True)
-class DegradeEvent:
-    """One design point served by the analytical estimate instead of
-    simulation (its simulation ultimately failed after retries).
-
-    ``estimated`` is always ``True`` — it rides along so trace
-    consumers can filter degraded points without knowing the kind —
-    and such results are never written to the result cache.
-    """
-
-    kind: ClassVar[str] = "degrade"
-
-    kernel: str
-    tlp: int
-    reason: str
-    estimated: bool = True
-
-
-@dataclasses.dataclass(frozen=True)
-class RequestEvent:
-    """One compilation-service request, from acceptance to reply.
-
-    Emitted by ``repro serve`` into the shared engine's event log (and
-    its periodic structured log lines), so a service trace interleaves
-    with the simulations it caused.  ``status`` is the reply status
-    (``ok``, ``error``, ``overloaded``, ``expired``, ``drained``);
-    ``deduped`` marks requests that attached to an identical in-flight
-    job instead of evaluating; ``queue_seconds`` / ``run_seconds``
-    split the latency into waiting and execution.
-    """
-
-    kind: ClassVar[str] = "request"
-
-    job: str
-    status: str
-    deduped: bool
-    queue_seconds: float
-    run_seconds: float
-
-
-@dataclasses.dataclass(frozen=True)
-class CacheCorruptEvent:
-    """One corrupt/truncated/legacy persistent-cache entry, detected by
-    checksum verification on read and deleted (the point re-simulates,
-    or the memoised stage recomputes, instead of silently missing
-    forever)."""
-
-    kind: ClassVar[str] = "cache_corrupt"
-
-    path: str
-    reason: str
-
-
-EngineEvent = Union[
-    TraceEvent,
-    SimulationEvent,
-    BatchEvent,
-    BatchSimEvent,
-    StageEvent,
-    FaultEvent,
-    RetryEvent,
-    DegradeEvent,
-    RequestEvent,
-    CacheCorruptEvent,
-]
-
-
-def event_to_dict(event: EngineEvent) -> Dict[str, object]:
-    """Render one event as a JSON-ready dict (``kind`` included)."""
-    payload: Dict[str, object] = {"kind": event.kind}
-    payload.update(dataclasses.asdict(event))
-    return payload
+    spans = list(spans)
+    children: Dict[int, List[Tuple[float, float]]] = {}
+    for span in spans:
+        if span.parent:
+            children.setdefault(span.parent, []).append((span.start, span.end))
+    totals: Dict[str, float] = {}
+    for span in spans:
+        covered = 0.0
+        reach = span.start
+        for lo, hi in sorted(children.get(span.id, ())):
+            lo, hi = max(lo, reach), min(hi, span.end)
+            if hi > lo:
+                covered += hi - lo
+                reach = hi
+        own = span.end - span.start - covered
+        totals[span.name] = totals.get(span.name, 0.0) + own
+    return totals
 
 
 @dataclasses.dataclass
@@ -212,9 +166,6 @@ class EngineStats:
     memo_hits: int = 0
     memo_disk_hits: int = 0
     memo_misses: int = 0
-    sim_seconds: float = 0.0
-    trace_seconds: float = 0.0
-    stage_seconds: Dict[str, float] = dataclasses.field(default_factory=dict)
 
     @property
     def simulations(self) -> int:
@@ -230,9 +181,6 @@ class EngineStats:
         total = self.sim_requests
         return self.sim_hits / total if total else 0.0
 
-    def record_stage(self, name: str, seconds: float) -> None:
-        self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + seconds
-
     def to_dict(self) -> Dict[str, object]:
         data = dataclasses.asdict(self)
         data["simulations"] = self.simulations
@@ -240,15 +188,16 @@ class EngineStats:
         data["hit_rate"] = self.hit_rate
         return data
 
-    def summary(self) -> str:
-        """One-line human summary (printed by ``repro suite``)."""
+    def summary(self, simulating_seconds: float) -> str:
+        """One-line human summary (printed by ``repro suite``);
+        ``simulating_seconds`` is the self time of the ``sim.*`` spans."""
         line = (
             f"{self.simulations} simulations run, "
             f"{self.sim_hits}/{self.sim_requests} cache hits "
             f"({self.hit_rate:.0%}), "
             f"{self.trace_misses} traces generated "
             f"({self.trace_hits} reused), "
-            f"{self.sim_seconds + self.trace_seconds:.2f}s simulating"
+            f"{simulating_seconds:.2f}s simulating"
         )
         if self.batched_points:
             line += (

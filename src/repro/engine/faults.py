@@ -61,8 +61,8 @@ class FaultSpecError(ValueError):
 class InjectedFault(RuntimeError):
     """An injected simulation fault (never raised by real code paths).
 
-    The engine's retry rung recognizes this class to emit
-    ``FaultEvent`` instrumentation.
+    The engine's retry rung recognizes this class to count it and
+    record a ``fault`` mark.
     """
 
     def __init__(self, fault_kind: str, token: str, attempt: int):

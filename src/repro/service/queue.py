@@ -62,7 +62,7 @@ class InFlightJob:
         #: The canonical request (the first one); its params define the
         #: work, its priority is raised to the max of all attachments.
         self.request = request
-        self.accepted_at = time.monotonic()
+        #: ``time.perf_counter()`` when a worker took the job up.
         self.started_at: Optional[float] = None
         self.waiters: List[Waiter] = []
         self.outcome: Optional[Tuple[str, Any]] = None

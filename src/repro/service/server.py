@@ -25,11 +25,13 @@ and serves evaluation requests over a unix socket (or TCP via
   on boot.
 * **Observability**: a ``stats`` request returns service counters
   (queue depth, dedup hits, p50/p95 latency per job type) plus the
-  engine snapshot; every reply is also recorded as a typed
-  :class:`~repro.engine.events.RequestEvent` in the engine's event
-  log, and ``--log-interval`` emits periodic structured JSON lines.
-  A reply too large to frame is answered with a ``ServiceError``
-  reply instead, and the connection stays open.
+  engine snapshot.  Every reply is a ``service.request`` span in the
+  engine's span recorder, from that request's admission to its reply,
+  and every executed job a ``service.execute`` span on its worker, so
+  a service trace nests the simulations each request caused;
+  ``--log-interval`` emits periodic structured JSON lines.  A reply
+  too large to frame is answered with a ``ServiceError`` reply
+  instead, and the connection stays open.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from typing import Any, Dict, List, Optional, TextIO, Tuple
 from ..bench.runner import CHECKPOINT_DIR_ENV
 from ..engine import get_engine, set_engine
 from ..engine.engine import EvaluationEngine
-from ..engine.events import RequestEvent, event_to_dict
 from ..errors import ReproError, ServiceError, classify_error
 from . import jobs as jobs_mod
 from .protocol import (
@@ -194,6 +195,8 @@ class ReproServer:
         self._inflight = SingleFlightTable()
         self._log_stream = log_stream
         self._log_interval = log_interval
+        #: Id of the newest ``service.request`` span logged (0: none).
+        self._last_logged = 0
         self._checkpoint_dir = (
             checkpoint_dir or os.environ.get(CHECKPOINT_DIR_ENV) or None
         )
@@ -308,7 +311,6 @@ class ReproServer:
             self._checkpoint_jobs(pending)
         for job in pending:
             self.stats.bump("drained", len(job.waiters))
-            self._emit_request(job, "drained", deduped=False)
             self._inflight.complete(job, "drained")
         for thread in self._threads:
             if thread is not threading.current_thread():
@@ -452,7 +454,7 @@ class ReproServer:
         try:
             frame = encode_frame(reply)
         except ProtocolError as err:
-            # Too large to frame (``stats`` with a long event log): the
+            # Too large to frame (``stats`` with a long span log): the
             # client gets a typed transport error and the connection
             # stays usable for its next request.
             error = ServiceError(f"reply not sent: {err}")
@@ -476,7 +478,8 @@ class ReproServer:
             return invalid_reply(req_id, str(err))
         if request.job in CONTROL_JOBS:
             return self._handle_control(request)
-        return self._handle_eval(request)
+        with self.engine.spans.request(request.id or ""):
+            return self._handle_eval(request)
 
     def _handle_control(self, request: Request) -> Dict[str, Any]:
         if request.job == "ping":
@@ -511,6 +514,7 @@ class ReproServer:
         except ReproError as err:
             self.stats.bump("failed")
             return error_reply(request.id, err.kind, str(err), err.exit_code)
+        admitted = time.perf_counter()
         job, waiter, created = self._inflight.admit(
             prepared.signature, request
         )
@@ -523,6 +527,7 @@ class ReproServer:
                     job, "overloaded", self._retry_after_hint()
                 )
                 self.stats.bump("rejected_overloaded")
+                self._record_request(job, admitted, "overloaded", False)
                 return overloaded_reply(request.id, self._retry_after_hint())
             self.stats.bump("accepted")
         else:
@@ -533,10 +538,10 @@ class ReproServer:
             timeout = max(0.0, waiter.deadline_at - time.monotonic())
         if not job.wait(timeout):
             self.stats.bump("expired")
-            self._emit_request(job, "expired", deduped=not created)
+            self._record_request(job, admitted, "expired", not created)
             return expired_reply(request.id)
         status, payload = job.outcome  # type: ignore[misc]
-        self._emit_request(job, status, deduped=not created)
+        self._record_request(job, admitted, status, not created)
         if status == "ok":
             return ok_reply(request.id, payload)
         if status == "error":
@@ -561,7 +566,7 @@ class ReproServer:
             self._execute_job(job)
 
     def _execute_job(self, job: InFlightJob) -> None:
-        job.started_at = time.monotonic()
+        job.started_at = time.perf_counter()
         if job.all_expired():
             # Every waiter's deadline passed while the job sat in the
             # queue: skip the work, nobody is listening (each waiter
@@ -569,7 +574,9 @@ class ReproServer:
             self._inflight.complete(job, "expired")
             return
         try:
-            result = jobs_mod.execute(job.prepared)
+            with self.engine.spans.request(job.request.id or ""):
+                with self.engine.span("service.execute", job=job.request.job):
+                    result = jobs_mod.execute(job.prepared)
         except BaseException as err:  # noqa: BLE001 — workers never die
             classified = classify_error(err)
             self.stats.bump("failed")
@@ -582,27 +589,29 @@ class ReproServer:
             return
         self.stats.bump("completed")
         self.stats.bump("executed")
-        done = time.monotonic()
-        self.stats.observe_latency(
-            job.request.job,
-            job.started_at - job.accepted_at,
-            done - job.accepted_at,
-        )
         self._inflight.complete(job, "ok", result)
 
     # ------------------------------------------------------------------
     # Observability.
     # ------------------------------------------------------------------
-    def _emit_request(self, job: InFlightJob, status: str, deduped: bool) -> None:
-        now = time.monotonic()
-        started = job.started_at or now
-        self.engine._emit(RequestEvent(
-            job=job.request.job,
-            status=status,
-            deduped=deduped,
-            queue_seconds=max(0.0, started - job.accepted_at),
-            run_seconds=max(0.0, now - started) if job.started_at else 0.0,
-        ))
+    def _record_request(
+        self, job: InFlightJob, admitted: float, status: str, deduped: bool
+    ) -> None:
+        """One reply's ``service.request`` span, from this request's own
+        admission to now.  An ``ok`` reply also feeds the latency window
+        from the same two readings (its queue wait ends where the job's
+        worker took it up)."""
+        replied = time.perf_counter()
+        self.engine.spans.record(
+            "service.request", admitted, replied,
+            job=job.request.job, status=status, deduped=deduped,
+        )
+        if status == "ok" and job.started_at is not None:
+            self.stats.observe_latency(
+                job.request.job,
+                max(0.0, job.started_at - admitted),
+                replied - admitted,
+            )
 
     def stats_payload(self, include_events: bool = False) -> Dict[str, Any]:
         service = self.stats.to_dict()
@@ -610,13 +619,10 @@ class ReproServer:
         service["queue_limit"] = self._queue.limit
         service["inflight"] = len(self._inflight)
         service["workers"] = self.workers
-        engine = self.engine.snapshot()
-        if not include_events:
-            engine.pop("events", None)
         return {
             "protocol_version": PROTOCOL_VERSION,
             "service": service,
-            "engine": engine,
+            "engine": self.engine.snapshot(spans=include_events),
         }
 
     def _log_line(self, payload: Dict[str, Any]) -> None:
@@ -632,18 +638,27 @@ class ReproServer:
         while not self._stopped.wait(self._log_interval):
             if self._draining:
                 return
-            payload = self.stats.to_dict()
-            payload["queue_depth"] = len(self._queue)
-            self._log_line({"kind": "service_stats", **payload})
-            # The most recent request events, rendered through the same
-            # typed-event serializer as --trace-json.
-            recent = [
-                event_to_dict(e)
-                for e in list(self.engine.events)[-5:]
-                if isinstance(e, RequestEvent)
-            ]
-            for event in recent:
-                self._log_line(event)
+            self._log_tick()
+
+    def _log_tick(self) -> None:
+        """One periodic log: the service counters, then every
+        ``service.request`` span recorded since the last tick, each
+        once, in the ``--trace-json`` span form."""
+        payload = self.stats.to_dict()
+        payload["queue_depth"] = len(self._queue)
+        self._log_line({"kind": "service_stats", **payload})
+        fresh = []
+        # Newest first, back to the last span logged; spans land in
+        # closing order, which their ids need not follow.
+        for span in reversed(list(self.engine.spans.spans)):
+            if span.id == self._last_logged:
+                break
+            if span.name == "service.request":
+                fresh.append(span)
+        if fresh:
+            self._last_logged = fresh[0].id
+        for span in reversed(fresh):
+            self._log_line({"kind": "span", **span.to_dict()})
 
 
 def serve_main(

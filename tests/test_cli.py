@@ -151,7 +151,8 @@ class TestCrat:
         assert emit.exists()
         parse_kernel(emit.read_text())
         snapshot = json.loads(trace.read_text())
-        assert "stats" in snapshot and "events" in snapshot
+        assert "stats" in snapshot and "spans" in snapshot
+        assert "opt_tlp" in snapshot["self_seconds"]
         assert snapshot["stats"]["sim_requests"] >= 1
 
     def test_unwritable_emit_path_is_a_clean_error(self, tmp_path, capsys):

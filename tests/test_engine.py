@@ -23,6 +23,16 @@ def gau():
     return load_workload("GAU")
 
 
+def _spans(engine, name):
+    return [span for span in engine.spans.spans if span.name == name]
+
+
+def _span(span_id, parent, name, start, end):
+    from repro.engine import Span
+
+    return Span(span_id, parent, name, start, end, "", {})
+
+
 class TestFingerprint:
     def test_stable_across_parse_print_round_trip(self, gau):
         text = print_kernel(gau.kernel)
@@ -293,14 +303,11 @@ class TestBatchedRouting:
         assert engine.stats.batched_groups == 1
 
     def test_batch_sim_event_emitted(self, gau):
-        from repro.engine import BatchSimEvent
-
         engine = EvaluationEngine(disk_cache="")
         engine.simulate_many(self._requests(gau, [1, 2]))
-        events = [e for e in engine.events if isinstance(e, BatchSimEvent)]
-        assert len(events) == 1
-        assert events[0].points == 2
-        assert events[0].scheduler == "gto"
+        batches = _spans(engine, "sim.batch")
+        assert len(batches) == 1
+        assert batches[0].attrs == {"lanes": 2, "scheduler": "gto"}
 
     def test_singleton_group_stays_supervised(self, gau):
         engine = EvaluationEngine(disk_cache="")
@@ -332,14 +339,93 @@ class TestBatchedRouting:
 class TestInstrumentation:
     def test_events_and_snapshot_are_json_ready(self, gau):
         engine = EvaluationEngine()
-        with engine.stage("unit-test"):
+        with engine.span("unit-test"):
             engine.profile_tlp(gau.kernel, FERMI, 2, grid_blocks=4,
                                param_sizes=gau.param_sizes)
         snapshot = json.loads(engine.to_json())
-        kinds = {e["kind"] for e in snapshot["events"]}
-        assert {"trace", "simulate", "batch", "stage"} <= kinds
+        names = {span["name"] for span in snapshot["spans"]}
+        assert names == {"unit-test", "engine.simulate", "sim.trace",
+                         "sim.batch"}
         assert snapshot["stats"]["simulations"] == 2
-        assert "unit-test" in snapshot["stats"]["stage_seconds"]
+        assert set(snapshot["self_seconds"]) == names
+        assert "stage_seconds" not in snapshot["stats"]
+
+    def test_self_seconds_subtracts_the_union_of_children(self):
+        from repro.engine import self_seconds
+
+        spans = [
+            _span(1, 0, "parent", 10.0, 11.0),
+            _span(2, 1, "child", 10.1, 10.3),
+            _span(3, 1, "child", 10.5, 10.6),
+        ]
+        assert self_seconds(spans) == pytest.approx(
+            {"parent": 0.7, "child": 0.3})
+        # Overlapping children (and one running past the parent's end)
+        # cover [10.1, 11.0] once.
+        overlapping = spans[:1] + [
+            _span(2, 1, "child", 10.1, 10.8),
+            _span(3, 1, "child", 10.5, 11.5),
+        ]
+        assert self_seconds(overlapping)["parent"] == pytest.approx(0.1)
+
+    def test_spans_take_their_parents_from_their_own_thread(self):
+        import threading
+
+        engine = EvaluationEngine(disk_cache="")
+        opened = threading.Barrier(2, timeout=10.0)
+
+        def work(tag):
+            with engine.span(f"outer-{tag}"):
+                opened.wait()  # both outer spans are open at once
+                with engine.span(f"inner-{tag}"):
+                    opened.wait()
+
+        threads = [threading.Thread(target=work, args=(tag,))
+                   for tag in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        by_name = {span.name: span for span in engine.spans.spans}
+        for tag in "ab":
+            assert by_name[f"inner-{tag}"].parent == by_name[f"outer-{tag}"].id
+            assert by_name[f"outer-{tag}"].parent == 0
+
+    def test_sweep_spans_match_the_counters(self, gau):
+        engine = EvaluationEngine(disk_cache="")
+        engine.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
+                           param_sizes=gau.param_sizes)
+        traces = _spans(engine, "sim.trace")
+        assert len(traces) == engine.stats.trace_misses == 1
+        lanes = sum(s.attrs["lanes"] for s in _spans(engine, "sim.batch"))
+        assert lanes == engine.stats.batched_points == 3
+        [simulate] = _spans(engine, "engine.simulate")
+        assert simulate.attrs == {"points": 3, "hits": 0}
+        assert {s.parent for s in traces} == {simulate.id}
+
+    def test_profiled_baselines_nest_in_opt_tlp(self, gau):
+        import time
+
+        from repro.core import CRATOptimizer
+        from repro.engine import self_seconds
+
+        engine = EvaluationEngine(disk_cache="")
+        t0 = time.perf_counter()
+        CRATOptimizer(FERMI, engine=engine).optimize(
+            gau.kernel, default_reg=gau.default_reg,
+            grid_blocks=gau.grid_blocks, param_sizes=gau.param_sizes,
+        )
+        wall = time.perf_counter() - t0
+        by_id = {span.id: span for span in engine.spans.spans}
+        [baselines] = _spans(engine, "baselines")
+        ancestors = []
+        parent = baselines.parent
+        while parent:
+            ancestors.append(by_id[parent].name)
+            parent = by_id[parent].parent
+        assert ancestors == ["opt_tlp"]
+        assert sum(self_seconds(by_id.values()).values()) <= wall
 
     def test_reset_stats_keeps_cache_warm(self, gau):
         engine = EvaluationEngine()
@@ -352,18 +438,13 @@ class TestInstrumentation:
         assert engine.stats.sim_misses == 0
 
     def test_event_log_keeps_the_newest_events(self):
-        """A full log drops its oldest events, so a long-lived daemon
+        """A full log drops its oldest spans, so a long-lived daemon
         keeps recording what it does now."""
-        from repro.engine.events import RequestEvent
-
         engine = EvaluationEngine(max_events=3)
         for job in ("a", "b", "c", "d", "e"):
-            engine._emit(RequestEvent(job=job, status="ok", deduped=False,
-                                      queue_seconds=0.0, run_seconds=0.0))
-        assert [e.job for e in engine.events] == ["c", "d", "e"]
-        assert [e["job"] for e in engine.snapshot()["events"]] == [
-            "c", "d", "e",
-        ]
+            engine.mark("retry", job=job)
+        assert [s.attrs["job"] for s in engine.spans.spans] == ["c", "d", "e"]
+        assert [s["id"] for s in engine.snapshot()["spans"]] == [3, 4, 5]
 
     def test_snapshot_while_threads_emit(self):
         """Worker threads emit while a ``stats`` request snapshots the
@@ -371,16 +452,13 @@ class TestInstrumentation:
         import sys
         import threading
 
-        from repro.engine.events import RequestEvent
-
         engine = EvaluationEngine(max_events=200)
-        event = RequestEvent(job="j", status="ok", deduped=False,
-                             queue_seconds=0.0, run_seconds=0.0)
         stop = threading.Event()
 
         def emit():
             while not stop.is_set():
-                engine._emit(event)
+                with engine.span("outer"):
+                    engine.mark("inner")
 
         threads = [threading.Thread(target=emit) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -389,14 +467,16 @@ class TestInstrumentation:
             for thread in threads:
                 thread.start()
             for _ in range(50):
-                assert len(engine.snapshot()["events"]) <= 200
+                assert len(engine.snapshot()["spans"]) <= 200
         finally:
             stop.set()
             for thread in threads:
                 thread.join(timeout=10.0)
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert len(engine.events) == 200
+        spans = list(engine.spans.spans)
+        assert len(spans) == 200
+        assert len({span.id for span in spans}) == 200
 
 
 class TestBenchIntegration:
@@ -789,9 +869,9 @@ class TestStageMemo:
         assert calls == [1]
         assert engine.stats.cache_corrupt == 1
         assert (engine.stats.memo_disk_hits, engine.stats.memo_misses) == (0, 1)
-        corrupt = [e for e in engine.events if e.kind == "cache_corrupt"]
-        assert [(e.path, e.reason) for e in corrupt] == [
-            (str(path), "checksum mismatch")
+        corrupt = _spans(engine, "cache_corrupt")
+        assert [s.attrs for s in corrupt] == [
+            {"path": str(path), "reason": "checksum mismatch"}
         ]
         # The recomputed value replaced the deleted entry, intact.
         third = EvaluationEngine(disk_cache=str(tmp_path))

@@ -245,9 +245,11 @@ class TestInjectedFaultRecovery:
         assert engine.stats.degraded == 0
         assert engine.stats.sim_misses == 3
         crashes = {}
-        for event in engine.events:
-            if getattr(event, "kind", "") == "fault":
-                crashes.setdefault(event.token, []).append(event.attempt)
+        for span in engine.spans.spans:
+            if span.name == "fault":
+                assert span.start == span.end
+                crashes.setdefault(span.attrs["token"], []).append(
+                    span.attrs["attempt"])
         assert len(crashes) == 3
         assert all(attempts == [1, 2] for attempts in crashes.values())
 
@@ -269,10 +271,10 @@ class TestInjectedFaultRecovery:
         }
         assert engine.stats.degraded == 3
         assert engine.stats.sim_failures >= 3
-        # Degraded estimates are flagged in the event stream and are
-        # excluded from the result cache.
-        kinds = [getattr(e, "kind", "") for e in engine.events]
-        assert kinds.count("degrade") == 3
+        # Degraded estimates are flagged by marks and are excluded
+        # from the result cache.
+        names = [span.name for span in engine.spans.spans]
+        assert names.count("degrade") == 3
         assert len(engine._sim_cache) == 0
 
     def test_failure_below_simulated_ceiling_uses_anchored_estimate(
@@ -342,11 +344,8 @@ class TestCheckpointResume:
                                    param_sizes=gau.param_sizes)
         assert second.stats.disk_hits == 3
         assert second.stats.sim_misses == 1
-        run_events = [
-            e for e in second.events
-            if getattr(e, "kind", "") == "simulate" and e.source == "run"
-        ]
-        assert len(run_events) == 1 and run_events[0].tlp == 4
+        runs = [s for s in second.spans.spans if s.name == "sim.scalar"]
+        assert [s.attrs["tlp"] for s in runs] == [4]
         for tlp, result in before.items():
             assert after[tlp] == result
 

@@ -8,8 +8,8 @@ from repro.core import (
     collect_resource_usage,
     default_allocation,
     opt_tlp_from_profile,
-    profile_tlp,
 )
+from repro.engine import EvaluationEngine
 from repro.sim import simulate, simulate_traces, trace_grid
 from repro.sim.stats import SimResult
 from repro.workloads import load_workload
@@ -50,16 +50,16 @@ class TestProfiling:
     def test_profile_keys_and_optimum(self, gau):
         usage = collect_resource_usage(gau.kernel, FERMI)
         allocation = default_allocation(gau.kernel, usage)
-        traces = trace_grid(allocation.kernel, FERMI, gau.grid_blocks,
-                            gau.param_sizes)
-        profile = profile_tlp(traces, FERMI, 4)
+        profile = EvaluationEngine(disk_cache="").profile_tlp(
+            allocation.kernel, FERMI, 4, gau.grid_blocks, gau.param_sizes
+        )
         assert set(profile) == {1, 2, 3, 4}
         opt = opt_tlp_from_profile(profile)
         assert profile[opt].cycles == min(r.cycles for r in profile.values())
 
     def test_profile_rejects_bad_range(self, gau):
         with pytest.raises(ValueError):
-            profile_tlp([], FERMI, 0)
+            EvaluationEngine(disk_cache="").profile_tlp(gau.kernel, FERMI, 0)
 
 
 class TestBenchDriver:

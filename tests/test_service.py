@@ -145,30 +145,36 @@ class TestBasics:
         assert "simulate" in service["latency"]
         assert service["latency"]["simulate"]["count"] == 1
         assert payload["engine"]["stats"]["simulations"] >= 1
-        assert "events" not in payload["engine"]
+        assert "spans" not in payload["engine"]
+        assert "self_seconds" not in payload["engine"]
 
     def test_request_events_recorded(self, server, fresh_engine):
-        from repro.engine.events import RequestEvent
-
         with make_client(server) as client:
             submit_or_raise(client, "simulate", SIM_GAU)
-        events = [
-            e for e in fresh_engine.events if isinstance(e, RequestEvent)
-        ]
-        assert events and events[-1].job == "simulate"
-        assert events[-1].status == "ok"
-        assert events[-1].deduped is False
+            payload = client.stats(include_events=True)
+        spans = {s["id"]: s for s in payload["engine"]["spans"]}
+        [request] = _named(spans.values(), "service.request")
+        assert request["attrs"] == {
+            "job": "simulate", "status": "ok", "deduped": False,
+        }
+        [execute] = _named(spans.values(), "service.execute")
+        # The worker's spans carry the request id and nest the
+        # simulation the request caused.
+        [simulate] = _named(spans.values(), "engine.simulate")
+        assert simulate["parent"] == execute["id"]
+        assert execute["request"] == simulate["request"] == request["request"]
+        assert request["request"]
+        assert request["start"] <= execute["start"] <= execute["end"]
+        assert execute["end"] <= request["end"]
+        assert "service.execute" in payload["engine"]["self_seconds"]
 
     def test_oversized_reply_is_a_typed_error(self, server, fresh_engine):
-        """A reply too large to frame (``stats`` with a long event log)
+        """A reply too large to frame (``stats`` with a long span log)
         comes back as a ServiceError reply, and the same connection
         keeps working."""
-        from repro.engine.events import RequestEvent
-
-        event = RequestEvent(job="simulate", status="ok", deduped=False,
-                             queue_seconds=0.0, run_seconds=0.0)
-        for _ in range(60_000):  # about 6 MB of events, over the 4 MiB cap
-            fresh_engine._emit(event)
+        for _ in range(60_000):  # about 10 MB of spans, over the 4 MiB cap
+            fresh_engine.mark("service.request", job="simulate",
+                              status="ok", deduped=False)
         with make_client(server) as client:
             reply = client.request_once("stats", {"include_events": True})
             assert reply["status"] == "error"
@@ -180,7 +186,45 @@ class TestBasics:
         assert server.stats.to_dict()["connections"] == 1
 
 
+def _named(spans, name):
+    return [span for span in spans if span["name"] == name]
+
+
 class TestSingleFlight:
+    def test_deduped_waiter_is_timed_from_its_own_admission(
+        self, server, fresh_engine
+    ):
+        """A request that attaches to an in-flight job reports its own
+        wait, not the job's (measured from the first admission)."""
+        server.pause_workers()
+        threads = []
+        for expected in (1, 2):
+            threads.append(threading.Thread(
+                target=lambda: submit_or_raise(
+                    make_client(server), "simulate", SIM_GAU
+                )
+            ))
+            threads[-1].start()
+            assert _wait_until(
+                lambda: server.stats.to_dict()["accepted"] == expected
+            )
+            time.sleep(0.3)
+        server.resume_workers()
+        for t in threads:
+            t.join(timeout=30.0)
+        assert not any(t.is_alive() for t in threads)
+        first, deduped = sorted(
+            (s for s in fresh_engine.spans.spans
+             if s.name == "service.request"),
+            key=lambda s: s.attrs["deduped"],
+        )
+        assert (first.attrs["deduped"], deduped.attrs["deduped"]) == (
+            False, True)
+        assert deduped.start - first.start >= 0.25
+        assert (deduped.end - deduped.start) <= (
+            first.end - first.start) - 0.25
+        assert server.stats.to_dict()["latency"]["simulate"]["count"] == 2
+
     def test_concurrent_identical_requests_cost_one_evaluation(
         self, server, fresh_engine
     ):
@@ -499,6 +543,36 @@ class TestServerLifecycle:
         )
         with pytest.raises(ServiceError, match="already listening"):
             second.start()
+
+    def test_log_tick_reports_each_request_once(self, tmp_path, fresh_engine):
+        """Each ``service.request`` span is logged on the first tick
+        after it closes, and never again, however many other spans
+        follow it."""
+        import io
+
+        log = io.StringIO()
+        server = ReproServer(socket_path=str(tmp_path / "tick.sock"),
+                             engine=fresh_engine, log_stream=log)
+        spans = fresh_engine.spans
+
+        def tick():
+            server._log_tick()
+            lines = [json.loads(line) for line in log.getvalue().splitlines()]
+            log.seek(0)
+            log.truncate()
+            assert lines[0]["kind"] == "service_stats"
+            return [line["attrs"]["job"] for line in lines[1:]]
+
+        # An idle daemon: one request, then quiet ticks.
+        spans.record("service.request", 0.0, 1.0, job="a", status="ok",
+                      deduped=False)
+        assert [tick(), tick(), tick()] == [["a"], [], []]
+        # One request followed by five other spans.
+        spans.record("service.request", 1.0, 2.0, job="b", status="ok",
+                     deduped=False)
+        for _ in range(5):
+            spans.mark("retry")
+        assert [tick(), tick()] == [["b"], []]
 
     def test_structured_log_lines(self, tmp_path, fresh_engine):
         import io
