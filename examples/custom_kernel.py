@@ -3,7 +3,8 @@
 
 Demonstrates the compiler surface end to end:
 
-1. construct a register-hungry kernel with :class:`KernelBuilder`;
+1. construct a register-hungry kernel with :class:`KernelBuilder` and
+   pass it through the DF load gate (:func:`repro.verify.verify_kernel`);
 2. print its PTX text (SSA-style virtual registers, paper Listing 2);
 3. allocate it at shrinking register limits and watch spill code appear
    (paper Listing 4), including Algorithm 1's shared-memory sub-stacks;
@@ -15,9 +16,10 @@ Run:  python examples/custom_kernel.py
 
 import numpy as np
 
-from repro import allocate, print_kernel, register_demand, verify_kernel
+from repro import allocate, print_kernel, register_demand
 from repro.ptx import CmpOp, DType, KernelBuilder, Space
 from repro.sim import GlobalMemory, run_grid
+from repro.verify import verify_kernel
 
 
 def build_kernel(nvals=18, trip=8):

@@ -19,7 +19,7 @@ Quickstart::
 
 Package map:
 
-* :mod:`repro.ptx` — PTX-subset IR (parser, printer, builder, verifier)
+* :mod:`repro.ptx` — PTX-subset IR (parser, printer, builder)
 * :mod:`repro.cfg` — CFG, liveness, dominators, loops
 * :mod:`repro.regalloc` — Chaitin-Briggs + linear-scan allocators,
   spill code, rematerialization, shared-memory spilling (Algorithm 1)
@@ -44,7 +44,7 @@ from .core import (
     prune,
     run_baselines,
 )
-from .ptx import Kernel, KernelBuilder, parse_kernel, print_kernel, verify_kernel
+from .ptx import Kernel, KernelBuilder, parse_kernel, print_kernel
 from .regalloc import AllocationResult, allocate, register_demand
 from .sim import SimResult, simulate
 from .workloads import Workload, full_suite, load_workload
@@ -78,6 +78,5 @@ __all__ = [
     "register_demand",
     "run_baselines",
     "simulate",
-    "verify_kernel",
     "__version__",
 ]

@@ -47,9 +47,13 @@ every candidate allocation is independently rechecked (register
 sharing, spill-slot discipline, shared-memory budget); any finding is a
 hard error.
 
+Every command but ``verify`` loads PTX text through the DF load gate
+(the daemon's loader, :func:`repro.service.jobs.load_target`): a
+kernel that breaks a DF rule exits 2 naming its codes.
+
 Failures map to distinct exit codes so scripts can triage without
-parsing stderr: 0 all ok, 2 parse/verification, 3 allocation,
-4 simulation/cache, 5 partial suite failure (some apps completed,
+parsing stderr: 0 all ok, 2 parse or DF load gate, 3 allocation,
+4 simulation, 5 partial suite failure (some apps completed,
 some did not — ``suite --report-json PATH`` writes the structured
 failure report), 6 translation-validation findings (``repro verify``
 and ``--verify`` runs), 7 compilation-service transport/protocol
@@ -68,11 +72,11 @@ from .core import CRATOptimizer, collect_resource_usage
 from .engine import configure as configure_engine
 from .engine import get_engine
 from .errors import ReproError, classify_error
-from .ptx import parse_kernel, print_kernel, verify_kernel
+from .ptx import print_kernel
 from .regalloc import allocate as allocate_kernel
 from .regalloc import register_demand
 from .regalloc.allocator import InsufficientRegistersError
-from .workloads import BY_ABBR, load_workload
+from .workloads import BY_ABBR
 
 
 def _engine_for(args):
@@ -93,37 +97,39 @@ def _write_trace_json(args) -> None:
         print(f"engine trace written to {path}", file=sys.stderr)
 
 
-def _load(target: str):
-    """Resolve APP abbreviation or PTX file path to (kernel, workload?)."""
+def _target_params(target: str) -> dict:
+    """``{"target": ABBR}`` for a Table 3 app, else ``{"ptx": text}``
+    read from the FILE ``target``: the one place the CLI reads a kernel
+    file, shared by the one-shot commands and ``submit``."""
     if target.upper() in BY_ABBR:
-        workload = load_workload(target.upper())
-        return workload.kernel, workload
+        return {"target": target.upper()}
     try:
         with open(target) as handle:
-            text = handle.read()
+            return {"ptx": handle.read()}
     except OSError as err:
         raise SystemExit(f"error: {target!r} is neither a known app "
                          f"({', '.join(sorted(BY_ABBR))}) nor a readable "
                          f"file: {err}")
-    try:
-        kernel = parse_kernel(text)
-        verify_kernel(kernel)
-    except Exception as err:
-        raise classify_error(err, app=target, stage="parse")
-    return kernel, None
+
+
+def _load(target: str, checked: bool = True):
+    """``(kernel, workload or None)`` through the daemon's loader."""
+    from .service.jobs import load_target
+
+    return load_target(_target_params(target), checked=checked)
 
 
 def cmd_verify(args) -> int:
     """Lint mode: report diagnostics instead of dying on the first one.
 
-    Unlike every other command, file targets are parsed *without* the
-    legacy load-time verifier — a kernel with a use-before-def should
-    produce a ``DF001`` diagnostic and exit 6, not a parse error and
-    exit 2.  Unparseable input still exits 2.
+    Unlike every other command, file targets skip the DF load gate — a
+    kernel with a use-before-def should produce a ``DF001`` diagnostic
+    and exit 6, not a parse error and exit 2.  Unparseable input still
+    exits 2.
     """
     from . import verify as verify_mod
 
-    kernel = _load_unverified(args.target)
+    kernel, _ = _load(args.target, checked=False)
     report = verify_mod.lint_kernel(kernel)
     if args.pipeline:
         _, pipeline_report = verify_mod.run_validated_pipeline(kernel)
@@ -137,29 +143,6 @@ def cmd_verify(args) -> int:
     if report.errors or (args.strict and report.warnings):
         return EXIT_VERIFY
     return 0
-
-
-def _load_unverified(target: str):
-    """Resolve a verify target without the legacy load-time verifier.
-
-    A kernel with static defects must reach the verifiers and come back
-    as rule codes; only genuinely unparseable input is a parse failure
-    (exit 2).
-    """
-    if target.upper() in BY_ABBR:
-        return load_workload(target.upper()).kernel
-    try:
-        with open(target) as handle:
-            text = handle.read()
-    except OSError as err:
-        raise SystemExit(
-            f"error: {target!r} is neither a known app "
-            f"({', '.join(sorted(BY_ABBR))}) nor a readable file: {err}"
-        )
-    try:
-        return parse_kernel(text)
-    except Exception as err:
-        raise classify_error(err, app=target, stage="parse")
 
 
 def cmd_info(args) -> int:
@@ -368,18 +351,7 @@ def _submit_params(args) -> dict:
     if args.job in ("crat", "simulate", "verify"):
         if args.target is None:
             raise SystemExit(f"error: submit {args.job} requires a target")
-        if args.target.upper() in BY_ABBR:
-            params["target"] = args.target.upper()
-        else:
-            try:
-                with open(args.target) as handle:
-                    params["ptx"] = handle.read()
-            except OSError as err:
-                raise SystemExit(
-                    f"error: {args.target!r} is neither a known app "
-                    f"({', '.join(sorted(BY_ABBR))}) nor a readable "
-                    f"file: {err}"
-                )
+        params.update(_target_params(args.target))
     if args.config != "fermi":
         params["config"] = args.config
     if args.job == "crat":

@@ -23,7 +23,9 @@ constructor argument — above which the least-recently-used entry is
 evicted (counted in :attr:`SimResultCache.evictions`).  A long-lived
 host like ``repro serve`` sets a bound so the resident set stays flat
 under arbitrary traffic; evicted entries that also live on disk are
-re-admitted on their next lookup.
+re-admitted on their next lookup.  The engine's stage memo and trace
+cache are bounded by the same value; all three memory levels are an
+:class:`LRUMap`, whose lock lets a daemon's workers share them.
 
 **Integrity.**  Each disk entry is framed as ``magic + sha256(payload)
 + payload`` (:data:`ENTRY_MAGIC`).  A truncated write (power loss,
@@ -46,8 +48,9 @@ import hashlib
 import os
 import pickle
 import tempfile
+import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Generic, Optional, Tuple, TypeVar
 
 from ..arch.config import GPUConfig
 from ..ir.pipeline import PIPELINE_SCHEMA_VERSION
@@ -247,8 +250,56 @@ def source_digest() -> Optional[str]:
     return digest.hexdigest()
 
 
+class LRUMap(Generic[T]):
+    """A locked LRU map: :meth:`get` refreshes an entry, :meth:`put`
+    stores one as most recent and evicts least-recent entries past
+    ``max_entries`` (``None``: unbounded), counting them in
+    :attr:`evictions`."""
+
+    def __init__(self, max_entries: Optional[int] = None):
+        self.max_entries = max_entries
+        self.evictions = 0
+        self._data: "OrderedDict[Tuple, T]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def get(self, key: Tuple) -> Optional[T]:
+        with self._lock:
+            value = self._data.get(key)
+            if value is not None:
+                self._data.move_to_end(key)
+            return value
+
+    def put(self, key: Tuple, value: T) -> None:
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            self._evict_over_budget()
+
+    def set_max_entries(self, max_entries: Optional[int]) -> None:
+        """Re-bound the map (``None``/``<=0`` unbounds it); an
+        over-budget map sheds its LRU tail immediately."""
+        with self._lock:
+            self.max_entries = (
+                max_entries if max_entries is not None and max_entries > 0
+                else None
+            )
+            self._evict_over_budget()
+
+    def clear(self) -> None:
+        with self._lock:
+            self._data.clear()
+
+    def _evict_over_budget(self) -> None:
+        while self.max_entries is not None and len(self._data) > self.max_entries:
+            self._data.popitem(last=False)
+            self.evictions += 1
+
+
 class SimResultCache:
-    """In-memory dict fronting an optional on-disk checksummed store.
+    """In-memory LRU map fronting an optional on-disk checksummed store.
 
     ``on_corrupt(path, reason)`` is invoked whenever a disk entry fails
     verification (it has already been deleted by then); the engine uses
@@ -266,27 +317,24 @@ class SimResultCache:
         self.disk_dir = disk_dir
         self.on_corrupt = on_corrupt
         self.corrupt_entries = 0
-        self.evictions = 0
-        self.max_entries = resolve_max_entries(max_entries)
-        self._memory: "OrderedDict[SimKey, SimResult]" = OrderedDict()
+        self._memory: LRUMap[SimResult] = LRUMap(
+            resolve_max_entries(max_entries)
+        )
 
     def __len__(self) -> int:
         return len(self._memory)
 
     def set_max_entries(self, max_entries: Optional[int]) -> None:
-        """Re-bound the in-memory level (``None``/``<=0`` unbounds it);
-        an over-budget cache sheds its LRU tail immediately."""
-        self.max_entries = (
-            max_entries if max_entries is not None and max_entries > 0 else None
-        )
-        self._evict_over_budget()
+        """Re-bound the in-memory level (:meth:`LRUMap.set_max_entries`)."""
+        self._memory.set_max_entries(max_entries)
 
-    def _evict_over_budget(self) -> None:
-        if self.max_entries is None:
-            return
-        while len(self._memory) > self.max_entries:
-            self._memory.popitem(last=False)
-            self.evictions += 1
+    @property
+    def max_entries(self) -> Optional[int]:
+        return self._memory.max_entries
+
+    @property
+    def evictions(self) -> int:
+        return self._memory.evictions
 
     def _disk_path(self, kind: str, digest: str) -> str:
         return os.path.join(self.disk_dir, f"{kind}-{digest}.pkl")
@@ -363,13 +411,11 @@ class SimResultCache:
         ``"memory"``, ``"disk"``, or ``"miss"``."""
         result = self._memory.get(key)
         if result is not None:
-            self._memory.move_to_end(key)
             return result, "memory"
         result = self.read_entry("sim", key)
         if result is None:
             return None, "miss"
-        self._memory[key] = result
-        self._evict_over_budget()
+        self._memory.put(key, result)
         return result, "disk"
 
     def put(self, key: SimKey, result: SimResult) -> None:
@@ -377,9 +423,7 @@ class SimResultCache:
             # Degraded analytical estimates never enter the cache: a
             # later healthy run must re-simulate the real point.
             return
-        self._memory[key] = result
-        self._memory.move_to_end(key)
-        self._evict_over_budget()
+        self._memory.put(key, result)
         if self.disk_dir:
             self.write_entry("sim", key, pickle.dumps(result))
 

@@ -12,8 +12,9 @@ design points many times over.
 
 * **Content-addressed caching** — results are keyed by ``(kernel
   fingerprint, config, grid_blocks, param_sizes, tlp, scheduler)``;
-  traces by the same key minus the TLP/scheduler.  An optional on-disk
-  store (``REPRO_CACHE_DIR``) persists results across processes.
+  traces by the same key minus the TLP/scheduler, under the same LRU
+  bound.  An optional on-disk store (``REPRO_CACHE_DIR``) persists
+  results across processes.
 * **Pure-stage memo** — :meth:`EvaluationEngine.memo` runs each pure
   compiler stage (allocation, resource usage, an unverified pass
   pipeline) once per content key and hands every later caller a
@@ -42,7 +43,6 @@ import math
 import pickle
 import threading
 import zlib
-from collections import OrderedDict
 from typing import (
     Callable,
     Dict,
@@ -67,7 +67,7 @@ from ..sim.executor import BlockTrace
 from ..sim.gpu import trace_grid
 from ..sim.stats import SimResult
 from . import cache, faults
-from .cache import SimKey, SimResultCache, config_signature, key_digest, make_sim_key
+from .cache import LRUMap, SimKey, SimResultCache, config_signature, key_digest, make_sim_key
 from .events import EngineStats, SpanRecorder, self_seconds
 
 #: L1 hit ratio the degrade estimate's GTO mimic assumes.
@@ -195,10 +195,13 @@ class EvaluationEngine:
             on_corrupt=self._on_cache_corrupt,
             max_entries=cache_max_entries,
         )
-        self._trace_cache: Dict[Tuple, List[BlockTrace]] = {}
-        #: Pure-stage memo (:meth:`memo`): content key -> compressed
-        #: pickle of the stage's value, in LRU order.
-        self._memo: "OrderedDict[Tuple, bytes]" = OrderedDict()
+        # Traces and the pure-stage memo (:meth:`memo`: content key ->
+        # compressed pickle of the stage's value) share the result
+        # cache's LRU bound.
+        bound = self._sim_cache.max_entries
+        self._trace_cache: LRUMap[List[BlockTrace]] = LRUMap(bound)
+        self._memo: LRUMap[bytes] = LRUMap(bound)
+        #: Guards the memo counters, which every worker thread bumps.
         self._memo_lock = threading.Lock()
         self.stats = EngineStats()
         #: The newest ``max_events`` spans; older ones fall off the
@@ -235,12 +238,10 @@ class EvaluationEngine:
         that computes it.  An exception from ``compute`` propagates and
         stores nothing on either level.
         """
-        with self._memo_lock:
-            blob = self._memo.get(key)
-            if blob is not None:
-                self._memo.move_to_end(key)
-                self.stats.memo_hits += 1
+        blob = self._memo.get(key)
         if blob is not None:
+            with self._memo_lock:
+                self.stats.memo_hits += 1
             return pickle.loads(zlib.decompress(blob))
         disk_key = self._memo_disk_key(key)
         if disk_key is not None:
@@ -249,14 +250,13 @@ class EvaluationEngine:
                 blob, value = found
                 with self._memo_lock:
                     self.stats.memo_disk_hits += 1
-                    self._store_memo(key, blob)
+                self._memo.put(key, blob)
                 return value
         with self._memo_lock:
             self.stats.memo_misses += 1
         value = compute()
         blob = zlib.compress(pickle.dumps(value), 1)
-        with self._memo_lock:
-            self._store_memo(key, blob)
+        self._memo.put(key, blob)
         if disk_key is not None:
             self._sim_cache.write_entry("memo", disk_key, blob)
         return value
@@ -268,19 +268,6 @@ class EvaluationEngine:
             return None
         digest = cache.source_digest()
         return None if digest is None else (digest,) + tuple(key)
-
-    def _store_memo(self, key: Tuple, blob: bytes) -> None:
-        """Insert as most recent; the caller holds the lock.  A racing
-        miss on the same key may have stored it already."""
-        self._memo[key] = blob
-        self._memo.move_to_end(key)
-        self._trim_memo()
-
-    def _trim_memo(self) -> None:
-        """Evict LRU entries over the bound; the caller holds the lock."""
-        bound = self._sim_cache.max_entries
-        while bound is not None and len(self._memo) > bound:
-            self._memo.popitem(last=False)
 
     # ------------------------------------------------------------------
     # Trace generation (the expensive functional step).
@@ -304,7 +291,7 @@ class EvaluationEngine:
             return traces
         with self.span("sim.trace", kernel=kernel.name, grid_blocks=grid_blocks):
             traces = trace_grid(kernel, config, grid_blocks, param_sizes)
-        self._trace_cache[key] = traces
+        self._trace_cache.put(key, traces)
         self.stats.trace_misses += 1
         return traces
 
@@ -630,8 +617,7 @@ class EvaluationEngine:
         results and memoised stages."""
         self._sim_cache.clear(disk=disk)
         self._trace_cache.clear()
-        with self._memo_lock:
-            self._memo.clear()
+        self._memo.clear()
         self.reset_stats()
 
 
@@ -673,7 +659,7 @@ def configure(
 ) -> EvaluationEngine:
     """Adjust the shared engine in place (the CLI's hook).
     ``cache_max_entries`` (0 unbounds) LRU-bounds the in-memory result
-    cache and the stage memo.
+    cache, the stage memo and the trace cache.
     ``passes`` sets the active optimization-pipeline signature folded
     into cache keys ("" clears it; unknown pass names raise
     :class:`repro.errors.ParseError`).
@@ -685,9 +671,8 @@ def configure(
         if disk_cache is not None:
             engine._sim_cache.disk_dir = disk_cache
         if cache_max_entries is not None:
-            engine._sim_cache.set_max_entries(cache_max_entries)
-            with engine._memo_lock:
-                engine._trim_memo()
+            for level in (engine._sim_cache, engine._memo, engine._trace_cache):
+                level.set_max_entries(cache_max_entries)
         if passes is not None:
             # Normalized (and validated) before taking effect: a typo'd
             # spec must fail loudly, never silently tag cache keys.

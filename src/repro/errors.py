@@ -2,7 +2,6 @@
 
 Historically each layer raised its own ad-hoc exception —
 :class:`~repro.ptx.parser.PTXParseError`,
-:class:`~repro.ptx.verifier.VerificationError`,
 :class:`~repro.regalloc.allocator.InsufficientRegistersError`,
 :class:`~repro.sim.executor.DivergentBranchError` — and whatever
 reached the CLI surfaced as a raw traceback.  The engine's retry rung
@@ -11,10 +10,10 @@ the CLI needs stable exit codes, so every failure is routed into this
 tree at the engine boundary (:func:`classify_error`):
 
 ``ReproError``
-    ├── ``ParseError``       — malformed or unverifiable PTX      (exit 2)
+    ├── ``ParseError``       — PTX that does not parse or breaks a DF
+    │                          rule at load (codes named)          (exit 2)
     ├── ``AllocationError``  — no feasible register allocation    (exit 3)
     ├── ``SimulationError``  — trace generation or timing failure (exit 4)
-    ├── ``CacheError``       — persistent-store corruption/IO     (exit 4)
     ├── ``VerificationError`` — translation validation failed     (exit 6)
     └── ``ServiceError``     — compilation-service transport or
         protocol failure (daemon unreachable, malformed frame,
@@ -108,7 +107,8 @@ class ReproError(Exception):
 
 
 class ParseError(ReproError):
-    """PTX text could not be parsed or failed verification."""
+    """PTX text could not be parsed, or it breaks a DF rule at load
+    (:func:`repro.verify.verify_kernel`)."""
 
     exit_code = EXIT_PARSE
 
@@ -125,23 +125,13 @@ class SimulationError(ReproError):
     exit_code = EXIT_SIMULATION
 
 
-class CacheError(ReproError):
-    """The persistent result store misbehaved (corruption, IO)."""
-
-    exit_code = EXIT_SIMULATION
-
-
 class VerificationError(ReproError):
     """Translation validation found a miscompile (``repro verify``,
     ``--verify``).
 
     Carries the full list of typed
     :class:`~repro.verify.diagnostics.Diagnostic` findings so suite
-    failure reports preserve the rule codes, not just a message.  Not
-    to be confused with the legacy
-    :class:`repro.ptx.verifier.VerificationError` (a ``ValueError``
-    subclass), which :func:`classify_error` maps to :class:`ParseError`
-    because it fires at load time.
+    failure reports preserve the rule codes, not just a message.
     """
 
     exit_code = EXIT_VERIFY
@@ -199,7 +189,6 @@ def classify_error(
         return exc
 
     from .ptx.parser import PTXParseError
-    from .ptx.verifier import VerificationError as LegacyVerificationError
     from .regalloc.allocator import InsufficientRegistersError
     from .service.protocol import ProtocolError
 
@@ -212,7 +201,7 @@ def classify_error(
         err = ServiceError(f"protocol violation: {exc}", **context)
         err.__cause__ = exc
         return err
-    if isinstance(exc, (PTXParseError, LegacyVerificationError)):
+    if isinstance(exc, PTXParseError):
         cls = ParseError
     elif isinstance(exc, InsufficientRegistersError):
         cls = AllocationError
@@ -232,7 +221,6 @@ __all__ = [
     "EXIT_SIMULATION",
     "EXIT_VERIFY",
     "AllocationError",
-    "CacheError",
     "ParseError",
     "ReproError",
     "ServiceError",

@@ -1,8 +1,9 @@
 """PTX-subset intermediate representation.
 
 The typed IR that CRAT transforms: instruction/operand classes, kernel
-containers, a fluent builder, a textual parser/printer pair that
-round-trips, and a structural verifier.
+containers, a fluent builder and a textual parser/printer pair that
+round-trips.  The rules a well-formed kernel obeys live in
+:mod:`repro.verify` (``DF*``).
 """
 
 from .builder import KernelBuilder
@@ -31,7 +32,6 @@ from .isa import (
 from .module import ArrayDecl, Kernel, Module, Param, fresh_register_namer
 from .parser import PTXParseError, parse_kernel, parse_module
 from .printer import print_kernel, print_module
-from .verifier import VerificationError, verify_kernel
 
 __all__ = [
     "ArrayDecl",
@@ -56,7 +56,6 @@ __all__ = [
     "Space",
     "Sreg",
     "Sym",
-    "VerificationError",
     "fresh_register_namer",
     "iter_instructions",
     "latency_class",
@@ -64,5 +63,4 @@ __all__ = [
     "parse_module",
     "print_kernel",
     "print_module",
-    "verify_kernel",
 ]

@@ -52,9 +52,6 @@ from .server import default_socket_path
 #: rejections: sleep ``uniform(base, 3 * previous_sleep)``, capped.
 DEFAULT_BACKOFF_BASE = 0.1
 DEFAULT_BACKOFF_CAP = 5.0
-#: Kept for callers that imported the old ladder's growth factor; the
-#: jittered schedule no longer uses it.
-DEFAULT_BACKOFF_GROWTH = 2.0
 
 
 def decorrelated_jitter(
@@ -143,9 +140,6 @@ class ServiceClient:
                 pass
             self._sock = None
 
-    def _drop_connection(self) -> None:
-        self.close()
-
     def __enter__(self) -> "ServiceClient":
         return self
 
@@ -180,10 +174,10 @@ class ServiceClient:
             self._sock.sendall(encode_frame(message))
             line = self._reader.readline(MAX_FRAME_BYTES + 2)
         except OSError as err:
-            self._drop_connection()
+            self.close()
             raise ServiceError(f"connection to service lost: {err}")
         if not line:
-            self._drop_connection()
+            self.close()
             raise ServiceError("service closed the connection mid-request")
         try:
             # require_newline: a peer killed mid-write leaves a partial
@@ -191,7 +185,7 @@ class ServiceClient:
             # transport error even if the fragment parses as JSON.
             return decode_frame(line, require_newline=True)
         except ProtocolError as err:
-            self._drop_connection()
+            self.close()
             raise ServiceError(f"undecodable reply from service: {err}")
 
     def submit(

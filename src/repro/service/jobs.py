@@ -9,7 +9,8 @@ A request's life has two phases:
 
 :func:`prepare`
     Runs on the connection handler thread: resolve the target (Table 3
-    app abbreviation or inline PTX text), parse/verify it, and compute
+    app abbreviation or inline PTX text) through :func:`load_target`,
+    the loader the one-shot CLI commands share, and compute
     the job's **content signature** — ``sha256(job, kernel
     fingerprint, config signature, workload terms, semantically
     relevant params)``.  The signature is the single-flight dedup key:
@@ -41,7 +42,7 @@ from ..arch.config import GPUConfig
 from ..engine import config_signature, get_engine
 from ..errors import classify_error
 from ..ir.pipeline import pipeline_signature, run_pipeline
-from ..ptx import parse_kernel, verify_kernel
+from ..ptx import parse_kernel
 from ..ptx.module import Kernel
 from ..workloads import BY_ABBR, RESOURCE_SENSITIVE, load_workload
 from .protocol import Request
@@ -110,8 +111,17 @@ def _sig(*parts: object) -> str:
     return digest.hexdigest()[:32]
 
 
-def _load_target(params: Dict[str, Any]) -> Tuple[Kernel, Optional[object]]:
-    """Resolve ``target`` (app abbreviation) or ``ptx`` (inline text).
+def load_target(
+    params: Dict[str, Any], checked: bool = True
+) -> Tuple[Kernel, Optional[object]]:
+    """Resolve ``target`` (app abbreviation) or ``ptx`` (inline text)
+    to ``(kernel, workload or None)``: the one loader of every CLI
+    command and daemon job that takes a kernel.
+
+    ``checked`` passes PTX text through the DF load gate
+    (:func:`repro.verify.verify_kernel`); only ``verify`` loads
+    unchecked, so a kernel with static defects comes back as rule
+    codes rather than a parse error.
 
     The service deliberately does not read files named by clients: a
     remote client's paths are meaningless on the server, and a daemon
@@ -135,9 +145,14 @@ def _load_target(params: Dict[str, Any]) -> Tuple[Kernel, Optional[object]]:
         return workload.kernel, workload
     try:
         kernel = parse_kernel(params["ptx"])
-        verify_kernel(kernel)
     except Exception as err:
         raise classify_error(err, stage="parse")
+    if checked:
+        # Imported here, so only a checked PTX load pays for importing
+        # ``repro.verify``, not every ``import repro.service.jobs``.
+        from ..verify import verify_kernel
+
+        verify_kernel(kernel)
     return kernel, None
 
 
@@ -179,7 +194,7 @@ def prepare(request: Request) -> PreparedJob:
         )
         return PreparedJob(request, signature, None, None, None)
 
-    kernel, workload = _load_target(params)
+    kernel, workload = load_target(params, checked=request.job != "verify")
     config = get_config(config_name)
     fingerprint = kernel.fingerprint()
     if request.job == "crat":

@@ -5,7 +5,8 @@ emitting the shared typed :class:`~repro.verify.diagnostics.Diagnostic`
 (stable rule codes, severity, location, machine-readable payload):
 
 * :func:`verify_dataflow` — dominance-aware def-before-use and CFG
-  health on one kernel (rules ``DF*``);
+  health on one kernel (rules ``DF*``); :func:`verify_kernel` is the
+  load gate built on it (any DF error is a parse error, exit 2);
 * :func:`verify_allocation` — independent recheck of an
   :class:`~repro.regalloc.allocator.AllocationResult`: register
   sharing, spill-slot discipline, layout stride, shared-memory budget
@@ -44,7 +45,7 @@ from .allocation import (  # noqa: E402
     lint_spill_stacks,
     verify_allocation,
 )
-from .dataflow import verify_dataflow  # noqa: E402
+from .dataflow import verify_dataflow, verify_kernel  # noqa: E402
 from .diagnostics import (  # noqa: E402
     Diagnostic,
     VerifyReport,
@@ -84,5 +85,6 @@ __all__ = [
     "stats",
     "verify_allocation",
     "verify_dataflow",
+    "verify_kernel",
     "verify_pass",
 ]

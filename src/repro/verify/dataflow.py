@@ -1,16 +1,15 @@
 """Dominance-aware dataflow verification of one kernel (rules ``DF*``).
 
-Replaces the legacy verifier's "a def exists somewhere" scan with a
-real may-be-uninitialized analysis over the CFG: a use is flagged
-(``DF001``) when *some* path from entry reaches it without a prior
-definition of the register, computed with the generic
+The DF rules are the one definition of a well-formed kernel: a
+may-be-uninitialized analysis over the CFG flags a use (``DF001``) when
+*some* path from entry reaches it without a prior definition of the
+register, computed with the generic
 :class:`~repro.cfg.dataflow.ForwardMaySolver` (union meet, entry
 generates every register as uninitialized, definitions kill).
 
 Also checked, all on the CFG rather than the flat body:
 
-* ``DF002`` — uses of registers with no definition anywhere (the old
-  check, kept as a distinct, stronger code);
+* ``DF002`` — uses of registers with no definition anywhere;
 * ``DF003`` — blocks unreachable from entry (warning);
 * ``DF004`` — control falling off the end: a reachable block with no
   terminator and no fall-through successor;
@@ -18,8 +17,12 @@ Also checked, all on the CFG rather than the flat body:
   classes (an f32/s32 pun never survives allocation);
 * ``DF006``/``DF008``/``DF009`` — branch targets, symbol references,
   duplicate labels;
-* ``DF007`` — the per-instruction operand typing rules shared with
-  :mod:`repro.ptx.verifier`.
+* ``DF007`` — per-instruction operand typing (width and float/int
+  class of each register operand, predicate guards and selectors).
+
+:func:`verify_kernel` is the load gate every CLI command and daemon job
+but ``verify`` passes PTX text through: any error-severity finding is a
+:class:`~repro.errors.ParseError` (exit 2) naming its codes.
 
 Deliberate non-goals (documented in DESIGN.md §6): predicated
 definitions count as definitions (guard feasibility is not modelled),
@@ -29,14 +32,29 @@ owns spill slots).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from ..cfg.dataflow import ForwardMaySolver
 from ..cfg.graph import CFG
-from ..ptx.instruction import Label, Reg, Sym
+from ..errors import ParseError
+from ..ptx.instruction import Instruction, Reg, Sym
+from ..ptx.isa import DType, Opcode
 from ..ptx.module import Kernel
-from ..ptx.verifier import _check_types
 from .diagnostics import Diagnostic, VerifyReport
+
+
+def verify_kernel(kernel: Kernel) -> None:
+    """The load gate: raise :class:`~repro.errors.ParseError` (exit 2)
+    naming the code and message of every error-severity DF finding.
+    Warnings (``DF003``) pass."""
+    errors = verify_dataflow(kernel, stage="parse").errors
+    if errors:
+        raise ParseError(
+            f"{len(errors)} DF error(s): "
+            + "; ".join(f"{d.rule} {d.message}" for d in errors),
+            kernel=kernel.name,
+            stage="parse",
+        )
 
 
 def verify_dataflow(
@@ -247,9 +265,77 @@ def _check_symbols_and_types(
                             f"{inst.mem.base.name}",
                     data={"symbol": inst.mem.base.name},
                 ))
-        for problem in _check_types(inst, where=""):
+        for problem in _check_types(inst):
             report.add(Diagnostic(
                 rule="DF007", kernel=kernel.name, position=pos,
-                instruction=str(inst), stage=stage,
-                message=problem.lstrip(": "),
+                instruction=str(inst), stage=stage, message=problem,
             ))
+
+
+def _compatible(reg: Reg, inst_dtype: DType) -> bool:
+    """Whether a register may appear in an instruction of this dtype.
+
+    Exact match is not required (PTX allows bit-compatible uses, e.g. a
+    ``u32`` register in an ``s32`` add) but width and float/int class
+    must agree.  Predicate registers only appear where predicates are
+    expected, which callers special-case.
+    """
+    if reg.dtype is DType.PRED:
+        return False
+    if reg.dtype.is_float != inst_dtype.is_float:
+        return False
+    return reg.dtype.bits == inst_dtype.bits
+
+
+def _check_types(inst: Instruction) -> List[str]:
+    """DF007 problems of one instruction (PTX is type-sensitive, paper
+    Section 5.2)."""
+    problems: List[str] = []
+    dtype = inst.dtype
+    if inst.guard is not None and inst.guard.dtype is not DType.PRED:
+        problems.append(f"guard {inst.guard.name} is not a predicate")
+    if dtype is None:
+        return problems
+
+    # Destination typing.
+    if inst.dst is not None:
+        if inst.opcode is Opcode.SETP:
+            if inst.dst.dtype is not DType.PRED:
+                problems.append("setp destination must be a predicate")
+        elif inst.opcode in (Opcode.CVT, Opcode.MOV, Opcode.LD):
+            # cvt/mov/ld destination carries the instruction dtype.
+            if inst.dst.dtype is DType.PRED:
+                problems.append("predicate used as data destination")
+            elif not _compatible(inst.dst, dtype):
+                problems.append(
+                    f"destination {inst.dst.name}:{inst.dst.dtype.value} "
+                    f"incompatible with .{dtype.value}"
+                )
+        else:
+            if not _compatible(inst.dst, dtype):
+                problems.append(
+                    f"destination {inst.dst.name}:{inst.dst.dtype.value} "
+                    f"incompatible with .{dtype.value}"
+                )
+
+    # Source typing: mov/cvt may widen/convert; selp's last src is a pred.
+    if inst.opcode in (Opcode.MOV, Opcode.CVT):
+        return problems
+    srcs = inst.srcs
+    if inst.opcode is Opcode.SELP and srcs:
+        pred = srcs[-1]
+        if not (isinstance(pred, Reg) and pred.dtype is DType.PRED):
+            problems.append("selp selector must be a predicate register")
+        srcs = srcs[:-1]
+    if inst.opcode in (Opcode.SHL, Opcode.SHR) and len(srcs) == 2:
+        srcs = srcs[:1]  # shift amounts are u32 regardless of value type
+    for src in srcs:
+        if isinstance(src, Reg):
+            if src.dtype is DType.PRED:
+                problems.append(f"predicate {src.name} used as data operand")
+            elif not _compatible(src, dtype):
+                problems.append(
+                    f"source {src.name}:{src.dtype.value} "
+                    f"incompatible with .{dtype.value}"
+                )
+    return problems

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ptx import DType, RegClass, Space, verify_kernel
+from repro.ptx import DType, RegClass, Space
 from repro.regalloc import (
     InsufficientRegistersError,
     allocate,
@@ -11,6 +11,7 @@ from repro.regalloc import (
     register_demand,
 )
 from repro.sim import GlobalMemory, run_grid
+from repro.verify import verify_kernel
 from tests.conftest import build_loop_kernel, build_pressure_kernel, build_tid_kernel
 
 PARAM_SIZES = {"input": 1 << 16, "output": 1 << 16}

@@ -96,6 +96,19 @@ class TestExitCodes:
         assert "repro: error:" in err
         assert "stage=parse" in err
 
+    def test_df_error_at_load_exits_2(self, tmp_path, capsys):
+        """Every command but ``verify`` loads a FILE through the DF load
+        gate: a never-defined register is a parse failure naming DF002."""
+        bad = tmp_path / "undefined.ptx"
+        bad.write_text(
+            ".entry k ()\n{\n    add.u32 %r0, %r1, %r2;\n    exit;\n}\n"
+        )
+        assert main(["info", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "DF002 use of never-defined register %r1" in err
+        assert "stage=parse" in err
+        assert main(["verify", str(bad)]) == 6
+
     def test_allocation_failure_exits_3(self, capsys):
         assert main(["allocate", "GAU", "--reg", "2"]) == 3
         err = capsys.readouterr().err

@@ -607,6 +607,70 @@ class TestCacheBounding:
         assert snapshot["cached_results"] == 2
         assert snapshot["cache_evictions"] == 1
 
+    def test_traces_follow_the_bound(self, gau):
+        """Traces are bounded like results, and a bounded engine answers
+        as an unbounded one does."""
+        bounded = EvaluationEngine(disk_cache="", cache_max_entries=2)
+        unbounded = EvaluationEngine(disk_cache="")
+        for grid in range(2, 7):
+            a, b = (
+                engine.simulate(gau.kernel, FERMI, 2, grid_blocks=grid,
+                                param_sizes=gau.param_sizes)
+                for engine in (bounded, unbounded)
+            )
+            assert a == b
+        snapshot = bounded.snapshot(spans=False)
+        assert snapshot["cached_results"] == 2
+        assert snapshot["cache_evictions"] == 3  # results only
+        assert snapshot["cached_traces"] <= 2
+        assert unbounded.snapshot(spans=False)["cached_traces"] == 5
+
+    def test_concurrent_get_and_put_raise_nothing(self):
+        """``repro serve`` workers share the memory level: two threads
+        reading while two write and evict, over 3 keys on a bound of 2,
+        must never raise.  Hashing a key yields the GIL, so the threads
+        interleave inside every lookup, as a busy daemon's may."""
+        import sys
+        import threading
+        import time
+
+        from repro.engine.cache import SimResultCache
+
+        class YieldingKey(tuple):
+            def __hash__(self):
+                time.sleep(0)
+                return tuple.__hash__(self)
+
+        cache = SimResultCache(disk_dir="", max_entries=2)
+        keys = [YieldingKey(self._key(i)) for i in range(3)]
+        errors = []
+
+        def worker(seed):
+            try:
+                for i in range(1000):
+                    key = keys[(seed + i) % 3]
+                    if seed % 2:
+                        cache.put(key, f"r{i}")
+                    else:
+                        cache.get(key)
+            except Exception as err:
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache) <= 2
+
     def test_configure_rebounds_shared_engine(self):
         from repro.engine import configure, get_engine, set_engine
 
@@ -615,8 +679,10 @@ class TestCacheBounding:
             set_engine(EvaluationEngine())
             engine = configure(cache_max_entries=5)
             assert engine._sim_cache.max_entries == 5
+            assert engine._trace_cache.max_entries == 5
             engine = configure(cache_max_entries=0)
             assert engine._sim_cache.max_entries is None
+            assert engine._trace_cache.max_entries is None
         finally:
             set_engine(previous)
 

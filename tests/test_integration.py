@@ -10,9 +10,10 @@ import pytest
 from repro import CRATOptimizer, FERMI, KEPLER
 from repro.arch import compute_occupancy
 from repro.bench import AppEvaluation, evaluate_app
-from repro.ptx import DType, verify_kernel
+from repro.ptx import DType
 from repro.regalloc import allocate, register_demand
 from repro.sim import GlobalMemory, run_grid
+from repro.verify import verify_kernel
 from repro.workloads import load_workload
 
 

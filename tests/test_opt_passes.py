@@ -11,10 +11,10 @@ from repro.ptx import (
     Opcode,
     Space,
     parse_kernel,
-    verify_kernel,
 )
 from repro.regalloc import register_demand
 from repro.sim import GlobalMemory, run_grid
+from repro.verify import verify_kernel
 
 
 def run_functional(kernel, count=32):

@@ -16,10 +16,10 @@ from repro.ptx import (
     Space,
     parse_kernel,
     print_kernel,
-    verify_kernel,
 )
 from repro.regalloc import allocate, knapsack, register_demand
 from repro.sim import GlobalMemory, run_grid
+from repro.verify import verify_kernel
 
 # ----------------------------------------------------------------------
 # Random kernel construction.

@@ -1,16 +1,25 @@
-"""Builder and verifier tests."""
+"""Builder and load-gate tests."""
 
 import pytest
 
+from repro.errors import EXIT_PARSE, ParseError
 from repro.ptx import (
     CmpOp,
     DType,
     KernelBuilder,
     Opcode,
     Space,
-    VerificationError,
-    verify_kernel,
 )
+from repro.verify import verify_kernel
+
+
+def _rejects(kernel, code):
+    """The DF load gate refuses ``kernel`` with exit 2, naming ``code``."""
+    with pytest.raises(ParseError, match=code) as err:
+        verify_kernel(kernel)
+    assert err.value.exit_code == EXIT_PARSE
+    assert err.value.stage == "parse"
+    return err.value
 
 
 class TestBuilder:
@@ -79,6 +88,8 @@ class TestBuilder:
 
 
 class TestVerifier:
+    """:func:`repro.verify.verify_kernel`, the DF load gate."""
+
     def test_accepts_fixture_kernels(self, tid_kernel, loop_kernel, pressure_kernel):
         verify_kernel(tid_kernel)
         verify_kernel(loop_kernel)
@@ -90,8 +101,8 @@ class TestVerifier:
         kernel = parse_kernel(
             ".entry k ()\n{\n    add.u32 %r0, %r1, %r2;\n    exit;\n}"
         )
-        with pytest.raises(VerificationError, match="never-defined"):
-            verify_kernel(kernel)
+        err = _rejects(kernel, "DF002")
+        assert "never-defined register %r1" in str(err)
 
     def test_rejects_undeclared_symbol(self):
         from repro.ptx import parse_kernel
@@ -99,8 +110,8 @@ class TestVerifier:
         kernel = parse_kernel(
             ".entry k ()\n{\n    mov.u64 %rd0, ghost;\n    exit;\n}"
         )
-        with pytest.raises(VerificationError, match="undeclared symbol"):
-            verify_kernel(kernel)
+        err = _rejects(kernel, "DF008")
+        assert "undeclared symbol ghost" in str(err)
 
     def test_rejects_type_mismatch(self):
         from repro.ptx import Instruction, Reg
@@ -116,8 +127,8 @@ class TestVerifier:
             ),  # u32 source in f32 add
             Instruction(Opcode.EXIT),
         ]
-        with pytest.raises(VerificationError, match="incompatible"):
-            verify_kernel(kernel)
+        err = _rejects(kernel, "DF007")
+        assert "incompatible" in str(err)
 
     def test_rejects_missing_terminator(self):
         from repro.ptx import Imm, Instruction, Reg
@@ -132,8 +143,8 @@ class TestVerifier:
                 srcs=(Imm(1, DType.U32),),
             )
         ]
-        with pytest.raises(VerificationError, match="terminator"):
-            verify_kernel(kernel)
+        err = _rejects(kernel, "DF004")
+        assert "falls off the end" in str(err)
 
     def test_rejects_non_predicate_guard(self):
         from repro.ptx import Imm, Instruction, Reg
@@ -152,8 +163,8 @@ class TestVerifier:
             ),
             Instruction(Opcode.EXIT),
         ]
-        with pytest.raises(VerificationError, match="not a predicate"):
-            verify_kernel(kernel)
+        err = _rejects(kernel, "DF007")
+        assert "not a predicate" in str(err)
 
     def test_error_lists_all_problems(self):
         from repro.ptx import parse_kernel
@@ -164,6 +175,6 @@ class TestVerifier:
             "    add.u32 %r3, %r4, %r5;\n"
             "    exit;\n}"
         )
-        with pytest.raises(VerificationError) as err:
-            verify_kernel(kernel)
-        assert len(err.value.problems) >= 4
+        err = _rejects(kernel, "DF002")
+        for reg in ("%r1", "%r2", "%r4", "%r5"):
+            assert f"DF002 use of never-defined register {reg}" in str(err)

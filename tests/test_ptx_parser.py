@@ -13,8 +13,8 @@ from repro.ptx import (
     parse_kernel,
     parse_module,
     print_kernel,
-    verify_kernel,
 )
+from repro.verify import verify_kernel
 
 # Paper Listing 2: the native PTX kernel.
 LISTING_2 = """

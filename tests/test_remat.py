@@ -14,10 +14,10 @@ from repro.ptx import (
     Space,
     parse_kernel,
     print_kernel,
-    verify_kernel,
 )
 from repro.regalloc import allocate, remat_candidates, rematerialize
 from repro.sim import GlobalMemory, run_grid
+from repro.verify import verify_kernel
 from repro.workloads import RESOURCE_SENSITIVE, load_workload
 
 

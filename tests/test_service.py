@@ -13,14 +13,16 @@ admission layer, and only then are the workers released.
 
 import json
 import os
+import pathlib
 import re
 import threading
 import time
 
 import pytest
 
+from repro.cli import main
 from repro.engine import EvaluationEngine, get_engine, set_engine
-from repro.errors import EXIT_PARSE, EXIT_SERVICE, ServiceError
+from repro.errors import EXIT_PARSE, EXIT_SERVICE, EXIT_VERIFY, ServiceError
 from repro.service import (
     QUEUE_CHECKPOINT_NAME,
     ReproServer,
@@ -109,6 +111,19 @@ class TestBasics:
             with pytest.raises(ServiceJobError) as err:
                 submit_or_raise(client, "simulate", {"ptx": "nope"})
             assert err.value.exit_code == EXIT_PARSE
+
+    def test_df_error_at_load_is_a_parse_error(self, server):
+        """A ``crat`` job loads inline PTX through the DF load gate, as
+        ``repro crat FILE`` does: the seeded maybe-uninitialized read
+        comes back as a ``ParseError`` naming DF001."""
+        with open("examples/uninit_read.ptx") as handle:
+            params = {"ptx": handle.read()}
+        with make_client(server) as client:
+            reply = client.submit("crat", params)
+        assert reply["status"] == "error"
+        assert reply["error"]["kind"] == "ParseError"
+        assert reply["error"]["exit_code"] == EXIT_PARSE
+        assert "DF001" in reply["error"]["message"]
 
     def test_invalid_frame_rejected_inline(self, server):
         with make_client(server) as client:
@@ -309,6 +324,45 @@ class TestSingleFlight:
         assert as_target.signature != as_ptx.signature
         assert sign(target="KMN").signature == as_target.signature
         assert sign(ptx=ptx).signature == as_ptx.signature
+
+
+#: ``repro verify`` inputs for the parity test: every example kernel,
+#: plus two kernels that only a checked load would refuse.
+VERIFY_PARITY_INPUTS = [
+    pytest.param(path.read_text(), id=path.name)
+    for path in sorted(pathlib.Path("examples").glob("*.ptx"))
+] + [
+    pytest.param(
+        ".entry k ()\n{\n    add.u32 %r0, %r1, %r2;\n    exit;\n}\n",
+        id="undefined-register",
+    ),
+    pytest.param(
+        ".entry k ()\n{\n    mov.u64 %rd0, ghost;\n    exit;\n}\n",
+        id="undeclared-symbol",
+    ),
+]
+
+
+class TestVerifyParity:
+    @pytest.mark.parametrize("text", VERIFY_PARITY_INPUTS)
+    def test_daemon_verify_job_matches_one_shot(
+        self, text, server, tmp_path, capsys
+    ):
+        """The ``verify`` job loads as ``repro verify FILE`` does: the
+        same report, and ``passed`` false exactly when the CLI exits 6."""
+        path = tmp_path / "kernel.ptx"
+        path.write_text(text)
+        code = main(["verify", str(path), "--json"])
+        one_shot = json.loads(capsys.readouterr().out)
+        params = {"ptx": text}
+        with make_client(server) as client:
+            reply = client.submit("verify", params)
+        assert reply["status"] == "ok", reply
+        payload = reply["result"]
+        passed = payload.pop("passed")
+        assert payload == one_shot
+        assert code in (0, EXIT_VERIFY)
+        assert passed is (code != EXIT_VERIFY)
 
 
 class TestBackpressure:

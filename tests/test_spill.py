@@ -3,12 +3,13 @@
 import pytest
 
 from repro.cfg import LivenessInfo
-from repro.ptx import DType, Opcode, Space, verify_kernel
+from repro.ptx import DType, Opcode, Space
 from repro.regalloc import (
     SPILL_STACK_NAME,
     insert_spill_code,
     layout_stack,
 )
+from repro.verify import verify_kernel
 from tests.conftest import build_loop_kernel, build_pressure_kernel
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.opt import schedule_for_mlp, unroll_loops
-from repro.ptx import CmpOp, DType, KernelBuilder, Opcode, Space, verify_kernel
+from repro.ptx import CmpOp, DType, KernelBuilder, Opcode, Space
 from repro.regalloc import register_demand
 from repro.sim import GlobalMemory, run_grid
+from repro.verify import verify_kernel
 from repro.workloads import load_workload
 
 

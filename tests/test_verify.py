@@ -21,7 +21,13 @@ from repro.cfg.liveness import LivenessInfo
 from repro.cli import main
 from repro.core.crat import CRATOptimizer
 from repro.engine import EvaluationEngine
-from repro.errors import EXIT_VERIFY, ReproError, VerificationError
+from repro.errors import (
+    EXIT_PARSE,
+    EXIT_VERIFY,
+    ParseError,
+    ReproError,
+    VerificationError,
+)
 from repro.opt import (
     apply_static_bypass,
     eliminate_dead_code,
@@ -30,8 +36,7 @@ from repro.opt import (
     schedule_for_mlp,
     unroll_loops,
 )
-from repro.ptx import DType, RegClass, parse_kernel, verify_kernel
-from repro.ptx import VerificationError as LegacyVerificationError
+from repro.ptx import DType, RegClass, parse_kernel
 from repro.regalloc import spill as spill_mod
 from repro.regalloc.allocator import allocate
 from repro.regalloc.spill import SHARED_SPILL_NAME, insert_spill_code
@@ -42,11 +47,10 @@ CLEAN_SPILLED = "examples/spilled.ptx"
 UNINIT_READ = "examples/uninit_read.ptx"
 
 #: Seeded fixtures whose defects (an overwritten store, a bank
-#: conflict, a thread-dependent loop, a maybe-uninitialized read) all
-#: load under the legacy load-time verifier; only the last one is a
-#: verification finding (DF001).
-SEEDED_FIXTURES = ["bank_conflict", "dead_store", "divergent_loop",
-                   "uninit_read"]
+#: conflict, a thread-dependent loop) are performance smells, not DF
+#: findings: they pass the load gate.  ``uninit_read`` (a
+#: maybe-uninitialized read, DF001) does not.
+SEEDED_FIXTURES = ["bank_conflict", "dead_store", "divergent_loop"]
 
 
 def _kernel(body: str) -> str:
@@ -484,18 +488,19 @@ class TestErrorPlumbing:
         assert payload["rules"] == ["DF002"]
         assert payload["diagnostics"][0]["data"] == {"register": "%r9"}
 
-    def test_legacy_verifier_rejects_entry_block_use_before_def(self):
+    def test_load_gate_rejects_entry_block_use_before_def(self):
         kernel = parse_kernel(_kernel(
             "    add.s32 %r1, %r0, %r0;\n"
             "    mov.s32 %r0, 1;\n"
             "    exit;\n"
         ))
-        with pytest.raises(LegacyVerificationError,
-                           match="before its first definition"):
-            verify_kernel(kernel)
+        with pytest.raises(ParseError, match="DF001") as exc:
+            V.verify_kernel(kernel)
+        assert exc.value.exit_code == EXIT_PARSE
+        assert "register %r0 may be used before definition" in str(exc.value)
 
-    def test_legacy_verifier_accepts_straightline_order(self, tid_kernel):
-        verify_kernel(tid_kernel)  # must not raise
+    def test_load_gate_accepts_straightline_order(self, tid_kernel):
+        V.verify_kernel(tid_kernel)  # must not raise
 
 
 class TestCLI:
@@ -523,9 +528,15 @@ class TestCLI:
         assert diag["data"] == {"register": "%f1"}
 
     @pytest.mark.parametrize("name", SEEDED_FIXTURES)
-    def test_passes_the_legacy_verifier(self, name):
+    def test_passes_the_load_gate(self, name):
         with open(f"examples/{name}.ptx") as fh:
-            verify_kernel(parse_kernel(fh.read()))
+            V.verify_kernel(parse_kernel(fh.read()))
+
+    def test_load_gate_rejects_uninit_read(self):
+        with open(UNINIT_READ) as fh:
+            kernel = parse_kernel(fh.read())
+        with pytest.raises(ParseError, match="DF001 register %f1"):
+            V.verify_kernel(kernel)
 
     def test_verify_json_output(self, capsys):
         assert main(["verify", MISCOMPILED, "--json"]) == 6

@@ -5,9 +5,10 @@ import pytest
 
 from repro.arch import FERMI
 from repro.core import collect_resource_usage
-from repro.ptx import DType, Space, verify_kernel
+from repro.ptx import DType, Space
 from repro.regalloc import register_demand
 from repro.sim import GlobalMemory, run_grid
+from repro.verify import verify_kernel
 from repro.workloads import (
     ALL_APPS,
     RESOURCE_INSENSITIVE,
