@@ -15,8 +15,15 @@ Commands mirror how the paper's toolchain is used:
   protocol, single-flight dedup, bounded queue with backpressure,
   graceful SIGTERM drain; for more cores, run several daemons over one
   ``REPRO_CACHE_DIR``
-* ``submit JOB TARGET``  — send one job to a running daemon and render
-  the result exactly as the one-shot command would
+* ``submit JOB TARGET``  — send one job to a running daemon; it prints
+  and exits exactly as the one-shot command does
+
+``crat``, ``simulate``, ``verify`` and ``suite`` run the daemon's job
+in-process (:mod:`repro.service.jobs`): ``submit`` builds the job's
+params with the same function and prints its payload through the same
+renderer.  Only what reads this process is theirs alone: ``crat
+--emit``, ``--trace-json``, ``suite --report-json`` and the ``engine:``
+line.
 
 ``APP`` is a Table 3 abbreviation (CFD, KMN, ...); ``FILE`` is a path
 to PTX-subset text.  File inputs use synthetic default buffer sizes.
@@ -31,15 +38,14 @@ sweep, as the paper's exhaustive offline search does.  Every simulation runs in-
 timing core: a multi-point sweep is one batch, a single point a batch
 of one on the engine's retry rung.
 
-``--passes P1,P2,...`` (on ``simulate``/``crat``/``suite``/``serve``/
-``submit``) runs a pre-allocation optimization pipeline over the kernel
-before evaluation — comma-separated rewrite-driver pass names
-(``copy-prop``, ``dce``, ``bypass``, ``mlp-sched``, ``minreg-sched``,
-``unroll``).  The default is the empty pipeline (the kernel is
-evaluated exactly as written); unknown names are a parse error (exit
-2).  The active spec is folded into engine cache keys and service
-dedup signatures, so runs under different pipelines never share a
-cached result.
+``--passes P1,P2,...`` (on ``simulate``/``crat``/``suite``/``submit``)
+runs a pre-allocation optimization pipeline over the kernel before
+evaluation — comma-separated rewrite-driver pass names (``copy-prop``,
+``dce``, ``bypass``, ``mlp-sched``, ``minreg-sched``, ``unroll``).  The
+default is the empty pipeline (the kernel is evaluated exactly as
+written); unknown names are a parse error (exit 2).  The spec is a job
+param: part of the dedup signature and the stage memo keys, while a
+simulation result is keyed by the kernel it simulates.
 
 ``--verify`` (on ``allocate``/``simulate``/``crat``/``suite``)
 turns on translation validation: input kernels are dataflow-checked and
@@ -68,7 +74,7 @@ import sys
 from typing import Optional
 
 from .arch import get_config
-from .core import CRATOptimizer, collect_resource_usage
+from .core import collect_resource_usage
 from .engine import configure as configure_engine
 from .engine import get_engine
 from .errors import ReproError, classify_error
@@ -77,13 +83,6 @@ from .regalloc import allocate as allocate_kernel
 from .regalloc import register_demand
 from .regalloc.allocator import InsufficientRegistersError
 from .workloads import BY_ABBR
-
-
-def _engine_for(args):
-    """Apply the command's engine flags to the shared engine."""
-    # Fold the active --passes pipeline into the engine's cache keys
-    # (validated here, so a typo exits 2 before any work).
-    return configure_engine(passes=getattr(args, "passes", None))
 
 
 def _write_trace_json(args) -> None:
@@ -112,37 +111,11 @@ def _target_params(target: str) -> dict:
                          f"file: {err}")
 
 
-def _load(target: str, checked: bool = True):
+def _load(target: str):
     """``(kernel, workload or None)`` through the daemon's loader."""
     from .service.jobs import load_target
 
-    return load_target(_target_params(target), checked=checked)
-
-
-def cmd_verify(args) -> int:
-    """Lint mode: report diagnostics instead of dying on the first one.
-
-    Unlike every other command, file targets skip the DF load gate — a
-    kernel with a use-before-def should produce a ``DF001`` diagnostic
-    and exit 6, not a parse error and exit 2.  Unparseable input still
-    exits 2.
-    """
-    from . import verify as verify_mod
-
-    kernel, _ = _load(args.target, checked=False)
-    report = verify_mod.lint_kernel(kernel)
-    if args.pipeline:
-        _, pipeline_report = verify_mod.run_validated_pipeline(kernel)
-        report.extend(pipeline_report)
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.render())
-    from .errors import EXIT_VERIFY
-
-    if report.errors or (args.strict and report.warnings):
-        return EXIT_VERIFY
-    return 0
+    return load_target(_target_params(target))
 
 
 def cmd_info(args) -> int:
@@ -186,199 +159,44 @@ def cmd_allocate(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    kernel, workload = _load(args.target)
-    config = get_config(args.config)
-    if args.verify:
-        from . import verify as verify_mod
+def _job_params(job: str, args) -> dict:
+    """A job's params from its command line, for the one-shot
+    ``crat``/``simulate``/``verify``/``suite`` and for ``submit``
+    alike.  Every option named like a param of the job is
+    forwarded unless it is off or empty; a FILE target goes inline as
+    ``ptx`` (the daemon never reads client paths)."""
+    from .service.protocol import PARAM_SCHEMAS
 
-        verify_mod.lint_kernel(kernel, stage="input").raise_if_errors()
-    engine = _engine_for(args)
-    if args.passes:
-        from .ir import run_pipeline
-
-        kernel = run_pipeline(kernel, args.passes, verify=args.verify).kernel
-    sizes = workload.param_sizes if workload else None
-    grid = args.grid or (workload.grid_blocks if workload else None)
-    result = engine.simulate(kernel, config, tlp=args.tlp, grid_blocks=grid,
-                             param_sizes=sizes)
-    from .service.jobs import sim_result_to_dict
-
-    _render_submit_result("simulate", sim_result_to_dict(result))
-    return 0
-
-
-def cmd_crat(args) -> int:
-    kernel, workload = _load(args.target)
-    config = get_config(args.config)
-    _engine_for(args)
-    optimizer = CRATOptimizer(
-        config,
-        enable_shm_spill=not args.no_shm_spill,
-        opt_tlp_mode="static" if args.static else "profile",
-        verify=args.verify,
-        passes=args.passes,
-    )
-    result = optimizer.optimize(
-        kernel,
-        default_reg=workload.default_reg if workload else None,
-        grid_blocks=workload.grid_blocks if workload else None,
-        param_sizes=workload.param_sizes if workload else None,
-    )
-    from .service.jobs import crat_result_to_dict
-
-    _render_submit_result("crat", crat_result_to_dict(result))
-    if args.emit:
-        text = print_kernel(result.chosen.allocation.kernel) + "\n"
-        try:
-            with open(args.emit, "w") as handle:
-                handle.write(text)
-        except OSError as err:
-            raise SystemExit(f"error: cannot write optimized PTX: {err}")
-        print(f"optimized PTX written to {args.emit}")
-    _write_trace_json(args)
-    return 0
-
-
-def cmd_suite(args) -> int:
-    # ``bench.evaluate_app`` is resolved at call time through the
-    # package attribute so tests can monkeypatch the driver.
-    from . import bench
-    from .bench import format_table, geomean, run_suite, write_report_json
-
-    from .workloads import RESOURCE_SENSITIVE
-
-    engine = _engine_for(args)
-
-    def progress(abbr, failure):
-        note = f"FAILED ({failure.kind})" if failure else "done"
-        print(f"  {abbr} {note}", file=sys.stderr)
-
-    # Only forward non-default knobs: tests monkeypatch two-argument
-    # drivers in place of ``evaluate_app``.
-    extra = {}
-    if args.verify:
-        extra["verify"] = True
-    if args.passes:
-        extra["passes"] = args.passes
-    report = run_suite(
-        [w.abbr for w in RESOURCE_SENSITIVE],
-        config_name=args.config,
-        evaluate=lambda abbr, config: (
-            bench.evaluate_app(abbr, config, **extra)
-            if extra
-            else bench.evaluate_app(abbr, config)
-        ),
-        on_app=progress,
-    )
-    rows = []
-    for app in RESOURCE_SENSITIVE:
-        ev = report.evaluations.get(app.abbr)
-        if ev is None:
-            continue
-        rows.append(
-            (app.abbr, f"{ev.speedup('maxtlp'):.3f}", "1.000",
-             f"{ev.speedup('crat-local'):.3f}", f"{ev.speedup('crat'):.3f}")
-        )
-    print(format_table(
-        ["app", "MaxTLP", "OptTLP", "CRAT-local", "CRAT"], rows,
-        title=f"CRAT suite results ({args.config})",
-    ))
-    if rows:
-        crat_gm = geomean([float(r[4]) for r in rows])
-        print(f"\nCRAT geomean speedup vs OptTLP: {crat_gm:.3f}")
-    else:
-        print("\nCRAT geomean speedup vs OptTLP: n/a (no app completed)")
-    for failure in report.failures:
-        print(f"repro: suite: {failure.abbr} failed [{failure.kind}]: "
-              f"{failure.message}", file=sys.stderr)
-    print(f"engine: {engine.summary()}")
-    _write_trace_json(args)
-    if getattr(args, "report_json", ""):
-        try:
-            write_report_json(report, args.report_json)
-        except OSError as err:
-            raise SystemExit(f"error: cannot write suite report: {err}")
-        print(f"suite report written to {args.report_json}", file=sys.stderr)
-    return report.exit_code
-
-
-def _parse_listen(value: str):
-    """``HOST:PORT`` -> (host, port) with a readable error."""
-    host, sep, port_text = value.rpartition(":")
-    if not sep or not host:
-        raise SystemExit(f"error: --listen expects HOST:PORT, got {value!r}")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise SystemExit(f"error: invalid port in --listen: {port_text!r}")
-    return host, port
-
-
-def cmd_serve(args) -> int:
-    from .engine.cache import resolve_max_entries
-    from .service import serve_main
-
-    host = port = None
-    if args.listen:
-        host, port = _parse_listen(args.listen)
-    # A long-lived daemon bounds its in-memory result cache by default
-    # (REPRO_CACHE_MAX_ENTRIES or --cache-max-entries override; 0
-    # restores the CLI's unbounded behavior).
-    bound = args.cache_max_entries
-    if bound is None:
-        bound = resolve_max_entries(None) or 4096
-    configure_engine(cache_max_entries=bound, passes=args.passes)
-    # Daemon-wide default pipeline; per-request "passes" params
-    # override it (and re-key the single-flight signature).
-    from .service import jobs as service_jobs
-
-    service_jobs.set_default_passes(args.passes)
-    return serve_main(
-        socket_path=args.socket or None,
-        host=host,
-        port=port,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        log_interval=args.log_interval,
-    )
-
-
-def _submit_params(args) -> dict:
-    """Build the job's params from the CLI surface, resolving FILE
-    targets to inline PTX (the daemon never reads client paths)."""
+    schema = PARAM_SCHEMAS[job]
     params: dict = {}
-    if args.job in ("crat", "simulate", "verify"):
+    if "target" in schema:
         if args.target is None:
-            raise SystemExit(f"error: submit {args.job} requires a target")
+            raise SystemExit(f"error: submit {job} requires a target")
         params.update(_target_params(args.target))
-    if args.config != "fermi":
-        params["config"] = args.config
-    if args.job == "crat":
-        if args.static:
-            params["static"] = True
-        if args.no_shm_spill:
-            params["no_shm_spill"] = True
-        if args.verify:
-            params["verify"] = True
-    elif args.job == "simulate":
-        params["tlp"] = args.tlp
-        if args.grid:
-            params["grid"] = args.grid
-    elif args.job == "suite":
-        if args.apps:
-            params["apps"] = [a.upper() for a in args.apps]
-        if args.verify:
-            params["verify"] = True
-    if args.job in ("crat", "simulate", "suite") and args.passes:
-        params["passes"] = args.passes
+    for name in schema:
+        value = getattr(args, name, None)
+        # Off flags and empty options are left out; an int always goes.
+        if name not in ("target", "ptx") and (value or type(value) is int):
+            params[name] = value
     return params
 
 
-def _render_submit_result(job: str, result: dict) -> None:
-    """Print a job's result payload: a daemon reply, or a one-shot
-    ``crat``/``simulate`` run serialized the same way."""
-    if job == "crat":
+def _render(job: str, params: dict, result: dict, as_json: bool) -> int:
+    """Print a job's result payload as its one-shot command does and
+    return the command's exit code: the one renderer of the one-shot
+    commands and ``submit``, so the two cannot drift."""
+    if job == "verify":
+        from .errors import EXIT_VERIFY
+        from .verify import VerifyReport
+
+        report = VerifyReport.from_dict(result)
+        print(report.to_json() if as_json else report.render())
+        return 0 if result["passed"] else EXIT_VERIFY
+    if as_json:
+        import json
+
+        print(json.dumps(result, indent=2, sort_keys=True))
+    elif job == "crat":
         print(f"OptTLP ({result['opt_tlp_source']}): {result['opt_tlp']}")
         print("candidates:")
         chosen = result["chosen"]
@@ -401,21 +219,122 @@ def _render_submit_result(job: str, result: dict) -> None:
         print(f"local insts:   {result['local_insts']}")
         print(f"DRAM traffic:  {result['dram_bytes'] >> 10} KiB")
         print(f"energy:        {result['energy_nj'] / 1e3:.1f} uJ")
-    else:
-        import json
+    elif job == "suite":
+        _render_suite(params, result)
+    return result["exit_code"] if job == "suite" else 0
 
-        print(json.dumps(result, indent=2, sort_keys=True))
+
+def _render_suite(params: dict, result: dict) -> None:
+    """The Fig 13 table of a ``suite`` payload, its apps in job order;
+    failed apps go to stderr."""
+    from .bench import format_table, geomean
+    from .workloads import RESOURCE_SENSITIVE
+
+    rows = []
+    for abbr in params.get("apps") or [w.abbr for w in RESOURCE_SENSITIVE]:
+        speedup = result["speedups"].get(abbr.upper())
+        if speedup is not None:
+            rows.append((abbr.upper(), f"{speedup['maxtlp']:.3f}", "1.000",
+                         f"{speedup['crat_local']:.3f}",
+                         f"{speedup['crat']:.3f}"))
+    print(format_table(
+        ["app", "MaxTLP", "OptTLP", "CRAT-local", "CRAT"], rows,
+        title=f"CRAT suite results ({result['config']})",
+    ))
+    if rows:
+        crat_gm = geomean([float(r[4]) for r in rows])
+        print(f"\nCRAT geomean speedup vs OptTLP: {crat_gm:.3f}")
+    else:
+        print("\nCRAT geomean speedup vs OptTLP: n/a (no app completed)")
+    for failure in result["failed"]:
+        print(f"repro: suite: {failure['abbr']} failed [{failure['kind']}]: "
+              f"{failure['message']}", file=sys.stderr)
+
+
+def _progress(abbr, failure) -> None:
+    note = f"FAILED ({failure.kind})" if failure else "done"
+    print(f"  {abbr} {note}", file=sys.stderr)
+
+
+def cmd_job(args) -> int:
+    """``crat``, ``simulate``, ``verify`` and ``suite``: the daemon's
+    job run in-process and printed as ``submit`` prints its reply.
+    Only what reads this process stays here: ``crat --emit``,
+    ``--trace-json``, ``suite --report-json`` and the ``engine:``
+    line."""
+    from .service import jobs
+    from .service.protocol import validate_request
+
+    job = args.command
+    request = validate_request({"job": job, "params": _job_params(job, args)})
+    prepared = jobs.prepare(request)
+    result = jobs.execute(prepared, on_app=_progress)
+    code = _render(job, request.params, result, getattr(args, "json", False))
+    if getattr(args, "emit", ""):
+        text = print_kernel(prepared.result.chosen.allocation.kernel) + "\n"
+        try:
+            with open(args.emit, "w") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise SystemExit(f"error: cannot write optimized PTX: {err}")
+        print(f"optimized PTX written to {args.emit}")
+    if job == "suite":
+        print(f"engine: {get_engine().summary()}")
+    _write_trace_json(args)
+    if getattr(args, "report_json", ""):
+        from .bench import write_report_json
+
+        try:
+            write_report_json(prepared.result, args.report_json)
+        except OSError as err:
+            raise SystemExit(f"error: cannot write suite report: {err}")
+        print(f"suite report written to {args.report_json}", file=sys.stderr)
+    return code
+
+
+def _parse_listen(value: str):
+    """``HOST:PORT`` -> (host, port) with a readable error."""
+    host, sep, port_text = value.rpartition(":")
+    if not sep or not host:
+        raise SystemExit(f"error: --listen expects HOST:PORT, got {value!r}")
+    try:
+        port = int(port_text)
+    except ValueError:
+        raise SystemExit(f"error: invalid port in --listen: {port_text!r}")
+    return host, port
+
+
+def cmd_serve(args) -> int:
+    from .engine.cache import resolve_max_entries
+    from .service.server import serve_main
+
+    host = port = None
+    if args.listen:
+        host, port = _parse_listen(args.listen)
+    # A long-lived daemon bounds its in-memory result cache by default
+    # (REPRO_CACHE_MAX_ENTRIES or --cache-max-entries override; 0
+    # restores the CLI's unbounded behavior).
+    bound = args.cache_max_entries
+    if bound is None:
+        bound = resolve_max_entries(None) or 4096
+    configure_engine(cache_max_entries=bound)
+    return serve_main(
+        socket_path=args.socket or None,
+        host=host,
+        port=port,
+        workers=args.workers,
+        queue_limit=args.queue_limit,
+        log_interval=args.log_interval,
+    )
 
 
 def cmd_submit(args) -> int:
-    import json
-
-    from .service import ServiceClient, submit_or_raise
+    from .service.client import ServiceClient, submit_or_raise
 
     host = port = None
     if args.connect:
         host, port = _parse_listen(args.connect)
-    params = _submit_params(args)
+    params = _job_params(args.job, args)
     with ServiceClient(
         socket_path=args.socket or None,
         host=host,
@@ -432,15 +351,7 @@ def cmd_submit(args) -> int:
                 deadline=args.deadline,
                 priority=args.priority,
             )
-    if args.json or args.job in ("verify", "suite", "stats"):
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        _render_submit_result(args.job, result)
-    if args.job == "verify" and not result.get("passed", True):
-        from .errors import EXIT_VERIFY
-
-        return EXIT_VERIFY
-    return 0
+    return _render(args.job, params, result, args.json or args.job == "stats")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -482,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "effect-preservation checking (PL rules)")
     p_verify.add_argument("--strict", action="store_true",
                           help="treat warnings as errors (exit 6)")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_job)
 
     def add_passes_flag(p):
         p.add_argument("--passes", default="", metavar="P1,P2,...",
@@ -505,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", default="fermi")
     add_verify_flag(p_sim)
     add_passes_flag(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_job)
 
     p_crat = sub.add_parser("crat", help="run the CRAT optimizer")
     p_crat.add_argument("target")
@@ -519,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_trace_flag(p_crat)
     add_verify_flag(p_crat)
     add_passes_flag(p_crat)
-    p_crat.set_defaults(func=cmd_crat)
+    p_crat.set_defaults(func=cmd_job)
 
     p_suite = sub.add_parser("suite", help="Fig 13 table on the sensitive suite")
     p_suite.add_argument("--config", default="fermi")
@@ -530,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_trace_flag(p_suite)
     add_verify_flag(p_suite)
     add_passes_flag(p_suite)
-    p_suite.set_defaults(func=cmd_suite)
+    p_suite.set_defaults(func=cmd_job)
 
     p_serve = sub.add_parser(
         "serve", help="persistent compilation daemon (NDJSON over a "
@@ -559,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="period of the structured stats log lines "
                               "on stderr (0 disables; default 30)")
-    add_passes_flag(p_serve)
     p_serve.set_defaults(func=cmd_serve)
 
     p_submit = sub.add_parser(
@@ -590,7 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "replies; exhausting it exits 7 "
                                "(default 5; --retries is an alias)")
     p_submit.add_argument("--json", action="store_true",
-                          help="print the raw result payload as JSON")
+                          help="print the raw result payload as JSON "
+                               "(verify: the report as JSON, as "
+                               "'repro verify --json' does)")
     p_submit.add_argument("--tlp", type=int, default=4,
                           help="simulate: thread-level parallelism")
     p_submit.add_argument("--grid", type=int, default=0,
@@ -602,7 +514,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--apps", nargs="+", default=[],
                           help="suite: explicit app list")
     p_submit.add_argument("--verify", action="store_true",
-                          help="crat/suite: translation-validate")
+                          help="crat/simulate/suite: translation-validate")
+    p_submit.add_argument("--strict", action="store_true",
+                          help="verify: treat warnings as errors (exit 6)")
+    p_submit.add_argument("--pipeline", action="store_true",
+                          help="verify: also run the transform passes "
+                               "under effect-preservation checking")
     add_passes_flag(p_submit)
     p_submit.set_defaults(func=cmd_submit)
 

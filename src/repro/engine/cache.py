@@ -145,16 +145,12 @@ def make_sim_key(
     param_sizes: Optional[Dict[str, int]],
     tlp: int,
     scheduler: str,
-    pipeline: str = "",
     schema: Optional[str] = None,
 ) -> SimKey:
     """Build a cache key; ``schema`` defaults to the current version.
 
-    ``pipeline`` is the active ``--passes`` signature
-    (:func:`repro.ir.pipeline.pipeline_signature`); folding it into the
-    key means results produced under different pass pipelines can never
-    alias, even when a pass happens to leave a kernel's content (and
-    hence its fingerprint) unchanged.
+    ``fingerprint`` names the kernel that is simulated, after any
+    ``--passes`` pipeline ran, so the key needs no pipeline term.
     """
     if schema is None:
         schema = cache_schema_version()
@@ -167,7 +163,10 @@ def make_sim_key(
         params,
         tlp,
         scheduler,
-        pipeline,
+        # Once the ``--passes`` signature; kept as a literal, like
+        # ``fp1``/``m1`` in the schema tag, so existing disk caches
+        # still hit.
+        "",
     )
 
 

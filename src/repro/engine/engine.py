@@ -58,7 +58,6 @@ from ..analysis.gto_model import throughput_cost
 from ..analysis.segments import segment_kernel
 from ..arch.config import GPUConfig
 from ..errors import ReproError, classify_error
-from ..ir.pipeline import pipeline_signature
 from ..ptx.module import Kernel
 from ..sim import gpu
 from ..sim.batch import simulate_traces_batched
@@ -177,7 +176,6 @@ class EvaluationEngine:
         disk_cache: Optional[str] = None,
         max_events: int = 100_000,
         cache_max_entries: Optional[int] = None,
-        pipeline: str = "",
     ):
         # ``jobs=1`` is accepted so existing callers keep working; the
         # engine runs every simulation in this process.
@@ -186,10 +184,6 @@ class EvaluationEngine:
                 f"jobs={jobs!r}: the engine runs every simulation "
                 "in-process; only jobs=1 is accepted"
             )
-        #: The active ``--passes`` signature; folded into every cache
-        #: key so results simulated under different pipelines never
-        #: alias (see :func:`repro.engine.cache.make_sim_key`).
-        self.pipeline = pipeline_signature(pipeline)
         self._sim_cache = SimResultCache(
             disk_cache,
             on_corrupt=self._on_cache_corrupt,
@@ -468,7 +462,7 @@ class EvaluationEngine:
                     fp = fingerprints[id(req.kernel)] = req.kernel.fingerprint()
                 key = make_sim_key(
                     fp, req.config, req.resolved_grid(), req.param_sizes,
-                    req.tlp, req.scheduler, pipeline=self.pipeline,
+                    req.tlp, req.scheduler,
                 )
                 keys.append(key)
                 cached, source = self._sim_cache.get(key)
@@ -579,7 +573,6 @@ class EvaluationEngine:
         """JSON-ready view of the counters and, with ``spans``, the span
         log and each span name's self seconds."""
         view: Dict[str, object] = {
-            "pipeline": self.pipeline,
             "cached_results": len(self._sim_cache),
             "cached_traces": len(self._trace_cache),
             "memo_entries": len(self._memo),
@@ -655,14 +648,10 @@ def set_engine(engine: EvaluationEngine) -> EvaluationEngine:
 def configure(
     disk_cache: Optional[str] = None,
     cache_max_entries: Optional[int] = None,
-    passes: Optional[str] = None,
 ) -> EvaluationEngine:
     """Adjust the shared engine in place (the CLI's hook).
     ``cache_max_entries`` (0 unbounds) LRU-bounds the in-memory result
     cache, the stage memo and the trace cache.
-    ``passes`` sets the active optimization-pipeline signature folded
-    into cache keys ("" clears it; unknown pass names raise
-    :class:`repro.errors.ParseError`).
     The whole adjustment runs under the engine lock, so a concurrent
     ``get_engine`` caller sees either the old or the new configuration,
     never a mix."""
@@ -673,8 +662,4 @@ def configure(
         if cache_max_entries is not None:
             for level in (engine._sim_cache, engine._memo, engine._trace_cache):
                 level.set_max_entries(cache_max_entries)
-        if passes is not None:
-            # Normalized (and validated) before taking effect: a typo'd
-            # spec must fail loudly, never silently tag cache keys.
-            engine.pipeline = pipeline_signature(passes)
         return engine

@@ -5,12 +5,11 @@ Maps stable pass names (``copy-prop``, ``dce``, ``bypass``,
 factories and runs a comma-separated pipeline spec through the
 :class:`~repro.ir.driver.GreedyRewriteDriver`, one driver per stage.
 
-The spec string is part of every cache/dedup identity downstream:
 :data:`PIPELINE_SCHEMA_VERSION` versions the *semantics* of the passes
 (bump it whenever a pass's output changes for the same input), and
-:func:`pipeline_signature` canonicalizes a spec for inclusion in engine
-cache keys and service single-flight signatures so two runs with
-different ``--passes`` can never alias to one cached result.
+:func:`pipeline_signature` canonicalizes a spec for the stage memo keys
+and the service single-flight signatures.  A simulation needs neither:
+its cache key names the kernel the passes produced.
 """
 
 from __future__ import annotations

@@ -246,7 +246,9 @@ def _parse_instruction(line: str, lineno: int) -> Instruction:
         if guard_text.startswith("!"):
             guard_negated = True
             guard_text = guard_text[1:]
-        guard = Reg(guard_text, DType.PRED)
+        # Typed by name like any register, so a non-predicate guard
+        # reaches the DF rules as DF007, not as a class pun.
+        guard = Reg(guard_text, _reg_dtype(guard_text, None))
 
     if " " in line:
         mnemonic, operand_text = line.split(None, 1)

@@ -1,9 +1,11 @@
-"""Job semantics of the compilation service.
+"""Job semantics of the compilation service and of the one-shot CLI.
 
-Each evaluation job type maps onto exactly the code path the one-shot
-CLI runs, so a warm daemon returns **bit-identical** results to ``repro
-crat`` / ``repro simulate`` — the service adds batching, dedup and a
-warm cache, never a different answer.
+Each evaluation job type is the one code path of its command: ``repro
+crat|simulate|verify|suite`` build the job's params, run
+:func:`prepare` and :func:`execute` in-process and print the payload,
+and a daemon runs the same two calls on a worker, so a warm daemon
+returns **bit-identical** results — the service adds batching, dedup
+and a warm cache, never a different answer.
 
 A request's life has two phases:
 
@@ -28,14 +30,17 @@ A request's life has two phases:
     (kernel, config, passes pipeline, job params) may enter the hash.
 
 :func:`execute`
-    Runs on a worker thread against the warm shared engine and returns
-    the JSON-ready result payload.
+    Runs on a worker thread (or in the one-shot CLI's process) against
+    the shared engine and returns the JSON-ready result payload.
+
+A ``passes`` pipeline is a job param and nothing else: the engine keys
+a simulation by the kernel it simulates, after the passes ran.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..arch import get_config
 from ..arch.config import GPUConfig
@@ -47,21 +52,6 @@ from ..ptx.module import Kernel
 from ..workloads import BY_ABBR, RESOURCE_SENSITIVE, load_workload
 from .protocol import Request
 
-#: Daemon-wide default optimization pipeline (``repro serve --passes``);
-#: per-request ``passes`` params override it.  Always stored normalized.
-_default_passes = ""
-
-
-def set_default_passes(spec: str) -> str:
-    """Set (and validate) the daemon's default ``--passes`` pipeline.
-
-    Raises :class:`repro.errors.ParseError` on unknown pass names, so a
-    typo'd daemon flag dies at startup instead of failing every job.
-    """
-    global _default_passes
-    _default_passes = pipeline_signature(spec)
-    return _default_passes
-
 
 def _passes_of(params: Dict[str, Any]) -> str:
     """The normalized pipeline a request runs under.
@@ -69,10 +59,7 @@ def _passes_of(params: Dict[str, Any]) -> str:
     Client input: normalization can raise :class:`ParseError`, which
     :func:`prepare` surfaces before the request occupies a queue slot.
     """
-    spec = params.get("passes")
-    if spec is None:
-        return _default_passes
-    return pipeline_signature(str(spec))
+    return pipeline_signature(params.get("passes", ""))
 
 
 class PreparedJob:
@@ -91,6 +78,11 @@ class PreparedJob:
         self.kernel = kernel
         self.workload = workload
         self.config = config
+        #: A ``crat`` job's ``CRATResult`` or a ``suite`` job's
+        #: ``SuiteReport`` once :func:`execute` returned: what the
+        #: one-shot CLI reads beyond the payload (``crat --emit``,
+        #: ``suite --report-json``).
+        self.result: Any = None
 
 
 def _sig(*parts: object) -> str:
@@ -215,11 +207,13 @@ def prepare(request: Request) -> PreparedJob:
             config_signature(config),
             _workload_terms(config, workload, params.get("grid") or None),
             params.get("tlp", 4),
+            bool(params.get("verify")),
             _passes_of(params),
         )
     else:  # verify
         signature = _sig(
-            "verify", fingerprint, bool(params.get("strict"))
+            "verify", fingerprint, bool(params.get("strict")),
+            bool(params.get("pipeline")),
         )
     return PreparedJob(request, signature, kernel, workload, config)
 
@@ -261,15 +255,22 @@ def crat_result_to_dict(result) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Execution.
 # ----------------------------------------------------------------------
-def execute(prepared: PreparedJob) -> Dict[str, Any]:
-    """Run one prepared job on the warm shared engine.
+def execute(
+    prepared: PreparedJob,
+    on_app: Optional[Callable[[str, Any], None]] = None,
+) -> Dict[str, Any]:
+    """Run one prepared job on the shared engine.
 
     Raises the structured :mod:`repro.errors` taxonomy on job failure;
     the server maps it onto an ``error`` reply carrying the same kind
-    and exit code the one-shot CLI would have used.
+    and exit code, and the one-shot CLI exits with that code.
+    ``on_app(abbr, failure or None)`` is a ``suite`` job's per-app
+    progress hook.
     """
-    handler = _HANDLERS[prepared.request.job]
-    return handler(prepared)
+    job = prepared.request.job
+    if job == "suite":
+        return _execute_suite(prepared, on_app)
+    return _HANDLERS[job](prepared)
 
 
 def _execute_crat(prepared: PreparedJob) -> Dict[str, Any]:
@@ -291,6 +292,7 @@ def _execute_crat(prepared: PreparedJob) -> Dict[str, Any]:
         grid_blocks=workload.grid_blocks if workload else None,
         param_sizes=workload.param_sizes if workload else None,
     )
+    prepared.result = result
     return crat_result_to_dict(result)
 
 
@@ -301,9 +303,14 @@ def _execute_simulate(prepared: PreparedJob) -> Dict[str, Any]:
         workload.grid_blocks if workload else None
     )
     kernel = prepared.kernel
+    verify = bool(params.get("verify"))
+    if verify:
+        from .. import verify as verify_mod
+
+        verify_mod.lint_kernel(kernel, stage="input").raise_if_errors()
     passes = _passes_of(params)
     if passes:
-        kernel = run_pipeline(kernel, passes).kernel
+        kernel = run_pipeline(kernel, passes, verify=verify).kernel
     sim = get_engine().simulate(
         kernel,
         prepared.config,
@@ -317,15 +324,20 @@ def _execute_simulate(prepared: PreparedJob) -> Dict[str, Any]:
 def _execute_verify(prepared: PreparedJob) -> Dict[str, Any]:
     from .. import verify as verify_mod
 
+    params = prepared.request.params
     report = verify_mod.lint_kernel(prepared.kernel)
-    strict = bool(prepared.request.params.get("strict"))
-    passed = not report.errors and not (strict and report.warnings)
+    if params.get("pipeline"):
+        _, pipeline_report = verify_mod.run_validated_pipeline(prepared.kernel)
+        report.extend(pipeline_report)
+    strict = bool(params.get("strict"))
     payload = report.to_dict()
-    payload["passed"] = passed
+    payload["passed"] = not report.errors and not (strict and report.warnings)
     return payload
 
 
-def _execute_suite(prepared: PreparedJob) -> Dict[str, Any]:
+def _execute_suite(
+    prepared: PreparedJob, on_app: Optional[Callable[[str, Any], None]]
+) -> Dict[str, Any]:
     from .. import bench
     from ..bench import run_suite
 
@@ -352,7 +364,9 @@ def _execute_suite(prepared: PreparedJob) -> Dict[str, Any]:
             if extra
             else bench.evaluate_app(abbr, config)
         ),
+        on_app=on_app,
     )
+    prepared.result = report
     payload = report.to_dict()
     payload["speedups"] = {
         abbr: {
@@ -369,5 +383,4 @@ _HANDLERS = {
     "crat": _execute_crat,
     "simulate": _execute_simulate,
     "verify": _execute_verify,
-    "suite": _execute_suite,
 }

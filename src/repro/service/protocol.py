@@ -76,11 +76,13 @@ PARAM_SCHEMAS: Dict[str, Dict[str, tuple]] = {
         **_COMMON_PARAMS,
         "tlp": (int, False),
         "grid": (int, False),
+        "verify": (bool, False),
         "passes": (str, False),
     },
     "verify": {
         **_COMMON_PARAMS,
         "strict": (bool, False),
+        "pipeline": (bool, False),
     },
     "suite": {
         "config": (str, False),

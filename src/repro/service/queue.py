@@ -67,7 +67,8 @@ class InFlightJob:
         self.waiters: List[Waiter] = []
         self.outcome: Optional[Tuple[str, Any]] = None
         #: Set by the server after admission: the resolved
-        #: :class:`~repro.service.jobs.PreparedJob` the worker executes.
+        #: :class:`~repro.service.jobs.PreparedJob` the worker executes
+        #: (and takes off the job when it starts).
         self.prepared: Optional[object] = None
         self._done = threading.Event()
 

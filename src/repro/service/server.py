@@ -573,10 +573,14 @@ class ReproServer:
             # already counted itself expired when its own wait lapsed).
             self._inflight.complete(job, "expired")
             return
+        # Taken off the job, so its kernel and the in-process result
+        # ``execute`` leaves on it go when this call returns: a worker
+        # holds its last job until it takes the next.
+        prepared, job.prepared = job.prepared, None
         try:
             with self.engine.spans.request(job.request.id or ""):
                 with self.engine.span("service.execute", job=job.request.job):
-                    result = jobs_mod.execute(job.prepared)
+                    result = jobs_mod.execute(prepared)
         except BaseException as err:  # noqa: BLE001 — workers never die
             classified = classify_error(err)
             self.stats.bump("failed")

@@ -78,6 +78,11 @@ class Diagnostic:
             "data": dict(self.data),
         }
 
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "Diagnostic":
+        """Rebuild a diagnostic from its :meth:`to_dict` form."""
+        return cls(**{**data, "severity": Severity(data["severity"])})
+
     def render(self) -> str:
         """One human-readable line, clang-style."""
         where = [self.kernel]
@@ -131,6 +136,17 @@ class VerifyReport:
             "rules": self.codes(),
             "diagnostics": [d.to_dict() for d in self.diagnostics],
         }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "VerifyReport":
+        """Rebuild a report from its :meth:`to_dict` form (say, a
+        daemon's ``verify`` reply), for :meth:`render` and
+        :meth:`to_json`."""
+        return cls(
+            kernel=data["kernel"],
+            stage=data["stage"],
+            diagnostics=[Diagnostic.from_dict(d) for d in data["diagnostics"]],
+        )
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)

@@ -68,11 +68,13 @@ class TestBatchFlags:
 
 
 class TestRetiredServeSurface:
-    """The sharded tier's ``serve`` options and its status subcommand
-    are usage errors (exit 2).  Only the parser runs, so no daemon
-    starts.  Names are spelled in pieces, as above."""
+    """The sharded tier's ``serve`` options, its status subcommand and
+    the daemon-wide ``--passes`` default (a job param only now) are
+    usage errors (exit 2).  Only the parser runs, so no daemon starts.
+    Retired names are spelled in pieces, as above."""
 
     @pytest.mark.parametrize("argv", [
+        ["serve", "--passes", "dce"],
         ["serve", "--sha" "rds", "2"],
         ["serve", "--state" "-dir", "X"],
         ["serve", "--heartbeat" "-interval", "1"],

@@ -67,8 +67,6 @@ class TestCacheKeys:
         assert make_sim_key(fp, FERMI, 4, {"a": 128}, 2, "gto") != base
         assert make_sim_key(fp, FERMI, 4, {"a": 64}, 2, "lrr") != base
         assert make_sim_key("x" * 64, FERMI, 4, {"a": 64}, 2, "gto") != base
-        assert make_sim_key(fp, FERMI, 4, {"a": 64}, 2, "gto",
-                            pipeline="dce") != base
 
     def test_param_order_does_not_matter(self, gau):
         fp = gau.kernel.fingerprint()
@@ -221,49 +219,48 @@ class TestSchemaVersioning:
         assert third.stats.disk_hits == 1
 
 
-class TestPipelineKeying:
-    """The active ``--passes`` signature is part of every cache key, so
-    runs under different pipelines can never share a cached result."""
+class TestPassesKeying:
+    """``--passes`` is a job param only: a simulation is keyed by the
+    kernel it simulates, so every path that simulates one kernel shares
+    one cache entry."""
 
-    def test_different_pipelines_never_alias(self, gau, tmp_path):
-        plain = EvaluationEngine(disk_cache=str(tmp_path))
-        plain.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
-                       param_sizes=gau.param_sizes)
-        assert plain.stats.sim_misses == 1
+    def test_one_shot_and_job_share_one_entry(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+        from repro.engine import set_engine
+        from repro.service.jobs import execute, prepare
+        from repro.service.protocol import Request
 
-        tagged = EvaluationEngine(disk_cache=str(tmp_path),
-                                  pipeline="dce")
-        tagged.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
-                        param_sizes=gau.param_sizes)
-        assert tagged.stats.sim_misses == 1  # no alias to the plain entry
-        assert tagged.stats.disk_hits == 0
-
-        # Same pipeline does share across engine restarts.
-        again = EvaluationEngine(disk_cache=str(tmp_path),
-                                 pipeline="dce")
-        again.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
-                       param_sizes=gau.param_sizes)
-        assert again.stats.sim_misses == 0
-        assert again.stats.disk_hits == 1
-
-    def test_engine_normalizes_and_validates_pipeline(self):
-        from repro.errors import ParseError
-
-        assert EvaluationEngine(pipeline=" dce , copy-prop ")\
-            .pipeline == "dce,copy-prop"
-        with pytest.raises(ParseError):
-            EvaluationEngine(pipeline="nonsense")
-
-    def test_configure_sets_shared_engine_pipeline(self):
-        from repro.engine import configure
-
-        engine = configure(passes="copy-prop,dce")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        previous = get_engine()
         try:
-            assert engine.pipeline == "copy-prop,dce"
-            assert engine.snapshot()["pipeline"] == "copy-prop,dce"
+            set_engine(EvaluationEngine())
+            assert main(["simulate", "GAU", "--passes", "dce",
+                         "--tlp", "2", "--grid", "4"]) == 0
+            one_shot = capsys.readouterr().out
+            job_engine = set_engine(EvaluationEngine())
+            request = Request(job="simulate", params={
+                "target": "GAU", "passes": "dce", "tlp": 2, "grid": 4,
+            })
+            payload = execute(prepare(request))
         finally:
-            configure(passes="")
-        assert engine.pipeline == ""
+            set_engine(previous)
+        assert len(list(tmp_path.glob("sim-*.pkl"))) == 1
+        assert job_engine.stats.sim_misses == 0
+        assert job_engine.stats.disk_hits == 1
+        assert f"cycles:        {payload['cycles']:.0f}" in one_shot
+
+    def test_default_pipeline_key_is_unchanged(self, gau):
+        """The key's last slot stays the literal ``""``: caches written
+        while it held the ``--passes`` signature still hit."""
+        from repro.engine.cache import key_digest
+
+        key = make_sim_key(
+            gau.kernel.fingerprint(), FERMI, 4, gau.param_sizes, 2, "gto"
+        )
+        assert key[-1] == ""
+        assert key_digest(key) == "74c076f574942225"
 
 
 class TestParallelDeterminism:

@@ -166,6 +166,22 @@ class TestVerifier:
         err = _rejects(kernel, "DF007")
         assert "not a predicate" in str(err)
 
+    def test_rejects_non_predicate_guard_in_text(self, tmp_path, capsys):
+        """The parser types a guard by its name like any register, so
+        the text form reaches the gate as DF007, not as a DF005 pun."""
+        from repro.cli import main
+        from repro.ptx import parse_kernel
+
+        text = (".entry k ()\n{\n    mov.u32 %r0, 1;\n"
+                "    @%r0 mov.u32 %r1, 2;\n    exit;\n}\n")
+        err = _rejects(parse_kernel(text), "DF007")
+        assert "DF007 guard %r0 is not a predicate" in str(err)
+        assert "DF005" not in str(err)
+        path = tmp_path / "guard.ptx"
+        path.write_text(text)
+        assert main(["info", str(path)]) == EXIT_PARSE
+        assert "DF007" in capsys.readouterr().err
+
     def test_error_lists_all_problems(self):
         from repro.ptx import parse_kernel
 

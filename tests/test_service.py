@@ -23,17 +23,10 @@ import pytest
 from repro.cli import main
 from repro.engine import EvaluationEngine, get_engine, set_engine
 from repro.errors import EXIT_PARSE, EXIT_SERVICE, EXIT_VERIFY, ServiceError
-from repro.service import (
-    QUEUE_CHECKPOINT_NAME,
-    ReproServer,
-    ServiceClient,
-    ServiceJobError,
-    execute,
-    prepare,
-    submit_or_raise,
-    validate_request,
-)
-from repro.service.protocol import Request
+from repro.service.client import ServiceClient, ServiceJobError, submit_or_raise
+from repro.service.jobs import execute, prepare
+from repro.service.protocol import Request, validate_request
+from repro.service.server import QUEUE_CHECKPOINT_NAME, ReproServer
 
 #: A cheap evaluation job (single-point simulation of the smallest app).
 SIM_GAU = {"target": "GAU", "tlp": 2}
@@ -363,6 +356,95 @@ class TestVerifyParity:
         assert payload == one_shot
         assert code in (0, EXIT_VERIFY)
         assert passed is (code != EXIT_VERIFY)
+
+
+#: A kernel whose only finding is a warning (DF003, unreachable block).
+WARNING_ONLY_PTX = (".entry k ()\n{\n    bra DONE;\nDEAD:\n"
+                    "    mov.u32 %r0, 1;\nDONE:\n    exit;\n}\n")
+
+
+class TestSubmitCli:
+    """``repro submit J ARGS`` prints and exits exactly as ``repro J
+    ARGS``: both build the job's params with one function and print its
+    payload through one renderer."""
+
+    @staticmethod
+    def _both(argv, server, capsys):
+        code = main(argv)
+        one_shot = (code, capsys.readouterr().out)
+        code = main(["submit", *argv, "--socket", server.socket_path])
+        return one_shot, (code, capsys.readouterr().out)
+
+    @pytest.mark.parametrize("argv", [
+        ["crat", "GAU", "--static"],
+        ["simulate", "GAU", "--tlp", "2", "--grid", "4", "--passes", "dce",
+         "--verify"],
+        ["verify", "examples/uninit_read.ptx"],
+        ["verify", "examples/uninit_read.ptx", "--json"],
+    ])
+    def test_matches_one_shot(self, argv, server, capsys):
+        one_shot, submitted = self._both(argv, server, capsys)
+        assert submitted == one_shot
+        assert one_shot[1]
+
+    def test_strict_warning_only_kernel(self, server, tmp_path, capsys):
+        path = tmp_path / "warn.ptx"
+        path.write_text(WARNING_ONLY_PTX)
+        one_shot, submitted = self._both(
+            ["verify", str(path), "--strict"], server, capsys
+        )
+        assert submitted == one_shot
+        assert one_shot[0] == EXIT_VERIFY
+
+    def test_simulate_forwards_verify(self, server, tmp_path, capsys):
+        """Spill-stack findings pass the DF load gate, so only a
+        forwarded ``--verify`` turns them into exit 6."""
+        text = pathlib.Path("examples/miscompiled.ptx").read_text().replace(
+            "    setp.lt.s32", "    cvt.f32 %f1, %r0;\n    setp.lt.s32"
+        )
+        path = tmp_path / "al_only.ptx"
+        path.write_text(text)
+        one_shot, submitted = self._both(
+            ["simulate", str(path), "--tlp", "1", "--verify"], server, capsys
+        )
+        assert submitted == one_shot == (EXIT_VERIFY, "")
+
+    def test_partial_suite(self, server, monkeypatch, capsys):
+        """The table and exit 5; the ``engine:`` line reads the one-shot
+        process's own engine, so only the one-shot prints it."""
+        import repro.bench
+
+        from .test_cli_suite import _FakeEvaluation
+
+        def flaky(abbr, config="fermi"):
+            if abbr == "KMN":
+                raise RuntimeError("simulated explosion")
+            return _FakeEvaluation()
+
+        monkeypatch.setattr(repro.bench, "evaluate_app", flaky)
+        (code, out), submitted = self._both(["suite"], server, capsys)
+        table, _ = out.split("engine: ")
+        assert submitted == (code, table)
+        assert code == 5
+        assert "CRAT suite results" in table and "KMN" not in table
+
+
+def test_importing_jobs_loads_no_daemon():
+    """A one-shot command reaches the job path without loading the
+    daemon, its client or sockets."""
+    import subprocess
+    import sys
+
+    import repro
+
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    probe = ("import sys, repro.service.jobs; print(sorted(m for m in "
+             "('socket', 'repro.service.server', 'repro.service.client') "
+             "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestBackpressure:

@@ -16,10 +16,10 @@ import threading
 import pytest
 
 from repro.errors import EXIT_SERVICE, ServiceError, classify_error
-from repro.service import ServiceClient
 from repro.service.client import (
     DEFAULT_BACKOFF_BASE,
     DEFAULT_BACKOFF_CAP,
+    ServiceClient,
     decorrelated_jitter,
 )
 from repro.service.protocol import (

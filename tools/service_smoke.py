@@ -19,10 +19,14 @@ What it checks, end to end, with real processes and a real socket:
 3. every answer is identical to the same job executed one-shot on a
    fresh, fault-free engine — the daemon (and the injected crashes)
    must never change a result;
-4. the injected crashes really fired: the daemon's ``stats`` reply
+4. ``python -m repro submit`` processes against the daemon print the
+   same stdout and exit with the same code as the one-shot processes
+   (``crat GAU``, ``simulate GAU --tlp 2``, ``verify
+   examples/uninit_read.ptx``) on a fault-free engine;
+5. the injected crashes really fired: the daemon's ``stats`` reply
    counts at least one injected fault and one retry;
-5. SIGTERM drains cleanly: exit code 0, ``service_drained`` logged;
-6. a warm restart: a second daemon booted over the same
+6. SIGTERM drains cleanly: exit code 0, ``service_drained`` logged;
+7. a warm restart: a second daemon booted over the same
    ``REPRO_CACHE_DIR`` answers each distinct job once, identically to
    one-shot, and its ``stats`` show no simulation (``sim_misses`` 0)
    and at least one disk-cache hit, and no memoised stage computed
@@ -81,7 +85,7 @@ def slice_of(index, count):
 
 def run_worker(index, sock_path):
     """Child-process mode: submit this worker's slice, print JSON."""
-    from repro.service import ServiceClient, submit_or_raise
+    from repro.service.client import ServiceClient, submit_or_raise
 
     requests = build_requests()
     out = []
@@ -97,7 +101,7 @@ def run_worker(index, sock_path):
 def compute_expected():
     """One-shot ground truth: each unique job on a fresh clean engine."""
     from repro.engine import EvaluationEngine, get_engine, set_engine
-    from repro.service import execute, prepare
+    from repro.service.jobs import execute, prepare
     from repro.service.protocol import Request
 
     expected = {}
@@ -114,10 +118,44 @@ def compute_expected():
     return expected
 
 
+#: Commands whose ``repro submit`` twin must print and exit as they do.
+SUBMIT_COMMANDS = (
+    ["crat", "GAU"],
+    ["simulate", "GAU", "--tlp", "2"],
+    ["verify", "examples/uninit_read.ptx"],
+)
+
+
+def run_cli(argv, env):
+    """``(exit code, stdout)`` of one ``python -m repro`` process."""
+    done = subprocess.run([sys.executable, "-m", "repro", *argv], env=env,
+                          capture_output=True, text=True, timeout=600)
+    return done.returncode, done.stdout
+
+
+def check_submit_cli(sock_path, env):
+    """Failures: each ``repro submit`` process against the daemon must
+    print the same stdout and exit with the same code as the one-shot
+    process on a clean engine."""
+    clean = {k: v for k, v in env.items() if not k.startswith("REPRO_")}
+    failures = 0
+    for argv in SUBMIT_COMMANDS:
+        one_shot = run_cli(argv, clean)
+        submitted = run_cli(["submit", *argv, "--socket", sock_path], env)
+        if submitted != one_shot:
+            print(f"FAIL: repro submit {' '.join(argv)} printed or exited "
+                  f"differently:\n  submit:   {submitted}\n"
+                  f"  one-shot: {one_shot}", file=sys.stderr)
+            failures += 1
+    print(f"repro submit: {len(SUBMIT_COMMANDS)} commands, {failures} "
+          f"mismatches against one-shot", flush=True)
+    return failures
+
+
 def check_faults_fired(sock_path):
     """Failures (0 or 1): the daemon's engine must have injected at
     least one crash and retried it, or the run proved nothing."""
-    from repro.service import ServiceClient
+    from repro.service.client import ServiceClient
 
     try:
         with ServiceClient(socket_path=sock_path, timeout=30.0) as client:
@@ -170,7 +208,7 @@ def check_warm_restart(sock_path, env, expected):
     """Failures: a second daemon over the first one's cache directory
     must answer each distinct job as one-shot does, from the disk cache
     alone: no simulation and no memoised stage computed."""
-    from repro.service import ServiceClient, submit_or_raise
+    from repro.service.client import ServiceClient, submit_or_raise
 
     daemon = start_daemon(sock_path, env)
     failures = 0
@@ -264,14 +302,16 @@ def run_daemons(sock_path, env, expected):
                 failures += 1
         print(f"{len(answered)}/{len(requests)} answered, "
               f"{failures} mismatches", flush=True)
+        failures += check_submit_cli(sock_path, env)
         failures += check_faults_fired(sock_path)
     finally:
         failures += drain(daemon, "daemon")
     failures += check_warm_restart(sock_path, env, expected)
     if failures:
         return 1
-    print("service smoke: OK (identical to one-shot, faults retried, "
-          "clean drain, warm restart from the disk cache)")
+    print("service smoke: OK (identical to one-shot, repro submit prints "
+          "as the one-shot does, faults retried, clean drain, warm "
+          "restart from the disk cache)")
     return 0
 
 
