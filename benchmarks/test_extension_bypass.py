@@ -10,7 +10,7 @@ from conftest import run_once
 
 from repro.arch import FERMI
 from repro.bench import evaluate_app, format_table
-from repro.opt import apply_static_bypass
+from repro.ir import run_pipeline
 from repro.sim import simulate_traces, trace_grid
 
 STREAMING_APPS = ["LBM", "SPMV", "BLK"]
@@ -22,7 +22,7 @@ def _collect():
         ev = evaluate_app(abbr)
         workload = ev.workload
         crat_kernel = ev.crat.chosen.allocation.kernel
-        bypass = apply_static_bypass(crat_kernel)
+        bypass = run_pipeline(crat_kernel, "bypass")
         traces = trace_grid(
             bypass.kernel, FERMI, workload.grid_blocks, workload.param_sizes
         )
@@ -30,7 +30,7 @@ def _collect():
         rows.append(
             (
                 abbr,
-                bypass.bypassed_loads,
+                bypass.total_applied,
                 f"{ev.crat.sim.cycles:.0f}",
                 f"{sim.cycles:.0f}",
                 ev.crat.sim.cycles / sim.cycles,

@@ -13,7 +13,8 @@ from conftest import run_once
 from repro.arch import FERMI
 from repro.bench import evaluate_app, format_table
 from repro.core import CRATOptimizer
-from repro.opt import schedule_for_mlp, unroll_loops
+from repro.ir import GreedyRewriteDriver, run_pipeline
+from repro.opt import UnrollPattern
 from repro.regalloc import register_demand
 
 APPS = ["KMN", "STM"]
@@ -31,10 +32,12 @@ def _collect():
              f"({ev.crat.reg},{ev.crat.tlp})", f"{base_cycles:.0f}", 1.0)
         )
         for factor in FACTORS:
-            unrolled = unroll_loops(workload.kernel, factor)
-            if not unrolled.unrolled_loops:
+            unrolled = GreedyRewriteDriver([UnrollPattern(factor)]).run(
+                workload.kernel
+            )
+            if not unrolled.applied:
                 continue
-            transformed = schedule_for_mlp(unrolled.kernel).kernel
+            transformed = run_pipeline(unrolled.kernel, "mlp-sched").kernel
             optimizer = CRATOptimizer(FERMI)
             result = optimizer.optimize(
                 transformed,

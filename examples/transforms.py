@@ -20,12 +20,8 @@ Run:  python examples/transforms.py [APP] [UNROLL_FACTOR]
 import sys
 
 from repro import CRATOptimizer, FERMI, load_workload, register_demand
-from repro.opt import (
-    apply_static_bypass,
-    optimize_kernel,
-    schedule_for_mlp,
-    unroll_loops,
-)
+from repro.ir import GreedyRewriteDriver, run_pipeline
+from repro.opt import UnrollPattern
 
 
 def report(stage, kernel):
@@ -42,26 +38,27 @@ def main() -> None:
     print(f"== transform pipeline for {abbr} ==\n")
     report("original", kernel)
 
-    cleaned = optimize_kernel(kernel)
-    kernel = report(
-        f"copy-prop+DCE (-{cleaned.removed_instructions})", cleaned.kernel
-    )
+    cleaned = run_pipeline(kernel, "copy-prop,dce")
+    removed = len(kernel.instructions()) - len(cleaned.kernel.instructions())
+    kernel = report(f"copy-prop+DCE (-{removed})", cleaned.kernel)
 
-    unrolled = unroll_loops(kernel, factor)
-    if unrolled.unrolled_loops:
+    # The registry's ``unroll`` is factor 2; any other factor drives the
+    # pattern directly.
+    unrolled = GreedyRewriteDriver([UnrollPattern(factor)]).run(kernel)
+    if unrolled.applied:
         kernel = report(f"unroll x{factor}", unrolled.kernel)
     else:
         print(f"unroll x{factor}: skipped (trip count mismatch)")
 
-    scheduled = schedule_for_mlp(kernel)
+    scheduled = run_pipeline(kernel, "mlp-sched")
     kernel = report(
-        f"MLP schedule ({scheduled.moved_instructions} moved)",
+        f"MLP schedule ({scheduled.metadata_total('moved')} moved)",
         scheduled.kernel,
     )
 
-    bypassed = apply_static_bypass(kernel)
+    bypassed = run_pipeline(kernel, "bypass")
     kernel = report(
-        f"static bypass ({bypassed.bypassed_loads} loads .cg)",
+        f"static bypass ({bypassed.total_applied} loads .cg)",
         bypassed.kernel,
     )
 

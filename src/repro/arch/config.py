@@ -96,10 +96,6 @@ class GPUConfig:
         """
         return self.registers_per_sm // self.max_threads_per_sm
 
-    @property
-    def max_warps_per_sm(self) -> int:
-        return self.max_threads_per_sm // self.warp_size
-
     def scaled(self, **overrides) -> "GPUConfig":
         """A copy with selected fields replaced (for sweeps)."""
         return dataclasses.replace(self, **overrides)

@@ -152,14 +152,12 @@ def evaluate_app(
 
 
 @functools.lru_cache(maxsize=None)
-def evaluate_app_static(
-    abbr: str, config_name: str = "fermi", hit_ratio: float = 0.6
-) -> CRATResult:
+def evaluate_app_static(abbr: str, config_name: str = "fermi") -> CRATResult:
     """CRAT-static: OptTLP from code analysis instead of profiling."""
     config = get_config(config_name)
     workload = load_workload(abbr)
     optimizer = CRATOptimizer(
-        config, enable_shm_spill=True, opt_tlp_mode="static", hit_ratio=hit_ratio
+        config, enable_shm_spill=True, opt_tlp_mode="static"
     )
     return optimizer.optimize(
         workload.kernel,

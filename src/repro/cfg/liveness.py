@@ -258,13 +258,6 @@ class LivenessInfo:
         """
         return max(self.pressure_profile(reg_class), default=0)
 
-    def live_at(self, pos: int) -> FrozenSet[str]:
-        return self.live_out[pos]
-
-    def is_live_across(self, name: str, pos: int) -> bool:
-        """Whether ``name`` is live both into and out of position ``pos``."""
-        return name in self.live_in[pos] and name in self.live_out[pos]
-
 
 def analyze(kernel: Kernel) -> LivenessInfo:
     """Convenience: run liveness analysis on a kernel."""

@@ -8,8 +8,8 @@ Commands mirror how the paper's toolchain is used:
 * ``crat APP|FILE``      — the full coordinated optimization (Fig 9)
 * ``suite``              — the Fig 13 table over the sensitive suite
 * ``verify APP|FILE``    — lint a kernel with the translation-validation
-  rules (dataflow, spill-stack discipline; ``--pipeline`` also runs the
-  transform passes under effect-preservation checking)
+  rules (dataflow, spill-stack discipline; ``--pipeline`` also runs
+  every registered pass with each rewrite translation-validated)
 * ``serve``              — persistent compilation daemon: one warm
   engine behind a unix socket (or TCP via ``--listen``), NDJSON
   protocol, single-flight dedup, bounded queue with backpressure,
@@ -389,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", action="store_true",
                           help="emit the diagnostic report as JSON")
     p_verify.add_argument("--pipeline", action="store_true",
-                          help="also run the transform passes under "
-                               "effect-preservation checking (PL rules)")
+                          help="also run every registered pass with each "
+                               "rewrite translation-validated (PL rules)")
     p_verify.add_argument("--strict", action="store_true",
                           help="treat warnings as errors (exit 6)")
     p_verify.set_defaults(func=cmd_job)
@@ -518,8 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--strict", action="store_true",
                           help="verify: treat warnings as errors (exit 6)")
     p_submit.add_argument("--pipeline", action="store_true",
-                          help="verify: also run the transform passes "
-                               "under effect-preservation checking")
+                          help="verify: also run every registered pass "
+                               "with each rewrite translation-validated")
     add_passes_flag(p_submit)
     p_submit.set_defaults(func=cmd_submit)
 

@@ -96,8 +96,6 @@ class CRATOptimizer:
         config: GPUConfig,
         enable_shm_spill: bool = True,
         opt_tlp_mode: str = "profile",
-        hit_ratio: float = 0.6,
-        weighted_tpsc: bool = False,
         engine: Optional[EvaluationEngine] = None,
         verify: bool = False,
         passes: str = "",
@@ -108,8 +106,6 @@ class CRATOptimizer:
         self.config = config
         self.enable_shm_spill = enable_shm_spill
         self.opt_tlp_mode = opt_tlp_mode
-        self.hit_ratio = hit_ratio
-        self.weighted_tpsc = weighted_tpsc
         self.verify = verify
         #: ``None`` resolves to the process-wide shared engine at use
         #: time, so ``repro.engine.configure()`` affects optimizers
@@ -204,7 +200,6 @@ class CRATOptimizer:
                     baselines["opttlp"].allocation.kernel,
                     config,
                     max(ceiling, usage.max_tlp),
-                    hit_ratio=self.hit_ratio,
                 ).opt_tlp
         with engine.span("search"):
             candidates = prune(config, usage, opt_tlp)
@@ -223,7 +218,6 @@ class CRATOptimizer:
                         config,
                         usage.block_size,
                         costs=costs,
-                        weighted=self.weighted_tpsc,
                     )
                 )
             if not scored:
@@ -238,7 +232,6 @@ class CRATOptimizer:
                         config,
                         usage.block_size,
                         costs=costs,
-                        weighted=self.weighted_tpsc,
                     )
                 ]
             chosen = select_best(scored)

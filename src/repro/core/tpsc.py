@@ -50,27 +50,13 @@ def tlp_gain(tlp: int, block_size: int, max_threads: int) -> float:
     return 1.0 - active / (active + max_threads)
 
 
-def spill_cost(
-    allocation: AllocationResult,
-    costs: MemoryCosts,
-    weighted: bool = False,
-) -> float:
-    """``Spill_cost`` of Section 6.
-
-    ``weighted=True`` swaps the paper's static instruction counts for
-    loop-depth-weighted counts (an ablation; the paper counts inserted
-    instructions statically).
-    """
-    if weighted:
-        num_local = allocation.weighted_local_accesses
-        num_shm = allocation.weighted_shared_accesses
-    else:
-        num_local = allocation.num_local_insts
-        num_shm = allocation.num_shared_insts
+def spill_cost(allocation: AllocationResult, costs: MemoryCosts) -> float:
+    """``Spill_cost`` of Section 6, over the statically counted spill
+    instructions the allocation inserted."""
     others = allocation.num_address_insts + allocation.num_remat_insts
     return (
-        num_local * costs.cost_local
-        + num_shm * costs.cost_shared
+        allocation.num_local_insts * costs.cost_local
+        + allocation.num_shared_insts * costs.cost_shared
         + others * costs.cost_other
     )
 
@@ -81,7 +67,6 @@ def score(
     config: GPUConfig,
     block_size: int,
     costs: Optional[MemoryCosts] = None,
-    weighted: bool = False,
 ) -> ScoredPoint:
     """Score one allocated design point."""
     if costs is None:
@@ -90,7 +75,7 @@ def score(
         point=point,
         allocation=allocation,
         tlp_gain=tlp_gain(point.tlp, block_size, config.max_threads_per_sm),
-        spill_cost=spill_cost(allocation, costs, weighted=weighted),
+        spill_cost=spill_cost(allocation, costs),
     )
 
 

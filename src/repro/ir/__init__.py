@@ -10,8 +10,10 @@ trace.  Every applied rewrite can be individually translation-validated
 by :func:`repro.verify.verify_pass`, replacing whole-pass snapshot
 diffs with per-edit checks.
 
-:mod:`repro.ir.pipeline` adds the named pass registry behind the CLI's
-``--passes`` flag and the pipeline component of cache/dedup keys.
+:mod:`repro.ir.pipeline` adds the named pass registry and
+:func:`run_pipeline`, the one way to run a pass — behind the CLI's
+``--passes`` flag, ``repro verify --pipeline`` and the golden ledger —
+plus the pipeline component of the dedup and stage memo keys.
 """
 
 from .driver import (

@@ -106,9 +106,6 @@ class GreedyRewriteDriver:
     ``max_sweeps`` bounds full program-order passes (a pass framework's
     "iterations"); ``max_rewrites`` bounds total applications and is
     the safety net against a pattern that matches its own output.
-    ``warn_on_budget=False`` silences the structured warning for
-    callers that intentionally run a bounded number of sweeps (e.g. the
-    single-sweep legacy copy-prop semantics).
     """
 
     def __init__(
@@ -117,13 +114,11 @@ class GreedyRewriteDriver:
         max_sweeps: int = 32,
         max_rewrites: int = 100_000,
         verify: bool = False,
-        warn_on_budget: bool = True,
     ):
         self.patterns = list(patterns)
         self.max_sweeps = max_sweeps
         self.max_rewrites = max_rewrites
         self.verify = verify
-        self.warn_on_budget = warn_on_budget
 
     def run(self, kernel: Kernel) -> DriverResult:
         if self.verify:
@@ -135,13 +130,12 @@ class GreedyRewriteDriver:
         converged = False
 
         def exhausted(budget: str, limit: int) -> None:
-            if self.warn_on_budget:
-                warnings.warn(
-                    RewriteBudgetWarning(
-                        kernel.name, budget, limit, len(applications)
-                    ),
-                    stacklevel=3,
-                )
+            warnings.warn(
+                RewriteBudgetWarning(
+                    kernel.name, budget, limit, len(applications)
+                ),
+                stacklevel=3,
+            )
 
         while sweeps < self.max_sweeps:
             sweeps += 1

@@ -1,9 +1,14 @@
-"""Pass-pipeline registry and the ``--passes`` configuration surface.
+"""Pass-pipeline registry: the one way to run an optimization pass.
 
 Maps stable pass names (``copy-prop``, ``dce``, ``bypass``,
-``mlp-sched``, ``minreg-sched``, ``unroll``) to rewrite-pattern
-factories and runs a comma-separated pipeline spec through the
+``mlp-sched``, ``minreg-sched``, ``unroll``) to the rewrite-pattern
+classes of :mod:`repro.opt`, each registered under its own
+:attr:`~repro.ir.rewrite.RewritePattern.name`, and runs a
+comma-separated pipeline spec through the
 :class:`~repro.ir.driver.GreedyRewriteDriver`, one driver per stage.
+The CLI's ``--passes``, the service jobs, ``repro verify --pipeline``,
+the engine's stage memo and the golden ledger all go through
+:func:`run_pipeline`.
 
 :data:`PIPELINE_SCHEMA_VERSION` versions the *semantics* of the passes
 (bump it whenever a pass's output changes for the same input), and
@@ -15,7 +20,7 @@ its cache key names the kernel the passes produced.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple, Type
 
 from ..errors import ParseError
 from ..ptx.module import Kernel
@@ -32,18 +37,13 @@ PIPELINE_SCHEMA_VERSION = 1
 #: behaviour where the cleanup passes were opt-in library calls.
 DEFAULT_PASSES = ""
 
-
-@dataclasses.dataclass(frozen=True)
-class PassSpec:
-    """One registry entry: a named, self-describing pattern factory."""
-
-    name: str
-    description: str
-    factory: Callable[[], RewritePattern]
-    max_sweeps: int = 32
+#: Every registered pass, in the order ``repro verify --pipeline`` runs
+#: them under per-rewrite translation validation; the golden ledger's
+#: ``verified_rewrites`` section pins how many rewrites it applies.
+VERIFIED_SPEC = "unroll,copy-prop,dce,mlp-sched,bypass,minreg-sched"
 
 
-def _registry() -> Dict[str, PassSpec]:
+def _registry() -> Dict[str, Type[RewritePattern]]:
     # Lazy import: repro.opt builds its passes on repro.ir, so the
     # registry must not import repro.opt at module-import time.
     from ..opt.bypass import BypassPattern
@@ -53,39 +53,17 @@ def _registry() -> Dict[str, PassSpec]:
     from ..opt.schedule import MlpSchedPattern
     from ..opt.unroll import UnrollPattern
 
-    specs = [
-        PassSpec(
-            "copy-prop",
-            "propagate register copies within basic blocks",
+    return {
+        pattern.name: pattern
+        for pattern in (
             CopyPropPattern,
-        ),
-        PassSpec(
-            "dce",
-            "delete definitions that are never observed",
             DCEPattern,
-        ),
-        PassSpec(
-            "bypass",
-            "mark streaming global loads .cg (L1 bypass)",
             BypassPattern,
-        ),
-        PassSpec(
-            "mlp-sched",
-            "hoist independent loads for memory-level parallelism",
             MlpSchedPattern,
-        ),
-        PassSpec(
-            "minreg-sched",
-            "reorder blocks to minimize MaxLive (register pressure)",
             MinRegSchedPattern,
-        ),
-        PassSpec(
-            "unroll",
-            "partially unroll counted innermost loops (factor 2)",
             UnrollPattern,
-        ),
-    ]
-    return {spec.name: spec for spec in specs}
+        )
+    }
 
 
 def available_passes() -> List[str]:
@@ -140,6 +118,15 @@ class PipelineRunResult:
     def total_applied(self) -> int:
         return sum(result.applied for _, result in self.stages)
 
+    def metadata_total(self, key: str) -> int:
+        """One per-rewrite metadata field (``moved``,
+        ``rewritten_uses``) summed over every stage's rewrites."""
+        return sum(
+            app.metadata.get(key, 0)
+            for _, result in self.stages
+            for app in result.applications
+        )
+
 
 def run_pipeline(
     kernel: Kernel, spec: str, verify: bool = False
@@ -150,19 +137,16 @@ def run_pipeline(
     pattern; with ``verify``, every individual rewrite is translation-
     validated (:func:`repro.verify.verify_pass`) in the pattern's
     declared mode, raising :class:`repro.errors.VerificationError` at
-    the first bad rewrite.
+    the first bad rewrite; its diagnostics name the pass as their
+    ``stage``.
     """
     registry = _registry()
     current = kernel
     stages: List[Tuple[str, DriverResult]] = []
     for name in parse_passes(spec):
-        pass_spec = registry[name]
-        driver = GreedyRewriteDriver(
-            [pass_spec.factory()],
-            max_sweeps=pass_spec.max_sweeps,
-            verify=verify,
+        result = GreedyRewriteDriver([registry[name]()], verify=verify).run(
+            current
         )
-        result = driver.run(current)
         stages.append((name, result))
         current = result.kernel
     return PipelineRunResult(kernel=current, stages=stages)

@@ -86,10 +86,6 @@ class Rewrite:
     def splices(self) -> List[Splice]:
         return sorted(self._splices, key=lambda s: s.start)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._splices
-
 
 class RewritePattern:
     """Base class for declarative rewrite patterns.

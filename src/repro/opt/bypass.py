@@ -28,20 +28,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..ir.driver import GreedyRewriteDriver
 from ..ir.rewrite import Rewrite, RewritePattern
 from ..ir.view import InstrWindow, RewriteContext
 from ..ptx.instruction import Imm, Instruction, Reg
 from ..ptx.isa import Opcode, Space
-from ..ptx.module import Kernel
-
-
-@dataclasses.dataclass
-class BypassResult:
-    """Outcome of the static bypass pass."""
-
-    kernel: Kernel
-    bypassed_loads: int
 
 
 def _streaming_analysis(ctx: RewriteContext) -> Tuple[Set[str], Set[int]]:
@@ -107,12 +97,4 @@ class BypassPattern(RewritePattern):
             note=f"bypass streaming load via {inst.mem.base.name}",
         )
         rewrite.replace(window.pos, dataclasses.replace(inst, cache_op="cg"))
-        rewrite.metadata["bypassed_loads"] = 1
         return rewrite
-
-
-def apply_static_bypass(kernel: Kernel) -> BypassResult:
-    """Mark streaming global loads ``.cg``; returns a new kernel."""
-    driver = GreedyRewriteDriver([BypassPattern()])
-    result = driver.run(kernel)
-    return BypassResult(kernel=result.kernel, bypassed_loads=result.applied)

@@ -13,29 +13,19 @@ the allocator's rematerialization, and special-register reads must stay
 Expressed as :class:`CopyPropPattern` on the rewrite driver: the
 pattern anchors at any instruction with rewritable uses, reconstructs
 the copy map over its (already final) block prefix, and replaces the
-one instruction.  A single driver sweep therefore reproduces the
-original one-pass walk exactly.
+one instruction.  ``--passes copy-prop`` drives it to the fixpoint, so
+chains longer than the resolution bound of :func:`_resolve` unravel
+over further sweeps.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, Optional
 
-from ..ir.driver import GreedyRewriteDriver
 from ..ir.rewrite import Rewrite, RewritePattern
 from ..ir.view import InstrWindow, RewriteContext
 from ..ptx.instruction import Instruction, Reg
 from ..ptx.isa import Opcode
-from ..ptx.module import Kernel
-
-
-@dataclasses.dataclass
-class CopyPropResult:
-    """Outcome of copy propagation."""
-
-    kernel: Kernel
-    rewritten_uses: int
 
 
 class CopyPropPattern(RewritePattern):
@@ -88,23 +78,6 @@ def _track_copies(copies: Dict[str, Reg], inst: Instruction) -> None:
         and _compatible(inst.dst, inst.srcs[0])
     ):
         copies[inst.dst.name] = inst.srcs[0]
-
-
-def propagate_copies(kernel: Kernel) -> CopyPropResult:
-    """Propagate register copies within basic blocks; returns a new kernel.
-
-    One driver sweep — the historical single-pass semantics; chains
-    longer than the resolution bound need another call (in practice
-    :func:`repro.opt.optimize_kernel` iterates to the fixpoint).
-    """
-    driver = GreedyRewriteDriver(
-        [CopyPropPattern()], max_sweeps=1, warn_on_budget=False
-    )
-    result = driver.run(kernel)
-    rewritten = sum(
-        app.metadata.get("rewritten_uses", 0) for app in result.applications
-    )
-    return CopyPropResult(kernel=result.kernel, rewritten_uses=rewritten)
 
 
 def _resolve(copies: Dict[str, Reg], reg: Reg, limit: int = 8):

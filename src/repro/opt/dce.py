@@ -20,28 +20,16 @@ fixpoint.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
-from ..ir.driver import GreedyRewriteDriver
 from ..ir.rewrite import Rewrite, RewritePattern
 from ..ir.view import InstrWindow, RewriteContext
 from ..ptx.isa import Opcode
-from ..ptx.module import Kernel
 
 #: Opcodes that must never be removed regardless of liveness.
 _SIDE_EFFECTS = frozenset(
     {Opcode.ST, Opcode.BAR, Opcode.BRA, Opcode.RET, Opcode.EXIT}
 )
-
-
-@dataclasses.dataclass
-class DCEResult:
-    """Outcome of dead-code elimination."""
-
-    kernel: Kernel
-    removed: int
-    passes: int
 
 
 class DCEPattern(RewritePattern):
@@ -63,17 +51,3 @@ class DCEPattern(RewritePattern):
         )
         rewrite.erase(window.pos)
         return rewrite
-
-
-def eliminate_dead_code(kernel: Kernel, max_passes: int = 16) -> DCEResult:
-    """Remove dead definitions; returns a new kernel.
-
-    ``max_passes`` bounds driver sweeps; hitting it emits a structured
-    :class:`repro.ir.driver.RewriteBudgetWarning` instead of silently
-    truncating.
-    """
-    driver = GreedyRewriteDriver([DCEPattern()], max_sweeps=max_passes)
-    result = driver.run(kernel)
-    return DCEResult(
-        kernel=result.kernel, removed=result.applied, passes=result.sweeps
-    )

@@ -29,24 +29,13 @@ it — selectable as ``minreg-sched`` via ``--passes``.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import FrozenSet, List, Optional, Sequence
 
 from ..cfg.liveness import BlockPressureTracker
-from ..ir.driver import GreedyRewriteDriver
 from ..ir.rewrite import Rewrite, RewritePattern
 from ..ir.view import InstrWindow, RewriteContext
 from ..ptx.instruction import Instruction
-from ..ptx.module import Kernel
 from .dag import build_dependency_dag
-
-
-@dataclasses.dataclass
-class MinRegResult:
-    """Outcome of min-register scheduling."""
-
-    kernel: Kernel
-    moved_instructions: int
 
 
 class MinRegSchedPattern(RewritePattern):
@@ -74,14 +63,6 @@ class MinRegSchedPattern(RewritePattern):
             1 for a, b in zip(block.instructions, scheduled) if a is not b
         )
         return rewrite
-
-
-def schedule_for_minreg(kernel: Kernel) -> MinRegResult:
-    """Minimize within-block register pressure; returns a new kernel."""
-    driver = GreedyRewriteDriver([MinRegSchedPattern()])
-    result = driver.run(kernel)
-    moved = sum(app.metadata.get("moved", 0) for app in result.applications)
-    return MinRegResult(result.kernel, moved)
 
 
 def _schedule_block_minreg(

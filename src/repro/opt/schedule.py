@@ -23,25 +23,14 @@ driver's fixpoint identical to the original one-shot per-block pass.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 from typing import List, Optional, Sequence
 
-from ..ir.driver import GreedyRewriteDriver
 from ..ir.rewrite import Rewrite, RewritePattern
 from ..ir.view import InstrWindow, RewriteContext
 from ..ptx.instruction import Instruction
 from ..ptx.isa import Opcode
-from ..ptx.module import Kernel
 from .dag import build_dependency_dag
-
-
-@dataclasses.dataclass
-class ScheduleResult:
-    """Outcome of the scheduling pass."""
-
-    kernel: Kernel
-    moved_instructions: int
 
 
 class MlpSchedPattern(RewritePattern):
@@ -65,14 +54,6 @@ class MlpSchedPattern(RewritePattern):
             1 for a, b in zip(block.instructions, scheduled) if a is not b
         )
         return rewrite
-
-
-def schedule_for_mlp(kernel: Kernel) -> ScheduleResult:
-    """Hoist loads (and their address chains) within each basic block."""
-    driver = GreedyRewriteDriver([MlpSchedPattern()])
-    result = driver.run(kernel)
-    moved = sum(app.metadata.get("moved", 0) for app in result.applications)
-    return ScheduleResult(result.kernel, moved)
 
 
 def _schedule_block(insts: Sequence[Instruction]):

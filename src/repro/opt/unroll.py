@@ -18,8 +18,11 @@ of the canonical counted shape
 by replicating the body ``factor`` times per back edge (the counter
 increment replicates with it, so iteration-dependent addresses stay
 correct).  Only branch-free bodies are transformed, and only when the
-factor divides the trip count — otherwise the loop is left alone and
-reported as skipped.
+factor divides the trip count — otherwise the loop is left alone.
+Each replica after the first gets fresh names for its iteration-local
+temporaries, so independent replicas can overlap in the pipeline — the
+memory-level-parallelism gain unrolling is for, at the cost of
+proportionally higher register pressure.
 
 Expressed as :class:`UnrollPattern` on the rewrite driver: the pattern
 anchors at a loop header's leader and splices the replicated latch.
@@ -31,26 +34,13 @@ retires its own match, which is the driver's termination argument.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..cfg.graph import CFG
-from ..cfg.loops import find_loops
-from ..ir.driver import GreedyRewriteDriver
 from ..ir.rewrite import Rewrite, RewritePattern
 from ..ir.view import InstrWindow, RewriteContext
 from ..ptx.instruction import Imm, Instruction, Reg
 from ..ptx.isa import CmpOp, Opcode
-from ..ptx.module import Kernel
-
-
-@dataclasses.dataclass
-class UnrollResult:
-    """Outcome of the unrolling pass."""
-
-    kernel: Kernel
-    unrolled_loops: int
-    skipped_loops: int
-    factor: int
 
 
 @dataclasses.dataclass
@@ -157,11 +147,10 @@ class UnrollPattern(RewritePattern):
     name = "unroll"
     verify_mode = "structure"
 
-    def __init__(self, factor: int = 2, rename_locals: bool = True):
+    def __init__(self, factor: int = 2):
         if factor < 2:
             raise ValueError("unroll factor must be at least 2")
         self.factor = factor
-        self.rename_locals = rename_locals
 
     def match(
         self, window: InstrWindow, ctx: RewriteContext
@@ -181,58 +170,16 @@ class UnrollPattern(RewritePattern):
         latch_block = ctx.cfg.blocks[matched.latch_index]
         latch_insts = latch_block.instructions
         straight, branch = latch_insts[:-1], latch_insts[-1]
-        locals_ = _local_defs(straight) if self.rename_locals else []
-        replacement: List[Instruction] = []
-        for copy_index in range(self.factor):
-            if self.rename_locals and copy_index > 0:
-                replacement.extend(
-                    _rename_replica(straight, locals_, str(copy_index))
-                )
-            else:
-                replacement.extend(straight)
+        locals_ = _local_defs(straight)
+        replacement: List[Instruction] = list(straight)
+        for copy_index in range(1, self.factor):
+            replacement.extend(
+                _rename_replica(straight, locals_, str(copy_index))
+            )
         replacement.append(branch)
         rewrite = Rewrite(
             window.pos,
             note=f"unroll x{self.factor} counter {matched.counter}",
         )
         rewrite.splice(latch_block.start, len(latch_insts), replacement)
-        rewrite.metadata["unrolled_loops"] = 1
         return rewrite
-
-
-def _count_skipped(kernel: Kernel, factor: int) -> int:
-    """Innermost loops that do not match the canonical counted shape
-    (or whose trip count the factor does not divide), on the original
-    kernel — a pattern can only report matches, not near-misses."""
-    cfg = CFG(kernel)
-    loops = find_loops(cfg)
-    headers = {loop.header for loop in loops}
-    skipped = 0
-    for loop in loops:
-        if (loop.body - {loop.header}) & headers:
-            continue  # not innermost
-        matched = _match_counted_loop(cfg, loop.header, loop.body)
-        if matched is None or matched.trip % factor != 0:
-            skipped += 1
-    return skipped
-
-
-def unroll_loops(
-    kernel: Kernel, factor: int = 2, rename_locals: bool = True
-) -> UnrollResult:
-    """Unroll every matching innermost counted loop by ``factor``.
-
-    With ``rename_locals`` (default), each replica's iteration-local
-    temporaries get fresh names, so independent replicas can overlap in
-    the pipeline — the memory-level-parallelism gain unrolling is for,
-    at the cost of proportionally higher register pressure (the
-    coordination problem CRAT resolves).
-    """
-    driver = GreedyRewriteDriver([UnrollPattern(factor, rename_locals)])
-    result = driver.run(kernel)
-    return UnrollResult(
-        kernel=result.kernel,
-        unrolled_loops=result.applied,
-        skipped_loops=_count_skipped(kernel, factor),
-        factor=factor,
-    )

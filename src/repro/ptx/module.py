@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Set
 
 from .instruction import BodyItem, Instruction, Label, Reg, iter_instructions
 from .isa import DType, RegClass, Space
@@ -101,14 +101,6 @@ class Kernel:
             if arr.name == name:
                 return arr
         return None
-
-    def label_index(self) -> Dict[str, int]:
-        """Map label name -> index of the following instruction slot."""
-        index: Dict[str, int] = {}
-        for i, item in enumerate(self.body):
-            if isinstance(item, Label):
-                index[item.name] = i
-        return index
 
     def validate_targets(self) -> None:
         """Raise if any branch targets a label that does not exist."""

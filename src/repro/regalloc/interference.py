@@ -75,12 +75,6 @@ class InterferenceGraph:
     def degree(self, name: str) -> int:
         return self.nodes[name].degree
 
-    def max_clique_lower_bound(self) -> int:
-        """A fast lower bound on chromatic number (peak simultaneous degree)."""
-        if not self.nodes:
-            return 0
-        return max(node.degree for node in self.nodes.values()) + 1
-
     def __len__(self) -> int:
         return len(self.nodes)
 

@@ -45,8 +45,8 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from ..arch import get_config
 from ..arch.config import GPUConfig
 from ..engine import config_signature, get_engine
-from ..errors import classify_error
-from ..ir.pipeline import pipeline_signature, run_pipeline
+from ..errors import VerificationError, classify_error
+from ..ir.pipeline import VERIFIED_SPEC, pipeline_signature, run_pipeline
 from ..ptx import parse_kernel
 from ..ptx.module import Kernel
 from ..workloads import BY_ABBR, RESOURCE_SENSITIVE, load_workload
@@ -327,8 +327,12 @@ def _execute_verify(prepared: PreparedJob) -> Dict[str, Any]:
     params = prepared.request.params
     report = verify_mod.lint_kernel(prepared.kernel)
     if params.get("pipeline"):
-        _, pipeline_report = verify_mod.run_validated_pipeline(prepared.kernel)
-        report.extend(pipeline_report)
+        # Stops at the first bad rewrite, whose PL diagnostics name the
+        # registry pass as their stage.
+        try:
+            run_pipeline(prepared.kernel, VERIFIED_SPEC, verify=True)
+        except VerificationError as err:
+            report.diagnostics.extend(err.diagnostics)
     strict = bool(params.get("strict"))
     payload = report.to_dict()
     payload["passed"] = not report.errors and not (strict and report.warnings)

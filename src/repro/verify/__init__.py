@@ -12,12 +12,16 @@ emitting the shared typed :class:`~repro.verify.diagnostics.Diagnostic`
   sharing, spill-slot discipline, layout stride, shared-memory budget
   (rules ``AL*``);
 * :func:`verify_pass` — observable-effect preservation across each
-  :mod:`repro.opt` transform (rules ``PL*``).
+  rewrite of a :mod:`repro.opt` pass (rules ``PL*``), called by the
+  rewrite driver whenever :func:`repro.ir.run_pipeline` runs with
+  ``verify=True``.
 
 :func:`lint_kernel` bundles the checks that make sense on a bare
-kernel file (``repro verify``); the ``--verify`` flag on the CLI's
+kernel file (``repro verify``; ``--pipeline`` adds the registry's
+:data:`~repro.ir.pipeline.VERIFIED_SPEC` under per-rewrite
+validation); the ``--verify`` flag on the CLI's
 ``allocate``/``simulate``/``crat``/``suite`` commands routes the
-allocation and pipeline validators through the optimizer itself.
+allocation and pass validators through the optimizer itself.
 
 ``stats`` counts validations per pass (keys ``"dataflow"``,
 ``"allocation"``, ``"pipeline"``) so tests — notably the
@@ -51,12 +55,7 @@ from .diagnostics import (  # noqa: E402
     VerifyReport,
 )
 from .registry import FAMILIES, RULES, Rule, Severity  # noqa: E402
-from .pipeline import (  # noqa: E402
-    PASS_MODES,
-    effect_summary,
-    run_validated_pipeline,
-    verify_pass,
-)
+from .pipeline import effect_summary, verify_pass  # noqa: E402
 
 
 def lint_kernel(kernel: Kernel, stage: Optional[str] = None) -> VerifyReport:
@@ -71,7 +70,6 @@ def lint_kernel(kernel: Kernel, stage: Optional[str] = None) -> VerifyReport:
 __all__ = [
     "Diagnostic",
     "FAMILIES",
-    "PASS_MODES",
     "RULES",
     "Rule",
     "Severity",
@@ -81,7 +79,6 @@ __all__ = [
     "lint_kernel",
     "lint_spill_stacks",
     "reset_stats",
-    "run_validated_pipeline",
     "stats",
     "verify_allocation",
     "verify_dataflow",

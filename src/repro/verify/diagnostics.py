@@ -149,7 +149,10 @@ class VerifyReport:
         )
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        """The report as JSON, keys sorted at every level: the one order
+        of ``repro verify --json`` whether the payload came from this
+        process or over the wire, whose frames sort keys too."""
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def render(self) -> str:
         """Human rendering: every finding plus a one-line summary."""

@@ -1,8 +1,11 @@
-"""Pass-pipeline validation (rules ``PL*``): did a transform preserve
-the kernel's meaning?
+"""Pass validation (rules ``PL*``): did a rewrite preserve the
+kernel's meaning?
 
-Run after each :mod:`repro.opt` pass (``copy_prop``, ``dce``,
-``unroll``, ``schedule``, ``bypass``), checking three things:
+:func:`verify_pass` runs on every individual rewrite a validating
+:class:`~repro.ir.driver.GreedyRewriteDriver` applies (``--verify``
+with ``--passes``, and ``repro verify --pipeline``, which runs
+:data:`repro.ir.pipeline.VERIFIED_SPEC`), in the pattern's declared
+``verify_mode``, checking three things:
 
 ``PL001``
     The transformed kernel still has a well-formed CFG (buildable,
@@ -18,7 +21,7 @@ Run after each :mod:`repro.opt` pass (``copy_prop``, ``dce``,
       value numbers;
     * an unguarded register-to-register ``mov`` is transparent (the
       destination inherits the source's number — exactly the copies
-      ``copy_prop`` may rewrite);
+      ``copy-prop`` may rewrite);
     * pure ops hash over ``(opcode, operand numbers)``; guarded defs
       fold the incoming number in, so predicated merges stay distinct;
     * loads are *keyed unknowns* — ``(space, address, k-th occurrence
@@ -33,9 +36,10 @@ Run after each :mod:`repro.opt` pass (``copy_prop``, ``dce``,
       block boundaries or changes block structure.
 
     ``unroll`` replicates loop bodies, so its static store sequence
-    legitimately changes; it is registered in *structure* mode, which
-    skips the effect comparison and relies on ``PL001``/``PL003`` (its
-    own dedicated tests carry the semantic weight).
+    legitimately changes; :class:`~repro.opt.unroll.UnrollPattern`
+    declares *structure* mode, which skips the effect comparison and
+    relies on ``PL001``/``PL003`` (its own dedicated tests carry the
+    semantic weight).
 ``PL003``
     The pass introduced a dataflow error the input kernel did not have
     (e.g. deleted the only def of a live register).  Pre-existing
@@ -49,32 +53,14 @@ summary is sound because exact-mode passes keep block structure).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..cfg.graph import CFG
-from ..ptx.instruction import Imm, Instruction, Label, Reg, Sreg, Sym
+from ..ptx.instruction import Imm, Label, Reg, Sreg, Sym
 from ..ptx.isa import Opcode
 from ..ptx.module import Kernel
 from .dataflow import verify_dataflow
 from .diagnostics import Diagnostic, VerifyReport
-
-#: How each optimization pass is compared: ``exact`` demands an
-#: identical effect summary; ``structure`` only checks CFG health and
-#: dataflow regressions (for passes that legitimately change the static
-#: event sequence, i.e. unrolling).
-PASS_MODES: Dict[str, str] = {
-    "copy_prop": "exact",
-    "dce": "exact",
-    "schedule": "exact",
-    "bypass": "exact",
-    "unroll": "structure",
-    "optimize": "exact",  # the copy_prop+dce fixed-point driver
-    # Rewrite-driver pattern names (repro.ir.pipeline registry); the
-    # driver also passes each pattern's declared mode explicitly.
-    "copy-prop": "exact",
-    "mlp-sched": "exact",
-    "minreg-sched": "exact",
-}
 
 Value = Tuple[Any, ...]
 Event = Tuple[Any, ...]
@@ -175,15 +161,15 @@ def verify_pass(
     before: Kernel,
     after: Kernel,
     stage: str,
-    compare_effects: Optional[bool] = None,
+    compare_effects: bool = True,
 ) -> VerifyReport:
     """Validate that transform ``stage`` turned ``before`` into a sound
-    ``after``; returns the ``PL*`` report."""
+    ``after``; returns the ``PL*`` report.  ``compare_effects=False``
+    (a pattern's ``structure`` mode) skips the ``PL002`` effect
+    comparison."""
     from .. import verify as _verify_pkg
 
     _verify_pkg.stats["pipeline"] += 1
-    if compare_effects is None:
-        compare_effects = PASS_MODES.get(stage, "exact") == "exact"
     report = VerifyReport(kernel=after.name, stage=stage)
 
     try:
@@ -242,46 +228,3 @@ def _render_event(events: List[Event], index: int) -> Optional[str]:
     if 0 <= index < len(events):
         return repr(events[index])
     return None
-
-
-#: The lint-mode pipeline: each entry transforms a kernel and names the
-#: stage for :data:`PASS_MODES`.  Imported lazily so ``repro.verify``
-#: does not pull the optimizer in at import time.
-def _standard_passes() -> List[Tuple[str, Callable[[Kernel], Kernel]]]:
-    from ..opt import (
-        apply_static_bypass,
-        eliminate_dead_code,
-        propagate_copies,
-        schedule_for_mlp,
-        unroll_loops,
-    )
-
-    return [
-        ("unroll", lambda k: unroll_loops(k).kernel),
-        ("copy_prop", lambda k: propagate_copies(k).kernel),
-        ("dce", lambda k: eliminate_dead_code(k).kernel),
-        ("schedule", lambda k: schedule_for_mlp(k).kernel),
-        ("bypass", lambda k: apply_static_bypass(k).kernel),
-    ]
-
-
-def run_validated_pipeline(
-    kernel: Kernel,
-    passes: Optional[List[Tuple[str, Callable[[Kernel], Kernel]]]] = None,
-) -> Tuple[Kernel, VerifyReport]:
-    """Run the standard transform pipeline, validating after every pass.
-
-    Returns the final kernel plus one combined report (``repro verify
-    --pipeline``).  Stops transforming at the first failing stage so a
-    miscompile does not cascade into noise from later passes.
-    """
-    report = VerifyReport(kernel=kernel.name, stage="pipeline")
-    current = kernel
-    for stage, transform in passes or _standard_passes():
-        candidate = transform(current)
-        stage_report = verify_pass(current, candidate, stage)
-        report.extend(stage_report)
-        if not stage_report.ok:
-            break
-        current = candidate
-    return current, report

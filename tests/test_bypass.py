@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from repro.arch import FERMI
-from repro.opt import apply_static_bypass
+from repro.ir import run_pipeline
 from repro.ptx import CmpOp, DType, KernelBuilder, Opcode, Space, parse_kernel, print_kernel
 from repro.sim import GlobalMemory, run_grid, simulate
 from repro.workloads import load_workload
+
+
+def bypass(kernel):
+    return run_pipeline(kernel, "bypass")
 
 
 def streaming_kernel(stream_loads=2, reuse_loads=1, trip=8):
@@ -42,8 +46,8 @@ def streaming_kernel(stream_loads=2, reuse_loads=1, trip=8):
 class TestDetection:
     def test_streaming_loads_marked(self):
         kernel = streaming_kernel(stream_loads=2, reuse_loads=1)
-        result = apply_static_bypass(kernel)
-        assert result.bypassed_loads == 2
+        result = bypass(kernel)
+        assert result.total_applied == 2
         cg = [
             i for i in result.kernel.instructions()
             if i.opcode is Opcode.LD and i.cache_op == "cg"
@@ -52,25 +56,25 @@ class TestDetection:
 
     def test_reused_loads_untouched(self):
         kernel = streaming_kernel(stream_loads=0, reuse_loads=2)
-        result = apply_static_bypass(kernel)
-        assert result.bypassed_loads == 0
+        result = bypass(kernel)
+        assert result.total_applied == 0
 
     def test_workload_pattern(self):
         lbm = load_workload("LBM")
         kmn = load_workload("KMN")
-        assert apply_static_bypass(lbm.kernel).bypassed_loads > 0
-        assert apply_static_bypass(kmn.kernel).bypassed_loads == 0
+        assert bypass(lbm.kernel).total_applied > 0
+        assert bypass(kmn.kernel).total_applied == 0
 
     def test_idempotent(self):
         kernel = streaming_kernel()
-        once = apply_static_bypass(kernel)
-        twice = apply_static_bypass(once.kernel)
-        assert twice.bypassed_loads == 0
+        once = bypass(kernel)
+        twice = bypass(once.kernel)
+        assert twice.total_applied == 0
 
 
 class TestRoundTrip:
     def test_cg_survives_print_parse(self):
-        kernel = apply_static_bypass(streaming_kernel()).kernel
+        kernel = bypass(streaming_kernel()).kernel
         text = print_kernel(kernel)
         assert ".cg." in text
         again = parse_kernel(text)
@@ -80,7 +84,7 @@ class TestRoundTrip:
 class TestSimulation:
     def test_semantics_unchanged(self):
         kernel = streaming_kernel()
-        bypassed = apply_static_bypass(kernel).kernel
+        bypassed = bypass(kernel).kernel
         sizes = {"input": 1 << 16, "output": 1 << 16}
 
         def run(k):
@@ -92,7 +96,7 @@ class TestSimulation:
 
     def test_bypassed_counter_and_l1_relief(self):
         kernel = streaming_kernel(stream_loads=4, reuse_loads=2, trip=16)
-        bypassed = apply_static_bypass(kernel).kernel
+        bypassed = bypass(kernel).kernel
         sizes = {"input": 1 << 20, "output": 1 << 20}
         base = simulate(kernel, FERMI, tlp=4, grid_blocks=8, param_sizes=sizes)
         with_bypass = simulate(bypassed, FERMI, tlp=4, grid_blocks=8,

@@ -122,8 +122,7 @@ class TestTPSC:
                          remat=False)
         assert spill_cost(alloc, costs) > 0
 
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_spill_cost_sums_all_three_terms(self, weighted):
+    def test_spill_cost_sums_all_three_terms(self):
         # Num_local*Cost_local + Num_shm*Cost_shm + Num_others*Cost_other
         # (Section 6), Num_others = address + rematerialization insts.
         # GAU at 16 registers with 4 KB of spare shared memory has all
@@ -133,17 +132,11 @@ class TestTPSC:
                          spare_shm_bytes=4096)
         assert alloc.num_local_insts and alloc.num_shared_insts
         assert alloc.num_address_insts and alloc.num_remat_insts
-        if weighted:
-            n_local = alloc.weighted_local_accesses
-            n_shm = alloc.weighted_shared_accesses
-        else:
-            n_local = alloc.num_local_insts
-            n_shm = alloc.num_shared_insts
         n_others = alloc.num_address_insts + alloc.num_remat_insts
         for costs in (measure_costs(FERMI), MemoryCosts(3.0, 5.0, 7.0)):
-            assert spill_cost(alloc, costs, weighted=weighted) == (
-                n_local * costs.cost_local
-                + n_shm * costs.cost_shared
+            assert spill_cost(alloc, costs) == (
+                alloc.num_local_insts * costs.cost_local
+                + alloc.num_shared_insts * costs.cost_shared
                 + n_others * costs.cost_other
             )
 

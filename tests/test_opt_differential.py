@@ -1,7 +1,7 @@
 """Pass-output differential tests against the golden ledger.
 
-Every driver-based pass in :mod:`repro.opt` must reproduce the output
-its frozen pre-driver implementation produced — same output kernel
+Every registry pipeline of an ``opt`` ledger label must reproduce the
+output the frozen pre-driver passes produced — same output kernel
 (sha256 of the canonical printed form), same counters — as pinned in
 ``tools/ledger.json`` while both implementations still agreed.  The
 tier-1 suite checks the example corpus plus a sample of suite apps;
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import opt
+from repro.ir import run_pipeline
 from repro.ptx import print_kernel
 from repro.workloads import load_workload
 
@@ -32,24 +32,25 @@ CORPUS = list(_corpus())
 
 @pytest.mark.parametrize("name,kernel", CORPUS,
                          ids=[name for name, _ in CORPUS])
-@pytest.mark.parametrize("label,fn,counters", ledger_gate.PASSES,
+@pytest.mark.parametrize("label,spec,counters", ledger_gate.PASSES,
                          ids=[p[0] for p in ledger_gate.PASSES])
 def test_driver_pass_bit_identical_to_legacy(
-    name, kernel, label, fn, counters
+    name, kernel, label, spec, counters
 ):
     assert_in_ledger(
         "opt", ledger_gate.opt_key(name, label),
-        ledger_gate.pass_entry(fn(kernel), counters),
+        ledger_gate.pass_entry(kernel, spec, counters),
     )
 
 
-def test_optimize_kernel_converges_without_warning(recwarn):
-    """The default budget reaches the fixpoint on the whole corpus —
-    no structured truncation warning fires."""
-    from repro.ir import RewriteBudgetWarning
+def test_registry_passes_converge_without_warning(recwarn):
+    """The driver's default budget reaches the fixpoint of every
+    registered pass on the whole corpus — no structured truncation
+    warning fires."""
+    from repro.ir import RewriteBudgetWarning, available_passes
 
     for _, kernel in CORPUS:
-        opt.optimize_kernel(kernel)
+        run_pipeline(kernel, ",".join(available_passes()))
     assert not [w for w in recwarn.list
                 if isinstance(w.message, RewriteBudgetWarning)]
 
@@ -63,17 +64,16 @@ def test_minreg_lowers_maxlive_and_is_idempotent():
     requirement is net wins, not per-kernel monotonicity.
     """
     from repro.cfg import CFG, LivenessInfo
-    from repro.opt import schedule_for_minreg
 
     def max_live(kernel):
         return LivenessInfo(kernel, CFG(kernel)).max_pressure()
 
     lowered = 0
     for name, kernel in CORPUS:
-        result = schedule_for_minreg(kernel)
+        result = run_pipeline(kernel, "minreg-sched")
         if max_live(result.kernel) < max_live(kernel):
             lowered += 1
-        again = schedule_for_minreg(result.kernel)
+        again = run_pipeline(result.kernel, "minreg-sched")
         assert print_kernel(again.kernel) == print_kernel(result.kernel)
-        assert again.moved_instructions == 0
+        assert again.total_applied == 0
     assert lowered >= 3  # it must actually help somewhere

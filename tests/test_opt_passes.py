@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.opt import eliminate_dead_code, optimize_kernel, propagate_copies
+from repro.ir import run_pipeline
 from repro.ptx import (
     CmpOp,
     DType,
@@ -42,14 +42,14 @@ def copy_chain_kernel():
 class TestCopyPropagation:
     def test_uses_rewritten_through_chain(self):
         kernel = copy_chain_kernel()
-        result = propagate_copies(kernel)
-        assert result.rewritten_uses >= 1
+        result = run_pipeline(kernel, "copy-prop")
+        assert result.total_applied >= 1
         verify_kernel(result.kernel)
 
     def test_semantics_preserved(self):
         kernel = copy_chain_kernel()
         ref = run_functional(kernel)
-        result = propagate_copies(kernel)
+        result = run_pipeline(kernel, "copy-prop")
         assert np.allclose(ref, run_functional(result.kernel))
 
     def test_redefinition_kills_copy(self):
@@ -66,7 +66,7 @@ class TestCopyPropagation:
 }
 """
         kernel = parse_kernel(text)
-        result = propagate_copies(kernel)
+        result = run_pipeline(kernel, "copy-prop")
         add = [i for i in result.kernel.instructions() if i.opcode is Opcode.ADD][0]
         # %r1 must NOT have been replaced with the redefined %r0.
         assert all(getattr(s, "name", None) != "%r0" for s in add.srcs)
@@ -87,7 +87,7 @@ class TestCopyPropagation:
 """
         kernel = parse_kernel(text)
         ref = run_functional(kernel)
-        result = propagate_copies(kernel)
+        result = run_pipeline(kernel, "copy-prop")
         assert np.allclose(ref, run_functional(result.kernel))
 
 
@@ -95,8 +95,8 @@ class TestDCE:
     def test_removes_unused_definition(self):
         kernel = copy_chain_kernel()
         before = len(kernel.instructions())
-        result = eliminate_dead_code(kernel)
-        assert result.removed >= 1
+        result = run_pipeline(kernel, "dce")
+        assert result.total_applied >= 1
         assert len(result.kernel.instructions()) < before
         verify_kernel(result.kernel)
 
@@ -107,7 +107,7 @@ class TestDCE:
         c = b.add(a, a)      # feeds only the next dead value
         b.mul(c, c)          # dead
         kernel = b.build()
-        result = eliminate_dead_code(kernel)
+        result = run_pipeline(kernel, "dce")
         # Everything except exit dies transitively.
         assert len(result.kernel.instructions()) == 1
 
@@ -118,34 +118,33 @@ class TestDCE:
         b.st(Space.GLOBAL, addr, b.imm(1.0, DType.F32), dtype=DType.F32)
         b.bar()
         kernel = b.build()
-        result = eliminate_dead_code(kernel)
+        result = run_pipeline(kernel, "dce")
         opcodes = [i.opcode for i in result.kernel.instructions()]
         assert Opcode.ST in opcodes
         assert Opcode.BAR in opcodes
 
     def test_loop_carried_values_kept(self, loop_kernel):
-        result = eliminate_dead_code(loop_kernel)
+        result = run_pipeline(loop_kernel, "dce")
         ref = run_functional(loop_kernel, count=16)
         assert np.allclose(ref, run_functional(result.kernel, count=16))
 
     def test_semantics_preserved(self):
         kernel = copy_chain_kernel()
         ref = run_functional(kernel)
-        result = eliminate_dead_code(kernel)
+        result = run_pipeline(kernel, "dce")
         assert np.allclose(ref, run_functional(result.kernel))
 
 
 class TestPipeline:
     def test_fixed_point(self):
         kernel = copy_chain_kernel()
-        result = optimize_kernel(kernel)
-        again = optimize_kernel(result.kernel)
-        assert again.removed_instructions == 0
-        assert again.rewritten_uses == 0
+        result = run_pipeline(kernel, "copy-prop,dce")
+        again = run_pipeline(result.kernel, "copy-prop,dce")
+        assert again.total_applied == 0
 
     def test_reduces_register_demand(self):
         kernel = copy_chain_kernel()
-        result = optimize_kernel(kernel)
+        result = run_pipeline(kernel, "copy-prop,dce")
         assert register_demand(result.kernel) <= register_demand(kernel)
 
     def test_workload_kernels_survive(self):
@@ -154,7 +153,7 @@ class TestPipeline:
         for abbr in ("HST", "GAU"):
             workload = load_workload(abbr)
             ref = run_functional(workload.kernel, count=16)
-            result = optimize_kernel(workload.kernel)
+            result = run_pipeline(workload.kernel, "copy-prop,dce")
             verify_kernel(result.kernel)
             assert np.allclose(
                 ref, run_functional(result.kernel, count=16), rtol=1e-5

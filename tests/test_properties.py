@@ -416,7 +416,8 @@ class TestUnrollProperties:
     )
     @settings(max_examples=20, deadline=None)
     def test_unroll_preserves_semantics(self, factor, reps):
-        from repro.opt import schedule_for_mlp, unroll_loops
+        from repro.ir import GreedyRewriteDriver, run_pipeline
+        from repro.opt import UnrollPattern
         from tests.conftest import build_loop_kernel
 
         trip = factor * reps
@@ -428,8 +429,8 @@ class TestUnrollProperties:
             return mem.read_buffer("output", DType.F32, 32)
 
         ref = run(kernel)
-        unrolled = unroll_loops(kernel, factor)
-        assert unrolled.unrolled_loops == 1
-        scheduled = schedule_for_mlp(unrolled.kernel).kernel
+        unrolled = GreedyRewriteDriver([UnrollPattern(factor)]).run(kernel)
+        assert unrolled.applied == 1
+        scheduled = run_pipeline(unrolled.kernel, "mlp-sched").kernel
         verify_kernel(scheduled)
         assert np.allclose(ref, run(scheduled), rtol=1e-4)

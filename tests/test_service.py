@@ -381,6 +381,7 @@ class TestSubmitCli:
          "--verify"],
         ["verify", "examples/uninit_read.ptx"],
         ["verify", "examples/uninit_read.ptx", "--json"],
+        ["verify", "examples/miscompiled.ptx", "--json"],
     ])
     def test_matches_one_shot(self, argv, server, capsys):
         one_shot, submitted = self._both(argv, server, capsys)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.opt import schedule_for_mlp, unroll_loops
+from repro.ir import GreedyRewriteDriver, run_pipeline
+from repro.opt import UnrollPattern
 from repro.ptx import CmpOp, DType, KernelBuilder, Opcode, Space
 from repro.regalloc import register_demand
 from repro.sim import GlobalMemory, run_grid
@@ -37,6 +38,14 @@ def counted_loop_kernel(trip=8, loads=2):
     return b.build()
 
 
+def unroll(kernel, factor):
+    return GreedyRewriteDriver([UnrollPattern(factor)]).run(kernel)
+
+
+def schedule(kernel):
+    return run_pipeline(kernel, "mlp-sched")
+
+
 def run_functional(kernel):
     mem = GlobalMemory(kernel, {"input": 1 << 13, "output": 1 << 13})
     run_grid(kernel, mem, 1)
@@ -46,28 +55,26 @@ def run_functional(kernel):
 class TestUnroll:
     def test_factor_divides_trip(self):
         kernel = counted_loop_kernel(trip=8)
-        result = unroll_loops(kernel, 2)
-        assert result.unrolled_loops == 1
-        assert result.skipped_loops == 0
+        result = unroll(kernel, 2)
+        assert result.applied == 1
 
     def test_non_dividing_factor_skipped(self):
         kernel = counted_loop_kernel(trip=7)
-        result = unroll_loops(kernel, 2)
-        assert result.unrolled_loops == 0
-        assert result.skipped_loops == 1
+        result = unroll(kernel, 2)
+        assert result.applied == 0
         assert len(result.kernel.instructions()) == len(kernel.instructions())
 
     @pytest.mark.parametrize("factor", [2, 4, 8])
     def test_semantics_preserved(self, factor):
         kernel = counted_loop_kernel(trip=8)
         ref = run_functional(kernel)
-        result = unroll_loops(kernel, factor)
+        result = unroll(kernel, factor)
         verify_kernel(result.kernel)
         assert np.allclose(ref, run_functional(result.kernel), rtol=1e-5)
 
     def test_branch_count_reduced(self):
         kernel = counted_loop_kernel(trip=8)
-        unrolled = unroll_loops(kernel, 4).kernel
+        unrolled = unroll(kernel, 4).kernel
 
         def dynamic_branches(k):
             mem = GlobalMemory(k, {"input": 1 << 13, "output": 1 << 13})
@@ -81,12 +88,12 @@ class TestUnroll:
 
     def test_invalid_factor(self):
         with pytest.raises(ValueError):
-            unroll_loops(counted_loop_kernel(), 1)
+            unroll(counted_loop_kernel(), 1)
 
     def test_nested_loops_only_innermost(self):
         cfd = load_workload("CFD")  # outer x inner loops
-        result = unroll_loops(cfd.kernel, 2)
-        assert result.unrolled_loops == 1  # the inner loop only
+        result = run_pipeline(cfd.kernel, "unroll")
+        assert result.total_applied == 1  # the inner loop only
         ref_mem = GlobalMemory(cfd.kernel, cfd.param_sizes)
         run_grid(cfd.kernel, ref_mem, 2)
         out_mem = GlobalMemory(result.kernel, cfd.param_sizes)
@@ -106,19 +113,19 @@ class TestSchedule:
         for _ in range(5):
             acc = b.add(acc, acc)
         kernel = b.build()
-        result = schedule_for_mlp(kernel)
-        assert result.moved_instructions == 0
+        result = schedule(kernel)
+        assert result.total_applied == 0
 
     def test_semantics_preserved(self):
         kernel = counted_loop_kernel(trip=8, loads=3)
         ref = run_functional(kernel)
-        result = schedule_for_mlp(kernel)
+        result = schedule(kernel)
         verify_kernel(result.kernel)
         assert np.allclose(ref, run_functional(result.kernel), rtol=1e-5)
 
     def test_loads_hoisted_in_unrolled_body(self):
-        kernel = unroll_loops(counted_loop_kernel(trip=8, loads=2), 4).kernel
-        scheduled = schedule_for_mlp(kernel).kernel
+        kernel = unroll(counted_loop_kernel(trip=8, loads=2), 4).kernel
+        scheduled = schedule(kernel).kernel
         # In the scheduled loop body, all loads come before all mads.
         from repro.cfg import CFG
 
@@ -145,7 +152,7 @@ class TestSchedule:
         v2 = b.add(v, b.imm(1, DType.S32))
         b.st(Space.GLOBAL, addr, v2, dtype=DType.S32)
         kernel = b.build()
-        result = schedule_for_mlp(kernel)
+        result = schedule(kernel)
         out_vals = run_functional(result.kernel)
         mem = GlobalMemory(result.kernel, {"output": 1 << 13})
         run_grid(result.kernel, mem, 1)
@@ -154,13 +161,13 @@ class TestSchedule:
     def test_pressure_grows_with_unroll_plus_schedule(self):
         kmn = load_workload("KMN")
         base = register_demand(kmn.kernel)
-        transformed = schedule_for_mlp(unroll_loops(kmn.kernel, 2).kernel).kernel
+        transformed = run_pipeline(kmn.kernel, "unroll,mlp-sched").kernel
         assert register_demand(transformed) > base
 
     def test_workload_equivalence(self):
         for abbr in ("KMN", "STM"):
             w = load_workload(abbr)
-            transformed = schedule_for_mlp(unroll_loops(w.kernel, 2).kernel).kernel
+            transformed = run_pipeline(w.kernel, "unroll,mlp-sched").kernel
             verify_kernel(transformed)
             ref_mem = GlobalMemory(w.kernel, w.param_sizes)
             run_grid(w.kernel, ref_mem, 2)

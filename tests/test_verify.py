@@ -28,14 +28,9 @@ from repro.errors import (
     ReproError,
     VerificationError,
 )
-from repro.opt import (
-    apply_static_bypass,
-    eliminate_dead_code,
-    optimize_kernel,
-    propagate_copies,
-    schedule_for_mlp,
-    unroll_loops,
-)
+from repro.ir import Rewrite, run_pipeline
+from repro.ir.pipeline import VERIFIED_SPEC
+from repro.opt import DCEPattern, UnrollPattern
 from repro.ptx import DType, RegClass, parse_kernel
 from repro.regalloc import spill as spill_mod
 from repro.regalloc.allocator import allocate
@@ -396,29 +391,26 @@ class TestPipelineRules:
     def test_all_standard_passes_validate(self, tid_kernel, loop_kernel,
                                           pressure_kernel):
         for kernel in (tid_kernel, loop_kernel, pressure_kernel):
-            final, report = V.run_validated_pipeline(kernel)
-            assert report.diagnostics == [], report.render()
-            assert V.lint_kernel(final).ok
+            # Raises VerificationError at the first bad rewrite.
+            result = run_pipeline(kernel, VERIFIED_SPEC, verify=True)
+            assert V.lint_kernel(result.kernel).ok
 
     def test_individual_passes_preserve_effects(self, loop_kernel):
-        for stage, fn in (
-            ("copy_prop", propagate_copies),
-            ("dce", eliminate_dead_code),
-            ("schedule", schedule_for_mlp),
-            ("bypass", apply_static_bypass),
-        ):
-            after = fn(loop_kernel).kernel
+        for stage in ("copy-prop", "dce", "mlp-sched", "bypass",
+                      "minreg-sched"):
+            after = run_pipeline(loop_kernel, stage).kernel
             report = V.verify_pass(loop_kernel, after, stage)
             assert report.ok, f"{stage}: {report.render()}"
 
     def test_unroll_validates_structurally(self, loop_kernel):
-        after = unroll_loops(loop_kernel, factor=2).kernel
-        assert V.PASS_MODES["unroll"] == "structure"
-        report = V.verify_pass(loop_kernel, after, "unroll")
+        after = run_pipeline(loop_kernel, "unroll").kernel
+        assert UnrollPattern.verify_mode == "structure"
+        report = V.verify_pass(loop_kernel, after, "unroll",
+                               compare_effects=False)
         assert report.ok, report.render()
 
-    def test_optimize_kernel_verify_flag(self, loop_kernel):
-        result = optimize_kernel(loop_kernel, verify=True)
+    def test_run_pipeline_verify_flag(self, loop_kernel):
+        result = run_pipeline(loop_kernel, "copy-prop,dce", verify=True)
         assert V.lint_kernel(result.kernel).ok
 
     def test_pl001_malformed_cfg(self, tid_kernel):
@@ -432,9 +424,9 @@ class TestPipelineRules:
         broken.body = [
             inst for inst in broken.body if inst.opcode.name != "ST"
         ]
-        report = V.verify_pass(tid_kernel, broken, "schedule")
+        report = V.verify_pass(tid_kernel, broken, "mlp-sched")
         diag = _only(report, "PL002")
-        assert diag.stage == "schedule"
+        assert diag.stage == "mlp-sched"
         assert not report.ok
 
     def test_pl003_introduced_use_before_def(self, loop_kernel):
@@ -453,7 +445,7 @@ class TestPipelineRules:
             body.append(inst)
         assert dropped is not None
         broken.body = body
-        report = V.verify_pass(loop_kernel, broken, "copy_prop")
+        report = V.verify_pass(loop_kernel, broken, "copy-prop")
         assert "PL003" in report.codes(), report.render()
         diag = next(d for d in report.diagnostics if d.rule == "PL003")
         assert diag.data["register"] == dropped
@@ -467,7 +459,7 @@ class TestPipelineRules:
         assert "PL003" not in report.codes()
 
     def test_effect_summary_ignores_cache_hints(self, tid_kernel):
-        bypassed = apply_static_bypass(tid_kernel).kernel
+        bypassed = run_pipeline(tid_kernel, "bypass").kernel
         assert V.effect_summary(tid_kernel) == V.effect_summary(bypassed)
 
 
@@ -566,6 +558,38 @@ class TestCLI:
     def test_verify_app_by_abbreviation(self, capsys):
         assert main(["verify", "GAU", "--pipeline"]) == 0
         assert "0 error(s)" in capsys.readouterr().out
+
+    @pytest.fixture
+    def store_dropping_dce(self, monkeypatch):
+        """The registered ``dce`` pattern, miscompiling: it erases
+        every store."""
+        def match(self, window, ctx):
+            if window.instr.opcode.name == "ST":
+                return Rewrite(window.pos).erase(window.pos)
+            return None
+
+        monkeypatch.setattr(DCEPattern, "match", match)
+
+    def test_pipeline_names_the_miscompiling_pass(self, store_dropping_dce,
+                                                  capsys):
+        """``--pipeline`` and the ``verify`` job's ``pipeline`` param
+        report the bad rewrite's PL code under its registry pass name
+        and exit 6, rather than raising."""
+        from repro.cli import _render
+        from repro.service import jobs
+        from repro.service.protocol import validate_request
+
+        assert main(["verify", CLEAN_SPILLED, "--pipeline", "--json"]) == 6
+        one_shot = json.loads(capsys.readouterr().out)
+        with open(CLEAN_SPILLED) as fh:
+            params = {"ptx": fh.read(), "pipeline": True}
+        request = validate_request({"job": "verify", "params": params})
+        payload = jobs.execute(jobs.prepare(request))
+        assert _render("verify", params, payload, as_json=True) == 6
+        capsys.readouterr()
+        for report in (one_shot, payload):
+            (diag,) = report["diagnostics"]
+            assert (diag["rule"], diag["stage"]) == ("PL002", "dce")
 
     def test_crat_with_verify_flag(self, capsys):
         assert main(["crat", "GAU", "--verify"]) == 0

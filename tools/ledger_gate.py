@@ -24,9 +24,11 @@ The ledger holds four kinds of entry:
   TPSC reads, ``reg_per_thread``), its per-class colors and its sorted
   spilled names (``alloc``); every candidate must also pass
   :func:`~repro.verify.verify_allocation` with zero diagnostics;
-* **pass outputs** — for each corpus kernel and each opt pass, the
-  sha256 of the printed output kernel and the pass's counters (``opt``),
-  plus how many rewrites the full registry pipeline applies under
+* **pass outputs** — for each corpus kernel and each ``opt`` label, a
+  registry pipeline spec (:data:`PASSES`), the sha256 of the printed
+  output kernel and the counters read off its
+  :class:`~repro.ir.pipeline.PipelineRunResult` (``opt``), plus how many
+  rewrites :data:`~repro.ir.pipeline.VERIFIED_SPEC` applies under
   per-rewrite translation validation (``verified_rewrites``);
 * **functional traces** — the warp-op count and a sha256 over every
   :class:`~repro.sim.executor.BlockTrace` of a grid (``traces``) for
@@ -72,12 +74,12 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
-from repro import opt  # noqa: E402
 from repro.arch import get_config  # noqa: E402
 from repro.arch.occupancy import compute_occupancy, spare_shm_per_block  # noqa: E402
 from repro.core import collect_resource_usage, default_allocation, prune  # noqa: E402
 from repro.errors import VerificationError  # noqa: E402
-from repro.ir import run_pipeline  # noqa: E402
+from repro.ir.pipeline import VERIFIED_SPEC, run_pipeline  # noqa: E402
+from repro.opt import UnrollPattern  # noqa: E402
 from repro.ptx import DType, parse_kernel, parse_module, print_kernel  # noqa: E402
 from repro.regalloc.allocator import (  # noqa: E402
     AllocationResult,
@@ -108,20 +110,30 @@ EXAMPLE_GRID_BLOCKS = 12
 
 SCHEDULERS = ("gto", "lrr")
 
-#: (label, pass callable, counter attributes) — one ``opt`` entry each.
-PASSES = [
-    ("copy_prop", opt.propagate_copies, ("rewritten_uses",)),
-    ("dce", opt.eliminate_dead_code, ("removed", "passes")),
-    ("bypass", opt.apply_static_bypass, ("bypassed_loads",)),
-    ("schedule", opt.schedule_for_mlp, ("moved_instructions",)),
-    ("unroll", opt.unroll_loops,
-     ("unrolled_loops", "skipped_loops", "factor")),
-    ("optimize", opt.optimize_kernel,
-     ("rewritten_uses", "removed_instructions")),
-]
 
-#: The registry pipeline exercised under per-rewrite verification.
-VERIFIED_SPEC = "unroll,copy-prop,dce,mlp-sched,bypass,minreg-sched"
+def _applied(pattern: str) -> Callable:
+    """Rewrites ``pattern`` applied over a pipeline run's stages."""
+    return lambda run: sum(stage.counters[pattern] for _, stage in run.stages)
+
+
+#: (ledger label, registry pipeline spec, {counter: reader of the
+#: spec's PipelineRunResult}) — one ``opt`` entry each.
+PASSES = [
+    ("copy_prop", "copy-prop",
+     {"rewritten_uses": lambda run: run.metadata_total("rewritten_uses")}),
+    ("dce", "dce",
+     {"removed": _applied("dce"),
+      "passes": lambda run: run.stages[0][1].sweeps}),
+    ("bypass", "bypass", {"bypassed_loads": _applied("bypass")}),
+    ("schedule", "mlp-sched",
+     {"moved_instructions": lambda run: run.metadata_total("moved")}),
+    ("unroll", "unroll",
+     {"unrolled_loops": _applied("unroll"),
+      "factor": lambda run: UnrollPattern().factor}),
+    ("optimize", "copy-prop,dce",
+     {"rewritten_uses": lambda run: run.metadata_total("rewritten_uses"),
+      "removed_instructions": _applied("dce")}),
+]
 
 #: Pass pipelines the ``alloc`` section allocates after: none, and the
 #: one the serve-hits benchmark sends.
@@ -170,11 +182,14 @@ def sim_entry(result) -> Dict[str, object]:
     return {"cycles": result.cycles, "sha256": result_digest(result)}
 
 
-def pass_entry(result, counters) -> Dict[str, object]:
-    text = print_kernel(result.kernel)
+def pass_entry(kernel, spec: str, counters) -> Dict[str, object]:
+    """Run registry pipeline ``spec`` over ``kernel``: the sha256 of the
+    printed output and each of ``counters`` read off the run."""
+    run = run_pipeline(kernel, spec)
+    text = print_kernel(run.kernel)
     return {
         "sha256": hashlib.sha256(text.encode()).hexdigest(),
-        "counters": {attr: getattr(result, attr) for attr in counters},
+        "counters": {name: read(run) for name, read in counters.items()},
     }
 
 
@@ -505,8 +520,8 @@ def opt_entries(failures: List[str]) -> Tuple[Dict[str, Dict], Dict[str, int]]:
     entries = {}
     verified = {}
     for name, kernel in opt_corpus():
-        for label, fn, counters in PASSES:
-            entries[opt_key(name, label)] = pass_entry(fn(kernel), counters)
+        for label, spec, counters in PASSES:
+            entries[opt_key(name, label)] = pass_entry(kernel, spec, counters)
         try:
             result = run_pipeline(kernel, VERIFIED_SPEC, verify=True)
         except VerificationError as err:

@@ -20,7 +20,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
 from repro.cfg import LivenessInfo  # noqa: E402
-from repro.opt import schedule_for_minreg  # noqa: E402
+from repro.ir import run_pipeline  # noqa: E402
 from repro.regalloc.allocator import register_demand  # noqa: E402
 from repro.workloads import full_suite, load_workload  # noqa: E402
 
@@ -39,10 +39,10 @@ def main() -> int:
     for workload in full_suite():
         kernel = load_workload(workload.abbr).kernel
         reg_before, live_before = measure(kernel)
-        result = schedule_for_minreg(kernel)
+        result = run_pipeline(kernel, "minreg-sched")
         reg_after, live_after = measure(result.kernel)
         rows.append((workload.abbr, reg_before, reg_after,
-                     live_before, live_after, result.moved_instructions))
+                     live_before, live_after, result.metadata_total("moved")))
 
     if args.markdown:
         print("| App | MaxReg before | MaxReg after | MaxLive before "
