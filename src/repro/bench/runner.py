@@ -21,7 +21,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -32,11 +31,6 @@ from ..engine import get_engine
 from ..errors import EXIT_PARTIAL, ReproError, classify_error
 from ..core.throttling import BaselineResult
 from ..workloads.suite import Workload, load_workload
-
-#: Environment variable naming the journal directory: ``repro suite``
-#: appends ``journal.jsonl`` there, and a draining ``repro serve``
-#: writes its queued jobs to ``service-queue.jsonl``.
-CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
 
 
 @dataclasses.dataclass
@@ -222,34 +216,6 @@ class SuiteReport:
         }
 
 
-def _journal_path() -> Optional[str]:
-    directory = os.environ.get(CHECKPOINT_DIR_ENV) or None
-    if not directory:
-        return None
-    return os.path.join(directory, "journal.jsonl")
-
-
-def _journal_app(abbr: str, config_name: str, status: str, detail: str = "") -> None:
-    """Append one app-completion record to the checkpoint journal.
-
-    Purely informational (the disk cache, ``REPRO_CACHE_DIR``, is what
-    makes resumption cheap); gives an interrupted run a human-readable
-    ledger of how far it got.
-    """
-    path = _journal_path()
-    if not path:
-        return
-    record = {"app": abbr, "config": config_name, "status": status}
-    if detail:
-        record["detail"] = detail
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "a") as handle:
-            handle.write(json.dumps(record) + "\n")
-    except OSError:
-        pass  # journaling is best-effort
-
-
 def run_suite(
     abbrs: Sequence[str],
     config_name: str = "fermi",
@@ -259,7 +225,7 @@ def run_suite(
     """Evaluate a list of apps with per-app fault isolation.
 
     One failing app — unparseable PTX, an infeasible allocation, a
-    simulation that exhausts the engine's retry rung — is
+    kernel whose functional trace or strict simulation raised — is
     recorded as a structured :class:`AppFailure` and the suite moves
     on, so a 22-app run always produces its best available answer plus
     a faithful failure report instead of dying on app 3 with a
@@ -274,7 +240,6 @@ def run_suite(
         failure: Optional[AppFailure] = None
         try:
             evaluations[abbr] = evaluate(abbr, config_name)
-            _journal_app(abbr, config_name, "ok")
         except Exception as err:  # isolate *everything* per app
             classified = classify_error(err, app=abbr)
             failure = AppFailure(
@@ -284,7 +249,6 @@ def run_suite(
                 exit_code=classified.exit_code,
             )
             failures.append(failure)
-            _journal_app(abbr, config_name, "failed", detail=str(classified))
         if on_app:
             on_app(abbr, failure)
     return SuiteReport(

@@ -34,9 +34,10 @@ if ``REPRO_CACHE_DIR`` is set), and ``--trace-json PATH`` (on ``crat``
 and ``suite``) dumps the engine's instrumentation (the nested span
 tree with each span name's self seconds, simulation counts, cache
 hit/miss counters).  OptTLP profiling simulates every TLP of the
-sweep, as the paper's exhaustive offline search does.  Every simulation runs in-process on the one batched
-timing core: a multi-point sweep is one batch, a single point a batch
-of one on the engine's retry rung.
+sweep, as the paper's exhaustive offline search does.  Every
+simulation runs in-process on the one batched timing core: a
+multi-point sweep is one batch, a single point a batch of one lane,
+and each point runs once.
 
 ``--passes P1,P2,...`` (on ``simulate``/``crat``/``suite``/``submit``)
 runs a pre-allocation optimization pipeline over the kernel before
@@ -311,13 +312,12 @@ def cmd_serve(args) -> int:
     host = port = None
     if args.listen:
         host, port = _parse_listen(args.listen)
-    # A long-lived daemon bounds its in-memory result cache by default
-    # (REPRO_CACHE_MAX_ENTRIES or --cache-max-entries override; 0
-    # restores the CLI's unbounded behavior).
-    bound = args.cache_max_entries
-    if bound is None:
-        bound = resolve_max_entries(None) or 4096
-    configure_engine(cache_max_entries=bound)
+    # A long-lived daemon bounds its in-memory caches by default:
+    # --cache-max-entries, then REPRO_CACHE_MAX_ENTRIES, then 4096; 0
+    # unbounds them, as it does for the one-shot commands.
+    bound = resolve_max_entries(args.cache_max_entries, default=4096)
+    # ``configure`` keeps the bound for None and unbounds for 0.
+    configure_engine(cache_max_entries=bound or 0)
     return serve_main(
         socket_path=args.socket or None,
         host=host,

@@ -1,9 +1,7 @@
 """Shared evaluation engine: cached, instrumented simulation.
 
 The single owner of trace generation and timing simulation for the
-whole CRAT pipeline.  See :mod:`repro.engine.engine` for the design and
-:mod:`repro.engine.faults` for the deterministic fault-injection
-harness that exercises its recovery paths.
+whole CRAT pipeline.  See :mod:`repro.engine.engine` for the design.
 """
 
 from .cache import (
@@ -26,13 +24,6 @@ from .engine import (
     set_engine,
 )
 from .events import EngineStats, Span, SpanRecorder, self_seconds
-from .faults import (
-    FAULTS_ENV,
-    FAULTS_SEED_ENV,
-    FaultPlan,
-    FaultSpecError,
-    InjectedFault,
-)
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -40,11 +31,6 @@ __all__ = [
     "CacheCorruptionError",
     "EngineStats",
     "EvaluationEngine",
-    "FAULTS_ENV",
-    "FAULTS_SEED_ENV",
-    "FaultPlan",
-    "FaultSpecError",
-    "InjectedFault",
     "SimRequest",
     "SimResultCache",
     "Span",

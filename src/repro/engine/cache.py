@@ -29,11 +29,11 @@ cache are bounded by the same value; all three memory levels are an
 
 **Integrity.**  Each disk entry is framed as ``magic + sha256(payload)
 + payload`` (:data:`ENTRY_MAGIC`).  A truncated write (power loss,
-full disk, an injected ``corrupt-cache`` fault), a garbled payload, or
-a legacy bare-pickle file all fail verification on read; the entry is
-**deleted** and reported through the ``on_corrupt`` hook (the engine
-counts it and emits a ``cache_corrupt`` event) instead of being
-silently treated as a miss on every future lookup.  Writes remain
+full disk), a garbled payload, or a legacy bare-pickle file all fail
+verification on read; the entry is **deleted** and reported through
+the ``on_corrupt`` hook (the engine counts it and emits a
+``cache_corrupt`` mark) instead of being silently treated as a miss
+on every future lookup.  Writes remain
 atomic: each writer fills its own uniquely named temp file and renames
 it into place, so concurrent writers of one key (threads or processes)
 never share a file, and readers never observe a half-written entry
@@ -56,7 +56,6 @@ from ..arch.config import GPUConfig
 from ..ir.pipeline import PIPELINE_SCHEMA_VERSION
 from ..sim.batch import BATCH_SCHEMA_VERSION
 from ..sim.stats import SimResult
-from . import faults
 
 #: Environment variable naming the on-disk cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -66,20 +65,20 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_MAX_ENTRIES_ENV = "REPRO_CACHE_MAX_ENTRIES"
 
 
-def resolve_max_entries(value: Optional[int] = None) -> Optional[int]:
-    """Normalize a cache bound: explicit argument wins, then the
-    ``REPRO_CACHE_MAX_ENTRIES`` environment variable; ``None`` or a
-    non-positive value means unbounded.  Unparseable env values are
-    ignored (unbounded) rather than fatal."""
+def resolve_max_entries(
+    value: Optional[int] = None, default: Optional[int] = None
+) -> Optional[int]:
+    """Normalize a cache bound: an explicit ``value`` wins, then the
+    ``REPRO_CACHE_MAX_ENTRIES`` environment variable, then ``default``
+    (an unset, empty or unparseable variable falls through to it,
+    rather than being fatal).  No bound, or a non-positive one, means
+    unbounded: ``None``."""
     if value is None:
-        raw = os.environ.get(CACHE_MAX_ENTRIES_ENV, "").strip()
-        if not raw:
-            return None
         try:
-            value = int(raw)
+            value = int(os.environ.get(CACHE_MAX_ENTRIES_ENV, "").strip())
         except ValueError:
-            return None
-    return value if value > 0 else None
+            value = default
+    return value if value is not None and value > 0 else None
 
 #: Revision of the cached-result layout itself (what a ``SimResult``
 #: contains and how keys are built).  v2: checksummed entry framing +
@@ -175,21 +174,14 @@ def key_digest(key: Tuple) -> str:
     return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:16]
 
 
-def frame_entry(payload: bytes, token: str = "") -> bytes:
-    """Frame a payload for disk: magic + payload checksum + payload.
-
-    ``token`` feeds the fault-injection harness — under an active
-    ``corrupt-cache`` fault the *stored* payload is perturbed while the
-    checksum still covers the clean payload, which is exactly what a
-    torn write looks like to the reader.
-    """
-    stored = faults.corrupt_payload(token, payload) if token else payload
-    return ENTRY_MAGIC + hashlib.sha256(payload).digest() + stored
+def frame_entry(payload: bytes) -> bytes:
+    """Frame a payload for disk: magic + payload checksum + payload."""
+    return ENTRY_MAGIC + hashlib.sha256(payload).digest() + payload
 
 
-def encode_entry(result: SimResult, token: str = "") -> bytes:
+def encode_entry(result: SimResult) -> bytes:
     """A result pickled and framed for disk (:func:`frame_entry`)."""
-    return frame_entry(pickle.dumps(result), token)
+    return frame_entry(pickle.dumps(result))
 
 
 def decode_entry(
@@ -387,7 +379,7 @@ class SimResultCache:
         if not self.disk_dir:
             return
         digest = key_digest(key)
-        data = frame_entry(payload, token=digest)
+        data = frame_entry(payload)
         try:
             os.makedirs(self.disk_dir, exist_ok=True)
             fd, tmp = tempfile.mkstemp(

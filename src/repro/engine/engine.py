@@ -23,9 +23,10 @@ design points many times over.
   digest as well, so a restarted daemon reads them back.
 * **Batched sweeps** — :meth:`simulate_many` runs each group of
   points that share traces, config and scheduler as one in-process
-  batch of the timing core; single points, failed batches and every
-  point under a fault plan go one at a time through a small retry
-  rung.  Every simulation runs in this process.
+  batch of the timing core; single points and the points of a batch
+  that raised run one at a time, once each.  The timing core is
+  deterministic, so a point that fails once fails again: its error is
+  its outcome.  Every simulation runs in this process.
 * **Instrumentation** — every named pipeline stage, trace generation,
   batch and scalar timing run is a span of one nested recorder, next to
   hit/miss counters (:mod:`repro.engine.events`), dumpable as JSON.
@@ -65,16 +66,12 @@ from ..sim.cache import CacheStats
 from ..sim.executor import BlockTrace
 from ..sim.gpu import trace_grid
 from ..sim.stats import SimResult
-from . import cache, faults
-from .cache import LRUMap, SimKey, SimResultCache, config_signature, key_digest, make_sim_key
+from . import cache
+from .cache import LRUMap, SimKey, SimResultCache, config_signature, make_sim_key
 from .events import EngineStats, SpanRecorder, self_seconds
 
 #: L1 hit ratio the degrade estimate's GTO mimic assumes.
 _ESTIMATE_HIT_RATIO = 0.6
-
-#: Attempts per point on the retry rung (:meth:`EvaluationEngine.
-#: _run_points`), the first included.
-_MAX_ATTEMPTS = 3
 
 T = TypeVar("T")
 
@@ -82,14 +79,6 @@ T = TypeVar("T")
 def _decode_memo(blob: bytes) -> Tuple[bytes, object]:
     """A disk memo payload and the value it holds (a private copy)."""
     return blob, pickle.loads(zlib.decompress(blob))
-
-
-def _retryable(error: Exception) -> bool:
-    """Injected crashes and OS errors are transient; anything else the
-    deterministic simulator raised would fail the same way again."""
-    if isinstance(error, faults.InjectedFault):
-        return error.fault_kind == "crash"
-    return isinstance(error, OSError)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,9 +98,8 @@ class SimRequest:
         return 2 * self.config.max_blocks_per_sm
 
 
-#: One design point for the timing core: its traces, its request and
-#: its fault-injection token (the point's cache-key digest).
-SimTask = Tuple[List[BlockTrace], SimRequest, str]
+#: One design point for the timing core: its traces and its request.
+SimTask = Tuple[List[BlockTrace], SimRequest]
 
 
 def estimate_sim_result(
@@ -202,8 +190,8 @@ class EvaluationEngine:
         #: front, so a long-lived daemon's log stays current.
         self.spans = SpanRecorder(max_events)
         #: ``with engine.span("search"):`` times a block and
-        #: ``engine.mark("retry", ...)`` records a point fact, both into
-        #: :attr:`spans`.
+        #: ``engine.mark("degrade", ...)`` records a point fact, both
+        #: into :attr:`spans`.
         self.span = self.spans.span
         self.mark = self.spans.mark
 
@@ -306,17 +294,16 @@ class EvaluationEngine:
         return self.simulate_many([request])[0]
 
     # ------------------------------------------------------------------
-    # Batched simulation and the retry rung.
+    # Batched simulation.
     # ------------------------------------------------------------------
     def simulate_many(self, requests: Sequence[SimRequest]) -> List[SimResult]:
         """Evaluate a batch of independent design points (strict).
 
         Cache hits are served immediately; the remaining points run as
         described in :meth:`simulate_outcomes`.  Results come back in
-        request order.  A point that still has no result after the
-        retry rung raises its classified
-        :class:`~repro.errors.ReproError`; callers that can degrade
-        per-point use :meth:`simulate_outcomes`.
+        request order.  A point whose simulation raised raises its
+        classified :class:`~repro.errors.ReproError`; callers that can
+        degrade per-point use :meth:`simulate_outcomes`.
         """
         outcomes = self.simulate_outcomes(requests)
         for outcome in outcomes:
@@ -334,14 +321,11 @@ class EvaluationEngine:
         Groups share (traces, config, scheduler) and differ only in
         TLP — the shape of a profile sweep.  Fills ``outcomes`` for
         every position it evaluated and returns the positions it left
-        for :meth:`_run_points`: singleton groups, any group whose
-        batched run raised, and every position while a fault plan is
-        active (the plan exercises the retry rung).
+        for :meth:`_run_tasks` to run alone: singleton groups and every
+        point of a group whose batched run raised.
         """
-        if faults.active_plan() is not None:
-            return list(range(len(tasks)))
         groups: Dict[Tuple[int, str, str], List[int]] = {}
-        for pos, (traces, req, _) in enumerate(tasks):
+        for pos, (traces, req) in enumerate(tasks):
             key = (id(traces), req.scheduler, config_signature(req.config))
             groups.setdefault(key, []).append(pos)
         leftover: List[int] = []
@@ -349,7 +333,7 @@ class EvaluationEngine:
             if len(positions) < 2:
                 leftover.extend(positions)
                 continue
-            traces, req, _ = tasks[positions[0]]
+            traces, req = tasks[positions[0]]
             tlps = [tasks[p][1].tlp for p in positions]
             try:
                 with self.span(
@@ -359,8 +343,8 @@ class EvaluationEngine:
                         traces, req.config, tlps, scheduler=req.scheduler
                     )
             except Exception:
-                # Whatever went wrong, the point-by-point retry rung
-                # owns the failure from here.
+                # Run each point alone, so one bad lane fails only
+                # itself.
                 leftover.extend(positions)
                 continue
             for p, result in zip(positions, results):
@@ -370,65 +354,29 @@ class EvaluationEngine:
         leftover.sort()
         return leftover
 
-    def _run_points(
-        self, tasks: Sequence[SimTask]
-    ) -> List[Union[SimResult, Exception]]:
-        """Simulate ``tasks`` one at a time: the retry rung.
-
-        Each point gets up to :data:`_MAX_ATTEMPTS` attempts; only
-        transient errors (:func:`_retryable`) are retried.  Returns,
-        per task, its result or the last attempt's exception.  Only
-        ``Exception`` is caught, so Ctrl-C stops the run.
-        """
-        outcomes: List[Union[SimResult, Exception]] = []
-        for traces, req, token in tasks:
-            for attempt in range(1, _MAX_ATTEMPTS + 1):
-                final = attempt == _MAX_ATTEMPTS
-                try:
-                    faults.perturb_task(token, attempt, final)
-                    # Looked up on the module at call time, so a wrapper
-                    # installed on ``repro.sim.gpu`` sees every point.
-                    with self.span(
-                        "sim.scalar", kernel=req.kernel.name, tlp=req.tlp
-                    ):
-                        outcome = gpu.simulate_traces(
-                            traces, req.config, req.tlp,
-                            scheduler=req.scheduler,
-                        )
-                    break
-                except Exception as err:
-                    outcome = err
-                    injected = isinstance(err, faults.InjectedFault)
-                    if injected:
-                        self.stats.faults_injected += 1
-                        self.mark(
-                            "fault", fault=err.fault_kind, token=token,
-                            attempt=attempt,
-                        )
-                    retry = not final and _retryable(err)
-                    self.mark(
-                        "retry",
-                        token=token,
-                        attempt=attempt,
-                        reason=err.fault_kind if injected else "crash",
-                        final=not retry,
-                        error=type(err).__name__,
-                    )
-                    if not retry:
-                        break
-                    self.stats.retries += 1
-            outcomes.append(outcome)
-        return outcomes
-
     def _run_tasks(
         self, tasks: Sequence[SimTask]
     ) -> List[Union[SimResult, Exception]]:
-        """:meth:`_run_batched`, then :meth:`_run_points` on what it left."""
+        """Per task, its result or the exception its simulation raised.
+
+        :meth:`_run_batched` runs the groups; each point it leaves runs
+        once, alone.  Only ``Exception`` is caught, so Ctrl-C stops the
+        run.
+        """
         outcomes: List = [None] * len(tasks)
-        remaining = self._run_batched(tasks, outcomes)
-        points = self._run_points([tasks[p] for p in remaining])
-        for p, outcome in zip(remaining, points):
-            outcomes[p] = outcome
+        for p in self._run_batched(tasks, outcomes):
+            traces, req = tasks[p]
+            try:
+                # Looked up on the module at call time, so a wrapper
+                # installed on ``repro.sim.gpu`` sees every point.
+                with self.span(
+                    "sim.scalar", kernel=req.kernel.name, tlp=req.tlp
+                ):
+                    outcomes[p] = gpu.simulate_traces(
+                        traces, req.config, req.tlp, scheduler=req.scheduler
+                    )
+            except Exception as err:
+                outcomes[p] = err
         return outcomes
 
     def simulate_outcomes(
@@ -443,10 +391,10 @@ class EvaluationEngine:
 
         Groups of two or more points that share traces, config and
         scheduler run as one batch of the timing core
-        (:meth:`_run_batched`); everything else — single points, failed
-        batches, and every point of a run with an active
-        fault-injection plan — goes one at a time through the retry
-        rung (:meth:`_run_points`).
+        (:meth:`_run_batched`); single points and the points of a
+        failed batch run one at a time (:meth:`_run_tasks`).  Each
+        point runs once: the timing core is deterministic, so a retry
+        would fail the same way.
         """
         with self.span("engine.simulate", points=len(requests)) as attrs:
             results: List[Optional[Union[SimResult, ReproError]]] = (
@@ -498,7 +446,7 @@ class EvaluationEngine:
                         stage="trace",
                     )
                     continue
-                tasks.append((traces, req, key_digest(keys[i])))
+                tasks.append((traces, req))
             pending = [i for i in pending if results[i] is None]
             for i, outcome in zip(pending, self._run_tasks(tasks)):
                 req = requests[i]
@@ -533,11 +481,10 @@ class EvaluationEngine:
         """Simulate every TLP in ``[1, max_tlp]`` for one kernel — the
         paper's exhaustive profiling.
 
-        A point whose simulation still fails after the retry rung
-        (rung 1 of the degradation ladder) is filled with its
-        analytical estimate (rung 2, :func:`estimate_sim_result`):
-        ``estimated=True``, flagged by a ``degrade`` mark and excluded
-        from the cache.  A sweep always returns its best available
+        A point whose simulation fails (after its batch raised, it ran
+        alone and raised again) is filled with its analytical estimate
+        (:func:`estimate_sim_result`): ``estimated=True``, flagged by a
+        ``degrade`` mark and excluded from the cache.  A sweep always returns its best available
         answer rather than aborting on one bad point.
         """
         if max_tlp <= 0:

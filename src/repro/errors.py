@@ -4,9 +4,9 @@ Historically each layer raised its own ad-hoc exception —
 :class:`~repro.ptx.parser.PTXParseError`,
 :class:`~repro.regalloc.allocator.InsufficientRegistersError`,
 :class:`~repro.sim.executor.DivergentBranchError` — and whatever
-reached the CLI surfaced as a raw traceback.  The engine's retry rung
-needs one vocabulary to make retry/degrade/abort decisions, and
-the CLI needs stable exit codes, so every failure is routed into this
+reached the CLI surfaced as a raw traceback.  The engine needs one
+vocabulary to make degrade/abort decisions, and the CLI needs stable
+exit codes, so every failure is routed into this
 tree at the engine boundary (:func:`classify_error`):
 
 ``ReproError``

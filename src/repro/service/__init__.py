@@ -4,7 +4,7 @@ A long-lived daemon hosting one warm
 :class:`~repro.engine.engine.EvaluationEngine` behind a
 newline-delimited-JSON socket protocol, with single-flight request
 deduplication, a bounded priority queue with explicit backpressure, and
-graceful checkpointing drain.  See :mod:`repro.service.server` for the
+a graceful drain that answers every accepted job.  See :mod:`repro.service.server` for the
 architecture and ``DESIGN.md`` §7 for the rationale.
 
 Import the submodule you need (:mod:`~repro.service.jobs`,

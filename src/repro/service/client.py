@@ -279,7 +279,7 @@ def unwrap(reply: Dict[str, Any]) -> Dict[str, Any]:
         raise ServiceError("request deadline expired in the service queue")
     if status == "drained":
         raise ServiceError(
-            "service drained before the job ran (checkpointed; resubmit)"
+            "service drained before the job ran; resubmit"
         )
     if status == "invalid":
         info = reply.get("error") or {}

@@ -34,7 +34,7 @@ Reply statuses::
                                        — queue full (429-style)
     expired     {"id", "status": "expired"}  — deadline passed in queue
     drained     {"id", "status": "drained"}  — server shut down before
-                 the queued job ran; it was checkpointed, resubmit
+                 the queued job ran; resubmit it
 """
 
 from __future__ import annotations
@@ -113,16 +113,6 @@ class Request:
     id: Optional[str] = None
     deadline: Optional[float] = None
     priority: int = 0
-
-    def to_wire(self) -> Dict[str, Any]:
-        wire: Dict[str, Any] = {"job": self.job, "params": self.params}
-        if self.id is not None:
-            wire["id"] = self.id
-        if self.deadline is not None:
-            wire["deadline"] = self.deadline
-        if self.priority:
-            wire["priority"] = self.priority
-        return wire
 
 
 # ----------------------------------------------------------------------

@@ -59,8 +59,8 @@ class InFlightJob:
 
     def __init__(self, signature: str, request: Request):
         self.signature = signature
-        #: The canonical request (the first one); its params define the
-        #: work, its priority is raised to the max of all attachments.
+        #: The canonical request (the first one): its params define the
+        #: work and its priority orders the job in the queue.
         self.request = request
         #: ``time.perf_counter()`` when a worker took the job up.
         self.started_at: Optional[float] = None
@@ -149,8 +149,7 @@ class JobQueue:
 
     ``get`` blocks until a job, ``close()``, or timeout; a closed,
     empty queue yields ``None`` (the worker's exit signal).
-    ``drain_remaining`` atomically empties the queue for checkpointing
-    during graceful shutdown.
+    ``drain_remaining`` atomically empties the queue during shutdown.
     """
 
     def __init__(self, limit: int):
@@ -221,7 +220,7 @@ class JobQueue:
 
     def drain_remaining(self) -> List[InFlightJob]:
         """Close and empty the queue, returning not-yet-started jobs in
-        priority order (the shutdown path checkpoints them)."""
+        priority order (the shutdown path answers them ``drained``)."""
         with self._not_empty:
             self._closed = True
             jobs = [entry[2] for entry in sorted(self._heap)]

@@ -18,11 +18,10 @@ and serves evaluation requests over a unix socket (or TCP via
   clients over more cores, run several daemons, one socket each, over
   one ``REPRO_CACHE_DIR``.
 * **Graceful drain**: on SIGTERM the listener closes, executing jobs
-  finish and are answered, and queued-but-unstarted jobs are
-  journaled to ``service-queue.jsonl`` in the ``REPRO_CHECKPOINT_DIR``
-  directory and answered ``drained`` — zero accepted jobs are lost.
-  A later ``repro serve`` against the same directory re-enqueues them
-  on boot.
+  finish and are answered, and queued-but-unstarted jobs are answered
+  ``drained`` so their clients can resubmit — every accepted job gets
+  an answer.  The drain writes nothing; results already live in the
+  engine's caches.
 * **Observability**: a ``stats`` request returns service counters
   (queue depth, dedup hits, p50/p95 latency per job type) plus the
   engine snapshot.  Every reply is a ``service.request`` span in the
@@ -46,7 +45,6 @@ import time
 from collections import deque
 from typing import Any, Dict, List, Optional, TextIO, Tuple
 
-from ..bench.runner import CHECKPOINT_DIR_ENV
 from ..engine import get_engine, set_engine
 from ..engine.engine import EvaluationEngine
 from ..errors import ReproError, ServiceError, classify_error
@@ -71,10 +69,6 @@ from .queue import InFlightJob, JobQueue, QueueFullError, SingleFlightTable
 
 #: Environment variable naming the default unix socket path.
 SOCKET_ENV = "REPRO_SOCKET"
-
-#: Journal file (inside the ``REPRO_CHECKPOINT_DIR`` directory) holding
-#: the queued-but-unstarted jobs of a drained server.
-QUEUE_CHECKPOINT_NAME = "service-queue.jsonl"
 
 #: How many recent per-job latencies feed the p50/p95 estimates.
 _LATENCY_WINDOW = 512
@@ -176,7 +170,6 @@ class ReproServer:
         queue_limit: int = 64,
         log_stream: Optional[TextIO] = None,
         log_interval: float = 0.0,
-        checkpoint_dir: Optional[str] = None,
     ):
         if host is not None:
             self._family = socket.AF_INET
@@ -197,9 +190,6 @@ class ReproServer:
         self._log_interval = log_interval
         #: Id of the newest ``service.request`` span logged (0: none).
         self._last_logged = 0
-        self._checkpoint_dir = (
-            checkpoint_dir or os.environ.get(CHECKPOINT_DIR_ENV) or None
-        )
         self._listener: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
         self._conn_threads: List[threading.Thread] = []
@@ -254,7 +244,6 @@ class ReproServer:
         # accept loop polls the draining flag instead of trusting the
         # close to interrupt it.
         self._listener.settimeout(0.2)
-        self._resume_checkpointed_queue()
         for index in range(self.workers):
             thread = threading.Thread(
                 target=self._worker_loop, name=f"repro-worker-{index}",
@@ -294,9 +283,9 @@ class ReproServer:
         self._queue.resume()
 
     def shutdown(self, drain: bool = True) -> None:
-        """Stop the daemon; with ``drain`` (the SIGTERM path) executing
-        jobs finish and the queue is checkpointed, so zero accepted
-        jobs are lost."""
+        """Stop the daemon: queued jobs are answered ``drained``; with
+        ``drain`` (the SIGTERM path) executing jobs get up to 30 s to
+        finish and answer, so every accepted job gets a reply."""
         with self._lock:
             if self._draining:
                 return
@@ -307,8 +296,6 @@ class ReproServer:
             except OSError:
                 pass
         pending = self._queue.drain_remaining()
-        if drain:
-            self._checkpoint_jobs(pending)
         for job in pending:
             self.stats.bump("drained", len(job.waiters))
             self._inflight.complete(job, "drained")
@@ -333,71 +320,10 @@ class ReproServer:
                 pass
         self._log_line({
             "kind": "service_drained" if drain else "service_stopped",
-            "checkpointed": len(pending),
+            "drained_jobs": len(pending),
             "stats": self.stats.to_dict(),
         })
         self._stopped.set()
-
-    # ------------------------------------------------------------------
-    # Queue checkpoint (graceful drain / boot resume).
-    # ------------------------------------------------------------------
-    def _checkpoint_path(self) -> Optional[str]:
-        if not self._checkpoint_dir:
-            return None
-        return os.path.join(self._checkpoint_dir, QUEUE_CHECKPOINT_NAME)
-
-    def _checkpoint_jobs(self, pending: List[InFlightJob]) -> None:
-        path = self._checkpoint_path()
-        if not path or not pending:
-            return
-        try:
-            os.makedirs(self._checkpoint_dir, exist_ok=True)
-            with open(path, "a") as handle:
-                for job in pending:
-                    handle.write(
-                        json.dumps(job.request.to_wire(), sort_keys=True)
-                        + "\n"
-                    )
-        except OSError:
-            pass  # journaling is best-effort, like the suite journal
-
-    def _resume_checkpointed_queue(self) -> None:
-        path = self._checkpoint_path()
-        if not path or not os.path.exists(path):
-            return
-        resumed = 0
-        try:
-            with open(path) as handle:
-                lines = handle.readlines()
-            os.unlink(path)
-        except OSError:
-            return
-        seen: set = set()
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                request = validate_request(json.loads(line))
-                prepared = jobs_mod.prepare(request)
-            except Exception:
-                continue  # a stale/invalid record is dropped, not fatal
-            if prepared.signature in seen:
-                # Several drains can append before the next boot (two
-                # daemons sharing the directory); a job re-runs once on
-                # resume, never twice.
-                continue
-            seen.add(prepared.signature)
-            job = InFlightJob(prepared.signature, request)
-            job.prepared = prepared
-            # No waiters: the job runs purely to rebuild the warm cache.
-            try:
-                self._queue.put(job)
-                resumed += 1
-            except QueueFullError:
-                break
-        if resumed:
-            self._log_line({"kind": "service_resume", "jobs": resumed})
 
     # ------------------------------------------------------------------
     # Accept / connection handling.

@@ -24,9 +24,8 @@ validation); the ``--verify`` flag on the CLI's
 allocation and pass validators through the optimizer itself.
 
 ``stats`` counts validations per pass (keys ``"dataflow"``,
-``"allocation"``, ``"pipeline"``) so tests — notably the
-fault-injection smoke — can assert that degraded evaluation paths
-never silently bypass validation.
+``"allocation"``, ``"pipeline"``) so tests can assert that degraded
+evaluation paths never silently bypass validation.
 """
 
 from __future__ import annotations

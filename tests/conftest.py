@@ -35,6 +35,40 @@ def _no_ambient_cache_dir(monkeypatch):
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
 
 
+@pytest.fixture
+def fail_at(monkeypatch):
+    """``fail_at(*tlps)`` makes the timing core raise at those TLPs, and
+    at every TLP when none is named.  A batch raises when any of its
+    lanes would; the other points simulate as usual.  Patched where the
+    engine looks both entry points up at call time."""
+    import repro.engine.engine
+    import repro.sim.gpu
+
+    batched = repro.engine.engine.simulate_traces_batched
+    scalar = repro.sim.gpu.simulate_traces
+
+    def install(*tlps):
+        def fails(tlp):
+            return not tlps or tlp in tlps
+
+        def failing_batch(traces, config, lanes, **kwargs):
+            if any(fails(tlp) for tlp in lanes):
+                raise RuntimeError(f"timing core failed in batch {lanes}")
+            return batched(traces, config, lanes, **kwargs)
+
+        def failing_scalar(traces, config, tlp, **kwargs):
+            if fails(tlp):
+                raise RuntimeError(f"timing core failed at TLP {tlp}")
+            return scalar(traces, config, tlp, **kwargs)
+
+        monkeypatch.setattr(
+            repro.engine.engine, "simulate_traces_batched", failing_batch
+        )
+        monkeypatch.setattr(repro.sim.gpu, "simulate_traces", failing_scalar)
+
+    return install
+
+
 def build_tid_kernel():
     """Paper Listing 1-3: compute the global thread id and store it."""
     b = KernelBuilder("kernel", block_size=128)

@@ -87,6 +87,40 @@ class TestRetiredServeSurface:
         assert exc.value.code == 2
 
 
+class TestServeCacheBound:
+    """``repro serve`` bounds the result cache, the stage memo and the
+    traces by ``--cache-max-entries``, then ``REPRO_CACHE_MAX_ENTRIES``,
+    then 4096 (also for an unparseable variable); 0 unbounds them.
+    ``serve_main`` is stubbed, so no daemon starts."""
+
+    @pytest.mark.parametrize("flags, env, bound", [
+        ([], None, 4096),
+        ([], "7", 7),
+        ([], "lots", 4096),
+        ([], "0", None),
+        (["--cache-max-entries", "0"], None, None),
+        (["--cache-max-entries", "5"], "7", 5),
+    ])
+    def test_bound(self, monkeypatch, flags, env, bound):
+        import repro.service.server
+        from repro.engine import EvaluationEngine, get_engine, set_engine
+
+        if env is None:
+            monkeypatch.delenv("REPRO_CACHE_MAX_ENTRIES", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", env)
+        monkeypatch.setattr(repro.service.server, "serve_main",
+                            lambda **kwargs: 0)
+        previous = get_engine()
+        engine = set_engine(EvaluationEngine(disk_cache=""))
+        try:
+            assert main(["serve", *flags]) == 0
+        finally:
+            set_engine(previous)
+        levels = (engine._sim_cache, engine._memo, engine._trace_cache)
+        assert [level.max_entries for level in levels] == [bound] * 3
+
+
 class TestExitCodes:
     """Failures map to distinct, documented exit codes."""
 

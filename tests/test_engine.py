@@ -278,8 +278,7 @@ class TestParallelDeterminism:
 
 class TestBatchedRouting:
     """Multi-point sweeps run as one batch of the timing core; single
-    points and fault-plan runs go one at a time through the retry rung.
-    The route never changes a result."""
+    points run alone.  The route never changes a result."""
 
     def _requests(self, gau, tlps, scheduler="gto"):
         return [
@@ -310,18 +309,6 @@ class TestBatchedRouting:
         engine = EvaluationEngine(disk_cache="")
         engine.simulate_many(self._requests(gau, [2]))
         assert engine.stats.batched_points == 0
-
-    def test_fault_plan_disables_batching(self, gau, monkeypatch):
-        """Under an active fault plan the retry rung must stay in the
-        loop (that is what the plan exercises), so batching steps
-        aside; results still match the clean batched run."""
-        clean = EvaluationEngine(disk_cache="")
-        expected = clean.simulate_many(self._requests(gau, [1, 2]))
-        monkeypatch.setenv("REPRO_FAULTS", "corrupt-cache:0.5")
-        engine = EvaluationEngine(disk_cache="")
-        results = engine.simulate_many(self._requests(gau, [1, 2]))
-        assert engine.stats.batched_points == 0
-        assert results == expected
 
     def test_mixed_schedulers_group_separately(self, gau):
         engine = EvaluationEngine(disk_cache="")
@@ -439,7 +426,7 @@ class TestInstrumentation:
         keeps recording what it does now."""
         engine = EvaluationEngine(max_events=3)
         for job in ("a", "b", "c", "d", "e"):
-            engine.mark("retry", job=job)
+            engine.mark("degrade", job=job)
         assert [s.attrs["job"] for s in engine.spans.spans] == ["c", "d", "e"]
         assert [s["id"] for s in engine.snapshot()["spans"]] == [3, 4, 5]
 

@@ -1,5 +1,7 @@
-"""Recovery-path tests: deterministic fault injection, the in-process
-retry rung, graceful degradation, cache integrity, checkpoint/resume."""
+"""Recovery-path tests: graceful degradation of failed points, the
+failed-batch fallback, cache integrity, resume from the disk cache,
+per-app suite isolation and Ctrl-C.  Failures come from a patched
+timing core (the ``fail_at`` fixture), corruption from damaged files."""
 
 import dataclasses
 import pickle
@@ -19,7 +21,7 @@ from repro.engine.cache import (
     CacheCorruptionError,
     SimResultCache,
 )
-from repro.engine.faults import FaultPlan, FaultSpecError
+from repro.engine.engine import estimate_sim_result
 from repro.errors import (
     AllocationError,
     ParseError,
@@ -40,42 +42,6 @@ def _clean_profile(gau, max_tlp=3):
     return engine.profile_tlp(
         gau.kernel, FERMI, max_tlp, grid_blocks=4, param_sizes=gau.param_sizes
     )
-
-
-class TestFaultPlan:
-    def test_decisions_are_deterministic_and_seeded(self):
-        plan = FaultPlan.parse("crash:0.5", seed=0)
-        tokens = [f"t{i}" for i in range(64)]
-        first = [plan.decide("crash", t) for t in tokens]
-        second = [plan.decide("crash", t) for t in tokens]
-        assert first == second
-        assert any(first) and not all(first)  # rate actually bites
-        reseeded = FaultPlan.parse("crash:0.5", seed=1)
-        assert [reseeded.decide("crash", t) for t in tokens] != first
-
-    def test_rate_edges(self):
-        always = FaultPlan.parse("crash:1.0")
-        never = FaultPlan.parse("crash:0")
-        assert always.decide("crash", "x")
-        assert not never.decide("crash", "x")
-        assert not always.decide("fail", "x")  # unlisted kind never fires
-
-    def test_unknown_kind_rejected(self):
-        # ``hang`` included: nothing in a simulation can hang, so there
-        # is no task timeout for it to trip.  The daemon runs the
-        # engine's own kinds, so the retired sharded tier's kinds are
-        # typos too (spelled in pieces so a search of the tree finds
-        # only the history).
-        for spec in ("explode:0.5", "hang:0.1", "shard" "-crash:0.1",
-                     "shard" "-hang:0.1", "net" "-drop:0.1"):
-            with pytest.raises(FaultSpecError, match="unknown fault"):
-                FaultPlan.parse(spec)
-
-    def test_bad_rates_rejected(self):
-        with pytest.raises(FaultSpecError, match="non-numeric"):
-            FaultPlan.parse("crash:lots")
-        with pytest.raises(FaultSpecError, match="out of"):
-            FaultPlan.parse("crash:1.5")
 
 
 class TestErrorTaxonomy:
@@ -114,7 +80,7 @@ class TestErrorTaxonomy:
 
 
 class TestInterrupts:
-    """Ctrl-C is never a simulation failure: the retry rung catches only
+    """Ctrl-C is never a simulation failure: the engine catches only
     ``Exception``, so ``KeyboardInterrupt`` stops the run."""
 
     @pytest.fixture
@@ -215,50 +181,36 @@ class TestCacheIntegrity:
         assert not list(tmp_path.glob("sim-*.pkl"))
 
 
-class TestInjectedFaultRecovery:
-    def test_crash_faults_retry_to_identical_results(self, gau, monkeypatch):
-        """Injected crashes are retried in-process and the final
-        profile is bit-identical to a clean run."""
-        clean = _clean_profile(gau)
-        monkeypatch.setenv("REPRO_FAULTS", "crash:0.9")
-        monkeypatch.setenv("REPRO_FAULTS_SEED", "0")
-        engine = EvaluationEngine()
-        faulty = engine.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
-                                    param_sizes=gau.param_sizes)
-        assert engine.stats.faults_injected >= 1
-        assert engine.stats.retries >= 1
-        assert engine.stats.degraded == 0
-        assert faulty == clean
+class TestFailedPoints:
+    """Each point runs once: a failure is the point's outcome, never
+    retried, because the timing core would fail the same way again."""
 
-    def test_certain_crash_simulates_on_the_final_attempt(self, gau,
-                                                          monkeypatch):
-        """``crash:1.0`` fires on attempts 1 and 2 of every point and
-        never on the last, so each point simulates on its third try."""
+    def test_failed_batch_reruns_each_point_once(self, gau, fail_at):
+        """A sweep's batch raises, so each of its points runs alone,
+        once: TLPs 1 and 3 simulate clean, TLP 2 fails again and gets
+        the estimate anchored on TLP 3."""
         clean = _clean_profile(gau)
-        monkeypatch.setenv("REPRO_FAULTS", "crash:1.0")
+        fail_at(2)
         engine = EvaluationEngine()
-        faulty = engine.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
-                                    param_sizes=gau.param_sizes)
-        assert faulty == clean
-        assert engine.stats.retries == 6
-        assert engine.stats.faults_injected == 6
-        assert engine.stats.degraded == 0
-        assert engine.stats.sim_misses == 3
-        crashes = {}
-        for span in engine.spans.spans:
-            if span.name == "fault":
-                assert span.start == span.end
-                crashes.setdefault(span.attrs["token"], []).append(
-                    span.attrs["attempt"])
-        assert len(crashes) == 3
-        assert all(attempts == [1, 2] for attempts in crashes.values())
+        profile = engine.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
+                                     param_sizes=gau.param_sizes)
+        assert profile[1] == clean[1]
+        assert profile[3] == clean[3]
+        assert profile[2] == estimate_sim_result(
+            gau.kernel, FERMI, 2, 4, anchor=clean[3])
+        runs = [s.attrs["tlp"] for s in engine.spans.spans
+                if s.name == "sim.scalar"]
+        assert runs == [1, 2, 3]
+        assert engine.stats.sim_failures == 1
+        assert engine.stats.degraded == 1
+        assert engine.stats.batched_points == 0
 
-    def test_permanent_failure_degrades_to_estimate(self, gau, monkeypatch):
-        """A point that fails on every attempt is filled with its
-        analytical estimate instead of aborting the sweep.  With the
-        ceiling failed too, every point gets the un-anchored GTO-mimic
-        cost (pinned literals)."""
-        monkeypatch.setenv("REPRO_FAULTS", "fail:1.0")
+    def test_permanent_failure_degrades_to_estimate(self, gau, fail_at):
+        """A point whose simulation fails is filled with its analytical
+        estimate instead of aborting the sweep.  With the ceiling
+        failed too, every point gets the un-anchored GTO-mimic cost
+        (pinned literals)."""
+        fail_at(1, 2, 3)
         engine = EvaluationEngine()
         profile = engine.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
                                      param_sizes=gau.param_sizes)
@@ -270,7 +222,7 @@ class TestInjectedFaultRecovery:
             3: 80848.77777777774,
         }
         assert engine.stats.degraded == 3
-        assert engine.stats.sim_failures >= 3
+        assert engine.stats.sim_failures == 3
         # Degraded estimates are flagged by marks and are excluded
         # from the result cache.
         names = [span.name for span in engine.spans.spans]
@@ -278,14 +230,13 @@ class TestInjectedFaultRecovery:
         assert len(engine._sim_cache) == 0
 
     def test_failure_below_simulated_ceiling_uses_anchored_estimate(
-        self, gau, monkeypatch
+        self, gau, fail_at
     ):
-        """Under seed 11 the ceiling (TLP 3) simulates and TLPs 1-2 fail:
-        the failed points get the anchored estimate, the mimic's serial
-        cost spread over ``ceil(M/n)`` waves of the 4-block grid and
-        floored by the ceiling's DRAM traffic (pinned literals)."""
-        monkeypatch.setenv("REPRO_FAULTS", "fail:0.5")
-        monkeypatch.setenv("REPRO_FAULTS_SEED", "11")
+        """The ceiling (TLP 3) simulates and TLPs 1-2 fail: the failed
+        points get the anchored estimate, the mimic's serial cost
+        spread over ``ceil(M/n)`` waves of the 4-block grid and floored
+        by the ceiling's DRAM traffic (pinned literals)."""
+        fail_at(1, 2)
         engine = EvaluationEngine()
         profile = engine.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
                                      param_sizes=gau.param_sizes)
@@ -295,26 +246,27 @@ class TestInjectedFaultRecovery:
         assert profile[2].cycles == 45498.300000000025
         assert engine.stats.degraded == 2
 
-    def test_strict_single_point_raises_classified(self, gau, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "fail:1.0")
+    def test_strict_single_point_raises_classified(self, gau, fail_at):
+        fail_at(1)
         engine = EvaluationEngine()
-        with pytest.raises(SimulationError, match="injected fail"):
+        with pytest.raises(SimulationError, match="timing core failed"):
             engine.simulate(gau.kernel, FERMI, 1, grid_blocks=4,
                             param_sizes=gau.param_sizes)
 
-    def test_injected_cache_corruption_is_survived(self, gau, monkeypatch,
-                                                   tmp_path):
-        """corrupt-cache faults garble disk writes; reads detect the
-        damage, discard the entry, and the results stay correct."""
+    def test_injected_cache_corruption_is_survived(self, gau, tmp_path):
+        """Truncated disk entries are detected on read, discarded and
+        re-simulated, and the results stay correct."""
         clean = _clean_profile(gau)
-        monkeypatch.setenv("REPRO_FAULTS", "corrupt-cache:1.0")
         first = EvaluationEngine(disk_cache=str(tmp_path))
-        faulty = first.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
-                                   param_sizes=gau.param_sizes)
-        assert faulty == clean
-        # Every persisted entry was corrupted; a fresh engine detects
-        # them all, discards them, and re-simulates correctly.
-        monkeypatch.delenv("REPRO_FAULTS")
+        written = first.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
+                                    param_sizes=gau.param_sizes)
+        assert written == clean
+        entries = sorted(tmp_path.glob("sim-*.pkl"))
+        assert len(entries) == 3
+        for path in entries:  # torn writes
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        # A fresh engine detects every damaged entry, discards it and
+        # re-simulates correctly.
         second = EvaluationEngine(disk_cache=str(tmp_path))
         recovered = second.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
                                        param_sizes=gau.param_sizes)
@@ -349,28 +301,14 @@ class TestCheckpointResume:
         for tlp, result in before.items():
             assert after[tlp] == result
 
-    def test_checkpoint_env_stores_no_results(self, gau, tmp_path,
-                                              monkeypatch):
-        """``REPRO_CHECKPOINT_DIR`` names a journal directory only: the
-        disk cache is the one persistent result store, and the memory
-        cache keeps its bound."""
-        ckpt = tmp_path / "envckpt"
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(ckpt))
-        engine = EvaluationEngine(disk_cache="", cache_max_entries=2)
-        engine.profile_tlp(gau.kernel, FERMI, 6, grid_blocks=8,
-                           param_sizes=gau.param_sizes)
-        assert engine.stats.sim_misses == 6
-        assert engine.snapshot()["cached_results"] == 2
-        assert not list(ckpt.glob("sim-*.pkl"))
 
-
-class TestSuiteJournal:
-    def test_run_suite_journals_per_app(self, tmp_path, monkeypatch):
-        import json
-
+class TestSuiteIsolation:
+    def test_run_suite_isolates_a_failing_app(self, tmp_path, monkeypatch):
+        """One app that raises is recorded as a failure and the suite
+        moves on, writing nothing."""
         from repro.bench import run_suite
 
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
 
         def fake(abbr, config):
             if abbr == "B":
@@ -382,10 +320,4 @@ class TestSuiteJournal:
         assert report.exit_code == 5
         [failure] = report.failures
         assert failure.abbr == "B" and failure.kind == "SimulationError"
-        lines = [
-            json.loads(line)
-            for line in (tmp_path / "journal.jsonl").read_text().splitlines()
-        ]
-        assert [(r["app"], r["status"]) for r in lines] == [
-            ("A", "ok"), ("B", "failed"), ("C", "ok"),
-        ]
+        assert not list(tmp_path.iterdir())

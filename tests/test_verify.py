@@ -618,14 +618,14 @@ class TestCLI:
 
 
 # ---------------------------------------------------------------------------
-# Fault injection: degraded points must not bypass validation
+# Failing simulations: degraded points must not bypass validation
 # ---------------------------------------------------------------------------
 
 
 class TestFaultInjectionWithVerify:
-    def _run(self, verify, monkeypatch=None):
-        if monkeypatch is not None:
-            monkeypatch.setenv("REPRO_FAULTS", "fail:1.0")
+    def _run(self, verify, fail_at=None):
+        if fail_at is not None:
+            fail_at()  # the timing core raises at every TLP
         engine = EvaluationEngine()
         workload = load_workload("GAU")
         opt = CRATOptimizer(FERMI, engine=engine, verify=verify)
@@ -639,20 +639,20 @@ class TestFaultInjectionWithVerify:
             pass  # total evaluation failure is fine; validation already ran
         return engine
 
-    def test_degraded_points_still_validated(self, monkeypatch):
+    def test_degraded_points_still_validated(self, fail_at):
         V.reset_stats()
         self._run(verify=True)
         clean_validations = V.stats["allocation"]
         assert clean_validations > 0
 
         V.reset_stats()
-        engine = self._run(verify=True, monkeypatch=monkeypatch)
-        assert engine.stats.degraded > 0  # faults really fired
+        engine = self._run(verify=True, fail_at=fail_at)
+        assert engine.stats.degraded > 0  # failures really happened
         # Every allocation the healthy run validated, the degraded run
         # validated too: estimated points never skip the checker.
         assert V.stats["allocation"] == clean_validations
 
-    def test_stats_stay_zero_without_verify(self, monkeypatch):
+    def test_stats_stay_zero_without_verify(self, fail_at):
         V.reset_stats()
-        self._run(verify=False, monkeypatch=monkeypatch)
+        self._run(verify=False, fail_at=fail_at)
         assert V.stats["allocation"] == 0

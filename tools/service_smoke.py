@@ -7,9 +7,7 @@ The CI ``service-smoke`` job's driver, also runnable locally::
 
 What it checks, end to end, with real processes and a real socket:
 
-1. a ``repro serve`` daemon boots over a fresh ``REPRO_CACHE_DIR``
-   (with an injected ``REPRO_FAULTS`` crash rate, so the engine's retry
-   rung is exercised *through* the service);
+1. a ``repro serve`` daemon boots over a fresh ``REPRO_CACHE_DIR``;
 2. 50 mixed requests (``simulate``/``crat``/``verify``) issued from
    8 concurrent client processes all succeed, and so do 4 ``crat``
    requests on HST that a ninth client sends one after another: as a
@@ -17,16 +15,14 @@ What it checks, end to end, with real processes and a real socket:
    again.  The two forms share a fingerprint, so the daemon serves
    allocations memoised for one form to the other;
 3. every answer is identical to the same job executed one-shot on a
-   fresh, fault-free engine — the daemon (and the injected crashes)
-   must never change a result;
+   fresh engine — the daemon, which batches sweeps and runs single
+   points alone as the one-shot path does, must never change a result;
 4. ``python -m repro submit`` processes against the daemon print the
    same stdout and exit with the same code as the one-shot processes
    (``crat GAU``, ``simulate GAU --tlp 2``, ``verify
-   examples/uninit_read.ptx``) on a fault-free engine;
-5. the injected crashes really fired: the daemon's ``stats`` reply
-   counts at least one injected fault and one retry;
-6. SIGTERM drains cleanly: exit code 0, ``service_drained`` logged;
-7. a warm restart: a second daemon booted over the same
+   examples/uninit_read.ptx``);
+5. SIGTERM drains cleanly: exit code 0, ``service_drained`` logged;
+6. a warm restart: a second daemon booted over the same
    ``REPRO_CACHE_DIR`` answers each distinct job once, identically to
    one-shot, and its ``stats`` show no simulation (``sim_misses`` 0)
    and at least one disk-cache hit, and no memoised stage computed
@@ -99,7 +95,7 @@ def run_worker(index, sock_path):
 
 
 def compute_expected():
-    """One-shot ground truth: each unique job on a fresh clean engine."""
+    """One-shot ground truth: each unique job on a fresh engine."""
     from repro.engine import EvaluationEngine, get_engine, set_engine
     from repro.service.jobs import execute, prepare
     from repro.service.protocol import Request
@@ -150,26 +146,6 @@ def check_submit_cli(sock_path, env):
     print(f"repro submit: {len(SUBMIT_COMMANDS)} commands, {failures} "
           f"mismatches against one-shot", flush=True)
     return failures
-
-
-def check_faults_fired(sock_path):
-    """Failures (0 or 1): the daemon's engine must have injected at
-    least one crash and retried it, or the run proved nothing."""
-    from repro.service.client import ServiceClient
-
-    try:
-        with ServiceClient(socket_path=sock_path, timeout=30.0) as client:
-            stats = client.stats()["engine"]["stats"]
-    except Exception as err:
-        print(f"FAIL: stats request failed: {err}", file=sys.stderr)
-        return 1
-    print(f"engine: {stats['faults_injected']} faults injected, "
-          f"{stats['retries']} retries over {stats['simulations']} "
-          f"simulations", flush=True)
-    if stats["faults_injected"] >= 1 and stats["retries"] >= 1:
-        return 0
-    print("FAIL: no injected fault fired and was retried", file=sys.stderr)
-    return 1
 
 
 def start_daemon(sock_path, env):
@@ -303,15 +279,14 @@ def run_daemons(sock_path, env, expected):
         print(f"{len(answered)}/{len(requests)} answered, "
               f"{failures} mismatches", flush=True)
         failures += check_submit_cli(sock_path, env)
-        failures += check_faults_fired(sock_path)
     finally:
         failures += drain(daemon, "daemon")
     failures += check_warm_restart(sock_path, env, expected)
     if failures:
         return 1
     print("service smoke: OK (identical to one-shot, repro submit prints "
-          "as the one-shot does, faults retried, clean drain, warm "
-          "restart from the disk cache)")
+          "as the one-shot does, clean drain, warm restart from the disk "
+          "cache)")
     return 0
 
 
@@ -336,10 +311,6 @@ def main():
     env = dict(os.environ)
     env.setdefault("PYTHONPATH", "src")
     env["REPRO_CACHE_DIR"] = cache_dir
-    # Injected crashes: the engine's retry rung must retry them
-    # invisibly — the service above it never sees a difference.
-    env["REPRO_FAULTS"] = "crash:0.2"
-    env["REPRO_FAULTS_SEED"] = "7"
     try:
         return run_daemons(sock_path, env, expected)
     finally:
