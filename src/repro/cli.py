@@ -12,9 +12,9 @@ Commands mirror how the paper's toolchain is used:
   every registered pass with each rewrite translation-validated)
 * ``serve``              — persistent compilation daemon: one warm
   engine behind a unix socket (or TCP via ``--listen``), NDJSON
-  protocol, single-flight dedup, bounded queue with backpressure,
-  graceful SIGTERM drain; for more cores, run several daemons over one
-  ``REPRO_CACHE_DIR``
+  protocol, each request its own job in a bounded FIFO queue with
+  backpressure, graceful SIGTERM drain; for more cores, run several
+  daemons over one ``REPRO_CACHE_DIR``
 * ``submit JOB TARGET``  — send one job to a running daemon; it prints
   and exits exactly as the one-shot command does
 
@@ -45,8 +45,8 @@ evaluation — comma-separated rewrite-driver pass names (``copy-prop``,
 ``dce``, ``bypass``, ``mlp-sched``, ``minreg-sched``, ``unroll``).  The
 default is the empty pipeline (the kernel is evaluated exactly as
 written); unknown names are a parse error (exit 2).  The spec is a job
-param: part of the dedup signature and the stage memo keys, while a
-simulation result is keyed by the kernel it simulates.
+param and part of the stage memo keys, while a simulation result is
+keyed by the kernel it simulates.
 
 ``--verify`` (on ``allocate``/``simulate``/``crat``/``suite``)
 turns on translation validation: input kernels are dataflow-checked and
@@ -64,8 +64,8 @@ parsing stderr: 0 all ok, 2 parse or DF load gate, 3 allocation,
 some did not — ``suite --report-json PATH`` writes the structured
 failure report), 6 translation-validation findings (``repro verify``
 and ``--verify`` runs), 7 compilation-service transport/protocol
-failure (``repro submit`` against an unreachable or overloaded
-daemon; job-level failures keep their own codes).
+failure (``repro submit`` against an unreachable, overloaded or
+draining daemon; job-level failures keep their own codes).
 """
 
 from __future__ import annotations
@@ -344,13 +344,7 @@ def cmd_submit(args) -> int:
         if args.job == "stats":
             result = client.stats()
         else:
-            result = submit_or_raise(
-                client,
-                args.job,
-                params,
-                deadline=args.deadline,
-                priority=args.priority,
-            )
+            result = submit_or_raise(client, args.job, params)
     return _render(args.job, params, result, args.json or args.job == "stats")
 
 
@@ -488,12 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "$REPRO_SOCKET or the per-user default)")
     p_submit.add_argument("--connect", default="", metavar="HOST:PORT",
                           help="connect over TCP instead")
-    p_submit.add_argument("--deadline", type=float, default=None,
-                          metavar="SECONDS",
-                          help="give up if the service has not answered "
-                               "within this budget")
-    p_submit.add_argument("--priority", type=int, default=0,
-                          help="queue priority (higher runs earlier)")
     p_submit.add_argument("--max-retries", "--retries", dest="retries",
                           type=int, default=5,
                           help="retry budget for overloaded/unreachable "

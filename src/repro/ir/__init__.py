@@ -13,7 +13,7 @@ diffs with per-edit checks.
 :mod:`repro.ir.pipeline` adds the named pass registry and
 :func:`run_pipeline`, the one way to run a pass — behind the CLI's
 ``--passes`` flag, ``repro verify --pipeline`` and the golden ledger —
-plus the pipeline component of the dedup and stage memo keys.
+plus the pipeline component of the stage memo keys.
 """
 
 from .driver import (

@@ -13,8 +13,9 @@ the engine's stage memo and the golden ledger all go through
 :data:`PIPELINE_SCHEMA_VERSION` versions the *semantics* of the passes
 (bump it whenever a pass's output changes for the same input), and
 :func:`pipeline_signature` canonicalizes a spec for the stage memo keys
-and the service single-flight signatures.  A simulation needs neither:
-its cache key names the kernel the passes produced.
+(and the service checks a request's spec with it before queueing).  A
+simulation needs neither: its cache key names the kernel the passes
+produced.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def parse_passes(spec: str) -> List[str]:
 
 
 def pipeline_signature(spec: str) -> str:
-    """Canonical form of a pipeline spec for cache/dedup identities.
+    """Canonical form of a pipeline spec for the stage memo keys.
 
     Whitespace and blank entries are normalized away; order and
     repetition are preserved (they change the output kernel).  Raises

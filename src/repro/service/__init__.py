@@ -2,10 +2,11 @@
 
 A long-lived daemon hosting one warm
 :class:`~repro.engine.engine.EvaluationEngine` behind a
-newline-delimited-JSON socket protocol, with single-flight request
-deduplication, a bounded priority queue with explicit backpressure, and
-a graceful drain that answers every accepted job.  See :mod:`repro.service.server` for the
-architecture and ``DESIGN.md`` §7 for the rationale.
+newline-delimited-JSON socket protocol: each evaluation request is its
+own job in a bounded FIFO queue with explicit backpressure, and a
+graceful drain answers every accepted request.  See
+:mod:`repro.service.server` for the architecture and ``DESIGN.md`` §7
+for the rationale.
 
 Import the submodule you need (:mod:`~repro.service.jobs`,
 :mod:`~repro.service.protocol`, :mod:`~repro.service.client`,

@@ -10,8 +10,9 @@ contract expects:
   lockstep at exactly ``retry_after`` seconds;
 * a connection failure (daemon restarting, socket not yet bound)
   retries on the same jittered schedule;
-* everything else — job errors included — is returned to the caller
-  exactly once, as the server sent it.
+* everything else — job errors and ``drained`` included — is returned
+  to the caller exactly once, as the server sent it: a draining daemon
+  will not answer a retry either.
 
 The backoff is AWS-style *decorrelated jitter*: each retry sleeps
 ``uniform(base, 3 * previous_sleep)`` capped at ``cap``.  Unlike the
@@ -153,8 +154,6 @@ class ServiceClient:
         self,
         job: str,
         params: Optional[Dict[str, Any]] = None,
-        deadline: Optional[float] = None,
-        priority: int = 0,
         req_id: Optional[str] = None,
     ) -> Dict[str, Any]:
         """One round trip, no retries; transport faults raise
@@ -165,10 +164,6 @@ class ServiceClient:
             "job": job,
             "params": params or {},
         }
-        if deadline is not None:
-            message["deadline"] = deadline
-        if priority:
-            message["priority"] = priority
         assert self._sock is not None and self._reader is not None
         try:
             self._sock.sendall(encode_frame(message))
@@ -192,8 +187,6 @@ class ServiceClient:
         self,
         job: str,
         params: Optional[Dict[str, Any]] = None,
-        deadline: Optional[float] = None,
-        priority: int = 0,
     ) -> Dict[str, Any]:
         """Round trip with the retry/backoff policy: decorrelated
         jitter on transport faults, the server's ``retry_after`` hint
@@ -204,9 +197,7 @@ class ServiceClient:
         sleep_s = DEFAULT_BACKOFF_BASE
         for attempt in range(self.max_retries + 1):
             try:
-                reply = self.request_once(
-                    job, params, deadline=deadline, priority=priority
-                )
+                reply = self.request_once(job, params)
             except ServiceError as err:
                 last_error = err
                 if attempt < self.max_retries:
@@ -275,8 +266,6 @@ def unwrap(reply: Dict[str, Any]) -> Dict[str, Any]:
         raise ServiceError(
             "service overloaded", retry_after=reply.get("retry_after")
         )
-    if status == "expired":
-        raise ServiceError("request deadline expired in the service queue")
     if status == "drained":
         raise ServiceError(
             "service drained before the job ran; resubmit"
@@ -305,10 +294,6 @@ def submit_or_raise(
     client: ServiceClient,
     job: str,
     params: Optional[Dict[str, Any]] = None,
-    deadline: Optional[float] = None,
-    priority: int = 0,
 ) -> Dict[str, Any]:
     """One call: submit with retries, unwrap, raise taxonomy errors."""
-    return unwrap(client.submit(
-        job, params, deadline=deadline, priority=priority
-    ))
+    return unwrap(client.submit(job, params))

@@ -4,30 +4,18 @@ Each evaluation job type is the one code path of its command: ``repro
 crat|simulate|verify|suite`` build the job's params, run
 :func:`prepare` and :func:`execute` in-process and print the payload,
 and a daemon runs the same two calls on a worker, so a warm daemon
-returns **bit-identical** results — the service adds batching, dedup
-and a warm cache, never a different answer.
+returns **bit-identical** results — the service adds a warm cache,
+never a different answer.
 
 A request's life has two phases:
 
 :func:`prepare`
     Runs on the connection handler thread: resolve the target (Table 3
     app abbreviation or inline PTX text) through :func:`load_target`,
-    the loader the one-shot CLI commands share, and compute
-    the job's **content signature** — ``sha256(job, kernel
-    fingerprint, config signature, workload terms, semantically
-    relevant params)``.  The signature is the single-flight dedup key:
-    two requests collide exactly when their answers must be identical.
-    The workload terms (resolved grid, buffer sizes, default register
-    count) are what a ``target`` adds to its kernel, so an inline-``ptx``
-    twin of the same kernel never shares its slot.  Load/parse failures
-    surface here, before the request ever occupies a queue slot.
-
-    Engine *tuning* state (cache bounds, the disk cache directory) is
-    deliberately absent from the signature: a multi-point sweep inside
-    a job runs as one batch of the timing core (:mod:`repro.sim.batch`)
-    and a single point as a batch of one, and a lane's answer never
-    depends on its batch.  Only content that changes the *answer*
-    (kernel, config, passes pipeline, job params) may enter the hash.
+    the loader the one-shot CLI commands share, resolve the config and
+    normalize the ``passes`` spec.  An unknown app or config, bad PTX
+    or an unknown pass fails here, before the request ever occupies a
+    queue slot.
 
 :func:`execute`
     Runs on a worker thread (or in the one-shot CLI's process) against
@@ -39,13 +27,12 @@ a simulation by the kernel it simulates, after the passes ran.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..arch import get_config
 from ..arch.config import GPUConfig
-from ..engine import config_signature, get_engine
-from ..errors import VerificationError, classify_error
+from ..engine import get_engine
+from ..errors import ParseError, VerificationError, classify_error
 from ..ir.pipeline import VERIFIED_SPEC, pipeline_signature, run_pipeline
 from ..ptx import parse_kernel
 from ..ptx.module import Kernel
@@ -63,18 +50,16 @@ def _passes_of(params: Dict[str, Any]) -> str:
 
 
 class PreparedJob:
-    """A request with its target resolved and its dedup key computed."""
+    """A request with its target and config resolved."""
 
     def __init__(
         self,
         request: Request,
-        signature: str,
         kernel: Optional[Kernel],
         workload: Optional[object],
-        config: Optional[GPUConfig],
+        config: GPUConfig,
     ):
         self.request = request
-        self.signature = signature
         self.kernel = kernel
         self.workload = workload
         self.config = config
@@ -83,24 +68,6 @@ class PreparedJob:
         #: one-shot CLI reads beyond the payload (``crat --emit``,
         #: ``suite --report-json``).
         self.result: Any = None
-
-
-def _sig(*parts: object) -> str:
-    """Single-flight signature: ``sha256(schema tag, *parts)``.
-
-    The engine's cache schema tag is folded in first, so bumping *any*
-    result-affecting schema version (result layout, pipeline format,
-    batch core) also invalidates in-flight dedup collisions — a job
-    prepared under the old version can never be answered by a slot
-    keyed under the new one.
-    """
-    from ..engine.cache import cache_schema_version
-
-    digest = hashlib.sha256(
-        "\x1f".join(repr(p) for p in (cache_schema_version(),) + parts)
-        .encode()
-    )
-    return digest.hexdigest()[:32]
 
 
 def load_target(
@@ -124,12 +91,10 @@ def load_target(
     if target is not None:
         abbr = target.upper()
         if abbr not in BY_ABBR:
-            raise classify_error(
-                ValueError(
-                    f"unknown app {target!r} (expected one of "
-                    f"{', '.join(sorted(BY_ABBR))}); file targets must be "
-                    "sent inline via 'ptx'"
-                ),
+            raise ParseError(
+                f"unknown app {target!r} (expected one of "
+                f"{', '.join(sorted(BY_ABBR))}); file targets must be "
+                "sent inline via 'ptx'",
                 app=target,
                 stage="parse",
             )
@@ -148,74 +113,34 @@ def load_target(
     return kernel, None
 
 
-def _workload_terms(
-    config: GPUConfig, workload: Any, grid: Optional[int] = None
-) -> Tuple[int, Tuple[Tuple[str, int], ...], Optional[int]]:
-    """``(resolved grid, param sizes, default reg)`` of a job: what its
-    ``target`` workload (if any) adds to the answer beyond the kernel.
-    ``grid`` is an explicit per-request override."""
-    if grid is None and workload is not None:
-        grid = workload.grid_blocks
-    if grid is None:
-        grid = 2 * config.max_blocks_per_sm
-    if workload is None:
-        return grid, (), None
-    params = tuple(sorted(workload.param_sizes.items()))
-    return grid, params, workload.default_reg
+def _config_of(params: Dict[str, Any]) -> GPUConfig:
+    """The job's architecture preset; an unknown name is a
+    :class:`ParseError`, like an unknown app."""
+    try:
+        return get_config(params.get("config", "fermi"))
+    except KeyError as err:
+        raise ParseError(err.args[0], stage="parse")
 
 
 def prepare(request: Request) -> PreparedJob:
-    """Resolve the target and derive the single-flight signature."""
+    """Resolve the target and config and normalize the ``passes`` spec,
+    so a bad request fails before it takes a queue slot."""
     params = request.params
-    config_name = params.get("config", "fermi")
     if request.job == "suite":
-        apps = tuple(
-            a.upper() for a in params.get(
-                "apps", [w.abbr for w in RESOURCE_SENSITIVE]
-            )
-        )
+        apps = [a.upper() for a in params.get("apps", [])]
         unknown = [a for a in apps if a not in BY_ABBR]
         if unknown:
-            raise classify_error(
-                ValueError(f"unknown app(s): {', '.join(unknown)}"),
-                stage="parse",
+            raise ParseError(
+                f"unknown app(s): {', '.join(unknown)}", stage="parse"
             )
-        signature = _sig(
-            "suite", config_name, apps, bool(params.get("verify")),
-            _passes_of(params),
+        kernel, workload = None, None
+    else:
+        kernel, workload = load_target(
+            params, checked=request.job != "verify"
         )
-        return PreparedJob(request, signature, None, None, None)
-
-    kernel, workload = load_target(params, checked=request.job != "verify")
-    config = get_config(config_name)
-    fingerprint = kernel.fingerprint()
-    if request.job == "crat":
-        signature = _sig(
-            "crat",
-            fingerprint,
-            config_signature(config),
-            _workload_terms(config, workload),
-            bool(params.get("static")),
-            bool(params.get("no_shm_spill")),
-            bool(params.get("verify")),
-            _passes_of(params),
-        )
-    elif request.job == "simulate":
-        signature = _sig(
-            "simulate",
-            fingerprint,
-            config_signature(config),
-            _workload_terms(config, workload, params.get("grid") or None),
-            params.get("tlp", 4),
-            bool(params.get("verify")),
-            _passes_of(params),
-        )
-    else:  # verify
-        signature = _sig(
-            "verify", fingerprint, bool(params.get("strict")),
-            bool(params.get("pipeline")),
-        )
-    return PreparedJob(request, signature, kernel, workload, config)
+    config = _config_of(params)
+    _passes_of(params)
+    return PreparedJob(request, kernel, workload, config)
 
 
 # ----------------------------------------------------------------------

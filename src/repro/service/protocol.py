@@ -10,16 +10,11 @@ that map 1:1 onto the structured error taxonomy of :mod:`repro.errors`.
 
 Request shape::
 
-    {"id": "r1", "job": "crat", "params": {"target": "GAU"},
-     "deadline": 30.0, "priority": 0}
+    {"id": "r1", "job": "crat", "params": {"target": "GAU"}}
 
 ``id`` is echoed verbatim in the reply so clients can pipeline.
 ``job`` is one of :data:`JOB_TYPES`; ``params`` is job-specific and
-validated per job.  ``deadline`` (seconds, optional) bounds the
-request's total time in the service — a request still queued when its
-deadline passes is answered ``expired`` without ever running.
-``priority`` (optional int, default 0, higher runs earlier) orders the
-service queue.
+validated per job.  Any other field is rejected by name.
 
 Reply statuses::
 
@@ -32,9 +27,8 @@ Reply statuses::
                                        — the frame failed validation
     overloaded  {"id", "status": "overloaded", "retry_after": s}
                                        — queue full (429-style)
-    expired     {"id", "status": "expired"}  — deadline passed in queue
-    drained     {"id", "status": "drained"}  — server shut down before
-                 the queued job ran; resubmit it
+    drained     {"id", "status": "drained"}  — the server is shutting
+                 down and did not run the job; resubmit it
 """
 
 from __future__ import annotations
@@ -45,12 +39,12 @@ from typing import Any, Dict, Optional
 
 #: Protocol revision, echoed by ``ping``/``stats``; bump on breaking
 #: changes to the frame shape.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Hard ceiling on one frame (request or reply), newline included.
 MAX_FRAME_BYTES = 4 * 1024 * 1024
 
-#: Evaluation jobs (queued, deduplicated, executed on workers) …
+#: Evaluation jobs (queued and executed on workers) …
 EVAL_JOBS = ("crat", "simulate", "verify", "suite")
 #: … and control jobs (answered inline by the connection handler).
 CONTROL_JOBS = ("ping", "stats", "shutdown")
@@ -58,7 +52,7 @@ JOB_TYPES = EVAL_JOBS + CONTROL_JOBS
 
 #: Per-job parameter schema: name -> (type, required).  ``params`` keys
 #: outside the schema are rejected — typos must not silently change a
-#: job's meaning (and its dedup signature).
+#: job's meaning.
 _COMMON_PARAMS: Dict[str, tuple] = {
     "target": (str, False),   # app abbreviation (Table 3)
     "ptx": (str, False),      # inline PTX-subset text
@@ -111,8 +105,6 @@ class Request:
     job: str
     params: Dict[str, Any]
     id: Optional[str] = None
-    deadline: Optional[float] = None
-    priority: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +167,7 @@ def validate_request(obj: Dict[str, Any]) -> Request:
     Every rejection names the offending field — the string travels back
     to the client verbatim, so it has to be actionable on its own.
     """
-    known_top = {"id", "job", "params", "deadline", "priority"}
+    known_top = {"id", "job", "params"}
     unknown = sorted(set(obj) - known_top)
     if unknown:
         raise ProtocolError(f"unknown field(s): {', '.join(unknown)}")
@@ -192,18 +184,6 @@ def validate_request(obj: Dict[str, Any]) -> Request:
     req_id = obj.get("id")
     if req_id is not None and not isinstance(req_id, str):
         raise ProtocolError("'id' must be a string")
-
-    deadline = obj.get("deadline")
-    if deadline is not None:
-        if not isinstance(deadline, (int, float)) or isinstance(deadline, bool):
-            raise ProtocolError("'deadline' must be a number of seconds")
-        if deadline <= 0:
-            raise ProtocolError("'deadline' must be positive")
-        deadline = float(deadline)
-
-    priority = obj.get("priority", 0)
-    if not isinstance(priority, int) or isinstance(priority, bool):
-        raise ProtocolError("'priority' must be an integer")
 
     params = obj.get("params", {})
     if not isinstance(params, dict):
@@ -234,10 +214,7 @@ def validate_request(obj: Dict[str, Any]) -> Request:
             raise ProtocolError(
                 f"job {job!r}: exactly one of 'target' or 'ptx' is required"
             )
-    return Request(
-        job=job, params=dict(params), id=req_id,
-        deadline=deadline, priority=priority,
-    )
+    return Request(job=job, params=dict(params), id=req_id)
 
 
 # ----------------------------------------------------------------------
@@ -276,10 +253,6 @@ def overloaded_reply(
         "status": "overloaded",
         "retry_after": round(retry_after, 3),
     }
-
-
-def expired_reply(req_id: Optional[str]) -> Dict[str, Any]:
-    return {"id": req_id, "status": "expired"}
 
 
 def drained_reply(req_id: Optional[str]) -> Dict[str, Any]:

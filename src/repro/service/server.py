@@ -7,29 +7,31 @@ and serves evaluation requests over a unix socket (or TCP via
 * **Connection handlers** (one thread per connection) speak the NDJSON
   protocol: validate frames, answer control jobs (``ping``, ``stats``,
   ``shutdown``) inline, and funnel evaluation jobs through admission.
-* **Admission** = single-flight dedup + bounded queue.  A request whose
-  content signature matches an in-flight job attaches to it (N
-  identical concurrent submits cost one evaluation); otherwise it
-  occupies a queue slot or — queue full — is refused with an
-  ``overloaded`` reply carrying a ``Retry-After`` hint (backpressure is
-  explicit, never an unbounded backlog).
-* **Workers** (a small thread pool) pop jobs in priority order and run
-  them on the shared engine, in this process.  To spread concurrent
-  clients over more cores, run several daemons, one socket each, over
-  one ``REPRO_CACHE_DIR``.
+* **Admission**: every evaluation request is its own job.  The
+  connection thread runs :func:`~repro.service.jobs.prepare` (a bad
+  request is answered ``error`` and never takes a queue slot), then
+  puts the job in the bounded FIFO queue or — queue full — refuses it
+  with an ``overloaded`` reply carrying a ``Retry-After`` hint
+  (backpressure is explicit, never an unbounded backlog).
+* **Workers** (a small thread pool) take jobs in arrival order and run
+  each once on the shared engine, in this process.  To spread
+  concurrent clients over more cores, run several daemons, one socket
+  each, over one ``REPRO_CACHE_DIR``.
 * **Graceful drain**: on SIGTERM the listener closes, executing jobs
-  finish and are answered, and queued-but-unstarted jobs are answered
-  ``drained`` so their clients can resubmit — every accepted job gets
-  an answer.  The drain writes nothing; results already live in the
-  engine's caches.
+  finish and are answered, and queued-but-unstarted jobs — and any
+  request that arrives on an open connection meanwhile — are answered
+  ``drained`` so their clients can resubmit.  Every accepted request
+  ends in exactly one counter: ``accepted == completed + failed +
+  rejected_overloaded + drained``.  The drain writes nothing; results
+  already live in the engine's caches.
 * **Observability**: a ``stats`` request returns service counters
-  (queue depth, dedup hits, p50/p95 latency per job type) plus the
-  engine snapshot.  Every reply is a ``service.request`` span in the
-  engine's span recorder, from that request's admission to its reply,
-  and every executed job a ``service.execute`` span on its worker, so
-  a service trace nests the simulations each request caused;
-  ``--log-interval`` emits periodic structured JSON lines.  A reply
-  too large to frame is answered with a ``ServiceError`` reply
+  (queue depth, p50/p95 latency per job type) plus the engine
+  snapshot.  Every evaluation reply is a ``service.request`` span in
+  the engine's span recorder, from that request's admission to its
+  reply, and every executed job a ``service.execute`` span on its
+  worker, so a service trace nests the simulations each request
+  caused; ``--log-interval`` emits periodic structured JSON lines.  A
+  reply too large to frame is answered with a ``ServiceError`` reply
   instead, and the connection stays open.
 """
 
@@ -47,7 +49,7 @@ from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from ..engine import get_engine, set_engine
 from ..engine.engine import EvaluationEngine
-from ..errors import ReproError, ServiceError, classify_error
+from ..errors import ServiceError, classify_error
 from . import jobs as jobs_mod
 from .protocol import (
     CONTROL_JOBS,
@@ -59,19 +61,26 @@ from .protocol import (
     drained_reply,
     encode_frame,
     error_reply,
-    expired_reply,
     invalid_reply,
     ok_reply,
     overloaded_reply,
     validate_request,
 )
-from .queue import InFlightJob, JobQueue, QueueFullError, SingleFlightTable
+from .queue import Job, JobQueue, QueueFullError
 
 #: Environment variable naming the default unix socket path.
 SOCKET_ENV = "REPRO_SOCKET"
 
 #: How many recent per-job latencies feed the p50/p95 estimates.
 _LATENCY_WINDOW = 512
+
+#: The one counter each evaluation reply status ends its request in.
+_OUTCOME_COUNTERS = {
+    "ok": "completed",
+    "error": "failed",
+    "overloaded": "rejected_overloaded",
+    "drained": "drained",
+}
 
 
 def default_socket_path() -> str:
@@ -92,7 +101,12 @@ def _percentile(values: List[float], fraction: float) -> float:
 
 
 class ServiceStats:
-    """Thread-safe service counters + a bounded latency window."""
+    """Thread-safe service counters + a bounded latency window.
+
+    Counts are per request: each evaluation request that passes frame
+    validation is ``accepted`` once and ends in the one counter of its
+    reply status (:data:`_OUTCOME_COUNTERS`).
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -100,10 +114,8 @@ class ServiceStats:
         self.accepted = 0
         self.completed = 0
         self.failed = 0
-        self.dedup_hits = 0
         self.rejected_invalid = 0
         self.rejected_overloaded = 0
-        self.expired = 0
         self.drained = 0
         self.executed = 0
         self.connections = 0
@@ -146,10 +158,10 @@ class ServiceStats:
                 "accepted": self.accepted,
                 "completed": self.completed,
                 "failed": self.failed,
-                "dedup_hits": self.dedup_hits,
                 "rejected_invalid": self.rejected_invalid,
                 "rejected_overloaded": self.rejected_overloaded,
-                "expired": self.expired,
+                # Always 0; read by perfbench/daemon.py:conservation.
+                "expired": 0,
                 "drained": self.drained,
                 "executed": self.executed,
                 "connections": self.connections,
@@ -185,7 +197,6 @@ class ReproServer:
         self.workers = max(1, workers)
         self.stats = ServiceStats()
         self._queue = JobQueue(queue_limit)
-        self._inflight = SingleFlightTable()
         self._log_stream = log_stream
         self._log_interval = log_interval
         #: Id of the newest ``service.request`` span logged (0: none).
@@ -275,17 +286,18 @@ class ReproServer:
         Gating happens inside the queue, so even a worker already
         blocked waiting for work cannot pick up another job until
         :meth:`resume_workers`; admission keeps running, so requests
-        pile up against the dedup table and the bounded queue exactly
-        as they would under a long-running job."""
+        pile up against the bounded queue exactly as they would under
+        a long-running job."""
         self._queue.pause()
 
     def resume_workers(self) -> None:
         self._queue.resume()
 
     def shutdown(self, drain: bool = True) -> None:
-        """Stop the daemon: queued jobs are answered ``drained``; with
-        ``drain`` (the SIGTERM path) executing jobs get up to 30 s to
-        finish and answer, so every accepted job gets a reply."""
+        """Stop the daemon: queued jobs, and requests that arrive from
+        now on, are answered ``drained``; with ``drain`` (the SIGTERM
+        path) executing jobs get up to 30 s to finish and answer, so
+        every accepted request gets a reply."""
         with self._lock:
             if self._draining:
                 return
@@ -297,8 +309,7 @@ class ReproServer:
                 pass
         pending = self._queue.drain_remaining()
         for job in pending:
-            self.stats.bump("drained", len(job.waiters))
-            self._inflight.complete(job, "drained")
+            job.finish("drained")
         for thread in self._threads:
             if thread is not threading.current_thread():
                 thread.join(timeout=30.0 if drain else 1.0)
@@ -432,51 +443,46 @@ class ReproServer:
         return max(0.1, min(30.0, depth * mean / self.workers))
 
     def _handle_eval(self, request: Request) -> Dict[str, Any]:
-        if self._draining:
-            self.stats.bump("rejected_overloaded")
-            return overloaded_reply(request.id, 1.0)
-        try:
-            prepared = jobs_mod.prepare(request)
-        except ReproError as err:
-            self.stats.bump("failed")
-            return error_reply(request.id, err.kind, str(err), err.exit_code)
+        """Admit one evaluation request as its own job, wait for its
+        outcome and answer it.  The request is counted ``accepted`` and
+        then once in the counter of its reply status, and its reply is
+        a ``service.request`` span from its admission to now.  An ``ok``
+        reply also feeds the latency window from the same two readings
+        (its queue wait ends where a worker took the job up)."""
+        self.stats.bump("accepted")
         admitted = time.perf_counter()
-        job, waiter, created = self._inflight.admit(
-            prepared.signature, request
-        )
-        if created:
-            job.prepared = prepared
-            try:
-                self._queue.put(job)
-            except QueueFullError:
-                self._inflight.complete(
-                    job, "overloaded", self._retry_after_hint()
-                )
-                self.stats.bump("rejected_overloaded")
-                self._record_request(job, admitted, "overloaded", False)
-                return overloaded_reply(request.id, self._retry_after_hint())
-            self.stats.bump("accepted")
+        job = Job(request)
+        try:
+            job.prepared = jobs_mod.prepare(request)
+            self._queue.put(job)
+        except QueueFullError:
+            if self._draining:
+                job.finish("drained")
+            else:
+                job.finish("overloaded", self._retry_after_hint())
+        except Exception as err:  # noqa: BLE001 — answered, never raised
+            job.finish("error", _error_of(err))
         else:
-            self.stats.bump("accepted")
-            self.stats.bump("dedup_hits")
-        timeout = None
-        if waiter.deadline_at is not None:
-            timeout = max(0.0, waiter.deadline_at - time.monotonic())
-        if not job.wait(timeout):
-            self.stats.bump("expired")
-            self._record_request(job, admitted, "expired", not created)
-            return expired_reply(request.id)
+            job.wait()
         status, payload = job.outcome  # type: ignore[misc]
-        self._record_request(job, admitted, status, not created)
+        self.stats.bump(_OUTCOME_COUNTERS[status])
+        replied = time.perf_counter()
+        self.engine.spans.record(
+            "service.request", admitted, replied,
+            job=request.job, status=status,
+        )
         if status == "ok":
+            self.stats.observe_latency(
+                request.job,
+                max(0.0, job.started_at - admitted),
+                replied - admitted,
+            )
             return ok_reply(request.id, payload)
         if status == "error":
             kind, message, exit_code = payload
             return error_reply(request.id, kind, message, exit_code)
         if status == "overloaded":
-            return overloaded_reply(request.id, payload or 1.0)
-        if status == "expired":
-            return expired_reply(request.id)
+            return overloaded_reply(request.id, payload)
         return drained_reply(request.id)
 
     # ------------------------------------------------------------------
@@ -484,21 +490,13 @@ class ReproServer:
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
         while True:
-            job = self._queue.get(timeout=0.2)
+            job = self._queue.get()
             if job is None:
-                if self._queue.closed:
-                    return
-                continue
+                return
             self._execute_job(job)
 
-    def _execute_job(self, job: InFlightJob) -> None:
+    def _execute_job(self, job: Job) -> None:
         job.started_at = time.perf_counter()
-        if job.all_expired():
-            # Every waiter's deadline passed while the job sat in the
-            # queue: skip the work, nobody is listening (each waiter
-            # already counted itself expired when its own wait lapsed).
-            self._inflight.complete(job, "expired")
-            return
         # Taken off the job, so its kernel and the in-process result
         # ``execute`` leaves on it go when this call returns: a worker
         # holds its last job until it takes the next.
@@ -508,46 +506,19 @@ class ReproServer:
                 with self.engine.span("service.execute", job=job.request.job):
                     result = jobs_mod.execute(prepared)
         except BaseException as err:  # noqa: BLE001 — workers never die
-            classified = classify_error(err)
-            self.stats.bump("failed")
+            job.finish("error", _error_of(err))
+        else:
+            job.finish("ok", result)
+        finally:
             self.stats.bump("executed")
-            self._inflight.complete(
-                job,
-                "error",
-                (classified.kind, str(classified), classified.exit_code),
-            )
-            return
-        self.stats.bump("completed")
-        self.stats.bump("executed")
-        self._inflight.complete(job, "ok", result)
 
     # ------------------------------------------------------------------
     # Observability.
     # ------------------------------------------------------------------
-    def _record_request(
-        self, job: InFlightJob, admitted: float, status: str, deduped: bool
-    ) -> None:
-        """One reply's ``service.request`` span, from this request's own
-        admission to now.  An ``ok`` reply also feeds the latency window
-        from the same two readings (its queue wait ends where the job's
-        worker took it up)."""
-        replied = time.perf_counter()
-        self.engine.spans.record(
-            "service.request", admitted, replied,
-            job=job.request.job, status=status, deduped=deduped,
-        )
-        if status == "ok" and job.started_at is not None:
-            self.stats.observe_latency(
-                job.request.job,
-                max(0.0, job.started_at - admitted),
-                replied - admitted,
-            )
-
     def stats_payload(self, include_events: bool = False) -> Dict[str, Any]:
         service = self.stats.to_dict()
         service["queue_depth"] = len(self._queue)
         service["queue_limit"] = self._queue.limit
-        service["inflight"] = len(self._inflight)
         service["workers"] = self.workers
         return {
             "protocol_version": PROTOCOL_VERSION,
@@ -589,6 +560,13 @@ class ReproServer:
             self._last_logged = fresh[0].id
         for span in reversed(fresh):
             self._log_line({"kind": "span", **span.to_dict()})
+
+
+def _error_of(err: BaseException) -> Tuple[str, str, int]:
+    """An ``error`` outcome: the classified error's kind, message and
+    exit code."""
+    classified = classify_error(err)
+    return classified.kind, str(classified), classified.exit_code
 
 
 def serve_main(

@@ -2,13 +2,14 @@
 
 Every test boots a real :class:`ReproServer` on a per-test unix socket
 and talks to it through the real client library — no mocked transport —
-because the interesting guarantees (single-flight dedup, zero-loss
-drain, explicit backpressure) live in the interaction between the
-connection handlers, the queue, and the workers.
+because the interesting guarantees (one job per request, per-request
+counters, zero-loss drain, explicit backpressure) live in the
+interaction between the connection handlers, the queue, and the
+workers.
 
 The ``pause_workers`` hook makes the concurrency tests deterministic:
-workers are held before their next job, requests pile up against the
-admission layer, and only then are the workers released.
+workers are held before their next job, requests pile up in the queue,
+and only then are the workers released.
 """
 
 import json
@@ -23,9 +24,16 @@ import pytest
 from repro.cli import main
 from repro.engine import EvaluationEngine, get_engine, set_engine
 from repro.errors import EXIT_PARSE, EXIT_SERVICE, EXIT_VERIFY, ServiceError
-from repro.service.client import ServiceClient, ServiceJobError, submit_or_raise
+from repro.service import jobs
+from repro.service.client import (
+    ServiceClient,
+    ServiceJobError,
+    submit_or_raise,
+    unwrap,
+)
 from repro.service.jobs import execute, prepare
 from repro.service.protocol import Request
+from repro.service.queue import Job, JobQueue, QueueFullError
 from repro.service.server import ReproServer
 
 #: A cheap evaluation job (single-point simulation of the smallest app).
@@ -72,6 +80,8 @@ class TestBasics:
     def test_ping(self, server):
         with make_client(server) as client:
             assert client.ping()
+            reply = client.request_once("ping")
+        assert reply["result"] == {"pong": True, "protocol_version": 2}
 
     def test_simulate_matches_one_shot(self, server, fresh_engine):
         """The acceptance identity: a daemon answer is bit-identical to
@@ -125,6 +135,26 @@ class TestBasics:
             # The connection survives a schema rejection.
             assert client.ping()
 
+    @pytest.mark.parametrize("field", ["deadline", "priority"])
+    def test_retired_admission_fields_rejected(self, server, field):
+        """Protocol 2 has no per-request deadline or priority: a frame
+        that carries one is invalid, naming the field."""
+        import socket as socket_mod
+
+        frame = {"id": "r1", "job": "simulate", "params": SIM_GAU,
+                 field: 1}
+        sock = socket_mod.socket(socket_mod.AF_UNIX)
+        sock.settimeout(10.0)
+        sock.connect(server.socket_path)
+        try:
+            sock.sendall(json.dumps(frame).encode() + b"\n")
+            reply = json.loads(sock.makefile("rb").readline())
+        finally:
+            sock.close()
+        assert reply["status"] == "invalid"
+        assert reply["error"]["message"] == f"unknown field(s): {field}"
+        assert server.stats.to_dict()["accepted"] == 0
+
     def test_raw_garbage_line_rejected(self, server):
         import socket as socket_mod
 
@@ -142,11 +172,13 @@ class TestBasics:
         with make_client(server) as client:
             submit_or_raise(client, "simulate", SIM_GAU)
             payload = client.stats()
-        assert payload["protocol_version"] == 1
+        assert payload["protocol_version"] == 2
         service = payload["service"]
         assert service["accepted"] == 1
         assert service["completed"] == 1
         assert service["executed"] == 1
+        assert service["expired"] == 0
+        assert "dedup_hits" not in service and "inflight" not in service
         assert service["queue_depth"] == 0
         assert service["workers"] == 2
         assert "simulate" in service["latency"]
@@ -161,9 +193,7 @@ class TestBasics:
             payload = client.stats(include_events=True)
         spans = {s["id"]: s for s in payload["engine"]["spans"]}
         [request] = _named(spans.values(), "service.request")
-        assert request["attrs"] == {
-            "job": "simulate", "status": "ok", "deduped": False,
-        }
+        assert request["attrs"] == {"job": "simulate", "status": "ok"}
         [execute] = _named(spans.values(), "service.execute")
         # The worker's spans carry the request id and nest the
         # simulation the request caused.
@@ -181,7 +211,7 @@ class TestBasics:
         keeps working."""
         for _ in range(60_000):  # about 10 MB of spans, over the 4 MiB cap
             fresh_engine.mark("service.request", job="simulate",
-                              status="ok", deduped=False)
+                              status="ok")
         with make_client(server) as client:
             reply = client.request_once("stats", {"include_events": True})
             assert reply["status"] == "error"
@@ -197,45 +227,12 @@ def _named(spans, name):
     return [span for span in spans if span["name"] == name]
 
 
-class TestSingleFlight:
-    def test_deduped_waiter_is_timed_from_its_own_admission(
+class TestAdmission:
+    def test_identical_concurrent_requests_each_run(
         self, server, fresh_engine
     ):
-        """A request that attaches to an in-flight job reports its own
-        wait, not the job's (measured from the first admission)."""
-        server.pause_workers()
-        threads = []
-        for expected in (1, 2):
-            threads.append(threading.Thread(
-                target=lambda: submit_or_raise(
-                    make_client(server), "simulate", SIM_GAU
-                )
-            ))
-            threads[-1].start()
-            assert _wait_until(
-                lambda: server.stats.to_dict()["accepted"] == expected
-            )
-            time.sleep(0.3)
-        server.resume_workers()
-        for t in threads:
-            t.join(timeout=30.0)
-        assert not any(t.is_alive() for t in threads)
-        first, deduped = sorted(
-            (s for s in fresh_engine.spans.spans
-             if s.name == "service.request"),
-            key=lambda s: s.attrs["deduped"],
-        )
-        assert (first.attrs["deduped"], deduped.attrs["deduped"]) == (
-            False, True)
-        assert deduped.start - first.start >= 0.25
-        assert (deduped.end - deduped.start) <= (
-            first.end - first.start) - 0.25
-        assert server.stats.to_dict()["latency"]["simulate"]["count"] == 2
-
-    def test_concurrent_identical_requests_cost_one_evaluation(
-        self, server, fresh_engine
-    ):
-        """N identical concurrent submits -> exactly 1 execution."""
+        """N identical concurrent submits are N jobs: each is queued,
+        run once and answered, all with the same payload."""
         n = 6
         server.pause_workers()
         results, errors = [], []
@@ -252,13 +249,7 @@ class TestSingleFlight:
         threads = [threading.Thread(target=submit) for _ in range(n)]
         for t in threads:
             t.start()
-        # All n must be admitted (and n-1 deduplicated) while the
-        # workers are still held — dedup happens at admission, not at
-        # execution.
-        assert _wait_until(
-            lambda: server.stats.to_dict()["accepted"] == n
-        ), server.stats.to_dict()
-        assert server.stats.to_dict()["dedup_hits"] == n - 1
+        assert _wait_until(lambda: len(server._queue) == n)
         server.resume_workers()
         for t in threads:
             t.join(timeout=30.0)
@@ -266,56 +257,162 @@ class TestSingleFlight:
         assert len(results) == n
         assert all(r == results[0] for r in results)
         stats = server.stats.to_dict()
-        assert stats["executed"] == 1
-        assert stats["completed"] == 1
-        # The engine agrees: one batch of simulations, not six.
-        assert fresh_engine.stats.simulations == 1
+        assert stats["accepted"] == stats["completed"] == n
+        assert stats["executed"] == n
+
+    def test_queue_is_fifo(self):
+        queue = JobQueue(limit=3)
+        queued = [
+            Job(Request(job="simulate", params={**SIM_GAU, "tlp": tlp}))
+            for tlp in (1, 2, 3)
+        ]
+        for job in queued:
+            queue.put(job)
+        with pytest.raises(QueueFullError):
+            queue.put(Job(Request(job="simulate", params=SIM_GAU)))
+        assert queue.get() is queued[0]
+        assert queue.drain_remaining() == queued[1:]
+        assert queue.get() is None
+        with pytest.raises(QueueFullError):
+            queue.put(queued[0])
+
+
+class TestSingleFlight:
+    """No single-flight table stands between admission and the workers:
+    no request is merged into another's run."""
 
     def test_distinct_requests_do_not_dedup(self, server):
         server.pause_workers()
-        replies = []
+        replies = {}
 
         def submit(tlp):
             with make_client(server) as client:
-                replies.append(submit_or_raise(
+                replies[tlp] = submit_or_raise(
                     client, "simulate", {"target": "GAU", "tlp": tlp}
-                ))
+                )
 
         threads = [
             threading.Thread(target=submit, args=(tlp,)) for tlp in (1, 2)
         ]
         for t in threads:
             t.start()
-        assert _wait_until(
-            lambda: server.stats.to_dict()["accepted"] == 2
-        )
-        assert server.stats.to_dict()["dedup_hits"] == 0
+        assert _wait_until(lambda: len(server._queue) == 2)
         server.resume_workers()
         for t in threads:
             t.join(timeout=30.0)
-        assert len(replies) == 2
-        assert server.stats.to_dict()["executed"] == 2
+        assert sorted(replies) == [1, 2]
+        assert replies[1] != replies[2]
+        stats = server.stats.to_dict()
+        assert stats["accepted"] == stats["completed"] == 2
+        assert stats["executed"] == 2
 
-    @pytest.mark.parametrize("job", ["crat", "simulate"])
-    def test_target_and_inline_ptx_twins_sign_differently(self, job):
-        """A ``target`` job also gets its workload's grid, buffer sizes
-        and default register count; an inline-``ptx`` twin of the same
-        kernel gets none of them (KMN at TLP 1 simulates to 271,132
-        vs 361,512 cycles), so the two must never share one reply."""
-        from repro.ptx import print_kernel
-        from repro.workloads import load_workload
 
-        ptx = print_kernel(load_workload("KMN").kernel)
-        extra = {"tlp": 1} if job == "simulate" else {}
+class TestConservation:
+    def test_counters_hold_under_concurrency(self, tmp_path, fresh_engine):
+        """More workers and clients than cores, with a short thread
+        switch interval: a lost counter update breaks the totals."""
+        import sys
 
-        def sign(**target):
-            return prepare(Request(job=job, params={**target, **extra}))
+        ptx = pathlib.Path("examples/spilled.ptx").read_text()
+        server = ReproServer(
+            socket_path=str(tmp_path / "stress.sock"),
+            engine=fresh_engine,
+            workers=4,
+            queue_limit=64,
+        )
+        server.start()
+        clients, per_client, errors = 8, 5, []
 
-        as_target, as_ptx = sign(target="KMN"), sign(ptx=ptx)
-        assert as_target.kernel.fingerprint() == as_ptx.kernel.fingerprint()
-        assert as_target.signature != as_ptx.signature
-        assert sign(target="KMN").signature == as_target.signature
-        assert sign(ptx=ptx).signature == as_ptx.signature
+        def submit():
+            try:
+                with make_client(server) as client:
+                    for _ in range(per_client):
+                        submit_or_raise(client, "verify", {"ptx": ptx})
+            except Exception as err:  # pragma: no cover - fail loudly
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submit)
+                       for _ in range(clients)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+            server.shutdown(drain=True)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        stats = server.stats.to_dict()
+        total = clients * per_client
+        assert (stats["accepted"], stats["completed"], stats["executed"]) \
+            == (total, total, total)
+        assert stats["latency"]["verify"]["count"] == total
+
+    def test_every_request_ends_in_one_counter(
+        self, tmp_path, fresh_engine, monkeypatch
+    ):
+        """One daemon, five requests, one per reply status path: each
+        is accepted once and ends in the one counter of its reply, so
+        accepted == completed + failed + rejected_overloaded + drained."""
+        server = ReproServer(
+            socket_path=str(tmp_path / "law.sock"),
+            engine=fresh_engine,
+            workers=1,
+            queue_limit=1,
+        )
+        server.start()
+
+        def explode(prepared):
+            raise RuntimeError("handler exploded")
+
+        held = []
+
+        def hold():
+            with make_client(server) as client:
+                held.append(client.request_once(
+                    "simulate", {"target": "GAU", "tlp": 1}
+                ))
+
+        holder = threading.Thread(target=hold)
+        try:
+            with make_client(server, max_retries=0) as client:
+                ok = client.request_once("simulate", SIM_GAU)
+                unknown = client.request_once("simulate", {"target": "NOPE"})
+                monkeypatch.setitem(jobs._HANDLERS, "verify", explode)
+                raised = client.request_once("verify", {"target": "GAU"})
+                server.pause_workers()
+                holder.start()
+                assert _wait_until(lambda: len(server._queue) == 1)
+                overloaded = client.request_once(
+                    "simulate", {"target": "GAU", "tlp": 3}
+                )
+        finally:
+            server.shutdown(drain=True)
+        holder.join(timeout=30.0)
+
+        assert ok["status"] == "ok"
+        assert unknown["status"] == "error"
+        assert unknown["error"]["exit_code"] == EXIT_PARSE
+        assert raised["status"] == "error"
+        assert "handler exploded" in raised["error"]["message"]
+        assert overloaded["status"] == "overloaded"
+        assert [r["status"] for r in held] == ["drained"]
+        stats = server.stats.to_dict()
+        counters = ("accepted", "completed", "failed",
+                    "rejected_overloaded", "drained", "executed",
+                    "rejected_invalid", "expired")
+        assert {name: stats[name] for name in counters} == {
+            "accepted": 5, "completed": 1, "failed": 2,
+            "rejected_overloaded": 1, "drained": 1, "executed": 2,
+            "rejected_invalid": 0, "expired": 0,
+        }
+        assert stats["accepted"] == (
+            stats["completed"] + stats["failed"]
+            + stats["rejected_overloaded"] + stats["drained"]
+        )
 
 
 #: ``repro verify`` inputs for the parity test: every example kernel,
@@ -386,6 +483,24 @@ class TestSubmitCli:
         one_shot, submitted = self._both(argv, server, capsys)
         assert submitted == one_shot
         assert one_shot[1]
+
+    @pytest.mark.parametrize("flag", [["--deadline", "5"],
+                                      ["--priority", "1"]])
+    def test_retired_admission_flags_exit_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["submit", "crat", "GAU", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["crat", "GAU"], ["simulate", "GAU"],
+                                      ["suite"]])
+    def test_unknown_config_exits_2(self, argv, server, capsys):
+        """An unknown ``--config`` fails in ``prepare``, as an unknown
+        app does, before any work."""
+        one_shot, submitted = self._both(
+            [*argv, "--config", "bogus"], server, capsys
+        )
+        assert submitted == one_shot == (EXIT_PARSE, "")
 
     def test_strict_warning_only_kernel(self, server, tmp_path, capsys):
         path = tmp_path / "warn.ptx"
@@ -528,26 +643,6 @@ class TestBackpressure:
             client.request_once("ping")
 
 
-class TestDeadlines:
-    def test_queued_past_deadline_expires(self, server):
-        server.pause_workers()
-        try:
-            with make_client(server) as client:
-                t0 = time.monotonic()
-                reply = client.request_once(
-                    "simulate", {"target": "GAU", "tlp": 5}, deadline=0.3
-                )
-                waited = time.monotonic() - t0
-            assert reply["status"] == "expired"
-            assert waited >= 0.25
-            assert server.stats.to_dict()["expired"] == 1
-        finally:
-            server.resume_workers()
-        # The abandoned job must not poison the worker loop.
-        with make_client(server) as client:
-            assert client.ping()
-
-
 class TestDrain:
     def test_drain_loses_zero_accepted_jobs(self, tmp_path, fresh_engine,
                                             monkeypatch):
@@ -577,9 +672,7 @@ class TestDrain:
         ]
         for t in threads:
             t.start()
-        assert _wait_until(
-            lambda: server.stats.to_dict()["accepted"] == 3
-        )
+        assert _wait_until(lambda: len(server._queue) == 3)
         server.shutdown(drain=True)
         for t in threads:
             t.join(timeout=30.0)
@@ -587,12 +680,43 @@ class TestDrain:
         assert len(replies) == 3
         assert all(r["status"] == "drained" for r in replies)
         stats = server.stats.to_dict()
-        # Conservation: accepted == completed + expired + drained.
+        # Conservation: accepted == completed + failed +
+        # rejected_overloaded + drained.
         assert stats["accepted"] == 3
         assert stats["completed"] == 0
         assert stats["drained"] == 3
         # The socket is gone and nothing took its place.
         assert not list(tmp_path.iterdir())
+
+    def test_draining_daemon_answers_drained_without_retry(
+        self, tmp_path, fresh_engine
+    ):
+        """A request that arrives on an open connection once the drain
+        has closed the queue is answered ``drained`` at once: the client
+        neither sleeps nor retries, and ``unwrap`` says resubmit."""
+        server = ReproServer(
+            socket_path=str(tmp_path / "late.sock"),
+            engine=fresh_engine,
+            workers=1,
+        )
+        server.start()
+        sleeps = []
+        stopper = threading.Thread(target=server.shutdown,
+                                   kwargs={"drain": True})
+        with make_client(server, sleep=sleeps.append) as client:
+            assert client.ping()  # the connection is open before the drain
+            stopper.start()
+            assert _wait_until(lambda: server._queue._closed)
+            reply = client.submit("simulate", SIM_GAU)
+        stopper.join(timeout=30.0)
+        assert reply == {"id": reply["id"], "status": "drained"}
+        assert sleeps == []
+        with pytest.raises(ServiceError, match="resubmit") as err:
+            unwrap(reply)
+        assert err.value.exit_code == EXIT_SERVICE
+        stats = server.stats.to_dict()
+        assert (stats["accepted"], stats["drained"],
+                stats["rejected_overloaded"]) == (1, 1, 0)
 
     def test_eval_after_drain_is_refused(self, server):
         server.shutdown(drain=True)
@@ -659,12 +783,10 @@ class TestServerLifecycle:
             return [line["attrs"]["job"] for line in lines[1:]]
 
         # An idle daemon: one request, then quiet ticks.
-        spans.record("service.request", 0.0, 1.0, job="a", status="ok",
-                      deduped=False)
+        spans.record("service.request", 0.0, 1.0, job="a", status="ok")
         assert [tick(), tick(), tick()] == [["a"], [], []]
         # One request followed by five other spans.
-        spans.record("service.request", 1.0, 2.0, job="b", status="ok",
-                     deduped=False)
+        spans.record("service.request", 1.0, 2.0, job="b", status="ok")
         for _ in range(5):
             spans.mark("degrade")
         assert [tick(), tick()] == [["b"], []]

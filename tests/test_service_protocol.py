@@ -30,7 +30,6 @@ from repro.service.protocol import (
     drained_reply,
     encode_frame,
     error_reply,
-    expired_reply,
     invalid_reply,
     ok_reply,
     overloaded_reply,
@@ -77,17 +76,12 @@ class TestValidation:
         return obj
 
     def test_golden_valid_crat(self):
-        req = validate_request(self._valid(deadline=30.0, priority=2))
-        assert req == Request(
-            job="crat", params={"target": "GAU"}, id="r1",
-            deadline=30.0, priority=2,
-        )
+        req = validate_request(self._valid())
+        assert req == Request(job="crat", params={"target": "GAU"}, id="r1")
 
     def test_golden_valid_minimal(self):
         req = validate_request({"job": "ping"})
-        assert req.id is None
-        assert req.deadline is None
-        assert req.priority == 0
+        assert req == Request(job="ping", params={})
 
     def test_unknown_job(self):
         with pytest.raises(ProtocolError, match="unknown job 'compile'"):
@@ -152,14 +146,19 @@ class TestValidation:
             )
 
     def test_bad_deadline(self):
-        with pytest.raises(ProtocolError, match="deadline"):
-            validate_request(self._valid(deadline=-1))
-        with pytest.raises(ProtocolError, match="deadline"):
-            validate_request(self._valid(deadline="soon"))
+        # Protocol 2 retired per-request deadlines: any value is an
+        # unknown field.
+        for value in (30.0, -1, "soon"):
+            with pytest.raises(ProtocolError,
+                               match=r"^unknown field\(s\): deadline$"):
+                validate_request(self._valid(deadline=value))
 
     def test_bad_priority(self):
-        with pytest.raises(ProtocolError, match="priority"):
-            validate_request(self._valid(priority=1.5))
+        # ... and priorities.
+        for value in (2, 1.5):
+            with pytest.raises(ProtocolError,
+                               match=r"^unknown field\(s\): priority$"):
+                validate_request(self._valid(priority=value))
 
     def test_non_string_id(self):
         with pytest.raises(ProtocolError, match="'id' must be a string"):
@@ -182,8 +181,7 @@ class TestReplies:
         over = overloaded_reply("a", 1.23456)
         assert over["status"] == "overloaded"
         assert over["retry_after"] == 1.235  # rounded hint
-        assert expired_reply("a")["status"] == "expired"
-        assert drained_reply("a")["status"] == "drained"
+        assert drained_reply("a") == {"id": "a", "status": "drained"}
 
     def test_replies_encode(self):
         # Every reply constructor must produce an encodable frame.
@@ -192,7 +190,6 @@ class TestReplies:
             error_reply(None, "SimulationError", "boom", 4),
             invalid_reply("b", "bad"),
             overloaded_reply(None, 0.5),
-            expired_reply(None),
             drained_reply("c"),
         ):
             decoded = decode_frame(encode_frame(reply)[:-1])

@@ -21,8 +21,12 @@ What it checks, end to end, with real processes and a real socket:
    same stdout and exit with the same code as the one-shot processes
    (``crat GAU``, ``simulate GAU --tlp 2``, ``verify
    examples/uninit_read.ptx``);
-5. SIGTERM drains cleanly: exit code 0, ``service_drained`` logged;
-6. a warm restart: a second daemon booted over the same
+5. the daemon's ``stats`` count every one of those requests as its own
+   job, repeats included: ``accepted`` equals the evaluation requests
+   sent (50 + 4 + 3), every one ``completed``, and ``failed``,
+   ``rejected_overloaded`` and ``drained`` are 0;
+6. SIGTERM drains cleanly: exit code 0, ``service_drained`` logged;
+7. a warm restart: a second daemon booted over the same
    ``REPRO_CACHE_DIR`` answers each distinct job once, identically to
    one-shot, and its ``stats`` show no simulation (``sim_misses`` 0)
    and at least one disk-cache hit, and no memoised stage computed
@@ -48,7 +52,7 @@ CLIENTS = 8
 
 
 def build_requests():
-    """A deterministic mixed stream: repeats (cache/dedup food), a few
+    """A deterministic mixed stream: repeats (cache food), a few
     distinct design points, and every queued job type; then the HST
     twin sequence (the last client's slice)."""
     from repro.ptx import print_kernel
@@ -146,6 +150,27 @@ def check_submit_cli(sock_path, env):
     print(f"repro submit: {len(SUBMIT_COMMANDS)} commands, {failures} "
           f"mismatches against one-shot", flush=True)
     return failures
+
+
+def check_counters(sock_path, sent):
+    """Failures (0 or 1): the daemon must have accepted exactly the
+    ``sent`` evaluation requests, each as its own job, and completed
+    every one."""
+    from repro.service.client import ServiceClient
+
+    with ServiceClient(socket_path=sock_path, timeout=60.0) as client:
+        service = client.stats()["service"]
+    counters = {name: service[name] for name in (
+        "accepted", "completed", "failed", "rejected_overloaded", "drained",
+    )}
+    print(f"daemon counters: {counters}", flush=True)
+    want = dict(accepted=sent, completed=sent, failed=0,
+                rejected_overloaded=0, drained=0)
+    if counters != want:
+        print(f"FAIL: daemon counters {counters}, expected {want}",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 def start_daemon(sock_path, env):
@@ -279,14 +304,17 @@ def run_daemons(sock_path, env, expected):
         print(f"{len(answered)}/{len(requests)} answered, "
               f"{failures} mismatches", flush=True)
         failures += check_submit_cli(sock_path, env)
+        failures += check_counters(
+            sock_path, len(requests) + len(SUBMIT_COMMANDS)
+        )
     finally:
         failures += drain(daemon, "daemon")
     failures += check_warm_restart(sock_path, env, expected)
     if failures:
         return 1
     print("service smoke: OK (identical to one-shot, repro submit prints "
-          "as the one-shot does, clean drain, warm restart from the disk "
-          "cache)")
+          "as the one-shot does, one job per request, clean drain, warm "
+          "restart from the disk cache)")
     return 0
 
 
