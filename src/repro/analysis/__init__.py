@@ -3,10 +3,10 @@
 Kernel segmentation into computation and memory segments (paper
 Figure 10a) and the GTO-mimic OptTLP estimator built on it (Figure
 10b).  ``repro crat --static`` (CRAT-static) takes its OptTLP from
-:func:`estimate_opt_tlp`, and the engine's degrade rung fills a failed
-sweep point with an estimate built on :func:`throughput_cost`."""
+:func:`estimate_opt_tlp`; every other OptTLP comes from the simulated
+sweep."""
 
-from .gto_model import StaticEstimate, estimate_opt_tlp, throughput_cost
+from .gto_model import StaticEstimate, estimate_opt_tlp
 from .segments import (
     DEFAULT_TRIP_COUNT,
     Segment,
@@ -21,7 +21,6 @@ __all__ = [
     "StaticEstimate",
     "estimate_opt_tlp",
     "segment_kernel",
-    "throughput_cost",
     "total_cycles",
     "total_mem_requests",
 ]

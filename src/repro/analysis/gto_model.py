@@ -111,27 +111,6 @@ def estimate_opt_tlp(
     )
 
 
-def throughput_cost(
-    segments: List[Segment],
-    tlp: int,
-    config: GPUConfig,
-    hit_ratio: float = 0.6,
-) -> float:
-    """Mimic-predicted cost per block at ``tlp`` (lower is better).
-
-    The same makespan-per-block metric :func:`estimate_opt_tlp` ranks
-    TLPs with, exposed for the engine's degrade estimate
-    (:func:`repro.engine.engine.estimate_sim_result`), which fills in a
-    sweep point whose simulation failed.
-    """
-    if tlp <= 0:
-        raise ValueError("tlp must be positive")
-    stream = _expand(segments)
-    if not stream:
-        return 0.0
-    return _mimic(stream, tlp, config, hit_ratio).makespan / tlp
-
-
 @dataclasses.dataclass
 class _MimicOutcome:
     makespan: float

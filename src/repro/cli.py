@@ -74,7 +74,6 @@ import argparse
 import sys
 from typing import Optional
 
-from .arch import get_config
 from .core import collect_resource_usage
 from .engine import configure as configure_engine
 from .engine import get_engine
@@ -120,8 +119,10 @@ def _load(target: str):
 
 
 def cmd_info(args) -> int:
+    from .service.jobs import _config_of
+
     kernel, workload = _load(args.target)
-    config = get_config(args.config)
+    config = _config_of({"config": args.config})
     default = workload.default_reg if workload else None
     usage = collect_resource_usage(kernel, config, default_reg=default)
     print(f"kernel:     {kernel.name}")

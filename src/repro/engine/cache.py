@@ -410,10 +410,6 @@ class SimResultCache:
         return result, "disk"
 
     def put(self, key: SimKey, result: SimResult) -> None:
-        if getattr(result, "estimated", False):
-            # Degraded analytical estimates never enter the cache: a
-            # later healthy run must re-simulate the real point.
-            return
         self._memory.put(key, result)
         if self.disk_dir:
             self.write_entry("sim", key, pickle.dumps(result))

@@ -21,12 +21,12 @@ design points many times over.
   private copy.  LRU-bounded in memory like the result cache; with a
   disk directory its entries also persist there, keyed by the source
   digest as well, so a restarted daemon reads them back.
-* **Batched sweeps** — :meth:`simulate_many` runs each group of
+* **Batched sweeps** — :meth:`simulate_outcomes` runs each group of
   points that share traces, config and scheduler as one in-process
-  batch of the timing core; single points and the points of a batch
-  that raised run one at a time, once each.  The timing core is
-  deterministic, so a point that fails once fails again: its error is
-  its outcome.  Every simulation runs in this process.
+  batch of the timing core, and a single point alone, once each.  The
+  timing core is deterministic, so nothing is re-run and nothing is
+  estimated: the first trace or timing run that raises fails the call
+  with its classified error.  Every simulation runs in this process.
 * **Instrumentation** — every named pipeline stage, trace generation,
   batch and scalar timing run is a span of one nested recorder, next to
   hit/miss counters (:mod:`repro.engine.events`), dumpable as JSON.
@@ -40,38 +40,22 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import pickle
 import threading
 import zlib
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-    Union,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from ..analysis.gto_model import throughput_cost
-from ..analysis.segments import segment_kernel
 from ..arch.config import GPUConfig
 from ..errors import ReproError, classify_error
 from ..ptx.module import Kernel
 from ..sim import gpu
 from ..sim.batch import simulate_traces_batched
-from ..sim.cache import CacheStats
 from ..sim.executor import BlockTrace
 from ..sim.gpu import trace_grid
 from ..sim.stats import SimResult
 from . import cache
 from .cache import LRUMap, SimKey, SimResultCache, config_signature, make_sim_key
 from .events import EngineStats, SpanRecorder, self_seconds
-
-#: L1 hit ratio the degrade estimate's GTO mimic assumes.
-_ESTIMATE_HIT_RATIO = 0.6
 
 T = TypeVar("T")
 
@@ -96,63 +80,6 @@ class SimRequest:
         if self.grid_blocks is not None:
             return self.grid_blocks
         return 2 * self.config.max_blocks_per_sm
-
-
-#: One design point for the timing core: its traces and its request.
-SimTask = Tuple[List[BlockTrace], SimRequest]
-
-
-def estimate_sim_result(
-    kernel: Kernel,
-    config: GPUConfig,
-    tlp: int,
-    grid_blocks: int,
-    anchor: Optional[SimResult] = None,
-) -> SimResult:
-    """Analytical stand-in for a sweep point whose simulation failed.
-
-    The degradation ladder's last rung (see :meth:`EvaluationEngine.
-    profile_tlp`).  Both formulas rest on the GTO scheduling mimic
-    (:func:`repro.analysis.gto_model.throughput_cost`, hit ratio 0.6).
-    With a simulated ``anchor`` (the sweep ceiling), a grid of ``M``
-    blocks at TLP ``n`` is predicted as::
-
-        max(serial * ceil(M / n) / M, anchor.dram_bytes / dram_bytes_per_cycle)
-
-    where ``serial`` is the mimic's cost at TLP 1; without one, the
-    mimic's cost at TLP ``n``.  The result is marked
-    ``estimated=True`` and carries zero counters: only its cycle count
-    is meaningful.
-    """
-    segments = segment_kernel(kernel, config)
-    if anchor is not None:
-        serial = throughput_cost(segments, 1, config, _ESTIMATE_HIT_RATIO)
-        latency = serial * math.ceil(grid_blocks / tlp) / grid_blocks
-        cycles = max(latency, anchor.dram_bytes / config.dram_bytes_per_cycle)
-    else:
-        cycles = throughput_cost(segments, tlp, config, _ESTIMATE_HIT_RATIO)
-    return SimResult(
-        cycles=cycles,
-        instructions=0,
-        tlp=tlp,
-        blocks_executed=0,
-        l1=CacheStats(),
-        l2=CacheStats(),
-        mshr_stall_events=0,
-        mshr_stall_cycles=0.0,
-        barrier_stall_cycles=0.0,
-        idle_cycles=0.0,
-        local_load_insts=0,
-        local_store_insts=0,
-        shared_insts=0,
-        global_insts=0,
-        bypassed_insts=0,
-        dram_transactions=0,
-        dram_bytes=0,
-        issued_by_class={},
-        energy_nj=0.0,
-        estimated=True,
-    )
 
 
 class EvaluationEngine:
@@ -190,8 +117,8 @@ class EvaluationEngine:
         #: front, so a long-lived daemon's log stays current.
         self.spans = SpanRecorder(max_events)
         #: ``with engine.span("search"):`` times a block and
-        #: ``engine.mark("degrade", ...)`` records a point fact, both
-        #: into :attr:`spans`.
+        #: ``engine.mark("cache_corrupt", ...)`` records a point fact,
+        #: both into :attr:`spans`.
         self.span = self.spans.span
         self.mark = self.spans.mark
 
@@ -291,115 +218,30 @@ class EvaluationEngine:
     ) -> SimResult:
         """Simulate one design point, through the cache."""
         request = SimRequest(kernel, config, tlp, grid_blocks, param_sizes, scheduler)
-        return self.simulate_many([request])[0]
+        return self.simulate_outcomes([request])[0]
 
     # ------------------------------------------------------------------
     # Batched simulation.
     # ------------------------------------------------------------------
-    def simulate_many(self, requests: Sequence[SimRequest]) -> List[SimResult]:
-        """Evaluate a batch of independent design points (strict).
+    def simulate_outcomes(self, requests: Sequence[SimRequest]) -> List[SimResult]:
+        """Evaluate independent design points; results come back in
+        request order.
 
-        Cache hits are served immediately; the remaining points run as
-        described in :meth:`simulate_outcomes`.  Results come back in
-        request order.  A point whose simulation raised raises its
-        classified :class:`~repro.errors.ReproError`; callers that can
-        degrade per-point use :meth:`simulate_outcomes`.
-        """
-        outcomes = self.simulate_outcomes(requests)
-        for outcome in outcomes:
-            if isinstance(outcome, ReproError):
-                raise outcome
-        return outcomes  # type: ignore[return-value]
+        Cache hits are served immediately.  The other points are grouped
+        by (traces, config, scheduler), so a group differs only in TLP,
+        the shape of a profile sweep: a group of two or more points runs
+        as one batch of the timing core, a single point alone.  Each
+        point runs once, and every result is cached.
 
-    def _run_batched(
-        self,
-        tasks: Sequence[SimTask],
-        outcomes: List[Optional[SimResult]],
-    ) -> List[int]:
-        """Evaluate groups of ``tasks`` as one batch each.
-
-        Groups share (traces, config, scheduler) and differ only in
-        TLP — the shape of a profile sweep.  Fills ``outcomes`` for
-        every position it evaluated and returns the positions it left
-        for :meth:`_run_tasks` to run alone: singleton groups and every
-        point of a group whose batched run raised.
-        """
-        groups: Dict[Tuple[int, str, str], List[int]] = {}
-        for pos, (traces, req) in enumerate(tasks):
-            key = (id(traces), req.scheduler, config_signature(req.config))
-            groups.setdefault(key, []).append(pos)
-        leftover: List[int] = []
-        for positions in groups.values():
-            if len(positions) < 2:
-                leftover.extend(positions)
-                continue
-            traces, req = tasks[positions[0]]
-            tlps = [tasks[p][1].tlp for p in positions]
-            try:
-                with self.span(
-                    "sim.batch", lanes=len(tlps), scheduler=req.scheduler
-                ):
-                    results = simulate_traces_batched(
-                        traces, req.config, tlps, scheduler=req.scheduler
-                    )
-            except Exception:
-                # Run each point alone, so one bad lane fails only
-                # itself.
-                leftover.extend(positions)
-                continue
-            for p, result in zip(positions, results):
-                outcomes[p] = result
-            self.stats.batched_groups += 1
-            self.stats.batched_points += len(positions)
-        leftover.sort()
-        return leftover
-
-    def _run_tasks(
-        self, tasks: Sequence[SimTask]
-    ) -> List[Union[SimResult, Exception]]:
-        """Per task, its result or the exception its simulation raised.
-
-        :meth:`_run_batched` runs the groups; each point it leaves runs
-        once, alone.  Only ``Exception`` is caught, so Ctrl-C stops the
-        run.
-        """
-        outcomes: List = [None] * len(tasks)
-        for p in self._run_batched(tasks, outcomes):
-            traces, req = tasks[p]
-            try:
-                # Looked up on the module at call time, so a wrapper
-                # installed on ``repro.sim.gpu`` sees every point.
-                with self.span(
-                    "sim.scalar", kernel=req.kernel.name, tlp=req.tlp
-                ):
-                    outcomes[p] = gpu.simulate_traces(
-                        traces, req.config, req.tlp, scheduler=req.scheduler
-                    )
-            except Exception as err:
-                outcomes[p] = err
-        return outcomes
-
-    def simulate_outcomes(
-        self,
-        requests: Sequence[SimRequest],
-    ) -> List[Union[SimResult, ReproError]]:
-        """Evaluate a batch, reporting per-point failures in-band.
-
-        Each slot of the returned list is either the point's
-        :class:`SimResult` or the classified error it ended with.
-        Successful points are cached; failed points are not.
-
-        Groups of two or more points that share traces, config and
-        scheduler run as one batch of the timing core
-        (:meth:`_run_batched`); single points and the points of a
-        failed batch run one at a time (:meth:`_run_tasks`).  Each
-        point runs once: the timing core is deterministic, so a retry
-        would fail the same way.
+        The first trace generation or timing run that raises bumps
+        ``sim_failures`` and propagates as its classified
+        :class:`~repro.errors.ReproError`, naming the kernel, the stage
+        (``trace`` or ``simulate``) and, for a single point, its TLP.
+        The timing core is deterministic, so a re-run would fail the
+        same way.  Only ``Exception`` is caught, so Ctrl-C stops the run.
         """
         with self.span("engine.simulate", points=len(requests)) as attrs:
-            results: List[Optional[Union[SimResult, ReproError]]] = (
-                [None] * len(requests)
-            )
+            results: List[Optional[SimResult]] = [None] * len(requests)
             keys: List[SimKey] = []
             pending: List[int] = []
             fingerprints: Dict[int, str] = {}
@@ -423,7 +265,7 @@ class EvaluationEngine:
                     pending.append(i)
             attrs["hits"] = len(requests) - len(pending)
 
-            tasks: List[SimTask] = []
+            groups: Dict[Tuple[int, str, str], Tuple[List[BlockTrace], List[int]]] = {}
             for i in pending:
                 req = requests[i]
                 try:
@@ -435,36 +277,67 @@ class EvaluationEngine:
                         fingerprint=fingerprints[id(req.kernel)],
                     )
                 except Exception as err:
-                    # Trace generation failed (e.g. a divergence trap):
-                    # every point of this kernel fails identically, but
-                    # classification stays per-point for the report.
-                    self.stats.sim_failures += 1
-                    results[i] = classify_error(
-                        err,
-                        kernel=req.kernel.name,
-                        design_point=(None, req.tlp),
-                        stage="trace",
-                    )
-                    continue
-                tasks.append((traces, req))
-            pending = [i for i in pending if results[i] is None]
-            for i, outcome in zip(pending, self._run_tasks(tasks)):
-                req = requests[i]
-                if isinstance(outcome, SimResult):
-                    self._sim_cache.put(keys[i], outcome)
-                    results[i] = outcome
+                    # A trace serves every TLP of its kernel: name the
+                    # TLP only when it is the one point asked for.
+                    tlp = req.tlp if len(pending) == 1 else None
+                    raise self._failure(err, req, "trace", tlp)
+                group = (id(traces), req.scheduler, config_signature(req.config))
+                groups.setdefault(group, (traces, []))[1].append(i)
+            for traces, positions in groups.values():
+                group_requests = [requests[i] for i in positions]
+                for i, result in zip(positions, self._run(traces, group_requests)):
+                    self._sim_cache.put(keys[i], result)
+                    results[i] = result
                     self.stats.sim_misses += 1
-                else:
-                    self.stats.sim_failures += 1
-                    results[i] = classify_error(
-                        outcome,
-                        kernel=req.kernel.name,
-                        design_point=(None, req.tlp),
-                        stage="simulate",
-                    )
         if len(requests) > 1:
             self.stats.batches += 1
         return results  # type: ignore[return-value]
+
+    def _run(
+        self, traces: List[BlockTrace], requests: List[SimRequest]
+    ) -> List[SimResult]:
+        """One timing run over points that share ``traces``, config and
+        scheduler: a ``sim.batch`` of two or more lanes, or a
+        ``sim.scalar`` point.  Both entry points are looked up on their
+        modules at call time, so a wrapper installed there sees every
+        run."""
+        req = requests[0]
+        if len(requests) == 1:
+            try:
+                with self.span(
+                    "sim.scalar", kernel=req.kernel.name, tlp=req.tlp
+                ):
+                    result = gpu.simulate_traces(
+                        traces, req.config, req.tlp, scheduler=req.scheduler
+                    )
+            except Exception as err:
+                raise self._failure(err, req, "simulate", req.tlp)
+            return [result]
+        tlps = [r.tlp for r in requests]
+        try:
+            with self.span(
+                "sim.batch", lanes=len(tlps), scheduler=req.scheduler
+            ):
+                results = simulate_traces_batched(
+                    traces, req.config, tlps, scheduler=req.scheduler
+                )
+        except Exception as err:
+            raise self._failure(err, req, "simulate", None)
+        self.stats.batched_groups += 1
+        self.stats.batched_points += len(requests)
+        return results
+
+    def _failure(
+        self, err: Exception, req: SimRequest, stage: str, tlp: Optional[int]
+    ) -> ReproError:
+        """Count a failed trace or timing run and classify its error."""
+        self.stats.sim_failures += 1
+        return classify_error(
+            err,
+            kernel=req.kernel.name,
+            design_point=None if tlp is None else (None, tlp),
+            stage=stage,
+        )
 
     # ------------------------------------------------------------------
     # TLP profiling (the paper's exhaustive offline search).
@@ -479,39 +352,16 @@ class EvaluationEngine:
         scheduler: str = "gto",
     ) -> Dict[int, SimResult]:
         """Simulate every TLP in ``[1, max_tlp]`` for one kernel — the
-        paper's exhaustive profiling.
-
-        A point whose simulation fails (after its batch raised, it ran
-        alone and raised again) is filled with its analytical estimate
-        (:func:`estimate_sim_result`): ``estimated=True``, flagged by a
-        ``degrade`` mark and excluded from the cache.  A sweep always returns its best available
-        answer rather than aborting on one bad point.
-        """
+        paper's exhaustive profiling.  A point that fails fails the
+        sweep (:meth:`simulate_outcomes`)."""
         if max_tlp <= 0:
             raise ValueError("max_tlp must be positive")
-        requests = [
+        tlps = range(1, max_tlp + 1)
+        results = self.simulate_outcomes([
             SimRequest(kernel, config, tlp, grid_blocks, param_sizes, scheduler)
-            for tlp in range(1, max_tlp + 1)
-        ]
-        outcomes = self.simulate_outcomes(requests)
-        profile = {
-            req.tlp: outcome
-            for req, outcome in zip(requests, outcomes)
-            if not isinstance(outcome, ReproError)
-        }
-        anchor = profile.get(max_tlp)
-        for req, outcome in zip(requests, outcomes):
-            if not isinstance(outcome, ReproError):
-                continue
-            profile[req.tlp] = estimate_sim_result(
-                kernel, config, req.tlp, req.resolved_grid(), anchor=anchor
-            )
-            self.stats.degraded += 1
-            self.mark(
-                "degrade", kernel=kernel.name, tlp=req.tlp,
-                reason=outcome.kind, estimated=True,
-            )
-        return dict(sorted(profile.items()))
+            for tlp in tlps
+        ])
+        return dict(zip(tlps, results))
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle.

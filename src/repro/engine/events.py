@@ -3,12 +3,12 @@
 Every timed boundary of the engine and the service — a pipeline stage,
 a functional trace, a timing-core run, a service request — is one
 :class:`Span` in the engine's :class:`SpanRecorder`, and a point fact
-(a degraded point, a corrupt cache entry) is a *mark*, a span whose
-start equals its end.  The running totals live in
-:class:`EngineStats`.  The CLI dumps both, with each span name's self
-seconds (:func:`self_seconds`), as JSON (``--trace-json``); the
-``suite`` command prints the counter summary, which is how the "zero
-new simulations on a warm cache" property is verified.
+(a corrupt cache entry) is a *mark*, a span whose start equals its
+end.  The running totals live in :class:`EngineStats`.  The CLI dumps
+both, with each span name's self seconds (:func:`self_seconds`), as
+JSON (``--trace-json``); the ``suite`` command prints the counter
+summary, which is how the "zero new simulations on a warm cache"
+property is verified.
 """
 
 from __future__ import annotations
@@ -159,7 +159,6 @@ class EngineStats:
     #: Always 0: each point runs once.  Kept in the snapshot because
     #: the benchmark harness still reads it.
     retries: int = 0
-    degraded: int = 0
     sim_failures: int = 0
     cache_corrupt: int = 0
     #: Pure-stage memo lookups (:meth:`EvaluationEngine.memo`): memory
@@ -205,8 +204,6 @@ class EngineStats:
                 f", {self.batched_points} points batched "
                 f"({self.batched_groups} groups)"
             )
-        if self.degraded:
-            line += f", {self.degraded} points degraded to estimates"
         if self.cache_corrupt:
             line += f", {self.cache_corrupt} corrupt cache entries dropped"
         return line

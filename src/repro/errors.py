@@ -4,10 +4,9 @@ Historically each layer raised its own ad-hoc exception —
 :class:`~repro.ptx.parser.PTXParseError`,
 :class:`~repro.regalloc.allocator.InsufficientRegistersError`,
 :class:`~repro.sim.executor.DivergentBranchError` — and whatever
-reached the CLI surfaced as a raw traceback.  The engine needs one
-vocabulary to make degrade/abort decisions, and the CLI needs stable
-exit codes, so every failure is routed into this
-tree at the engine boundary (:func:`classify_error`):
+reached the CLI surfaced as a raw traceback.  Failure reports need one
+vocabulary and the CLI needs stable exit codes, so every failure is
+routed into this tree at the engine boundary (:func:`classify_error`):
 
 ``ReproError``
     ├── ``ParseError``       — PTX that does not parse or breaks a DF

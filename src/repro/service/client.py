@@ -15,11 +15,8 @@ contract expects:
   will not answer a retry either.
 
 The backoff is AWS-style *decorrelated jitter*: each retry sleeps
-``uniform(base, 3 * previous_sleep)`` capped at ``cap``.  Unlike the
-old deterministic ladder (``base * growth**attempt``), two clients
-rejected at the same instant do not compute the same schedule and
-collide again on every subsequent attempt.  The RNG is injectable so
-tests can pin the schedule.
+``uniform(base, 3 * previous_sleep)`` capped at ``cap``.  The RNG is
+injectable so tests can pin the schedule.
 
 A reply cut short (the daemon killed mid-write) is a typed
 :class:`~repro.errors.ServiceError`, never a JSON traceback.  Clients

@@ -209,6 +209,10 @@ def validate_request(obj: Dict[str, Any]) -> Request:
                 f"job {job!r}: param {name!r} must be {expected.__name__}, "
                 f"got {type(value).__name__}"
             )
+    if not all(isinstance(app, str) for app in params.get("apps", [])):
+        raise ProtocolError(
+            f"job {job!r}: param 'apps' must be a list of strings"
+        )
     if job in ("crat", "simulate", "verify"):
         if ("target" in params) == ("ptx" in params):
             raise ProtocolError(

@@ -38,9 +38,7 @@ class SimResult:
     dram_bytes: int
     issued_by_class: Dict[str, int]
     energy_nj: float = 0.0
-    #: True when this "result" is an analytical estimate substituted
-    #: for a simulation that ultimately failed (graceful degradation).
-    #: Estimated results are never cached.
+    #: Always False; kept for the tools/ledger.json and serve-hits.json digests.
     estimated: bool = False
 
     @property

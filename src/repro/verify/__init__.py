@@ -22,45 +22,30 @@ kernel file (``repro verify``; ``--pipeline`` adds the registry's
 validation); the ``--verify`` flag on the CLI's
 ``allocate``/``simulate``/``crat``/``suite`` commands routes the
 allocation and pass validators through the optimizer itself.
-
-``stats`` counts validations per pass (keys ``"dataflow"``,
-``"allocation"``, ``"pipeline"``) so tests can assert that degraded
-evaluation paths never silently bypass validation.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Optional
 
-#: Process-wide validation counters; see module docstring.
-stats: "Counter[str]" = Counter()
-
-
-def reset_stats() -> None:
-    """Clear the validation counters (test isolation)."""
-    stats.clear()
-
-
-from ..ptx.module import Kernel  # noqa: E402
-from .allocation import (  # noqa: E402
+from ..ptx.module import Kernel
+from .allocation import (
     discover_spill_regions,
     lint_spill_stacks,
     verify_allocation,
 )
-from .dataflow import verify_dataflow, verify_kernel  # noqa: E402
-from .diagnostics import (  # noqa: E402
+from .dataflow import verify_dataflow, verify_kernel
+from .diagnostics import (
     Diagnostic,
     VerifyReport,
 )
-from .registry import FAMILIES, RULES, Rule, Severity  # noqa: E402
-from .pipeline import effect_summary, verify_pass  # noqa: E402
+from .registry import FAMILIES, RULES, Rule, Severity
+from .pipeline import effect_summary, verify_pass
 
 
 def lint_kernel(kernel: Kernel, stage: Optional[str] = None) -> VerifyReport:
     """Every check that applies to a bare kernel: dataflow rules plus
     structural spill-stack discipline (``repro verify`` lint mode)."""
-    stats["dataflow"] += 1
     report = verify_dataflow(kernel, stage=stage)
     report.extend(lint_spill_stacks(kernel, stage=stage))
     return report
@@ -77,8 +62,6 @@ __all__ = [
     "effect_summary",
     "lint_kernel",
     "lint_spill_stacks",
-    "reset_stats",
-    "stats",
     "verify_allocation",
     "verify_dataflow",
     "verify_kernel",

@@ -105,10 +105,6 @@ def verify_allocation(
     stage: Optional[str] = None,
 ) -> VerifyReport:
     """Validate one :class:`~repro.regalloc.allocator.AllocationResult`."""
-    from .. import verify as _verify_pkg
-
-    _verify_pkg.stats["allocation"] += 1
-
     kernel = result.pre_rename_kernel or result.kernel
     report = VerifyReport(kernel=kernel.name, stage=stage or "allocation")
     cfg = CFG(kernel)

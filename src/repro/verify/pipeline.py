@@ -167,9 +167,6 @@ def verify_pass(
     ``after``; returns the ``PL*`` report.  ``compare_effects=False``
     (a pattern's ``structure`` mode) skips the ``PL002`` effect
     comparison."""
-    from .. import verify as _verify_pkg
-
-    _verify_pkg.stats["pipeline"] += 1
     report = VerifyReport(kernel=after.name, stage=stage)
 
     try:

@@ -39,8 +39,9 @@ def _no_ambient_cache_dir(monkeypatch):
 def fail_at(monkeypatch):
     """``fail_at(*tlps)`` makes the timing core raise at those TLPs, and
     at every TLP when none is named.  A batch raises when any of its
-    lanes would; the other points simulate as usual.  Patched where the
-    engine looks both entry points up at call time."""
+    lanes would, and the engine then fails the whole call: nothing is
+    re-run.  Patched where the engine looks both entry points up at
+    call time."""
     import repro.engine.engine
     import repro.sim.gpu
 

@@ -25,6 +25,12 @@ class TestInfo:
         with pytest.raises(SystemExit):
             main(["info", "NOT_AN_APP"])
 
+    def test_unknown_config_is_a_parse_error(self, capsys):
+        assert main(["info", "GAU", "--config", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: unknown config 'bogus'")
+        assert "Traceback" not in err
+
 
 class TestAllocate:
     def test_emits_parseable_ptx(self, capsys):

@@ -272,7 +272,7 @@ class TestParallelDeterminism:
                        param_sizes=gau.param_sizes)
             for tlp in tlps
         ]
-        results = engine.simulate_many(requests)
+        results = engine.simulate_outcomes(requests)
         assert [r.tlp for r in results] == tlps
 
 
@@ -289,32 +289,32 @@ class TestBatchedRouting:
 
     def _one_by_one(self, requests):
         engine = EvaluationEngine(disk_cache="")
-        return [engine.simulate_many([req])[0] for req in requests]
+        return [engine.simulate_outcomes([req])[0] for req in requests]
 
     def test_sweep_equals_points_one_by_one(self, gau):
         engine = EvaluationEngine(disk_cache="")
-        results = engine.simulate_many(self._requests(gau, [1, 2, 3]))
+        results = engine.simulate_outcomes(self._requests(gau, [1, 2, 3]))
         assert results == self._one_by_one(self._requests(gau, [1, 2, 3]))
         assert engine.stats.batched_points == 3
         assert engine.stats.batched_groups == 1
 
     def test_batch_sim_event_emitted(self, gau):
         engine = EvaluationEngine(disk_cache="")
-        engine.simulate_many(self._requests(gau, [1, 2]))
+        engine.simulate_outcomes(self._requests(gau, [1, 2]))
         batches = _spans(engine, "sim.batch")
         assert len(batches) == 1
         assert batches[0].attrs == {"lanes": 2, "scheduler": "gto"}
 
     def test_singleton_group_stays_supervised(self, gau):
         engine = EvaluationEngine(disk_cache="")
-        engine.simulate_many(self._requests(gau, [2]))
+        engine.simulate_outcomes(self._requests(gau, [2]))
         assert engine.stats.batched_points == 0
 
     def test_mixed_schedulers_group_separately(self, gau):
         engine = EvaluationEngine(disk_cache="")
         requests = (self._requests(gau, [1, 2])
                     + self._requests(gau, [1, 2], scheduler="lrr"))
-        results = engine.simulate_many(requests)
+        results = engine.simulate_outcomes(requests)
         assert engine.stats.batched_groups == 2
         assert engine.stats.batched_points == 4
         assert results == self._one_by_one(requests)
@@ -426,7 +426,7 @@ class TestInstrumentation:
         keeps recording what it does now."""
         engine = EvaluationEngine(max_events=3)
         for job in ("a", "b", "c", "d", "e"):
-            engine.mark("degrade", job=job)
+            engine.mark("cache_corrupt", job=job)
         assert [s.attrs["job"] for s in engine.spans.spans] == ["c", "d", "e"]
         assert [s["id"] for s in engine.snapshot()["spans"]] == [3, 4, 5]
 

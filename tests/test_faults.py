@@ -1,9 +1,8 @@
-"""Recovery-path tests: graceful degradation of failed points, the
-failed-batch fallback, cache integrity, resume from the disk cache,
-per-app suite isolation and Ctrl-C.  Failures come from a patched
-timing core (the ``fail_at`` fixture), corruption from damaged files."""
+"""Failure-path tests: a failed trace or timing run fails its request,
+cache integrity, resume from the disk cache, per-app suite isolation
+and Ctrl-C.  Failures come from a patched timing core (the ``fail_at``
+fixture) or trace generator, corruption from damaged files."""
 
-import dataclasses
 import pickle
 
 import pytest
@@ -21,11 +20,9 @@ from repro.engine.cache import (
     CacheCorruptionError,
     SimResultCache,
 )
-from repro.engine.engine import estimate_sim_result
 from repro.errors import (
     AllocationError,
     ParseError,
-    ReproError,
     SimulationError,
     classify_error,
 )
@@ -104,7 +101,7 @@ class TestInterrupts:
         with pytest.raises(KeyboardInterrupt):
             engine.profile_tlp(gau.kernel, FERMI, 1, grid_blocks=4,
                                param_sizes=gau.param_sizes)
-        assert engine.stats.degraded == 0
+        assert engine.stats.sim_failures == 0
 
 
 class TestInProcessSurface:
@@ -171,87 +168,90 @@ class TestCacheIntegrity:
         rewritten = SimResultCache(str(tmp_path))
         assert rewritten.get(key) == (result, "disk")
 
-    def test_estimated_results_never_persist(self, gau, tmp_path):
-        cache = SimResultCache(str(tmp_path))
-        estimate = dataclasses.replace(self._result(gau), estimated=True)
-        key = make_sim_key(gau.kernel.fingerprint(), FERMI, 4,
-                           gau.param_sizes, 2, "gto")
-        cache.put(key, estimate)
-        assert len(cache) == 0
-        assert not list(tmp_path.glob("sim-*.pkl"))
-
 
 class TestFailedPoints:
-    """Each point runs once: a failure is the point's outcome, never
-    retried, because the timing core would fail the same way again."""
+    """A failed trace or timing run fails its request: each point runs
+    once, nothing is estimated, and nothing it did not finish is
+    cached."""
 
-    def test_failed_batch_reruns_each_point_once(self, gau, fail_at):
-        """A sweep's batch raises, so each of its points runs alone,
-        once: TLPs 1 and 3 simulate clean, TLP 2 fails again and gets
-        the estimate anchored on TLP 3."""
-        clean = _clean_profile(gau)
+    def test_failed_sweep_point_fails_the_profile(self, gau, fail_at):
+        """One failing lane fails the sweep's one batch; no point of it
+        runs again alone, and none is cached."""
         fail_at(2)
         engine = EvaluationEngine()
-        profile = engine.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
-                                     param_sizes=gau.param_sizes)
-        assert profile[1] == clean[1]
-        assert profile[3] == clean[3]
-        assert profile[2] == estimate_sim_result(
-            gau.kernel, FERMI, 2, 4, anchor=clean[3])
-        runs = [s.attrs["tlp"] for s in engine.spans.spans
-                if s.name == "sim.scalar"]
-        assert runs == [1, 2, 3]
+        with pytest.raises(SimulationError) as exc:
+            engine.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
+                               param_sizes=gau.param_sizes)
+        assert exc.value.stage == "simulate"
+        assert exc.value.exit_code == 4
+        names = [s.name for s in engine.spans.spans]
+        assert names.count("sim.batch") == 1
+        assert "sim.scalar" not in names
         assert engine.stats.sim_failures == 1
-        assert engine.stats.degraded == 1
-        assert engine.stats.batched_points == 0
+        key = make_sim_key(gau.kernel.fingerprint(), FERMI, 4,
+                           gau.param_sizes, 2, "gto")
+        assert engine._sim_cache.get(key) == (None, "miss")
 
-    def test_permanent_failure_degrades_to_estimate(self, gau, fail_at):
-        """A point whose simulation fails is filled with its analytical
-        estimate instead of aborting the sweep.  With the ceiling
-        failed too, every point gets the un-anchored GTO-mimic cost
-        (pinned literals)."""
-        fail_at(1, 2, 3)
+    def test_trace_fault_is_a_trace_stage_error(self, gau, monkeypatch):
+        import repro.engine.engine
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("trace fault")
+
+        monkeypatch.setattr(repro.engine.engine, "trace_grid", broken)
         engine = EvaluationEngine()
-        profile = engine.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
-                                     param_sizes=gau.param_sizes)
-        assert set(profile) == {1, 2, 3}
-        assert all(r.estimated for r in profile.values())
-        assert {t: r.cycles for t, r in profile.items()} == {
-            1: 90996.60000000005,
-            2: 83900.84615384614,
-            3: 80848.77777777774,
-        }
-        assert engine.stats.degraded == 3
-        assert engine.stats.sim_failures == 3
-        # Degraded estimates are flagged by marks and are excluded
-        # from the result cache.
-        names = [span.name for span in engine.spans.spans]
-        assert names.count("degrade") == 3
+        with pytest.raises(SimulationError) as exc:
+            engine.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
+                               param_sizes=gau.param_sizes)
+        assert exc.value.stage == "trace"
+        assert exc.value.kernel == gau.kernel.name
+        assert engine.stats.sim_failures == 1
         assert len(engine._sim_cache) == 0
 
-    def test_failure_below_simulated_ceiling_uses_anchored_estimate(
-        self, gau, fail_at
-    ):
-        """The ceiling (TLP 3) simulates and TLPs 1-2 fail: the failed
-        points get the anchored estimate, the mimic's serial cost
-        spread over ``ceil(M/n)`` waves of the 4-block grid and floored
-        by the ceiling's DRAM traffic (pinned literals)."""
-        fail_at(1, 2)
-        engine = EvaluationEngine()
-        profile = engine.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
-                                     param_sizes=gau.param_sizes)
-        assert [profile[t].estimated for t in (1, 2, 3)] == [True, True, False]
-        assert profile[3] == _clean_profile(gau)[3]
-        assert profile[1].cycles == 90996.60000000005
-        assert profile[2].cycles == 45498.300000000025
-        assert engine.stats.degraded == 2
+    def test_fault_in_one_sweep_fails_the_crat_job(self, monkeypatch):
+        """A trace fault confined to BLK's default allocation, the
+        kernel of every OptTLP sweep point, fails the ``crat`` job.
+        Estimates in place of those points would answer it ``ok`` with
+        speedup_vs_opttlp 2.547 (1.064 when healthy)."""
+        import repro.engine.engine
+        from repro.core import collect_resource_usage
+        from repro.core.throttling import default_allocation
+        from repro.engine import get_engine, set_engine
+        from repro.service.jobs import execute, prepare
+        from repro.service.protocol import Request
+
+        blk = load_workload("BLK")
+        usage = collect_resource_usage(
+            blk.kernel, FERMI, default_reg=blk.default_reg
+        )
+        doomed = default_allocation(blk.kernel, usage).kernel.fingerprint()
+        trace_grid = repro.engine.engine.trace_grid
+
+        def faulty(kernel, *args, **kwargs):
+            if kernel.fingerprint() == doomed:
+                raise RuntimeError("trace fault")
+            return trace_grid(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(repro.engine.engine, "trace_grid", faulty)
+        previous = get_engine()
+        try:
+            engine = set_engine(EvaluationEngine(disk_cache=""))
+            with pytest.raises(SimulationError) as exc:
+                execute(prepare(Request(job="crat", params={"target": "BLK"})))
+        finally:
+            set_engine(previous)
+        assert exc.value.exit_code == 4
+        assert exc.value.stage == "trace"
+        assert engine.stats.sim_failures == 1
 
     def test_strict_single_point_raises_classified(self, gau, fail_at):
         fail_at(1)
         engine = EvaluationEngine()
-        with pytest.raises(SimulationError, match="timing core failed"):
+        with pytest.raises(SimulationError, match="timing core failed") as exc:
             engine.simulate(gau.kernel, FERMI, 1, grid_blocks=4,
                             param_sizes=gau.param_sizes)
+        assert exc.value.design_point == (None, 1)
+        assert exc.value.stage == "simulate"
 
     def test_injected_cache_corruption_is_survived(self, gau, tmp_path):
         """Truncated disk entries are detected on read, discarded and

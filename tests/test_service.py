@@ -788,7 +788,7 @@ class TestServerLifecycle:
         # One request followed by five other spans.
         spans.record("service.request", 1.0, 2.0, job="b", status="ok")
         for _ in range(5):
-            spans.mark("degrade")
+            spans.mark("cache_corrupt")
         assert [tick(), tick()] == [["b"], []]
 
     def test_structured_log_lines(self, tmp_path, fresh_engine):

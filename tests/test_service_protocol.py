@@ -137,6 +137,16 @@ class TestValidation:
                 "params": {"target": "GAU", "tlp": True},
             })
 
+    def test_suite_apps_must_be_strings(self):
+        """A non-string app is a client bug: an ``invalid`` reply, not a
+        failed job."""
+        for apps in ([1], ["GAU", None]):
+            with pytest.raises(ProtocolError,
+                               match=r"'apps' must be a list of strings"):
+                validate_request({"job": "suite", "params": {"apps": apps}})
+        req = validate_request({"job": "suite", "params": {"apps": ["GAU"]}})
+        assert req.params["apps"] == ["GAU"]
+
     def test_target_xor_ptx(self):
         with pytest.raises(ProtocolError, match="exactly one of"):
             validate_request(self._valid(params={}))
@@ -292,7 +302,7 @@ class TestDecorrelatedJitter:
 
     def test_no_lockstep_between_clients(self):
         """Two clients backing off from the same instant must not
-        compute the same schedule (the old deterministic ladder did)."""
+        compute the same schedule."""
         def schedule(seed):
             rng = random.Random(seed)
             sleep, out = DEFAULT_BACKOFF_BASE, []
