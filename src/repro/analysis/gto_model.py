@@ -79,7 +79,6 @@ def estimate_opt_tlp(
     """
     if max_tlp <= 0:
         raise ValueError("max_tlp must be positive")
-    lat = config.latency
     if segments is None:
         segments = segment_kernel(kernel, config, trip_count=trip_count)
     stream = _expand(segments)
@@ -94,14 +93,12 @@ def estimate_opt_tlp(
     # block), evaluated over n = 1..MaxTLP.
     best_n = 1
     best_cost = None
-    chosen = None
     for n in range(1, max_tlp + 1):
         outcome = _mimic(stream, n, config, hit_ratio)
         cost = outcome.makespan / n
         if best_cost is None or cost < best_cost * 0.995:
             best_cost = cost
             best_n = n
-            chosen = outcome
     first = _mimic(stream, max_tlp, config, hit_ratio)
     return StaticEstimate(
         opt_tlp=best_n,

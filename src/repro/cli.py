@@ -71,6 +71,7 @@ draining daemon; job-level failures keep their own codes).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -519,10 +520,20 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, so a reader that closed stdout raises inside this
+        # ``try`` and not at interpreter shutdown.
+        sys.stdout.flush()
+        return code
     except ReproError as err:
         print(f"repro: error: {err}", file=sys.stderr)
         return err.exit_code
+    except BrokenPipeError:
+        # Point stdout at devnull, so the flush at shutdown has nowhere
+        # left to fail (the SIGPIPE note in the Python docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,8 +13,10 @@ design points many times over.
 * **Content-addressed caching** — results are keyed by ``(kernel
   fingerprint, config, grid_blocks, param_sizes, tlp, scheduler)``;
   traces by the same key minus the TLP/scheduler, under the same LRU
-  bound.  An optional on-disk store (``REPRO_CACHE_DIR``) persists
-  results across processes.
+  bound, and kept packed (:class:`~repro.sim.batch.PackedGrid`), so
+  each trace set is packed once however many points replay it.  An
+  optional on-disk store (``REPRO_CACHE_DIR``) persists results across
+  processes.
 * **Pure-stage memo** — :meth:`EvaluationEngine.memo` runs each pure
   compiler stage (allocation, resource usage, an unverified pass
   pipeline) once per content key and hands every later caller a
@@ -49,8 +51,7 @@ from ..arch.config import GPUConfig
 from ..errors import ReproError, classify_error
 from ..ptx.module import Kernel
 from ..sim import gpu
-from ..sim.batch import simulate_traces_batched
-from ..sim.executor import BlockTrace
+from ..sim.batch import PackedGrid, gc_paused, simulate_traces_batched
 from ..sim.gpu import trace_grid
 from ..sim.stats import SimResult
 from . import cache
@@ -104,11 +105,11 @@ class EvaluationEngine:
             on_corrupt=self._on_cache_corrupt,
             max_entries=cache_max_entries,
         )
-        # Traces and the pure-stage memo (:meth:`memo`: content key ->
-        # compressed pickle of the stage's value) share the result
-        # cache's LRU bound.
+        # Packed traces and the pure-stage memo (:meth:`memo`: content
+        # key -> compressed pickle of the stage's value) share the
+        # result cache's LRU bound.
         bound = self._sim_cache.max_entries
-        self._trace_cache: LRUMap[List[BlockTrace]] = LRUMap(bound)
+        self._trace_cache: LRUMap[PackedGrid] = LRUMap(bound)
         self._memo: LRUMap[bytes] = LRUMap(bound)
         #: Guards the memo counters, which every worker thread bumps.
         self._memo_lock = threading.Lock()
@@ -188,21 +189,27 @@ class EvaluationEngine:
         grid_blocks: int,
         param_sizes: Optional[Dict[str, int]] = None,
         fingerprint: Optional[str] = None,
-    ) -> List[BlockTrace]:
-        """Functional traces for a kernel/grid, cached by content."""
+    ) -> PackedGrid:
+        """Functional traces for a kernel/grid, packed for ``config``
+        and cached by content: a miss traces the grid (``sim.trace``)
+        and packs it (``sim.pack``), and the cache keeps only the
+        packed grid, which is smaller than its traces."""
         if fingerprint is None:
             fingerprint = kernel.fingerprint()
         params = tuple(sorted((param_sizes or {}).items()))
         key = (fingerprint, config_signature(config), grid_blocks, params)
-        traces = self._trace_cache.get(key)
-        if traces is not None:
+        packed = self._trace_cache.get(key)
+        if packed is not None:
             self.stats.trace_hits += 1
-            return traces
-        with self.span("sim.trace", kernel=kernel.name, grid_blocks=grid_blocks):
-            traces = trace_grid(kernel, config, grid_blocks, param_sizes)
-        self._trace_cache.put(key, traces)
+            return packed
+        with gc_paused():
+            with self.span("sim.trace", kernel=kernel.name, grid_blocks=grid_blocks):
+                traces = trace_grid(kernel, config, grid_blocks, param_sizes)
+            with self.span("sim.pack", kernel=kernel.name, grid_blocks=grid_blocks):
+                packed = PackedGrid(traces, config)
+        self._trace_cache.put(key, packed)
         self.stats.trace_misses += 1
-        return traces
+        return packed
 
     # ------------------------------------------------------------------
     # Single-point simulation.
@@ -265,11 +272,11 @@ class EvaluationEngine:
                     pending.append(i)
             attrs["hits"] = len(requests) - len(pending)
 
-            groups: Dict[Tuple[int, str, str], Tuple[List[BlockTrace], List[int]]] = {}
+            groups: Dict[Tuple[int, str, str], Tuple[PackedGrid, List[int]]] = {}
             for i in pending:
                 req = requests[i]
                 try:
-                    traces = self.traces_for(
+                    packed = self.traces_for(
                         req.kernel,
                         req.config,
                         req.resolved_grid(),
@@ -281,11 +288,11 @@ class EvaluationEngine:
                     # TLP only when it is the one point asked for.
                     tlp = req.tlp if len(pending) == 1 else None
                     raise self._failure(err, req, "trace", tlp)
-                group = (id(traces), req.scheduler, config_signature(req.config))
-                groups.setdefault(group, (traces, []))[1].append(i)
-            for traces, positions in groups.values():
+                group = (id(packed), req.scheduler, config_signature(req.config))
+                groups.setdefault(group, (packed, []))[1].append(i)
+            for packed, positions in groups.values():
                 group_requests = [requests[i] for i in positions]
-                for i, result in zip(positions, self._run(traces, group_requests)):
+                for i, result in zip(positions, self._run(packed, group_requests)):
                     self._sim_cache.put(keys[i], result)
                     results[i] = result
                     self.stats.sim_misses += 1
@@ -294,9 +301,9 @@ class EvaluationEngine:
         return results  # type: ignore[return-value]
 
     def _run(
-        self, traces: List[BlockTrace], requests: List[SimRequest]
+        self, packed: PackedGrid, requests: List[SimRequest]
     ) -> List[SimResult]:
-        """One timing run over points that share ``traces``, config and
+        """One timing run over points that share ``packed``, config and
         scheduler: a ``sim.batch`` of two or more lanes, or a
         ``sim.scalar`` point.  Both entry points are looked up on their
         modules at call time, so a wrapper installed there sees every
@@ -308,7 +315,7 @@ class EvaluationEngine:
                     "sim.scalar", kernel=req.kernel.name, tlp=req.tlp
                 ):
                     result = gpu.simulate_traces(
-                        traces, req.config, req.tlp, scheduler=req.scheduler
+                        packed, req.config, req.tlp, scheduler=req.scheduler
                     )
             except Exception as err:
                 raise self._failure(err, req, "simulate", req.tlp)
@@ -319,7 +326,7 @@ class EvaluationEngine:
                 "sim.batch", lanes=len(tlps), scheduler=req.scheduler
             ):
                 results = simulate_traces_batched(
-                    traces, req.config, tlps, scheduler=req.scheduler
+                    packed, req.config, tlps, scheduler=req.scheduler
                 )
         except Exception as err:
             raise self._failure(err, req, "simulate", None)

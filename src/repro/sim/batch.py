@@ -7,24 +7,27 @@ a profile sweep is one batch with a lane per TLP, and the chip-level
 mode (:func:`repro.sim.multisim.simulate_multi_sm`) drives one lane per
 SM over a shared L2 and DRAM channel.
 
-* **Shared packing** — the block traces are compiled *once per batch*
-  into structure-of-arrays form: per-warp op streams become uniform
-  tuples of kind codes, pre-resolved latencies, dense integer register
-  ids and line-aligned addresses (:class:`PackedGrid`), replacing
-  per-issue dataclass attribute walks and string-keyed scoreboard
-  lookups.  The same packed grid drives every lane of the batch, and
-  ops the trace shares between warps are packed once (memoized by
-  identity).
+* **Shared packing** — the block traces are compiled once into
+  structure-of-arrays form: per-warp op streams become uniform tuples
+  of kind codes, pre-resolved latencies, dense integer register ids and
+  line-aligned addresses (:class:`PackedGrid`), replacing per-issue
+  dataclass attribute walks and string-keyed scoreboard lookups.  The
+  same packed grid drives every lane of a batch, and ops the trace
+  shares between warps are packed once (memoized by identity).  The
+  engine keeps the packed grid as its trace-cache entry, so a kernel's
+  traces are packed once however many points replay them; every entry
+  point here accepts a :class:`PackedGrid` wherever it accepts traces.
 * **Static counters** — every dynamic instruction issues exactly once
   per run regardless of TLP, so instruction counts, per-class issue
   counts and local/shared/global/bypass totals are properties of the
   *trace*, not of the timing.  They are counted once at pack time and
   never touched in the hot loop.
-* **SoA lane state** — the batch keeps per-lane virtual clocks, active
-  masks and progress counters in numpy arrays
-  (:attr:`BatchedSimulator.clock` / :attr:`~BatchedSimulator.active`)
-  and advances every active lane in a lockstep chunk loop; finished
-  lanes are masked out and never touched again.
+* **One inlined GTO issue path** — :meth:`_Lane.advance` first picks
+  the warp (the greedy warp continues, or the oldest eligible warp
+  takes over), then runs one inlined issue body for the two commonest
+  op kinds, compute and the single-line L1 access, including the L1
+  refusal when every MSHR is busy; every other op, and all of LRR, go
+  through :meth:`_Lane._issue`.
 
 **Why per-lane clocks (and not one shared clock).**  A lane jumps its
 clock to *its own* next event when no warp can issue (``now = max(now +
@@ -35,10 +38,11 @@ a different (often fractional-cycle later) issue time, hence different
 cycle counts.  A lane's answer must not depend on which other points
 share its batch, so each lane advances on its own clock; the batch wins
 by sharing the packing, the static counters and a lean per-issue code
-path, not by merging clocks.  Lanes are fully independent, so chunked
-lockstep interleaving is exact by construction.  The golden ledger
-(``tools/ledger.json``, checked by ``tools/ledger_gate.py``) pins every
-answer, recorded from the scalar simulator this core replaced.
+path, not by merging clocks.  Lanes share nothing mutable (only the
+read-only packed grid), so each runs to completion in turn.  The golden
+ledger (``tools/ledger.json``, checked by ``tools/ledger_gate.py``)
+pins every answer, recorded from the scalar simulator this core
+replaced.
 
 Schema: :data:`BATCH_SCHEMA_VERSION` is folded into the engine's
 simulation-cache keys, so results produced before/after a change in the
@@ -48,10 +52,9 @@ core's semantics can never alias.
 from __future__ import annotations
 
 import gc
+from contextlib import contextmanager
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..arch.config import GPUConfig
 from ..ptx.isa import LatencyClass, Space
@@ -214,15 +217,19 @@ class PackedGrid:
     ops), so the memo hits across the warps of an instruction, across
     blocks and across loop iterations, and each op is compiled once.
     The static counters are counted per op category while packing.
+
+    Packing resolves latencies and line alignment from ``config``, so a
+    grid replays only under the config it was packed for.
     """
 
     __slots__ = (
-        "blocks", "num_warps", "nregs", "instructions", "issued_by_class",
-        "local_load_insts", "local_store_insts", "shared_insts",
-        "global_insts", "bypassed_insts",
+        "config", "blocks", "num_warps", "nregs", "instructions",
+        "issued_by_class", "local_load_insts", "local_store_insts",
+        "shared_insts", "global_insts", "bypassed_insts",
     )
 
     def __init__(self, traces: Sequence[BlockTrace], config: GPUConfig):
+        self.config = config
         lat = config.latency
         alu, sfu, ctrl = lat.alu, lat.sfu, lat.ctrl
         shared_lat = lat.shared_mem
@@ -271,6 +278,27 @@ class PackedGrid:
         self.bypassed_insts = counts[8] + counts[9]
 
 
+#: What the entry points replay: block traces, or traces already packed.
+Traces = Union[Sequence[BlockTrace], PackedGrid]
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic GC over a block that allocates hundreds of
+    thousands of containers but no reference cycles (tracing, packing,
+    the run loop): a collection there finds no garbage, it only rescans
+    the containers.  Leaves the GC off if the caller had turned it off.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 class _Lane:
     """One design point's timing state on one SM.
 
@@ -287,10 +315,10 @@ class _Lane:
     until an entry frees (``mshr_stall_cycles``, the paper's congestion
     stalls of Figure 5b).
 
-    :meth:`advance` runs the lane on its own clock (single-SM runs and
-    sweeps); :meth:`step` issues one cycle at a clock the caller owns
-    (the chip-level lock-step loop, where ``l2`` and ``dram`` are shared
-    by every SM's lane).  ``warp_limit`` caps the schedulable warps
+    :meth:`advance` runs the lane to completion on its own clock
+    (single-SM runs and sweeps); :meth:`step` issues one cycle at a
+    clock the caller owns (the chip-level lock-step loop, where ``l2``
+    and ``dram`` are shared by every SM's lane).  ``warp_limit`` caps the schedulable warps
     (fine-grained throttling, paper ref [2]): the rest park until an
     active warp retires.
     """
@@ -637,114 +665,64 @@ class _Lane:
         elig.remove(warp_id)
         return warp_id
 
-    def advance(self, budget: int) -> bool:
-        """Run up to ``budget`` cycles of the run loop on this lane's
-        own clock; returns False once the lane finished."""
+    def advance(self) -> None:
+        """Run the lane on its own clock until its last warp retires."""
         if self.finish is not None:
-            return False
+            return
         now = self.now
         scheds = self.scheds
         warps = self.warps
         gto = self.gto
+        issue = self._issue
         push = heappush
         pop = heappop
-        for _ in range(budget):
+        # The L1's containers are mutated in place, never replaced.
+        l1 = self.l1
+        l1_sets = l1.sets
+        l1_lb = l1.line_bytes
+        l1_ns = l1.num_sets
+        l1_fh = l1.fill_heap
+        l1_mshr = l1.mshr
+        l1_entries = l1.entries
+        l1_hit = l1.hit_latency
+        while True:
             issued = False
             # Earliest event among the scheds that did NOT issue this
             # cycle, folded into the main pass so a no-issue cycle
             # needs no second scan to find its jump target.
             next_time = None
             for sched in scheds:
-                if gto:
-                    g = sched.greedy
-                    if g is not None and sched.gready <= now:
-                        # Greedy chain: no heap traffic at all.  The
-                        # compute case and the single-line L1 access —
-                        # together the bulk of all issue slots — are
-                        # inlined; everything else falls through to
-                        # ``_issue``.
-                        warp = warps[g]
-                        wops = warp.ops
-                        pc = warp.pc
-                        op = wops[pc]
-                        k = op[0]
-                        if k == _COMPUTE:
-                            rr = warp.rr
-                            dst = op[3]
-                            if dst >= 0:
-                                rr[dst] = now + op[1]
-                            pc += 1
-                            warp.pc = pc
-                            if pc < warp.n:
-                                dep = now + 1 + op[2]
-                                for src in wops[pc][4]:
-                                    t = rr[src]
-                                    if t > dep:
-                                        dep = t
-                                sched.gready = dep
-                            else:
-                                self._retire_warp(g, warp, sched, now)
-                            issued = True
-                            continue
-                        lines = op[5]
-                        if k == _MEM and op[1] == _MEM_L1 \
-                                and len(lines) == 1:
-                            line = lines[0]
-                            is_store = op[6]
-                            l1 = self.l1
-                            fh = l1.fill_heap
-                            cs = l1.sets[
-                                (line // l1.line_bytes) % l1.num_sets
-                            ]
-                            if (not fh or fh[0][0] > now) and line in cs:
-                                # L1 hit with no fills due: same stats,
-                                # same LRU move as ``probe``, no call.
-                                del cs[line]
-                                cs[line] = True
-                                l1.accesses += 1
-                                l1.hits += 1
-                                if is_store:
-                                    l1.write_accesses += 1
-                                r = now + l1.hit_latency
-                            else:
-                                r = l1.probe(line, now, is_store)
-                            if r is None:
-                                retry = l1.retry_at
-                                floor = now + 1
-                                if floor > retry:
-                                    retry = floor
-                                self.mshr_stall_events += 1
-                                self.mshr_stall_cycles += retry - now
-                                push(sched.pending, (retry, g))
-                                sched.greedy = None
-                                sched.gready = None
-                            else:
-                                rr = warp.rr
-                                dst = op[3]
-                                if dst >= 0:
-                                    rr[dst] = now + 2 if is_store else r
-                                pc += 1
-                                warp.pc = pc
-                                if pc < warp.n:
-                                    dep = now + 1
-                                    for src in wops[pc][4]:
-                                        t = rr[src]
-                                        if t > dep:
-                                            dep = t
-                                    sched.gready = dep
-                                else:
-                                    self._retire_warp(g, warp, sched, now)
-                            issued = True
-                            continue
-                        sched.gready = None
-                        self._issue(g, now, sched)
-                        issued = True
-                        continue
+                if not gto:
                     pending = sched.pending
                     elig = sched.eligible
-                    if pending and pending[0][0] <= now:
-                        while pending and pending[0][0] <= now:
-                            elig.append(pop(pending)[1])
+                    while pending and pending[0][0] <= now:
+                        elig.append(pop(pending)[1])
+                    if not elig:
+                        if pending:
+                            t = pending[0][0]
+                            if next_time is None or t < next_time:
+                                next_time = t
+                        continue
+                    last = sched.last
+                    above = [w for w in elig if w > last]
+                    warp_id = min(above) if above else min(elig)
+                    elig.remove(warp_id)
+                    sched.last = warp_id
+                    issue(warp_id, now, sched)
+                    issued = True
+                    continue
+                # GTO pick: the greedy warp continues with no heap
+                # traffic, or the oldest eligible warp takes over and
+                # the old greedy's side channel is flushed back to the
+                # heap (see ``_Sched``).
+                g = sched.greedy
+                if g is not None and sched.gready <= now:
+                    warp_id = g
+                else:
+                    pending = sched.pending
+                    elig = sched.eligible
+                    while pending and pending[0][0] <= now:
+                        elig.append(pop(pending)[1])
                     if not elig:
                         t = pending[0][0] if pending else None
                         if g is not None:
@@ -761,55 +739,120 @@ class _Lane:
                         warp_id = min(elig)
                         elig.remove(warp_id)
                     if g is not None:
-                        # Greedy switch: flush the side channel back to
-                        # the heap (see ``_Sched``).
                         push(pending, (sched.gready, g))
                     sched.greedy = warp_id
+                issued = True
+                # One issue body for both picks.  The compute op and the
+                # single-line L1 access, together the bulk of all issue
+                # slots, are inlined; everything else goes to ``_issue``.
+                warp = warps[warp_id]
+                wops = warp.ops
+                pc = warp.pc
+                op = wops[pc]
+                k = op[0]
+                if k == _COMPUTE:
+                    rr = warp.rr
+                    dst = op[3]
+                    if dst >= 0:
+                        rr[dst] = now + op[1]
+                    pc += 1
+                    warp.pc = pc
+                    if pc < warp.n:
+                        dep = now + 1 + op[2]
+                        for src in wops[pc][4]:
+                            t = rr[src]
+                            if t > dep:
+                                dep = t
+                        sched.gready = dep
+                    else:
+                        self._retire_warp(warp_id, warp, sched, now)
+                    continue
+                lines = op[5]
+                if k != _MEM or op[1] != _MEM_L1 or len(lines) != 1:
                     sched.gready = None
-                    self._issue(warp_id, now, sched)
-                    issued = True
-                else:  # lrr
-                    pending = sched.pending
-                    elig = sched.eligible
-                    if pending and pending[0][0] <= now:
-                        while pending and pending[0][0] <= now:
-                            elig.append(pop(pending)[1])
-                    if not elig:
-                        if pending:
-                            t = pending[0][0]
-                            if next_time is None or t < next_time:
-                                next_time = t
-                        continue
-                    last = sched.last
-                    above = [w for w in elig if w > last]
-                    warp_id = min(above) if above else min(elig)
-                    elig.remove(warp_id)
-                    sched.last = warp_id
-                    self._issue(warp_id, now, sched)
-                    issued = True
+                    issue(warp_id, now, sched)
+                    continue
+                line = lines[0]
+                is_store = op[6]
+                cs = l1_sets[(line // l1_lb) % l1_ns]
+                if l1_fh and l1_fh[0][0] <= now:
+                    r = l1.probe(line, now, is_store)
+                elif line in cs:
+                    # L1 hit with no fills due: same stats, same LRU
+                    # move as ``probe``, no call.
+                    del cs[line]
+                    cs[line] = True
+                    l1.accesses += 1
+                    l1.hits += 1
+                    if is_store:
+                        l1.write_accesses += 1
+                    r = now + l1_hit
+                elif line not in l1_mshr and len(l1_mshr) >= l1_entries:
+                    # A miss with every MSHR busy and no fill due: the
+                    # refusal ``probe`` would make, counted the same.
+                    l1.accesses += 1
+                    l1.misses += 1
+                    l1.full_events += 1
+                    if is_store:
+                        l1.write_accesses += 1
+                    l1.retry_at = l1_fh[0][0]
+                    r = None
+                else:
+                    r = l1.probe(line, now, is_store)
+                if r is None:
+                    # MSHR congestion stall.
+                    retry = l1.retry_at
+                    floor = now + 1
+                    if floor > retry:
+                        retry = floor
+                    self.mshr_stall_events += 1
+                    self.mshr_stall_cycles += retry - now
+                    push(sched.pending, (retry, warp_id))
+                    sched.greedy = None
+                    sched.gready = None
+                    continue
+                rr = warp.rr
+                dst = op[3]
+                if dst >= 0:
+                    rr[dst] = now + 2 if is_store else r
+                pc += 1
+                warp.pc = pc
+                if pc < warp.n:
+                    dep = now + 1
+                    for src in wops[pc][4]:
+                        t = rr[src]
+                        if t > dep:
+                            dep = t
+                    sched.gready = dep
+                else:
+                    self._retire_warp(warp_id, warp, sched, now)
             if self.active_warps == 0:
                 self.now = now
                 self.finish = now
-                return False
+                return
             if issued:
                 now += 1
-            else:
-                if next_time is None:
-                    if self.parked:
-                        # Warp-limit deadlock guard: every schedulable
-                        # warp waits at a barrier for a parked sibling
-                        # — admit one.
-                        self._unpark(now)
-                        continue
-                    self.now = now
-                    raise RuntimeError(
-                        "simulation deadlock: active warps but no pending "
-                        "events (mismatched barriers?)"
-                    )
-                self.idle_cycles += max(0.0, next_time - now)
-                now = max(now + 1, next_time)
-        self.now = now
-        return True
+                continue
+            if next_time is None:
+                if self.parked:
+                    # Warp-limit deadlock guard: every schedulable warp
+                    # waits at a barrier for a parked sibling — admit
+                    # one.
+                    self._unpark(now)
+                    continue
+                self.now = now
+                raise RuntimeError(
+                    "simulation deadlock: active warps but no pending "
+                    "events (mismatched barriers?)"
+                )
+            # Jump to the event: ``now = max(now + 1, next_time)``,
+            # without the two builtin calls per idle jump.
+            gap = next_time - now
+            if gap > 0:
+                self.idle_cycles += gap
+            now += 1
+            if next_time > now:
+                now = next_time
 
     # ------------------------------------------------------------------
     def result(self) -> SimResult:
@@ -841,93 +884,42 @@ class BatchedSimulator:
 
     ``tlps`` names the design points (one lane each; duplicates are
     allowed and produce duplicate lanes).  All lanes share one
-    :class:`PackedGrid`; per-lane clocks, active masks and issue
-    progress live in SoA numpy arrays (:attr:`clock`, :attr:`active`)
-    and the run loop advances every active lane in lockstep chunks,
-    masking lanes out as they retire.  A lane's result does not depend
-    on which other lanes share its batch.  ``warp_limit`` applies to
-    every lane.
+    :class:`PackedGrid`, packed here from ``traces`` unless they come
+    packed, and each lane runs to completion on its own clock in turn.
+    A lane's result does not depend on which other lanes share its
+    batch.  ``warp_limit`` applies to every lane.
     """
 
     def __init__(
         self,
         config: GPUConfig,
-        traces: Sequence[BlockTrace],
+        traces: Traces,
         tlps: Sequence[int],
         scheduler: str = "gto",
-        chunk: int = 4096,
         warp_limit: Optional[int] = None,
     ):
         if not tlps:
             raise ValueError("batch needs at least one design point")
-        if chunk <= 0:
-            raise ValueError("chunk must be positive")
-        self.config = config
-        self.scheduler = scheduler
-        self.chunk = chunk
-        self.packed = PackedGrid(traces, config)
+        if not isinstance(traces, PackedGrid):
+            traces = PackedGrid(traces, config)
+        elif traces.config != config:
+            raise ValueError("the grid was packed for another config")
+        self.packed = traces
         self.lanes = [
             _Lane(config, self.packed, tlp, scheduler, warp_limit=warp_limit)
             for tlp in tlps
         ]
-        n = len(self.lanes)
-        #: SoA batch state: per-lane virtual clocks and activity mask.
-        self.clock = np.zeros(n, dtype=np.float64)
-        self.active = np.array(
-            [lane.finish is None for lane in self.lanes], dtype=bool
-        )
-        self.steps = 0
-
-    def next_event_time(self) -> Optional[float]:
-        """Earliest pending event across the batch (min over active
-        lanes); ``None`` once every lane has retired."""
-        times = [
-            t
-            for lane, live in zip(self.lanes, self.active)
-            if live
-            for t in (lane.next_event_time(),)
-            if t is not None
-        ]
-        return min(times) if times else None
-
-    def step(self) -> bool:
-        """Advance every active lane by one chunk; returns True while
-        any lane remains active."""
-        lanes = self.lanes
-        active = self.active
-        clock = self.clock
-        chunk = self.chunk
-        any_live = False
-        for i in np.flatnonzero(active):
-            lane = lanes[i]
-            live = lane.advance(chunk)
-            clock[i] = lane.now
-            if not live:
-                active[i] = False
-            else:
-                any_live = True
-        self.steps += 1
-        return any_live
 
     def run(self) -> List[SimResult]:
-        # The hot loop allocates no reference cycles (heap tuples and
-        # floats only), but the packed grid holds hundreds of thousands
-        # of container objects the cyclic GC would otherwise rescan on
-        # every generational collection mid-run.
-        was_enabled = gc.isenabled()
-        if was_enabled:
-            gc.disable()
-        try:
-            while self.step():
-                pass
-        finally:
-            if was_enabled:
-                gc.enable()
+        # The hot loop allocates heap tuples and floats only.
+        with gc_paused():
+            for lane in self.lanes:
+                lane.advance()
         return [lane.result() for lane in self.lanes]
 
 
 def simulate_traces_batched(
-    traces: Sequence[BlockTrace],
+    traces: Traces,
     config: GPUConfig,
     tlps: Sequence[int],
     scheduler: str = "gto",

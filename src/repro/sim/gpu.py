@@ -5,7 +5,10 @@ global-memory image, execute every block functionally to produce warp
 traces, then replay the traces through the SM timing model at the given
 TLP.  Because the traces depend only on the kernel and grid (not on the
 TLP), :func:`trace_grid` exposes the expensive functional step so TLP
-sweeps (OptTLP profiling, design-space exploration) can reuse it.
+sweeps (OptTLP profiling, design-space exploration) can reuse it;
+:func:`simulate_traces` also takes them packed
+(:class:`~repro.sim.batch.PackedGrid`), so a caller that replays one
+grid many times packs it once.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Dict, List, Optional
 
 from ..arch.config import GPUConfig
 from ..ptx.module import Kernel
-from .batch import BatchedSimulator
+from .batch import BatchedSimulator, Traces
 from .energy import DEFAULT_ENERGY_MODEL, EnergyModel, attach_energy
 from .executor import BlockTrace, run_grid
 from .memory import GlobalMemory
@@ -41,15 +44,16 @@ def trace_grid(
 
 
 def simulate_traces(
-    traces: List[BlockTrace],
+    traces: Traces,
     config: GPUConfig,
     tlp: int,
     scheduler: str = "gto",
     energy_model: EnergyModel = DEFAULT_ENERGY_MODEL,
     warp_limit: Optional[int] = None,
 ) -> SimResult:
-    """Replay pre-computed traces through the SM timing model: a batch
-    of one lane (:class:`~repro.sim.batch.BatchedSimulator`).
+    """Replay pre-computed traces, plain or packed, through the SM
+    timing model: a batch of one lane
+    (:class:`~repro.sim.batch.BatchedSimulator`).
 
     ``warp_limit`` caps how many warps are schedulable at once
     (fine-grained throttling, paper ref [2]); the rest park until an

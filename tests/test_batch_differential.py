@@ -10,13 +10,9 @@ under GTO and re-checks a resource-sensitive subset under LRR;
 ``tools/ledger_gate.py`` checks both schedulers over everything.  The
 traces the staircase replays must equal their ``traces`` entries too.
 
-The second half exercises the batched run loop's clock machinery
-directly: monotone per-lane clocks, the event-time jump on no-issue
-cycles, ``next_event_time()`` edges, and chunked advancement
-(``chunk=1`` must land on the same results as one big chunk).
+The second half exercises the run loop directly: the event-time jump
+on no-issue cycles and an empty batch.
 """
-
-import dataclasses
 
 import pytest
 
@@ -90,54 +86,12 @@ def test_traces_bit_identical(name):
 
 
 # ----------------------------------------------------------------------
-# Batched run-loop clock machinery.
+# The run loop.
 # ----------------------------------------------------------------------
 class TestBatchClock:
     @pytest.fixture(scope="class")
     def gau(self):
         return _load_case("GAU")
-
-    def test_lane_clocks_monotone(self, gau):
-        """Per-lane virtual clocks never move backwards, even across
-        event-time jumps on no-issue cycles (``now = max(now + 1,
-        next_event)``)."""
-        traces, max_tlp = gau
-        tlps = list(range(1, max_tlp + 1))
-        sim = BatchedSimulator(CONFIG, traces, tlps, chunk=64)
-        last = list(sim.clock)
-        while sim.step():
-            for i, t in enumerate(sim.clock):
-                assert t >= last[i], f"lane {i} clock moved backwards"
-            last = list(sim.clock)
-
-    def test_chunked_advance_matches_run(self, gau):
-        """chunk=1 (one simulated cycle per step) must land on exactly
-        the results of the default big-chunk run: lanes are fully
-        independent, so the chunk boundary is unobservable."""
-        traces, max_tlp = gau
-        tlps = [1, max(1, max_tlp // 2), max_tlp]
-        fine = BatchedSimulator(CONFIG, traces, tlps, chunk=1)
-        coarse = BatchedSimulator(CONFIG, traces, tlps, chunk=1 << 20)
-        fine_results = fine.run()
-        coarse_results = coarse.run()
-        assert fine.steps > coarse.steps
-        for f, c in zip(fine_results, coarse_results):
-            assert dataclasses.asdict(f) == dataclasses.asdict(c)
-
-    def test_next_event_time_none_when_drained(self, gau):
-        """``next_event_time()`` reports the earliest pending event
-        while lanes are live and ``None`` once every lane retired."""
-        traces, _ = gau
-        sim = BatchedSimulator(CONFIG, traces, [1, 2], chunk=256)
-        saw_event = False
-        while sim.step():
-            t = sim.next_event_time()
-            if t is not None:
-                saw_event = True
-                assert t >= 0.0
-        assert saw_event
-        assert sim.next_event_time() is None
-        assert not sim.active.any()
 
     def test_no_issue_stalls_accounted(self, gau):
         """At TLP=1 a memory-bound kernel has cycles where no warp can
@@ -156,5 +110,3 @@ class TestBatchClock:
         traces, _ = gau
         with pytest.raises(ValueError):
             BatchedSimulator(CONFIG, traces, [])
-        with pytest.raises(ValueError):
-            BatchedSimulator(CONFIG, traces, [1], chunk=0)

@@ -1,5 +1,10 @@
 """CLI smoke tests."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -30,6 +35,27 @@ class TestInfo:
         err = capsys.readouterr().err
         assert err.startswith("repro: error: unknown config 'bogus'")
         assert "Traceback" not in err
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        """A reader that closed the pipe (``repro info ... | head``)
+        ends the command with exit 1 and no traceback."""
+        import repro
+
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "info", "GAU",
+                 "--config", "kepler"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                text=True, timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestAllocate:

@@ -103,6 +103,29 @@ class TestCaching:
         assert engine.stats.trace_misses == 1
         assert engine.stats.sim_misses == 3
 
+    def test_single_points_trace_and_pack_once(self, gau, monkeypatch):
+        """Three single points of one kernel at three TLPs trace the
+        grid once and pack it once: the trace cache keeps the packed
+        grid, and each point replays it."""
+        import repro.engine.engine
+
+        calls = []
+        trace_grid = repro.engine.engine.trace_grid
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return trace_grid(*args, **kwargs)
+
+        monkeypatch.setattr(repro.engine.engine, "trace_grid", counting)
+        engine = EvaluationEngine(disk_cache="")
+        for tlp in (1, 2, 3):
+            engine.simulate(gau.kernel, FERMI, tlp, grid_blocks=4,
+                            param_sizes=gau.param_sizes)
+        assert len(calls) == 1
+        assert len(_spans(engine, "sim.pack")) == 1
+        assert len(_spans(engine, "sim.scalar")) == 3
+        assert engine.stats.trace_hits == 2
+
     def test_clear_forgets_results(self, gau):
         engine = EvaluationEngine()
         engine.simulate(gau.kernel, FERMI, 1, grid_blocks=4,
@@ -329,7 +352,7 @@ class TestInstrumentation:
         snapshot = json.loads(engine.to_json())
         names = {span["name"] for span in snapshot["spans"]}
         assert names == {"unit-test", "engine.simulate", "sim.trace",
-                         "sim.batch"}
+                         "sim.pack", "sim.batch"}
         assert snapshot["stats"]["simulations"] == 2
         assert set(snapshot["self_seconds"]) == names
         assert "stage_seconds" not in snapshot["stats"]

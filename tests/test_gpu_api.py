@@ -1,8 +1,10 @@
 """Top-level simulation API and bench-driver tests."""
 
+import dataclasses
+
 import pytest
 
-from repro.arch import FERMI
+from repro.arch import FERMI, KEPLER
 from repro.bench import evaluate_app
 from repro.core import (
     collect_resource_usage,
@@ -10,7 +12,7 @@ from repro.core import (
     opt_tlp_from_profile,
 )
 from repro.engine import EvaluationEngine
-from repro.sim import simulate, simulate_traces, trace_grid
+from repro.sim import PackedGrid, simulate, simulate_traces, trace_grid
 from repro.sim.stats import SimResult
 from repro.workloads import load_workload
 
@@ -37,7 +39,14 @@ class TestSimulateAPI:
                           param_sizes=gau.param_sizes)
         traces = trace_grid(gau.kernel, FERMI, 6, gau.param_sizes)
         via_traces = simulate_traces(traces, FERMI, 2)
+        via_packed = simulate_traces(PackedGrid(traces, FERMI), FERMI, 2)
         assert direct.cycles == via_traces.cycles
+        assert dataclasses.asdict(via_packed) == dataclasses.asdict(via_traces)
+
+    def test_packed_grid_replays_only_under_its_config(self, gau):
+        traces = trace_grid(gau.kernel, FERMI, 2, gau.param_sizes)
+        with pytest.raises(ValueError, match="another config"):
+            simulate_traces(PackedGrid(traces, FERMI), KEPLER, 1)
 
     def test_result_is_simresult(self, gau):
         result = simulate(gau.kernel, FERMI, tlp=1, grid_blocks=2,
