@@ -56,7 +56,11 @@ hard error.
 
 Every command but ``verify`` loads PTX text through the DF load gate
 (the daemon's loader, :func:`repro.service.jobs.load_target`): a
-kernel that breaks a DF rule exits 2 naming its codes.
+kernel that breaks a DF rule exits 2 naming its codes.  PTX text whose
+CFG cannot be built (a branch to a label that ends the body) exits 2
+under every command, ``verify`` included, and so does an out-of-range
+number (``--tlp`` below 1; ``--grid``, ``--reg`` or ``--spare-shm``
+below 0), before any trace.
 
 Failures map to distinct exit codes so scripts can triage without
 parsing stderr: 0 all ok, 2 parse or DF load gate, 3 allocation,
@@ -139,6 +143,9 @@ def cmd_info(args) -> int:
 
 
 def cmd_allocate(args) -> int:
+    from .service.jobs import check_ranges
+
+    check_ranges({"reg": args.reg, "spare_shm": args.spare_shm})
     kernel, _ = _load(args.target)
     limit = args.reg if args.reg else register_demand(kernel)
     try:

@@ -1,7 +1,7 @@
 """Content-addressed caching for simulation results.
 
 A design point is identified by the tuple ``(kernel fingerprint,
-configuration, grid_blocks, param_sizes, tlp, scheduler)``.  The kernel
+configuration, grid_blocks, param_sizes, tlp)``.  The kernel
 contributes through :meth:`repro.ptx.module.Kernel.fingerprint` (a
 digest of its canonical printed form) and the configuration through the
 ``repr`` of the frozen :class:`~repro.arch.config.GPUConfig` dataclass,
@@ -143,7 +143,7 @@ def make_sim_key(
     grid_blocks: int,
     param_sizes: Optional[Dict[str, int]],
     tlp: int,
-    scheduler: str,
+    *,
     schema: Optional[str] = None,
 ) -> SimKey:
     """Build a cache key; ``schema`` defaults to the current version.
@@ -161,10 +161,10 @@ def make_sim_key(
         grid_blocks,
         params,
         tlp,
-        scheduler,
-        # Once the ``--passes`` signature; kept as a literal, like
-        # ``fp1``/``m1`` in the schema tag, so existing disk caches
-        # still hit.
+        # Once the warp scheduler and the ``--passes`` signature; kept
+        # as literals, like ``fp1``/``m1`` in the schema tag, so
+        # existing disk caches still hit.
+        "gto",
         "",
     )
 

@@ -11,12 +11,11 @@ design points many times over.
 :class:`EvaluationEngine` is the single owner of those primitives:
 
 * **Content-addressed caching** — results are keyed by ``(kernel
-  fingerprint, config, grid_blocks, param_sizes, tlp, scheduler)``;
-  traces by the same key minus the TLP/scheduler, under the same LRU
-  bound, and kept packed (:class:`~repro.sim.batch.PackedGrid`), so
-  each trace set is packed once however many points replay it.  An
-  optional on-disk store (``REPRO_CACHE_DIR``) persists results across
-  processes.
+  fingerprint, config, grid_blocks, param_sizes, tlp)``; traces by the
+  same key minus the TLP, under the same LRU bound, and kept packed
+  (:class:`~repro.sim.batch.PackedGrid`), so each trace set is packed
+  once however many points replay it.  An optional on-disk store
+  (``REPRO_CACHE_DIR``) persists results across processes.
 * **Pure-stage memo** — :meth:`EvaluationEngine.memo` runs each pure
   compiler stage (allocation, resource usage, an unverified pass
   pipeline) once per content key and hands every later caller a
@@ -24,11 +23,12 @@ design points many times over.
   disk directory its entries also persist there, keyed by the source
   digest as well, so a restarted daemon reads them back.
 * **Batched sweeps** — :meth:`simulate_outcomes` runs each group of
-  points that share traces, config and scheduler as one in-process
-  batch of the timing core, and a single point alone, once each.  The
-  timing core is deterministic, so nothing is re-run and nothing is
-  estimated: the first trace or timing run that raises fails the call
-  with its classified error.  Every simulation runs in this process.
+  points that share a packed grid (and so its kernel, grid and config)
+  as one in-process batch of the timing core, and a single point
+  alone, once each.  The timing core is deterministic, so nothing is
+  re-run and nothing is estimated: the first trace or timing run that
+  raises fails the call with its classified error.  Every simulation
+  runs in this process.
 * **Instrumentation** — every named pipeline stage, trace generation,
   batch and scalar timing run is a span of one nested recorder, next to
   hit/miss counters (:mod:`repro.engine.events`), dumpable as JSON.
@@ -75,7 +75,6 @@ class SimRequest:
     tlp: int
     grid_blocks: Optional[int] = None
     param_sizes: Optional[Dict[str, int]] = None
-    scheduler: str = "gto"
 
     def resolved_grid(self) -> int:
         if self.grid_blocks is not None:
@@ -221,10 +220,9 @@ class EvaluationEngine:
         tlp: int,
         grid_blocks: Optional[int] = None,
         param_sizes: Optional[Dict[str, int]] = None,
-        scheduler: str = "gto",
     ) -> SimResult:
         """Simulate one design point, through the cache."""
-        request = SimRequest(kernel, config, tlp, grid_blocks, param_sizes, scheduler)
+        request = SimRequest(kernel, config, tlp, grid_blocks, param_sizes)
         return self.simulate_outcomes([request])[0]
 
     # ------------------------------------------------------------------
@@ -235,10 +233,11 @@ class EvaluationEngine:
         request order.
 
         Cache hits are served immediately.  The other points are grouped
-        by (traces, config, scheduler), so a group differs only in TLP,
-        the shape of a profile sweep: a group of two or more points runs
-        as one batch of the timing core, a single point alone.  Each
-        point runs once, and every result is cached.
+        by packed grid, which belongs to one kernel, grid and config
+        (the trace-cache key holds them all), so a group differs only
+        in TLP, the shape of a profile sweep: a group of two or more
+        points runs as one batch of the timing core, a single point
+        alone.  Each point runs once, and every result is cached.
 
         The first trace generation or timing run that raises bumps
         ``sim_failures`` and propagates as its classified
@@ -259,7 +258,7 @@ class EvaluationEngine:
                     fp = fingerprints[id(req.kernel)] = req.kernel.fingerprint()
                 key = make_sim_key(
                     fp, req.config, req.resolved_grid(), req.param_sizes,
-                    req.tlp, req.scheduler,
+                    req.tlp,
                 )
                 keys.append(key)
                 cached, source = self._sim_cache.get(key)
@@ -272,7 +271,7 @@ class EvaluationEngine:
                     pending.append(i)
             attrs["hits"] = len(requests) - len(pending)
 
-            groups: Dict[Tuple[int, str, str], Tuple[PackedGrid, List[int]]] = {}
+            groups: Dict[int, Tuple[PackedGrid, List[int]]] = {}
             for i in pending:
                 req = requests[i]
                 try:
@@ -288,8 +287,7 @@ class EvaluationEngine:
                     # TLP only when it is the one point asked for.
                     tlp = req.tlp if len(pending) == 1 else None
                     raise self._failure(err, req, "trace", tlp)
-                group = (id(packed), req.scheduler, config_signature(req.config))
-                groups.setdefault(group, (packed, []))[1].append(i)
+                groups.setdefault(id(packed), (packed, []))[1].append(i)
             for packed, positions in groups.values():
                 group_requests = [requests[i] for i in positions]
                 for i, result in zip(positions, self._run(packed, group_requests)):
@@ -303,31 +301,24 @@ class EvaluationEngine:
     def _run(
         self, packed: PackedGrid, requests: List[SimRequest]
     ) -> List[SimResult]:
-        """One timing run over points that share ``packed``, config and
-        scheduler: a ``sim.batch`` of two or more lanes, or a
-        ``sim.scalar`` point.  Both entry points are looked up on their
-        modules at call time, so a wrapper installed there sees every
-        run."""
+        """One timing run over points that share ``packed``: a
+        ``sim.batch`` of two or more lanes, or a ``sim.scalar`` point.
+        Both entry points are looked up on their modules at call time,
+        so a wrapper installed there sees every run."""
         req = requests[0]
         if len(requests) == 1:
             try:
                 with self.span(
                     "sim.scalar", kernel=req.kernel.name, tlp=req.tlp
                 ):
-                    result = gpu.simulate_traces(
-                        packed, req.config, req.tlp, scheduler=req.scheduler
-                    )
+                    result = gpu.simulate_traces(packed, req.config, req.tlp)
             except Exception as err:
                 raise self._failure(err, req, "simulate", req.tlp)
             return [result]
         tlps = [r.tlp for r in requests]
         try:
-            with self.span(
-                "sim.batch", lanes=len(tlps), scheduler=req.scheduler
-            ):
-                results = simulate_traces_batched(
-                    packed, req.config, tlps, scheduler=req.scheduler
-                )
+            with self.span("sim.batch", lanes=len(tlps)):
+                results = simulate_traces_batched(packed, req.config, tlps)
         except Exception as err:
             raise self._failure(err, req, "simulate", None)
         self.stats.batched_groups += 1
@@ -356,7 +347,6 @@ class EvaluationEngine:
         max_tlp: int,
         grid_blocks: Optional[int] = None,
         param_sizes: Optional[Dict[str, int]] = None,
-        scheduler: str = "gto",
     ) -> Dict[int, SimResult]:
         """Simulate every TLP in ``[1, max_tlp]`` for one kernel — the
         paper's exhaustive profiling.  A point that fails fails the
@@ -365,7 +355,7 @@ class EvaluationEngine:
             raise ValueError("max_tlp must be positive")
         tlps = range(1, max_tlp + 1)
         results = self.simulate_outcomes([
-            SimRequest(kernel, config, tlp, grid_blocks, param_sizes, scheduler)
+            SimRequest(kernel, config, tlp, grid_blocks, param_sizes)
             for tlp in tlps
         ])
         return dict(zip(tlps, results))

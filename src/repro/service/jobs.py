@@ -10,12 +10,13 @@ never a different answer.
 A request's life has two phases:
 
 :func:`prepare`
-    Runs on the connection handler thread: resolve the target (Table 3
-    app abbreviation or inline PTX text) through :func:`load_target`,
-    the loader the one-shot CLI commands share, resolve the config and
-    normalize the ``passes`` spec.  An unknown app or config, bad PTX
-    or an unknown pass fails here, before the request ever occupies a
-    queue slot.
+    Runs on the connection handler thread: range-check the numeric
+    params (:func:`check_ranges`), resolve the target (Table 3 app
+    abbreviation or inline PTX text) through :func:`load_target`, the
+    loader the one-shot CLI commands share, resolve the config and
+    normalize the ``passes`` spec.  An out-of-range number, an unknown
+    app or config, bad PTX or an unknown pass fails here, before the
+    request ever occupies a queue slot.
 
 :func:`execute`
     Runs on a worker thread (or in the one-shot CLI's process) against
@@ -31,6 +32,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..arch import get_config
 from ..arch.config import GPUConfig
+from ..cfg.graph import CFG
 from ..engine import get_engine
 from ..errors import ParseError, VerificationError, classify_error
 from ..ir.pipeline import VERIFIED_SPEC, pipeline_signature, run_pipeline
@@ -38,6 +40,25 @@ from ..ptx import parse_kernel
 from ..ptx.module import Kernel
 from ..workloads import BY_ABBR, RESOURCE_SENSITIVE, load_workload
 from .protocol import Request
+
+
+#: The least value of each numeric param: ``tlp`` of ``simulate``, and
+#: ``reg`` and ``spare_shm`` of ``repro allocate``.  ``grid`` 0 and
+#: ``reg`` 0 mean the default.
+_LEAST = {"tlp": 1, "grid": 0, "reg": 0, "spare_shm": 0}
+
+
+def check_ranges(params: Dict[str, Any]) -> None:
+    """Raise :class:`ParseError` (exit 2) for a numeric param below its
+    least value: the one range check of :func:`prepare` and ``repro
+    allocate``, run before any kernel is loaded or traced."""
+    for name, least in _LEAST.items():
+        value = params.get(name)
+        if value is not None and value < least:
+            raise ParseError(
+                f"{name} must be at least {least}, got {value}",
+                stage="parse",
+            )
 
 
 def _passes_of(params: Dict[str, Any]) -> str:
@@ -80,7 +101,8 @@ def load_target(
     ``checked`` passes PTX text through the DF load gate
     (:func:`repro.verify.verify_kernel`); only ``verify`` loads
     unchecked, so a kernel with static defects comes back as rule
-    codes rather than a parse error.
+    codes rather than a parse error.  Either way, PTX text that parses
+    into a kernel whose CFG cannot be built is a parse error.
 
     The service deliberately does not read files named by clients: a
     remote client's paths are meaningless on the server, and a daemon
@@ -102,6 +124,15 @@ def load_target(
         return workload.kernel, workload
     try:
         kernel = parse_kernel(params["ptx"])
+        # A branch to a label that ends the body parses, but the CFG
+        # has no block for it to land in.
+        CFG(kernel)
+    except ValueError as err:
+        # A ``PTXParseError``, an undefined branch target or the CFG's
+        # refusal: malformed input all three.
+        raise ParseError(
+            f"{type(err).__name__}: {err}", stage="parse"
+        ) from err
     except Exception as err:
         raise classify_error(err, stage="parse")
     if checked:
@@ -126,6 +157,7 @@ def prepare(request: Request) -> PreparedJob:
     """Resolve the target and config and normalize the ``passes`` spec,
     so a bad request fails before it takes a queue slot."""
     params = request.params
+    check_ranges(params)
     if request.job == "suite":
         apps = [a.upper() for a in params.get("apps", [])]
         unknown = [a for a in apps if a not in BY_ABBR]

@@ -1,14 +1,13 @@
 """GPGPU-Sim-like simulator substrate.
 
 Functional SIMT execution of the PTX-subset IR plus a cycle-approximate
-SM timing model (one batched core, :mod:`repro.sim.batch`): GTO or LRR
-warp scheduling, an L1 with finite MSHRs, an L2 slice, a DRAM bandwidth
-model, and a GPUWattch-style energy model.
+SM timing model (one core, :mod:`repro.sim.batch`): greedy-then-oldest
+(GTO) warp scheduling, an L1 with finite MSHRs, an L2 slice, a DRAM
+bandwidth model, and a GPUWattch-style energy model.
 """
 
 from .batch import (
     BATCH_SCHEMA_VERSION,
-    BatchedSimulator,
     PackedGrid,
     simulate_traces_batched,
 )
@@ -28,7 +27,6 @@ from .stats import SimResult
 
 __all__ = [
     "BATCH_SCHEMA_VERSION",
-    "BatchedSimulator",
     "BlockExecutor",
     "BlockMemory",
     "BlockTrace",

@@ -22,12 +22,14 @@ SM over a shared L2 and DRAM channel.
   counts and local/shared/global/bypass totals are properties of the
   *trace*, not of the timing.  They are counted once at pack time and
   never touched in the hot loop.
-* **One inlined GTO issue path** — :meth:`_Lane.advance` first picks
-  the warp (the greedy warp continues, or the oldest eligible warp
-  takes over), then runs one inlined issue body for the two commonest
-  op kinds, compute and the single-line L1 access, including the L1
-  refusal when every MSHR is busy; every other op, and all of LRR, go
-  through :meth:`_Lane._issue`.
+* **GTO only, one inlined issue path** — every warp scheduler is
+  greedy-then-oldest (GTO), the policy the paper's static OptTLP model
+  mimics (Section 4.1).  :meth:`_Lane.advance` first picks the warp
+  (the greedy warp continues, or the oldest eligible warp takes over),
+  then runs one inlined issue body for the two commonest op kinds,
+  compute and the single-line L1 access, including the L1 refusal when
+  every MSHR is busy; every other op goes through
+  :meth:`_Lane._issue`.
 
 **Why per-lane clocks (and not one shared clock).**  A lane jumps its
 clock to *its own* next event when no warp can issue (``now = max(now +
@@ -59,7 +61,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from ..arch.config import GPUConfig
 from ..ptx.isa import LatencyClass, Space
 from .cache import Cache, DRAMModel, make_l2_slice_config
-from .energy import DEFAULT_ENERGY_MODEL, EnergyModel, attach_energy
+from .energy import attach_energy
 from .executor import BlockTrace
 from .stats import SimResult
 
@@ -100,12 +102,12 @@ class _Warp:
 class _Sched:
     """One warp scheduler's state (paper Table 2: two per SM).
 
-    GTO keeps issuing from its greedy warp until that warp stalls, then
-    takes the oldest (lowest-id) ready warp; LRR takes the lowest ready
-    id above the last one it issued, wrapping around.  Ready times live
-    in a ``(time, warp id)`` pending heap, with two shortcuts:
+    Greedy-then-oldest: it keeps issuing from its greedy warp until
+    that warp stalls, then takes the oldest (lowest-id) ready warp.
+    Ready times live in a ``(time, warp id)`` pending heap, with two
+    shortcuts:
 
-    * **GTO side channel** — the greedy warp never round-trips through
+    * **Side channel** — the greedy warp never round-trips through
       the pending heap.  Its single next-ready time lives in
       :attr:`gready` (``None`` while the warp is being issued); the
       side channel is flushed back into the heap the moment another
@@ -118,14 +120,13 @@ class _Sched:
       and the list is almost always one or two entries long.
     """
 
-    __slots__ = ("pending", "eligible", "greedy", "gready", "last")
+    __slots__ = ("pending", "eligible", "greedy", "gready")
 
     def __init__(self):
         self.pending: List[Tuple[float, int]] = []
         self.eligible: List[int] = []
-        self.greedy: Optional[int] = None  # GTO
+        self.greedy: Optional[int] = None
         self.gready: Optional[float] = None  # greedy warp's parked time
-        self.last: int = -1  # LRR
 
     def add(self, warp_id: int, ready_at: float, now: float) -> None:
         if ready_at <= now:
@@ -324,7 +325,7 @@ class _Lane:
     """
 
     __slots__ = (
-        "packed", "tlp", "requested_tlp", "gto",
+        "packed", "tlp", "requested_tlp",
         "scheds", "nsched", "warps", "slots", "next_block",
         "blocks_executed", "active_warps", "now", "finish",
         "idle_cycles", "mshr_stall_events", "mshr_stall_cycles",
@@ -337,22 +338,18 @@ class _Lane:
         config: GPUConfig,
         packed: PackedGrid,
         tlp: int,
-        scheduler: str,
         warp_limit: Optional[int] = None,
         l2: Optional[Cache] = None,
         dram: Optional[DRAMModel] = None,
     ):
         if tlp <= 0:
             raise ValueError("tlp must be positive")
-        if scheduler not in ("gto", "lrr"):
-            raise ValueError(f"unknown scheduler kind {scheduler!r}")
         if warp_limit is not None and warp_limit <= 0:
             raise ValueError("warp_limit must be positive")
         self.packed = packed
         nblocks = len(packed.blocks)
         self.tlp = min(tlp, nblocks) if nblocks else tlp
         self.requested_tlp = tlp
-        self.gto = scheduler == "gto"
         lat = config.latency
         if l2 is None or dram is None:
             dram = DRAMModel(
@@ -506,12 +503,9 @@ class _Lane:
                     t = rr[src]
                     if t > dep:
                         dep = t
-            # Re-add: dep > now always, so this is a pending push; the
-            # GTO greedy warp parks in the side channel.
-            if self.gto:
-                sched.gready = dep
-            else:
-                heappush(sched.pending, (dep, warp_id))
+            # Re-add: dep > now always; the greedy warp parks in the
+            # side channel.
+            sched.gready = dep
             return
 
         if kind == _MEM:
@@ -595,10 +589,7 @@ class _Lane:
                     t = rr[src]
                     if t > dep:
                         dep = t
-            if self.gto:
-                sched.gready = dep
-            else:
-                heappush(sched.pending, (dep, warp_id))
+            sched.gready = dep
             return
 
         # _BARRIER
@@ -643,7 +634,7 @@ class _Lane:
         """The warp ``sched`` issues at ``now`` (``None``: none is
         ready) — the choice :meth:`advance` makes inline."""
         g = sched.greedy
-        if self.gto and g is not None and sched.gready <= now:
+        if g is not None and sched.gready <= now:
             sched.gready = None
             return g
         pending = sched.pending
@@ -652,17 +643,12 @@ class _Lane:
             elig.append(heappop(pending)[1])
         if not elig:
             return None
-        if self.gto:
-            warp_id = min(elig)
-            if g is not None:
-                heappush(pending, (sched.gready, g))
-            sched.greedy = warp_id
-            sched.gready = None
-        else:
-            above = [w for w in elig if w > sched.last]
-            warp_id = min(above) if above else min(elig)
-            sched.last = warp_id
+        warp_id = min(elig)
         elig.remove(warp_id)
+        if g is not None:
+            heappush(pending, (sched.gready, g))
+        sched.greedy = warp_id
+        sched.gready = None
         return warp_id
 
     def advance(self) -> None:
@@ -672,7 +658,6 @@ class _Lane:
         now = self.now
         scheds = self.scheds
         warps = self.warps
-        gto = self.gto
         issue = self._issue
         push = heappush
         pop = heappop
@@ -692,25 +677,6 @@ class _Lane:
             # needs no second scan to find its jump target.
             next_time = None
             for sched in scheds:
-                if not gto:
-                    pending = sched.pending
-                    elig = sched.eligible
-                    while pending and pending[0][0] <= now:
-                        elig.append(pop(pending)[1])
-                    if not elig:
-                        if pending:
-                            t = pending[0][0]
-                            if next_time is None or t < next_time:
-                                next_time = t
-                        continue
-                    last = sched.last
-                    above = [w for w in elig if w > last]
-                    warp_id = min(above) if above else min(elig)
-                    elig.remove(warp_id)
-                    sched.last = warp_id
-                    issue(warp_id, now, sched)
-                    issued = True
-                    continue
                 # GTO pick: the greedy warp continues with no heap
                 # traffic, or the oldest eligible warp takes over and
                 # the old greedy's side channel is flushed back to the
@@ -879,53 +845,32 @@ class _Lane:
         )
 
 
-class BatchedSimulator:
-    """Simulate N design points of one kernel in a single batched pass.
-
-    ``tlps`` names the design points (one lane each; duplicates are
-    allowed and produce duplicate lanes).  All lanes share one
-    :class:`PackedGrid`, packed here from ``traces`` unless they come
-    packed, and each lane runs to completion on its own clock in turn.
-    A lane's result does not depend on which other lanes share its
-    batch.  ``warp_limit`` applies to every lane.
-    """
-
-    def __init__(
-        self,
-        config: GPUConfig,
-        traces: Traces,
-        tlps: Sequence[int],
-        scheduler: str = "gto",
-        warp_limit: Optional[int] = None,
-    ):
-        if not tlps:
-            raise ValueError("batch needs at least one design point")
-        if not isinstance(traces, PackedGrid):
-            traces = PackedGrid(traces, config)
-        elif traces.config != config:
-            raise ValueError("the grid was packed for another config")
-        self.packed = traces
-        self.lanes = [
-            _Lane(config, self.packed, tlp, scheduler, warp_limit=warp_limit)
-            for tlp in tlps
-        ]
-
-    def run(self) -> List[SimResult]:
-        # The hot loop allocates heap tuples and floats only.
-        with gc_paused():
-            for lane in self.lanes:
-                lane.advance()
-        return [lane.result() for lane in self.lanes]
-
-
 def simulate_traces_batched(
     traces: Traces,
     config: GPUConfig,
     tlps: Sequence[int],
-    scheduler: str = "gto",
-    energy_model: EnergyModel = DEFAULT_ENERGY_MODEL,
+    warp_limit: Optional[int] = None,
 ) -> List[SimResult]:
-    """One result per requested TLP, from one batched pass (the sweep
-    counterpart of :func:`repro.sim.gpu.simulate_traces`)."""
-    sim = BatchedSimulator(config, traces, tlps, scheduler=scheduler)
-    return [attach_energy(result, energy_model) for result in sim.run()]
+    """One result per requested TLP, energy attached: the sweep form of
+    :func:`repro.sim.gpu.simulate_traces`, which is its one-TLP call.
+
+    Each TLP is one lane (duplicates give duplicate lanes).  Every lane
+    replays one :class:`PackedGrid`, packed here unless ``traces`` come
+    packed, and runs to completion on its own clock in turn, so a
+    lane's result does not depend on the other TLPs of the call.
+    ``warp_limit`` applies to every lane.
+    """
+    if not tlps:
+        raise ValueError("batch needs at least one design point")
+    if not isinstance(traces, PackedGrid):
+        traces = PackedGrid(traces, config)
+    elif traces.config != config:
+        raise ValueError("the grid was packed for another config")
+    results = []
+    # The hot loop allocates heap tuples and floats only.
+    with gc_paused():
+        for tlp in tlps:
+            lane = _Lane(config, traces, tlp, warp_limit)
+            lane.advance()
+            results.append(attach_energy(lane.result()))
+    return results

@@ -17,8 +17,7 @@ from typing import Dict, List, Optional
 
 from ..arch.config import GPUConfig
 from ..ptx.module import Kernel
-from .batch import BatchedSimulator, Traces
-from .energy import DEFAULT_ENERGY_MODEL, EnergyModel, attach_energy
+from .batch import Traces, simulate_traces_batched
 from .executor import BlockTrace, run_grid
 from .memory import GlobalMemory
 from .stats import SimResult
@@ -47,23 +46,18 @@ def simulate_traces(
     traces: Traces,
     config: GPUConfig,
     tlp: int,
-    scheduler: str = "gto",
-    energy_model: EnergyModel = DEFAULT_ENERGY_MODEL,
     warp_limit: Optional[int] = None,
 ) -> SimResult:
     """Replay pre-computed traces, plain or packed, through the SM
-    timing model: a batch of one lane
-    (:class:`~repro.sim.batch.BatchedSimulator`).
+    timing model: the one-TLP call of
+    :func:`~repro.sim.batch.simulate_traces_batched`.
 
     ``warp_limit`` caps how many warps are schedulable at once
     (fine-grained throttling, paper ref [2]); the rest park until an
     active warp retires.
     """
-    sim = BatchedSimulator(
-        config, traces, [tlp], scheduler=scheduler, warp_limit=warp_limit
-    )
-    result, = sim.run()
-    return attach_energy(result, energy_model)
+    result, = simulate_traces_batched(traces, config, [tlp], warp_limit)
+    return result
 
 
 def simulate(
@@ -72,7 +66,6 @@ def simulate(
     tlp: int,
     grid_blocks: Optional[int] = None,
     param_sizes: Optional[Dict[str, int]] = None,
-    scheduler: str = "gto",
 ) -> SimResult:
     """Simulate ``kernel`` at a given TLP (blocks per SM).
 
@@ -82,4 +75,4 @@ def simulate(
     if grid_blocks is None:
         grid_blocks = 2 * config.max_blocks_per_sm
     traces = trace_grid(kernel, config, grid_blocks, param_sizes)
-    return simulate_traces(traces, config, tlp, scheduler=scheduler)
+    return simulate_traces(traces, config, tlp)

@@ -29,7 +29,6 @@ def simulate_multi_sm(
     config: GPUConfig,
     tlp: int,
     num_sms: Optional[int] = None,
-    scheduler: str = "gto",
 ) -> List[SimResult]:
     """Simulate ``num_sms`` SMs (default: the config's count) sharing
     the chip-level L2 and DRAM; returns exactly one :class:`SimResult`
@@ -65,7 +64,7 @@ def simulate_multi_sm(
     # SM with no blocks.
     lanes = [
         _Lane(config, PackedGrid(traces[sm_index::n], config), tlp,
-              scheduler, l2=l2, dram=dram)
+              l2=l2, dram=dram)
         for sm_index in range(n)
     ]
 

@@ -89,10 +89,6 @@ class AppCharacteristics:
     grid_blocks: int
 
     @property
-    def ws_bytes_per_block(self) -> int:
-        return self.ws_elems_per_thread * self.block_size * 4
-
-    @property
     def shm_bytes_per_block(self) -> int:
         return self.shm_elems_per_thread * self.block_size * 4
 

@@ -5,10 +5,8 @@ Every design point of the corpus staircase — every traceable
 full TLP staircase (1..max_tlp) — must reproduce its entry in
 ``tools/ledger.json``, recorded from the scalar simulator this core
 replaced: the same cycles and the same sha256 over every
-:class:`~repro.sim.stats.SimResult` field.  Tier-1 runs the staircase
-under GTO and re-checks a resource-sensitive subset under LRR;
-``tools/ledger_gate.py`` checks both schedulers over everything.  The
-traces the staircase replays must equal their ``traces`` entries too.
+:class:`~repro.sim.stats.SimResult` field.  The traces the staircase
+replays must equal their ``traces`` entries too.
 
 The second half exercises the run loop directly: the event-time jump
 on no-issue cycles and an empty batch.
@@ -18,8 +16,7 @@ import pytest
 
 from repro.arch.config import get_config
 from repro.sim import simulate_traces, simulate_traces_batched
-from repro.sim.batch import BatchedSimulator
-from repro.workloads import RESOURCE_SENSITIVE, full_suite
+from repro.workloads import full_suite
 
 from .ledger import LEDGER, assert_in_ledger, ledger_gate
 
@@ -49,29 +46,18 @@ def _load_case(name):
 CORPUS = _example_names() + [w.abbr for w in full_suite()]
 
 
-def _assert_staircase_matches_ledger(name, scheduler):
-    traces, max_tlp = _load_case(name)
-    tlps = list(range(1, max_tlp + 1))
-    results = simulate_traces_batched(
-        traces, CONFIG, tlps, scheduler=scheduler
-    )
-    for tlp, result in zip(tlps, results):
-        assert_in_ledger(
-            "staircase", ledger_gate.staircase_key(name, scheduler, tlp),
-            ledger_gate.sim_entry(result),
-        )
-    beyond = ledger_gate.staircase_key(name, scheduler, max_tlp + 1)
-    assert beyond not in LEDGER["staircase"], f"{name}: staircase shrank"
-
-
 @pytest.mark.parametrize("name", CORPUS)
 def test_full_staircase_bit_identical_gto(name):
-    _assert_staircase_matches_ledger(name, "gto")
-
-
-@pytest.mark.parametrize("name", [w.abbr for w in RESOURCE_SENSITIVE[:4]])
-def test_full_staircase_bit_identical_lrr(name):
-    _assert_staircase_matches_ledger(name, "lrr")
+    traces, max_tlp = _load_case(name)
+    tlps = list(range(1, max_tlp + 1))
+    results = simulate_traces_batched(traces, CONFIG, tlps)
+    for tlp, result in zip(tlps, results):
+        assert_in_ledger(
+            "staircase", ledger_gate.staircase_key(name, tlp),
+            ledger_gate.sim_entry(result),
+        )
+    beyond = ledger_gate.staircase_key(name, max_tlp + 1)
+    assert beyond not in LEDGER["staircase"], f"{name}: staircase shrank"
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -101,7 +87,7 @@ class TestBatchClock:
         traces, _ = gau
         single = simulate_traces(traces, CONFIG, 1)
         assert_in_ledger(
-            "staircase", ledger_gate.staircase_key("GAU", "gto", 1),
+            "staircase", ledger_gate.staircase_key("GAU", 1),
             ledger_gate.sim_entry(single),
         )
         assert single.idle_cycles > 0
@@ -109,4 +95,4 @@ class TestBatchClock:
     def test_empty_batch_rejected(self, gau):
         traces, _ = gau
         with pytest.raises(ValueError):
-            BatchedSimulator(CONFIG, traces, [])
+            simulate_traces_batched(traces, CONFIG, [])

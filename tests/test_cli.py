@@ -219,6 +219,89 @@ class TestExitCodes:
         assert main(["suite"]) == 4
 
 
+#: ``bra $done; ret; $done:`` — the branch target ends the body, so the
+#: kernel parses but no CFG block starts at the label.
+END_LABEL_PTX = """\
+.entry end_label (.param .u64 data)
+.maxntid 32, 1, 1
+{
+    bra $done;
+    ret;
+$done:
+}
+"""
+
+
+class TestBadInputExits2:
+    """Out-of-range numbers and a kernel whose CFG cannot be built print
+    one error line and exit 2, before any trace: the one-shot command
+    and the daemon's :func:`~repro.service.jobs.prepare` alike."""
+
+    @pytest.fixture(autouse=True)
+    def no_tracing(self, monkeypatch):
+        import repro.engine.engine
+
+        def trace_grid(*args, **kwargs):
+            raise AssertionError("a bad request reached the tracer")
+
+        monkeypatch.setattr(repro.engine.engine, "trace_grid", trace_grid)
+
+    def _exits_2(self, argv, capsys, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("repro: error:")
+        assert message in line and "stage=parse" in line
+
+    def _prepare_raises(self, job, params, message):
+        from repro.errors import ParseError
+        from repro.service.jobs import prepare
+        from repro.service.protocol import Request
+
+        with pytest.raises(ParseError, match=message):
+            prepare(Request(job=job, params=params))
+
+    def test_simulate_tlp_below_one(self, capsys):
+        message = "tlp must be at least 1, got 0"
+        self._exits_2(["simulate", "GAU", "--tlp", "0"], capsys, message)
+        self._prepare_raises("simulate", {"target": "GAU", "tlp": 0}, message)
+
+    def test_simulate_negative_grid(self, capsys):
+        message = "grid must be at least 0, got -2"
+        self._exits_2(["simulate", "GAU", "--grid", "-2"], capsys, message)
+        self._prepare_raises("simulate", {"target": "GAU", "grid": -2},
+                             message)
+
+    def test_allocate_negative_reg(self, capsys):
+        self._exits_2(["allocate", "GAU", "--reg", "-4"], capsys,
+                      "reg must be at least 0, got -4")
+
+    def test_allocate_negative_spare_shm(self, capsys):
+        self._exits_2(["allocate", "GAU", "--spare-shm", "-5"], capsys,
+                      "spare_shm must be at least 0, got -5")
+
+    def test_branch_to_label_that_ends_the_body(self, tmp_path, capsys):
+        """Checked and unchecked loads alike: ``verify`` included."""
+        path = tmp_path / "end_label.ptx"
+        path.write_text(END_LABEL_PTX)
+        message = "branch to label '$done' past end of kernel"
+        for command in ("info", "allocate", "verify", "simulate", "crat"):
+            self._exits_2([command, str(path)], capsys, message)
+        for job in ("verify", "simulate", "crat"):
+            self._prepare_raises(job, {"ptx": END_LABEL_PTX},
+                                 "past end of kernel")
+
+    def test_branch_to_undefined_label(self, tmp_path, capsys):
+        """The parser refuses it, as a ``ValueError``: exit 2 as well,
+        ``verify`` included."""
+        path = tmp_path / "undefined_label.ptx"
+        path.write_text(END_LABEL_PTX.replace("$done:\n", ""))
+        message = "branch to undefined label '$done'"
+        for command in ("info", "verify", "simulate"):
+            self._exits_2([command, str(path)], capsys, message)
+
+
 class TestCrat:
     def test_crat_static_and_emit(self, tmp_path, capsys):
         import json

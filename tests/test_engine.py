@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.arch import FERMI
+from repro.arch import FERMI, KEPLER
 from repro.engine import (
     EvaluationEngine,
     SimRequest,
@@ -61,17 +61,23 @@ class TestCacheKeys:
 
     def test_key_distinguishes_every_component(self, gau):
         fp = gau.kernel.fingerprint()
-        base = make_sim_key(fp, FERMI, 4, {"a": 64}, 2, "gto")
-        assert make_sim_key(fp, FERMI, 4, {"a": 64}, 3, "gto") != base
-        assert make_sim_key(fp, FERMI, 8, {"a": 64}, 2, "gto") != base
-        assert make_sim_key(fp, FERMI, 4, {"a": 128}, 2, "gto") != base
-        assert make_sim_key(fp, FERMI, 4, {"a": 64}, 2, "lrr") != base
-        assert make_sim_key("x" * 64, FERMI, 4, {"a": 64}, 2, "gto") != base
+        base = make_sim_key(fp, FERMI, 4, {"a": 64}, 2)
+        assert make_sim_key(fp, FERMI, 4, {"a": 64}, 3) != base
+        assert make_sim_key(fp, FERMI, 8, {"a": 64}, 2) != base
+        assert make_sim_key(fp, FERMI, 4, {"a": 128}, 2) != base
+        assert make_sim_key("x" * 64, FERMI, 4, {"a": 64}, 2) != base
+
+    def test_schema_is_keyword_only(self, gau):
+        """A sixth positional argument is refused, so a call still
+        written for the retired scheduler slot cannot bind its ``"gto"``
+        to ``schema``."""
+        with pytest.raises(TypeError):
+            make_sim_key(gau.kernel.fingerprint(), FERMI, 4, None, 2, "gto")
 
     def test_param_order_does_not_matter(self, gau):
         fp = gau.kernel.fingerprint()
-        ab = make_sim_key(fp, FERMI, 4, {"a": 1, "b": 2}, 2, "gto")
-        ba = make_sim_key(fp, FERMI, 4, {"b": 2, "a": 1}, 2, "gto")
+        ab = make_sim_key(fp, FERMI, 4, {"a": 1, "b": 2}, 2)
+        ba = make_sim_key(fp, FERMI, 4, {"b": 2, "a": 1}, 2)
         assert ab == ba
 
 
@@ -172,7 +178,7 @@ class TestSchemaVersioning:
         from repro.engine import cache_schema_version
 
         key = make_sim_key(
-            gau.kernel.fingerprint(), FERMI, 4, gau.param_sizes, 2, "gto"
+            gau.kernel.fingerprint(), FERMI, 4, gau.param_sizes, 2
         )
         assert key[0] == cache_schema_version()
 
@@ -275,14 +281,15 @@ class TestPassesKeying:
         assert f"cycles:        {payload['cycles']:.0f}" in one_shot
 
     def test_default_pipeline_key_is_unchanged(self, gau):
-        """The key's last slot stays the literal ``""``: caches written
-        while it held the ``--passes`` signature still hit."""
+        """The key's last two slots stay the literals ``"gto"`` and
+        ``""``: caches written while they held the warp scheduler and
+        the ``--passes`` signature still hit."""
         from repro.engine.cache import key_digest
 
         key = make_sim_key(
-            gau.kernel.fingerprint(), FERMI, 4, gau.param_sizes, 2, "gto"
+            gau.kernel.fingerprint(), FERMI, 4, gau.param_sizes, 2
         )
-        assert key[-1] == ""
+        assert key[-2:] == ("gto", "")
         assert key_digest(key) == "74c076f574942225"
 
 
@@ -303,10 +310,10 @@ class TestBatchedRouting:
     """Multi-point sweeps run as one batch of the timing core; single
     points run alone.  The route never changes a result."""
 
-    def _requests(self, gau, tlps, scheduler="gto"):
+    def _requests(self, gau, tlps, config=FERMI):
         return [
-            SimRequest(gau.kernel, FERMI, tlp, grid_blocks=4,
-                       param_sizes=gau.param_sizes, scheduler=scheduler)
+            SimRequest(gau.kernel, config, tlp, grid_blocks=4,
+                       param_sizes=gau.param_sizes)
             for tlp in tlps
         ]
 
@@ -326,17 +333,20 @@ class TestBatchedRouting:
         engine.simulate_outcomes(self._requests(gau, [1, 2]))
         batches = _spans(engine, "sim.batch")
         assert len(batches) == 1
-        assert batches[0].attrs == {"lanes": 2, "scheduler": "gto"}
+        assert batches[0].attrs == {"lanes": 2}
 
     def test_singleton_group_stays_supervised(self, gau):
         engine = EvaluationEngine(disk_cache="")
         engine.simulate_outcomes(self._requests(gau, [2]))
         assert engine.stats.batched_points == 0
 
-    def test_mixed_schedulers_group_separately(self, gau):
+    def test_mixed_configs_group_separately(self, gau):
+        """Points are grouped by packed grid, and a grid is packed for
+        one config: fermi and kepler points of one kernel in one call
+        run as one batch per config."""
         engine = EvaluationEngine(disk_cache="")
         requests = (self._requests(gau, [1, 2])
-                    + self._requests(gau, [1, 2], scheduler="lrr"))
+                    + self._requests(gau, [1, 2], config=KEPLER))
         results = engine.simulate_outcomes(requests)
         assert engine.stats.batched_groups == 2
         assert engine.stats.batched_points == 4

@@ -151,7 +151,7 @@ class TestCacheIntegrity:
         )
         result = self._result(gau)
         key = make_sim_key(gau.kernel.fingerprint(), FERMI, 4,
-                           gau.param_sizes, 1, "gto")
+                           gau.param_sizes, 1)
         cache.put(key, result)
         [path] = tmp_path.glob("sim-*.pkl")
         path.write_bytes(path.read_bytes()[:-9])  # torn write
@@ -189,7 +189,7 @@ class TestFailedPoints:
         assert "sim.scalar" not in names
         assert engine.stats.sim_failures == 1
         key = make_sim_key(gau.kernel.fingerprint(), FERMI, 4,
-                           gau.param_sizes, 2, "gto")
+                           gau.param_sizes, 2)
         assert engine._sim_cache.get(key) == (None, "miss")
 
     def test_trace_fault_is_a_trace_stage_error(self, gau, monkeypatch):

@@ -130,16 +130,15 @@ class TestMultiSM:
                     ledger_gate.sim_entry(result),
                 )
 
-    @pytest.mark.parametrize("scheduler", ["gto", "lrr"])
-    def test_one_sm_lockstep_matches_own_clock(self, hst_traces, scheduler):
+    def test_one_sm_lockstep_matches_own_clock(self, hst_traces):
         """On a one-SM chip (whole L2 = the slice) the lock-step
         ``_Lane.step`` path reproduces the lane's own-clock run, except
         that the chip loop accounts no idle cycles and attaches no
         energy."""
         workload, traces = hst_traces
         chip = dataclasses.replace(FERMI, num_sms=1, l2_interference=1)
-        own = simulate_traces(traces, chip, 2, scheduler=scheduler)
-        lockstep, = simulate_multi_sm(traces, chip, 2, scheduler=scheduler)
+        own = simulate_traces(traces, chip, 2)
+        lockstep, = simulate_multi_sm(traces, chip, 2)
         assert dataclasses.replace(
             own, idle_cycles=0.0, energy_nj=0.0
         ) == lockstep

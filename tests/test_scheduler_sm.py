@@ -1,5 +1,5 @@
-"""SM timing-model tests (GTO and LRR pick order is pinned by the
-golden ledger, ``tools/ledger.json``)."""
+"""SM timing-model tests (the GTO pick order is pinned by the golden
+ledger, ``tools/ledger.json``)."""
 
 import pytest
 
@@ -92,13 +92,6 @@ class TestSMTiming:
         kernel = compute_kernel()
         result = simulate(kernel, FERMI, tlp=8, grid_blocks=16)
         assert result.ipc <= FERMI.num_schedulers
-
-    def test_gto_vs_lrr_both_run(self):
-        kernel = compute_kernel()
-        traces = trace_grid(kernel, FERMI, 4)
-        gto = simulate_traces(traces, FERMI, 2, scheduler="gto")
-        lrr = simulate_traces(traces, FERMI, 2, scheduler="lrr")
-        assert gto.instructions == lrr.instructions
 
     def test_energy_attached(self):
         kernel = compute_kernel()

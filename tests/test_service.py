@@ -127,6 +127,30 @@ class TestBasics:
         assert reply["error"]["exit_code"] == EXIT_PARSE
         assert "DF001" in reply["error"]["message"]
 
+    def test_bad_numbers_and_unbuildable_cfg_are_parse_errors(
+        self, server, fresh_engine
+    ):
+        """The daemon answers each bad input as the one-shot command
+        exits: a ``ParseError`` reply with exit code 2, before any
+        trace (``tests/test_cli.py::TestBadInputExits2``)."""
+        from .test_cli import END_LABEL_PTX
+
+        bad = [
+            ("simulate", {"target": "GAU", "tlp": 0}, "tlp must be at least 1"),
+            ("simulate", {"target": "GAU", "grid": -2},
+             "grid must be at least 0"),
+            ("simulate", {"ptx": END_LABEL_PTX}, "past end of kernel"),
+            ("verify", {"ptx": END_LABEL_PTX}, "past end of kernel"),
+        ]
+        with make_client(server) as client:
+            for job, params, message in bad:
+                reply = client.submit(job, params)
+                assert reply["status"] == "error", (job, params)
+                assert reply["error"]["kind"] == "ParseError"
+                assert reply["error"]["exit_code"] == EXIT_PARSE
+                assert message in reply["error"]["message"]
+        assert fresh_engine.stats.trace_misses == 0
+
     def test_invalid_frame_rejected_inline(self, server):
         with make_client(server) as client:
             reply = client.request_once("simulate", {"bogus_param": 1})

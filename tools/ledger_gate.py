@@ -9,8 +9,7 @@ The ledger holds four kinds of entry:
   :class:`~repro.sim.stats.SimResult` field
   (``json.dumps(dataclasses.asdict(result), sort_keys=True)``) for
   - the corpus staircase: ``examples/*.ptx`` plus all 22 suite apps at
-    every TLP of each kernel's staircase (1..max_tlp), under both warp
-    schedulers (``staircase``);
+    every TLP of each kernel's staircase (1..max_tlp) (``staircase``);
   - every SM of the chip-level runs of ``tests/test_multisim.py`` and
     ``benchmarks/test_ablation_multisim.py`` (``multi_sm``);
   - the warp-throttling points of ``tests/test_warp_limit.py`` and
@@ -107,8 +106,6 @@ CONFIG = get_config("fermi")
 
 #: Grid size for bare example kernels (suite apps carry their own).
 EXAMPLE_GRID_BLOCKS = 12
-
-SCHEDULERS = ("gto", "lrr")
 
 
 def _applied(pattern: str) -> Callable:
@@ -223,8 +220,10 @@ def alloc_source(abbr: str, spec: str) -> str:
     return f"{abbr}:{spec}" if spec else abbr
 
 
-def staircase_key(name: str, scheduler: str, tlp: int) -> str:
-    return f"{name}/{scheduler}/tlp={tlp}"
+def staircase_key(name: str, tlp: int) -> str:
+    # ``gto``, the timing core's warp scheduler, stays in the key as
+    # every entry was recorded.
+    return f"{name}/gto/tlp={tlp}"
 
 
 def multi_sm_key(label: str, tlp: int, num_sms: int, sm: int) -> str:
@@ -464,12 +463,9 @@ def staircase_entries() -> Dict[str, Dict]:
     entries = {}
     for name, traces, max_tlp in staircase_corpus():
         tlps = list(range(1, max_tlp + 1))
-        for scheduler in SCHEDULERS:
-            results = simulate_traces_batched(
-                traces, CONFIG, tlps, scheduler=scheduler
-            )
-            for tlp, result in zip(tlps, results):
-                entries[staircase_key(name, scheduler, tlp)] = sim_entry(result)
+        results = simulate_traces_batched(traces, CONFIG, tlps)
+        for tlp, result in zip(tlps, results):
+            entries[staircase_key(name, tlp)] = sim_entry(result)
     return entries
 
 
