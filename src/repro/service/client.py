@@ -276,13 +276,14 @@ def unwrap(reply: Dict[str, Any]) -> Dict[str, Any]:
 class ServiceJobError(ServiceError):
     """A job the service ran on our behalf failed.
 
-    The exit code is the *job's* (``ParseError`` 2, ``AllocationError``
-    3, ...), not the transport's 7: scripting against ``repro submit``
-    sees the same codes as against the one-shot CLI.
+    The message and the exit code are the *job's* (``ParseError`` 2,
+    ``AllocationError`` 3, ...), not the transport's 7: ``repro submit``
+    prints the same error line and exits with the same code as the
+    one-shot CLI.  The taxonomy kind stays readable as ``job_kind``.
     """
 
     def __init__(self, kind: str, message: str, job_exit_code: int):
-        super().__init__(f"{kind}: {message}")
+        super().__init__(message)
         self.job_kind = kind
         self.exit_code = job_exit_code
 

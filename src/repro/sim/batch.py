@@ -1,11 +1,12 @@
 """The SM timing core: one or many design points of a kernel per pass.
 
 The paper's methodology sweeps one kernel across many (reg, TLP) design
-points.  This module is the only cycle model in the repository: a
-single point is a batch of one (:func:`repro.sim.gpu.simulate_traces`),
-a profile sweep is one batch with a lane per TLP, and the chip-level
-mode (:func:`repro.sim.multisim.simulate_multi_sm`) drives one lane per
-SM over a shared L2 and DRAM channel.
+points.  This module is the only cycle model in the repository, and
+:meth:`_Lane.advance` its only run loop: a single point is a batch of
+one (:func:`repro.sim.gpu.simulate_traces`), a profile sweep is one
+batch with a lane per TLP, and the chip-level mode
+(:func:`repro.sim.multisim.simulate_multi_sm`) advances one lane per SM,
+a cycle at a time, over a shared L2 and DRAM channel.
 
 * **Shared packing** — the block traces are compiled once into
   structure-of-arrays form: per-warp op streams become uniform tuples
@@ -28,8 +29,9 @@ SM over a shared L2 and DRAM channel.
   (the greedy warp continues, or the oldest eligible warp takes over),
   then runs one inlined issue body for the two commonest op kinds,
   compute and the single-line L1 access, including the L1 refusal when
-  every MSHR is busy; every other op goes through
-  :meth:`_Lane._issue`.
+  every MSHR is busy.  Every other op (a barrier, shared memory, a
+  global store, a multi-line or L1-bypassing access) goes through
+  :meth:`_Lane._issue`, whose cache accesses call ``probe``.
 
 **Why per-lane clocks (and not one shared clock).**  A lane jumps its
 clock to *its own* next event when no warp can issue (``now = max(now +
@@ -41,7 +43,12 @@ cycle counts.  A lane's answer must not depend on which other points
 share its batch, so each lane advances on its own clock; the batch wins
 by sharing the packing, the static counters and a lean per-issue code
 path, not by merging clocks.  Lanes share nothing mutable (only the
-read-only packed grid), so each runs to completion in turn.  The golden
+read-only packed grid), so each runs to completion in turn.  The SMs of
+the chip-level mode do share the L2 and DRAM, so they interleave: at
+chip cycle ``now``, every lane whose clock is at most ``now`` runs that
+one cycle (``advance(now)``), and the chip clock then moves to
+``max(now + 1, earliest lane clock)``, so a lane woken at a fractional
+event time issues at the next chip cycle.  The golden
 ledger (``tools/ledger.json``, checked by ``tools/ledger_gate.py``)
 pins every answer, recorded from the scalar simulator this core
 replaced.
@@ -54,6 +61,7 @@ core's semantics can never alias.
 from __future__ import annotations
 
 import gc
+import math
 from contextlib import contextmanager
 from heapq import heappop, heappush
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -133,15 +141,6 @@ class _Sched:
             self.eligible.append(warp_id)
         else:
             heappush(self.pending, (ready_at, warp_id))
-
-    def next_event(self) -> Optional[float]:
-        if self.eligible:
-            return 0.0
-        t = self.pending[0][0] if self.pending else None
-        g = self.gready if self.greedy is not None else None
-        if g is not None and (t is None or g < t):
-            return g
-        return t
 
 
 class _Slot:
@@ -316,10 +315,10 @@ class _Lane:
     until an entry frees (``mshr_stall_cycles``, the paper's congestion
     stalls of Figure 5b).
 
-    :meth:`advance` runs the lane to completion on its own clock
-    (single-SM runs and sweeps); :meth:`step` issues one cycle at a
-    clock the caller owns (the chip-level lock-step loop, where ``l2``
-    and ``dram`` are shared by every SM's lane).  ``warp_limit`` caps the schedulable warps
+    :meth:`advance` runs the lane on its own clock, to completion
+    (single-SM runs and sweeps) or until the clock passes ``stop`` (one
+    cycle of the chip-level loop, where ``l2`` and ``dram`` are shared
+    by every SM's lane).  ``warp_limit`` caps the schedulable warps
     (fine-grained throttling, paper ref [2]): the rest park until an
     active warp retires.
     """
@@ -481,120 +480,48 @@ class _Lane:
 
     # ------------------------------------------------------------------
     def _issue(self, warp_id: int, now: float, sched: _Sched) -> None:
+        """Issue an op :meth:`advance` does not inline: a barrier, or a
+        memory access other than the single-line L1 one."""
         warp = self.warps[warp_id]
         ops = warp.ops
         op = ops[warp.pc]
-        kind = op[0]
-
-        if kind == _COMPUTE:
-            dst = op[3]
-            if dst >= 0:
-                warp.rr[dst] = now + op[1]
-            pc = warp.pc + 1
-            warp.pc = pc
-            if pc >= warp.n:
-                self._retire_warp(warp_id, warp, sched, now)
-                return
-            dep = now + 1 + op[2]
-            srcs = ops[pc][4]
-            if srcs:
-                rr = warp.rr
-                for src in srcs:
-                    t = rr[src]
-                    if t > dep:
-                        dep = t
-            # Re-add: dep > now always; the greedy warp parks in the
-            # side channel.
-            sched.gready = dep
+        if op[0] == _BARRIER:
+            warp.pc += 1
+            self._arrive_barrier(warp_id, warp, sched, now)
             return
-
-        if kind == _MEM:
-            mode = op[1]
-            lines = op[5]
-            if mode == _MEM_L1:
-                is_store = op[6]
-                l1 = self.l1
-                l1_probe = l1.probe
-                l1_sets = l1.sets
-                l1_lb = l1.line_bytes
-                l1_ns = l1.num_sets
-                ready = now
-                for i, line in enumerate(lines):
-                    t = now + i
-                    fh = l1.fill_heap
-                    cs = l1_sets[(line // l1_lb) % l1_ns]
-                    if (not fh or fh[0][0] > t) and line in cs:
-                        # Inlined L1 hit (same stats/LRU as ``probe``).
-                        del cs[line]
-                        cs[line] = True
-                        l1.accesses += 1
-                        l1.hits += 1
-                        if is_store:
-                            l1.write_accesses += 1
-                        r = t + l1.hit_latency
-                    else:
-                        r = l1_probe(line, t, is_store)
-                    if r is None:
-                        # MSHR congestion stall, inlined (hot on
-                        # memory-bound kernels).
-                        retry = l1.retry_at
-                        floor = now + 1
-                        if floor > retry:
-                            retry = floor
-                        self.mshr_stall_events += 1
-                        self.mshr_stall_cycles += retry - now
-                        heappush(sched.pending, (retry, warp_id))
-                        if sched.greedy == warp_id:
-                            sched.greedy = None
-                            sched.gready = None
-                        return
-                    if r > ready:
-                        ready = r
-                complete = now + 1 + len(lines) if is_store else ready
-            elif mode == _MEM_SHARED:
-                complete = now + op[2]
-            elif mode == _MEM_GSTORE:
-                l1 = self.l1
-                probe_no_alloc = l1.probe_no_allocate
-                for i, line in enumerate(lines):
-                    if probe_no_alloc(line, now + i) is None:
-                        self._mshr_stall(warp_id, l1.retry_at, now, sched)
-                        return
-                complete = now + 1 + len(lines)
-            else:  # _MEM_BYPASS
-                l2 = self.l2
-                l2_probe = l2.probe
-                ready = now
-                for i, line in enumerate(lines):
-                    r = l2_probe(line, now + i, False)
-                    if r is None:
-                        self._mshr_stall(warp_id, l2.retry_at, now, sched)
-                        return
-                    if r > ready:
-                        ready = r
-                complete = ready
-            dst = op[3]
-            if dst >= 0:
-                warp.rr[dst] = complete
-            pc = warp.pc + 1
-            warp.pc = pc
-            if pc >= warp.n:
-                self._retire_warp(warp_id, warp, sched, now)
-                return
-            dep = now + 1
-            srcs = ops[pc][4]
-            if srcs:
-                rr = warp.rr
-                for src in srcs:
-                    t = rr[src]
-                    if t > dep:
-                        dep = t
-            sched.gready = dep
+        mode = op[1]
+        lines = op[5]
+        if mode == _MEM_SHARED:
+            complete = now + op[2]
+        elif mode == _MEM_GSTORE:
+            l1 = self.l1
+            for i, line in enumerate(lines):
+                if l1.probe_no_allocate(line, now + i) is None:
+                    self._mshr_stall(warp_id, l1.retry_at, now, sched)
+                    return
+            complete = now + 1 + len(lines)
+        else:
+            # Several L1 lines, or a load that bypasses the L1.
+            cache = self.l1 if mode == _MEM_L1 else self.l2
+            is_store = op[6]
+            ready = now
+            for i, line in enumerate(lines):
+                r = cache.probe(line, now + i, is_store)
+                if r is None:
+                    self._mshr_stall(warp_id, cache.retry_at, now, sched)
+                    return
+                if r > ready:
+                    ready = r
+            complete = now + 1 + len(lines) if is_store else ready
+        dst = op[3]
+        if dst >= 0:
+            warp.rr[dst] = complete
+        pc = warp.pc + 1
+        warp.pc = pc
+        if pc >= warp.n:
+            self._retire_warp(warp_id, warp, sched, now)
             return
-
-        # _BARRIER
-        warp.pc += 1
-        self._arrive_barrier(warp_id, warp, sched, now)
+        sched.gready = self._next_ready(warp, now + 1)
 
     def _mshr_stall(self, warp_id: int, retry_at: float, now: float,
                     sched: _Sched) -> None:
@@ -607,52 +534,9 @@ class _Lane:
             sched.gready = None
 
     # ------------------------------------------------------------------
-    def next_event_time(self) -> Optional[float]:
-        times = [
-            t for t in (s.next_event() for s in self.scheds) if t is not None
-        ]
-        return min(times) if times else None
-
-    def step(self, now: float) -> bool:
-        """Issue up to one instruction per scheduler at cycle ``now``, a
-        clock the caller owns (the chip-level lock-step loop); returns
-        whether anything issued.  The caller jumps its clock over
-        no-issue cycles, so no idle cycles are accounted here.  The lane
-        finishes at ``now`` once its last warp retires."""
-        issued = False
-        for sched in self.scheds:
-            warp_id = self._pick(sched, now)
-            if warp_id is not None:
-                self._issue(warp_id, now, sched)
-                issued = True
-        self.now = now
-        if self.active_warps == 0:
-            self.finish = now
-        return issued
-
-    def _pick(self, sched: _Sched, now: float) -> Optional[int]:
-        """The warp ``sched`` issues at ``now`` (``None``: none is
-        ready) — the choice :meth:`advance` makes inline."""
-        g = sched.greedy
-        if g is not None and sched.gready <= now:
-            sched.gready = None
-            return g
-        pending = sched.pending
-        elig = sched.eligible
-        while pending and pending[0][0] <= now:
-            elig.append(heappop(pending)[1])
-        if not elig:
-            return None
-        warp_id = min(elig)
-        elig.remove(warp_id)
-        if g is not None:
-            heappush(pending, (sched.gready, g))
-        sched.greedy = warp_id
-        sched.gready = None
-        return warp_id
-
-    def advance(self) -> None:
-        """Run the lane on its own clock until its last warp retires."""
+    def advance(self, stop: float = math.inf) -> None:
+        """Run the lane on its own clock until its last warp retires or
+        its clock passes ``stop``."""
         if self.finish is not None:
             return
         now = self.now
@@ -798,33 +682,34 @@ class _Lane:
                 return
             if issued:
                 now += 1
+            elif next_time is not None:
+                # Jump to the event: ``now = max(now + 1, next_time)``,
+                # without the two builtin calls per idle jump.
+                gap = next_time - now
+                if gap > 0:
+                    self.idle_cycles += gap
+                now += 1
+                if next_time > now:
+                    now = next_time
+            elif self.parked:
+                # Warp-limit deadlock guard: every schedulable warp
+                # waits at a barrier for a parked sibling — admit one.
+                self._unpark(now)
                 continue
-            if next_time is None:
-                if self.parked:
-                    # Warp-limit deadlock guard: every schedulable warp
-                    # waits at a barrier for a parked sibling — admit
-                    # one.
-                    self._unpark(now)
-                    continue
-                self.now = now
+            else:
                 raise RuntimeError(
                     "simulation deadlock: active warps but no pending "
                     "events (mismatched barriers?)"
                 )
-            # Jump to the event: ``now = max(now + 1, next_time)``,
-            # without the two builtin calls per idle jump.
-            gap = next_time - now
-            if gap > 0:
-                self.idle_cycles += gap
-            now += 1
-            if next_time > now:
-                now = next_time
+            if now > stop:
+                self.now = now
+                return
 
     # ------------------------------------------------------------------
     def result(self) -> SimResult:
         packed = self.packed
         return SimResult(
-            cycles=self.finish if self.finish is not None else self.now,
+            cycles=self.finish,
             instructions=packed.instructions,
             tlp=self.requested_tlp,
             blocks_executed=self.blocks_executed,

@@ -8,9 +8,15 @@ same TLP, blocks are distributed round-robin, the L2 is the whole
 768 KB chip cache contended by everyone, and the DRAM channel carries
 ``num_sms`` times the per-SM bandwidth share.
 
-Each SM is one lane of the timing core (:mod:`repro.sim.batch`).  SMs
-advance in lock-step over a global clock; when no SM can issue, the
-clock jumps to the earliest pending event.
+Each SM is one lane of the timing core (:mod:`repro.sim.batch`), run by
+the loop every single-SM point runs, ``_Lane.advance``, one chip cycle
+at a time.  At chip cycle ``now`` every lane whose clock is at most
+``now`` runs that cycle, in SM order; a lane that cannot issue jumps its
+own clock to its next event.  The chip clock then moves to ``max(now +
+1, earliest lane clock)``: cycles where no SM can issue are skipped, and
+a lane woken at a fractional event time issues at the next chip
+cycle, so the SMs reach the shared L2 and DRAM in lock-step order.  A
+one-SM chip gives the single-SM answer field for field, except energy.
 """
 
 from __future__ import annotations
@@ -36,7 +42,11 @@ def simulate_multi_sm(
     which report zero cycles and zero work.
 
     The block list is dealt round-robin across SMs, mirroring the
-    hardware block scheduler's greedy distribution.
+    hardware block scheduler's greedy distribution.  Each SM's ``l2``,
+    ``dram_transactions`` and ``dram_bytes`` are the shared chip
+    totals, the same on every SM, and ``energy_nj`` stays 0.0.  A
+    deadlock (a barrier some warp never reaches) raises
+    :class:`RuntimeError`, as a single-SM run does.
     """
     if tlp <= 0:
         raise ValueError("tlp must be positive")
@@ -68,32 +78,17 @@ def simulate_multi_sm(
         for sm_index in range(n)
     ]
 
+    # The chip cycle loop of the module docstring.
     now = 0.0
-    while True:
-        live = [lane for lane in lanes if lane.finish is None]
-        if not live:
-            break
-        issued = False
+    live = [lane for lane in lanes if lane.finish is None]
+    while live:
         for lane in live:
-            if lane.step(now):
-                issued = True
-        if issued:
-            now += 1
-            continue
-        times = [
-            t
-            for lane in live
-            if lane.finish is None
-            for t in (lane.next_event_time(),)
-            if t is not None
-        ]
-        if not times:
-            break
-        now = max(now + 1, min(times))
-
-    for lane in lanes:
-        if lane.finish is None:
-            lane.now = now
+            if lane.now <= now:
+                lane.now = now
+                lane.advance(now)
+        live = [lane for lane in live if lane.finish is None]
+        if live:
+            now = max(now + 1, min(lane.now for lane in live))
     return [lane.result() for lane in lanes]
 
 

@@ -5,7 +5,15 @@ import dataclasses
 import pytest
 
 from repro.arch import FERMI
-from repro.sim import makespan, simulate_multi_sm, simulate_traces, trace_grid
+from repro.ptx.isa import LatencyClass, Opcode
+from repro.sim import (
+    BlockTrace,
+    WarpOp,
+    makespan,
+    simulate_multi_sm,
+    simulate_traces,
+    trace_grid,
+)
 from repro.workloads import load_workload
 
 from .ledger import assert_in_ledger, ledger_gate
@@ -130,15 +138,28 @@ class TestMultiSM:
                     ledger_gate.sim_entry(result),
                 )
 
-    def test_one_sm_lockstep_matches_own_clock(self, hst_traces):
-        """On a one-SM chip (whole L2 = the slice) the lock-step
-        ``_Lane.step`` path reproduces the lane's own-clock run, except
-        that the chip loop accounts no idle cycles and attaches no
-        energy."""
+    @pytest.mark.parametrize("tlp", [1, 2, 3])
+    def test_one_sm_chip_matches_own_clock(self, hst_traces, tlp):
+        """On a one-SM chip (whole L2 = the slice) the chip loop
+        reproduces the lane's own-clock run field for field; only the
+        energy, which the chip mode does not attach, differs."""
         workload, traces = hst_traces
         chip = dataclasses.replace(FERMI, num_sms=1, l2_interference=1)
-        own = simulate_traces(traces, chip, 2)
-        lockstep, = simulate_multi_sm(traces, chip, 2)
-        assert dataclasses.replace(
-            own, idle_cycles=0.0, energy_nj=0.0
-        ) == lockstep
+        own = simulate_traces(traces, chip, tlp)
+        sm, = simulate_multi_sm(traces, chip, tlp)
+        assert dataclasses.replace(own, energy_nj=0.0) == sm
+
+
+def test_unmatched_barrier_deadlocks():
+    """The first warp waits at a ``bar`` the second warp never reaches,
+    so it is never released: the own-clock run and the chip loop both
+    raise instead of returning a truncated result."""
+    add = WarpOp(LatencyClass.ALU, Opcode.ADD, "%r1", ())
+    bar = WarpOp(LatencyClass.BARRIER, Opcode.BAR, None, ())
+    trace = BlockTrace(block_id=0, block_size=64,
+                       warp_ops=[[bar, add], [add, add, add]],
+                       instruction_count=5)
+    with pytest.raises(RuntimeError, match="simulation deadlock"):
+        simulate_traces([trace], FERMI, 1)
+    with pytest.raises(RuntimeError, match="simulation deadlock"):
+        simulate_multi_sm([trace], FERMI, 1, num_sms=1)

@@ -490,10 +490,14 @@ class TestSubmitCli:
 
     @staticmethod
     def _both(argv, server, capsys):
+        """(exit code, stdout, stderr) of the one-shot run and of the
+        submitted one."""
         code = main(argv)
-        one_shot = (code, capsys.readouterr().out)
+        captured = capsys.readouterr()
+        one_shot = (code, captured.out, captured.err)
         code = main(["submit", *argv, "--socket", server.socket_path])
-        return one_shot, (code, capsys.readouterr().out)
+        captured = capsys.readouterr()
+        return one_shot, (code, captured.out, captured.err)
 
     @pytest.mark.parametrize("argv", [
         ["crat", "GAU", "--static"],
@@ -524,7 +528,9 @@ class TestSubmitCli:
         one_shot, submitted = self._both(
             [*argv, "--config", "bogus"], server, capsys
         )
-        assert submitted == one_shot == (EXIT_PARSE, "")
+        assert submitted == one_shot
+        assert one_shot[:2] == (EXIT_PARSE, "")
+        assert one_shot[2].startswith("repro: error: unknown config")
 
     def test_strict_warning_only_kernel(self, server, tmp_path, capsys):
         path = tmp_path / "warn.ptx"
@@ -546,11 +552,14 @@ class TestSubmitCli:
         one_shot, submitted = self._both(
             ["simulate", str(path), "--tlp", "1", "--verify"], server, capsys
         )
-        assert submitted == one_shot == (EXIT_VERIFY, "")
+        assert submitted == one_shot
+        assert one_shot[:2] == (EXIT_VERIFY, "")
 
     def test_partial_suite(self, server, monkeypatch, capsys):
-        """The table and exit 5; the ``engine:`` line reads the one-shot
-        process's own engine, so only the one-shot prints it."""
+        """The table, the failure line and exit 5.  The ``engine:`` line
+        reads the one-shot process's own engine and the indented
+        per-app progress lines report its own loop, so only the
+        one-shot prints them."""
         import repro.bench
 
         from .test_cli_suite import _FakeEvaluation
@@ -561,9 +570,12 @@ class TestSubmitCli:
             return _FakeEvaluation()
 
         monkeypatch.setattr(repro.bench, "evaluate_app", flaky)
-        (code, out), submitted = self._both(["suite"], server, capsys)
+        (code, out, err), submitted = self._both(["suite"], server, capsys)
         table, _ = out.split("engine: ")
-        assert submitted == (code, table)
+        failures = "".join(line for line in err.splitlines(True)
+                           if not line.startswith("  "))
+        assert submitted == (code, table, failures)
+        assert failures.startswith("repro: suite: KMN failed")
         assert code == 5
         assert "CRAT suite results" in table and "KMN" not in table
 
