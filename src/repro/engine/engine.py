@@ -18,10 +18,12 @@ design points many times over.
   (``REPRO_CACHE_DIR``) persists results across processes.
 * **Pure-stage memo** — :meth:`EvaluationEngine.memo` runs each pure
   compiler stage (allocation, resource usage, an unverified pass
-  pipeline) once per content key and hands every later caller a
-  private copy.  LRU-bounded in memory like the result cache; with a
-  disk directory its entries also persist there, keyed by the source
-  digest as well, so a restarted daemon reads them back.
+  pipeline) once per content key and hands every later caller the same
+  immutable value.  LRU-bounded in memory like the result cache; with a
+  disk directory its entries also persist there as pickles, keyed by
+  the source digest as well, so a restarted daemon reads them back
+  (each entry decoded once, its registers and instructions shared by
+  value with every other decoded entry).
 * **Batched sweeps** — :meth:`simulate_outcomes` runs each group of
   points that share a packed grid (and so its kernel, grid and config)
   as one in-process batch of the timing core, and a single point
@@ -61,9 +63,10 @@ from .events import EngineStats, SpanRecorder, self_seconds
 T = TypeVar("T")
 
 
-def _decode_memo(blob: bytes) -> Tuple[bytes, object]:
-    """A disk memo payload and the value it holds (a private copy)."""
-    return blob, pickle.loads(zlib.decompress(blob))
+def _decode_memo(blob: bytes) -> Tuple[object]:
+    """The value a disk memo payload holds, boxed as the memory level
+    keeps it (:meth:`EvaluationEngine.memo`)."""
+    return (pickle.loads(zlib.decompress(blob)),)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,11 +108,11 @@ class EvaluationEngine:
             max_entries=cache_max_entries,
         )
         # Packed traces and the pure-stage memo (:meth:`memo`: content
-        # key -> compressed pickle of the stage's value) share the
-        # result cache's LRU bound.
+        # key -> the stage's value in a 1-tuple, so that a memoised
+        # ``None`` is not a miss) share the result cache's LRU bound.
         bound = self._sim_cache.max_entries
         self._trace_cache: LRUMap[PackedGrid] = LRUMap(bound)
-        self._memo: LRUMap[bytes] = LRUMap(bound)
+        self._memo: LRUMap[Tuple[object]] = LRUMap(bound)
         #: Guards the memo counters, which every worker thread bumps.
         self._memo_lock = threading.Lock()
         self.stats = EngineStats()
@@ -134,39 +137,43 @@ class EvaluationEngine:
 
         For pure compiler stages whose value is a function of ``key``
         alone (callers build it from :meth:`Kernel.fingerprint` and
-        every other input the stage reads).  Values are kept as
-        ``zlib``-compressed pickles, so every hit unpickles a private
-        copy that its caller may rewrite freely, and an entry costs a
-        few KiB instead of a live object graph.  The memory level
-        shares the result cache's LRU bound (``cache_max_entries``).
+        every other input the stage reads).  The memory level keeps the
+        value itself and every hit returns that same object, so values
+        must be immutable (kernels, allocations and resource usage
+        are).  It shares the result cache's LRU bound
+        (``cache_max_entries``).  A memoised ``None`` or ``0`` hits
+        like any other value.
 
         With a disk directory, a memory miss reads the result cache's
-        disk store before it computes, and a computed value is written
-        there.  The disk key also carries :func:`cache.source_digest`,
-        because ``key`` names only the stage's inputs, not the code
-        that computes it.  An exception from ``compute`` propagates and
-        stores nothing on either level.
+        disk store before it computes, and a computed value is pickled
+        there (only there: without a directory nothing is pickled).  A
+        disk hit is decoded once and then kept in memory; decoding
+        shares equal registers and instructions with every other
+        decoded value (:mod:`repro.ptx.instruction`).  The disk key
+        also carries :func:`cache.source_digest`, because ``key`` names
+        only the stage's inputs, not the code that computes it.  An
+        exception from ``compute`` propagates and stores nothing on
+        either level.
         """
-        blob = self._memo.get(key)
-        if blob is not None:
+        found = self._memo.get(key)
+        if found is not None:
             with self._memo_lock:
                 self.stats.memo_hits += 1
-            return pickle.loads(zlib.decompress(blob))
+            return found[0]
         disk_key = self._memo_disk_key(key)
         if disk_key is not None:
             found = self._sim_cache.read_entry("memo", disk_key, _decode_memo)
             if found is not None:
-                blob, value = found
                 with self._memo_lock:
                     self.stats.memo_disk_hits += 1
-                self._memo.put(key, blob)
-                return value
+                self._memo.put(key, found)
+                return found[0]
         with self._memo_lock:
             self.stats.memo_misses += 1
         value = compute()
-        blob = zlib.compress(pickle.dumps(value), 1)
-        self._memo.put(key, blob)
+        self._memo.put(key, (value,))
         if disk_key is not None:
+            blob = zlib.compress(pickle.dumps(value), 1)
             self._sim_cache.write_entry("memo", disk_key, blob)
         return value
 

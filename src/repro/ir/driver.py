@@ -123,7 +123,7 @@ class GreedyRewriteDriver:
     def run(self, kernel: Kernel) -> DriverResult:
         if self.verify:
             from ..verify import verify_pass
-        current = kernel.copy()
+        current = kernel
         applications: List[RewriteApplication] = []
         counters: "Counter[str]" = Counter()
         sweeps = 0

@@ -120,7 +120,7 @@ class Rewriter:
 
     def apply(self, rewrite: Rewrite) -> Kernel:
         """Validate ``rewrite`` against the kernel and return the edited
-        copy.  Raises :class:`RewriteError` on any audit failure."""
+        kernel.  Raises :class:`RewriteError` on any audit failure."""
         splices = rewrite.splices
         if not splices:
             raise RewriteError(
@@ -176,6 +176,4 @@ class Rewriter:
         if sp is not None:
             new_body.extend(sp.replacement)
 
-        out = self.kernel.copy()
-        out.body = new_body
-        return out
+        return dataclasses.replace(self.kernel, body=new_body)

@@ -10,9 +10,19 @@ register" (paper Section 5.1).
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import List, Optional, Union
 
-from .instruction import Imm, Instruction, Label, MemRef, Operand, Reg, Sreg, Sym
+from .instruction import (
+    BodyItem,
+    Imm,
+    Instruction,
+    Label,
+    MemRef,
+    Operand,
+    Reg,
+    Sreg,
+    Sym,
+)
 from .isa import CmpOp, DType, Opcode, Space
 from .module import ArrayDecl, Kernel, Param
 
@@ -41,7 +51,11 @@ class KernelBuilder:
     """
 
     def __init__(self, name: str, block_size: int = 256):
-        self._kernel = Kernel(name=name, block_size=block_size)
+        self._name = name
+        self._block_size = block_size
+        self._params: List[Param] = []
+        self._arrays: List[ArrayDecl] = []
+        self._body: List[BodyItem] = []
         self._counters = {key: 0 for key in _CLASS_PREFIX}
         self._label_counter = 0
         self._built = False
@@ -51,15 +65,15 @@ class KernelBuilder:
     # ------------------------------------------------------------------
     def param(self, name: str, dtype: DType = DType.U64) -> Sym:
         """Declare a kernel parameter and return a symbol referencing it."""
-        self._kernel.params.append(Param(name, dtype))
+        self._params.append(Param(name, dtype))
         return Sym(name)
 
     def local_array(self, name: str, size_bytes: int, align: int = 4) -> Sym:
-        self._kernel.arrays.append(ArrayDecl(name, Space.LOCAL, size_bytes, align))
+        self._arrays.append(ArrayDecl(name, Space.LOCAL, size_bytes, align))
         return Sym(name)
 
     def shared_array(self, name: str, size_bytes: int, align: int = 4) -> Sym:
-        self._kernel.arrays.append(ArrayDecl(name, Space.SHARED, size_bytes, align))
+        self._arrays.append(ArrayDecl(name, Space.SHARED, size_bytes, align))
         return Sym(name)
 
     # ------------------------------------------------------------------
@@ -89,13 +103,13 @@ class KernelBuilder:
 
     def place(self, label: Label) -> None:
         """Place a label at the current point in the body."""
-        self._kernel.body.append(label)
+        self._body.append(label)
 
     # ------------------------------------------------------------------
     # Generic emission.
     # ------------------------------------------------------------------
     def emit(self, inst: Instruction) -> Optional[Reg]:
-        self._kernel.body.append(inst)
+        self._body.append(inst)
         return inst.dst
 
     def _binary(
@@ -320,14 +334,17 @@ class KernelBuilder:
         """Finalize and return the kernel (appends ``exit`` if missing)."""
         if self._built:
             raise RuntimeError("build() called twice")
-        body = self._kernel.body
+        body = self._body
         if not body or not (
             isinstance(body[-1], Instruction) and body[-1].is_terminator
         ):
             self.emit(Instruction(Opcode.EXIT))
-        self._kernel.validate_targets()
+        kernel = Kernel(
+            self._name, self._params, self._arrays, body, self._block_size
+        )
+        kernel.validate_targets()
         self._built = True
-        return self._kernel
+        return kernel
 
 
 def _infer_dtype(*operands: Operand) -> DType:

@@ -11,11 +11,20 @@ Operands are :class:`Reg` (virtual or allocated register), :class:`Imm`
 :class:`Sym` (address of a declared array, e.g. the spill stack of paper
 Listing 4), and :class:`MemRef` (``[base+offset]`` addressing, used only
 by ``ld``/``st``).
+
+Every class here is a frozen dataclass: a rewrite builds a new
+instruction (:meth:`Instruction.rewrite_regs`, ``dataclasses.replace``)
+and never edits one in place, so kernels and memoised allocations can
+share instructions freely.  Unpickling hash-conses :class:`Reg` and
+:class:`Instruction` by value (their ``__reduce__``): the allocations
+the engine reads back from its disk memo share one object per distinct
+register and instruction, through tables that hold them weakly.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from typing import Iterable, Optional, Tuple, Union
 
 from .isa import CmpOp, DType, NO_DST_OPS, Opcode, Space, latency_class
@@ -35,6 +44,9 @@ class Reg:
 
     def __str__(self) -> str:
         return self.name
+
+    def __reduce__(self):
+        return _interned_reg, (self.name, self.dtype)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,7 +112,7 @@ class Label:
         return f"{self.name}:"
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class Instruction:
     """One PTX-subset instruction.
 
@@ -143,6 +155,13 @@ class Instruction:
                 raise ValueError(f"{self.opcode.value} requires mem and space")
         if self.opcode is Opcode.BRA and self.target is None:
             raise ValueError("bra requires a target label")
+
+    def __reduce__(self):
+        return _interned_instruction, (
+            self.opcode, self.dtype, self.dst, self.srcs, self.mem,
+            self.space, self.cmp, self.guard, self.guard_negated,
+            self.target, self.cache_op,
+        )
 
     # ------------------------------------------------------------------
     # Def/use views used by liveness analysis and the allocator.
@@ -250,6 +269,48 @@ class Instruction:
 
 
 BodyItem = Union[Instruction, Label]
+
+
+# ----------------------------------------------------------------------
+# Hash-consing on unpickle.
+# ----------------------------------------------------------------------
+#: One live object per distinct value among the registers and
+#: instructions read back from pickles.  Weak: an entry lives only as
+#: long as some kernel still holds its object.
+_REGS: "weakref.WeakValueDictionary[tuple, Reg]" = weakref.WeakValueDictionary()
+_INSTRUCTIONS: "weakref.WeakValueDictionary[tuple, Instruction]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _interned_reg(name: str, dtype: DType) -> Reg:
+    key = (name, dtype)
+    reg = _REGS.get(key)
+    if reg is None:
+        reg = _REGS.setdefault(key, Reg(name, dtype))
+    return reg
+
+
+def _exact(operand: Operand):
+    """``operand`` as an intern-key component.  Immediates compare equal
+    across types and signs (``1 == 1.0``, ``0.0 == -0.0``) but print
+    differently, so one is keyed by its value's type and bits."""
+    if isinstance(operand, Imm):
+        value = operand.value
+        bits = value.hex() if isinstance(value, float) else value
+        return Imm, type(value), bits, operand.dtype
+    return operand
+
+
+def _interned_instruction(*fields) -> Instruction:
+    # The constructor's arguments are the key, with exact immediates.
+    key = fields
+    if any(type(src) is Imm for src in fields[3]):
+        key = fields[:3] + (tuple(map(_exact, fields[3])),) + fields[4:]
+    inst = _INSTRUCTIONS.get(key)
+    if inst is None:
+        inst = _INSTRUCTIONS.setdefault(key, Instruction(*fields))
+    return inst
 
 
 def iter_instructions(body: Iterable[BodyItem]):

@@ -3,13 +3,18 @@
 A :class:`Kernel` corresponds to one ``.entry`` in a PTX module: its
 parameters, its local/shared array declarations (including spill stacks,
 paper Listing 4), and its body of labels and instructions.
+
+A kernel is immutable: its fields cannot be rebound and its parameters,
+arrays and body are tuples.  A pass builds a new kernel
+(``dataclasses.replace``), so a kernel may be shared by any number of
+callers, and :meth:`Kernel.fingerprint` computes its digest once.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from .instruction import BodyItem, Instruction, Label, Reg, iter_instructions
 from .isa import DType, RegClass, Space
@@ -44,15 +49,32 @@ class ArrayDecl:
             raise ValueError("array size must be positive")
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class Kernel:
-    """One GPU kernel in the PTX-subset IR."""
+    """One GPU kernel in the PTX-subset IR (immutable).
+
+    ``params``, ``arrays`` and ``body`` may be passed as any sequence;
+    the kernel keeps them as tuples.
+    """
 
     name: str
-    params: List[Param] = dataclasses.field(default_factory=list)
-    arrays: List[ArrayDecl] = dataclasses.field(default_factory=list)
-    body: List[BodyItem] = dataclasses.field(default_factory=list)
+    params: Tuple[Param, ...] = ()
+    arrays: Tuple[ArrayDecl, ...] = ()
+    body: Tuple[BodyItem, ...] = ()
     block_size: int = 256
+
+    def __post_init__(self) -> None:
+        for name in ("params", "arrays", "body"):
+            value = getattr(self, name)
+            if type(value) is not tuple:
+                object.__setattr__(self, name, tuple(value))
+
+    def __getstate__(self):
+        # The cached digest stays out of pickles: an entry holds the
+        # kernel's fields only.
+        state = dict(self.__dict__)
+        state.pop("_digest", None)
+        return state
 
     # ------------------------------------------------------------------
     # Structural queries.
@@ -120,24 +142,19 @@ class Kernel:
         print identically (e.g. a parse→print round trip) share a
         fingerprint, and any semantic edit changes it.  This is the
         kernel component of the evaluation engine's cache keys.
+
+        The kernel prints once: later calls return the digest of the
+        first, which is sound because the kernel cannot change.
         """
-        from .printer import print_kernel
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            from .printer import print_kernel
 
-        return hashlib.sha256(print_kernel(self).encode("utf-8")).hexdigest()
-
-    def copy(self) -> "Kernel":
-        """A shallow-body copy safe for rewriting passes.
-
-        Instructions are immutable in practice (rewrites replace them),
-        so copying the body list is sufficient isolation.
-        """
-        return Kernel(
-            name=self.name,
-            params=list(self.params),
-            arrays=list(self.arrays),
-            body=list(self.body),
-            block_size=self.block_size,
-        )
+            digest = hashlib.sha256(
+                print_kernel(self).encode("utf-8")
+            ).hexdigest()
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     def __str__(self) -> str:
         from .printer import print_kernel

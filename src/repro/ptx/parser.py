@@ -16,10 +16,12 @@ input.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from typing import List, Optional, Tuple
 
 from .instruction import (
+    BodyItem,
     Imm,
     Instruction,
     Label,
@@ -61,7 +63,12 @@ _CACHE_OPS = {"ca", "cg"}
 def parse_module(text: str) -> Module:
     """Parse PTX-subset text into a :class:`Module`."""
     module = Module()
+    # The open kernel's header; its arrays, body and block size are
+    # collected here and set once, at its closing brace.
     kernel: Optional[Kernel] = None
+    arrays: List[ArrayDecl] = []
+    body: List[BodyItem] = []
+    block_size = 0
     in_body = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("//")[0].strip()
@@ -71,6 +78,7 @@ def parse_module(text: str) -> Module:
             if kernel is not None:
                 raise PTXParseError("nested .entry", lineno)
             kernel = _parse_entry(line, lineno)
+            arrays, body, block_size = [], [], kernel.block_size
             in_body = False
             continue
         if kernel is None:
@@ -79,28 +87,29 @@ def parse_module(text: str) -> Module:
             in_body = True
             continue
         if line == "}":
+            kernel = dataclasses.replace(
+                kernel, arrays=arrays, body=body, block_size=block_size
+            )
             kernel.validate_targets()
             module.kernels.append(kernel)
             kernel = None
             continue
         match = _MAXNTID_RE.match(line)
         if match:
-            kernel.block_size = int(match.group(1))
+            block_size = int(match.group(1))
             continue
         match = _ARRAY_RE.match(line)
         if match:
             space, align, name, size = match.groups()
-            kernel.arrays.append(
-                ArrayDecl(name, Space(space), int(size), int(align))
-            )
+            arrays.append(ArrayDecl(name, Space(space), int(size), int(align)))
             continue
         match = _LABEL_RE.match(line)
         if match:
-            kernel.body.append(Label(match.group(1)))
+            body.append(Label(match.group(1)))
             continue
         if not in_body:
             raise PTXParseError(f"unexpected statement in header: {line!r}", lineno)
-        kernel.body.append(_parse_instruction(line, lineno))
+        body.append(_parse_instruction(line, lineno))
     if kernel is not None:
         raise PTXParseError("unterminated kernel (missing '}')")
     return module
@@ -122,7 +131,7 @@ def _parse_entry(line: str, lineno: int) -> Kernel:
     if not match:
         raise PTXParseError(f"malformed .entry: {line!r}", lineno)
     name, params_text = match.groups()
-    kernel = Kernel(name=name)
+    params: List[Param] = []
     params_text = params_text.strip()
     if params_text:
         for chunk in params_text.split(","):
@@ -130,8 +139,8 @@ def _parse_entry(line: str, lineno: int) -> Kernel:
             if not pmatch:
                 raise PTXParseError(f"malformed param: {chunk.strip()!r}", lineno)
             dtype_name, pname = pmatch.groups()
-            kernel.params.append(Param(pname, DType(dtype_name)))
-    return kernel
+            params.append(Param(pname, DType(dtype_name)))
+    return Kernel(name=name, params=params)
 
 
 def _split_mnemonic(

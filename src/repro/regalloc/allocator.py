@@ -19,10 +19,11 @@ predicates live in a separate file and cost none.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Set
+import sys
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..cfg.liveness import LivenessInfo
-from ..ptx.instruction import Reg
+from ..ptx.instruction import Instruction, Reg
 from ..ptx.isa import DType, RegClass, Space
 from ..ptx.module import Kernel
 from .chaitin_briggs import ColoringResult, chromatic_demand, color_graph
@@ -48,9 +49,14 @@ class InsufficientRegistersError(ValueError):
     """The register limit is too small even with everything spilled."""
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class AllocationResult:
-    """Outcome of allocating one kernel under a register limit."""
+    """Outcome of allocating one kernel under a register limit.
+
+    Immutable, like everything it reaches, so the engine's stage memo
+    hands one shared value to every caller.  Its dict fields are never
+    written after construction.
+    """
 
     kernel: Kernel
     reg_per_thread: int
@@ -76,9 +82,12 @@ class AllocationResult:
     #: :func:`repro.verify.verify_allocation` rechecks independently.
     pre_rename_kernel: Optional[Kernel] = None
     name_map: Dict[str, str] = dataclasses.field(default_factory=dict)
-    spill_regions: List[SpillRegionInfo] = dataclasses.field(
-        default_factory=list
-    )
+    spill_regions: Tuple[SpillRegionInfo, ...] = ()
+
+    def __reduce__(self):
+        return _decoded_allocation, (
+            {f.name: getattr(self, f.name) for f in dataclasses.fields(self)},
+        )
 
     @property
     def num_local_insts(self) -> int:
@@ -103,6 +112,19 @@ class AllocationResult:
                 if inst.dtype is not None:
                     total += inst.dtype.bytes
         return total
+
+
+def _decoded_allocation(fields: Dict[str, object]) -> AllocationResult:
+    """An unpickled :class:`AllocationResult`.  Its name map shares one
+    string per register name with every other decoded allocation, as
+    its kernels share registers and instructions
+    (:mod:`repro.ptx.instruction`)."""
+    intern = sys.intern
+    fields["name_map"] = {
+        intern(virtual): intern(physical)
+        for virtual, physical in fields["name_map"].items()
+    }
+    return AllocationResult(**fields)
 
 
 def register_demand(kernel: Kernel) -> int:
@@ -258,7 +280,7 @@ def allocate(
     shm_plan: Optional[ShmSpillPlan] = None
     base_liveness = LivenessInfo(original)
 
-    current = original.copy()
+    current = original
     local_result: Optional[SpillCodeResult] = None
     shared_result: Optional[SpillCodeResult] = None
     unspillable: Set[str] = set()
@@ -383,7 +405,7 @@ def allocate(
     final = current
     name_map = _build_name_map(colorings)
     if rename:
-        final = _rename(final, name_map)
+        final = rename_registers(final, name_map)
 
     spill_regions: List[SpillRegionInfo] = []
     for spill_result in (local_result, shared_result):
@@ -423,7 +445,7 @@ def allocate(
         rematerialized=dict(remat_values),
         pre_rename_kernel=current,
         name_map=name_map,
-        spill_regions=spill_regions,
+        spill_regions=tuple(spill_regions),
     )
 
 
@@ -439,21 +461,25 @@ def _build_name_map(
     return name_map
 
 
-def _rename(kernel: Kernel, name_map: Dict[str, str]) -> Kernel:
-    """Rewrite virtual register names to physical ``%r<color>`` names."""
+def rename_registers(kernel: Kernel, name_map: Dict[str, str]) -> Kernel:
+    """Rewrite virtual register names to physical ``%r<color>`` names.
+
+    The new kernel holds one :class:`Reg` object per (name, dtype), so
+    a pickle of it stores each register once.
+    """
+    regs: Dict[tuple, Reg] = {}
 
     def remap(reg: Reg) -> Reg:
-        new_name = name_map.get(reg.name)
-        if new_name is None:
-            return reg
-        return Reg(new_name, reg.dtype)
+        key = (name_map.get(reg.name, reg.name), reg.dtype)
+        new = regs.get(key)
+        if new is None:
+            new = regs[key] = reg if key[0] == reg.name else Reg(*key)
+        return new
 
-    out = kernel.copy()
-    out.body = [
-        item if not hasattr(item, "rewrite_regs") else item.rewrite_regs(remap)
-        for item in out.body
-    ]
-    return out
+    return dataclasses.replace(kernel, body=[
+        item if not isinstance(item, Instruction) else item.rewrite_regs(remap)
+        for item in kernel.body
+    ])
 
 
 def _weighted_spill_accesses(

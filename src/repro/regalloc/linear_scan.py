@@ -25,6 +25,7 @@ from .allocator import (
     DATA_CLASSES,
     AllocationResult,
     InsufficientRegistersError,
+    rename_registers,
 )
 from .spill import insert_spill_code
 
@@ -109,7 +110,7 @@ def allocate_linear_scan(
     original = kernel
     spilled: Dict[str, DType] = {}
     unspillable: Set[str] = set()
-    current = original.copy()
+    current = original
     local_result = None
     assignment_by_class: Dict[RegClass, Dict[str, int]] = {}
     iterations = 0
@@ -157,23 +158,12 @@ def allocate_linear_scan(
 
     final = current
     if rename:
-        from ..ptx.instruction import Reg
-
         name_map: Dict[str, str] = {}
         for rc, assignment in assignment_by_class.items():
             prefix = f"%{rc.value}"
             for vname, idx in assignment.items():
                 name_map[vname] = f"{prefix}{idx}"
-
-        def remap(reg):
-            new = name_map.get(reg.name)
-            return Reg(new, reg.dtype) if new else reg
-
-        final = current.copy()
-        final.body = [
-            item if not hasattr(item, "rewrite_regs") else item.rewrite_regs(remap)
-            for item in current.body
-        ]
+        final = rename_registers(current, name_map)
 
     colors = {
         rc: (max(assignment_by_class[rc].values()) + 1 if assignment_by_class[rc] else 0)

@@ -68,25 +68,24 @@ def rematerialize(kernel: Kernel, values: Dict[str, Imm]) -> RematResult:
     rematerialized constants live for a single instruction, so they are
     reported as unspillable to subsequent coloring rounds.
     """
-    out = kernel.copy()
     if not values:
-        return RematResult(out, set(), 0, {})
+        return RematResult(kernel, set(), 0, {})
     # Each new ``mov`` is typed like the definition it re-creates, not
     # like the use: a use's Reg may carry another dtype (a parsed
     # ``cvt.f32 %f1, %r4`` types ``%r4`` from the cvt, since PTX prints
     # no source type), and the allocation must not depend on that.
     def_dtypes = {
         inst.dst.name: inst.dtype
-        for inst in out.instructions()
+        for inst in kernel.instructions()
         if inst.opcode is Opcode.MOV
         and inst.dst is not None
         and inst.dst.name in values
     }
-    namer = _TempNamer(out)
+    namer = _TempNamer(kernel)
     new_body: List = []
     temp_names: Set[str] = set()
     count = 0
-    for item in out.body:
+    for item in kernel.body:
         if isinstance(item, Label):
             new_body.append(item)
             continue
@@ -115,5 +114,5 @@ def rematerialize(kernel: Kernel, values: Dict[str, Imm]) -> RematResult:
         if mapping:
             inst = inst.rewrite_regs(lambda r: mapping.get(r.name, r))
         new_body.append(inst)
-    out.body = new_body
+    out = dataclasses.replace(kernel, body=new_body)
     return RematResult(out, temp_names, count, dict(values))

@@ -53,12 +53,12 @@ def split_per_variable(name: str, dtype: DType) -> str:
     return name
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class SubStack:
     """One sub-stack produced by the split step."""
 
     key: str
-    variables: List[str]
+    variables: Tuple[str, ...]
     thread_bytes: int  # per-thread footprint of this sub-stack
     gain: int  # number of spill instructions accessing it
 
@@ -66,12 +66,12 @@ class SubStack:
         return self.thread_bytes * block_size
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ShmSpillPlan:
     """Output of Algorithm 1: which sub-stacks move to shared memory."""
 
-    substacks: List[SubStack]
-    chosen: List[bool]
+    substacks: Tuple[SubStack, ...]
+    chosen: Tuple[bool, ...]
     spare_shm_bytes: int
     block_size: int
 
@@ -115,20 +115,19 @@ def build_substacks(
     would access it: one load per use and one store per definition of
     each member variable (spill code inserts exactly that many).
     """
-    groups: Dict[str, SubStack] = {}
+    groups: Dict[str, List[str]] = {}
     for name in sorted(spilled):
-        dtype = spilled[name]
-        key = split(name, dtype)
-        sub = groups.get(key)
-        if sub is None:
-            sub = SubStack(key=key, variables=[], thread_bytes=0, gain=0)
-            groups[key] = sub
-        sub.variables.append(name)
-        sub.thread_bytes += dtype.bytes
-        rng = liveness.ranges.get(name)
-        if rng is not None:
-            sub.gain += rng.accesses
-    return [groups[k] for k in sorted(groups)]
+        groups.setdefault(split(name, spilled[name]), []).append(name)
+    ranges = liveness.ranges
+    return [
+        SubStack(
+            key=key,
+            variables=tuple(names),
+            thread_bytes=sum(spilled[name].bytes for name in names),
+            gain=sum(ranges[name].accesses for name in names if name in ranges),
+        )
+        for key, names in sorted(groups.items())
+    ]
 
 
 def knapsack(
@@ -193,8 +192,8 @@ def plan_shared_spilling(
     gains = [s.gain for s in substacks]
     _, chosen = knapsack(sizes, gains, spare_shm_bytes)
     return ShmSpillPlan(
-        substacks=substacks,
-        chosen=chosen,
+        substacks=tuple(substacks),
+        chosen=tuple(chosen),
         spare_shm_bytes=spare_shm_bytes,
         block_size=block_size,
     )

@@ -48,11 +48,11 @@ class SpillSlot:
         return self.dtype.bytes
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class SpillStackLayout:
     """Layout of the per-thread spill stack."""
 
-    slots: List[SpillSlot] = dataclasses.field(default_factory=list)
+    slots: Tuple[SpillSlot, ...] = ()
 
     @property
     def total_bytes(self) -> int:
@@ -161,14 +161,14 @@ def _align(value: int, alignment: int) -> int:
 
 def layout_stack(spilled: Iterable[Tuple[str, DType]]) -> SpillStackLayout:
     """Assign spill-stack offsets, widest-first to keep natural alignment."""
-    layout = SpillStackLayout()
+    slots: List[SpillSlot] = []
     offset = 0
     ordered = sorted(spilled, key=lambda item: (-item[1].bytes, item[0]))
     for name, dtype in ordered:
         offset = _align(offset, dtype.bytes)
-        layout.slots.append(SpillSlot(name, dtype, offset))
+        slots.append(SpillSlot(name, dtype, offset))
         offset += dtype.bytes
-    return layout
+    return SpillStackLayout(tuple(slots))
 
 
 class _TempNamer:
@@ -217,10 +217,9 @@ def insert_spill_code(
         raise ValueError("spill stacks live in local or shared memory")
     if per_thread_indexing and space is not Space.SHARED:
         raise ValueError("per-thread indexing only applies to shared spill stacks")
-    out = kernel.copy()
     if not spilled:
         return SpillCodeResult(
-            kernel=out,
+            kernel=kernel,
             layout=SpillStackLayout(),
             base_reg=None,
             temp_names=set(),
@@ -234,13 +233,11 @@ def insert_spill_code(
         )
 
     layout = layout_stack(spilled.items())
-    namer = _TempNamer(out)
+    namer = _TempNamer(kernel)
     base_reg = namer.fresh(DType.U64)
     record_bytes = layout.total_bytes
-    array_bytes = record_bytes * (out.block_size if per_thread_indexing else 1)
-    out.arrays = list(out.arrays) + [
-        ArrayDecl(stack_name, space, array_bytes, align=4)
-    ]
+    array_bytes = record_bytes * (kernel.block_size if per_thread_indexing else 1)
+    stack = ArrayDecl(stack_name, space, array_bytes, align=4)
 
     prelude: List[Instruction]
     if per_thread_indexing:
@@ -273,7 +270,7 @@ def insert_spill_code(
     num_stores = 0
     temp_names: Set[str] = {inst.dst.name for inst in prelude if inst.dst is not None}
 
-    for item in out.body:
+    for item in kernel.body:
         if isinstance(item, Label):
             new_body.append(item)
             continue
@@ -325,9 +322,10 @@ def insert_spill_code(
         new_body.append(inst)
         new_body.extend(stores)
 
-    out.body = new_body
     return SpillCodeResult(
-        kernel=out,
+        kernel=dataclasses.replace(
+            kernel, arrays=kernel.arrays + (stack,), body=new_body
+        ),
         layout=layout,
         base_reg=base_reg,
         temp_names=temp_names,

@@ -58,6 +58,25 @@ class TestBasicAllocation:
         result = allocate(pressure_kernel, demand // 2)
         verify_kernel(result.kernel)
 
+    def test_one_reg_object_per_register(self):
+        # A parsed kernel holds one Reg object per operand; the rename
+        # leaves one per distinct (name, dtype), in either allocator.
+        from repro.ptx import parse_kernel, print_kernel
+
+        kernel = parse_kernel(print_kernel(build_pressure_kernel()))
+        limit = register_demand(kernel) // 2
+        for result in (
+            allocate(kernel, limit, spare_shm_bytes=4096),
+            allocate_linear_scan(kernel, limit),
+        ):
+            assert result.has_spills
+            objects = {
+                id(reg): reg
+                for inst in result.kernel.instructions()
+                for reg in inst.regs()
+            }.values()
+            assert len(objects) == len({(r.name, r.dtype) for r in objects})
+
     def test_renamed_registers_use_physical_names(self, loop_kernel):
         result = allocate(loop_kernel, register_demand(loop_kernel))
         names = {r.name for r in result.kernel.registers()}

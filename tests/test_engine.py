@@ -1,5 +1,6 @@
 """Evaluation-engine tests: fingerprints, caching, batched routing."""
 
+import dataclasses
 import json
 
 import pytest
@@ -48,8 +49,9 @@ class TestFingerprint:
         assert a.fingerprint() != b.fingerprint()
 
     def test_block_size_changes_fingerprint(self, gau):
-        other = gau.kernel.copy()
-        other.block_size *= 2
+        other = dataclasses.replace(
+            gau.kernel, block_size=gau.kernel.block_size * 2
+        )
         assert other.fingerprint() != gau.kernel.fingerprint()
 
 
@@ -751,16 +753,84 @@ class TestStageMemo:
         for field in self.FIELDS:
             assert getattr(hit, field) == getattr(fresh, field), field
 
-    def test_hit_is_a_private_copy(self):
+    def test_hit_is_the_shared_value(self):
         key, compute = self._spilling_allocation()
         engine = EvaluationEngine()
-        expected = print_kernel(compute().kernel)
-        for _ in range(3):
-            value = engine.memo(key, compute)
-            assert print_kernel(value.kernel) == expected
-            # A caller may rewrite what it received (the first value is
-            # the computed one, the rest are hits).
+        value = engine.memo(key, compute)
+        for _ in range(2):
+            assert engine.memo(key, compute) is value
+        assert engine.stats.memo_hits == 2
+        # No caller can change what the others hold.
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.reg_per_thread = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.kernel.body = ()
+        with pytest.raises(AttributeError):
             value.kernel.body.append(value.kernel.body[-1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.spill_regions[0].layout.slots = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.shm_plan.substacks[0].gain = 0
+
+    def test_memo_values_are_frozen_throughout(self, gau):
+        """Every dataclass a memoised allocation, resource usage or pass
+        run reaches is frozen, and holds tuples where it holds a
+        sequence."""
+        from repro.core.crat import CRATOptimizer
+
+        engine = EvaluationEngine()
+        CRATOptimizer(FERMI, passes="dce", engine=engine).optimize(
+            gau.kernel, default_reg=gau.default_reg, grid_blocks=4,
+            param_sizes=gau.param_sizes,
+        )
+        key, compute = self._spilling_allocation()
+        engine.memo(key, compute)
+        seen, kinds = set(), set()
+
+        def walk(obj):
+            if id(obj) in seen:
+                return
+            seen.add(id(obj))
+            assert not isinstance(obj, (list, set)), type(obj)
+            if isinstance(obj, (tuple, frozenset)):
+                for item in obj:
+                    walk(item)
+            elif isinstance(obj, dict):
+                for item in obj.items():
+                    walk(item)
+            elif dataclasses.is_dataclass(obj):
+                kinds.add(type(obj).__name__)
+                assert type(obj).__dataclass_params__.frozen, type(obj)
+                for field in dataclasses.fields(obj):
+                    walk(getattr(obj, field.name))
+
+        for value in list(engine._memo._data.values()):
+            walk(value)
+        assert {
+            "AllocationResult", "ResourceUsage", "Kernel", "Instruction",
+            "Reg", "ShmSpillPlan", "SubStack", "SpillRegionInfo",
+            "SpillStackLayout", "SpillSlot",
+        } <= kinds
+
+    def test_none_and_zero_are_memoised(self):
+        engine = EvaluationEngine()
+        assert engine.memo(("none",), lambda: None) is None
+        assert engine.memo(("zero",), lambda: 0) == 0
+        assert engine.memo(("none",), self._must_not_run) is None
+        assert engine.memo(("zero",), self._must_not_run) == 0
+        assert (engine.stats.memo_hits, engine.stats.memo_misses) == (2, 2)
+
+    def test_no_disk_directory_pickles_nothing(self, monkeypatch):
+        import pickle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pickled without a disk directory")
+
+        monkeypatch.setattr(pickle, "dumps", refuse)
+        monkeypatch.setattr(pickle, "loads", refuse)
+        key, compute = self._spilling_allocation()
+        engine = EvaluationEngine(disk_cache="")
+        assert engine.memo(key, compute) is engine.memo(key, compute)
 
     def test_failure_is_not_stored(self):
         from repro.regalloc.allocator import InsufficientRegistersError
@@ -938,6 +1008,112 @@ class TestStageMemo:
         # The disk hit is now a memory entry as well.
         second.memo(key, self._must_not_run)
         assert stats.memo_hits == 1
+
+    def test_disk_hit_is_decoded_once(self, tmp_path):
+        key, compute = self._spilling_allocation()
+        EvaluationEngine(disk_cache=str(tmp_path)).memo(key, compute)
+        engine = EvaluationEngine(disk_cache=str(tmp_path))
+        first = engine.memo(key, self._must_not_run)
+        engine._memo.clear()  # the memory level only
+        second = engine.memo(key, self._must_not_run)
+        assert engine.memo(key, self._must_not_run) is second
+        stats = engine.stats
+        assert (stats.memo_hits, stats.memo_disk_hits, stats.memo_misses) == (
+            1, 2, 0,
+        )
+        # Two decodes of one entry share every instruction.
+        assert first is not second
+        assert all(
+            a is b
+            for a, b in zip(first.kernel.instructions(),
+                            second.kernel.instructions())
+        )
+
+    def test_disk_values_share_equal_instructions(self, tmp_path):
+        import gc
+        import weakref
+
+        from repro.ptx import instruction
+        from repro.regalloc import allocate, register_demand
+
+        from .conftest import build_pressure_kernel
+
+        kernel = build_pressure_kernel()
+        limit = register_demand(kernel)
+        keys = [("allocate", kernel.fingerprint(), reg, 0)
+                for reg in (limit, limit // 2)]
+        writer = EvaluationEngine(disk_cache=str(tmp_path))
+        for key in keys:
+            writer.memo(key, lambda reg=key[2]: allocate(kernel, reg))
+        del writer
+
+        engine = EvaluationEngine(disk_cache=str(tmp_path))
+
+        def shared_instructions():
+            values = [engine.memo(key, self._must_not_run) for key in keys]
+            # One string per physical register name across name maps.
+            names = [n for v in values for n in v.name_map.values()]
+            assert len({id(n) for n in names}) == len(set(names))
+            bodies = [value.kernel.instructions() for value in values]
+            shared = [a for a in bodies[0] if a in bodies[1]]
+            assert shared
+            for a in shared:
+                assert all(b is a for b in bodies[1] if b == a)
+            # Equal instructions within one kernel are one object too.
+            for body in bodies:
+                assert len({id(i) for i in body}) < len(body)
+            return [weakref.ref(a) for a in shared]
+
+        gc.collect()
+        before = len(instruction._INSTRUCTIONS)
+        refs = shared_instructions()
+        assert engine.stats.memo_disk_hits == 2
+        assert len(instruction._INSTRUCTIONS) > before
+        # Held weakly: once both values are dropped, so are they.
+        engine.clear()
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert len(instruction._INSTRUCTIONS) == before
+
+    def test_concurrent_decodes_stay_correct(self):
+        """``repro serve`` workers decode disk entries at once: a race on
+        the intern tables may cost sharing, never a wrong object."""
+        import pickle
+        import sys
+        import threading
+
+        from repro.ptx import instruction
+
+        _, compute = self._spilling_allocation()
+        value = compute()
+        blob, expected = pickle.dumps(value), print_kernel(value.kernel)
+        errors = []
+
+        def worker():
+            try:
+                for _ in range(20):
+                    decoded = pickle.loads(blob)
+                    if print_kernel(decoded.kernel) != expected:
+                        errors.append("decoded kernel differs")
+            except Exception as err:
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # Each table entry is what its own fields look up.
+        for inst in list(instruction._INSTRUCTIONS.values()):
+            rebuild, fields = inst.__reduce__()
+            assert rebuild(*fields) is inst
 
     def test_corrupt_disk_entry_is_dropped_and_recomputed(self, tmp_path):
         EvaluationEngine(disk_cache=str(tmp_path)).memo(("k",), lambda: [1])

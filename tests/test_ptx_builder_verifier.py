@@ -117,16 +117,15 @@ class TestVerifier:
         from repro.ptx import Instruction, Reg
         from repro.ptx.module import Kernel
 
-        kernel = Kernel(name="k")
         f = Reg("%f0", DType.F32)
         r = Reg("%r0", DType.U32)
-        kernel.body = [
+        kernel = Kernel(name="k", body=[
             Instruction(Opcode.MOV, dtype=DType.F32, dst=f, srcs=(r,)),
             Instruction(
                 Opcode.ADD, dtype=DType.F32, dst=f, srcs=(f, r)
             ),  # u32 source in f32 add
             Instruction(Opcode.EXIT),
-        ]
+        ])
         err = _rejects(kernel, "DF007")
         assert "incompatible" in str(err)
 
@@ -134,15 +133,14 @@ class TestVerifier:
         from repro.ptx import Imm, Instruction, Reg
         from repro.ptx.module import Kernel
 
-        kernel = Kernel(name="k")
-        kernel.body = [
+        kernel = Kernel(name="k", body=[
             Instruction(
                 Opcode.MOV,
                 dtype=DType.U32,
                 dst=Reg("%r0", DType.U32),
                 srcs=(Imm(1, DType.U32),),
             )
-        ]
+        ])
         err = _rejects(kernel, "DF004")
         assert "falls off the end" in str(err)
 
@@ -150,9 +148,8 @@ class TestVerifier:
         from repro.ptx import Imm, Instruction, Reg
         from repro.ptx.module import Kernel
 
-        kernel = Kernel(name="k")
         r = Reg("%r0", DType.U32)
-        kernel.body = [
+        kernel = Kernel(name="k", body=[
             Instruction(Opcode.MOV, dtype=DType.U32, dst=r, srcs=(Imm(1, DType.U32),)),
             Instruction(
                 Opcode.MOV,
@@ -162,7 +159,7 @@ class TestVerifier:
                 guard=r,
             ),
             Instruction(Opcode.EXIT),
-        ]
+        ])
         err = _rejects(kernel, "DF007")
         assert "not a predicate" in str(err)
 

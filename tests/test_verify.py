@@ -66,10 +66,9 @@ def _bra_nowhere_kernel():
     from repro.ptx.isa import Opcode
 
     kernel = parse_kernel(_kernel("    exit;\n"))
-    kernel.body = [
-        Instruction(Opcode.BRA, target="$nowhere")
-    ] + kernel.body
-    return kernel
+    return dataclasses.replace(
+        kernel, body=(Instruction(Opcode.BRA, target="$nowhere"),) + kernel.body
+    )
 
 
 def _only(report, rule):
@@ -146,14 +145,14 @@ class TestDataflowRules:
         from repro.ptx.isa import Opcode
 
         kernel = parse_kernel(_kernel("    exit;\n"))
-        kernel.body = [
+        kernel = dataclasses.replace(kernel, body=(
             Instruction(Opcode.MOV, dtype=DType.S32,
                         dst=Reg("%x0", DType.S32),
                         srcs=(Imm(1, DType.S32),)),
             Instruction(Opcode.MOV, dtype=DType.F32,
                         dst=Reg("%x0", DType.F32),
                         srcs=(Imm(0.5, DType.F32),)),
-        ] + kernel.body
+        ) + kernel.body)
         report = V.lint_kernel(kernel)
         diag = _only(report, "DF005")
         assert diag.data.get("register") == "%x0"
@@ -288,10 +287,9 @@ class TestAllocationRules:
         assert result.spill_regions
         region = result.spill_regions[0]
         kernel = result.pre_rename_kernel
-        pruned = kernel.copy()
         removed_offset = None
         body = []
-        for inst in pruned.body:
+        for inst in kernel.body:
             if (
                 removed_offset is None
                 and inst.opcode.name == "ST"
@@ -302,7 +300,7 @@ class TestAllocationRules:
                 continue  # drop the first spill store
             body.append(inst)
         assert removed_offset is not None
-        pruned.body = body
+        pruned = dataclasses.replace(kernel, body=body)
         corrupted = dataclasses.replace(
             result, pre_rename_kernel=pruned, name_map={}
         )
@@ -420,20 +418,18 @@ class TestPipelineRules:
         assert diag.stage == "dce"
 
     def test_pl002_dropped_store(self, tid_kernel):
-        broken = tid_kernel.copy()
-        broken.body = [
-            inst for inst in broken.body if inst.opcode.name != "ST"
-        ]
+        broken = dataclasses.replace(tid_kernel, body=[
+            inst for inst in tid_kernel.body if inst.opcode.name != "ST"
+        ])
         report = V.verify_pass(tid_kernel, broken, "mlp-sched")
         diag = _only(report, "PL002")
         assert diag.stage == "mlp-sched"
         assert not report.ok
 
     def test_pl003_introduced_use_before_def(self, loop_kernel):
-        broken = loop_kernel.copy()
         dropped = None
         body = []
-        for inst in broken.body:
+        for inst in loop_kernel.body:
             if (
                 dropped is None
                 and inst.opcode.name == "MOV"
@@ -444,7 +440,7 @@ class TestPipelineRules:
                 continue  # delete an accumulator's initialisation
             body.append(inst)
         assert dropped is not None
-        broken.body = body
+        broken = dataclasses.replace(loop_kernel, body=body)
         report = V.verify_pass(loop_kernel, broken, "copy-prop")
         assert "PL003" in report.codes(), report.render()
         diag = next(d for d in report.diagnostics if d.rule == "PL003")
@@ -455,7 +451,7 @@ class TestPipelineRules:
             "    add.s32 %r0, %r9, %r9;\n"
             "    exit;\n"
         ))
-        report = V.verify_pass(before, before.copy(), "dce")
+        report = V.verify_pass(before, dataclasses.replace(before), "dce")
         assert "PL003" not in report.codes()
 
     def test_effect_summary_ignores_cache_hints(self, tid_kernel):
