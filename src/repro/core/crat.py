@@ -25,7 +25,11 @@ from ..engine import EvaluationEngine, config_signature, get_engine
 from ..errors import classify_error
 from ..ir.pipeline import pipeline_signature, run_pipeline
 from ..ptx.module import Kernel
-from ..regalloc.allocator import InsufficientRegistersError, allocate
+from ..regalloc.allocator import (
+    AllocationResult,
+    InsufficientRegistersError,
+    allocate,
+)
 from ..sim.stats import SimResult
 from .design_space import DesignPoint, prune
 from .params import ResourceUsage, collect_resource_usage
@@ -80,8 +84,9 @@ class CRATOptimizer:
     validates the pipeline: the input kernel is dataflow-checked and
     every allocation the search evaluates — baselines and candidates
     alike — is independently rechecked by
-    :func:`repro.verify.verify_allocation`; any finding raises
-    :class:`repro.errors.VerificationError`.
+    :func:`repro.verify.verify_allocation`, once per allocation object
+    per :meth:`optimize` call (MaxTLP and OptTLP share one); any
+    finding raises :class:`repro.errors.VerificationError`.
 
     ``passes`` names an optimization pipeline (``--passes`` spec, e.g.
     ``"copy-prop,dce,minreg-sched"``) run over the input kernel before
@@ -158,6 +163,8 @@ class CRATOptimizer:
             from ..verify import lint_kernel
 
             lint_kernel(kernel, stage="input").raise_if_errors()
+        # The allocations rechecked so far in this call (``verify``).
+        checked: List[AllocationResult] = []
         engine = self.engine
         if self.passes:
             with engine.span("passes"):
@@ -178,7 +185,7 @@ class CRATOptimizer:
             with engine.span("opt_tlp"):
                 baselines = self._baselines(
                     kernel, fingerprint, usage, grid_blocks, param_sizes,
-                    baselines,
+                    baselines, checked,
                 )
                 # Pruning ceiling: the contention optimum over the whole
                 # achievable TLP range, not just what the default
@@ -187,7 +194,7 @@ class CRATOptimizer:
         else:
             baselines = self._baselines(
                 kernel, fingerprint, usage, grid_blocks, param_sizes,
-                baselines,
+                baselines, checked,
             )
             with engine.span("opt_tlp"):
                 ceiling = compute_occupancy(
@@ -207,7 +214,7 @@ class CRATOptimizer:
             scored: List[ScoredPoint] = []
             for point in candidates:
                 allocation = self._allocate_point(
-                    kernel, fingerprint, usage, point
+                    kernel, fingerprint, usage, point, checked
                 )
                 if allocation is None:
                     continue
@@ -262,9 +269,10 @@ class CRATOptimizer:
         grid_blocks: int,
         param_sizes: Optional[Dict[str, int]],
         baselines: Optional[Dict[str, BaselineResult]],
+        checked: List[AllocationResult],
     ) -> Dict[str, BaselineResult]:
         """MaxTLP and OptTLP (run here unless the caller has them),
-        each allocation rechecked under ``verify``; also the profiling
+        their allocation rechecked under ``verify``; also the profiling
         source for OptTLP."""
         if baselines is None:
             with self.engine.span("baselines"):
@@ -278,7 +286,9 @@ class CRATOptimizer:
                     fingerprint=fingerprint,
                 )
         for scheme, baseline in baselines.items():
-            self._maybe_verify(baseline.allocation, f"baseline:{scheme}")
+            self._maybe_verify(
+                baseline.allocation, f"baseline:{scheme}", checked
+            )
         return baselines
 
     # ------------------------------------------------------------------
@@ -301,6 +311,7 @@ class CRATOptimizer:
         fingerprint: str,
         usage: ResourceUsage,
         point: DesignPoint,
+        checked: List[AllocationResult],
     ):
         """Allocate one candidate; returns None if it turns out infeasible."""
         spare = 0
@@ -321,7 +332,9 @@ class CRATOptimizer:
             return None
         # Verify before the feasibility cut: an infeasible-but-miscompiled
         # candidate must still be reported, not silently discarded.
-        self._maybe_verify(allocation, f"candidate:reg={point.reg}")
+        self._maybe_verify(
+            allocation, f"candidate:reg={point.reg}", checked
+        )
         # The allocation must actually sustain the candidate TLP once
         # its own shared-memory spill stack is accounted for.
         total_shm = usage.shm_size + allocation.shm_spill_block_bytes
@@ -335,10 +348,17 @@ class CRATOptimizer:
             return None
         return allocation
 
-    def _maybe_verify(self, allocation, stage: str) -> None:
-        """Recheck one allocation when ``verify`` is on (else a no-op)."""
-        if not self.verify or allocation is None:
+    def _maybe_verify(
+        self,
+        allocation: AllocationResult,
+        stage: str,
+        checked: List[AllocationResult],
+    ) -> None:
+        """Recheck one allocation when ``verify`` is on (else a no-op),
+        unless ``checked`` already holds that object."""
+        if not self.verify or any(allocation is done for done in checked):
             return
+        checked.append(allocation)
         from ..verify import verify_allocation
 
         verify_allocation(allocation, stage=stage).raise_if_errors()

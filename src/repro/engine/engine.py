@@ -17,13 +17,14 @@ design points many times over.
   once however many points replay it.  An optional on-disk store
   (``REPRO_CACHE_DIR``) persists results across processes.
 * **Pure-stage memo** — :meth:`EvaluationEngine.memo` runs each pure
-  compiler stage (allocation, resource usage, an unverified pass
-  pipeline) once per content key and hands every later caller the same
-  immutable value.  LRU-bounded in memory like the result cache; with a
-  disk directory its entries also persist there as pickles, keyed by
-  the source digest as well, so a restarted daemon reads them back
-  (each entry decoded once, its registers and instructions shared by
-  value with every other decoded entry).
+  compiler stage (the parse of inline PTX text, allocation, resource
+  usage, an unverified pass pipeline) once per content key and hands
+  every later caller the same immutable value.  LRU-bounded in memory
+  like the result cache; with a disk directory its entries also
+  persist there as pickles, keyed by the source digest as well, so a
+  restarted daemon reads them back (each entry decoded once, its
+  registers and instructions shared by value with every other decoded
+  entry).
 * **Batched sweeps** — :meth:`simulate_outcomes` runs each group of
   points that share a packed grid (and so its kernel, grid and config)
   as one in-process batch of the timing core, and a single point
@@ -136,13 +137,15 @@ class EvaluationEngine:
         """``compute()``, run once per ``key`` while the key stays cached.
 
         For pure compiler stages whose value is a function of ``key``
-        alone (callers build it from :meth:`Kernel.fingerprint` and
-        every other input the stage reads).  The memory level keeps the
-        value itself and every hit returns that same object, so values
-        must be immutable (kernels, allocations and resource usage
-        are).  It shares the result cache's LRU bound
-        (``cache_max_entries``).  A memoised ``None`` or ``0`` hits
-        like any other value.
+        alone (callers build it from :meth:`Kernel.fingerprint`, or
+        from a sha256 of the PTX text a parse reads, and every other
+        input the stage reads): the parse of inline PTX text
+        (``("ptx", digest)``), resource usage, allocation and an
+        unverified pass pipeline.  The memory level keeps the value
+        itself and every hit returns that same object, so values must
+        be immutable (kernels, allocations and resource usage are).
+        It shares the result cache's LRU bound (``cache_max_entries``).
+        A memoised ``None`` or ``0`` hits like any other value.
 
         With a disk directory, a memory miss reads the result cache's
         disk store before it computes, and a computed value is pickled

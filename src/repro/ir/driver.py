@@ -4,18 +4,27 @@ translation validation.
 The driver sweeps the kernel in program order, offering each position
 to its patterns in priority (list) order.  The first pattern that
 matches has its :class:`~repro.ir.rewrite.Rewrite` applied through the
-audited :class:`~repro.ir.rewrite.Rewriter`; the analysis context is
-rebuilt and the sweep resumes *at the same position* (erasures shift
-the next instruction in; replacements no longer match, so re-offering
-is cheap and keeps the work-list implicit).  A sweep that applies no
-rewrite is the fixpoint.
+audited :class:`~repro.ir.rewrite.Rewriter`; the new kernel revision
+gets its own analysis context and the sweep resumes *at the same
+position* (erasures shift the next instruction in; replacements no
+longer match, so re-offering is cheap and keeps the work-list
+implicit).  A sweep that applies no rewrite is the fixpoint.
+
+There is one :class:`~repro.ir.view.RewriteContext` per kernel
+revision: a sweep that starts on the previous sweep's kernel keeps its
+context, and :meth:`GreedyRewriteDriver.run` accepts a context as well
+as a kernel, so a pipeline hands each stage the previous stage's last
+context.  Each revision's analyses are therefore computed at most once
+per run.
 
 Every application is recorded as a :class:`RewriteApplication` —
 pattern name, anchor instruction, before/after text — and, when
 ``verify`` is on, individually checked with
 :func:`repro.verify.verify_pass` in the pattern's declared mode, so a
 single bad rewrite is caught at its application site instead of being
-smeared across a whole-pass snapshot diff.
+smeared across a whole-pass snapshot diff.  The check receives the two
+revisions' contexts, so each revision is dataflow-checked and
+summarized once, as the ``after`` of the rewrite that made it.
 
 Budget exhaustion (sweeps or rewrites) is never silent: the driver
 emits a structured :class:`RewriteBudgetWarning` and reports
@@ -27,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from collections import Counter
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 from ..ptx.module import Kernel
 from .rewrite import Rewrite, RewritePattern, Rewriter
@@ -69,13 +78,18 @@ class RewriteApplication:
 
 @dataclasses.dataclass
 class DriverResult:
-    """Outcome of one driver run."""
+    """Outcome of one driver run; ``context`` is the analysis context
+    of the last kernel revision."""
 
-    kernel: Kernel
+    context: RewriteContext
     applications: List[RewriteApplication]
     counters: "Counter[str]"
     sweeps: int
     converged: bool
+
+    @property
+    def kernel(self) -> Kernel:
+        return self.context.kernel
 
     @property
     def applied(self) -> int:
@@ -120,10 +134,17 @@ class GreedyRewriteDriver:
         self.max_rewrites = max_rewrites
         self.verify = verify
 
-    def run(self, kernel: Kernel) -> DriverResult:
+    def run(self, start: Union[Kernel, RewriteContext]) -> DriverResult:
+        """Rewrite ``start`` (a kernel, or the context of one) to a
+        fixpoint."""
         if self.verify:
-            from ..verify import verify_pass
-        current = kernel
+            # ``verify_pass`` is looked up on the package at each call,
+            # so a wrapper installed there sees every check.
+            from .. import verify as verify_mod
+        if isinstance(start, RewriteContext):
+            ctx = start
+        else:
+            ctx = RewriteContext(start)
         applications: List[RewriteApplication] = []
         counters: "Counter[str]" = Counter()
         sweeps = 0
@@ -132,14 +153,13 @@ class GreedyRewriteDriver:
         def exhausted(budget: str, limit: int) -> None:
             warnings.warn(
                 RewriteBudgetWarning(
-                    kernel.name, budget, limit, len(applications)
+                    ctx.kernel.name, budget, limit, len(applications)
                 ),
                 stacklevel=3,
             )
 
         while sweeps < self.max_sweeps:
             sweeps += 1
-            ctx = RewriteContext(current)
             pos = 0
             applied_in_sweep = 0
             while pos < len(ctx):
@@ -157,14 +177,14 @@ class GreedyRewriteDriver:
                 if len(applications) >= self.max_rewrites:
                     exhausted("rewrite", self.max_rewrites)
                     return DriverResult(
-                        current, applications, counters, sweeps, False
+                        ctx, applications, counters, sweeps, False
                     )
                 before_text = _render_span(ctx, rewrite)
-                new_kernel = Rewriter(current).apply(rewrite)
+                new_ctx = RewriteContext(Rewriter(ctx.kernel).apply(rewrite))
                 if self.verify:
-                    verify_pass(
-                        current,
-                        new_kernel,
+                    verify_mod.verify_pass(
+                        ctx,
+                        new_ctx,
                         pattern.name,
                         compare_effects=pattern.verify_mode == "exact",
                     ).raise_if_errors()
@@ -181,8 +201,7 @@ class GreedyRewriteDriver:
                 )
                 counters[pattern.name] += 1
                 applied_in_sweep += 1
-                current = new_kernel
-                ctx = RewriteContext(current)
+                ctx = new_ctx
                 # Stay at the same position: erasures shift the next
                 # instruction in, replacements re-offer harmlessly.
             if applied_in_sweep == 0:
@@ -190,4 +209,4 @@ class GreedyRewriteDriver:
                 break
         if not converged:
             exhausted("sweep", self.max_sweeps)
-        return DriverResult(current, applications, counters, sweeps, converged)
+        return DriverResult(ctx, applications, counters, sweeps, converged)

@@ -27,6 +27,7 @@ from ..errors import ParseError
 from ..ptx.module import Kernel
 from .driver import DriverResult, GreedyRewriteDriver
 from .rewrite import RewritePattern
+from .view import RewriteContext
 
 #: Bump when any registered pass produces different output for the same
 #: input kernel; folded into the engine cache schema
@@ -135,19 +136,20 @@ def run_pipeline(
     """Run the pipeline named by ``spec`` (see :func:`parse_passes`).
 
     Each stage is one :class:`GreedyRewriteDriver` over that pass's
-    pattern; with ``verify``, every individual rewrite is translation-
-    validated (:func:`repro.verify.verify_pass`) in the pattern's
-    declared mode, raising :class:`repro.errors.VerificationError` at
-    the first bad rewrite; its diagnostics name the pass as their
-    ``stage``.
+    pattern, started on the previous stage's last analysis context, so
+    each kernel revision's analyses are computed once per call.  With
+    ``verify``, every individual rewrite is translation-validated
+    (:func:`repro.verify.verify_pass`) in the pattern's declared mode,
+    raising :class:`repro.errors.VerificationError` at the first bad
+    rewrite; its diagnostics name the pass as their ``stage``.
     """
     registry = _registry()
-    current = kernel
+    current = RewriteContext(kernel)
     stages: List[Tuple[str, DriverResult]] = []
     for name in parse_passes(spec):
         result = GreedyRewriteDriver([registry[name]()], verify=verify).run(
             current
         )
         stages.append((name, result))
-        current = result.kernel
-    return PipelineRunResult(kernel=current, stages=stages)
+        current = result.context
+    return PipelineRunResult(kernel=current.kernel, stages=stages)

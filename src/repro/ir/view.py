@@ -1,12 +1,13 @@
-"""Immutable instruction views for the rewrite driver.
+"""Instruction views for the rewrite driver.
 
-Patterns never see the mutable :class:`~repro.ptx.module.Kernel`
-directly.  They match against an :class:`InstrWindow` — one instruction
-position inside a :class:`RewriteContext` that exposes the kernel, its
-CFG, liveness, loops, and a generic analysis memo.  All analyses are
-computed lazily and cached for the lifetime of the context; the driver
-discards the context after every applied rewrite, so a pattern can
-trust that whatever it reads describes the *current* kernel.
+Patterns match against an :class:`InstrWindow` — one instruction
+position inside a :class:`RewriteContext` that exposes one kernel
+revision, its CFG, liveness, loops, and a generic analysis memo.
+Kernels are immutable, so every analysis is computed lazily, at most
+once, and stays valid for the lifetime of the context.  An applied
+rewrite makes a new kernel and the driver gives it a new context, so a
+pattern can trust that whatever it reads describes the *current*
+kernel.
 """
 
 from __future__ import annotations
@@ -24,11 +25,14 @@ from ..ptx.module import Kernel
 class RewriteContext:
     """Read-only analysis view of one kernel revision.
 
-    The context is rebuilt by the driver after each applied rewrite, so
-    every cached analysis (CFG, liveness, loops, pattern-specific memos
-    via :meth:`cached`) is always consistent with :attr:`kernel`.
-    Patterns must treat everything reachable from here as immutable —
-    mutation goes through :class:`repro.ir.rewrite.Rewriter` only.
+    One context serves its revision for as long as the revision is
+    current: every sweep that starts on it, the next pipeline stage,
+    and :func:`repro.verify.verify_pass` on both sides of the rewrites
+    it borders.  Every cached analysis (CFG, liveness, loops, and
+    memos via :meth:`cached`) describes :attr:`kernel`, which cannot
+    change.  Patterns must treat everything reachable from here as
+    immutable — a new revision comes only from
+    :class:`repro.ir.rewrite.Rewriter`.
     """
 
     def __init__(self, kernel: Kernel):
@@ -83,11 +87,12 @@ class RewriteContext:
         return self._block_of_pos[pos]
 
     def cached(self, key: Any, compute: Callable[["RewriteContext"], Any]) -> Any:
-        """Memoize a pattern-specific analysis for this kernel revision.
+        """Memoize an analysis of this kernel revision.
 
         ``key`` should be unique per analysis (conventionally the
-        pattern name); ``compute`` receives the context and its result
-        is cached until the driver rebuilds the context.
+        pattern name, or the compute function itself); ``compute``
+        receives the context and its result is cached for the life of
+        the context.
         """
         if key not in self._memo:
             self._memo[key] = compute(self)

@@ -16,10 +16,10 @@ The extra ``mov`` instructions are accounted separately
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 from ..ptx.instruction import Imm, Instruction, Label, Reg
-from ..ptx.isa import DType, Opcode
+from ..ptx.isa import Opcode
 from ..ptx.module import Kernel
 from .spill import _TempNamer
 

@@ -28,6 +28,7 @@ a simulation by the kernel it simulates, after the passes ran.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..arch import get_config
@@ -98,11 +99,17 @@ def load_target(
     to ``(kernel, workload or None)``: the one loader of every CLI
     command and daemon job that takes a kernel.
 
-    ``checked`` passes PTX text through the DF load gate
-    (:func:`repro.verify.verify_kernel`); only ``verify`` loads
+    An app's kernel is generated once per process
+    (:func:`repro.workloads.load_workload`).  PTX text is parsed through
+    the engine's stage memo, keyed by a sha256 of the text, so a
+    repeated text gets back the kernel object parsed the first time;
+    text that fails to parse stores nothing.  The checks after the
+    parse run on every call, on a memo hit as on a miss: PTX text that
+    parses into a kernel whose CFG cannot be built is a parse error,
+    and ``checked`` passes the kernel, with that CFG, through the DF
+    load gate (:func:`repro.verify.verify_kernel`).  Only ``verify`` loads
     unchecked, so a kernel with static defects comes back as rule
-    codes rather than a parse error.  Either way, PTX text that parses
-    into a kernel whose CFG cannot be built is a parse error.
+    codes rather than a parse error.
 
     The service deliberately does not read files named by clients: a
     remote client's paths are meaningless on the server, and a daemon
@@ -123,10 +130,14 @@ def load_target(
         workload = load_workload(abbr)
         return workload.kernel, workload
     try:
-        kernel = parse_kernel(params["ptx"])
+        text = params["ptx"]
+        digest = hashlib.sha256(text.encode("utf-8", "surrogatepass"))
+        kernel = get_engine().memo(
+            ("ptx", digest.hexdigest()), lambda: parse_kernel(text)
+        )
         # A branch to a label that ends the body parses, but the CFG
         # has no block for it to land in.
-        CFG(kernel)
+        cfg = CFG(kernel)
     except ValueError as err:
         # A ``PTXParseError``, an undefined branch target or the CFG's
         # refusal: malformed input all three.
@@ -140,7 +151,7 @@ def load_target(
         # ``repro.verify``, not every ``import repro.service.jobs``.
         from ..verify import verify_kernel
 
-        verify_kernel(kernel)
+        verify_kernel(kernel, cfg)
     return kernel, None
 
 

@@ -61,7 +61,7 @@ from ..cfg.dataflow import ForwardMaySolver
 from ..cfg.graph import CFG
 from ..cfg.liveness import LivenessInfo, iter_interference_sites
 from ..ptx.instruction import Imm, Instruction, Reg, Sym
-from ..ptx.isa import Opcode, Space
+from ..ptx.isa import Opcode, RegClass, Space
 from ..ptx.module import Kernel
 from .diagnostics import Diagnostic, VerifyReport
 
@@ -176,32 +176,39 @@ def _check_register_sharing(
     def phys(name: str) -> str:
         return name_map.get(name, name)
 
+    # The registers of each class that share one physical register, in
+    # name order: a def is tested against its own group only.
+    sharers: Dict[Tuple[RegClass, str], List[str]] = {}
+    for name in sorted(liveness.dtype_of):
+        key = (liveness.dtype_of[name].reg_class, phys(name))
+        sharers.setdefault(key, []).append(name)
+
     flagged: Set[Tuple[str, str]] = set()
     for site in iter_interference_sites(liveness):
         pos, inst, move_src = site.pos, site.inst, site.move_src
         for dreg in inst.defs():
             dphys = phys(dreg.name)
-            dclass = liveness.dtype_of[dreg.name].reg_class
-            for live_name in site.live_out:
-                if live_name == dreg.name or live_name == move_src:
+            group = sharers[(liveness.dtype_of[dreg.name].reg_class, dphys)]
+            for live_name in group:
+                if (
+                    live_name == dreg.name
+                    or live_name == move_src
+                    or live_name not in site.live_out
+                ):
                     continue
-                if liveness.dtype_of[live_name].reg_class is not dclass:
+                a, b = sorted((dreg.name, live_name))
+                if (a, b) in flagged:
                     continue
-                if phys(live_name) != dphys:
-                    continue
-                pair = tuple(sorted((dreg.name, live_name)))
-                if pair in flagged:
-                    continue
-                flagged.add(pair)  # type: ignore[arg-type]
+                flagged.add((a, b))
                 report.add(Diagnostic(
                     rule="AL001", kernel=kernel.name, position=pos,
                     instruction=str(inst), stage=report.stage,
                     message=(
-                        f"virtual registers {pair[0]} and {pair[1]} are "
+                        f"virtual registers {a} and {b} are "
                         f"simultaneously live here but both map to "
                         f"physical register {dphys}"
                     ),
-                    data={"registers": list(pair), "physical": dphys},
+                    data={"registers": [a, b], "physical": dphys},
                 ))
 
 

@@ -43,11 +43,12 @@ from ..ptx.module import Kernel
 from .diagnostics import Diagnostic, VerifyReport
 
 
-def verify_kernel(kernel: Kernel) -> None:
+def verify_kernel(kernel: Kernel, cfg: Optional[CFG] = None) -> None:
     """The load gate: raise :class:`~repro.errors.ParseError` (exit 2)
     naming the code and message of every error-severity DF finding.
-    Warnings (``DF003``) pass."""
-    errors = verify_dataflow(kernel, stage="parse").errors
+    Warnings (``DF003``) pass.  ``cfg`` is the kernel's CFG, when the
+    caller has built it."""
+    errors = verify_dataflow(kernel, cfg, stage="parse").errors
     if errors:
         raise ParseError(
             f"{len(errors)} DF error(s): "

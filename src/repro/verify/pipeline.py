@@ -49,13 +49,20 @@ Deliberate non-goals (DESIGN.md §6): guard feasibility (a store under
 ``@%p`` is an event parameterized by ``%p``'s value number, not a
 maybe-event) and cross-block value merging (numbers are per-block; the
 summary is sound because exact-mode passes keep block structure).
+
+:func:`verify_pass` takes the two kernels, or the analysis contexts
+of the two (:class:`~repro.ir.view.RewriteContext`).  A context
+computes its kernel's CFG, dataflow report and effect summary once, on
+first use, so the rewrite driver, which hands over one context per
+kernel revision, checks each revision once however many rewrites it
+borders.  A bare kernel gets a fresh context, used for this call only.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..cfg.graph import CFG
+from ..ir.view import RewriteContext
 from ..ptx.instruction import Imm, Label, Reg, Sreg, Sym
 from ..ptx.isa import Opcode
 from ..ptx.module import Kernel
@@ -157,35 +164,55 @@ def effect_summary(kernel: Kernel) -> List[Event]:
     return events
 
 
+def _dataflow(ctx: RewriteContext) -> VerifyReport:
+    """``verify_dataflow(ctx.kernel)``, on the context's CFG when it
+    builds (else ``verify_dataflow`` reports ``DF006`` without one, or
+    raises as it does on the bare kernel)."""
+    try:
+        cfg = ctx.cfg
+    except ValueError:
+        return verify_dataflow(ctx.kernel)
+    return verify_dataflow(ctx.kernel, cfg=cfg)
+
+
+def _effects(ctx: RewriteContext) -> List[Event]:
+    return effect_summary(ctx.kernel)
+
+
 def verify_pass(
-    before: Kernel,
-    after: Kernel,
+    before: Union[Kernel, RewriteContext],
+    after: Union[Kernel, RewriteContext],
     stage: str,
     compare_effects: bool = True,
 ) -> VerifyReport:
     """Validate that transform ``stage`` turned ``before`` into a sound
-    ``after``; returns the ``PL*`` report.  ``compare_effects=False``
-    (a pattern's ``structure`` mode) skips the ``PL002`` effect
-    comparison."""
-    report = VerifyReport(kernel=after.name, stage=stage)
+    ``after`` (kernels, or their analysis contexts); returns the
+    ``PL*`` report.  ``compare_effects=False`` (a pattern's
+    ``structure`` mode) skips the ``PL002`` effect comparison."""
+    if not isinstance(before, RewriteContext):
+        before = RewriteContext(before)
+    if not isinstance(after, RewriteContext):
+        after = RewriteContext(after)
+    name = after.kernel.name
+    report = VerifyReport(kernel=name, stage=stage)
 
     try:
-        CFG(after)
+        after.cfg
     except ValueError as err:
         report.add(Diagnostic(
-            rule="PL001", kernel=after.name, stage=stage,
+            rule="PL001", kernel=name, stage=stage,
             message=f"CFG malformed after {stage}: {err}",
         ))
         return report
 
-    before_df = verify_dataflow(before, stage=stage)
-    after_df = verify_dataflow(after, stage=stage)
+    before_df: VerifyReport = before.cached(_dataflow, _dataflow)
+    after_df: VerifyReport = after.cached(_dataflow, _dataflow)
     known = {(d.rule, d.data.get("register")) for d in before_df.errors}
     for diag in after_df.errors:
         if (diag.rule, diag.data.get("register")) in known:
             continue
         report.add(Diagnostic(
-            rule="PL003", kernel=after.name, block=diag.block,
+            rule="PL003", kernel=name, block=diag.block,
             position=diag.position, instruction=diag.instruction,
             stage=stage,
             message=f"{stage} introduced a dataflow error "
@@ -196,15 +223,15 @@ def verify_pass(
         return report
 
     if compare_effects:
-        old = effect_summary(before)
-        new = effect_summary(after)
+        old: List[Event] = before.cached(_effects, _effects)
+        new: List[Event] = after.cached(_effects, _effects)
         if old != new:
             divergence = next(
                 (i for i, (a, b) in enumerate(zip(old, new)) if a != b),
                 min(len(old), len(new)),
             )
             report.add(Diagnostic(
-                rule="PL002", kernel=after.name, stage=stage,
+                rule="PL002", kernel=name, stage=stage,
                 message=(
                     f"observable effects changed by {stage}: "
                     f"{len(old)} event(s) before vs {len(new)} after, "

@@ -1,12 +1,14 @@
 """Suite loader: one-call access to a ready-to-run workload.
 
 A :class:`Workload` bundles the generated kernel with its buffer sizes
-and grid so experiments can run it with one call.
+and grid so experiments can run it with one call.  Kernels are
+immutable and generated once per process.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, List, Optional
 
 from ..ptx.module import Kernel
@@ -43,14 +45,25 @@ class Workload:
 
 
 def load_workload(abbr: str, input_scale: float = 1.0) -> Workload:
-    """Build the workload for one app abbreviation (e.g. ``"CFD"``)."""
+    """Build the workload for one app abbreviation (e.g. ``"CFD"``).
+
+    Each call returns a new :class:`Workload`, but the kernel is
+    generated once per (app, input scale) per process: every workload
+    of one app and scale holds the same (immutable) kernel object.
+    """
     app = get_app(abbr)
     return Workload(
         app=app,
-        kernel=generate_kernel(app, input_scale),
+        kernel=_kernel_of(app.abbr, input_scale),
         param_sizes=param_sizes(app, input_scale),
         input_scale=input_scale,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_of(abbr: str, input_scale: float) -> Kernel:
+    # Generation is a pure function of the app table.
+    return generate_kernel(get_app(abbr), input_scale)
 
 
 def sensitive_suite() -> List[Workload]:

@@ -292,6 +292,27 @@ class TestBadInputExits2:
             self._prepare_raises(job, {"ptx": END_LABEL_PTX},
                                  "past end of kernel")
 
+    def test_refused_again_on_a_parse_memo_hit(self):
+        """The parse is memoised by text; the checks after it are not.
+        A text that fails the DF gate and the end-label text are each
+        refused twice, the second time on a memo hit."""
+        from repro.engine import EvaluationEngine, get_engine, set_engine
+
+        df_error = (".entry k ()\n{\n    add.u32 %r0, %r1, %r2;\n"
+                    "    exit;\n}\n")
+        previous = get_engine()
+        stats = set_engine(EvaluationEngine(disk_cache="")).stats
+        try:
+            for text, message in ((df_error, "DF002"),
+                                  (END_LABEL_PTX, "past end of kernel")):
+                hits = stats.memo_hits
+                self._prepare_raises("simulate", {"ptx": text}, message)
+                assert stats.memo_hits == hits
+                self._prepare_raises("simulate", {"ptx": text}, message)
+                assert stats.memo_hits == hits + 1
+        finally:
+            set_engine(previous)
+
     def test_branch_to_undefined_label(self, tmp_path, capsys):
         """The parser refuses it, as a ``ValueError``: exit 2 as well,
         ``verify`` included."""

@@ -935,16 +935,20 @@ class TestStageMemo:
     def _verified_runs(engines, gau, monkeypatch):
         """One verified optimize of GAU per engine: per run, the
         ``verify_allocation``/``verify_pass`` call counts and the
-        answer."""
+        answer.  Each run checks every allocation it evaluated, once
+        per allocation object (MaxTLP and OptTLP share one)."""
         import repro.verify as verify_mod
         from repro.core import CRATOptimizer
 
         counts = {"verify_allocation": 0, "verify_pass": 0}
+        checked = []  # the allocations verify_allocation was given
         for name in counts:
             original = getattr(verify_mod, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
+                if _name == "verify_allocation":
+                    checked.append(args[0])
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(verify_mod, name, counted)
@@ -957,6 +961,7 @@ class TestStageMemo:
                 engine=engine,
             )
             before = dict(counts)
+            del checked[:]
             result = optimizer.optimize(
                 gau.kernel,
                 default_reg=gau.default_reg,
@@ -964,6 +969,11 @@ class TestStageMemo:
                 param_sizes=gau.param_sizes,
             )
             calls = {name: counts[name] - before[name] for name in counts}
+            evaluated = [b.allocation for b in result.baselines.values()]
+            evaluated += [s.allocation for s in result.candidates]
+            assert evaluated[0] is evaluated[1]  # MaxTLP's is OptTLP's
+            assert len({id(a) for a in checked}) == len(checked)
+            assert {id(a) for a in evaluated} <= {id(a) for a in checked}
             answer = (
                 result.usage,
                 result.opt_tlp,

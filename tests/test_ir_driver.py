@@ -189,6 +189,62 @@ class TestDriver:
 
 
 # ----------------------------------------------------------------------
+# Verified pipelines: one analysis per kernel revision.
+# ----------------------------------------------------------------------
+class TestVerifiedRevisions:
+    """A verified pipeline checks every applied rewrite, and computes
+    each kernel revision's dataflow report and effect summary once:
+    the input at the first rewrite, every other revision as the
+    ``after`` of the rewrite that made it."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        from collections import Counter
+
+        import repro.verify
+        import repro.verify.pipeline
+
+        counts = Counter()
+        for owner, name in (
+            (repro.verify, "verify_pass"),
+            (repro.verify.pipeline, "verify_dataflow"),
+            (repro.verify.pipeline, "effect_summary"),
+        ):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        return counts
+
+    def test_each_revision_analysed_once(self, monkeypatch):
+        from tests.test_opt_passes import copy_chain_kernel
+
+        counts = self._counted(monkeypatch)
+        result = run_pipeline(copy_chain_kernel(),
+                              "copy-prop,dce,minreg-sched", verify=True)
+        # Two stages rewrite, so a context crosses a stage boundary.
+        assert [s.applied > 0 for _, s in result.stages] == [
+            True, True, False,
+        ]
+        rewrites = result.total_applied
+        assert counts == {
+            "verify_pass": rewrites,
+            "verify_dataflow": rewrites + 1,
+            "effect_summary": rewrites + 1,
+        }
+
+    def test_no_rewrite_no_analysis(self, monkeypatch, tid_kernel):
+        counts = self._counted(monkeypatch)
+        result = run_pipeline(tid_kernel, "copy-prop,dce,minreg-sched",
+                              verify=True)
+        assert result.total_applied == 0
+        assert sum(counts.values()) == 0
+
+
+# ----------------------------------------------------------------------
 # Pass registry / --passes parsing.
 # ----------------------------------------------------------------------
 class TestPassRegistry:

@@ -580,6 +580,21 @@ class TestSubmitCli:
         assert "CRAT suite results" in table and "KMN" not in table
 
 
+def test_one_kernel_per_distinct_input(fresh_engine):
+    """A repeated PTX text is one parse: the memo hands back the kernel
+    object parsed the first time.  An app's kernel is generated once."""
+    set_engine(fresh_engine)
+    root = pathlib.Path(__file__).resolve().parents[1]
+    text = (root / "examples" / "histogram.ptx").read_text()
+    first, _ = jobs.load_target({"ptx": text})
+    second, _ = jobs.load_target({"ptx": text})
+    assert second is first
+    stats = fresh_engine.stats
+    assert (stats.memo_misses, stats.memo_hits) == (1, 1)
+    app, _ = jobs.load_target({"target": "GAU"})
+    assert jobs.load_target({"target": "gau"})[0] is app
+
+
 def test_importing_jobs_loads_no_daemon():
     """A one-shot command reaches the job path without loading the
     daemon, its client or sockets."""

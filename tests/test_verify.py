@@ -258,6 +258,32 @@ class TestAllocationRules:
         assert all(d.data["physical"] == bad_map[pair[0]] for d in found)
         assert any(pair[1] in d.data["registers"] for d in found)
 
+    def test_al001_only_live_same_class_sharers(self, pressure_kernel):
+        """At ``%r2``'s def its physical register is also mapped from a
+        live ``%r1`` (same class: reported), a live ``%f1`` (another
+        class) and ``%r3``, dead by then (neither reported)."""
+        kernel = parse_kernel(_kernel(
+            "    mov.u32 %r3, 3;\n"
+            "    mov.u32 %r1, 1;\n"
+            "    mov.f32 %f1, 2.0;\n"
+            "    add.u32 %r2, %r1, 5;\n"
+            "    ld.param.u64 %rd1, [output];\n"
+            "    st.global.u32 [%rd1], %r1;\n"
+            "    st.global.f32 [%rd1+4], %f1;\n"
+            "    st.global.u32 [%rd1+8], %r2;\n"
+            "    exit;\n"
+        ))
+        shared = {name: "%r0" for name in ("%r1", "%r2", "%r3", "%f1")}
+        result = dataclasses.replace(
+            allocate(pressure_kernel, 64),
+            pre_rename_kernel=kernel, name_map=shared, spilled={},
+            spill_regions=(), shm_plan=None,
+        )
+        [diag] = V.verify_allocation(result).diagnostics
+        assert (diag.rule, diag.position) == ("AL001", 3)
+        assert diag.data == {"registers": ["%r1", "%r2"],
+                             "physical": "%r0"}
+
     def test_al006_spilled_name_still_referenced(self, pressure_kernel):
         result = allocate(pressure_kernel, 10, enable_shm_spill=False)
         assert result.spilled, "expected spills at limit 10"

@@ -116,6 +116,18 @@ class TestGeneratedKernels:
             assert sizes["stream"] >= max_offset, abbr
 
 
+class TestKernelSharing:
+    def test_one_kernel_per_app_and_scale(self):
+        """Each call builds its own workload around the one kernel
+        generated for that app and input scale."""
+        first, second = load_workload("GAU"), load_workload("GAU")
+        assert first is not second
+        assert first.kernel is second.kernel
+        scaled = load_workload("GAU", input_scale=2.0)
+        assert scaled.kernel is not first.kernel
+        assert scaled.kernel.fingerprint() != first.kernel.fingerprint()
+
+
 class TestInputScaling:
     def test_input_scale_changes_ws(self):
         app = get_app("CFD")
