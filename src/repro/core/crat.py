@@ -23,7 +23,12 @@ from ..arch.latency import measure_costs
 from ..arch.occupancy import compute_occupancy, spare_shm_per_block
 from ..engine import EvaluationEngine, config_signature, get_engine
 from ..errors import classify_error
-from ..ir.pipeline import pipeline_signature, run_pipeline
+from ..ir.pipeline import (
+    RewriteChain,
+    pipeline_signature,
+    replay_chain,
+    run_pipeline,
+)
 from ..ptx.module import Kernel
 from ..regalloc.allocator import (
     AllocationResult,
@@ -75,6 +80,37 @@ class CRATResult:
         return base / self.sim.cycles
 
 
+def run_passes(
+    kernel: Kernel, spec: str, verify: bool, engine: EvaluationEngine
+) -> Kernel:
+    """The output kernel of the normalized pipeline ``spec`` over
+    ``kernel``, through ``engine``'s stage memo: the one pass path of
+    ``crat`` and ``simulate`` jobs, verified or not.
+
+    The memo keeps the run's :class:`~repro.ir.pipeline.RewriteChain`
+    under ``("passes", fingerprint, spec)``.  A miss runs the pipeline
+    (with ``verify``, each rewrite checked inline, so a bad one stops
+    the run) and records its chain, which nothing checks a second
+    time; an exception stores nothing.  A hit runs no pass:
+    :func:`~repro.ir.pipeline.replay_chain` re-emits any budget warning
+    and, with ``verify``, checks every recorded rewrite again, whoever
+    stored the chain, so every request still runs every check.
+    """
+    ran = False
+
+    def compute() -> RewriteChain:
+        nonlocal ran
+        ran = True
+        # The module global, looked up at each call, so a wrapper
+        # installed on ``repro.core.crat.run_pipeline`` sees every run.
+        return run_pipeline(kernel, spec, verify=verify).chain
+
+    chain = engine.memo(("passes", kernel.fingerprint(), spec), compute)
+    if ran:
+        return chain.kernel
+    return replay_chain(kernel, chain, verify=verify)
+
+
 class CRATOptimizer:
     """Configurable CRAT pipeline.
 
@@ -90,9 +126,10 @@ class CRATOptimizer:
 
     ``passes`` names an optimization pipeline (``--passes`` spec, e.g.
     ``"copy-prop,dce,minreg-sched"``) run over the input kernel before
-    resource collection and allocation; with ``verify`` every
-    individual rewrite is additionally translation-validated.  The spec
-    is validated at construction (unknown names raise
+    resource collection and allocation (:func:`run_passes`, memoised
+    like allocation); with ``verify`` every individual rewrite is
+    additionally translation-validated, on a memo hit as on a miss.
+    The spec is validated at construction (unknown names raise
     :class:`repro.errors.ParseError`), never at optimize time.
     """
 
@@ -168,7 +205,7 @@ class CRATOptimizer:
         engine = self.engine
         if self.passes:
             with engine.span("passes"):
-                kernel = self._run_passes(kernel)
+                kernel = run_passes(kernel, self.passes, self.verify, engine)
         # Allocation, resource usage and the pass pipeline are pure
         # functions of the kernel's printed form (plus the named
         # inputs), so the engine memoises them under its fingerprint.
@@ -292,19 +329,6 @@ class CRATOptimizer:
         return baselines
 
     # ------------------------------------------------------------------
-    def _run_passes(self, kernel: Kernel) -> Kernel:
-        """The ``passes`` pipeline's output kernel.
-
-        Memoised only without ``verify``: a verified run must validate
-        every rewrite again, so it always runs the pipeline.
-        """
-        if self.verify:
-            return run_pipeline(kernel, self.passes, verify=True).kernel
-        return self.engine.memo(
-            ("passes", kernel.fingerprint(), self.passes),
-            lambda: run_pipeline(kernel, self.passes).kernel,
-        )
-
     def _allocate_point(
         self,
         kernel: Kernel,

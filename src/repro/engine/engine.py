@@ -18,13 +18,13 @@ design points many times over.
   (``REPRO_CACHE_DIR``) persists results across processes.
 * **Pure-stage memo** — :meth:`EvaluationEngine.memo` runs each pure
   compiler stage (the parse of inline PTX text, allocation, resource
-  usage, an unverified pass pipeline) once per content key and hands
-  every later caller the same immutable value.  LRU-bounded in memory
-  like the result cache; with a disk directory its entries also
-  persist there as pickles, keyed by the source digest as well, so a
-  restarted daemon reads them back (each entry decoded once, its
-  registers and instructions shared by value with every other decoded
-  entry).
+  usage, a pass pipeline's recorded rewrite chain) once per content
+  key and hands every later caller the same immutable value.
+  LRU-bounded in memory like the result cache; with a disk directory
+  its entries also persist there as pickles, keyed by the source
+  digest as well, so a restarted daemon reads them back (each entry
+  decoded once, its registers and instructions shared by value with
+  every other decoded entry).
 * **Batched sweeps** — :meth:`simulate_outcomes` runs each group of
   points that share a packed grid (and so its kernel, grid and config)
   as one in-process batch of the timing core, and a single point
@@ -140,10 +140,11 @@ class EvaluationEngine:
         alone (callers build it from :meth:`Kernel.fingerprint`, or
         from a sha256 of the PTX text a parse reads, and every other
         input the stage reads): the parse of inline PTX text
-        (``("ptx", digest)``), resource usage, allocation and an
-        unverified pass pipeline.  The memory level keeps the value
-        itself and every hit returns that same object, so values must
-        be immutable (kernels, allocations and resource usage are).
+        (``("ptx", digest)``), resource usage, allocation and a pass
+        pipeline's rewrite chain (:func:`repro.core.crat.run_passes`).
+        The memory level keeps the value itself and every hit returns
+        that same object, so values must be immutable (kernels,
+        allocations, resource usage and rewrite chains are).
         It shares the result cache's LRU bound (``cache_max_entries``).
         A memoised ``None`` or ``0`` hits like any other value.
 

@@ -13,10 +13,13 @@ diffs with per-edit checks.
 :mod:`repro.ir.pipeline` adds the named pass registry and
 :func:`run_pipeline`, the one way to run a pass — behind the CLI's
 ``--passes`` flag, ``repro verify --pipeline`` and the golden ledger —
-plus the pipeline component of the stage memo keys.
+plus the pipeline component of the stage memo keys and the recorded
+:class:`RewriteChain` the memo keeps, which :func:`replay_chain`
+checks again on a hit.
 """
 
 from .driver import (
+    BudgetExhaustion,
     DriverResult,
     GreedyRewriteDriver,
     RewriteApplication,
@@ -25,16 +28,21 @@ from .driver import (
 from .pipeline import (
     DEFAULT_PASSES,
     PIPELINE_SCHEMA_VERSION,
+    ChainStage,
     PipelineRunResult,
+    RewriteChain,
     available_passes,
     parse_passes,
     pipeline_signature,
+    replay_chain,
     run_pipeline,
 )
 from .rewrite import Rewrite, RewriteError, RewritePattern, Rewriter, Splice
 from .view import InstrWindow, RewriteContext
 
 __all__ = [
+    "BudgetExhaustion",
+    "ChainStage",
     "DEFAULT_PASSES",
     "DriverResult",
     "GreedyRewriteDriver",
@@ -44,6 +52,7 @@ __all__ = [
     "Rewrite",
     "RewriteApplication",
     "RewriteBudgetWarning",
+    "RewriteChain",
     "RewriteContext",
     "RewriteError",
     "RewritePattern",
@@ -52,5 +61,6 @@ __all__ = [
     "available_passes",
     "parse_passes",
     "pipeline_signature",
+    "replay_chain",
     "run_pipeline",
 ]

@@ -18,17 +18,21 @@ context.  Each revision's analyses are therefore computed at most once
 per run.
 
 Every application is recorded as a :class:`RewriteApplication` —
-pattern name, anchor instruction, before/after text — and, when
-``verify`` is on, individually checked with
-:func:`repro.verify.verify_pass` in the pattern's declared mode, so a
-single bad rewrite is caught at its application site instead of being
-smeared across a whole-pass snapshot diff.  The check receives the two
-revisions' contexts, so each revision is dataflow-checked and
-summarized once, as the ``after`` of the rewrite that made it.
+pattern name, anchor instruction, before/after text and the kernel
+revision it made — and, when ``verify`` is on, individually checked
+with :func:`repro.verify.verify_pass` in the pattern's declared mode,
+so a single bad rewrite is caught at its application site instead of
+being smeared across a whole-pass snapshot diff.  The check receives
+the two revisions' contexts, so each revision is dataflow-checked and
+summarized once, as the ``after`` of the rewrite that made it.  The
+recorded revisions are what a pipeline's rewrite chain keeps for the
+stage memo (:class:`repro.ir.pipeline.RewriteChain`).
 
 Budget exhaustion (sweeps or rewrites) is never silent: the driver
-emits a structured :class:`RewriteBudgetWarning` and reports
-``converged=False``.
+emits a structured :class:`RewriteBudgetWarning` and records which
+budget tripped (:class:`BudgetExhaustion`, ``converged=False``), so a
+caller that reuses the run's recorded revisions instead of running the
+driver again (:func:`repro.ir.pipeline.replay_chain`) warns again.
 """
 
 from __future__ import annotations
@@ -64,14 +68,31 @@ class RewriteBudgetWarning(UserWarning):
 
 
 @dataclasses.dataclass(frozen=True)
+class BudgetExhaustion:
+    """The budget that stopped a driver run short of its fixpoint: what
+    its :class:`RewriteBudgetWarning` reports besides the kernel."""
+
+    budget: str
+    limit: int
+    applied: int
+
+    def warning(self, kernel: str) -> RewriteBudgetWarning:
+        return RewriteBudgetWarning(
+            kernel, self.budget, self.limit, self.applied
+        )
+
+
+@dataclasses.dataclass(frozen=True)
 class RewriteApplication:
-    """Provenance record of one applied rewrite."""
+    """Provenance record of one applied rewrite; ``kernel`` is the
+    revision it made."""
 
     pattern: str
     anchor: int
     before: str
     after: str
     sweep: int
+    kernel: Kernel = dataclasses.field(repr=False)
     note: str = ""
     metadata: dict = dataclasses.field(default_factory=dict)
 
@@ -79,17 +100,22 @@ class RewriteApplication:
 @dataclasses.dataclass
 class DriverResult:
     """Outcome of one driver run; ``context`` is the analysis context
-    of the last kernel revision."""
+    of the last kernel revision, and ``exhausted`` the budget that
+    stopped the run, if one did."""
 
     context: RewriteContext
     applications: List[RewriteApplication]
     counters: "Counter[str]"
     sweeps: int
-    converged: bool
+    exhausted: Optional[BudgetExhaustion] = None
 
     @property
     def kernel(self) -> Kernel:
         return self.context.kernel
+
+    @property
+    def converged(self) -> bool:
+        return self.exhausted is None
 
     @property
     def applied(self) -> int:
@@ -148,15 +174,11 @@ class GreedyRewriteDriver:
         applications: List[RewriteApplication] = []
         counters: "Counter[str]" = Counter()
         sweeps = 0
-        converged = False
 
-        def exhausted(budget: str, limit: int) -> None:
-            warnings.warn(
-                RewriteBudgetWarning(
-                    ctx.kernel.name, budget, limit, len(applications)
-                ),
-                stacklevel=3,
-            )
+        def exhausted(budget: str, limit: int) -> DriverResult:
+            record = BudgetExhaustion(budget, limit, len(applications))
+            warnings.warn(record.warning(ctx.kernel.name), stacklevel=3)
+            return DriverResult(ctx, applications, counters, sweeps, record)
 
         while sweeps < self.max_sweeps:
             sweeps += 1
@@ -175,10 +197,7 @@ class GreedyRewriteDriver:
                     pos += 1
                     continue
                 if len(applications) >= self.max_rewrites:
-                    exhausted("rewrite", self.max_rewrites)
-                    return DriverResult(
-                        ctx, applications, counters, sweeps, False
-                    )
+                    return exhausted("rewrite", self.max_rewrites)
                 before_text = _render_span(ctx, rewrite)
                 new_ctx = RewriteContext(Rewriter(ctx.kernel).apply(rewrite))
                 if self.verify:
@@ -195,6 +214,7 @@ class GreedyRewriteDriver:
                         before=before_text,
                         after=_render_replacement(rewrite),
                         sweep=sweeps,
+                        kernel=new_ctx.kernel,
                         note=rewrite.note,
                         metadata=dict(rewrite.metadata),
                     )
@@ -205,8 +225,5 @@ class GreedyRewriteDriver:
                 # Stay at the same position: erasures shift the next
                 # instruction in, replacements re-offer harmlessly.
             if applied_in_sweep == 0:
-                converged = True
-                break
-        if not converged:
-            exhausted("sweep", self.max_sweeps)
-        return DriverResult(ctx, applications, counters, sweeps, converged)
+                return DriverResult(ctx, applications, counters, sweeps)
+        return exhausted("sweep", self.max_sweeps)

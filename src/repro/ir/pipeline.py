@@ -16,16 +16,23 @@ the engine's stage memo and the golden ledger all go through
 (and the service checks a request's spec with it before queueing).  A
 simulation needs neither: its cache key names the kernel the passes
 produced.
+
+A run's :attr:`PipelineRunResult.chain` is what the stage memo keeps
+for a (kernel fingerprint, spec) pair: the revision each rewrite made,
+labelled with its pattern and verify mode (:class:`RewriteChain`).  On
+a memo hit :func:`replay_chain` stands in for the run: it matches no
+pattern, but a verified caller checks every recorded rewrite again.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple, Type
+import warnings
+from typing import Dict, List, Optional, Tuple, Type
 
 from ..errors import ParseError
 from ..ptx.module import Kernel
-from .driver import DriverResult, GreedyRewriteDriver
+from .driver import BudgetExhaustion, DriverResult, GreedyRewriteDriver
 from .rewrite import RewritePattern
 from .view import RewriteContext
 
@@ -109,12 +116,59 @@ def pipeline_signature(spec: str) -> str:
     return ",".join(parse_passes(spec))
 
 
+@dataclasses.dataclass(frozen=True)
+class ChainStage:
+    """One stage of a :class:`RewriteChain`: its pattern, which made
+    every rewrite of the stage, that pattern's verify mode, the kernel
+    revision each rewrite made, in order, and the budget that stopped
+    the stage short of its fixpoint, if one did."""
+
+    pattern: str
+    verify_mode: str
+    revisions: Tuple[Kernel, ...]
+    exhausted: Optional[BudgetExhaustion]
+
+
+@dataclasses.dataclass(frozen=True)
+class RewriteChain:
+    """The recorded rewrite chain of one pipeline run: what the stage
+    memo keeps under ``("passes", fingerprint, spec)``.
+
+    It holds kernels and labels only, never a :class:`RewriteContext`,
+    a CFG, a DF report or a verdict, so one chain serves every later
+    request for that input and spec, verified or not
+    (:func:`replay_chain`).  ``kernel`` is the pipeline's output.
+    """
+
+    kernel: Kernel
+    stages: Tuple[ChainStage, ...]
+
+
 @dataclasses.dataclass
 class PipelineRunResult:
     """Outcome of running a pipeline spec over one kernel."""
 
     kernel: Kernel
     stages: List[Tuple[str, DriverResult]]
+
+    @property
+    def chain(self) -> RewriteChain:
+        """This run's rewrite chain, for the stage memo."""
+        registry = _registry()
+        return RewriteChain(
+            kernel=self.kernel,
+            stages=tuple(
+                ChainStage(
+                    pattern=name,
+                    verify_mode=registry[name].verify_mode,
+                    revisions=tuple(
+                        app.kernel for app in result.applications
+                    ),
+                    exhausted=result.exhausted,
+                )
+                for name, result in self.stages
+            ),
+        )
 
     @property
     def total_applied(self) -> int:
@@ -141,7 +195,10 @@ def run_pipeline(
     ``verify``, every individual rewrite is translation-validated
     (:func:`repro.verify.verify_pass`) in the pattern's declared mode,
     raising :class:`repro.errors.VerificationError` at the first bad
-    rewrite; its diagnostics name the pass as their ``stage``.
+    rewrite, before a later pattern matches on the broken kernel; its
+    diagnostics name the pass as their ``stage``.  The result's
+    :attr:`~PipelineRunResult.chain` records the run for the stage
+    memo, where :func:`replay_chain` stands in for a second run.
     """
     registry = _registry()
     current = RewriteContext(kernel)
@@ -153,3 +210,38 @@ def run_pipeline(
         stages.append((name, result))
         current = result.context
     return PipelineRunResult(kernel=current.kernel, stages=stages)
+
+
+def replay_chain(
+    kernel: Kernel, chain: RewriteChain, verify: bool = False
+) -> Kernel:
+    """``run_pipeline(kernel, spec, verify).kernel`` from the ``chain``
+    a run of ``spec`` over ``kernel`` (or a kernel of the same
+    fingerprint) recorded, without matching or applying a pattern.
+
+    With ``verify``, every recorded rewrite is checked again by
+    :func:`repro.verify.verify_pass`, looked up on the package at each
+    call, in its pattern's mode and on one fresh context per revision:
+    the same checks, on the same kernels, as an inline verified run, so
+    the first bad rewrite raises the
+    :class:`~repro.errors.VerificationError` that run raises there.
+    Every stage that stopped at a budget warns again, after its own
+    rewrites, as the driver does.
+    """
+    if verify:
+        from .. import verify as verify_mod
+    before = RewriteContext(kernel)
+    for stage in chain.stages:
+        if verify:
+            for revision in stage.revisions:
+                after = RewriteContext(revision)
+                verify_mod.verify_pass(
+                    before,
+                    after,
+                    stage.pattern,
+                    compare_effects=stage.verify_mode == "exact",
+                ).raise_if_errors()
+                before = after
+        if stage.exhausted is not None:
+            warnings.warn(stage.exhausted.warning(kernel.name), stacklevel=2)
+    return chain.kernel

@@ -278,7 +278,9 @@ def _execute_simulate(prepared: PreparedJob) -> Dict[str, Any]:
         verify_mod.lint_kernel(kernel, stage="input").raise_if_errors()
     passes = _passes_of(params)
     if passes:
-        kernel = run_pipeline(kernel, passes, verify=verify).kernel
+        from ..core.crat import run_passes
+
+        kernel = run_passes(kernel, passes, verify, get_engine())
     sim = get_engine().simulate(
         kernel,
         prepared.config,

@@ -14,8 +14,10 @@ emitting the shared typed :class:`~repro.verify.diagnostics.Diagnostic`
 * :func:`verify_pass` — observable-effect preservation across each
   rewrite of a :mod:`repro.opt` pass (rules ``PL*``), called by the
   rewrite driver whenever :func:`repro.ir.run_pipeline` runs with
-  ``verify=True``.  It takes two kernels or, from the driver, the
-  analysis contexts of the two revisions
+  ``verify=True``, and again on each recorded rewrite when a verified
+  request reads the pipeline from the stage memo
+  (:func:`repro.ir.replay_chain`).  It takes two kernels or, from the
+  driver, the analysis contexts of the two revisions
   (:class:`~repro.ir.view.RewriteContext`), whose dataflow reports and
   effect summaries it computes once per revision.
 

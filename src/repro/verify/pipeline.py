@@ -4,7 +4,9 @@ kernel's meaning?
 :func:`verify_pass` runs on every individual rewrite a validating
 :class:`~repro.ir.driver.GreedyRewriteDriver` applies (``--verify``
 with ``--passes``, and ``repro verify --pipeline``, which runs
-:data:`repro.ir.pipeline.VERIFIED_SPEC`), in the pattern's declared
+:data:`repro.ir.pipeline.VERIFIED_SPEC`), and, on a stage memo hit,
+on every rewrite of the recorded chain that stands in for the run
+(:func:`repro.ir.pipeline.replay_chain`), in the pattern's declared
 ``verify_mode``, checking three things:
 
 ``PL001``
@@ -55,7 +57,9 @@ of the two (:class:`~repro.ir.view.RewriteContext`).  A context
 computes its kernel's CFG, dataflow report and effect summary once, on
 first use, so the rewrite driver, which hands over one context per
 kernel revision, checks each revision once however many rewrites it
-borders.  A bare kernel gets a fresh context, used for this call only.
+borders; a chain replay does the same with one fresh context per
+recorded revision.  A bare kernel gets a fresh context, used for this
+call only.
 """
 
 from __future__ import annotations

@@ -282,6 +282,36 @@ class TestPassesKeying:
         assert job_engine.stats.disk_hits == 1
         assert f"cycles:        {payload['cycles']:.0f}" in one_shot
 
+    def test_simulate_jobs_share_one_pipeline_run(self, monkeypatch):
+        """Two ``simulate`` jobs with ``passes`` on one engine run the
+        pipeline once, through the stage memo, and answer alike."""
+        import repro.core.crat as crat
+        from repro.engine import set_engine
+        from repro.service.jobs import execute, prepare
+        from repro.service.protocol import Request
+
+        runs = []
+        pipeline = crat.run_pipeline
+
+        def counted(*args, **kwargs):
+            runs.append(args[1])
+            return pipeline(*args, **kwargs)
+
+        monkeypatch.setattr(crat, "run_pipeline", counted)
+        request = Request(job="simulate", params={
+            "target": "GAU", "passes": "copy-prop,dce", "tlp": 2,
+            "grid": 4,
+        })
+        previous = get_engine()
+        try:
+            engine = set_engine(EvaluationEngine(disk_cache=""))
+            payloads = [execute(prepare(request)) for _ in range(2)]
+        finally:
+            set_engine(previous)
+        assert runs == ["copy-prop,dce"]
+        assert engine.stats.memo_hits >= 1
+        assert payloads[1] == payloads[0]
+
     def test_default_pipeline_key_is_unchanged(self, gau):
         """The key's last two slots stay the literals ``"gto"`` and
         ``""``: caches written while they held the warp scheduler and
@@ -773,19 +803,27 @@ class TestStageMemo:
             value.shm_plan.substacks[0].gain = 0
 
     def test_memo_values_are_frozen_throughout(self, gau):
-        """Every dataclass a memoised allocation, resource usage or pass
-        run reaches is frozen, and holds tuples where it holds a
-        sequence."""
+        """Every dataclass a memoised allocation, resource usage or
+        rewrite chain reaches is frozen, and holds tuples where it holds
+        a sequence.  Past those, a value holds only plain scalars: no
+        ``RewriteContext``, CFG, DF report or other analysis."""
+        import enum
+
         from repro.core.crat import CRATOptimizer
 
         engine = EvaluationEngine()
-        CRATOptimizer(FERMI, passes="dce", engine=engine).optimize(
-            gau.kernel, default_reg=gau.default_reg, grid_blocks=4,
-            param_sizes=gau.param_sizes,
-        )
+        for verify, passes in ((False, "dce"),
+                               (True, "copy-prop,dce,minreg-sched")):
+            CRATOptimizer(
+                FERMI, passes=passes, verify=verify, engine=engine
+            ).optimize(
+                gau.kernel, default_reg=gau.default_reg, grid_blocks=4,
+                param_sizes=gau.param_sizes,
+            )
         key, compute = self._spilling_allocation()
         engine.memo(key, compute)
         seen, kinds = set(), set()
+        scalars = (str, int, float, bytes, type(None), enum.Enum)
 
         def walk(obj):
             if id(obj) in seen:
@@ -803,13 +841,15 @@ class TestStageMemo:
                 assert type(obj).__dataclass_params__.frozen, type(obj)
                 for field in dataclasses.fields(obj):
                     walk(getattr(obj, field.name))
+            else:
+                assert isinstance(obj, scalars), type(obj)
 
         for value in list(engine._memo._data.values()):
             walk(value)
         assert {
             "AllocationResult", "ResourceUsage", "Kernel", "Instruction",
             "Reg", "ShmSpillPlan", "SubStack", "SpillRegionInfo",
-            "SpillStackLayout", "SpillSlot",
+            "SpillStackLayout", "SpillSlot", "RewriteChain", "ChainStage",
         } <= kinds
 
     def test_none_and_zero_are_memoised(self):
@@ -993,6 +1033,74 @@ class TestStageMemo:
         runs = self._verified_runs([engine, engine], gau, monkeypatch)
         assert engine.stats.memo_hits > 0
         assert runs[1] == runs[0]
+
+    def test_warm_verified_run_skips_the_passes(self, gau, monkeypatch):
+        """The second verified optimize on one engine reads the
+        pipeline's rewrite chain from the memo: it runs no pipeline and
+        no ``minreg-sched`` matcher, yet calls ``verify_pass`` as often
+        as the first run did."""
+        import repro.core.crat as crat
+        from repro.opt.minreg import MinRegSchedPattern
+
+        calls = {"run_pipeline": 0, "match": 0}
+        pipeline, match = crat.run_pipeline, MinRegSchedPattern.match
+
+        def counted_pipeline(*args, **kwargs):
+            calls["run_pipeline"] += 1
+            return pipeline(*args, **kwargs)
+
+        def counted_match(*args, **kwargs):
+            calls["match"] += 1
+            return match(*args, **kwargs)
+
+        monkeypatch.setattr(crat, "run_pipeline", counted_pipeline)
+        monkeypatch.setattr(MinRegSchedPattern, "match", counted_match)
+        engine = EvaluationEngine()
+        first = self._verified_runs([engine], gau, monkeypatch)
+        assert calls["run_pipeline"] == 1 and calls["match"] > 0
+        calls.update(run_pipeline=0, match=0)
+        second = self._verified_runs([engine], gau, monkeypatch)
+        assert calls == {"run_pipeline": 0, "match": 0}
+        assert second == first
+
+    def test_memo_hits_warn_about_an_exhausted_budget(self, gau,
+                                                       monkeypatch):
+        """A pipeline stopped by a budget warns on the run that stored
+        its chain and again, identically, on every hit, verified or
+        not."""
+        import functools
+
+        import repro.ir.pipeline as pipeline_mod
+        from repro.core.crat import run_passes
+        from repro.ir import GreedyRewriteDriver, Rewrite, RewriteBudgetWarning
+        from repro.opt import DCEPattern
+
+        def match(self, window, ctx):
+            # Rewrites the first instruction into itself, so it matches
+            # its own output for ever.
+            if window.pos != 0:
+                return None
+            return Rewrite(0).replace(0, ctx.instructions[0])
+
+        monkeypatch.setattr(DCEPattern, "match", match)
+        # The default rewrite budget would take 100,000 rewrites.
+        monkeypatch.setattr(
+            pipeline_mod, "GreedyRewriteDriver",
+            functools.partial(GreedyRewriteDriver, max_rewrites=3),
+        )
+        engine = EvaluationEngine()
+        seen = []
+        for verify in (False, False, True):
+            with pytest.warns(RewriteBudgetWarning) as caught:
+                kernel = run_passes(gau.kernel, "dce", verify, engine)
+            assert print_kernel(kernel) == print_kernel(gau.kernel)
+            seen.append([
+                (w.message.kernel, w.message.budget, w.message.limit,
+                 w.message.applied)
+                for w in caught
+            ])
+        assert engine.stats.memo_misses == 1
+        assert seen == [[(gau.kernel.name, "rewrite", 3, 3)]] * 3
 
     # ------------------------------------------------------------------
     # The disk level.

@@ -20,6 +20,7 @@ from tests.conftest import (
 from repro.cli import main
 from repro.errors import ParseError, VerificationError
 from repro.ir import (
+    BudgetExhaustion,
     GreedyRewriteDriver,
     Rewrite,
     RewriteBudgetWarning,
@@ -29,6 +30,7 @@ from repro.ir import (
     available_passes,
     parse_passes,
     pipeline_signature,
+    replay_chain,
     run_pipeline,
 )
 from repro.opt import CopyPropPattern, DCEPattern
@@ -149,6 +151,9 @@ class TestDriver:
         assert warning.kernel == kernel.name
         assert warning.budget in ("sweep", "rewrite")
         assert warning.applied == result.applied
+        assert result.exhausted == BudgetExhaustion(
+            warning.budget, warning.limit, warning.applied
+        )
 
     def test_rewrite_budget_stops_runaway_pattern(self):
         class AlwaysInsert(RewritePattern):
@@ -242,6 +247,27 @@ class TestVerifiedRevisions:
                               verify=True)
         assert result.total_applied == 0
         assert sum(counts.values()) == 0
+
+    def test_replay_checks_like_an_inline_run(self, monkeypatch):
+        """Replaying an unverified run's chain with ``verify`` makes the
+        checks and analyses a verified run makes, and no rewrite."""
+        from tests.test_opt_passes import copy_chain_kernel
+
+        kernel = copy_chain_kernel()
+        spec = "copy-prop,dce,minreg-sched"
+        chain = run_pipeline(kernel, spec).chain
+        counts = self._counted(monkeypatch)
+        inline = run_pipeline(kernel, spec, verify=True)
+        inline_counts = dict(counts)
+        counts.clear()
+        # A replay applies no rewrite.
+        monkeypatch.setattr(Rewriter, "apply", None)
+        replayed = replay_chain(kernel, chain, verify=True)
+        assert counts == inline_counts
+        assert counts["verify_pass"] == inline.total_applied == sum(
+            len(stage.revisions) for stage in chain.stages
+        )
+        assert print_kernel(replayed) == print_kernel(inline.kernel)
 
 
 # ----------------------------------------------------------------------

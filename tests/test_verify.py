@@ -613,6 +613,47 @@ class TestCLI:
             (diag,) = report["diagnostics"]
             assert (diag["rule"], diag["stage"]) == ("PL002", "dce")
 
+    def test_verified_hit_rechecks_an_unverified_chain(
+        self, store_dropping_dce, monkeypatch
+    ):
+        """An unverified ``crat`` stores the miscompiling pipeline's
+        rewrite chain; a verified request on the same engine runs no
+        pipeline, yet fails at the same rewrite, with the same rules
+        and message, as a cold verified run."""
+        import repro.core.crat as crat
+
+        gau = load_workload("GAU")
+        runs = []
+        pipeline = crat.run_pipeline
+
+        def counted(*args, **kwargs):
+            runs.append(kwargs.get("verify"))
+            return pipeline(*args, **kwargs)
+
+        monkeypatch.setattr(crat, "run_pipeline", counted)
+
+        def optimize(engine, verify):
+            CRATOptimizer(
+                FERMI, passes="dce", verify=verify, engine=engine
+            ).optimize(
+                gau.kernel, default_reg=gau.default_reg, grid_blocks=4,
+                param_sizes=gau.param_sizes,
+            )
+
+        engine = EvaluationEngine()
+        optimize(engine, verify=False)
+        with pytest.raises(VerificationError) as warm:
+            optimize(engine, verify=True)
+        assert runs == [False]
+        with pytest.raises(VerificationError) as cold:
+            optimize(EvaluationEngine(), verify=True)
+        assert runs == [False, True]
+        assert [(d.rule, d.stage) for d in warm.value.diagnostics] == [
+            ("PL002", "dce")
+        ]
+        assert warm.value.to_dict() == cold.value.to_dict()
+        assert str(warm.value) == str(cold.value)
+
     def test_crat_with_verify_flag(self, capsys):
         assert main(["crat", "GAU", "--verify"]) == 0
 
