@@ -15,7 +15,7 @@ Pipeline per kernel:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from ..analysis.gto_model import estimate_opt_tlp
 from ..arch.config import GPUConfig
@@ -29,6 +29,7 @@ from ..ir.pipeline import (
     replay_chain,
     run_pipeline,
 )
+from ..ir.view import RewriteContext
 from ..ptx.module import Kernel
 from ..regalloc.allocator import (
     AllocationResult,
@@ -81,11 +82,17 @@ class CRATResult:
 
 
 def run_passes(
-    kernel: Kernel, spec: str, verify: bool, engine: EvaluationEngine
+    kernel: Union[Kernel, RewriteContext],
+    spec: str,
+    verify: bool,
+    engine: EvaluationEngine,
 ) -> Kernel:
     """The output kernel of the normalized pipeline ``spec`` over
     ``kernel``, through ``engine``'s stage memo: the one pass path of
-    ``crat`` and ``simulate`` jobs, verified or not.
+    ``crat`` and ``simulate`` jobs, verified or not.  ``kernel`` may be
+    the input's :class:`~repro.ir.view.RewriteContext`, which the
+    pipeline's first checks then read (a verified job passes the one
+    :func:`~repro.verify.lint_kernel` filled).
 
     The memo keeps the run's :class:`~repro.ir.pipeline.RewriteChain`
     under ``("passes", fingerprint, spec)``.  A miss runs the pipeline
@@ -96,6 +103,7 @@ def run_passes(
     and, with ``verify``, checks every recorded rewrite again, whoever
     stored the chain, so every request still runs every check.
     """
+    ctx = RewriteContext.of(kernel)
     ran = False
 
     def compute() -> RewriteChain:
@@ -103,12 +111,12 @@ def run_passes(
         ran = True
         # The module global, looked up at each call, so a wrapper
         # installed on ``repro.core.crat.run_pipeline`` sees every run.
-        return run_pipeline(kernel, spec, verify=verify).chain
+        return run_pipeline(ctx, spec, verify=verify).chain
 
-    chain = engine.memo(("passes", kernel.fingerprint(), spec), compute)
+    chain = engine.memo(("passes", ctx.kernel.fingerprint(), spec), compute)
     if ran:
         return chain.kernel
-    return replay_chain(kernel, chain, verify=verify)
+    return replay_chain(ctx, chain, verify=verify)
 
 
 class CRATOptimizer:
@@ -196,16 +204,19 @@ class CRATOptimizer:
         config = self.config
         if grid_blocks is None:
             grid_blocks = 2 * config.max_blocks_per_sm
+        # One context of the input serves its lint and the pipeline's
+        # first checks, so ``verify`` DF-checks the input once.
+        source = RewriteContext(kernel)
         if self.verify:
             from ..verify import lint_kernel
 
-            lint_kernel(kernel, stage="input").raise_if_errors()
+            lint_kernel(source, stage="input").raise_if_errors()
         # The allocations rechecked so far in this call (``verify``).
         checked: List[AllocationResult] = []
         engine = self.engine
         if self.passes:
             with engine.span("passes"):
-                kernel = run_passes(kernel, self.passes, self.verify, engine)
+                kernel = run_passes(source, self.passes, self.verify, engine)
         # Allocation, resource usage and the pass pipeline are pure
         # functions of the kernel's printed form (plus the named
         # inputs), so the engine memoises them under its fingerprint.

@@ -167,10 +167,7 @@ class GreedyRewriteDriver:
             # ``verify_pass`` is looked up on the package at each call,
             # so a wrapper installed there sees every check.
             from .. import verify as verify_mod
-        if isinstance(start, RewriteContext):
-            ctx = start
-        else:
-            ctx = RewriteContext(start)
+        ctx = RewriteContext.of(start)
         applications: List[RewriteApplication] = []
         counters: "Counter[str]" = Counter()
         sweeps = 0

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Optional, Tuple, Type, Union
 
 from ..errors import ParseError
 from ..ptx.module import Kernel
@@ -185,9 +185,11 @@ class PipelineRunResult:
 
 
 def run_pipeline(
-    kernel: Kernel, spec: str, verify: bool = False
+    kernel: Union[Kernel, RewriteContext], spec: str, verify: bool = False
 ) -> PipelineRunResult:
-    """Run the pipeline named by ``spec`` (see :func:`parse_passes`).
+    """Run the pipeline named by ``spec`` (see :func:`parse_passes`)
+    over ``kernel``, or over the kernel of a context the caller already
+    analysed.
 
     Each stage is one :class:`GreedyRewriteDriver` over that pass's
     pattern, started on the previous stage's last analysis context, so
@@ -201,7 +203,7 @@ def run_pipeline(
     memo, where :func:`replay_chain` stands in for a second run.
     """
     registry = _registry()
-    current = RewriteContext(kernel)
+    current = RewriteContext.of(kernel)
     stages: List[Tuple[str, DriverResult]] = []
     for name in parse_passes(spec):
         result = GreedyRewriteDriver([registry[name]()], verify=verify).run(
@@ -213,7 +215,9 @@ def run_pipeline(
 
 
 def replay_chain(
-    kernel: Kernel, chain: RewriteChain, verify: bool = False
+    kernel: Union[Kernel, RewriteContext],
+    chain: RewriteChain,
+    verify: bool = False,
 ) -> Kernel:
     """``run_pipeline(kernel, spec, verify).kernel`` from the ``chain``
     a run of ``spec`` over ``kernel`` (or a kernel of the same
@@ -221,16 +225,18 @@ def replay_chain(
 
     With ``verify``, every recorded rewrite is checked again by
     :func:`repro.verify.verify_pass`, looked up on the package at each
-    call, in its pattern's mode and on one fresh context per revision:
-    the same checks, on the same kernels, as an inline verified run, so
-    the first bad rewrite raises the
+    call, in its pattern's mode, on the input's context (``kernel``'s
+    own, when it is one) and one fresh context per revision: the same
+    checks, on the same kernels, as an inline verified run, so the
+    first bad rewrite raises the
     :class:`~repro.errors.VerificationError` that run raises there.
     Every stage that stopped at a budget warns again, after its own
     rewrites, as the driver does.
     """
     if verify:
         from .. import verify as verify_mod
-    before = RewriteContext(kernel)
+    before = RewriteContext.of(kernel)
+    name = before.kernel.name
     for stage in chain.stages:
         if verify:
             for revision in stage.revisions:
@@ -243,5 +249,5 @@ def replay_chain(
                 ).raise_if_errors()
                 before = after
         if stage.exhausted is not None:
-            warnings.warn(stage.exhausted.warning(kernel.name), stacklevel=2)
+            warnings.warn(stage.exhausted.warning(name), stacklevel=2)
     return chain.kernel

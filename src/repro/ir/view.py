@@ -13,7 +13,7 @@ kernel.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..cfg.graph import CFG, BasicBlock
 from ..cfg.liveness import LivenessInfo
@@ -37,7 +37,6 @@ class RewriteContext:
 
     def __init__(self, kernel: Kernel):
         self._kernel = kernel
-        self._instructions: Optional[Tuple[Instruction, ...]] = None
         self._cfg: Optional[CFG] = None
         self._liveness: Optional[LivenessInfo] = None
         self._loops: Optional[List[Loop]] = None
@@ -48,12 +47,16 @@ class RewriteContext:
     def kernel(self) -> Kernel:
         return self._kernel
 
+    @classmethod
+    def of(cls, target: Union[Kernel, "RewriteContext"]) -> "RewriteContext":
+        """``target`` itself when it is a context, else a fresh context
+        of the kernel ``target``."""
+        return target if isinstance(target, RewriteContext) else cls(target)
+
     @property
     def instructions(self) -> Tuple[Instruction, ...]:
         """All instructions in body order (labels skipped)."""
-        if self._instructions is None:
-            self._instructions = tuple(self._kernel.instructions())
-        return self._instructions
+        return self._kernel.instructions()
 
     def __len__(self) -> int:
         return len(self.instructions)

@@ -15,10 +15,16 @@ by ``ld``/``st``).
 Every class here is a frozen dataclass: a rewrite builds a new
 instruction (:meth:`Instruction.rewrite_regs`, ``dataclasses.replace``)
 and never edits one in place, so kernels and memoised allocations can
-share instructions freely.  Unpickling hash-conses :class:`Reg` and
-:class:`Instruction` by value (their ``__reduce__``): the allocations
-the engine reads back from its disk memo share one object per distinct
-register and instruction, through tables that hold them weakly.
+share instructions freely.  For the same reason an instruction computes
+the facts of its own fields once: its def and use tuples at
+construction, its printed text on the first ``str()``.
+
+Unpickling hash-conses :class:`Reg` and :class:`Instruction`: each
+pickles as a key of plain values (names, enum values, exact immediates,
+every operand tagged by its kind), and decoding looks that key up in a
+table that holds the objects weakly, so the allocations the engine
+reads back from its disk memo share one object per distinct register
+and instruction.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ class Reg:
         return self.name
 
     def __reduce__(self):
-        return _interned_reg, (self.name, self.dtype)
+        return _decoded_reg, (self.name, self.dtype.value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,38 +161,47 @@ class Instruction:
                 raise ValueError(f"{self.opcode.value} requires mem and space")
         if self.opcode is Opcode.BRA and self.target is None:
             raise ValueError("bra requires a target label")
+        # The def and use tuples, once: analyses ask at every visit.
+        used = [src for src in self.srcs if isinstance(src, Reg)]
+        if self.mem is not None and isinstance(self.mem.base, Reg):
+            used.append(self.mem.base)
+        if self.guard is not None:
+            used.append(self.guard)
+        object.__setattr__(
+            self, "_defs", () if self.dst is None else (self.dst,)
+        )
+        object.__setattr__(self, "_uses", tuple(used))
 
     def __reduce__(self):
-        return _interned_instruction, (
-            self.opcode, self.dtype, self.dst, self.srcs, self.mem,
-            self.space, self.cmp, self.guard, self.guard_negated,
-            self.target, self.cache_op,
-        )
+        return _decoded_instruction, ((
+            self.opcode.value,
+            None if self.dtype is None else self.dtype.value,
+            None if self.dst is None else _operand_key(self.dst),
+            tuple(map(_operand_key, self.srcs)),
+            None if self.mem is None
+            else (_operand_key(self.mem.base), self.mem.offset),
+            None if self.space is None else self.space.value,
+            None if self.cmp is None else self.cmp.value,
+            None if self.guard is None else _operand_key(self.guard),
+            self.guard_negated,
+            self.target,
+            self.cache_op,
+        ),)
 
     # ------------------------------------------------------------------
     # Def/use views used by liveness analysis and the allocator.
     # ------------------------------------------------------------------
     def defs(self) -> Tuple[Reg, ...]:
         """Registers written by this instruction."""
-        if self.dst is not None:
-            return (self.dst,)
-        return ()
+        return self._defs
 
     def uses(self) -> Tuple[Reg, ...]:
         """Registers read by this instruction (guard included)."""
-        used = []
-        for src in self.srcs:
-            if isinstance(src, Reg):
-                used.append(src)
-        if self.mem is not None and isinstance(self.mem.base, Reg):
-            used.append(self.mem.base)
-        if self.guard is not None:
-            used.append(self.guard)
-        return tuple(used)
+        return self._uses
 
     def regs(self) -> Tuple[Reg, ...]:
         """All registers referenced (defs then uses)."""
-        return self.defs() + self.uses()
+        return self._defs + self._uses
 
     @property
     def is_memory(self) -> bool:
@@ -229,6 +244,15 @@ class Instruction:
     # Printing.
     # ------------------------------------------------------------------
     def __str__(self) -> str:
+        try:
+            return self._text
+        except AttributeError:
+            # First print: the text is a fact of the fields, kept.
+            text = self._render()
+            object.__setattr__(self, "_text", text)
+            return text
+
+    def _render(self) -> str:
         parts = []
         if self.guard is not None:
             bang = "!" if self.guard_negated else ""
@@ -272,44 +296,88 @@ BodyItem = Union[Instruction, Label]
 
 
 # ----------------------------------------------------------------------
-# Hash-consing on unpickle.
+# Hash-consing on unpickle, by plain-value keys.
 # ----------------------------------------------------------------------
-#: One live object per distinct value among the registers and
-#: instructions read back from pickles.  Weak: an entry lives only as
-#: long as some kernel still holds its object.
-_REGS: "weakref.WeakValueDictionary[tuple, Reg]" = weakref.WeakValueDictionary()
+#: Enum members by value, to rebuild a decoded key's fields.
+_DTYPES = {member.value: member for member in DType}
+_OPCODES = {member.value: member for member in Opcode}
+_SPACES = {member.value: member for member in Space}
+_CMPS = {member.value: member for member in CmpOp}
+
+#: One live object per distinct key among the registers and
+#: instructions read back from pickles.  A key holds only strings,
+#: numbers, ``None`` and tuples of them, so a lookup hashes in C.
+#: Weak: an entry lives only as long as some kernel still holds its
+#: object.
+_REGS: "weakref.WeakValueDictionary[Tuple[str, str], Reg]" = (
+    weakref.WeakValueDictionary()
+)
 _INSTRUCTIONS: "weakref.WeakValueDictionary[tuple, Instruction]" = (
     weakref.WeakValueDictionary()
 )
 
 
-def _interned_reg(name: str, dtype: DType) -> Reg:
+def _operand_key(operand: Operand) -> tuple:
+    """``operand`` as plain values, tagged by its kind, so a register, a
+    symbol and a special register of one name stay apart.  Immediates
+    compare equal across types and signs (``1 == 1.0 == True``,
+    ``0.0 == -0.0``) but print or compute apart, so one is keyed by the
+    type of its number and, for a float, by its exact bits."""
+    if isinstance(operand, Reg):
+        return ("reg", operand.name, operand.dtype.value)
+    if isinstance(operand, Imm):
+        value = operand.value
+        if isinstance(value, float):
+            return ("imm", operand.dtype.value, "float", value.hex())
+        return ("imm", operand.dtype.value, type(value).__name__, value)
+    if isinstance(operand, Sym):
+        return ("sym", operand.name)
+    if isinstance(operand, Sreg):
+        return ("sreg", operand.name)
+    raise TypeError(f"not an operand: {operand!r}")
+
+
+def _operand(key: tuple) -> Operand:
+    """The operand :func:`_operand_key` gave ``key``."""
+    kind = key[0]
+    if kind == "reg":
+        return _decoded_reg(key[1], key[2])
+    if kind == "imm":
+        _, dtype, number, value = key
+        if number == "float":
+            value = float.fromhex(value)
+        return Imm(value, _DTYPES[dtype])
+    if kind == "sym":
+        return Sym(key[1])
+    return Sreg(key[1])
+
+
+def _decoded_reg(name: str, dtype: str) -> Reg:
     key = (name, dtype)
     reg = _REGS.get(key)
     if reg is None:
-        reg = _REGS.setdefault(key, Reg(name, dtype))
+        reg = _REGS.setdefault(key, Reg(name, _DTYPES[dtype]))
     return reg
 
 
-def _exact(operand: Operand):
-    """``operand`` as an intern-key component.  Immediates compare equal
-    across types and signs (``1 == 1.0``, ``0.0 == -0.0``) but print
-    differently, so one is keyed by its value's type and bits."""
-    if isinstance(operand, Imm):
-        value = operand.value
-        bits = value.hex() if isinstance(value, float) else value
-        return Imm, type(value), bits, operand.dtype
-    return operand
-
-
-def _interned_instruction(*fields) -> Instruction:
-    # The constructor's arguments are the key, with exact immediates.
-    key = fields
-    if any(type(src) is Imm for src in fields[3]):
-        key = fields[:3] + (tuple(map(_exact, fields[3])),) + fields[4:]
+def _decoded_instruction(key: tuple) -> Instruction:
     inst = _INSTRUCTIONS.get(key)
     if inst is None:
-        inst = _INSTRUCTIONS.setdefault(key, Instruction(*fields))
+        (opcode, dtype, dst, srcs, mem, space, cmp, guard, guard_negated,
+         target, cache_op) = key
+        inst = _INSTRUCTIONS.setdefault(key, Instruction(
+            _OPCODES[opcode],
+            dtype=None if dtype is None else _DTYPES[dtype],
+            dst=None if dst is None else _operand(dst),
+            srcs=tuple(map(_operand, srcs)),
+            mem=None if mem is None else MemRef(_operand(mem[0]), mem[1]),
+            space=None if space is None else _SPACES[space],
+            cmp=None if cmp is None else _CMPS[cmp],
+            guard=None if guard is None else _operand(guard),
+            guard_negated=guard_negated,
+            target=target,
+            cache_op=cache_op,
+        ))
     return inst
 
 

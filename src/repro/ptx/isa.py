@@ -19,12 +19,25 @@ from __future__ import annotations
 import enum
 
 
+class _Enum(enum.Enum):
+    """An enum whose members hash by identity, in C.
+
+    ``Enum.__hash__`` hashes the member's name in Python, and every
+    :class:`~repro.ptx.instruction.Reg` or instruction hash hashes its
+    enums.  Members are singletons that compare by identity and
+    unpickle to themselves, so identity is a hash consistent with
+    equality.
+    """
+
+    __hash__ = object.__hash__
+
+
 #: Number of 32-bit register-file slots one register of each class
 #: uses, by :class:`RegClass` value.
 _CLASS_SLOTS = {"r": 1, "rd": 2, "f": 1, "fd": 2, "p": 0}
 
 
-class RegClass(enum.Enum):
+class RegClass(_Enum):
     """Register classes used by the allocator.
 
     PTX registers are typed; per paper Section 5.2 a register freed by a
@@ -69,7 +82,7 @@ _DTYPE_TABLE = {
 }
 
 
-class DType(enum.Enum):
+class DType(_Enum):
     """PTX scalar data types (paper Section 5.2: PTX is type-sensitive)."""
 
     U8 = "u8"
@@ -94,6 +107,8 @@ class DType(enum.Enum):
         self.bits: int = bits
         #: The register class a value of this type occupies.
         self.reg_class: RegClass = RegClass(reg_class)
+        #: Whether the type is a floating-point type (``f32``, ``f64``).
+        self.is_float: bool = reg_class in ("f", "fd")
 
     @property
     def bytes(self) -> int:
@@ -101,15 +116,11 @@ class DType(enum.Enum):
         return max(1, self.bits // 8)
 
     @property
-    def is_float(self) -> bool:
-        return self in (DType.F32, DType.F64)
-
-    @property
     def is_signed(self) -> bool:
         return self.value[0] == "s"
 
 
-class Space(enum.Enum):
+class Space(_Enum):
     """PTX state spaces relevant to spilling and simulation."""
 
     REG = "reg"
@@ -124,7 +135,7 @@ class Space(enum.Enum):
         return self is not Space.REG
 
 
-class Opcode(enum.Enum):
+class Opcode(_Enum):
     """The PTX-subset opcodes."""
 
     # Data movement.
@@ -169,7 +180,7 @@ class Opcode(enum.Enum):
     EXIT = "exit"
 
 
-class CmpOp(enum.Enum):
+class CmpOp(_Enum):
     """Comparison operators for ``setp``."""
 
     EQ = "eq"
@@ -180,7 +191,7 @@ class CmpOp(enum.Enum):
     GE = "ge"
 
 
-class LatencyClass(enum.Enum):
+class LatencyClass(_Enum):
     """Functional-unit latency classes used by the timing model.
 
     Memory opcode classes are resolved per state space at issue time;

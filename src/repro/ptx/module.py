@@ -7,7 +7,10 @@ paper Listing 4), and its body of labels and instructions.
 A kernel is immutable: its fields cannot be rebound and its parameters,
 arrays and body are tuples.  A pass builds a new kernel
 (``dataclasses.replace``), so a kernel may be shared by any number of
-callers, and :meth:`Kernel.fingerprint` computes its digest once.
+callers, and the facts of its own fields are computed once per kernel
+object: :meth:`Kernel.instructions` and :meth:`Kernel.fingerprint`.
+Analyses of a kernel (its CFG, liveness, verification reports) are not
+kept on it.
 """
 
 from __future__ import annotations
@@ -70,18 +73,24 @@ class Kernel:
                 object.__setattr__(self, name, tuple(value))
 
     def __getstate__(self):
-        # The cached digest stays out of pickles: an entry holds the
-        # kernel's fields only.
+        # The cached digest and instruction tuple stay out of pickles:
+        # an entry holds the kernel's fields only.
         state = dict(self.__dict__)
         state.pop("_digest", None)
+        state.pop("_instructions", None)
         return state
 
     # ------------------------------------------------------------------
     # Structural queries.
     # ------------------------------------------------------------------
-    def instructions(self) -> List[Instruction]:
-        """All instructions in body order (labels skipped)."""
-        return list(iter_instructions(self.body))
+    def instructions(self) -> Tuple[Instruction, ...]:
+        """All instructions in body order (labels skipped), built once
+        per kernel object."""
+        instructions = self.__dict__.get("_instructions")
+        if instructions is None:
+            instructions = tuple(iter_instructions(self.body))
+            object.__setattr__(self, "_instructions", instructions)
+        return instructions
 
     def labels(self) -> List[str]:
         return [item.name for item in self.body if isinstance(item, Label)]
@@ -89,9 +98,16 @@ class Kernel:
     def registers(self) -> Set[Reg]:
         """The set of distinct registers referenced anywhere in the body."""
         regs: Set[Reg] = set()
-        for inst in iter_instructions(self.body):
+        for inst in self.instructions():
             regs.update(inst.regs())
         return regs
+
+    def register_names(self) -> Set[str]:
+        """The names of :meth:`registers`, as a new set per call, without
+        hashing a :class:`Reg`."""
+        return {
+            reg.name for inst in self.instructions() for reg in inst.regs()
+        }
 
     def register_count(self, reg_class: Optional[RegClass] = None) -> int:
         """Number of distinct registers, optionally filtered by class."""
@@ -127,7 +143,7 @@ class Kernel:
     def validate_targets(self) -> None:
         """Raise if any branch targets a label that does not exist."""
         labels = set(self.labels())
-        for inst in iter_instructions(self.body):
+        for inst in self.instructions():
             if inst.is_branch and inst.target not in labels:
                 raise ValueError(
                     f"kernel {self.name}: branch to undefined label {inst.target!r}"
@@ -186,7 +202,7 @@ def fresh_register_namer(kernel: Kernel, reg_class: RegClass, dtype: DType):
     Used by spill-code insertion, which needs new addressing registers
     (paper Listing 4 introduces ``%d0`` for the spill-stack base).
     """
-    existing = {r.name for r in kernel.registers()}
+    existing = kernel.register_names()
     prefix = f"%{reg_class.value}"
     counter = 0
 

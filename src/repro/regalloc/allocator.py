@@ -269,7 +269,7 @@ def allocate(
     # Remat-eligible variables (single mov-immediate def) are nearly
     # free to "spill": bias the spill heuristics toward them.
     remat_eligible = (
-        remat_candidates(original, {r.name for r in original.registers()})
+        remat_candidates(original, original.register_names())
         if remat
         else {}
     )

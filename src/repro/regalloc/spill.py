@@ -175,7 +175,7 @@ class _TempNamer:
     """Fresh-register factory shared across register classes."""
 
     def __init__(self, kernel: Kernel):
-        self._existing = {r.name for r in kernel.registers()}
+        self._existing = kernel.register_names()
         self._counters: Dict[str, int] = {}
 
     def fresh(self, dtype: DType) -> Reg:

@@ -37,6 +37,7 @@ from ..cfg.graph import CFG
 from ..engine import get_engine
 from ..errors import ParseError, VerificationError, classify_error
 from ..ir.pipeline import VERIFIED_SPEC, pipeline_signature, run_pipeline
+from ..ir.view import RewriteContext
 from ..ptx import parse_kernel
 from ..ptx.module import Kernel
 from ..workloads import BY_ABBR, RESOURCE_SENSITIVE, load_workload
@@ -272,15 +273,18 @@ def _execute_simulate(prepared: PreparedJob) -> Dict[str, Any]:
     )
     kernel = prepared.kernel
     verify = bool(params.get("verify"))
+    # The input's lint and the pipeline's first checks share one
+    # context, so a verified job DF-checks the input once.
+    source = RewriteContext(kernel)
     if verify:
         from .. import verify as verify_mod
 
-        verify_mod.lint_kernel(kernel, stage="input").raise_if_errors()
+        verify_mod.lint_kernel(source, stage="input").raise_if_errors()
     passes = _passes_of(params)
     if passes:
         from ..core.crat import run_passes
 
-        kernel = run_passes(kernel, passes, verify, get_engine())
+        kernel = run_passes(source, passes, verify, get_engine())
     sim = get_engine().simulate(
         kernel,
         prepared.config,
@@ -295,12 +299,13 @@ def _execute_verify(prepared: PreparedJob) -> Dict[str, Any]:
     from .. import verify as verify_mod
 
     params = prepared.request.params
-    report = verify_mod.lint_kernel(prepared.kernel)
+    source = RewriteContext(prepared.kernel)
+    report = verify_mod.lint_kernel(source)
     if params.get("pipeline"):
         # Stops at the first bad rewrite, whose PL diagnostics name the
         # registry pass as their stage.
         try:
-            run_pipeline(prepared.kernel, VERIFIED_SPEC, verify=True)
+            run_pipeline(source, VERIFIED_SPEC, verify=True)
         except VerificationError as err:
             report.diagnostics.extend(err.diagnostics)
     strict = bool(params.get("strict"))

@@ -31,10 +31,13 @@ allocation and pass validators through the optimizer itself.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
+from ..cfg.graph import CFG
+from ..ir.view import RewriteContext
 from ..ptx.module import Kernel
 from .allocation import (
+    _spill_stack_lint,
     discover_spill_regions,
     lint_spill_stacks,
     verify_allocation,
@@ -45,14 +48,36 @@ from .diagnostics import (
     VerifyReport,
 )
 from .registry import FAMILIES, RULES, Rule, Severity
-from .pipeline import effect_summary, verify_pass
+from .pipeline import _dataflow, effect_summary, verify_pass
 
 
-def lint_kernel(kernel: Kernel, stage: Optional[str] = None) -> VerifyReport:
+def lint_kernel(
+    kernel: Union[Kernel, RewriteContext], stage: Optional[str] = None
+) -> VerifyReport:
     """Every check that applies to a bare kernel: dataflow rules plus
-    structural spill-stack discipline (``repro verify`` lint mode)."""
-    report = verify_dataflow(kernel, stage=stage)
-    report.extend(lint_spill_stacks(kernel, stage=stage))
+    structural spill-stack discipline (``repro verify`` lint mode), on
+    one CFG.
+
+    Given the kernel's :class:`~repro.ir.view.RewriteContext`, the
+    checks read the context's CFG and leave their dataflow report in
+    it, where :func:`verify_pass` reads it when the context is the
+    ``before`` side of a rewrite: a request that lints its input and
+    then runs a verified pipeline from that context DF-checks the input
+    once.
+    """
+    ctx = RewriteContext.of(kernel)
+    try:
+        cfg: Optional[CFG] = ctx.cfg
+    except ValueError:
+        cfg = None  # verify_dataflow reports (or raises) as it does alone
+    dataflow = verify_dataflow(ctx.kernel, cfg, stage=stage)
+    ctx.cached(_dataflow, lambda _: dataflow)
+    report = VerifyReport(
+        kernel=dataflow.kernel,
+        diagnostics=list(dataflow.diagnostics),
+        stage=stage,
+    )
+    report.extend(_spill_stack_lint(ctx.kernel, cfg, stage))
     return report
 
 

@@ -152,11 +152,22 @@ def lint_spill_stacks(
     through barriers, which slot discipline deliberately does not
     model.
     """
-    report = VerifyReport(kernel=kernel.name, stage=stage or "lint")
     try:
-        cfg = CFG(kernel)
+        cfg: Optional[CFG] = CFG(kernel)
     except ValueError:
-        return report  # dataflow verification reports the broken CFG
+        cfg = None
+    return _spill_stack_lint(kernel, cfg, stage)
+
+
+def _spill_stack_lint(
+    kernel: Kernel, cfg: Optional[CFG], stage: Optional[str]
+) -> VerifyReport:
+    """:func:`lint_spill_stacks` on ``cfg``, the kernel's CFG as the
+    caller built it: ``None`` when it does not build, which leaves the
+    report empty (dataflow verification reports the broken CFG)."""
+    report = VerifyReport(kernel=kernel.name, stage=stage or "lint")
+    if cfg is None:
+        return report
     for region in discover_spill_regions(kernel):
         accesses = _collect_accesses(cfg, region)
         _infer_slots(region, accesses, report, kernel)

@@ -181,7 +181,7 @@ def _check_def_before_use(
     stage: Optional[str],
 ) -> None:
     """DF001/DF002 via a forward may-be-uninitialized analysis."""
-    all_regs = {r.name for r in kernel.registers()}
+    all_regs = kernel.register_names()
     defined_somewhere: Set[str] = set()
     for inst in kernel.instructions():
         defined_somewhere.update(r.name for r in inst.defs())

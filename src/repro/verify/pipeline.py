@@ -193,10 +193,8 @@ def verify_pass(
     ``after`` (kernels, or their analysis contexts); returns the
     ``PL*`` report.  ``compare_effects=False`` (a pattern's
     ``structure`` mode) skips the ``PL002`` effect comparison."""
-    if not isinstance(before, RewriteContext):
-        before = RewriteContext(before)
-    if not isinstance(after, RewriteContext):
-        after = RewriteContext(after)
+    before = RewriteContext.of(before)
+    after = RewriteContext.of(after)
     name = after.kernel.name
     report = VerifyReport(kernel=name, stage=stage)
 

@@ -1228,8 +1228,15 @@ class TestStageMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        # Each table entry is what its own fields look up.
-        for inst in list(instruction._INSTRUCTIONS.values()):
+        # Each table entry is what its own key looks up.  A decoded
+        # value held here keeps its entries in the table, so the loop
+        # runs over them.
+        kept = pickle.loads(blob)
+        entries = list(instruction._INSTRUCTIONS.values())
+        assert {id(i) for i in kept.kernel.instructions()} <= set(
+            map(id, entries)
+        )
+        for inst in entries:
             rebuild, fields = inst.__reduce__()
             assert rebuild(*fields) is inst
 

@@ -12,15 +12,19 @@ from repro.ptx import (
     Instruction,
     Kernel,
     KernelBuilder,
+    MemRef,
     Module,
     Opcode,
     Reg,
     RegClass,
     Space,
+    Sreg,
+    Sym,
     fresh_register_namer,
     parse_module,
     print_module,
 )
+from tests.conftest import ANALYSIS_CORPUS, corpus_kernel
 
 
 def small_kernel():
@@ -136,23 +140,114 @@ class TestPickle:
         kernel = small_kernel()
         first, second = (pickle.loads(pickle.dumps(kernel)) for _ in range(2))
         assert first == kernel and str(first) == str(kernel)
-        assert "_digest" not in vars(pickle.loads(pickle.dumps(kernel)))
+        # What the kernel computed once stays out of its pickles.
+        kernel.fingerprint(), kernel.instructions()
+        assert set(vars(pickle.loads(pickle.dumps(kernel)))) == {
+            field.name for field in dataclasses.fields(Kernel)
+        }
         assert all(
             a is b for a, b in zip(first.instructions(), second.instructions())
         )
 
     def test_decode_keeps_immediates_exact(self):
-        # 0.0 == -0.0 and 1 == True, but they print or compute apart.
-        f, r = Reg("%f0", DType.F32), Reg("%r0", DType.S32)
+        """``1 == 1.0 == True`` and ``0.0 == -0.0``, but each computes
+        or prints apart, so each decodes to its own immediate, under an
+        integer and a float type alike."""
+        values = [1, 1.0, True, 0.0, -0.0]
         body = [
-            Instruction(Opcode.MOV, dtype=dtype, dst=dst, srcs=(Imm(v, dtype),))
-            for dst, dtype, v in (
-                (f, DType.F32, 0.0), (f, DType.F32, -0.0),
-                (r, DType.S32, 1), (r, DType.S32, True),
-            )
+            Instruction(Opcode.MOV, dtype=dtype, dst=Reg(name, dtype),
+                        srcs=(Imm(v, dtype),))
+            for name, dtype in (("%r0", DType.S32), ("%f0", DType.F32))
+            for v in values
         ]
         decoded = pickle.loads(pickle.dumps(body))
         assert [str(i) for i in decoded] == [str(i) for i in body]
-        assert [type(i.srcs[0].value) for i in decoded] == [
-            float, float, int, bool,
+        assert str(decoded[-1]) == "mov.f32 %f0, -0.0;"
+        assert [repr(i.srcs[0].value) for i in decoded] == [
+            repr(v) for v in values + values
         ]
+
+    def test_decode_keys_keep_operand_kinds_of_one_name_apart(self):
+        """A register, a symbol and a special register may share a name
+        (and the text of an instruction that reads one), but never a
+        decoded instruction: as a source or as a memory base."""
+        reg, sym, sreg = Reg("tile", DType.U64), Sym("tile"), Sreg("tile")
+        addr, value = Reg("%rd0", DType.U64), Reg("%r0", DType.U32)
+        body = [
+            Instruction(Opcode.MOV, dtype=DType.U64, dst=addr, srcs=(op,))
+            for op in (reg, sym, sreg)
+        ] + [
+            Instruction(Opcode.LD, dtype=DType.U32, dst=value,
+                        mem=MemRef(base, 4), space=Space.SHARED)
+            for base in (reg, sym)
+        ]
+        assert len({str(i) for i in body[:3]}) == 1
+        decoded = pickle.loads(pickle.dumps(body))
+        assert decoded == body
+        assert [type(i.srcs[0]) for i in decoded[:3]] == [Reg, Sym, Sreg]
+        assert [type(i.mem.base) for i in decoded[3:]] == [Reg, Sym]
+        assert [i.uses() for i in decoded] == [(reg,), (), (), (reg,), ()]
+
+
+def _uses_from_fields(inst):
+    used = [src for src in inst.srcs if isinstance(src, Reg)]
+    if inst.mem is not None and isinstance(inst.mem.base, Reg):
+        used.append(inst.mem.base)
+    if inst.guard is not None:
+        used.append(inst.guard)
+    return tuple(used)
+
+
+def assert_facts_follow_fields(kernel):
+    """What a kernel and its instructions compute once (def/use tuples,
+    printed text, the instruction sequence, register names) equals the
+    same fact derived again from their fields."""
+    body = [item for item in kernel.body if isinstance(item, Instruction)]
+    assert kernel.instructions() == tuple(body)
+    assert kernel.instructions() is kernel.instructions()
+    names = set()
+    for inst in body:
+        defs = () if inst.dst is None else (inst.dst,)
+        uses = _uses_from_fields(inst)
+        assert (inst.defs(), inst.uses(), inst.regs()) == (
+            defs, uses, defs + uses
+        )
+        # A copy from the same fields prints afresh.
+        assert str(inst) == str(dataclasses.replace(inst)) == str(inst)
+        names.update(reg.name for reg in defs + uses)
+    assert kernel.register_names() == names
+    assert names == {reg.name for reg in kernel.registers()}
+
+
+class TestFieldFacts:
+    @pytest.mark.parametrize("name", ANALYSIS_CORPUS)
+    def test_corpus_facts_follow_fields(self, name):
+        assert_facts_follow_fields(corpus_kernel(name))
+
+    def test_decoded_memo_value_facts_follow_fields(self, tmp_path):
+        """A memo value read back from disk: its interned instructions
+        answer as their fields, and as the computed value's do."""
+        from repro.engine import EvaluationEngine
+        from repro.regalloc import allocate, register_demand
+
+        from .conftest import build_pressure_kernel
+
+        kernel = build_pressure_kernel()
+        limit = register_demand(kernel) // 2
+        key = ("allocate", kernel.fingerprint(), limit, 4096)
+        computed = EvaluationEngine(disk_cache=str(tmp_path)).memo(
+            key, lambda: allocate(kernel, limit, spare_shm_bytes=4096)
+        )
+        engine = EvaluationEngine(disk_cache=str(tmp_path))
+        decoded = engine.memo(key, pytest.fail)
+        assert engine.stats.memo_disk_hits == 1
+        for got, want in ((decoded.kernel, computed.kernel),
+                          (decoded.pre_rename_kernel,
+                           computed.pre_rename_kernel)):
+            assert got is not want
+            assert_facts_follow_fields(got)
+            assert str(got) == str(want)
+            assert got.register_names() == want.register_names()
+            assert [i.regs() for i in got.instructions()] == [
+                i.regs() for i in want.instructions()
+            ]

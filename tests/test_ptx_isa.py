@@ -1,7 +1,11 @@
 """Unit tests for the ISA definitions."""
 
+import enum
+import pickle
+
 import pytest
 
+from repro.ptx import isa
 from repro.ptx.isa import (
     CmpOp,
     DType,
@@ -30,6 +34,8 @@ class TestDType:
         assert DType.F64.is_float
         assert not DType.S32.is_float
         assert not DType.B32.is_float
+        for dtype in DType:
+            assert dtype.is_float is (dtype in (DType.F32, DType.F64))
 
     def test_is_signed(self):
         assert DType.S32.is_signed
@@ -92,3 +98,41 @@ class TestArity:
 class TestCmpOp:
     def test_all_six_comparisons(self):
         assert {c.value for c in CmpOp} == {"eq", "ne", "lt", "le", "gt", "ge"}
+
+
+#: Every enum the module defines, found rather than listed, so a new
+#: one is held to the same rules.
+ENUMS = [
+    value for value in vars(isa).values()
+    if isinstance(value, type) and issubclass(value, enum.Enum)
+    and value.__module__ == isa.__name__ and len(value) > 0
+]
+
+
+class TestEnumHashing:
+    def test_every_enum_is_found(self):
+        assert {e.__name__ for e in ENUMS} == {
+            "RegClass", "DType", "Space", "Opcode", "CmpOp", "LatencyClass",
+        }
+
+    @pytest.mark.parametrize("kind", ENUMS, ids=lambda e: e.__name__)
+    def test_members_hash_by_identity(self, kind):
+        """A member hashes in C, by identity, consistently with its
+        equality: members compare equal only to themselves."""
+        members = list(kind)
+        assert type(members[0]).__hash__ is object.__hash__
+        for a in members:
+            assert hash(a) == object.__hash__(a) == hash(a)
+            for b in members:
+                assert (a == b) is (a is b)
+        assert len({hash(m) for m in members}) == len(members)
+
+    @pytest.mark.parametrize("kind", ENUMS, ids=lambda e: e.__name__)
+    def test_members_unpickle_to_themselves(self, kind):
+        """So a decoded member finds entries keyed by the original."""
+        by_member = {member: member.value for member in kind}
+        for member in kind:
+            decoded = pickle.loads(pickle.dumps(member))
+            assert decoded is member
+            assert hash(decoded) == hash(member)
+            assert by_member[decoded] == member.value

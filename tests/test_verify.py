@@ -680,6 +680,98 @@ class TestCLI:
         assert failed["KMN"]["kind"] == "VerificationError"
 
 
+class TestOneAnalysisPerRequest:
+    """Within one request a kernel's CFG and DF report are computed
+    once: a lint builds one CFG, and a verified ``--passes`` request
+    hands its input lint's DF report to the pipeline's first check."""
+
+    def test_lint_builds_one_cfg(self, monkeypatch):
+        import repro.cfg.graph as graph
+
+        with open(MISCOMPILED) as fh:
+            kernel = parse_kernel(fh.read())
+        built = []
+        init = graph.CFG.__init__
+
+        def counted(self, of):
+            built.append(of)
+            init(self, of)
+
+        monkeypatch.setattr(graph.CFG, "__init__", counted)
+        report = V.lint_kernel(kernel)
+        assert report.codes() == ["AL002", "AL003", "AL004", "AL005",
+                                  "DF001"]
+        assert len(built) == 1 and built[0] is kernel
+
+    def test_unbuildable_cfg_leaves_the_spill_lint_empty(self):
+        """The spill-stack half of a lint needs the CFG; when it does
+        not build, the DF half reports why."""
+        from repro.ptx.instruction import Instruction
+        from repro.ptx.isa import Opcode
+
+        with open(MISCOMPILED) as fh:
+            kernel = parse_kernel(fh.read())
+        broken = dataclasses.replace(kernel, body=(
+            Instruction(Opcode.BRA, target="$nowhere"),
+        ) + kernel.body)
+        assert V.lint_spill_stacks(broken).diagnostics == []
+        report = V.lint_kernel(broken, stage="input")
+        assert report.codes() == ["DF006"]
+        assert [d.stage for d in report.diagnostics] == ["input"]
+
+    @pytest.mark.parametrize("job", ["crat", "simulate"])
+    def test_verified_passes_request_df_checks_its_input_once(
+        self, job, monkeypatch
+    ):
+        """On a pipeline memo miss and on a hit alike: one DF check of
+        the input (the lint's), and as many ``lint_kernel`` and
+        ``verify_pass`` calls as before the report was shared."""
+        import repro.verify.dataflow as dataflow
+        import repro.verify.pipeline as verify_pipeline
+        from repro.engine import get_engine, set_engine
+        from repro.service.jobs import execute, prepare
+        from repro.service.protocol import Request
+
+        kernel = load_workload("GAU").kernel
+        checked = []
+        calls = []
+        real = dataflow.verify_dataflow
+
+        def counted(of, *args, **kwargs):
+            checked.append(of)
+            return real(of, *args, **kwargs)
+
+        # Each caller's own global: lint_kernel, verify_pass, the gate.
+        for module in (V, verify_pipeline, dataflow):
+            monkeypatch.setattr(module, "verify_dataflow", counted)
+        for name in ("lint_kernel", "verify_pass"):
+            def check(*args, _real=getattr(V, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(V, name, check)
+        request = Request(job=job, params={
+            "target": "GAU", "passes": "copy-prop,dce,minreg-sched",
+            "verify": True, "tlp": 2, "grid": 4,
+        })
+        previous = get_engine()
+        counts = []
+        try:
+            set_engine(EvaluationEngine(disk_cache=""))
+            for _ in range(2):
+                del checked[:], calls[:]
+                execute(prepare(request))
+                counts.append((
+                    sum(of is kernel for of in checked),
+                    calls.count("lint_kernel"),
+                    calls.count("verify_pass"),
+                ))
+        finally:
+            set_engine(previous)
+        rewrites = run_pipeline(kernel, "copy-prop,dce,minreg-sched")
+        assert counts == [(1, 1, rewrites.total_applied)] * 2
+
+
 # ---------------------------------------------------------------------------
 # The optimizer validates allocations only under ``verify``
 # ---------------------------------------------------------------------------
